@@ -101,5 +101,5 @@ def action_check(model, element, us, vs, z, table=None, cache=None):
     us, vs = tuple(us), tuple(vs)
     i, j = int(element[1]), int(element[2])
     norm = 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), model.c))
-    lhs = model.T(i, j, z).apply(build_vector(model, us, vs)).scale(norm)
+    lhs = model.apply_T(i, j, z, build_vector(model, us, vs)).scale(norm)
     return lhs.sub(action_rhs(model, element, us, vs, z, table=table, cache=cache))

@@ -63,7 +63,7 @@ def sym_odd_product(model, which, params) -> GradedOperator:
 
 def _apply_sym(model, i, j, creation, params, vec):
     for x in reversed(params):
-        vec = model.T(i, j, x).apply(vec)
+        vec = model.apply_T(i, j, x, vec)
     if len(params) > 1:
         vec = vec.scale(1 / _h_normalizer(params, model.c, creation))
     return vec
@@ -71,7 +71,7 @@ def _apply_sym(model, i, j, creation, params, vec):
 
 def _apply_sym_dual(model, i, j, creation, params, dual):
     for x in params:
-        dual = model.T(i, j, x).apply_dual(dual)
+        dual = model.apply_T_dual(i, j, x, dual)
     if len(params) > 1:
         dual = dual.scale(1 / _h_normalizer(params, model.c, creation))
     return dual
@@ -133,7 +133,7 @@ def build_vector(model, us, vs) -> GradedVector:
     for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs):
         vec = omega
         for u in reversed(u2):
-            vec = model.T(1, 2, u).apply(vec)
+            vec = model.apply_T(1, 2, u, vec)
         vec = _apply_sym(model, 2, 3, True, v2, vec)
         vec = _apply_sym(model, 1, 3, True, v1, vec)
         acc = acc.add(vec.scale(coef))
@@ -148,7 +148,7 @@ def build_dual_vector(model, us, vs) -> DualGradedVector:
     for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs):
         dual = model.omega_dual()
         for u in u2:
-            dual = model.T(2, 1, u).apply_dual(dual)
+            dual = model.apply_T_dual(2, 1, u, dual)
         dual = _apply_sym_dual(model, 3, 2, False, v2, dual)
         dual = _apply_sym_dual(model, 3, 1, False, v1, dual)
         acc = acc.add(dual.scale(coef))

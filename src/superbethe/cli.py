@@ -273,9 +273,24 @@ class _Runner:
         return ParameterSampler(f"{self.cfg.seed}:{suite}", self.cfg.c)
 
     def check(self, suite, name, parameters, thunk):
+        """Run thunk, timed, and record its residual. The parameters are
+        serialized after thunk returns, so a thunk may fill in a parameter
+        it computes."""
         t0 = time.perf_counter()
         residual = thunk()
+        self._record(suite, name, parameters, residual, time.perf_counter() - t0)
+
+    def check_all(self, suite, prefix, parameters, thunk):
+        """One record per named residual of the dict thunk returns; the
+        whole run of thunk is charged to the first record."""
+        t0 = time.perf_counter()
+        residuals = thunk()
         dt = time.perf_counter() - t0
+        for name, residual in residuals.items():
+            self._record(suite, f"{prefix} {name}", parameters, residual, dt)
+            dt = 0.0
+
+    def _record(self, suite, name, parameters, residual, dt):
         self.report.records.append(
             CheckRecord(
                 suite,
@@ -482,7 +497,7 @@ class _Runner:
                 f"chain {ci} coincidence limit equals normalized T13 action",
                 {"z": z},
                 lambda m=model, z=z: build_vector_limit(m, (z,), (z,)).sub(
-                    m.T(1, 3, z).apply(m.omega()).scale(1 / m.lam(2, z))
+                    m.apply_T(1, 3, z, m.omega()).scale(1 / m.lam(2, z))
                 ),
             )
 
@@ -586,14 +601,12 @@ class _Runner:
                 continue
             us, vs = self.params(smp, a - 1, b - 1, avoid=xi)
             z = smp.generic_one(avoid=xi + us + vs)
-            rep = action_decomposition_report(split, us, vs, z)
-            for name, residual in rep.items():
-                self.check(
-                    "proof-replay",
-                    f"(a,b)=({a},{b}) {name}",
-                    {"u": us, "v": vs, "z": z},
-                    lambda r=residual: r,
-                )
+            self.check_all(
+                "proof-replay",
+                f"(a,b)=({a},{b})",
+                {"u": us, "v": vs, "z": z},
+                lambda us=us, vs=vs, z=z: action_decomposition_report(split, us, vs, z),
+            )
 
     def suite_gl12(self):
         smp = self.sampler("gl12")
@@ -601,20 +614,21 @@ class _Runner:
         if split is None:
             raise SchemaError("gl12 suite needs two gl(1|2) chains with disjoint xi", "/chains")
         xi = tuple(split.part1.xi) + tuple(split.part2.xi)
-        signs = []
+        probes = []
         for k in range(5):
             us, vs = smp.generic(1, avoid=xi), smp.generic(1, avoid=xi)
             while any(is_zero(u - v) for u in us for v in vs):
                 vs = smp.generic(1, avoid=xi + us)
-            signs.append(resolve_sign(split, us, vs))
+            probes.append((us, vs))
+        signs = []
+
+        def probe_signs():
+            signs.extend(resolve_sign(split, us, vs) for us, vs in probes)
+            return 0 if len(set(signs)) == 1 else 1
+
+        self.check("gl12", "normalization sign stable across 5 probes", {"signs": signs}, probe_signs)
         stable = len(set(signs)) == 1
         self.report.sign_convention = signs[0] if stable else None
-        self.check(
-            "gl12",
-            "normalization sign stable across 5 probes",
-            {"signs": signs},
-            lambda: 0 if stable else 1,
-        )
         sign = signs[0]
         for k in range(self.cfg.campaigns):
             for a, b in self.ab_grid():

@@ -298,13 +298,13 @@ def check_recursion(model, us, vs, z):
     us, vs = tuple(us), tuple(vs)
     c = model.c
     norm = 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), c))
-    lhs = model.T(2, 3, z).apply(build_vector(model, us, vs)).scale(norm)
+    lhs = model.apply_T(2, 3, z, build_vector(model, us, vs)).scale(norm)
     rhs = build_vector(model, us, (z,) + vs).scale(prod_pairs(f, (z,), us, c))
     for k in range(len(us)):
         u0 = us[k]
         rest = us[:k] + us[k + 1 :]
         coef = g(u0, z, c) * prod_pairs(f, (u0,), rest, c) * norm
-        rhs = rhs.add(model.T(1, 3, z).apply(build_vector(model, rest, vs)).scale(coef))
+        rhs = rhs.add(model.apply_T(1, 3, z, build_vector(model, rest, vs)).scale(coef))
     return lhs.sub(rhs)
 
 
@@ -317,11 +317,11 @@ def check_composite_creation_actions(split: SplitChain, us, vs, z, total=None):
     norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), c))
     cal_b = bilinear_sum(m1, m2, us, vs)
 
-    lhs13 = total.T(1, 3, z).apply(cal_b).scale(norm)
+    lhs13 = total.apply_T(1, 3, z, cal_b).scale(norm)
     rhs13 = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
     res13 = lhs13.sub(rhs13)
 
-    lhs23 = total.T(2, 3, z).apply(cal_b).scale(norm)
+    lhs23 = total.apply_T(2, 3, z, cal_b).scale(norm)
     rhs23 = bilinear_sum(m1, m2, us, (z,) + vs).scale(prod_pairs(f, (z,), us, c))
     for k in range(len(us)):
         u0 = us[k]
@@ -467,7 +467,7 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
         c_sum = c_sum.add(vec)
 
     norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), c))
-    direct = total.T(1, 3, z).apply(bilinear_sum(m1, m2, us, vs)).scale(norm)
+    direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs)).scale(norm)
     extended = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
 
     report = {

@@ -85,7 +85,7 @@ def build_tilde_vector(model, us, vs) -> GradedVector:
     for coef, _u1, u2, v1, v2 in _tilde_terms(model, us, vs):
         vec = _apply_sym(model, 1, 2, True, u2, omega)
         for v in reversed(v2):
-            vec = model.T(2, 3, v).apply(vec)
+            vec = model.apply_T(2, 3, v, vec)
         vec = _apply_sym(model, 1, 3, True, v1, vec)
         acc = acc.add(vec.scale(coef))
     if len(us) % 2:
@@ -101,7 +101,7 @@ def build_tilde_dual_vector(model, us, vs) -> DualGradedVector:
     for coef, _u1, u2, v1, v2 in _tilde_terms(model, us, vs):
         dual = _apply_sym_dual(model, 2, 1, False, u2, model.omega_dual())
         for v in v2:
-            dual = model.T(3, 2, v).apply_dual(dual)
+            dual = model.apply_T_dual(3, 2, v, dual)
         dual = _apply_sym_dual(model, 3, 1, False, v1, dual)
         acc = acc.add(dual.scale(coef))
     if (a * (a - 1) // 2) % 2:

@@ -20,6 +20,7 @@ matrix algebra; once an operator is materialized the signs are inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import ArityMismatch, SignatureMismatch
@@ -390,8 +391,12 @@ def embed(a: GradedOperator, positions, arity: int) -> GradedOperator:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def super_permutation(sig: Signature) -> GradedOperator:
-    """P = sum_ij (-1)^{[j]} E_ij x E_ji on two factors."""
+    """P = sum_ij (-1)^{[j]} E_ij x E_ji on two factors.
+
+    Built once per signature; the shared operator is never mutated (every
+    GradedOperator method returns a new one)."""
     acc = GradedOperator(sig, 2)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -401,6 +406,8 @@ def super_permutation(sig: Signature) -> GradedOperator:
 
 
 def r_matrix(u, v, sig: Signature, c) -> GradedOperator:
+    # super_permutation is looked up as a module global on every call, so a
+    # replacement of it (a flipped-sign negative control) takes effect here
     gv = g_fn(u, v, c)
     return GradedOperator.identity(sig, 2).add(super_permutation(sig).scale(gv))
 

@@ -15,6 +15,25 @@ The factor-sequence form is deliberately more general than a single chain:
 composite totals interleave two diagonal twists between the site blocks,
 which no single-twist chain reproduces (a twist does not commute past the
 other part's R factors).
+
+Two ways to use T(u):
+
+* Model.T / Model.monodromy materialize all of T(u) (nnz 3*5^L) and split it
+  into its nine entry operators. The operator identities use them: RTT, the
+  exchange relations, the vacuum axioms, the coproduct assembly and the
+  symmetrized odd products.
+* Model.apply_T / Model.apply_T_dual apply one entry T_ij(u) to a sparse
+  ket or bra without building any operator: the vector is lifted to
+  |j> x w (or <i| x w), pushed through the factor sequence one factor at a
+  time, and projected back onto the other auxiliary index, with the
+  extraction sign on both ends. Every Bethe-vector builder and every
+  vector-side check (actions, recursion, composite creation actions, the
+  decomposition replay) goes this way. Each R_{0k} = I + g(u, xi_k) P_{0k}
+  sends a basis state to itself plus the state with the auxiliary and site-k
+  digits swapped, with the graded sign given by swap_sign; P_{0k} is
+  symmetric, so the bra walks the same factors in the opposite order. The
+  per-factor weights (g and its signed variants) are cached per spectral
+  point, the only state this path keeps.
 """
 
 from __future__ import annotations
@@ -27,11 +46,12 @@ from .graded import (
     GradedOperator,
     GradedVector,
     Signature,
+    _check_pair,
     embed,
     parity_table,
     r_matrix,
 )
-from .rational import rat
+from .rational import ONE, rat
 from .scalars import f as f_fn
 from .scalars import g as g_fn
 from .scalars import is_zero
@@ -80,6 +100,66 @@ def build_factor_product(sig, c, length, factors, u) -> GradedOperator:
     return acc if acc is not None else GradedOperator.identity(sig, arity)
 
 
+def swap_sign(pa, pb, between):
+    """Sign of P_{0k} swapping an auxiliary digit of parity pa with a site-k
+    digit of parity pb, when the digits of sites 1..k-1 have total parity
+    `between`: (-1)^{pa pb + (pa + pb) between}."""
+    return -1 if (pa & pb) ^ ((pa ^ pb) & between) else 1
+
+
+def _factor_weights(sig, c, length, factor, u):
+    """The data _apply_factor needs for one factor at the spectral point u:
+    ("diag", d) or ("site", place of site k, parity table of the sites
+    before it, swap weights, stay weights)."""
+    kind, *payload = factor
+    if kind == "diag":
+        return ("diag", tuple(payload[0]))
+    if kind != "site":
+        raise ValueError(f"unknown factor kind {kind!r}")
+    site, xi = payload
+    if is_zero(u - xi):
+        raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
+    gv = g_fn(u, xi, c)
+    signed = {1: gv, -1: -gv}
+    par = sig.parity
+    # swap[a][b][p]: weight of the swapped state for auxiliary digit a, site
+    # digit b and parity p of the sites before site k
+    swap = [[[signed[swap_sign(par[a], par[b], p)] for p in (0, 1)] for b in range(3)] for a in range(3)]
+    stay = {1: ONE + gv, -1: ONE - gv}
+    stay = [stay[swap_sign(par[a], par[a], 0)] for a in range(3)]
+    return ("site", 3 ** (length - site), parity_table(sig, site - 1), swap, stay)
+
+
+def _apply_factor(length, weights, state):
+    """One factor applied to a sparse state on arity length+1.
+
+    Every factor is a symmetric matrix, so the same map serves kets and bras.
+    """
+    shift = 3 ** length
+    out = {}
+    if weights[0] == "diag":
+        d = weights[1]
+        for key, x in state.items():
+            out[key] = d[key // shift] * x
+        return out
+    _, place, prefix, swap, stay = weights
+    for key, x in state.items():
+        a, rest = divmod(key, shift)
+        b = rest // place % 3
+        if a == b:
+            s = out.get(key)
+            y = stay[a] * x
+            out[key] = y if s is None else s + y
+            continue
+        s = out.get(key)
+        out[key] = x if s is None else s + x
+        swapped = key + (b - a) * (shift - place)
+        y = swap[a][b][prefix[rest // (place * 3)]] * x
+        s = out.get(swapped)
+        out[swapped] = y if s is None else s + y
+    return {key: x for key, x in out.items() if x}
+
+
 def extract_entries(big: GradedOperator, sig, length):
     """Split an auxiliary x chain operator into its nine auxiliary blocks."""
     shift = 3 ** length
@@ -119,8 +199,8 @@ class Model:
     """
 
     def __init__(self):
-        self._big = {}
         self._entries = {}
+        self._weights = {}
 
     def factor_sequence(self):
         raise NotImplementedError
@@ -129,11 +209,7 @@ class Model:
         raise NotImplementedError
 
     def monodromy_op(self, u) -> GradedOperator:
-        big = self._big.get(u)
-        if big is None:
-            big = build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
-            self._big[u] = big
-        return big
+        return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
 
     def monodromy(self, u) -> Monodromy:
         ent = self._entries.get(u)
@@ -144,6 +220,42 @@ class Model:
 
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
+
+    def apply_T(self, i, j, u, vec: GradedVector) -> GradedVector:
+        """T_ij(u) . vec, equal to T(i, j, u).apply(vec), matrix-free."""
+        return self._walk(j, i, j, vec, reversed(self._weights_at(u)))
+
+    def apply_T_dual(self, i, j, u, dual: DualGradedVector) -> DualGradedVector:
+        """dual . T_ij(u), equal to T(i, j, u).apply_dual(dual), matrix-free."""
+        return self._walk(i, j, j, dual, self._weights_at(u))
+
+    def _weights_at(self, u):
+        """_factor_weights of the whole factor sequence, cached per u."""
+        weights = self._weights.get(u)
+        if weights is None:
+            weights = [_factor_weights(self.sig, self.c, self.arity, f, u) for f in self.factor_sequence()]
+            self._weights[u] = weights
+        return weights
+
+    def _walk(self, start, end, j, vec, factors):
+        """Lift vec to auxiliary index start, apply the factors in the given
+        order and project onto auxiliary index end; both ends carry the
+        extraction sign (-1)^{[j] par(chain digits)}."""
+        _check_pair(self, vec)
+        shift = 3 ** self.arity
+        par = parity_table(self.sig, self.arity)
+        odd = self.sig.par(j)
+        lo = (start - 1) * shift
+        state = {lo + n: (-x if odd and par[n] else x) for n, x in vec.entries.items()}
+        for weights in factors:
+            state = _apply_factor(self.arity, weights, state)
+        lo = (end - 1) * shift
+        out = {}
+        for key, x in state.items():
+            m = key - lo
+            if 0 <= m < shift:
+                out[m] = -x if odd and par[m] else x
+        return type(vec)(self.sig, self.arity, out)
 
     def r(self, i, u):
         return self.lam(i, u) / self.lam(2, u)

@@ -163,3 +163,28 @@ def test_emit_report_stable_shape(tmp_path):
         set(c) == {"suite", "name", "parameters", "residual_is_zero", "residual_sample", "runtime"}
         for c in data["checks"]
     )
+
+
+def test_replay_and_sign_probes_are_timed(monkeypatch):
+    import time
+
+    from superbethe import cli
+
+    def slow(fn, delay):
+        def wrapper(*args, **kwargs):
+            time.sleep(delay)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "action_decomposition_report", slow(cli.action_decomposition_report, 0.05))
+    monkeypatch.setattr(cli, "resolve_sign", slow(cli.resolve_sign, 0.01))
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
+    report = run_suites(load_config(path), only={"proof-replay", "gl12"})
+    assert report.all_zero()
+    replay = [r for r in report.records if r.suite == "proof-replay"]
+    firsts = [r for r in replay if r.name.endswith("class_sum_vs_extended_vector")]
+    assert len(firsts) == 2 and all(r.runtime >= 0.05 for r in firsts)
+    (probe,) = [r for r in report.records if r.name == "normalization sign stable across 5 probes"]
+    assert probe.runtime >= 0.05
+    assert probe.parameters == {"signs": "[1, 1, 1, 1, 1]"}
