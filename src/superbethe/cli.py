@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ from .gl12 import (
     check_tilde_factorization,
     resolve_sign,
 )
-from .graded import SIGNATURES, check_ybe, decode, r_matrix, GradedOperator
+from .graded import SIGNATURES, check_unitarity, check_ybe, decode
 from .monodromy import ChainModel, ChainSpec, check_rtt, check_supercommutator, vacuum_residuals
 from .rational import BACKEND, rat_from_str
 from .sampling import ParameterSampler
@@ -103,6 +104,14 @@ def _rat_at(value, pointer):
         raise SchemaError(f"not a rational: {value!r}", pointer) from None
 
 
+def _int_at(raw, key, default):
+    value = raw.get(key, default)
+    try:
+        return int(value)
+    except (ValueError, TypeError):
+        raise SchemaError(f"not an integer: {value!r}", f"/{key}") from None
+
+
 def load_config(path) -> RunConfig:
     with open(path) as fh:
         try:
@@ -122,7 +131,7 @@ def parse_config(raw) -> RunConfig:
     if default_sig not in SIGNATURES:
         raise SchemaError(f"unknown signature {default_sig!r}", "/signature")
 
-    max_len = int(raw.get("max_L", 4))
+    max_len = _int_at(raw, "max_L", 4)
     chains = []
     for idx, ch in enumerate(raw.get("chains", [])):
         base = f"/chains/{idx}"
@@ -170,20 +179,27 @@ def parse_config(raw) -> RunConfig:
             return None
         return tuple(_rat_at(x, f"/{key}/{i}") for i, x in enumerate(raw[key]))
 
+    campaigns = _int_at(raw, "campaigns", 3)
+    if campaigns < 0:
+        raise SchemaError(f"campaigns={campaigns} is negative", "/campaigns")
+    formula_file = raw.get("action_formula_file")
+    if formula_file is not None and (not isinstance(formula_file, str) or not os.path.isfile(formula_file)):
+        raise SchemaError(f"action formula file not found: {formula_file!r}", "/action_formula_file")
+
     return RunConfig(
         c=c,
         chains=chains,
         suites=tuple(suites_raw),
-        seed=int(raw.get("seed", 1729)),
-        campaigns=int(raw.get("campaigns", 3)),
-        max_a=int(raw.get("max_a", 2)),
-        max_b=int(raw.get("max_b", 2)),
+        seed=_int_at(raw, "seed", 1729),
+        campaigns=campaigns,
+        max_a=_int_at(raw, "max_a", 2),
+        max_b=_int_at(raw, "max_b", 2),
         max_len=max_len,
         split=split,
         us=param_list("u"),
         vs=param_list("v"),
         z=_rat_at(raw["z"], "/z") if "z" in raw else None,
-        action_formula_file=raw.get("action_formula_file"),
+        action_formula_file=formula_file,
     )
 
 
@@ -404,14 +420,11 @@ class _Runner:
                     {"u": u, "v": v, "w": w},
                     lambda u=u, v=v, w=w: check_ybe(u, v, w, sig, c),
                 )
-                gv = g(u, v, c)
                 self.check(
                     "ybe",
                     f"{sig_name} unitarity (draw {k})",
                     {"u": u, "v": v},
-                    lambda u=u, v=v, gv=gv: r_matrix(u, v, sig, c)
-                    .compose(r_matrix(v, u, sig, c))
-                    .sub(GradedOperator.identity(sig, 2).scale(1 - gv * gv)),
+                    lambda u=u, v=v: check_unitarity(u, v, sig, c),
                 )
 
     def suite_rtt(self):

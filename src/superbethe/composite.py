@@ -28,6 +28,7 @@ from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, embed, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, enumerate_partitions, parse
+from .rational import rat
 from .scalars import eps_limit, f, g, h, is_zero, prod_pairs, three_term_witness
 
 
@@ -78,8 +79,9 @@ class CompositeModel(Model):
         return self.lambda_sign * self.part1.lam(i, u) * self.part2.lam(i, u)
 
 
-def coproduct_entries(total: CompositeModel, u):
-    """T_ij(u) = sum_k T^(1)_kj(u) T^(2)_ik(u) with graded embeddings."""
+def coproduct_entries(total: CompositeModel, u) -> Monodromy:
+    """T_ij(u) = sum_k T^(1)_kj(u) T^(2)_ik(u) with graded embeddings, summed
+    over the parts' scaled entries, so its scale is N_1 N_2."""
     l1, l = total.part1.arity, total.arity
     pos1 = tuple(range(1, l1 + 1))
     pos2 = tuple(range(l1 + 1, l + 1))
@@ -90,19 +92,26 @@ def coproduct_entries(total: CompositeModel, u):
         for j in range(1, 4):
             acc = None
             for k in range(1, 4):
-                term = embed(m1.entry(k, j), pos1, l).compose(embed(m2.entry(i, k), pos2, l))
+                term = embed(m1.scaled[k, j], pos1, l).compose(embed(m2.scaled[i, k], pos2, l))
                 acc = term if acc is None else acc.add(term)
             out[(i, j)] = acc
-    return out
+    return Monodromy(total.sig, total.arity, u, m1.scale * m2.scale, out)
 
 
 def compose_monodromy(split: SplitChain, u):
-    """Coproduct-composed monodromy plus its residual against the direct build."""
+    """Coproduct-composed monodromy plus its residual against the direct build.
+
+    The sides carry the scales N_1 N_2 (composed) and N_total (direct); each
+    residual is (N_total composed - N_1 N_2 direct) / (N_1 N_2 N_total)."""
     total = CompositeModel(split)
-    direct = total.monodromy(u).entries
+    direct = total.monodromy(u)
     composed = coproduct_entries(total, u)
-    residuals = {ij: composed[ij].sub(direct[ij]) for ij in composed}
-    return Monodromy(total.sig, total.arity, u, composed), residuals
+    back = rat(1, composed.scale * direct.scale)
+    residuals = {
+        ij: op.scale(direct.scale).sub(direct.scaled[ij].scale(composed.scale)).scale(back)
+        for ij, op in composed.scaled.items()
+    }
+    return composed, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +459,10 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     Returns named residual vectors/scalars; every one must be zero:
     the three target classes reassemble the extended composite vector, the
     coproduct classes reassemble the direct operator action, the mixed
-    classes cancel pairwise and by the three-term g-identity.
+    classes cancel pairwise and by the three-term g-identity. That identity
+    is witnessed at (ui, vi, z) with ui, vi the first of us and vs, the
+    points whose C13, C24 and C33 terms it cancels; with us or vs empty
+    those classes have no terms and the witness is 0.
     """
     us, vs = tuple(us), tuple(vs)
     total = CompositeModel(split)
@@ -480,6 +492,6 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
         "match_c11_a1": cterms["C11"].sub(a["A1"]),
         "match_c21_a3": cterms["C21"].sub(a["A3"]),
         "match_c31_a2": cterms["C31"].sub(a["A2"]),
-        "g_identity_witness": three_term_witness(1, 2, 3, c),
+        "g_identity_witness": three_term_witness(us[0], vs[0], z, c) if us and vs else 0,
     }
     return report

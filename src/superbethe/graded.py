@@ -15,6 +15,13 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
 
 Everything downstream (composition, application, residuals) is plain sparse
 matrix algebra; once an operator is materialized the signs are inside it.
+
+The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
+composite.py RTT, the exchange relations and the coproduct) are homogeneous
+in their factors, so they run on integer operators: clear_denominators scales
+each factor once by the lcm of its denominators, every embed/compose/add then
+multiplies Python ints, and the residual is scaled back by the product of the
+scales, which makes it equal to the residual of the rational formula.
 """
 
 from __future__ import annotations
@@ -22,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import lcm
 
 from .errors import ArityMismatch, SignatureMismatch
+from .rational import rat
 from .scalars import g as g_fn
 
 
@@ -177,9 +186,9 @@ def vector_tensor(x: GradedVector, y: GradedVector):
 
 
 class GradedOperator:
-    __slots__ = ("sig", "arity", "cols", "parity_hint")
+    __slots__ = ("sig", "arity", "cols")
 
-    def __init__(self, sig, arity, cols=None, parity_hint=None):
+    def __init__(self, sig, arity, cols=None):
         self.sig = sig
         self.arity = arity
         self.cols = {}
@@ -187,21 +196,20 @@ class GradedOperator:
             pruned = {r: v for r, v in colmap.items() if v}
             if pruned:
                 self.cols[c] = pruned
-        self.parity_hint = parity_hint
 
     @classmethod
     def identity(cls, sig, arity):
-        return cls(sig, arity, {k: {k: 1} for k in range(3 ** arity)}, parity_hint=0)
+        return cls(sig, arity, {k: {k: 1} for k in range(3 ** arity)})
 
     @classmethod
     def unit(cls, sig, i, j):
         """Matrix unit E_ij on one factor."""
-        return cls(sig, 1, {j - 1: {i - 1: 1}}, parity_hint=sig.par(i) ^ sig.par(j))
+        return cls(sig, 1, {j - 1: {i - 1: 1}})
 
     @classmethod
     def diagonal(cls, sig, values):
         """diag(values[0..2]) on one factor."""
-        return cls(sig, 1, {k: {k: values[k]} for k in range(3)}, parity_hint=0)
+        return cls(sig, 1, {k: {k: values[k]} for k in range(3)})
 
     def entry(self, row, col):
         return self.cols.get(col, {}).get(row, 0)
@@ -222,7 +230,6 @@ class GradedOperator:
             self.sig,
             self.arity,
             {col: {r: c * v for r, v in colmap.items()} for col, colmap in self.cols.items()},
-            parity_hint=self.parity_hint,
         )
 
     def add(self, other):
@@ -238,8 +245,7 @@ class GradedOperator:
                     del dest[r]
             if not dest:
                 del out[c]
-        hint = self.parity_hint if self.parity_hint == other.parity_hint else None
-        return GradedOperator(self.sig, self.arity, out, parity_hint=hint)
+        return GradedOperator(self.sig, self.arity, out)
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -263,10 +269,7 @@ class GradedOperator:
                         del acc[r]
             if acc:
                 out[c] = acc
-        hint = None
-        if self.parity_hint is not None and other.parity_hint is not None:
-            hint = self.parity_hint ^ other.parity_hint
-        return GradedOperator(self.sig, self.arity, out, parity_hint=hint)
+        return GradedOperator(self.sig, self.arity, out)
 
     def apply(self, vec: GradedVector) -> GradedVector:
         _check_pair(self, vec)
@@ -303,7 +306,6 @@ class GradedOperator:
             self.sig,
             self.arity,
             {c: {r: fn(v) for r, v in m.items()} for c, m in self.cols.items()},
-            parity_hint=self.parity_hint,
         )
 
     def support_parity(self):
@@ -342,10 +344,28 @@ def koszul_tensor(a: GradedOperator, b: GradedOperator) -> GradedOperator:
                     if pca and (par_b[rb] ^ pcb):
                         val = -val
                     dest[base + rb] = val
-    hint = None
-    if a.parity_hint is not None and b.parity_hint is not None:
-        hint = a.parity_hint ^ b.parity_hint
-    return GradedOperator(sig, a.arity + b.arity, cols, parity_hint=hint)
+    return GradedOperator(sig, a.arity + b.arity, cols)
+
+
+def clear_denominators(op: GradedOperator):
+    """(n, n*op), n the positive lcm of the entry denominators, so that n*op
+    has plain int entries. Entries may be int, Fraction or gmpy2 mpq."""
+    n = 1
+    for colmap in op.cols.values():
+        for v in colmap.values():
+            d = int(v.denominator)
+            if n % d:
+                n = lcm(n, d)
+    cols = {
+        c: {r: int(v.numerator) * (n // int(v.denominator)) for r, v in colmap.items()}
+        for c, colmap in op.cols.items()
+    }
+    return n, GradedOperator(op.sig, op.arity, cols)
+
+
+def num_den(x):
+    """Numerator and positive denominator of an exact rational, as ints."""
+    return int(x.numerator), int(x.denominator)
 
 
 def embed(a: GradedOperator, positions, arity: int) -> GradedOperator:
@@ -383,7 +403,7 @@ def embed(a: GradedOperator, positions, arity: int) -> GradedOperator:
                     sgn ^= cum[id_before[k]]
                 val = -va if sgn else va
                 cols.setdefault(base_c + add, {})[base_r + add] = val
-    return GradedOperator(sig, arity, cols, parity_hint=a.parity_hint)
+    return GradedOperator(sig, arity, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +434,19 @@ def r_matrix(u, v, sig: Signature, c) -> GradedOperator:
 
 def check_ybe(u, v, w, sig: Signature, c) -> GradedOperator:
     """R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v) on three factors."""
-    r12 = embed(r_matrix(u, v, sig, c), (1, 2), 3)
-    r13 = embed(r_matrix(u, w, sig, c), (1, 3), 3)
-    r23 = embed(r_matrix(v, w, sig, c), (2, 3), 3)
-    return r12.compose(r13).compose(r23).sub(r23.compose(r13).compose(r12))
+    n12, r12 = clear_denominators(r_matrix(u, v, sig, c))
+    n13, r13 = clear_denominators(r_matrix(u, w, sig, c))
+    n23, r23 = clear_denominators(r_matrix(v, w, sig, c))
+    r12, r13, r23 = embed(r12, (1, 2), 3), embed(r13, (1, 3), 3), embed(r23, (2, 3), 3)
+    residual = r12.compose(r13).compose(r23).sub(r23.compose(r13).compose(r12))
+    return residual.scale(rat(1, n12 * n13 * n23))
+
+
+def check_unitarity(u, v, sig: Signature, c) -> GradedOperator:
+    """R(u,v) R(v,u) - (1 - g(u,v)^2) I on two factors."""
+    n1, r_uv = clear_denominators(r_matrix(u, v, sig, c))
+    n2, r_vu = clear_denominators(r_matrix(v, u, sig, c))
+    gv = g_fn(u, v, c)
+    p, q = num_den((1 - gv * gv) * n1 * n2)
+    residual = r_uv.compose(r_vu).scale(q).sub(GradedOperator.identity(sig, 2).scale(p))
+    return residual.scale(rat(1, q * n1 * n2))

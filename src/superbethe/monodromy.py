@@ -18,10 +18,16 @@ other part's R factors).
 
 Two ways to use T(u):
 
-* Model.T / Model.monodromy materialize all of T(u) (nnz 3*5^L) and split it
-  into its nine entry operators. The operator identities use them: RTT, the
-  exchange relations, the vacuum axioms, the coproduct assembly and the
-  symmetrized odd products.
+* Model.monodromy_op materializes all of T(u) (nnz 3*5^L); Model.monodromy
+  caches, per spectral point, the nine entry operators of N_u*T(u), N_u the
+  lcm of the denominators of T(u), so that they have int entries. The
+  operator identities run on these integer operators and scale their
+  residuals back (see graded.clear_denominators): check_rtt (T(u), T(v) and
+  R(u,v) each cleared once), check_supercommutator (the cached entries, with
+  g(u,v) = p/q folded in as q*lhs - p*rhs), composite.compose_monodromy and
+  vacuum_residuals (eigenvalues scaled by N_u). Model.T / Monodromy.entry
+  scale a cached entry back to the rational T_ij(u), for the symmetrized odd
+  products and any caller that needs T_ij(u) itself.
 * Model.apply_T / Model.apply_T_dual apply one entry T_ij(u) to a sparse
   ket or bra without building any operator: the vector is lifted to
   |j> x w (or <i| x w), pushed through the factor sequence one factor at a
@@ -47,11 +53,13 @@ from .graded import (
     GradedVector,
     Signature,
     _check_pair,
+    clear_denominators,
     embed,
+    num_den,
     parity_table,
     r_matrix,
 )
-from .rational import ONE, rat
+from .rational import ONE, is_rational, rat
 from .scalars import f as f_fn
 from .scalars import g as g_fn
 from .scalars import is_zero
@@ -173,23 +181,24 @@ def extract_entries(big: GradedOperator, sig, length):
             if pj and (par[m] ^ par[n]):
                 val = -val
             out[(i + 1, j + 1)].setdefault(n, {})[m] = val
-    return {
-        (i, j): GradedOperator(sig, length, cols, parity_hint=sig.par(i) ^ sig.par(j))
-        for (i, j), cols in out.items()
-    }
+    return {ij: GradedOperator(sig, length, cols) for ij, cols in out.items()}
 
 
 @dataclass
 class Monodromy:
-    """The nine entry operators of T(u) at one spectral point."""
+    """The nine entry operators of T(u) at one spectral point, held as the
+    entries of scale*T(u) (one common scale; int entries at a rational
+    point, scale 1 and EpsScalar entries at an eps-shifted one)."""
 
     sig: Signature
     length: int
     u: object
-    entries: dict
+    scale: int
+    scaled: dict
 
     def entry(self, i, j) -> GradedOperator:
-        return self.entries[(i, j)]
+        """The rational entry T_ij(u)."""
+        return self.scaled[(i, j)].scale(rat(1, self.scale))
 
 
 class Model:
@@ -212,11 +221,16 @@ class Model:
         return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
 
     def monodromy(self, u) -> Monodromy:
-        ent = self._entries.get(u)
-        if ent is None:
-            ent = extract_entries(self.monodromy_op(u), self.sig, self.arity)
-            self._entries[u] = ent
-        return Monodromy(self.sig, self.arity, u, ent)
+        """T(u) split into its entries, cached per spectral point."""
+        mono = self._entries.get(u)
+        if mono is None:
+            op = self.monodromy_op(u)
+            scale = 1
+            if is_rational(u):
+                scale, op = clear_denominators(op)
+            mono = Monodromy(self.sig, self.arity, u, scale, extract_entries(op, self.sig, self.arity))
+            self._entries[u] = mono
+        return mono
 
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
@@ -302,47 +316,65 @@ def check_rtt(model, u, v) -> GradedOperator:
         raise DivisionByZero("RTT needs u != v")
     n = model.arity + 2
     chain_pos = tuple(range(3, n + 1))
-    a = embed(model.monodromy_op(u), (1,) + chain_pos, n)
-    b = embed(model.monodromy_op(v), (2,) + chain_pos, n)
-    r = embed(r_matrix(u, v, model.sig, model.c), (1, 2), n)
-    return r.compose(a).compose(b).sub(b.compose(a).compose(r))
+    na, a = clear_denominators(model.monodromy_op(u))
+    nb, b = clear_denominators(model.monodromy_op(v))
+    nr, r = clear_denominators(r_matrix(u, v, model.sig, model.c))
+    a = embed(a, (1,) + chain_pos, n)
+    b = embed(b, (2,) + chain_pos, n)
+    r = embed(r, (1, 2), n)
+    residual = r.compose(a).compose(b).sub(b.compose(a).compose(r))
+    return residual.scale(rat(1, na * nb * nr))
 
 
 def check_supercommutator(model, i, j, k, l, u, v):
-    """Residuals of both displayed forms of the bilinear exchange relation."""
+    """Residuals of both displayed forms of the bilinear exchange relation.
+
+    Every product pairs an entry at u with one at v, so both sides carry the
+    scale N_u N_v of the cached integer entries; with g(u,v) = gn/gd each
+    residual is (gd*lhs - gn*rhs) / (gd N_u N_v)."""
     sig = model.sig
     p = sig.par
-    gv = g_fn(u, v, model.c)
-    t_ij_u, t_kl_v = model.T(i, j, u), model.T(k, l, v)
-    t_il_u, t_il_v = model.T(i, l, u), model.T(i, l, v)
-    t_kj_u, t_kj_v = model.T(k, j, u), model.T(k, j, v)
+    gn, gd = num_den(g_fn(u, v, model.c))
+    mu, mv = model.monodromy(u), model.monodromy(v)
+    tu, tv = mu.scaled, mv.scaled
+    t_ij_u, t_kl_v = tu[i, j], tv[k, l]
+    t_il_u, t_il_v = tu[i, l], tv[i, l]
+    t_kj_u, t_kj_v = tu[k, j], tv[k, j]
     lhs = t_ij_u.compose(t_kl_v)
     swapped = t_kl_v.compose(t_ij_u)
     if (p(i) ^ p(j)) and (p(k) ^ p(l)):
         lhs = lhs.add(swapped)
     else:
         lhs = lhs.sub(swapped)
+    lhs = lhs.scale(gd)
     s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
-    rhs1 = t_il_u.compose(t_kj_v).sub(t_il_v.compose(t_kj_u)).scale(-gv if s1 else gv)
+    rhs1 = t_il_u.compose(t_kj_v).sub(t_il_v.compose(t_kj_u)).scale(-gn if s1 else gn)
     s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
-    rhs2 = t_kj_u.compose(t_il_v).sub(t_kj_v.compose(t_il_u)).scale(gv if s2 else -gv)
-    return lhs.sub(rhs1), lhs.sub(rhs2)
+    rhs2 = t_kj_u.compose(t_il_v).sub(t_kj_v.compose(t_il_u)).scale(gn if s2 else -gn)
+    back = rat(1, gd * mu.scale * mv.scale)
+    return lhs.sub(rhs1).scale(back), lhs.sub(rhs2).scale(back)
 
 
 def vacuum_residuals(model, u):
-    """Every vacuum-axiom residual at the spectral point u, as (name, is_zero)."""
+    """Every vacuum-axiom residual at the spectral point u, as (name, is_zero).
+
+    The axioms are homogeneous in T(u), so they are read off the cached
+    entries of N_u*T(u), with the eigenvalues scaled by N_u as well."""
+    mono = model.monodromy(u)
+    t = mono.scaled
     omega = model.omega()
     dual = model.omega_dual()
     out = []
     for i in range(1, 4):
-        res = model.T(i, i, u).apply(omega).sub(omega.scale(model.lam(i, u)))
+        lam = model.lam(i, u) * mono.scale
+        res = t[i, i].apply(omega).sub(omega.scale(lam))
         out.append((f"T{i}{i} ket eigenvalue", res.is_zero()))
-        dres = model.T(i, i, u).apply_dual(dual).sub(dual.scale(model.lam(i, u)))
+        dres = t[i, i].apply_dual(dual).sub(dual.scale(lam))
         out.append((f"T{i}{i} bra eigenvalue", dres.is_zero()))
     for i in range(1, 4):
         for j in range(1, 4):
             if i > j:
-                out.append((f"T{i}{j} annihilates ket", model.T(i, j, u).apply(omega).is_zero()))
+                out.append((f"T{i}{j} annihilates ket", t[i, j].apply(omega).is_zero()))
             elif i < j:
-                out.append((f"T{i}{j} annihilates bra", model.T(i, j, u).apply_dual(dual).is_zero()))
+                out.append((f"T{i}{j} annihilates bra", t[i, j].apply_dual(dual).is_zero()))
     return out

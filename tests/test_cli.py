@@ -188,3 +188,30 @@ def test_replay_and_sign_probes_are_timed(monkeypatch):
     (probe,) = [r for r in report.records if r.name == "normalization sign stable across 5 probes"]
     assert probe.runtime >= 0.05
     assert probe.parameters == {"signs": "[1, 1, 1, 1, 1]"}
+
+
+def _schema_failure(tmp_path, capsys, raw, pointer):
+    """The config fails at parse time with pointer, and verify prints one line."""
+    with pytest.raises(SchemaError) as err:
+        parse_config(raw)
+    assert err.value.pointer == pointer
+    assert main(["verify", "--config", write_config(tmp_path, raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {err.value}"]
+    assert captured.err.rstrip().endswith(f"(at {pointer})")
+
+
+def test_missing_action_formula_file(tmp_path, capsys):
+    raw = {
+        "suites": ["actions"],
+        "chains": [{"L": 1, "xi": ["0"]}],
+        "action_formula_file": str(tmp_path / "no_such_table.json"),
+    }
+    _schema_failure(tmp_path, capsys, raw, "/action_formula_file")
+
+
+@pytest.mark.parametrize("campaigns", ["abc", -1])
+def test_bad_campaigns(tmp_path, capsys, campaigns):
+    raw = {"suites": ["rtt"], "campaigns": campaigns, "chains": [{"L": 1, "xi": ["0"]}]}
+    _schema_failure(tmp_path, capsys, raw, "/campaigns")

@@ -195,3 +195,26 @@ def test_action_decomposition_replay(split21):
         for name, residual in report.items():
             ok = residual.is_zero() if hasattr(residual, "is_zero") else is_zero(residual)
             assert ok, (a, b, name)
+
+
+def test_g_identity_witness_follows_the_replay(monkeypatch):
+    from superbethe import composite
+
+    calls = []
+    honest = composite.three_term_witness
+
+    def recording(u, v, z, c):
+        calls.append((u, v, z, c))
+        return honest(u, v, z, c)
+
+    monkeypatch.setattr(composite, "three_term_witness", recording)
+    split = SplitChain(cs(1, (0,), (2, 1, 3)), cs(1, (1,), (1, 1, -1)))
+    smp = ParameterSampler("witness", 1)
+    ps = smp.generic(2, avoid=(0, 1))
+    us, vs = ps[:1], ps[1:]
+    zs = smp.generic(2, avoid=(0, 1) + ps)
+    for z in zs:
+        assert is_zero(action_decomposition_report(split, us, vs, z)["g_identity_witness"])
+    assert calls == [(us[0], vs[0], z, 1) for z in zs]
+    assert is_zero(action_decomposition_report(split, (), (), zs[0])["g_identity_witness"])
+    assert len(calls) == 2

@@ -9,7 +9,9 @@ from superbethe.graded import (
     GL21,
     GradedOperator,
     GradedVector,
+    check_unitarity,
     check_ybe,
+    clear_denominators,
     embed,
     encode,
     decode,
@@ -149,14 +151,14 @@ def test_parity_bookkeeping():
     sig = GL21
     o = unit(sig, 1, 3)
     e = unit(sig, 2, 1)
-    assert o.parity_hint == 1 and o.support_parity() == 1
-    assert e.parity_hint == 0 and e.support_parity() == 0
+    assert o.support_parity() == 1
+    assert e.support_parity() == 0
     prod_ = o.compose(unit(sig, 3, 2))  # E13 E32 = E12, parities add mod 2
-    assert prod_.parity_hint == 0 and prod_.support_parity() == 0
+    assert prod_.support_parity() == 0
     t = koszul_tensor(o, o)
-    assert t.parity_hint == 0 and t.support_parity() == 0
+    assert t.support_parity() == 0
     mixed = o.add(e)
-    assert mixed.parity_hint is None and mixed.support_parity() == "mixed"
+    assert mixed.support_parity() == "mixed"
 
 
 def test_signature_and_arity_guards():
@@ -182,3 +184,69 @@ def test_dual_pairing_and_tensor():
 
     d = DualGradedVector(GL21, 1, {2: rat(5)})
     assert d.pair(v) == 15
+
+
+# ---------------------------------------------------------------------------
+# integer-scaled identities against the rational formulas
+# ---------------------------------------------------------------------------
+
+
+def test_clear_denominators_int_only():
+    op = GradedOperator(GL21, 1, {0: {0: 2, 1: -3}, 2: {2: 5}})
+    n, scaled = clear_denominators(op)
+    assert n == 1 and scaled == op
+    assert all(type(v) is int for m in scaled.cols.values() for v in m.values())
+
+
+def test_clear_denominators_negative_and_mixed():
+    op = GradedOperator(GL21, 1, {0: {0: rat(3, -4), 1: 2}, 1: {2: rat(5, 6)}, 2: {0: rat(-7, 9)}})
+    n, scaled = clear_denominators(op)
+    assert n == 36
+    assert scaled.cols == {0: {0: -27, 1: 72}, 1: {2: 30}, 2: {0: -28}}
+    assert all(type(v) is int for m in scaled.cols.values() for v in m.values())
+    assert scaled.scale(rat(1, n)) == op
+
+
+def test_clear_denominators_zero_operator():
+    n, scaled = clear_denominators(GradedOperator(GL12, 2))
+    assert n == 1 and scaled.is_zero() and scaled.arity == 2
+
+
+def _ybe_reference(u, v, w, sig, c):
+    r12 = embed(r_matrix(u, v, sig, c), (1, 2), 3)
+    r13 = embed(r_matrix(u, w, sig, c), (1, 3), 3)
+    r23 = embed(r_matrix(v, w, sig, c), (2, 3), 3)
+    return r12.compose(r13).compose(r23).sub(r23.compose(r13).compose(r12))
+
+
+def _unitarity_reference(u, v, sig, c):
+    from superbethe.scalars import g
+
+    gv = g(u, v, c)
+    return r_matrix(u, v, sig, c).compose(r_matrix(v, u, sig, c)).sub(GradedOperator.identity(sig, 2).scale(1 - gv * gv))
+
+
+def _ybe_and_unitarity_draws(sig):
+    from superbethe.sampling import ParameterSampler
+
+    rng = random.Random(f"ybe-oracle-{sig.name}")
+    for k in range(5):
+        c = rat(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
+        yield c, ParameterSampler(f"ybe-oracle:{sig.name}:{k}", c).generic(3)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_ybe_and_unitarity_equal_rational_formulas(sig):
+    for c, (u, v, w) in _ybe_and_unitarity_draws(sig):
+        assert check_ybe(u, v, w, sig, c) == _ybe_reference(u, v, w, sig, c)
+        assert check_unitarity(u, v, sig, c) == _unitarity_reference(u, v, sig, c)
+        assert check_unitarity(u, v, sig, c).is_zero()
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_ybe_and_unitarity_under_flipped_koszul_sign(sig, flipped_koszul):
+    for c, (u, v, w) in _ybe_and_unitarity_draws(sig):
+        res = check_ybe(u, v, w, sig, c)
+        assert not res.is_zero()
+        assert res == _ybe_reference(u, v, w, sig, c)
+        assert check_unitarity(u, v, sig, c) == _unitarity_reference(u, v, sig, c)

@@ -1,22 +1,43 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from superbethe import monodromy
 from superbethe.actions import action_check
 from superbethe.bethe import build_dual_vector, build_vector
-from superbethe.composite import CompositeModel, SplitChain, check_bethe_factorization, check_recursion
+from superbethe.composite import (
+    CompositeModel,
+    SplitChain,
+    check_bethe_factorization,
+    check_recursion,
+    compose_monodromy,
+)
 from superbethe.errors import DivisionByZero
 from superbethe.gl12 import build_tilde_vector
-from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
+from superbethe.graded import (
+    GL12,
+    GL21,
+    DualGradedVector,
+    GradedOperator,
+    GradedVector,
+    check_unitarity,
+    check_ybe,
+    embed,
+    r_matrix,
+)
 from superbethe.monodromy import (
     ChainModel,
     ChainSpec,
+    Model,
     check_rtt,
     check_supercommutator,
+    extract_entries,
     vacuum_residuals,
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, EpsScalar
+from superbethe.scalars import EPS, EpsScalar, g
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -225,3 +246,205 @@ def test_flipped_swap_sign_breaks_factorization(monkeypatch, flip):
     assert check_bethe_factorization(split, us, vs).is_zero()
     monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
     assert not check_bethe_factorization(split, us, vs).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# integer-scaled operator identities against the rational formulas
+# ---------------------------------------------------------------------------
+
+
+def _rtt_reference(model, u, v):
+    n = model.arity + 2
+    chain_pos = tuple(range(3, n + 1))
+    a = embed(model.monodromy_op(u), (1,) + chain_pos, n)
+    b = embed(model.monodromy_op(v), (2,) + chain_pos, n)
+    r = embed(r_matrix(u, v, model.sig, model.c), (1, 2), n)
+    return r.compose(a).compose(b).sub(b.compose(a).compose(r))
+
+
+def _rational_entries(model, u):
+    return extract_entries(model.monodromy_op(u), model.sig, model.arity)
+
+
+def _supercommutator_reference(model, i, j, k, l, u, v):
+    p = model.sig.par
+    gv = g(u, v, model.c)
+    tu, tv = _rational_entries(model, u), _rational_entries(model, v)
+    lhs = tu[i, j].compose(tv[k, l])
+    swapped = tv[k, l].compose(tu[i, j])
+    lhs = lhs.add(swapped) if (p(i) ^ p(j)) and (p(k) ^ p(l)) else lhs.sub(swapped)
+    s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
+    rhs1 = tu[i, l].compose(tv[k, j]).sub(tv[i, l].compose(tu[k, j])).scale(-gv if s1 else gv)
+    s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
+    rhs2 = tu[k, j].compose(tv[i, l]).sub(tv[k, j].compose(tu[i, l])).scale(gv if s2 else -gv)
+    return lhs.sub(rhs1), lhs.sub(rhs2)
+
+
+def _compose_monodromy_reference(split, u):
+    total = CompositeModel(split)
+    l1, length = total.part1.arity, total.arity
+    pos1, pos2 = tuple(range(1, l1 + 1)), tuple(range(l1 + 1, length + 1))
+    m1, m2 = _rational_entries(total.part1, u), _rational_entries(total.part2, u)
+    direct = _rational_entries(total, u)
+    out = {}
+    for i, j in product(range(1, 4), repeat=2):
+        acc = GradedOperator(total.sig, length)
+        for k in range(1, 4):
+            acc = acc.add(embed(m1[k, j], pos1, length).compose(embed(m2[i, k], pos2, length)))
+        out[i, j] = acc.sub(direct[i, j])
+    return out
+
+
+def _vacuum_reference(model, u):
+    t = _rational_entries(model, u)
+    omega, dual = model.omega(), model.omega_dual()
+    out = []
+    for i in range(1, 4):
+        lam = model.lam(i, u)
+        out.append((f"T{i}{i} ket eigenvalue", t[i, i].apply(omega).sub(omega.scale(lam)).is_zero()))
+        out.append((f"T{i}{i} bra eigenvalue", t[i, i].apply_dual(dual).sub(dual.scale(lam)).is_zero()))
+    for i, j in product(range(1, 4), repeat=2):
+        if i > j:
+            out.append((f"T{i}{j} annihilates ket", t[i, j].apply(omega).is_zero()))
+        elif i < j:
+            out.append((f"T{i}{j} annihilates bra", t[i, j].apply_dual(dual).is_zero()))
+    return out
+
+
+def _all_supercommutators(model, u, v):
+    """{(i, j, k, l): (program residuals, reference residuals)} for all 81 tuples."""
+    return {
+        t: (check_supercommutator(model, *t, u, v), _supercommutator_reference(model, *t, u, v))
+        for t in product(range(1, 4), repeat=4)
+    }
+
+
+def _split_2_2(sig, seed):
+    smp = ParameterSampler(f"split:{sig.name}:{seed}", 1)
+    xi = smp.generic(4)
+    split = SplitChain(ChainSpec(2, xi[:2], smp.twist(), sig, 1), ChainSpec(2, xi[2:], smp.twist(), sig, 1))
+    return split, smp.generic_one(avoid=xi)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_rtt_equals_rational_formula(sig, length):
+    smp = ParameterSampler(f"rtt-oracle:{sig.name}:{length}", 1)
+    xi = smp.generic(length)
+    model = chain(length, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    res = check_rtt(model, u, v)
+    assert res.is_zero() and res == _rtt_reference(model, u, v)
+    assert vacuum_residuals(model, u) == _vacuum_reference(model, u)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("length", [1, 2])
+def test_supercommutator_equals_rational_formula(sig, length):
+    smp = ParameterSampler(f"comm-oracle:{sig.name}:{length}", 1)
+    xi = smp.generic(length)
+    model = chain(length, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    for t, (got, want) in _all_supercommutators(model, u, v).items():
+        assert got == want, t
+        assert got[0].is_zero() and got[1].is_zero(), t
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_compose_monodromy_equals_rational_formula(sig):
+    split, u = _split_2_2(sig, 1)
+    composed, residuals = compose_monodromy(split, u)
+    assert residuals == _compose_monodromy_reference(split, u)
+    assert all(r.is_zero() for r in residuals.values())
+    direct = CompositeModel(split).monodromy(u)
+    assert all(composed.entry(i, j) == direct.entry(i, j) for i, j in product(range(1, 4), repeat=2))
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
+    smp = ParameterSampler(f"flip-oracle:{sig.name}", 1)
+    xi = smp.generic(2)
+    model = chain(2, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    res = check_rtt(model, u, v)
+    assert not res.is_zero() and res == _rtt_reference(model, u, v)
+    pairs = _all_supercommutators(model, u, v)
+    assert all(got == want for got, want in pairs.values())
+    split, x = _split_2_2(sig, 2)
+    _, residuals = compose_monodromy(split, x)
+    assert residuals == _compose_monodromy_reference(split, x)
+
+
+def _perturb_at(monkeypatch, point):
+    """Add 1/7 to the first stored entry of every T(point) built from now on."""
+    honest = Model.monodromy_op
+
+    def perturbed(self, x):
+        op = honest(self, x)
+        if x != point:
+            return op
+        cols = {col: dict(colmap) for col, colmap in op.cols.items()}
+        col = min(cols)
+        row = min(cols[col])
+        cols[col][row] += rat(1, 7)
+        return GradedOperator(op.sig, op.arity, cols)
+
+    monkeypatch.setattr(Model, "monodromy_op", perturbed)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
+    smp = ParameterSampler(f"perturb-oracle:{sig.name}", 1)
+    xi = smp.generic(2)
+    model = chain(2, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    split, x = _split_2_2(sig, 3)
+    _perturb_at(monkeypatch, u)
+    res = check_rtt(model, u, v)
+    assert not res.is_zero() and res == _rtt_reference(model, u, v)
+    vacuum = vacuum_residuals(model, u)
+    assert vacuum == _vacuum_reference(model, u)
+    assert ("T11 ket eigenvalue", False) in vacuum
+    pairs = _all_supercommutators(model, u, v)
+    assert all(got == want for got, want in pairs.values())
+    assert any(not r.is_zero() for got, _ in pairs.values() for r in got)
+    _perturb_at(monkeypatch, x)
+    _, residuals = compose_monodromy(split, x)
+    assert residuals == _compose_monodromy_reference(split, x)
+    assert any(not r.is_zero() for r in residuals.values())
+
+
+def test_operator_identities_multiply_only_ints(monkeypatch):
+    """Outside the build of T(u) itself, every compose of the operator
+    identities multiplies plain ints: a Fraction there fails this test."""
+    seen = Counter()
+    building = []
+    honest_compose = GradedOperator.compose
+    honest_build = monodromy.build_factor_product
+
+    def compose(self, other):
+        if not building:
+            seen.update(type(v).__name__ for op in (self, other) for m in op.cols.values() for v in m.values())
+        return honest_compose(self, other)
+
+    def build(*args):
+        building.append(1)
+        try:
+            return honest_build(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(GradedOperator, "compose", compose)
+    monkeypatch.setattr(monodromy, "build_factor_product", build)
+    smp = ParameterSampler("int-gate", 1)
+    xi = smp.generic(3)
+    u, v, w = smp.generic(3, avoid=xi)
+    assert check_rtt(chain(3, xi, twist=smp.twist()), u, v).is_zero()
+    model = chain(2, xi[:2], twist=smp.twist(), sig=GL12)
+    for t in product(range(1, 4), repeat=4):
+        assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v))
+    assert check_ybe(u, v, w, GL21, 1).is_zero()
+    assert check_unitarity(u, v, GL12, 1).is_zero()
+    split, x = _split_2_2(GL21, 4)
+    assert all(r.is_zero() for r in compose_monodromy(split, x)[1].values())
+    assert seen["int"] > 0 and set(seen) == {"int"}, seen
