@@ -14,87 +14,69 @@ builder. T31 and T32 have no tabulated action and are rejected.
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 
-from .bethe import build_vector, build_vector_limit
-from .composite import PartialCache
+from .bethe import PartialCache, build_vector, build_vector_limit
+from .errors import SchemaError
 from .graded import GL21, GradedVector
-from .notation import Binding, PartSpec, PartitionSpec, enumerate_partitions, parse
+from .notation import Binding, compile_terms, concat, partition_sum
 from .scalars import h, prod_pairs
 
 ELEMENTS = ("T11", "T22", "T33", "T13", "T23", "T12", "T21")
-
-_DEFAULT_TABLE = None
+_FUNCS = ("r1", "r3")
 
 
 def load_formula_table(path=None) -> dict:
     """Parse a formula table; with no path, the packaged default (cached)."""
-    global _DEFAULT_TABLE
     if path is None:
-        if _DEFAULT_TABLE is None:
-            raw = resources.files("superbethe").joinpath("data/action_formulas.json").read_text()
-            _DEFAULT_TABLE = _compile(json.loads(raw))
-        return _DEFAULT_TABLE
+        return _packaged_table()
     with open(path) as fh:
         return _compile(json.load(fh))
 
 
+@cache
+def _packaged_table():
+    return _compile(json.loads(resources.files("superbethe").joinpath("data/action_formulas.json").read_text()))
+
+
 def _compile(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise SchemaError("a formula table is an object", "/")
     table = {}
     for element, terms in raw.items():
         if element.startswith("_"):
             continue
         if element not in ELEMENTS:
-            raise ValueError(f"unknown monodromy element {element!r} in formula table")
-        compiled = []
-        for term in terms:
-            parts = []
-            for entry in term["partitions"]:
-                source, *singles, rest = entry
-                parts.append(
-                    PartitionSpec(source, tuple(PartSpec(s, 1) for s in singles) + (PartSpec(rest),))
-                )
-            compiled.append((tuple(parts), parse(term["coefficient"]), tuple(term["target"])))
-        table[element] = compiled
+            raise SchemaError(f"unknown monodromy element {element!r}", "/" + element)
+        table[element] = compile_terms(terms, ("ubar", "vbar", "z"), _FUNCS, pointer="/" + element)
     missing = [el for el in ELEMENTS if el not in table]
     if missing:
-        raise ValueError(f"formula table lacks elements {missing}")
+        raise SchemaError(f"formula table lacks elements {missing}", "/")
     return table
 
 
-def _concat(binding, spec):
-    if isinstance(spec, (list, tuple)):
-        out = ()
-        for name in spec:
-            out = out + binding.sets[name]
-        return out
-    return binding.sets[spec]
-
-
-def action_rhs(model, element, us, vs, z, table=None, cache=None):
-    """Table-driven right-hand side of the normalized action of element at z."""
-    table = table or load_formula_table()
-    cache = cache if cache is not None else PartialCache(build_vector_limit)
-    base = Binding(
+def action_binding(model, us, vs, z) -> Binding:
+    """The sets ubar, vbar, z and the ratio functions r1, r3 a table row reads."""
+    return Binding(
         {"ubar": tuple(us), "vbar": tuple(vs), "z": (z,)},
         c=model.c,
         funcs={"r1": lambda x: model.r(1, x), "r3": lambda x: model.r(3, x)},
     )
-    from .notation import eval_expr
-
-    acc = GradedVector(model.sig, model.arity)
-    for parts, coeff_ast, target in table[element]:
-        bindings = [base]
-        for spec in parts:
-            bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
-        for b in bindings:
-            coef = eval_expr(coeff_ast, b)
-            tu, tv = _concat(b, target[0]), _concat(b, target[1])
-            acc = acc.add(cache.get("t", model, tu, tv).scale(coef))
-    return acc
 
 
-def action_check(model, element, us, vs, z, table=None, cache=None):
+def action_rhs(model, element, us, vs, z, table=None):
+    """Table-driven right-hand side of the normalized action of element at z."""
+    table = table or load_formula_table()
+    partials = PartialCache(build_vector_limit)
+
+    def target(b, args):
+        return partials.get("t", model, concat(b, args[0]), concat(b, args[1]))
+
+    return partition_sum(table[element], action_binding(model, us, vs, z), target, GradedVector(model.sig, model.arity))
+
+
+def action_check(model, element, us, vs, z, table=None):
     """Normalized direct action minus the tabulated expansion; zero iff exact."""
     if model.sig != GL21:
         raise ValueError("action formulas are the gl(2|1) set")
@@ -102,4 +84,4 @@ def action_check(model, element, us, vs, z, table=None, cache=None):
     i, j = int(element[1]), int(element[2])
     norm = 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), model.c))
     lhs = model.apply_T(i, j, z, build_vector(model, us, vs)).scale(norm)
-    return lhs.sub(action_rhs(model, element, us, vs, z, table=table, cache=cache))
+    return lhs.sub(action_rhs(model, element, us, vs, z, table=table))

@@ -94,28 +94,30 @@ def _guard_gl21(model):
         raise ValueError(f"this constructor is the gl(2|1) form, got {model.sig.name}")
 
 
-def _partition_terms(model, us, vs):
-    """Shared coefficient/partition scaffolding of the vector and its dual."""
+def _partition_terms(model, us, vs, weight):
+    """Partition scaffolding shared by the Bethe, dual and tilde vectors: every
+    split us = u1+u2, vs = v1+v2 with #u1 = #v1, and its coefficient
+    weight(u1, u2, v1, v2, c) / (lam2(u2) lam2(vs) f(vs,us)), with f(us,vs)
+    in place of f(vs,us) on gl(1|2)."""
     us, vs = tuple(us), tuple(vs)
     _require_distinct("us", us)
     _require_distinct("vs", vs)
     c = model.c
     lam2 = lambda xs: _prod(model.lam(2, x) for x in xs)
-    base = lam2(vs) * prod_pairs(f, vs, us, c)
+    names, left, right = ("vs,us", vs, us) if model.sig == GL21 else ("us,vs", us, vs)
+    base = lam2(vs) * prod_pairs(f, left, right, c)
     if is_zero(base):
-        raise DivisionByZero("f(vs,us) vanishes (some v - u = -c); parameters not generic")
+        raise DivisionByZero(f"f({names}) vanishes (a pair at difference -c); parameters not generic")
     for n in range(min(len(us), len(vs)) + 1):
         for iu in combinations(range(len(us)), n):
             u1, u2 = _split(us, iu)
             for iv in combinations(range(len(vs)), n):
                 v1, v2 = _split(vs, iv)
-                coef = (
-                    izergin(v1, u1, c)
-                    * prod_pairs(f, u1, u2, c)
-                    * prod_pairs(g, v2, v1, c)
-                    / (lam2(u2) * base)
-                )
-                yield coef, u1, u2, v1, v2
+                yield weight(u1, u2, v1, v2, c) / (lam2(u2) * base), u1, u2, v1, v2
+
+
+def _bethe_weight(u1, u2, v1, v2, c):
+    return izergin(v1, u1, c) * prod_pairs(f, u1, u2, c) * prod_pairs(g, v2, v1, c)
 
 
 def _prod(xs):
@@ -130,7 +132,7 @@ def build_vector(model, us, vs) -> GradedVector:
     _guard_gl21(model)
     omega = model.omega()
     acc = GradedVector(model.sig, model.arity)
-    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs):
+    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, _bethe_weight):
         vec = omega
         for u in reversed(u2):
             vec = model.apply_T(1, 2, u, vec)
@@ -145,7 +147,7 @@ def build_dual_vector(model, us, vs) -> DualGradedVector:
     _guard_gl21(model)
     b = len(vs)
     acc = DualGradedVector(model.sig, model.arity)
-    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs):
+    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, _bethe_weight):
         dual = model.omega_dual()
         for u in u2:
             dual = model.apply_T_dual(2, 1, u, dual)
@@ -191,6 +193,22 @@ def build_vector_limit(model, us, vs, builder=build_vector):
 
 def build_dual_vector_limit(model, us, vs):
     return build_vector_limit(model, us, vs, builder=build_dual_vector)
+
+
+class PartialCache:
+    """Memo for partial Bethe vectors keyed by (tag, parameter tuples)."""
+
+    def __init__(self, builder):
+        self.builder = builder
+        self.store = {}
+
+    def get(self, tag, model, us, vs):
+        key = (tag, tuple(us), tuple(vs))
+        vec = self.store.get(key)
+        if vec is None:
+            vec = self.builder(model, us, vs)
+            self.store[key] = vec
+        return vec
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .composite import (
     check_recursion,
     compose_monodromy,
 )
-from .errors import DivisionByZero, PoleAtZero
+from .errors import DivisionByZero, PoleAtZero, SchemaError
 from .gl12 import AmbiguousConvention
 from .gl12 import (
     build_tilde_vector,
@@ -69,12 +69,6 @@ SUITES = (
 )
 
 
-class SchemaError(ValueError):
-    def __init__(self, message, pointer):
-        super().__init__(f"{message} (at {pointer})")
-        self.pointer = pointer
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -93,7 +87,6 @@ class RunConfig:
     split: tuple = None
     us: tuple = None
     vs: tuple = None
-    z: object = None
     action_formula_file: str = None
 
 
@@ -183,8 +176,17 @@ def parse_config(raw) -> RunConfig:
     if campaigns < 0:
         raise SchemaError(f"campaigns={campaigns} is negative", "/campaigns")
     formula_file = raw.get("action_formula_file")
-    if formula_file is not None and (not isinstance(formula_file, str) or not os.path.isfile(formula_file)):
-        raise SchemaError(f"action formula file not found: {formula_file!r}", "/action_formula_file")
+    if formula_file is not None:
+        if not isinstance(formula_file, str) or not os.path.isfile(formula_file):
+            raise SchemaError(f"action formula file not found: {formula_file!r}", "/action_formula_file")
+        try:
+            load_formula_table(formula_file)
+        except SchemaError as err:
+            raise SchemaError(f"formula table {formula_file}, at {err.pointer}: {err.message}", "/action_formula_file") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise SchemaError(f"formula table {formula_file}: {err}", "/action_formula_file") from None
+    us, vs = param_list("u"), param_list("v")
+    _check_fixed_parameters(us or (), vs or (), chains, c)
 
     return RunConfig(
         c=c,
@@ -196,11 +198,32 @@ def parse_config(raw) -> RunConfig:
         max_b=_int_at(raw, "max_b", 2),
         max_len=max_len,
         split=split,
-        us=param_list("u"),
-        vs=param_list("v"),
-        z=_rat_at(raw["z"], "/z") if "z" in raw else None,
+        us=us,
+        vs=vs,
         action_formula_file=formula_file,
     )
+
+
+def _check_fixed_parameters(us, vs, chains, c):
+    """Fixed u and v must miss the poles the suites divide by: an
+    inhomogeneity, a repeat, u = v (g), two v's at distance c (the symmetrized
+    odd products), and v - u = -c on gl(2|1) (f(vs,us)). On gl(1|2) the u's
+    are odd as well, and the pair pole is u - v = -c (f(us,vs))."""
+    sigs = {ch.sig.name for ch in chains}
+    xis = [x for ch in chains for x in ch.xi]
+    for key, xs in (("u", us), ("v", vs)):
+        within = (0, c, -c) if key == "v" or "gl(1|2)" in sigs else (0,)
+        for i, x in enumerate(xs):
+            if any(is_zero(x - xi) for xi in xis):
+                raise SchemaError(f"{key} = {x} is an inhomogeneity of a chain", f"/{key}/{i}")
+            for y in xs[:i]:
+                if any(is_zero(x - y - d) for d in within):
+                    raise SchemaError(f"{key} = {x} and {key} = {y} differ by {x - y}, a pole", f"/{key}/{i}")
+    across = (0,) + ((-c,) if "gl(2|1)" in sigs else ()) + ((c,) if "gl(1|2)" in sigs else ())
+    for j, v in enumerate(vs):
+        for u in us:
+            if any(is_zero(v - u - d) for d in across):
+                raise SchemaError(f"v = {v} and u = {u} differ by {v - u}, a pole", f"/v/{j}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,14 @@ this convention.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cache, partial
+from importlib import resources
 
+from .actions import action_binding, load_formula_table
 from .bethe import (
+    PartialCache,
     build_dual_vector,
     build_vector,
     build_vector_limit,
@@ -27,7 +32,7 @@ from .bethe import (
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, embed, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
-from .notation import Binding, PartSpec, PartitionSpec, enumerate_partitions, parse
+from .notation import Binding, PartSpec, PartitionSpec, compile_terms, concat, partition_sum
 from .rational import rat
 from .scalars import eps_limit, f, g, h, is_zero, prod_pairs, three_term_witness
 
@@ -147,8 +152,12 @@ def compose_bra(c1: DualGradedVector, c2: DualGradedVector, part1_written_first:
 KET_COEFF = "r1_2(uI)*r3_1(vII)*f(uII,uI)*g(vI,vII)/f(vII,uI)"
 BRA_COEFF = "r1_1(uII)*r3_2(vI)*f(uI,uII)*g(vII,vI)/f(vI,uII)"
 
-_SPLIT_U = PartitionSpec("u", (PartSpec("uI"), PartSpec("uII")))
-_SPLIT_V = PartitionSpec("v", (PartSpec("vI"), PartSpec("vII")))
+# every composite sum runs over the free splits of ubar and vbar into the
+# parts' parameters
+_FREE_SPLITS = (
+    PartitionSpec("ubar", (PartSpec("uI"), PartSpec("uII"))),
+    PartitionSpec("vbar", (PartSpec("vI"), PartSpec("vII"))),
+)
 
 
 def ratio_funcs(m1, m2):
@@ -160,20 +169,28 @@ def ratio_funcs(m1, m2):
     }
 
 
-class PartialCache:
-    """Memo for partial Bethe vectors keyed by (part, parameter tuples)."""
+def _juxtaposed(m1, m2, partials, compose):
+    """Target of a composite sum: the cached partial vectors named by
+    [[u1, v1], [u2, v2]], joined by compose."""
 
-    def __init__(self, builder):
-        self.builder = builder
-        self.store = {}
+    def target(b, args):
+        (u1, v1), (u2, v2) = args
+        p1 = partials.get(1, m1, concat(b, u1), concat(b, v1))
+        p2 = partials.get(2, m2, concat(b, u2), concat(b, v2))
+        return compose(p1, p2)
 
-    def get(self, tag, model, us, vs):
-        key = (tag, tuple(us), tuple(vs))
-        vec = self.store.get(key)
-        if vec is None:
-            vec = self.builder(model, us, vs)
-            self.store[key] = vec
-        return vec
+    return target
+
+
+def _composite_terms(raw, names, pointer=""):
+    funcs = tuple(ratio_funcs(None, None))  # the names only
+    return compile_terms(raw, names, funcs, _FREE_SPLITS, juxtaposed=True, pointer=pointer)
+
+
+@cache
+def _bilinear_terms(coeff):
+    raw = [{"partitions": [], "coefficient": coeff, "target": [["uI", "vI"], ["uII", "vII"]]}]
+    return _composite_terms(raw, ("ubar", "vbar"))
 
 
 def bilinear_sum(
@@ -187,8 +204,6 @@ def bilinear_sum(
     dual=False,
     part2_written_first=True,
     part1_written_first=False,
-    extra_funcs=None,
-    cache=None,
 ):
     """Sum over all two-part splits of us and vs of coeff x (partial vectors).
 
@@ -196,60 +211,13 @@ def bilinear_sum(
     expansion; the dual and gl(1|2) variants pass their own coefficient
     strings, builders and written orders.
     """
-    ast = parse(coeff) if isinstance(coeff, str) else coeff
-    funcs = ratio_funcs(m1, m2)
-    if extra_funcs:
-        funcs.update(extra_funcs)
-    base = Binding({}, c=m1.c, funcs=funcs)
-    cache = cache if cache is not None else PartialCache(builder)
-    cls = DualGradedVector if dual else GradedVector
-    acc = cls(m1.sig, m1.arity + m2.arity)
-    for bu in enumerate_partitions(_SPLIT_U, us, base):
-        for bv in enumerate_partitions(_SPLIT_V, vs, bu):
-            coef = eval_coeff(ast, bv)
-            p1 = cache.get(1, m1, bv.sets["uI"], bv.sets["vI"])
-            p2 = cache.get(2, m2, bv.sets["uII"], bv.sets["vII"])
-            if dual:
-                term = compose_bra(p1, p2, part1_written_first)
-            else:
-                term = compose_ket(p1, p2, part2_written_first)
-            acc = acc.add(term.scale(coef))
-    return acc
-
-
-def eval_coeff(ast, binding):
-    from .notation import eval_expr
-
-    return eval_expr(ast, binding)
-
-
-def bilinear_term_report(m1, m2, us, vs, *, coeff=KET_COEFF, builder=build_vector, part2_written_first=True):
-    """Per-partition debugging records: the sets, the coefficient, and the
-    L1 norm of the scaled term (all serialized as "p/q" strings)."""
-    from .rational import rat_to_str
-
-    ast = parse(coeff) if isinstance(coeff, str) else coeff
-    base = Binding({}, c=m1.c, funcs=ratio_funcs(m1, m2))
-    cache = PartialCache(builder)
-    records = []
-    for bu in enumerate_partitions(_SPLIT_U, us, base):
-        for bv in enumerate_partitions(_SPLIT_V, vs, bu):
-            coef = eval_coeff(ast, bv)
-            p1 = cache.get(1, m1, bv.sets["uI"], bv.sets["vI"])
-            p2 = cache.get(2, m2, bv.sets["uII"], bv.sets["vII"])
-            term = compose_ket(p1, p2, part2_written_first).scale(coef)
-            norm = 0
-            for val in term.entries.values():
-                norm = norm + abs(val)
-            records.append(
-                {
-                    "partition": {name: [rat_to_str(x) for x in bv.sets[name]] for name in ("uI", "uII", "vI", "vII")},
-                    "coefficient": rat_to_str(coef),
-                    "term_l1_norm": rat_to_str(norm),
-                    "support_size": len(term.entries),
-                }
-            )
-    return records
+    if dual:
+        compose, acc = partial(compose_bra, part1_written_first=part1_written_first), DualGradedVector
+    else:
+        compose, acc = partial(compose_ket, part2_written_first=part2_written_first), GradedVector
+    base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
+    target = _juxtaposed(m1, m2, PartialCache(builder), compose)
+    return partition_sum(_bilinear_terms(coeff), base, target, acc(m1.sig, m1.arity + m2.arity))
 
 
 def bilinear_sum_limit(m1, m2, us, vs, **kw):
@@ -318,139 +286,40 @@ def check_recursion(model, us, vs, z):
 
 
 def check_composite_creation_actions(split: SplitChain, us, vs, z, total=None):
-    """Residuals of the two creation-entry actions on composite-sum vectors."""
+    """Residuals of the two creation-entry actions on composite-sum vectors:
+    the packaged table's T13 and T23 rows with composite sums as targets."""
     us, vs = tuple(us), tuple(vs)
     total = total or CompositeModel(split)
     m1, m2 = total.part1, total.part2
-    c = total.c
-    norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), c))
+    norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), total.c))
     cal_b = bilinear_sum(m1, m2, us, vs)
+    table = load_formula_table()
+    base = action_binding(total, us, vs, z)
 
-    lhs13 = total.apply_T(1, 3, z, cal_b).scale(norm)
-    rhs13 = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
-    res13 = lhs13.sub(rhs13)
+    def target(b, args):
+        return bilinear_sum_limit(m1, m2, concat(b, args[0]), concat(b, args[1]))
 
-    lhs23 = total.apply_T(2, 3, z, cal_b).scale(norm)
-    rhs23 = bilinear_sum(m1, m2, us, (z,) + vs).scale(prod_pairs(f, (z,), us, c))
-    for k in range(len(us)):
-        u0 = us[k]
-        rest = us[:k] + us[k + 1 :]
-        coef = g(u0, z, c) * prod_pairs(f, (u0,), rest, c)
-        rhs23 = rhs23.add(bilinear_sum_limit(m1, m2, (z,) + rest, (z,) + vs).scale(coef))
-    res23 = lhs23.sub(rhs23)
-    return res13, res23
+    residuals = []
+    for i, element in ((1, "T13"), (2, "T23")):
+        lhs = total.apply_T(i, 3, z, cal_b).scale(norm)
+        rhs = partition_sum(table[element], base, target, GradedVector(total.sig, total.arity))
+        residuals.append(lhs.sub(rhs))
+    return tuple(residuals)
 
 
 # ---------------------------------------------------------------------------
 # replay of the creation-action decomposition (partition classes A / C)
 # ---------------------------------------------------------------------------
 
-_PREFIX = "r1_2(uI)*r3_1(vII)*f(uII,uI)*g(vI,vII)/f(vII,uI)"
-
-# every entry: (inner splits, coefficient, part-2 args, part-1 args)
-# set names: outer parts uI/uII, vI/vII; inner singleton ui/vi with rest uii/vii;
-# z is the one-element set holding the operator argument.
-_A_TERMS = {
-    "A1": (
-        (),
-        "r1_2(z)*r1_2(uI)*r3_1(vII)*f(uII,z)*f(uII,uI)*g(vI,vII)*g(z,vII)/(f(vII,uI)*f(vII,z))",
-        ("uII", "vII"),
-        (("z", "uI"), ("z", "vI")),
-    ),
-    "A2": (
-        (),
-        "r1_2(uI)*r3_1(z)*r3_1(vII)*f(uII,uI)*g(vI,z)*g(vI,vII)/f(vII,uI)",
-        (("z", "uII"), ("z", "vII")),
-        ("uI", "vI"),
-    ),
-    "A3": (
-        (),
-        "r1_2(uI)*r3_1(vII)*f(z,uI)*f(uII,uI)*g(z,vII)*g(vI,vII)/f(vII,uI)",
-        (("z", "uII"), "vII"),
-        ("uI", ("z", "vI")),
-    ),
-}
-
-_C_TERMS = {
-    "C11": ((), _PREFIX + "*r1_2(z)*f(uII,z)*g(z,vII)/f(vII,z)", ("uII", "vII"), (("z", "uI"), ("z", "vI"))),
-    "C12": (
-        (("uII", "ui", "uii"),),
-        _PREFIX + "*r1_2(ui)*f(uii,ui)*g(z,ui)*g(z,vII)/f(vII,ui)",
-        (("z", "uii"), "vII"),
-        (("z", "uI"), ("z", "vI")),
-    ),
-    "C13": (
-        (("uII", "ui", "uii"), ("vII", "vi", "vii")),
-        _PREFIX + "*r1_2(ui)*f(uii,ui)*g(vi,z)*g(vi,vii)/(f(vii,ui)*h(vi,z)*h(vi,ui))",
-        (("z", "uii"), ("z", "vii")),
-        (("z", "uI"), ("z", "vI")),
-    ),
-    "C21": ((), _PREFIX + "*g(z,vII)*f(z,uI)", (("z", "uII"), "vII"), ("uI", ("z", "vI"))),
-    "C22": (
-        (("uI", "ui", "uii"),),
-        _PREFIX + "*g(z,vII)*g(ui,z)*f(ui,uii)",
-        (("z", "uII"), "vII"),
-        (("z", "uii"), ("z", "vI")),
-    ),
-    "C23": (
-        (("vII", "vi", "vii"),),
-        _PREFIX + "*g(vi,z)*g(vi,vii)*f(z,uI)/h(vi,z)",
-        (("z", "uII"), ("z", "vii")),
-        ("uI", ("z", "vI")),
-    ),
-    "C24": (
-        (("vII", "vi", "vii"), ("uI", "ui", "uii")),
-        _PREFIX + "*g(vi,z)*g(vi,vii)*g(ui,z)*f(ui,uii)/h(vi,z)",
-        (("z", "uII"), ("z", "vii")),
-        (("z", "uii"), ("z", "vI")),
-    ),
-    "C31": ((), _PREFIX + "*r3_1(z)*g(vI,z)", (("z", "uII"), ("z", "vII")), ("uI", "vI")),
-    "C32": (
-        (("vI", "vi", "vii"),),
-        _PREFIX + "*r3_1(vi)*f(z,uI)*g(z,vi)*g(vii,vi)/(h(vi,z)*f(vi,uI))",
-        (("z", "uII"), ("z", "vII")),
-        ("uI", ("z", "vii")),
-    ),
-    "C33": (
-        (("uI", "ui", "uii"), ("vI", "vi", "vii")),
-        _PREFIX + "*r3_1(vi)*g(ui,z)*f(ui,uii)*g(z,vi)*g(vii,vi)/(h(vi,ui)*f(vi,z)*f(vi,uii))",
-        (("z", "uII"), ("z", "vII")),
-        (("z", "uii"), ("z", "vii")),
-    ),
-}
-
-
-def _resolve_args(binding, spec):
-    def one(entry):
-        if isinstance(entry, tuple):
-            out = ()
-            for name in entry:
-                out = out + binding.sets[name]
-            return out
-        return binding.sets[entry]
-
-    return one(spec[0]), one(spec[1])
-
-
-def _term_sum(name, table, m1, m2, us, vs, z, cache):
-    inners, coeff, args2, args1 = table[name]
-    ast = parse(coeff)
-    base = Binding({"z": (z,)}, c=m1.c, funcs=ratio_funcs(m1, m2))
-    acc = GradedVector(m1.sig, m1.arity + m2.arity)
-    for bu in enumerate_partitions(_SPLIT_U, us, base):
-        for bv in enumerate_partitions(_SPLIT_V, vs, bu):
-            bindings = [bv]
-            for source, single, rest in inners:
-                spec = PartitionSpec(source, (PartSpec(single, 1), PartSpec(rest)))
-                bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[source], b)]
-            for b in bindings:
-                coef = eval_coeff(ast, b)
-                u2, v2 = _resolve_args(b, args2)
-                u1, v1 = _resolve_args(b, args1)
-                p2 = cache.get(2, m2, u2, v2)
-                p1 = cache.get(1, m1, u1, v1)
-                acc = acc.add(compose_ket(p1, p2, True).scale(coef))
-    return acc
+@cache
+def load_class_table() -> dict:
+    """The packaged partition classes A1..A3, C11..C33, compiled."""
+    raw = json.loads(resources.files("superbethe").joinpath("data/composite_classes.json").read_text())
+    return {
+        name: _composite_terms(terms, ("ubar", "vbar", "z"), "/" + name)
+        for name, terms in raw.items()
+        if not name.startswith("_")
+    }
 
 
 def action_decomposition_report(split: SplitChain, us, vs, z):
@@ -468,30 +337,30 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     total = CompositeModel(split)
     m1, m2 = total.part1, total.part2
     c = total.c
-    cache = PartialCache(build_vector_limit)
+    base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))
+    target = _juxtaposed(m1, m2, PartialCache(build_vector_limit), partial(compose_ket, part2_written_first=True))
+    zero = GradedVector(total.sig, total.arity)
+    cls = {name: partition_sum(terms, base, target, zero) for name, terms in load_class_table().items()}
 
-    a = {name: _term_sum(name, _A_TERMS, m1, m2, us, vs, z, cache) for name in _A_TERMS}
-    cterms = {name: _term_sum(name, _C_TERMS, m1, m2, us, vs, z, cache) for name in _C_TERMS}
-
-    a_sum = a["A1"].add(a["A2"]).add(a["A3"])
-    c_sum = GradedVector(total.sig, total.arity)
-    for vec in cterms.values():
-        c_sum = c_sum.add(vec)
+    a_sum = cls["A1"].add(cls["A2"]).add(cls["A3"])
+    c_sum = zero
+    for name, vec in cls.items():
+        if name.startswith("C"):
+            c_sum = c_sum.add(vec)
 
     norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), c))
     direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs)).scale(norm)
     extended = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
 
-    report = {
+    return {
         "class_sum_vs_extended_vector": a_sum.sub(extended),
         "class_sum_vs_coproduct_sum": a_sum.sub(c_sum),
         "coproduct_sum_vs_direct_action": c_sum.sub(direct),
-        "cancellation_c23_c32": cterms["C23"].add(cterms["C32"]),
-        "cancellation_c13_c24_c33": cterms["C13"].add(cterms["C24"]).add(cterms["C33"]),
-        "cancellation_c12_c22": cterms["C12"].add(cterms["C22"]),
-        "match_c11_a1": cterms["C11"].sub(a["A1"]),
-        "match_c21_a3": cterms["C21"].sub(a["A3"]),
-        "match_c31_a2": cterms["C31"].sub(a["A2"]),
+        "cancellation_c23_c32": cls["C23"].add(cls["C32"]),
+        "cancellation_c13_c24_c33": cls["C13"].add(cls["C24"]).add(cls["C33"]),
+        "cancellation_c12_c22": cls["C12"].add(cls["C22"]),
+        "match_c11_a1": cls["C11"].sub(cls["A1"]),
+        "match_c21_a3": cls["C21"].sub(cls["A3"]),
+        "match_c31_a2": cls["C31"].sub(cls["A2"]),
         "g_identity_witness": three_term_witness(us[0], vs[0], z, c) if us and vs else 0,
     }
-    return report

@@ -19,3 +19,12 @@ class ArityMismatch(ValueError):
 
 class SignatureMismatch(ValueError):
     """Graded objects built over different signatures were combined."""
+
+
+class SchemaError(ValueError):
+    """Malformed input (a config or a formula table), located by a JSON pointer."""
+
+    def __init__(self, message, pointer):
+        super().__init__(f"{message} (at {pointer})")
+        self.message = message
+        self.pointer = pointer

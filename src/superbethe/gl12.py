@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bethe import _apply_sym, _apply_sym_dual
+from .bethe import _apply_sym, _apply_sym_dual, _partition_terms
 from .composite import CompositeModel, SplitChain, bilinear_sum
 from .graded import GL12, GL21, DualGradedVector, GradedVector
 from .rational import ONE
@@ -49,32 +49,8 @@ def _self_h_product(xs, c):
     return acc
 
 
-def _tilde_terms(model, us, vs):
-    from .bethe import _prod, _require_distinct, _split
-    from .errors import DivisionByZero
-    from .scalars import is_zero
-
-    us, vs = tuple(us), tuple(vs)
-    _require_distinct("us", us)
-    _require_distinct("vs", vs)
-    c = model.c
-    lam2 = lambda xs: _prod(model.lam(2, x) for x in xs)
-    base = lam2(vs) * prod_pairs(f, us, vs, c)
-    if is_zero(base):
-        raise DivisionByZero("f(us,vs) vanishes (some u - v = -c); parameters not generic")
-    for n in range(min(len(us), len(vs)) + 1):
-        for iu in combinations(range(len(us)), n):
-            u1, u2 = _split(us, iu)
-            for iv in combinations(range(len(vs)), n):
-                v1, v2 = _split(vs, iv)
-                coef = (
-                    prod_pairs(g, u1, v1, c)
-                    * prod_pairs(f, v1, v2, c)
-                    * prod_pairs(g, u2, u1, c)
-                    * _self_h_product(v1, c)
-                    / (lam2(u2) * base)
-                )
-                yield coef, u1, u2, v1, v2
+def _tilde_weight(u1, u2, v1, v2, c):
+    return prod_pairs(g, u1, v1, c) * prod_pairs(f, v1, v2, c) * prod_pairs(g, u2, u1, c) * _self_h_product(v1, c)
 
 
 def build_tilde_vector(model, us, vs) -> GradedVector:
@@ -82,7 +58,7 @@ def build_tilde_vector(model, us, vs) -> GradedVector:
     _guard_gl12(model)
     acc = GradedVector(model.sig, model.arity)
     omega = model.omega()
-    for coef, _u1, u2, v1, v2 in _tilde_terms(model, us, vs):
+    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, _tilde_weight):
         vec = _apply_sym(model, 1, 2, True, u2, omega)
         for v in reversed(v2):
             vec = model.apply_T(2, 3, v, vec)
@@ -98,7 +74,7 @@ def build_tilde_dual_vector(model, us, vs) -> DualGradedVector:
     _guard_gl12(model)
     a = len(us)
     acc = DualGradedVector(model.sig, model.arity)
-    for coef, _u1, u2, v1, v2 in _tilde_terms(model, us, vs):
+    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, _tilde_weight):
         dual = _apply_sym_dual(model, 2, 1, False, u2, model.omega_dual())
         for v in v2:
             dual = model.apply_T_dual(3, 2, v, dual)

@@ -7,10 +7,13 @@ to one-set products, K(A|B) is the domain-wall partition function, and '*',
 '/', unary '-', integer literals and '(expr)^n' compose them. Singletons are
 one-element sets; there is no scalar/set overloading.
 
-Also hosts the partition enumerator behind every shorthand summation: a
-PartitionSpec names the disjoint parts of a source set with fixed or free
-cardinalities, and enumerate_partitions yields one Binding per admissible
-assignment, in lexicographic order of element indices.
+Also hosts the one engine behind every shorthand summation: a PartitionSpec
+names the disjoint parts of a source set with fixed or free cardinalities, and
+enumerate_partitions yields one Binding per admissible assignment, in
+lexicographic order of element indices. compile_terms turns the JSON term
+shape of the formula tables into (partitions, coefficient AST, target)
+triples, and partition_sum evaluates a list of them against a target vector
+function.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .errors import SchemaError
 from .rational import ONE
 from .scalars import izergin, prod_pairs, prod_unary
 from . import scalars
@@ -322,3 +326,116 @@ def enumerate_partitions(spec: PartitionSpec, universe, base: Binding = None):
         for assignment in _assignments(tuple(universe), sizes):
             out.append(base.with_sets({p.name: vals for p, vals in zip(parts, assignment)}))
     return out
+
+
+# --- partition sums ------------------------------------------------------------
+
+
+def compile_terms(raw, names, funcs, prefix=(), juxtaposed=False, pointer=""):
+    """Check and compile JSON terms {"partitions": [[source, single..., rest]],
+    "coefficient": text, "target": ...} into (specs, AST, target) triples.
+
+    names are the sets the base binding holds and funcs its unary function
+    names; every term sums over the specs in prefix before its own
+    partitions. A target is [u, v], or [[u1, v1], [u2, v2]] if juxtaposed,
+    each argument a set name or a list of names to join. Every name a term
+    reads must be bound by then; a violation raises SchemaError with the
+    JSON pointer below pointer.
+    """
+    if not isinstance(raw, list):
+        raise SchemaError("terms must be a list", pointer or "/")
+    compiled = []
+    for k, term in enumerate(raw):
+        at = f"{pointer}/{k}"
+        missing = [key for key in ("partitions", "coefficient", "target") if not isinstance(term, dict) or key not in term]
+        if missing:
+            raise SchemaError(f"a term needs {', '.join(missing)}", at)
+        bound = set(names).union(*({p.name for p in spec.parts} for spec in prefix))
+        specs = list(prefix)
+        if not isinstance(term["partitions"], list):
+            raise SchemaError("partitions must be a list", at + "/partitions")
+        for i, entry in enumerate(term["partitions"]):
+            where = f"{at}/partitions/{i}"
+            if not isinstance(entry, list) or len(entry) < 3 or not all(isinstance(x, str) for x in entry):
+                raise SchemaError("a partition is [source, single..., rest]", where)
+            source, *singles, rest = entry
+            if source not in bound:
+                raise SchemaError(f"set {source!r} is not bound", where + "/0")
+            for j, name in enumerate(entry[1:], 1):
+                if name in bound:
+                    raise SchemaError(f"set {name!r} is bound twice", f"{where}/{j}")
+                bound.add(name)
+            specs.append(PartitionSpec(source, tuple(PartSpec(s, 1) for s in singles) + (PartSpec(rest),)))
+        coeff = _checked_coefficient(term["coefficient"], bound, funcs, at + "/coefficient")
+        target = _checked_target(term["target"], bound, at + "/target", juxtaposed)
+        compiled.append((tuple(specs), coeff, target))
+    return tuple(compiled)
+
+
+def _checked_target(raw, bound, at, juxtaposed):
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise SchemaError("a target is a pair", at)
+    if juxtaposed:
+        return tuple(_checked_target(x, bound, f"{at}/{i}", False) for i, x in enumerate(raw))
+    out = []
+    for i, arg in enumerate(raw):
+        names = [arg] if isinstance(arg, str) else arg
+        if not isinstance(names, list) or not names:
+            raise SchemaError("an argument is a set name or a list of them", f"{at}/{i}")
+        for j, name in enumerate(names):
+            if not isinstance(name, str) or name not in bound:
+                raise SchemaError(f"set {name!r} is not bound", f"{at}/{i}" + ("" if isinstance(arg, str) else f"/{j}"))
+        out.append(arg if isinstance(arg, str) else tuple(arg))
+    return tuple(out)
+
+
+def _checked_coefficient(text, bound, funcs, at):
+    if not isinstance(text, str):
+        raise SchemaError("a coefficient is an expression string", at)
+    try:
+        ast = parse(text)
+    except ExprSyntaxError as err:
+        raise SchemaError(f"{err} in {text!r}", at) from None
+    for call in _calls(ast):
+        arity = 2 if call.name in _PAIR or call.name == "K" else 1 if call.name in funcs else None
+        if arity is None:
+            raise SchemaError(f"unknown function {call.name!r}", at)
+        if len(call.args) != arity:
+            raise SchemaError(f"{call.name} takes {arity} set argument(s)", at)
+        for name in call.args:
+            if name not in bound:
+                raise SchemaError(f"set {name!r} is not bound", at)
+    return ast
+
+
+def _calls(node):
+    if isinstance(node, Call):
+        yield node
+    elif isinstance(node, (Neg, Pow)):
+        yield from _calls(node.arg if isinstance(node, Neg) else node.base)
+    elif isinstance(node, (Mul, Div)):
+        yield from _calls(node.left)
+        yield from _calls(node.right)
+
+
+def concat(binding, spec):
+    """The parameters a target argument names: one set, or several joined."""
+    if isinstance(spec, tuple):
+        out = ()
+        for name in spec:
+            out = out + binding.sets[name]
+        return out
+    return binding.sets[spec]
+
+
+def partition_sum(terms, base, target, acc):
+    """acc plus, over every compiled term and every partition of base's sets
+    the term names, coefficient x target(binding, term target)."""
+    for parts, coeff, term_target in terms:
+        bindings = [base]
+        for spec in parts:
+            bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
+        for b in bindings:
+            coef = eval_expr(coeff, b)
+            acc = acc.add(target(b, term_target).scale(coef))
+    return acc

@@ -1,5 +1,6 @@
 import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -11,6 +12,7 @@ from superbethe.cli import (
     parse_config,
     run_suites,
 )
+from superbethe.rational import rat_from_str
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -215,3 +217,65 @@ def test_missing_action_formula_file(tmp_path, capsys):
 def test_bad_campaigns(tmp_path, capsys, campaigns):
     raw = {"suites": ["rtt"], "campaigns": campaigns, "chains": [{"L": 1, "xi": ["0"]}]}
     _schema_failure(tmp_path, capsys, raw, "/campaigns")
+
+
+def _table_with(edit):
+    raw = json.loads(resources.files("superbethe").joinpath("data/action_formulas.json").read_text())
+    edit(raw)
+    return raw
+
+
+MALFORMED_TABLES = {
+    "unbound set in a coefficient": (lambda t: t["T11"][0].update(coefficient="r1(z)*f(ubarX,z)/h(vbar,z)"), "/T11/0/coefficient"),
+    "unbound set in a target": (lambda t: t["T22"][1]["target"][1].__setitem__(1, "vbarX"), "/T22/1/target/1/1"),
+    "unknown function": (lambda t: t["T33"][0].update(coefficient="q(z)*g(vbar,z)"), "/T33/0/coefficient"),
+    "term without partitions": (lambda t: t["T23"][0].pop("partitions"), "/T23/0"),
+    "terms are a string": (lambda t: t.update(T12="T12"), "/T12"),
+    "coefficient syntax error": (lambda t: t["T13"][0].update(coefficient="f(z,ubar"), "/T13/0/coefficient"),
+    "partition with one name": (lambda t: t["T21"][0]["partitions"].__setitem__(0, ["ubar"]), "/T21/0/partitions/0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_formula_table_is_a_schema_error(tmp_path, capsys, case):
+    edit, table_pointer = MALFORMED_TABLES[case]
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(_table_with(edit)))
+    raw = {"suites": ["actions"], "chains": [{"L": 1, "xi": ["0"]}], "action_formula_file": str(table)}
+    _schema_failure(tmp_path, capsys, raw, "/action_formula_file")
+    with pytest.raises(SchemaError) as err:
+        parse_config(raw)
+    assert f"at {table_pointer}:" in str(err.value)
+
+
+FIXED_PARAMETER_POLES = {
+    "u on an inhomogeneity": ({"u": ["1/2"], "v": ["9"]}, "/u/0"),
+    "v on an inhomogeneity": ({"u": ["3"], "v": ["5", "0"]}, "/v/1"),
+    "v - u = -c": ({"u": ["3", "5"], "v": ["9", "4"]}, "/v/1"),
+    "u = v": ({"u": ["3"], "v": ["3"]}, "/v/0"),
+    "repeated u": ({"u": ["3", "3"], "v": ["9"]}, "/u/1"),
+    "repeated v": ({"u": ["3"], "v": ["9", "9"]}, "/v/1"),
+    "two v at distance c": ({"u": ["3"], "v": ["9", "10"]}, "/v/1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_PARAMETER_POLES))
+def test_fixed_parameters_on_a_pole(tmp_path, capsys, case):
+    fixed, pointer = FIXED_PARAMETER_POLES[case]
+    raw = dict(fixed, suites=["bethe"], chains=[{"L": 2, "xi": ["0", "1/2"]}])
+    _schema_failure(tmp_path, capsys, raw, pointer)
+
+
+def test_fixed_parameter_poles_follow_the_signature():
+    gl21 = [{"L": 1, "xi": ["0"]}]
+    gl12 = [{"L": 1, "xi": ["0"], "signature": "gl(1|2)"}]
+    # u - v = -c and two u's at distance c are poles of the tilde vectors only
+    for fixed, pointer in (({"u": ["3"], "v": ["4"]}, "/v/0"), ({"u": ["3", "4"], "v": ["9"]}, "/u/1")):
+        assert parse_config(dict(fixed, chains=gl21)).us == tuple(rat_from_str(x) for x in fixed["u"])
+        with pytest.raises(SchemaError) as err:
+            parse_config(dict(fixed, chains=gl12))
+        assert err.value.pointer == pointer
+    # v - u = -c is the pole of the gl(2|1) vectors only
+    assert parse_config({"u": ["4"], "v": ["3"], "chains": gl12}).vs == (3,)
+    with pytest.raises(SchemaError):
+        parse_config({"u": ["4"], "v": ["3"], "chains": gl21})

@@ -172,18 +172,6 @@ def test_nongeneric_parameters_raise(split21):
         build_vector(total, (rat(5),), (rat(4),))  # v - u = -c
 
 
-def test_per_term_debug_report(split21):
-    from superbethe.composite import bilinear_term_report
-
-    total = CompositeModel(split21)
-    us, vs = (rat(3),), (rat(17, 4),)
-    records = bilinear_term_report(total.part1, total.part2, us, vs)
-    assert len(records) == 4  # free split of one u and one v parameter
-    assert all(set(r) == {"partition", "coefficient", "term_l1_norm", "support_size"} for r in records)
-    # the records reassemble the factorization: nonzero terms carry the vector
-    assert any(r["support_size"] for r in records)
-
-
 def test_action_decomposition_replay(split21):
     smp = ParameterSampler("replay", 1)
     xi = split21.part1.xi + split21.part2.xi
@@ -195,6 +183,30 @@ def test_action_decomposition_replay(split21):
         for name, residual in report.items():
             ok = residual.is_zero() if hasattr(residual, "is_zero") else is_zero(residual)
             assert ok, (a, b, name)
+
+
+def test_replay_classes_from_data_still_bite(split21, monkeypatch):
+    import json
+    from importlib import resources
+
+    from superbethe import composite
+
+    smp = ParameterSampler("replay-control", 1)
+    xi = split21.part1.xi + split21.part2.xi
+    ps = smp.generic(2, avoid=xi)
+    us, vs = ps[:1], ps[1:]
+    z = smp.generic_one(avoid=tuple(xi) + ps)
+    report = action_decomposition_report(split21, us, vs, z)
+    assert all(r.is_zero() if hasattr(r, "is_zero") else is_zero(r) for r in report.values())
+
+    raw = json.loads(resources.files("superbethe").joinpath("data/composite_classes.json").read_text())
+    c23 = raw["C23"][0]
+    assert c23["coefficient"].endswith("/h(vi,z)")
+    c23["coefficient"] = c23["coefficient"][: -len("/h(vi,z)")]
+    perturbed = {name: composite._composite_terms(terms, ("ubar", "vbar", "z")) for name, terms in raw.items() if name != "_comment"}
+    monkeypatch.setattr(composite, "load_class_table", lambda: perturbed)
+    report = action_decomposition_report(split21, us, vs, z)
+    assert not report["cancellation_c23_c32"].is_zero()
 
 
 def test_g_identity_witness_follows_the_replay(monkeypatch):

@@ -40,11 +40,11 @@ def test_parse_error_offset():
 def test_roundtrip_on_package_formula_tables():
     raw = json.loads(resources.files("superbethe").joinpath("data/action_formulas.json").read_text())
     exprs = [t["coefficient"] for el, terms in raw.items() if not el.startswith("_") for t in terms]
+    classes = json.loads(resources.files("superbethe").joinpath("data/composite_classes.json").read_text())
+    exprs += [t["coefficient"] for name, terms in classes.items() if not name.startswith("_") for t in terms]
     from superbethe import composite, gl12
 
     exprs += [composite.KET_COEFF, composite.BRA_COEFF, gl12.TILDE_KET_COEFF, gl12.TILDE_BRA_COEFF]
-    exprs += [spec[1] for spec in composite._A_TERMS.values()]
-    exprs += [spec[1] for spec in composite._C_TERMS.values()]
     assert len(exprs) > 30
     for text in exprs:
         ast = parse(text)
