@@ -105,6 +105,21 @@ def _int_at(raw, key, default):
         raise SchemaError(f"not an integer: {value!r}", f"/{key}") from None
 
 
+_CONFIG_KEYS = (
+    "c", "signature", "seed", "campaigns", "max_a", "max_b", "max_L",
+    "chains", "split", "u", "v", "suites", "action_formula_file",
+)
+_CHAIN_KEYS = ("L", "xi", "twist", "signature")
+
+
+def _reject_unknown_keys(obj, allowed, base):
+    """A misspelt key would otherwise fall back to its default silently."""
+    for key in obj:
+        if key not in allowed:
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            raise SchemaError(f"unknown key {key!r} (allowed: {', '.join(allowed)})", f"{base}/{escaped}")
+
+
 def load_config(path) -> RunConfig:
     with open(path) as fh:
         try:
@@ -117,6 +132,7 @@ def load_config(path) -> RunConfig:
 def parse_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise SchemaError("config must be an object", "/")
+    _reject_unknown_keys(raw, _CONFIG_KEYS, "")
     c = _rat_at(raw.get("c", "1"), "/c")
     if is_zero(c):
         raise SchemaError("c must be nonzero", "/c")
@@ -130,6 +146,7 @@ def parse_config(raw) -> RunConfig:
         base = f"/chains/{idx}"
         if not isinstance(ch, dict) or "L" not in ch:
             raise SchemaError("chain needs an integer L", base)
+        _reject_unknown_keys(ch, _CHAIN_KEYS, base)
         length = ch["L"]
         if not isinstance(length, int) or length < 0 or length > max_len:
             raise SchemaError(f"L={length!r} outside 0..{max_len}", base + "/L")
@@ -275,7 +292,8 @@ def emit_report(report: Report, path):
 
 
 def _sample_of(residual):
-    """Human-readable witness of the first nonzero entry, or "0"."""
+    """Human-readable witness of the first nonzero entry, or "0". A string
+    residual is a failure the check has already located and described."""
     if hasattr(residual, "cols"):
         for col in sorted(residual.cols):
             for row in sorted(residual.cols[col]):
@@ -476,12 +494,10 @@ class _Runner:
                     for j in range(1, 4):
                         for k in range(1, 4):
                             for l in range(1, 4):
-                                r1, r2 = check_supercommutator(m, i, j, k, l, u, v)
-                                if not r1.is_zero():
-                                    return r1
-                                if not r2.is_zero():
-                                    return r2
-                return r1
+                                for form, r in enumerate(check_supercommutator(m, i, j, k, l, u, v), 1):
+                                    if not r.is_zero():
+                                        return f"(i,j,k,l)=({i},{j},{k},{l}) form {form}: {_sample_of(r)}"
+                return 0
 
             self.check(
                 "commutator",
@@ -499,7 +515,7 @@ class _Runner:
 
                 def vac(m=model, u=u):
                     bad = [name for name, ok in vacuum_residuals(m, u) if not ok]
-                    return 0 if not bad else 1
+                    return "; ".join(bad) or 0
 
                 self.check(
                     "bethe",

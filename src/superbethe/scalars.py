@@ -9,9 +9,25 @@ Two layers:
 
 EpsScalar results demote themselves back to plain rationals as soon as the
 eps-dependence cancels, so the hot paths never pay for polynomial arithmetic.
-Polynomials are little-endian coefficient tuples over the rational backend,
-reduced (content-normalized gcd) with a monic denominator, which makes
-equality structural and lets eps_limit detect removable singularities.
+Polynomials are little-endian coefficient tuples over the rational backend.
+An EpsScalar is stored as num/den with gcd(num, den) = 1 and den monic; that
+form is unique, which makes equality structural and lets eps_limit detect
+removable singularities.
+
+Reduction (the Henrici scheme of Knuth, TAOCP 4.5.1, which fractions.Fraction
+uses for integers) runs a gcd only where a common factor can appear. With
+a/b and c/d reduced and k a rational:
+
+* k*(a/b) = (k*a)/b, (a/b)/k = (a/k)/b, a/b + k = (a + k*b)/b and
+  k/(a/b) = (k*b)/a need no gcd: gcd(a + k*b, b) = gcd(a, b) = 1;
+* (a/b)*(c/d) cancels gcd(a, d) and gcd(c, b) before multiplying, and the
+  product is then reduced;
+* a/b + c/d with g = gcd(b, d): if g = 1, (a*d + c*b)/(b*d) is reduced;
+  otherwise t = a*(d/g) + c*(b/g) is coprime to b/g and d/g, so only
+  gcd(t, g) is divided out.
+
+The public constructor EpsScalar(num, den) reduces arbitrary input in full;
+results of arithmetic are built by the trusted _reduced.
 
 Also hosts the pairwise set-products of g/f/h in the shorthand semantics and
 the domain-wall partition function (Izergin determinant), evaluated by
@@ -76,8 +92,15 @@ def _pdivmod(a, b):
     return _trim(quo), _trim(rem)
 
 
+def _pscale(a, k):
+    return tuple(x * k for x in a)
+
+
 def _pgcd(a, b):
+    """Monic gcd; () only when both are ()."""
     while b:
+        if len(a) == 1 or len(b) == 1:
+            return (ONE,)  # a nonzero constant is coprime to everything
         a, b = b, _pdivmod(a, b)[1]
     if not a:
         return ()
@@ -85,12 +108,69 @@ def _pgcd(a, b):
     return tuple(x * inv for x in a)  # monic
 
 
+def _pquo(a, g):
+    """a / g for a monic divisor g of a."""
+    return a if len(g) == 1 else _pdivmod(a, g)[0]
+
+
 def _pmonic(num, den):
-    inv = ONE / den[-1]
-    if den[-1] != ONE:
-        num = tuple(x * inv for x in num)
-        den = tuple(x * inv for x in den)
-    return num, den
+    lead = den[-1]
+    if lead == ONE:
+        return num, den
+    inv = ONE / lead
+    return _pscale(num, inv), _pscale(den, inv)
+
+
+# ---------------------------------------------------------------------------
+# EpsScalar arithmetic on reduced (num, den) pairs; see the module docstring
+# ---------------------------------------------------------------------------
+
+
+def _reduced(num, den):
+    """num/den already in stored form (trimmed, coprime, den monic; a zero
+    num may come with any den); demotes to a plain rational when eps drops
+    out."""
+    if not num:
+        return ZERO
+    if len(num) == 1 and len(den) == 1:
+        return num[0]
+    val = object.__new__(EpsScalar)
+    object.__setattr__(val, "num", num)
+    object.__setattr__(val, "den", den)
+    return val
+
+
+def _shifted(a, b, k):
+    """a/b + k for a rational k: gcd(a + k*b, b) = gcd(a, b) = 1."""
+    return _reduced(_padd(a, _pscale(b, k)), b)
+
+
+def _scaled(a, b, k):
+    """k*a/b for a rational k and coprime a, b (b need not be monic)."""
+    if not k:
+        return ZERO
+    return _reduced(*_pmonic(_pscale(a, k), b))
+
+
+def _sum(a, b, c, d):
+    """a/b + c/d: with g = gcd(b, d), the sum t/(b*d/g) can only share a
+    factor with g."""
+    g = _pgcd(b, d)
+    if len(g) == 1:
+        return _reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    b1 = _pdivmod(b, g)[0]
+    t = _padd(_pmul(a, _pdivmod(d, g)[0]), _pmul(c, b1))
+    g = _pgcd(t, g)
+    return _reduced(_pquo(t, g), _pmul(b1, _pquo(d, g)))
+
+
+def _product(a, b, c, d):
+    """(a/b) * (c/d) by cross-cancellation: only gcd(a, d) and gcd(c, b) can
+    be nontrivial. d need not be monic (division passes a reciprocal)."""
+    g1, g2 = _pgcd(a, d), _pgcd(c, b)
+    num = _pmul(_pquo(a, g1), _pquo(c, g2))
+    den = _pmul(_pquo(b, g2), _pquo(d, g1))
+    return _reduced(*_pmonic(num, den))
 
 
 class EpsScalar:
@@ -104,21 +184,9 @@ class EpsScalar:
         if not den:
             raise DivisionByZero("denominator polynomial is identically zero")
         g = _pgcd(num, den)
-        if len(g) > 1 or (g and g[0] != ONE):
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        num, den = _pmonic(num, den)
+        num, den = _pmonic(_pquo(num, g), _pquo(den, g))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def _make(num, den):
-        val = EpsScalar(num, den)
-        if len(val.den) == 1 and len(val.num) <= 1:
-            return val.num[0] if val.num else ZERO  # demote to plain rational
-        return val
 
     def __setattr__(self, *a):
         raise AttributeError("EpsScalar is immutable")
@@ -146,68 +214,64 @@ class EpsScalar:
 
         return f"({fmt(self.num)}) / ({fmt(self.den)})"
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: each operator calls the helpers above, never another
+    # operator, so every operation is one dunder call -----------------------
 
-    @staticmethod
-    def _pair(x):
-        if isinstance(x, EpsScalar):
-            return x.num, x.den
-        if is_rational(x):
-            return _trim((rat(x),)), (ONE,)
-        raise TypeError(f"cannot coerce {type(x).__name__} to EpsScalar")
+    def _reciprocal(self):
+        if not self.num:
+            raise DivisionByZero("division by identically zero scalar")
+        return self.den, self.num
 
     def __add__(self, other):
-        try:
-            n2, d2 = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return self._make(_padd(_pmul(self.num, d2), _pmul(n2, self.den)), _pmul(self.den, d2))
+        if isinstance(other, EpsScalar):
+            return _sum(self.num, self.den, other.num, other.den)
+        if is_rational(other):
+            return _shifted(self.num, self.den, other)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(_pneg(self.num), self.den)
+        return _reduced(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        try:
-            n2, d2 = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return self._make(_padd(_pmul(self.num, d2), _pneg(_pmul(n2, self.den))), _pmul(self.den, d2))
+        if isinstance(other, EpsScalar):
+            return _sum(self.num, self.den, _pneg(other.num), other.den)
+        if is_rational(other):
+            return _shifted(self.num, self.den, -other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        try:
-            n2, d2 = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return self._make(_padd(_pmul(n2, self.den), _pneg(_pmul(self.num, d2))), _pmul(self.den, d2))
+        if isinstance(other, EpsScalar):
+            return _sum(other.num, other.den, _pneg(self.num), self.den)
+        if is_rational(other):
+            return _shifted(_pneg(self.num), self.den, other)
+        return NotImplemented
 
     def __mul__(self, other):
-        try:
-            n2, d2 = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return self._make(_pmul(self.num, n2), _pmul(self.den, d2))
+        if isinstance(other, EpsScalar):
+            return _product(self.num, self.den, other.num, other.den)
+        if is_rational(other):
+            return _scaled(self.num, self.den, other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            n2, d2 = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        if not n2:
-            raise DivisionByZero("division by identically zero scalar")
-        return self._make(_pmul(self.num, d2), _pmul(self.den, n2))
+        if isinstance(other, EpsScalar):
+            return _product(self.num, self.den, *other._reciprocal())
+        if is_rational(other):
+            if not other:
+                raise DivisionByZero("division by identically zero scalar")
+            return _scaled(self.num, self.den, ONE / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        try:
-            n2, d2 = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        if not self.num:
-            raise DivisionByZero("division by identically zero scalar")
-        return self._make(_pmul(n2, self.den), _pmul(d2, self.num))
+        if isinstance(other, EpsScalar):
+            return _product(other.num, other.den, *self._reciprocal())
+        if is_rational(other):
+            return _scaled(*self._reciprocal(), other)
+        return NotImplemented
 
 
 EPS = EpsScalar((ZERO, ONE))
@@ -221,12 +285,11 @@ def eps_limit(x):
     """Value at eps = 0 after cancellation of common factors."""
     if is_rational(x):
         return rat(x)
-    num, den = EpsScalar._pair(x)
-    d0 = den[0] if den else ZERO
-    if not d0:
+    if not isinstance(x, EpsScalar):
+        raise TypeError(f"no eps-limit of {type(x).__name__}")
+    if not x.den[0]:
         raise PoleAtZero(f"pole at eps=0 in {x!r}")
-    n0 = num[0] if num else ZERO
-    return n0 / d0
+    return (x.num[0] if x.num else ZERO) / x.den[0]
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,35 @@ def test_replay_and_sign_probes_are_timed(monkeypatch):
     assert probe.parameters == {"signs": "[1, 1, 1, 1, 1]"}
 
 
+def test_vacuum_and_exchange_failures_are_located(monkeypatch):
+    from superbethe import cli
+
+    raw = {"campaigns": 1, "max_a": 0, "max_b": 0, "suites": ["commutator", "bethe"],
+           "chains": [{"L": 2, "xi": ["0", "1/2"]}]}
+    passing = run_suites(parse_config(raw)).records
+    vacuum, exchange = cli.vacuum_residuals, cli.check_supercommutator
+
+    def one_bad_axiom(model, u):
+        return [(name, ok and name != "T21 annihilates ket") for name, ok in vacuum(model, u)]
+
+    def one_bad_tuple(model, i, j, k, l, u, v):
+        r1, r2 = exchange(model, i, j, k, l, u, v)
+        return (r1, model.T(1, 3, u)) if (i, j, k, l) == (1, 3, 2, 3) else (r1, r2)
+
+    monkeypatch.setattr(cli, "vacuum_residuals", one_bad_axiom)
+    monkeypatch.setattr(cli, "check_supercommutator", one_bad_tuple)
+    failing = run_suites(parse_config(raw)).records
+    located = {}
+    for ok, bad in zip(passing, failing):
+        assert ok.residual_is_zero and ok.residual_sample == "0"
+        if "vacuum" in ok.name or "exchange" in ok.name:
+            assert not bad.residual_is_zero
+            located[ok.suite] = bad.residual_sample
+    assert located["bethe"] == "T21 annihilates ket"
+    sample = cli._sample_of(cli.ChainModel(parse_config(raw).chains[0]).T(1, 3, rat_from_str(failing[0].parameters["u"])))
+    assert located["commutator"] == f"(i,j,k,l)=(1,3,2,3) form 2: {sample}" and sample != "0"
+
+
 def _schema_failure(tmp_path, capsys, raw, pointer):
     """The config fails at parse time with pointer, and verify prints one line."""
     with pytest.raises(SchemaError) as err:
@@ -217,6 +246,22 @@ def test_missing_action_formula_file(tmp_path, capsys):
 def test_bad_campaigns(tmp_path, capsys, campaigns):
     raw = {"suites": ["rtt"], "campaigns": campaigns, "chains": [{"L": 1, "xi": ["0"]}]}
     _schema_failure(tmp_path, capsys, raw, "/campaigns")
+
+
+UNKNOWN_KEYS = {
+    "misspelt top-level key": ({"max-a": 5}, "/max-a"),
+    "deleted z": ({"z": "0"}, "/z"),
+    "key with a slash": ({"max/a": 5}, "/max~1a"),
+    "misspelt chain key": ({"chains": [{"L": 1, "xi": ["0"], "sig": "gl(1|2)"}]}, "/chains/0/sig"),
+    "z on a chain": ({"chains": [{"L": 1, "xi": ["1"]}, {"L": 1, "xi": ["0"], "z": "0"}]}, "/chains/1/z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_config_keys_are_a_schema_error(tmp_path, capsys, case):
+    extra, pointer = UNKNOWN_KEYS[case]
+    raw = dict({"suites": ["scalar"], "chains": [{"L": 1, "xi": ["0"]}]}, **extra)
+    _schema_failure(tmp_path, capsys, raw, pointer)
 
 
 def _table_with(edit):
