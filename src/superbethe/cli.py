@@ -105,6 +105,15 @@ def _int_at(raw, key, default):
         raise SchemaError(f"not an integer: {value!r}", f"/{key}") from None
 
 
+def _count_at(raw, key, default):
+    """A non-negative integer: a negative bound or count would empty the
+    grid it sizes and let the run report all green."""
+    value = _int_at(raw, key, default)
+    if value < 0:
+        raise SchemaError(f"{key}={value} is negative", f"/{key}")
+    return value
+
+
 _CONFIG_KEYS = (
     "c", "signature", "seed", "campaigns", "max_a", "max_b", "max_L",
     "chains", "split", "u", "v", "suites", "action_formula_file",
@@ -120,12 +129,16 @@ def _reject_unknown_keys(obj, allowed, base):
             raise SchemaError(f"unknown key {key!r} (allowed: {', '.join(allowed)})", f"{base}/{escaped}")
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=None) -> RunConfig:
+    """Parse the config file; overrides (top-level keys, such as the
+    command line's max_a) replace the file's values before any check."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"invalid JSON: {e}", "/") from None
+    if overrides and isinstance(raw, dict):
+        raw = dict(raw, **overrides)
     return parse_config(raw)
 
 
@@ -140,7 +153,7 @@ def parse_config(raw) -> RunConfig:
     if default_sig not in SIGNATURES:
         raise SchemaError(f"unknown signature {default_sig!r}", "/signature")
 
-    max_len = _int_at(raw, "max_L", 4)
+    max_len = _count_at(raw, "max_L", 4)
     chains = []
     for idx, ch in enumerate(raw.get("chains", [])):
         base = f"/chains/{idx}"
@@ -189,9 +202,7 @@ def parse_config(raw) -> RunConfig:
             return None
         return tuple(_rat_at(x, f"/{key}/{i}") for i, x in enumerate(raw[key]))
 
-    campaigns = _int_at(raw, "campaigns", 3)
-    if campaigns < 0:
-        raise SchemaError(f"campaigns={campaigns} is negative", "/campaigns")
+    campaigns = _count_at(raw, "campaigns", 3)
     formula_file = raw.get("action_formula_file")
     if formula_file is not None:
         if not isinstance(formula_file, str) or not os.path.isfile(formula_file):
@@ -211,8 +222,8 @@ def parse_config(raw) -> RunConfig:
         suites=tuple(suites_raw),
         seed=_int_at(raw, "seed", 1729),
         campaigns=campaigns,
-        max_a=_int_at(raw, "max_a", 2),
-        max_b=_int_at(raw, "max_b", 2),
+        max_a=_count_at(raw, "max_a", 2),
+        max_b=_count_at(raw, "max_b", 2),
         max_len=max_len,
         split=split,
         us=us,
@@ -718,13 +729,8 @@ def run_suites(cfg: RunConfig, only=None) -> Report:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.max_a is not None:
-        cfg.max_a = args.max_a
-    if args.max_b is not None:
-        cfg.max_b = args.max_b
+    overrides = {key: getattr(args, key) for key in ("seed", "max_a", "max_b") if getattr(args, key) is not None}
+    cfg = load_config(args.config, overrides)
     only = set(args.suite) if args.suite else None
     if only:
         unknown = only - set(SUITES)

@@ -11,7 +11,8 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
 
 * embed, which places an operator on a subset of tensor factors: each
   parity-changing block picks up the parity of the identity-factor column
-  digits to its left.
+  digits to its left (insert_identity is its shortcut for one identity
+  factor and an even operator).
 
 Everything downstream (composition, application, residuals) is plain sparse
 matrix algebra; once an operator is materialized the signs are inside it.
@@ -198,6 +199,16 @@ class GradedOperator:
                 self.cols[c] = pruned
 
     @classmethod
+    def from_pruned(cls, sig, arity, cols):
+        """Adopt cols as they are: the caller guarantees that no column is
+        empty and no entry is zero, so the per-column prune is skipped."""
+        op = cls.__new__(cls)
+        op.sig = sig
+        op.arity = arity
+        op.cols = cols
+        return op
+
+    @classmethod
     def identity(cls, sig, arity):
         return cls(sig, arity, {k: {k: 1} for k in range(3 ** arity)})
 
@@ -226,29 +237,34 @@ class GradedOperator:
     def scale(self, c):
         if not c:
             return GradedOperator(self.sig, self.arity)
-        return GradedOperator(
+        return GradedOperator.from_pruned(
             self.sig,
             self.arity,
             {col: {r: c * v for r, v in colmap.items()} for col, colmap in self.cols.items()},
         )
 
     def add(self, other):
+        return self._merge(other, False)
+
+    def sub(self, other):
+        # not add(other.scale(-1)): that holds a negated copy of other
+        # beside both operands and the result, the peak memory of RTT
+        return self._merge(other, True)
+
+    def _merge(self, other, negate):
         _check_pair(self, other)
         out = {c: dict(m) for c, m in self.cols.items()}
         for c, colmap in other.cols.items():
             dest = out.setdefault(c, {})
             for r, v in colmap.items():
-                s = dest.get(r, 0) + v
+                s = dest.get(r, 0) - v if negate else dest.get(r, 0) + v
                 if s:
                     dest[r] = s
                 elif r in dest:
                     del dest[r]
             if not dest:
                 del out[c]
-        return GradedOperator(self.sig, self.arity, out)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
+        return GradedOperator.from_pruned(self.sig, self.arity, out)
 
     def compose(self, other):
         """self after other (matrix product self . other)."""
@@ -269,7 +285,7 @@ class GradedOperator:
                         del acc[r]
             if acc:
                 out[c] = acc
-        return GradedOperator(self.sig, self.arity, out)
+        return GradedOperator.from_pruned(self.sig, self.arity, out)
 
     def apply(self, vec: GradedVector) -> GradedVector:
         _check_pair(self, vec)
@@ -344,7 +360,7 @@ def koszul_tensor(a: GradedOperator, b: GradedOperator) -> GradedOperator:
                     if pca and (par_b[rb] ^ pcb):
                         val = -val
                     dest[base + rb] = val
-    return GradedOperator(sig, a.arity + b.arity, cols)
+    return GradedOperator.from_pruned(sig, a.arity + b.arity, cols)
 
 
 def clear_denominators(op: GradedOperator):
@@ -360,7 +376,7 @@ def clear_denominators(op: GradedOperator):
         c: {r: int(v.numerator) * (n // int(v.denominator)) for r, v in colmap.items()}
         for c, colmap in op.cols.items()
     }
-    return n, GradedOperator(op.sig, op.arity, cols)
+    return n, GradedOperator.from_pruned(op.sig, op.arity, cols)
 
 
 def num_den(x):
@@ -403,7 +419,38 @@ def embed(a: GradedOperator, positions, arity: int) -> GradedOperator:
                     sgn ^= cum[id_before[k]]
                 val = -va if sgn else va
                 cols.setdefault(base_c + add, {})[base_r + add] = val
-    return GradedOperator(sig, arity, cols)
+    return GradedOperator.from_pruned(sig, arity, cols)
+
+
+def insert_identity(op: GradedOperator, position: int) -> GradedOperator:
+    """An even operator with an identity factor inserted at the (1-based)
+    tensor position `position`, equal to embedding op on the other positions.
+
+    For an even op (every entry keeps the total parity) embed's sign, the
+    parity of the inserted digit d times the number of parity-changing
+    factors to its right, reduces to (-1)^{[d] (par(row prefix) +
+    par(col prefix))}, the prefixes being the digits left of the inserted
+    one; at position 1 there is no sign at all. So each entry is copied
+    three times with its index widened by one digit."""
+    sig = op.sig
+    low = 3 ** (op.arity + 1 - position)  # place value of the inserted digit
+    high = 3 * low
+    pre = parity_table(sig, position - 1)
+    cols = {}
+    for c, colmap in op.cols.items():
+        ch, cl = divmod(c, low)
+        pc = pre[ch]
+        even, odd = {}, {}
+        for r, v in colmap.items():
+            rh, rl = divmod(r, low)
+            key = rh * high + rl
+            even[key] = v
+            odd[key] = -v if pre[rh] ^ pc else v
+        base = ch * high + cl
+        for d in range(3):
+            off = d * low
+            cols[base + off] = {k + off: v for k, v in (odd if sig.parity[d] else even).items()}
+    return GradedOperator.from_pruned(sig, op.arity + 1, cols)
 
 
 # ---------------------------------------------------------------------------

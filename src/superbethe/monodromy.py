@@ -16,35 +16,46 @@ composite totals interleave two diagonal twists between the site blocks,
 which no single-twist chain reproduces (a twist does not commute past the
 other part's R factors).
 
-Two ways to use T(u):
+One walk engine for T(u). Each R_{0k} = I + g(u, xi_k) P_{0k} sends a basis
+state to itself plus the state with the auxiliary and site-k digits swapped,
+with the graded sign given by swap_sign, and D scales by the auxiliary digit;
+_apply_factor pushes a sparse state through one factor. Every factor is
+symmetric, so the same factors serve kets (walked rightmost first) and bras
+(leftmost first). It is used in two ways:
 
-* Model.monodromy_op materializes all of T(u) (nnz 3*5^L); Model.monodromy
-  caches, per spectral point, the nine entry operators of N_u*T(u), N_u the
-  lcm of the denominators of T(u), so that they have int entries. The
-  operator identities run on these integer operators and scale their
-  residuals back (see graded.clear_denominators): check_rtt (T(u), T(v) and
-  R(u,v) each cleared once), check_supercommutator (the cached entries, with
-  g(u,v) = p/q folded in as q*lhs - p*rhs), composite.compose_monodromy and
-  vacuum_residuals (eigenvalues scaled by N_u). Model.T / Monodromy.entry
-  scale a cached entry back to the rational T_ij(u), for the symmetrized odd
-  products and any caller that needs T_ij(u) itself.
-* Model.apply_T / Model.apply_T_dual apply one entry T_ij(u) to a sparse
-  ket or bra without building any operator: the vector is lifted to
-  |j> x w (or <i| x w), pushed through the factor sequence one factor at a
-  time, and projected back onto the other auxiliary index, with the
-  extraction sign on both ends. Every Bethe-vector builder and every
-  vector-side check (actions, recursion, composite creation actions, the
-  decomposition replay) goes this way. Each R_{0k} = I + g(u, xi_k) P_{0k}
-  sends a basis state to itself plus the state with the auxiliary and site-k
-  digits swapped, with the graded sign given by swap_sign; P_{0k} is
-  symmetric, so the bra walks the same factors in the opposite order. The
-  per-factor weights (g and its signed variants) are cached per spectral
-  point, the only state this path keeps.
+* Whole operators. build_cleared_product pushes each of the 3^(L+1) basis
+  columns through the factors with integer weights (the twist times the lcm
+  of its denominators, and gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd) and
+  divides out the common factor, which gives exactly the (N_u, N_u*T(u)) of
+  graded.clear_denominators with no Fraction arithmetic. Model.monodromy
+  caches, per spectral point, the nine entry operators of N_u*T(u) (at an
+  eps-shifted point: of T(u) itself, N_u = 1). The operator identities run
+  on these integer operators and scale their residuals back: check_rtt
+  (T(u), T(v) and R(u,v) each cleared once, T lifted into the two-auxiliary
+  space by graded.insert_identity), check_supercommutator (the cached
+  entries, with g(u,v) = p/q folded in as q*lhs - p*rhs),
+  composite.compose_monodromy and vacuum_residuals (eigenvalues scaled by
+  N_u). build_factor_product / Model.monodromy_op return the rational (or
+  EpsScalar) T(u) from the same walk; Model.T / Monodromy.entry scale a
+  cached entry back to T_ij(u), for the symmetrized odd products and any
+  caller that needs T_ij(u) itself.
+* Single entries on vectors. Model.apply_T / Model.apply_T_dual apply one
+  entry T_ij(u) to a sparse ket or bra without building any operator: the
+  vector is lifted to |j> x w (or <i| x w), walked through the factors with
+  the rational or EpsScalar weights, and projected back onto the other
+  auxiliary index, with the extraction sign on both ends. Every Bethe-vector
+  builder and every vector-side check (actions, recursion, composite
+  creation actions, the decomposition replay) goes this way. The per-factor
+  weights are cached per spectral point, the only state this path keeps.
+
+The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
+the embedded product of the factors as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import DivisionByZero
 from .graded import (
@@ -55,6 +66,7 @@ from .graded import (
     _check_pair,
     clear_denominators,
     embed,
+    insert_identity,
     num_den,
     parity_table,
     r_matrix,
@@ -90,22 +102,58 @@ def build_factor_product(sig, c, length, factors, u) -> GradedOperator:
     """Product of auxiliary-diagonal and R_{0,site} factors, left to right.
 
     factors: sequence of ("diag", (d1,d2,d3)) or ("site", site_index, xi).
-    Returns the operator on arity length+1 (auxiliary factor is position 1).
+    Returns the operator on arity length+1 (auxiliary factor is position 1):
+    at a rational u the cleared product scaled back, otherwise (an
+    eps-shifted u) the column walk with the rational or EpsScalar weights.
     """
-    arity = length + 1
-    acc = None
-    for kind, *payload in factors:
-        if kind == "diag":
-            op = embed(GradedOperator.diagonal(sig, tuple(payload[0])), (1,), arity)
-        elif kind == "site":
-            site, xi = payload
-            if is_zero(u - xi):
-                raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
-            op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-        acc = op if acc is None else acc.compose(op)
-    return acc if acc is not None else GradedOperator.identity(sig, arity)
+    if is_rational(u):
+        n, op = build_cleared_product(sig, c, length, factors, u)
+        return op.scale(rat(1, n))
+    weights = [_factor_weights(sig, c, length, f, u) for f in factors]
+    return GradedOperator.from_pruned(sig, length + 1, _walk_columns(length, weights))
+
+
+def build_cleared_product(sig, c, length, factors, u):
+    """(N, N*T(u)) for the factor product at a rational u, exactly what
+    clear_denominators(build_factor_product(...)) returns, built on ints.
+
+    Each factor is walked as an integer multiple of itself: the twist times
+    the lcm of its denominators, and with g(u, xi_k) = gn/gd,
+    gd*R_{0k} = gd*I + gn*P_{0k}. The product W of those multiples is
+    M*T(u) with M the product of the multipliers; dividing W and M by
+    gcd(M, entries of W) leaves the lcm of the entry denominators of T(u)."""
+    scale = 1
+    weights = []
+    for factor in factors:
+        m, w = _cleared_weights(sig, c, length, factor, u)
+        scale *= m
+        weights.append(w)
+    cols = _walk_columns(length, weights)
+    common = scale
+    for colmap in cols.values():
+        if common == 1:
+            break
+        common = gcd(common, *colmap.values())
+    if common > 1:
+        scale //= common
+        cols = {col: {r: v // common for r, v in colmap.items()} for col, colmap in cols.items()}
+    return scale, GradedOperator.from_pruned(sig, length + 1, cols)
+
+
+def _walk_columns(length, weights):
+    """The columns {col: {row: value}} of the product of the factors whose
+    _apply_factor data is `weights` (leftmost factor first): each basis
+    state of auxiliary x chain is pushed through the factors, rightmost
+    first."""
+    order = weights[::-1]
+    cols = {}
+    for col in range(3 ** (length + 1)):
+        state = {col: 1}
+        for w in order:
+            state = _apply_factor(length, w, state)
+        if state:
+            cols[col] = state
+    return cols
 
 
 def swap_sign(pa, pb, between):
@@ -115,27 +163,50 @@ def swap_sign(pa, pb, between):
     return -1 if (pa & pb) ^ ((pa ^ pb) & between) else 1
 
 
-def _factor_weights(sig, c, length, factor, u):
-    """The data _apply_factor needs for one factor at the spectral point u:
-    ("diag", d) or ("site", place of site k, parity table of the sites
-    before it, swap weights, stay weights)."""
-    kind, *payload = factor
-    if kind == "diag":
-        return ("diag", tuple(payload[0]))
-    if kind != "site":
-        raise ValueError(f"unknown factor kind {kind!r}")
-    site, xi = payload
-    if is_zero(u - xi):
-        raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
-    gv = g_fn(u, xi, c)
+def _site_weights(sig, length, site, gv, ident=None):
+    """_apply_factor data of ident*I + gv*P_{0k} for k = site; ident None
+    stands for 1 and spares _apply_factor a multiplication by it."""
     signed = {1: gv, -1: -gv}
     par = sig.parity
     # swap[a][b][p]: weight of the swapped state for auxiliary digit a, site
     # digit b and parity p of the sites before site k
     swap = [[[signed[swap_sign(par[a], par[b], p)] for p in (0, 1)] for b in range(3)] for a in range(3)]
-    stay = {1: ONE + gv, -1: ONE - gv}
+    one = ONE if ident is None else ident
+    stay = {1: one + gv, -1: one - gv}
     stay = [stay[swap_sign(par[a], par[a], 0)] for a in range(3)]
-    return ("site", 3 ** (length - site), parity_table(sig, site - 1), swap, stay)
+    return ("site", 3 ** (length - site), parity_table(sig, site - 1), swap, stay, ident)
+
+
+def _site_point(factor, u):
+    kind, *payload = factor
+    if kind != "site":
+        raise ValueError(f"unknown factor kind {kind!r}")
+    site, xi = payload
+    if is_zero(u - xi):
+        raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
+    return site, xi
+
+
+def _factor_weights(sig, c, length, factor, u):
+    """The data _apply_factor needs for one factor at the spectral point u:
+    ("diag", d) or ("site", place of site k, parity table of the sites
+    before it, swap weights, stay weights, identity weight or None)."""
+    if factor[0] == "diag":
+        return ("diag", tuple(factor[1]))
+    site, xi = _site_point(factor, u)
+    return _site_weights(sig, length, site, g_fn(u, xi, c))
+
+
+def _cleared_weights(sig, c, length, factor, u):
+    """(m, data) for the integer multiple m*F of one factor F at a rational
+    u: m the lcm of the twist denominators, or the denominator of g(u, xi)."""
+    if factor[0] == "diag":
+        pairs = [num_den(d) for d in factor[1]]
+        m = lcm(*(q for _, q in pairs))
+        return m, ("diag", tuple(p * (m // q) for p, q in pairs))
+    site, xi = _site_point(factor, u)
+    gn, gd = num_den(g_fn(u, xi, c))
+    return gd, _site_weights(sig, length, site, gn, gd)
 
 
 def _apply_factor(length, weights, state):
@@ -150,7 +221,7 @@ def _apply_factor(length, weights, state):
         for key, x in state.items():
             out[key] = d[key // shift] * x
         return out
-    _, place, prefix, swap, stay = weights
+    _, place, prefix, swap, stay, ident = weights
     for key, x in state.items():
         a, rest = divmod(key, shift)
         b = rest // place % 3
@@ -159,8 +230,9 @@ def _apply_factor(length, weights, state):
             y = stay[a] * x
             out[key] = y if s is None else s + y
             continue
+        y = x if ident is None else ident * x
         s = out.get(key)
-        out[key] = x if s is None else s + x
+        out[key] = y if s is None else s + y
         swapped = key + (b - a) * (shift - place)
         y = swap[a][b][prefix[rest // (place * 3)]] * x
         s = out.get(swapped)
@@ -181,7 +253,7 @@ def extract_entries(big: GradedOperator, sig, length):
             if pj and (par[m] ^ par[n]):
                 val = -val
             out[(i + 1, j + 1)].setdefault(n, {})[m] = val
-    return {ij: GradedOperator(sig, length, cols) for ij, cols in out.items()}
+    return {ij: GradedOperator.from_pruned(sig, length, cols) for ij, cols in out.items()}
 
 
 @dataclass
@@ -224,10 +296,10 @@ class Model:
         """T(u) split into its entries, cached per spectral point."""
         mono = self._entries.get(u)
         if mono is None:
-            op = self.monodromy_op(u)
-            scale = 1
             if is_rational(u):
-                scale, op = clear_denominators(op)
+                scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
+            else:
+                scale, op = 1, self.monodromy_op(u)
             mono = Monodromy(self.sig, self.arity, u, scale, extract_entries(op, self.sig, self.arity))
             self._entries[u] = mono
         return mono
@@ -314,14 +386,15 @@ def check_rtt(model, u, v) -> GradedOperator:
     """R(u,v)(T(u) x I)(I x T(v)) - (I x T(v))(T(u) x I)R(u,v); zero iff RTT holds."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
-    n = model.arity + 2
-    chain_pos = tuple(range(3, n + 1))
-    na, a = clear_denominators(model.monodromy_op(u))
-    nb, b = clear_denominators(model.monodromy_op(v))
+    factors = model.factor_sequence()
+    na, a = build_cleared_product(model.sig, model.c, model.arity, factors, u)
+    nb, b = build_cleared_product(model.sig, model.c, model.arity, factors, v)
     nr, r = clear_denominators(r_matrix(u, v, model.sig, model.c))
-    a = embed(a, (1,) + chain_pos, n)
-    b = embed(b, (2,) + chain_pos, n)
-    r = embed(r, (1, 2), n)
+    # T(u) x I puts the second auxiliary digit after the first one, I x T(v)
+    # in front of it; T is even, so both are index arithmetic (insert_identity)
+    a = insert_identity(a, 2)
+    b = insert_identity(b, 1)
+    r = embed(r, (1, 2), model.arity + 2)
     residual = r.compose(a).compose(b).sub(b.compose(a).compose(r))
     return residual.scale(rat(1, na * nb * nr))
 

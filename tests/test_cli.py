@@ -248,6 +248,32 @@ def test_bad_campaigns(tmp_path, capsys, campaigns):
     _schema_failure(tmp_path, capsys, raw, "/campaigns")
 
 
+@pytest.mark.parametrize("key", ["max_a", "max_b", "max_L"])
+def test_negative_bounds_are_a_schema_error(tmp_path, capsys, key):
+    raw = {"suites": ["bethe"], key: -2, "chains": [{"L": 1, "xi": ["0"]}]}
+    _schema_failure(tmp_path, capsys, raw, f"/{key}")
+
+
+@pytest.mark.parametrize("flag,value,pointer", [("--max-a", "-3", "/max_a"), ("--max-b", "-1", "/max_b")])
+def test_negative_override_is_a_schema_error(tmp_path, capsys, flag, value, pointer):
+    # on its own this config runs green; the override alone must fail it
+    path = write_config(tmp_path, {"suites": ["bethe"], "chains": [{"L": 1, "xi": ["0"]}]})
+    assert main(["verify", "--config", path, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.rstrip().endswith(f"(at {pointer})")
+
+
+def test_overrides_go_through_the_config_checks(tmp_path):
+    path = write_config(tmp_path, {"suites": ["bethe"], "max_a": 2, "chains": [{"L": 1, "xi": ["0"]}]})
+    cfg = load_config(path, {"max_a": 0, "max_b": 1, "seed": 5})
+    assert (cfg.max_a, cfg.max_b, cfg.seed) == (0, 1, 5)
+    with pytest.raises(SchemaError) as err:
+        load_config(path, {"seed": "abc"})
+    assert err.value.pointer == "/seed"
+
+
 UNKNOWN_KEYS = {
     "misspelt top-level key": ({"max-a": 5}, "/max-a"),
     "deleted z": ({"z": "0"}, "/z"),

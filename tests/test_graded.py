@@ -15,6 +15,7 @@ from superbethe.graded import (
     embed,
     encode,
     decode,
+    insert_identity,
     koszul_tensor,
     parity_table,
     r_matrix,
@@ -126,6 +127,23 @@ def test_embed_consistency():
                 continue
             via_units = embed(a, (p,), n).compose(embed(b, (q,), n))
             assert embed(koszul_tensor(a, b), (p, q), n) == via_units
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_insert_identity_equals_embed(sig):
+    rng = random.Random(11)
+    arity = 3
+    par = parity_table(sig, arity)
+    cols = {}
+    for _ in range(60):
+        r, c = rng.randrange(3**arity), rng.randrange(3**arity)
+        if par[r] == par[c]:
+            cols.setdefault(c, {})[r] = rat(rng.randint(-5, 5), rng.randint(1, 4))
+    even = GradedOperator(sig, arity, cols)
+    assert even.support_parity() == 0
+    for pos in range(1, arity + 2):
+        others = tuple(p for p in range(1, arity + 2) if p != pos)
+        assert insert_identity(even, pos) == embed(even, others, arity + 1), pos
 
 
 def test_disjoint_embeds_supercommute():

@@ -23,7 +23,9 @@ from superbethe.graded import (
     GradedVector,
     check_unitarity,
     check_ybe,
+    clear_denominators,
     embed,
+    insert_identity,
     r_matrix,
 )
 from superbethe.monodromy import (
@@ -209,6 +211,7 @@ def test_vector_side_never_materializes_T(monkeypatch):
         raise AssertionError("T(u) materialized")
 
     monkeypatch.setattr(monodromy, "build_factor_product", refuse)
+    monkeypatch.setattr(monodromy, "build_cleared_product", refuse)
     smp = ParameterSampler("matrix-free", 1)
     xi = smp.generic(3)
     m21 = chain(3, xi, twist=(2, 1, 3))
@@ -253,11 +256,14 @@ def test_flipped_swap_sign_breaks_factorization(monkeypatch, flip):
 # ---------------------------------------------------------------------------
 
 
-def _rtt_reference(model, u, v):
+def _rtt_reference(model, u, v, build=None):
+    """The rational RTT residual, every factor placed by embed; T(u) from
+    build (default: the embedded factor product)."""
+    build = build or _embedded_monodromy
     n = model.arity + 2
     chain_pos = tuple(range(3, n + 1))
-    a = embed(model.monodromy_op(u), (1,) + chain_pos, n)
-    b = embed(model.monodromy_op(v), (2,) + chain_pos, n)
+    a = embed(build(model, u), (1,) + chain_pos, n)
+    b = embed(build(model, v), (2,) + chain_pos, n)
     r = embed(r_matrix(u, v, model.sig, model.c), (1, 2), n)
     return r.compose(a).compose(b).sub(b.compose(a).compose(r))
 
@@ -367,7 +373,10 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
     model = chain(2, xi, twist=smp.twist(), sig=sig)
     u, v = smp.generic(2, avoid=xi)
     res = check_rtt(model, u, v)
-    assert not res.is_zero() and res == _rtt_reference(model, u, v)
+    # the walk builds T(u) with swap_sign, not with the flipped P, so only
+    # R(u,v) is flipped: the embedded product, flipped throughout, differs
+    assert not res.is_zero() and res != _rtt_reference(model, u, v)
+    assert res == _rtt_reference(model, u, v, build=Model.monodromy_op)
     pairs = _all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
     split, x = _split_2_2(sig, 2)
@@ -376,20 +385,21 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
 
 
 def _perturb_at(monkeypatch, point):
-    """Add 1/7 to the first stored entry of every T(point) built from now on."""
-    honest = Model.monodromy_op
+    """Add 1 to the first stored entry of every N*T(point) built from now on
+    (so 1/N to that entry of T(point))."""
+    honest = monodromy.build_cleared_product
 
-    def perturbed(self, x):
-        op = honest(self, x)
+    def perturbed(sig, c, length, factors, x):
+        n, op = honest(sig, c, length, factors, x)
         if x != point:
-            return op
+            return n, op
         cols = {col: dict(colmap) for col, colmap in op.cols.items()}
         col = min(cols)
         row = min(cols[col])
-        cols[col][row] += rat(1, 7)
-        return GradedOperator(op.sig, op.arity, cols)
+        cols[col][row] += 1
+        return n, GradedOperator(op.sig, op.arity, cols)
 
-    monkeypatch.setattr(Model, "monodromy_op", perturbed)
+    monkeypatch.setattr(monodromy, "build_cleared_product", perturbed)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -401,7 +411,7 @@ def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
     split, x = _split_2_2(sig, 3)
     _perturb_at(monkeypatch, u)
     res = check_rtt(model, u, v)
-    assert not res.is_zero() and res == _rtt_reference(model, u, v)
+    assert not res.is_zero() and res == _rtt_reference(model, u, v, build=Model.monodromy_op)
     vacuum = vacuum_residuals(model, u)
     assert vacuum == _vacuum_reference(model, u)
     assert ("T11 ket eigenvalue", False) in vacuum
@@ -415,27 +425,30 @@ def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
 
 
 def test_operator_identities_multiply_only_ints(monkeypatch):
-    """Outside the build of T(u) itself, every compose of the operator
-    identities multiplies plain ints: a Fraction there fails this test."""
+    """Every compose of the operator identities multiplies plain ints, and
+    T(u) itself is built on ints: a Fraction anywhere fails this test."""
     seen = Counter()
-    building = []
     honest_compose = GradedOperator.compose
-    honest_build = monodromy.build_factor_product
+    honest_build = monodromy.build_cleared_product
+
+    def entry_types(op):
+        return (type(v).__name__ for m in op.cols.values() for v in m.values())
 
     def compose(self, other):
-        if not building:
-            seen.update(type(v).__name__ for op in (self, other) for m in op.cols.values() for v in m.values())
+        seen.update(t for op in (self, other) for t in entry_types(op))
         return honest_compose(self, other)
 
     def build(*args):
-        building.append(1)
-        try:
-            return honest_build(*args)
-        finally:
-            building.pop()
+        n, op = honest_build(*args)
+        seen.update(entry_types(op))
+        return n, op
+
+    def refuse(*args):
+        raise AssertionError("rational T(u) built")
 
     monkeypatch.setattr(GradedOperator, "compose", compose)
-    monkeypatch.setattr(monodromy, "build_factor_product", build)
+    monkeypatch.setattr(monodromy, "build_cleared_product", build)
+    monkeypatch.setattr(monodromy, "build_factor_product", refuse)
     smp = ParameterSampler("int-gate", 1)
     xi = smp.generic(3)
     u, v, w = smp.generic(3, avoid=xi)
@@ -448,3 +461,83 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     split, x = _split_2_2(GL21, 4)
     assert all(r.is_zero() for r in compose_monodromy(split, x)[1].values())
     assert seen["int"] > 0 and set(seen) == {"int"}, seen
+
+
+# ---------------------------------------------------------------------------
+# the column walk against the embedded factor product
+# ---------------------------------------------------------------------------
+
+
+def _embedded_product(sig, c, length, factors, u):
+    """T(u) as the ordered product of its factors, each placed on the full
+    space by embed (R_{0k} from r_matrix, so from koszul_tensor): a second
+    construction, sharing no sign with the walk's swap_sign."""
+    arity = length + 1
+    acc = None
+    for kind, *payload in factors:
+        if kind == "diag":
+            op = embed(GradedOperator.diagonal(sig, tuple(payload[0])), (1,), arity)
+        else:
+            site, xi = payload
+            op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)
+        acc = op if acc is None else acc.compose(op)
+    return acc if acc is not None else GradedOperator.identity(sig, arity)
+
+
+def _embedded_monodromy(model, u):
+    return _embedded_product(model.sig, model.c, model.arity, model.factor_sequence(), u)
+
+
+def _assert_walk_matches(model, u):
+    oracle = _embedded_monodromy(model, u)
+    want = extract_entries(oracle, model.sig, model.arity)
+    assert extract_entries(model.monodromy_op(u), model.sig, model.arity) == want
+    mono = model.monodromy(u)
+    assert all(mono.entry(i, j) == want[i, j] for i, j in product(range(1, 4), repeat=2))
+    return oracle, mono
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_walk_equals_embedded_factor_product(sig, length):
+    smp = ParameterSampler(f"walk-oracle:{sig.name}:{length}", 1)
+    xi = smp.generic(length)
+    model = chain(length, xi, twist=smp.twist(), sig=sig, c=rat(3, 2))
+    u = smp.generic_one(avoid=xi)
+    oracle, mono = _assert_walk_matches(model, u)
+    scale, cleared = clear_denominators(oracle)
+    assert monodromy.build_cleared_product(sig, model.c, length, model.factor_sequence(), u) == (scale, cleared)
+    assert mono.scale == scale and mono.scaled == extract_entries(cleared, sig, length)
+    n = length + 2
+    chain_pos = tuple(range(3, n + 1))
+    assert insert_identity(cleared, 2) == embed(cleared, (1,) + chain_pos, n)
+    assert insert_identity(cleared, 1) == embed(cleared, (2,) + chain_pos, n)
+    _, mono = _assert_walk_matches(model, u + EPS)
+    assert mono.scale == 1
+    assert any(isinstance(x, EpsScalar) for m in mono.scaled[1, 3].cols.values() for x in m.values())
+
+
+def test_walk_equals_embedded_product_on_two_twist_composite():
+    smp = ParameterSampler("walk-oracle-composite", 1)
+    xi = smp.generic(3)
+    split = SplitChain(ChainSpec(1, xi[:1], smp.twist(), GL12, 1), ChainSpec(2, xi[1:], smp.twist(), GL12, 1))
+    total = CompositeModel(split)
+    u = smp.generic_one(avoid=xi)
+    _assert_walk_matches(total, u)
+    _assert_walk_matches(total, u + EPS)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("flip", sorted(_FLIPPED_SWAP_SIGNS))
+def test_flipped_swap_sign_breaks_rtt(monkeypatch, sig, flip):
+    smp = ParameterSampler(f"rtt-flip:{sig.name}", 1)
+    xi = smp.generic(2)
+    u, v = smp.generic(2, avoid=xi)
+    twist = smp.twist()
+    assert check_rtt(chain(2, xi, twist=twist, sig=sig), u, v).is_zero()
+    monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+    assert not check_rtt(chain(2, xi, twist=twist, sig=sig), u, v).is_zero()
+    # with one site no digit sits between the auxiliary space and the site,
+    # so only the odd-odd flip can show
+    one_site = check_rtt(chain(1, xi[:1], twist=twist, sig=sig), u, v)
+    assert one_site.is_zero() == (flip == "between")
