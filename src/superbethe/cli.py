@@ -97,12 +97,30 @@ def _rat_at(value, pointer):
         raise SchemaError(f"not a rational: {value!r}", pointer) from None
 
 
+def _is_int(value):
+    """A JSON integer: not a float, a string or a bool (which Python counts as an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_at(raw, key, default):
     value = raw.get(key, default)
-    try:
-        return int(value)
-    except (ValueError, TypeError):
-        raise SchemaError(f"not an integer: {value!r}", f"/{key}") from None
+    if not _is_int(value):
+        raise SchemaError(f"not an integer: {value!r}", f"/{key}")
+    return value
+
+
+def _list_at(obj, key, default, pointer):
+    value = obj.get(key, default)
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} must be a list, not {value!r}", pointer)
+    return value
+
+
+def _signature_at(obj, key, default, pointer):
+    name = obj.get(key, default)
+    if not isinstance(name, str) or name not in SIGNATURES:
+        raise SchemaError(f"unknown signature {name!r}", pointer)
+    return name
 
 
 def _count_at(raw, key, default):
@@ -149,38 +167,34 @@ def parse_config(raw) -> RunConfig:
     c = _rat_at(raw.get("c", "1"), "/c")
     if is_zero(c):
         raise SchemaError("c must be nonzero", "/c")
-    default_sig = raw.get("signature", "gl(2|1)")
-    if default_sig not in SIGNATURES:
-        raise SchemaError(f"unknown signature {default_sig!r}", "/signature")
+    default_sig = _signature_at(raw, "signature", "gl(2|1)", "/signature")
 
     max_len = _count_at(raw, "max_L", 4)
     chains = []
-    for idx, ch in enumerate(raw.get("chains", [])):
+    for idx, ch in enumerate(_list_at(raw, "chains", [], "/chains")):
         base = f"/chains/{idx}"
         if not isinstance(ch, dict) or "L" not in ch:
             raise SchemaError("chain needs an integer L", base)
         _reject_unknown_keys(ch, _CHAIN_KEYS, base)
         length = ch["L"]
-        if not isinstance(length, int) or length < 0 or length > max_len:
+        if not _is_int(length) or length < 0 or length > max_len:
             raise SchemaError(f"L={length!r} outside 0..{max_len}", base + "/L")
-        xi_raw = ch.get("xi", [str(k) for k in range(length)])
+        xi_raw = _list_at(ch, "xi", [str(k) for k in range(length)], base + "/xi")
         if len(xi_raw) != length:
             raise SchemaError(f"need {length} inhomogeneities", base + "/xi")
         xi = tuple(_rat_at(x, base + f"/xi/{i}") for i, x in enumerate(xi_raw))
         if len(set(xi)) != length:
             raise SchemaError("inhomogeneities must be pairwise distinct", base + "/xi")
-        twist_raw = ch.get("twist", ["1", "1", "1"])
+        twist_raw = _list_at(ch, "twist", ["1", "1", "1"], base + "/twist")
         if len(twist_raw) != 3:
             raise SchemaError("twist needs three entries", base + "/twist")
         twist = tuple(_rat_at(d, base + f"/twist/{i}") for i, d in enumerate(twist_raw))
         if any(is_zero(d) for d in twist):
             raise SchemaError("twist entries must be nonzero", base + "/twist")
-        sig_name = ch.get("signature", default_sig)
-        if sig_name not in SIGNATURES:
-            raise SchemaError(f"unknown signature {sig_name!r}", base + "/signature")
+        sig_name = _signature_at(ch, "signature", default_sig, base + "/signature")
         chains.append(ChainSpec(length, xi, twist, SIGNATURES[sig_name], c))
 
-    suites_raw = raw.get("suites", list(SUITES))
+    suites_raw = _list_at(raw, "suites", list(SUITES), "/suites")
     for i, s in enumerate(suites_raw):
         if s not in SUITES:
             raise SchemaError(f"unknown suite {s!r}", f"/suites/{i}")
@@ -190,7 +204,7 @@ def parse_config(raw) -> RunConfig:
         if (
             not isinstance(split, list)
             or len(split) != 2
-            or any(not isinstance(i, int) or i < 0 or i >= len(chains) for i in split)
+            or any(not _is_int(i) or i < 0 or i >= len(chains) for i in split)
         ):
             raise SchemaError("split must be two valid chain indices", "/split")
         if chains[split[0]].sig != chains[split[1]].sig:
@@ -200,7 +214,8 @@ def parse_config(raw) -> RunConfig:
     def param_list(key):
         if key not in raw:
             return None
-        return tuple(_rat_at(x, f"/{key}/{i}") for i, x in enumerate(raw[key]))
+        values = _list_at(raw, key, None, f"/{key}")
+        return tuple(_rat_at(x, f"/{key}/{i}") for i, x in enumerate(values))
 
     campaigns = _count_at(raw, "campaigns", 3)
     formula_file = raw.get("action_formula_file")
@@ -363,7 +378,7 @@ class _Runner:
             CheckRecord(
                 suite,
                 name,
-                {k: str(v) for k, v in parameters.items()},
+                {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in parameters.items()},
                 _is_zero_residual(residual),
                 _sample_of(residual),
                 round(dt, 6),
@@ -737,6 +752,9 @@ def _cmd_verify(args) -> int:
         if unknown:
             print(f"unknown suites: {sorted(unknown)}", file=sys.stderr)
             return 2
+        disabled = only - set(cfg.suites)
+        if disabled:
+            raise SchemaError(f"--suite names suites the config does not enable: {sorted(disabled)}", "/suites")
     report = run_suites(cfg, only=only)
     for rec in report.records:
         mark = "ok " if rec.residual_is_zero else "FAIL"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from importlib import resources
 
 import pytest
@@ -140,6 +141,15 @@ def test_unknown_suite_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_suite_flag_outside_the_config_suites(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"suites": ["bethe"], "chains": [{"L": 1, "xi": ["0"]}]})
+    assert main(["verify", "--config", cfg, "--suite", "rtt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.rstrip().endswith("(at /suites)")
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{")
@@ -147,11 +157,35 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+FULL_REPORT = os.path.join(os.path.dirname(__file__), "data", "full_report.json")
+
+
 def test_shipped_full_config_runs_green():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "full.json")
     report = run_suites(load_config(path))
     assert report.records and report.all_zero()
     assert report.sign_convention == 1
+    # the report bytes, runtime and environment aside, are pinned; the same
+    # file must come out under either rational backend
+    data = report.to_json()
+    del data["environment"]
+    for check in data["checks"]:
+        check["runtime"] = 0.0
+    with open(FULL_REPORT) as fh:
+        assert json.dumps(data, indent=2, sort_keys=True) + "\n" == fh.read()
+
+
+P_Q_LIST = re.compile(r"^(-?\d+(/\d+)?(,-?\d+(/\d+)?)*)?$")
+
+
+def test_parameters_are_comma_joined_rationals():
+    cfg = parse_config({"suites": ["scalar", "recursion"], "campaigns": 1, "chains": [{"L": 1, "xi": ["0"]}]})
+    with open(FULL_REPORT) as fh:
+        checks = run_suites(cfg).to_json()["checks"] + json.load(fh)["checks"]
+    # the gl12 probe's "signs" is a list of +-1 and keeps its list form
+    values = [v for check in checks for k, v in check["parameters"].items() if k != "signs"]
+    assert any("," in v for v in values) and "" in values
+    assert [v for v in values if not P_Q_LIST.match(v)] == []
 
 
 def test_emit_report_stable_shape(tmp_path):
@@ -263,6 +297,40 @@ def test_negative_override_is_a_schema_error(tmp_path, capsys, flag, value, poin
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.rstrip().endswith(f"(at {pointer})")
+
+
+MALFORMED_CONFIGS = {
+    "u not a list": ({"u": 5}, "/u"),
+    "v not a list": ({"v": "9"}, "/v"),
+    "chains not a list": ({"chains": 5}, "/chains"),
+    "xi not a list": ({"chains": [{"L": 1, "xi": 5}]}, "/chains/0/xi"),
+    "twist not a list": ({"chains": [{"L": 1, "xi": ["0"], "twist": 5}]}, "/chains/0/twist"),
+    "suites not a list": ({"suites": 3}, "/suites"),
+    "unhashable signature": ({"signature": ["x"]}, "/signature"),
+    "unhashable chain signature": ({"chains": [{"L": 1, "xi": ["0"], "signature": ["x"]}]}, "/chains/0/signature"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_values_are_a_schema_error(tmp_path, capsys, case):
+    raw, pointer = MALFORMED_CONFIGS[case]
+    _schema_failure(tmp_path, capsys, dict({"suites": ["scalar"]}, **raw), pointer)
+
+
+NON_INTEGERS = {
+    "float max_a": ({"max_a": 2.7}, "/max_a"),
+    "integral float max_L": ({"max_L": 4.0}, "/max_L"),
+    "bool campaigns": ({"campaigns": True}, "/campaigns"),
+    "string seed": ({"seed": "12"}, "/seed"),
+    "bool max_b": ({"max_b": False}, "/max_b"),
+    "bool L": ({"chains": [{"L": True, "xi": ["0"]}]}, "/chains/0/L"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_integer_keys_take_only_integers(tmp_path, capsys, case):
+    raw, pointer = NON_INTEGERS[case]
+    _schema_failure(tmp_path, capsys, dict({"suites": ["scalar"]}, **raw), pointer)
 
 
 def test_overrides_go_through_the_config_checks(tmp_path):
