@@ -6,10 +6,16 @@ Subcommands:
   bethe eval --config CFG [--u P/Q]... [--v P/Q]...
   report --config CFG --out OUT
 
-Configs and reports are JSON; rationals travel as "p/q" strings and basis
-multi-indices as digit strings over {1,2,3}. Exit status is 0 iff every
-executed check produced an exactly-zero residual, which makes the binary a
-CI regression gate for the whole identity suite.
+Configs and reports are JSON; rationals travel as "p/q" strings (a report
+parameter holding several as comma-joined "p/q") and basis multi-indices as
+digit strings over {1,2,3}. Exit status is 0 iff every executed check
+produced an exactly-zero residual, which makes the binary a CI regression
+gate for the whole identity suite; it is 1 otherwise, and 2 for a malformed
+config, reported as one line naming its JSON pointer. --suite may name only
+suites the config enables.
+
+Each suite is a generator of (name, parameters, thunk) triples; one loop in
+_Runner.run gives it a seeded sampler and records every check it yields.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import permutations, product
 
 from . import __version__
 from .actions import ELEMENTS, action_check, load_formula_table
@@ -297,17 +305,7 @@ class Report:
         return {
             "environment": self.environment,
             "sign_convention": self.sign_convention,
-            "checks": [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "parameters": r.parameters,
-                    "residual_is_zero": r.residual_is_zero,
-                    "residual_sample": r.residual_sample,
-                    "runtime": r.runtime,
-                }
-                for r in self.records
-            ],
+            "checks": [asdict(r) for r in self.records],
         }
 
 
@@ -352,9 +350,6 @@ class _Runner:
             }
         )
 
-    def sampler(self, suite):
-        return ParameterSampler(f"{self.cfg.seed}:{suite}", self.cfg.c)
-
     def check(self, suite, name, parameters, thunk):
         """Run thunk, timed, and record its residual. The parameters are
         serialized after thunk returns, so a thunk may fill in a parameter
@@ -385,69 +380,82 @@ class _Runner:
             )
         )
 
-    def chains_of(self, sig_name, max_len=None):
-        out = [ch for ch in self.cfg.chains if ch.sig.name == sig_name]
-        if max_len is not None:
-            out = [ch for ch in out if ch.length <= max_len]
-        return out
-
-    def split_of(self, sig_name):
-        cfg = self.cfg
-        if cfg.split is not None and cfg.chains[cfg.split[0]].sig.name == sig_name:
-            return SplitChain(cfg.chains[cfg.split[0]], cfg.chains[cfg.split[1]])
-        parts = self.chains_of(sig_name)
-        for i in range(len(parts)):
-            for j in range(len(parts)):
-                if i == j:
-                    continue
-                try:
-                    return SplitChain(parts[i], parts[j])
-                except ValueError:
-                    continue
-        return None
-
-    def params(self, smp, a, b, avoid=()):
-        cfg = self.cfg
-        if cfg.us is not None and len(cfg.us) >= a and cfg.vs is not None and len(cfg.vs) >= b:
-            return cfg.us[:a], cfg.vs[:b]
-        drawn = smp.generic(a + b, avoid=avoid)
-        return drawn[:a], drawn[a:]
-
-    def ab_grid(self):
-        return [
-            (a, b)
-            for a in range(self.cfg.max_a + 1)
-            for b in range(self.cfg.max_b + 1)
-        ]
-
-    # -- suites ---------------------------------------------------------------
-
     def run(self, only=None):
+        """Each suite is a generator of (name, parameters, thunk) drawing from
+        its own sampler. A check runs before its suite resumes, so thunks may
+        close over loop variables and a suite may read what a check computed."""
         for suite in self.cfg.suites:
             if only and suite not in only:
                 continue
-            getattr(self, "suite_" + suite.replace("-", "_"))()
+            smp = ParameterSampler(f"{self.cfg.seed}:{suite}", self.cfg.c)
+            record = self.check_all if suite == "proof-replay" else self.check
+            for name, parameters, thunk in getattr(self, "suite_" + suite.replace("-", "_"))(smp):
+                record(suite, name, parameters, thunk)
         return self.report
 
-    def suite_scalar(self):
-        smp = self.sampler("scalar")
+    # -- shared draws -------------------------------------------------------------
+
+    def models(self, sig_name=None, max_len=None):
+        """(index, chain, model) for every chain, or for the chains of one
+        signature with at most max_len sites, numbered within that selection."""
+        chains = self.cfg.chains
+        if sig_name is not None:
+            chains = [ch for ch in chains if ch.sig.name == sig_name and ch.length <= max_len]
+        return ((ci, chain, ChainModel(chain)) for ci, chain in enumerate(chains))
+
+    def split_of(self, suite, sig_name):
+        """The configured split, else the first pair of sig_name chains with
+        disjoint xi, and the inhomogeneities of both parts."""
+        cfg = self.cfg
+        if cfg.split is not None and cfg.chains[cfg.split[0]].sig.name == sig_name:
+            split = SplitChain(cfg.chains[cfg.split[0]], cfg.chains[cfg.split[1]])
+        else:
+            for part1, part2 in permutations([ch for ch in cfg.chains if ch.sig.name == sig_name], 2):
+                try:
+                    split = SplitChain(part1, part2)
+                    break
+                except ValueError:
+                    pass
+            else:
+                raise SchemaError(f"{suite} suite needs two {sig_name} chains with disjoint xi", "/chains")
+        return split, tuple(split.part1.xi) + tuple(split.part2.xi)
+
+    def params(self, smp, a, b, avoid=(), z=False):
+        """a u's and b v's, the configured ones if there are enough, else
+        drawn; with z, also an operator argument drawn away from all of them."""
+        cfg = self.cfg
+        if cfg.us is not None and len(cfg.us) >= a and cfg.vs is not None and len(cfg.vs) >= b:
+            us, vs = cfg.us[:a], cfg.vs[:b]
+        else:
+            drawn = smp.generic(a + b, avoid=avoid)
+            us, vs = drawn[:a], drawn[a:]
+        return (us, vs, smp.generic_one(avoid=tuple(avoid) + us + vs)) if z else (us, vs)
+
+    def ab_grid(self):
+        return product(range(self.cfg.max_a + 1), range(self.cfg.max_b + 1))
+
+    def factorizations(self, smp, xi, prefix, primal, dual):
+        """The primal and the dual factorization check, called as
+        check(us, vs), on every campaign over ab_grid()."""
+        for k in range(self.cfg.campaigns):
+            for a, b in self.ab_grid():
+                us, vs = self.params(smp, a, b, avoid=xi)
+                for kind, check in (("", primal), ("dual ", dual)):
+                    name = f"{prefix}{kind}bilinear factorization (a,b)=({a},{b}) campaign {k}"
+                    yield name, {"u": us, "v": vs}, partial(check, us, vs)
+
+    # -- suites ---------------------------------------------------------------
+
+    def suite_scalar(self, smp):
         c = self.cfg.c
         for k in range(10):
             v, u = smp.generic(2)
-            self.check(
-                "scalar",
-                f"izergin K1 equals g (draw {k})",
-                {"v": v, "u": u},
-                lambda v=v, u=u: izergin((v,), (u,), c) - g(v, u, c),
-            )
-        self.check(
-            "scalar",
+            yield f"izergin K1 equals g (draw {k})", {"v": v, "u": u}, lambda: izergin((v,), (u,), c) - g(v, u, c)
+        yield (
             "izergin K2 frozen value",
             {"v": "5,6", "u": "1,2", "c": 1},
             lambda: izergin((5, 6), (1, 2), 1) - rat_from_str("1/6"),
         )
-        from itertools import permutations
-
         vs = smp.generic(3)
         us = smp.generic(3, avoid=vs)
         base = izergin(vs, us, c)
@@ -457,243 +465,146 @@ class _Runner:
                 d = izergin(pv, pu, c) - base
                 if not is_zero(d):
                     worst = d
-        self.check("scalar", "izergin permutation invariance n=3", {"v": vs, "u": us}, lambda: worst)
+        yield "izergin permutation invariance n=3", {"v": vs, "u": us}, lambda: worst
         for k in range(5):
             u, v, z = smp.generic(3)
-            self.check(
-                "scalar",
-                f"three-term identity (draw {k})",
-                {"u": u, "v": v, "z": z},
-                lambda u=u, v=v, z=z: three_term_witness(u, v, z, c),
-            )
-            self.check(
-                "scalar",
+            yield f"three-term identity (draw {k})", {"u": u, "v": v, "z": z}, lambda: three_term_witness(u, v, z, c)
+            yield (
                 f"g antisymmetry, f=1+g, h g=f (draw {k})",
                 {"u": u, "v": v},
-                lambda u=u, v=v: (g(u, v, c) + g(v, u, c))
+                lambda: (g(u, v, c) + g(v, u, c))
                 + (f(u, v, c) - 1 - g(u, v, c))
                 + (h(u, v, c) * g(u, v, c) - f(u, v, c)),
             )
 
-    def suite_ybe(self):
+    def suite_ybe(self, smp):
         c = self.cfg.c
         for sig_name, sig in SIGNATURES.items():
-            smp = self.sampler("ybe:" + sig_name)
+            smp = ParameterSampler(f"{self.cfg.seed}:ybe:{sig_name}", c)
             for k in range(20):
                 u, v, w = smp.generic(3)
-                self.check(
-                    "ybe",
-                    f"{sig_name} Yang-Baxter (draw {k})",
-                    {"u": u, "v": v, "w": w},
-                    lambda u=u, v=v, w=w: check_ybe(u, v, w, sig, c),
-                )
-                self.check(
-                    "ybe",
-                    f"{sig_name} unitarity (draw {k})",
-                    {"u": u, "v": v},
-                    lambda u=u, v=v: check_unitarity(u, v, sig, c),
-                )
+                yield f"{sig_name} Yang-Baxter (draw {k})", {"u": u, "v": v, "w": w}, lambda: check_ybe(u, v, w, sig, c)
+                yield f"{sig_name} unitarity (draw {k})", {"u": u, "v": v}, lambda: check_unitarity(u, v, sig, c)
 
-    def suite_rtt(self):
-        smp = self.sampler("rtt")
-        for ci, chain in enumerate(self.cfg.chains):
-            model = ChainModel(chain)
+    def suite_rtt(self, smp):
+        for ci, chain, model in self.models():
             for k in range(self.cfg.campaigns):
                 u, v = smp.generic(2, avoid=chain.xi)
-                self.check(
-                    "rtt",
-                    f"chain {ci} ({chain.sig.name}, L={chain.length}) RTT (draw {k})",
-                    {"u": u, "v": v},
-                    lambda m=model, u=u, v=v: check_rtt(m, u, v),
-                )
+                name = f"chain {ci} ({chain.sig.name}, L={chain.length}) RTT (draw {k})"
+                yield name, {"u": u, "v": v}, lambda: check_rtt(model, u, v)
 
-    def suite_commutator(self):
-        smp = self.sampler("commutator")
-        for ci, chain in enumerate(self.cfg.chains):
+    def suite_commutator(self, smp):
+        for ci, chain, model in self.models():
             if chain.length != 2:
                 continue
-            model = ChainModel(chain)
             u, v = smp.generic(2, avoid=chain.xi)
 
-            def all_tuples(m=model, u=u, v=v):
-                for i in range(1, 4):
-                    for j in range(1, 4):
-                        for k in range(1, 4):
-                            for l in range(1, 4):
-                                for form, r in enumerate(check_supercommutator(m, i, j, k, l, u, v), 1):
-                                    if not r.is_zero():
-                                        return f"(i,j,k,l)=({i},{j},{k},{l}) form {form}: {_sample_of(r)}"
+            def all_tuples():
+                for i, j, k, l in product(range(1, 4), repeat=4):
+                    for form, r in enumerate(check_supercommutator(model, i, j, k, l, u, v), 1):
+                        if not r.is_zero():
+                            return f"(i,j,k,l)=({i},{j},{k},{l}) form {form}: {_sample_of(r)}"
                 return 0
 
-            self.check(
-                "commutator",
-                f"chain {ci} ({chain.sig.name}) exchange relations, all 81 tuples, both forms",
-                {"u": u, "v": v},
-                all_tuples,
-            )
+            name = f"chain {ci} ({chain.sig.name}) exchange relations, all 81 tuples, both forms"
+            yield name, {"u": u, "v": v}, all_tuples
 
-    def suite_bethe(self):
-        smp = self.sampler("bethe")
-        for ci, chain in enumerate(self.cfg.chains):
-            model = ChainModel(chain)
+    def suite_bethe(self, smp):
+        for ci, chain, m in self.models():
             for k in range(min(self.cfg.campaigns, 10)):
                 u = smp.generic_one(avoid=chain.xi)
-
-                def vac(m=model, u=u):
-                    bad = [name for name, ok in vacuum_residuals(m, u) if not ok]
-                    return "; ".join(bad) or 0
-
-                self.check(
-                    "bethe",
+                yield (
                     f"chain {ci} ({chain.sig.name}, L={chain.length}) vacuum axioms (draw {k})",
                     {"u": u},
-                    vac,
+                    lambda: "; ".join(name for name, ok in vacuum_residuals(m, u) if not ok) or 0,
                 )
             if chain.sig.name != "gl(2|1)":
                 continue
-            us, vs = self.params(smp, min(2, self.cfg.max_a), min(2, self.cfg.max_b), avoid=chain.xi)
-            z = smp.generic_one(avoid=tuple(chain.xi) + us + vs)
-            self.check(
-                "bethe",
+            us, vs, z = self.params(smp, min(2, self.cfg.max_a), min(2, self.cfg.max_b), avoid=chain.xi, z=True)
+            parity = len(vs) % 2
+            yield (
                 f"chain {ci} permutation invariance",
                 {"u": us, "v": vs},
-                lambda m=model, us=us, vs=vs: build_vector(m, us, vs).sub(
-                    build_vector(m, tuple(reversed(us)), tuple(reversed(vs)))
-                ),
+                lambda: build_vector(m, us, vs).sub(build_vector(m, us[::-1], vs[::-1])),
             )
-            self.check(
-                "bethe",
+            yield (
                 f"chain {ci} gradation parity b mod 2",
                 {"u": us, "v": vs},
-                lambda m=model, us=us, vs=vs: 0
-                if grading_of(build_vector(m, us, vs), len(vs) % 2) == len(vs) % 2
-                and grading_of(build_dual_vector(m, us, vs), len(vs) % 2) == len(vs) % 2
+                lambda: 0
+                if grading_of(build_vector(m, us, vs), parity) == parity
+                and grading_of(build_dual_vector(m, us, vs), parity) == parity
                 else 1,
             )
-            self.check(
-                "bethe",
+            yield (
                 f"chain {ci} coincidence limit equals normalized T13 action",
                 {"z": z},
-                lambda m=model, z=z: build_vector_limit(m, (z,), (z,)).sub(
-                    m.apply_T(1, 3, z, m.omega()).scale(1 / m.lam(2, z))
-                ),
+                lambda: build_vector_limit(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega()).scale(1 / m.lam(2, z))),
             )
 
-    def suite_actions(self):
-        smp = self.sampler("actions")
+    def suite_actions(self, smp):
         table = load_formula_table(self.cfg.action_formula_file)
         grid = [(a, b) for (a, b) in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)) if a <= self.cfg.max_a and b <= self.cfg.max_b]
-        for ci, chain in enumerate(self.chains_of("gl(2|1)", max_len=2)):
-            model = ChainModel(chain)
+        for ci, chain, model in self.models("gl(2|1)", max_len=2):
             for a, b in grid:
-                us, vs = self.params(smp, a, b, avoid=chain.xi)
-                z = smp.generic_one(avoid=tuple(chain.xi) + us + vs)
+                us, vs, z = self.params(smp, a, b, avoid=chain.xi, z=True)
                 for el in ELEMENTS:
-                    self.check(
-                        "actions",
-                        f"chain {ci} (L={chain.length}) {el} action at (a,b)=({a},{b})",
-                        {"u": us, "v": vs, "z": z},
-                        lambda m=model, el=el, us=us, vs=vs, z=z: action_check(m, el, us, vs, z, table=table),
-                    )
+                    name = f"chain {ci} (L={chain.length}) {el} action at (a,b)=({a},{b})"
+                    yield name, {"u": us, "v": vs, "z": z}, lambda: action_check(model, el, us, vs, z, table=table)
 
-    def suite_recursion(self):
-        smp = self.sampler("recursion")
-        for ci, chain in enumerate(self.chains_of("gl(2|1)", max_len=3)):
-            model = ChainModel(chain)
+    def suite_recursion(self, smp):
+        for ci, chain, model in self.models("gl(2|1)", max_len=3):
             for a, b in self.ab_grid():
                 if b == 0:
                     continue
-                us, vs = self.params(smp, a, b - 1, avoid=chain.xi)
-                z = smp.generic_one(avoid=tuple(chain.xi) + us + vs)
-                self.check(
-                    "recursion",
-                    f"chain {ci} (L={chain.length}) recursion at (a,b)=({a},{b})",
-                    {"u": us, "v": vs, "z": z},
-                    lambda m=model, us=us, vs=vs, z=z: check_recursion(m, us, vs, z),
-                )
+                us, vs, z = self.params(smp, a, b - 1, avoid=chain.xi, z=True)
+                name = f"chain {ci} (L={chain.length}) recursion at (a,b)=({a},{b})"
+                yield name, {"u": us, "v": vs, "z": z}, lambda: check_recursion(model, us, vs, z)
 
-    def suite_composite(self):
-        smp = self.sampler("composite")
-        split = self.split_of("gl(2|1)")
-        if split is None:
-            raise SchemaError("composite suite needs two gl(2|1) chains with disjoint xi", "/chains")
-        xi = tuple(split.part1.xi) + tuple(split.part2.xi)
+    def suite_composite(self, smp):
+        split, xi = self.split_of("composite", "gl(2|1)")
         u = smp.generic_one(avoid=xi)
-        self.check(
-            "composite",
+        yield (
             "coproduct monodromy equals direct total",
             {"u": u},
-            lambda u=u: _first_nonzero(compose_monodromy(split, u)[1].values()),
+            lambda: _first_nonzero(compose_monodromy(split, u)[1].values()),
         )
         total = CompositeModel(split)
-        self.check(
-            "composite",
+        yield (
             "ratio functions multiply across the split",
             {"u": u},
-            lambda u=u: (total.r(1, u) - total.part1.r(1, u) * total.part2.r(1, u))
+            lambda: (total.r(1, u) - total.part1.r(1, u) * total.part2.r(1, u))
             + (total.r(3, u) - total.part1.r(3, u) * total.part2.r(3, u)),
         )
-        for k in range(self.cfg.campaigns):
-            for a, b in self.ab_grid():
-                us, vs = self.params(smp, a, b, avoid=xi)
-                self.check(
-                    "composite",
-                    f"bilinear factorization (a,b)=({a},{b}) campaign {k}",
-                    {"u": us, "v": vs},
-                    lambda us=us, vs=vs: check_bethe_factorization(split, us, vs),
-                )
-                self.check(
-                    "composite",
-                    f"dual bilinear factorization (a,b)=({a},{b}) campaign {k}",
-                    {"u": us, "v": vs},
-                    lambda us=us, vs=vs: check_dual_bethe_factorization(split, us, vs),
-                )
-        b1, b2 = min(1, self.cfg.max_b), min(1, self.cfg.max_b)
-        vs1 = smp.generic(b1, avoid=xi)
-        vs2 = smp.generic(b2, avoid=xi + vs1)
+        yield from self.factorizations(
+            smp, xi, "", partial(check_bethe_factorization, split), partial(check_dual_bethe_factorization, split)
+        )
+        b = min(1, self.cfg.max_b)
+        vs1 = smp.generic(b, avoid=xi)
+        vs2 = smp.generic(b, avoid=xi + vs1)
         us1 = smp.generic(1, avoid=xi + vs1 + vs2)
         us2 = smp.generic(1, avoid=xi + vs1 + vs2 + us1)
-        self.check(
-            "composite",
-            "factor exchange identity",
-            {"v1": vs1, "v2": vs2},
-            lambda: check_factor_exchange(split, us1, vs1, us2, vs2),
-        )
-        us, vs = self.params(smp, min(1, self.cfg.max_a), min(1, self.cfg.max_b), avoid=xi)
-        z = smp.generic_one(avoid=xi + us + vs)
-        self.check(
-            "composite",
+        exchange = partial(check_factor_exchange, split, us1, vs1, us2, vs2)
+        yield "factor exchange identity", {"v1": vs1, "v2": vs2}, exchange
+        us, vs, z = self.params(smp, min(1, self.cfg.max_a), min(1, self.cfg.max_b), avoid=xi, z=True)
+        yield (
             "creation-entry actions on composite sums",
             {"u": us, "v": vs, "z": z},
             lambda: _first_nonzero(check_composite_creation_actions(split, us, vs, z)),
         )
 
-    def suite_proof_replay(self):
-        smp = self.sampler("proof-replay")
-        split = self.split_of("gl(2|1)")
-        if split is None:
-            raise SchemaError("proof-replay suite needs two gl(2|1) chains with disjoint xi", "/chains")
-        xi = tuple(split.part1.xi) + tuple(split.part2.xi)
+    def suite_proof_replay(self, smp):
+        """Its thunks return dicts of residuals, which run() hands to check_all."""
+        split, xi = self.split_of("proof-replay", "gl(2|1)")
         for a, b in ((1, 1), (2, 1)):
-            if a - 1 > self.cfg.max_a or b - 1 > self.cfg.max_b:
-                continue
-            us, vs = self.params(smp, a - 1, b - 1, avoid=xi)
-            z = smp.generic_one(avoid=xi + us + vs)
-            self.check_all(
-                "proof-replay",
-                f"(a,b)=({a},{b})",
-                {"u": us, "v": vs, "z": z},
-                lambda us=us, vs=vs, z=z: action_decomposition_report(split, us, vs, z),
-            )
+            if a - 1 <= self.cfg.max_a and b - 1 <= self.cfg.max_b:
+                us, vs, z = self.params(smp, a - 1, b - 1, avoid=xi, z=True)
+                replay = partial(action_decomposition_report, split, us, vs, z)
+                yield f"(a,b)=({a},{b})", {"u": us, "v": vs, "z": z}, replay
 
-    def suite_gl12(self):
-        smp = self.sampler("gl12")
-        split = self.split_of("gl(1|2)")
-        if split is None:
-            raise SchemaError("gl12 suite needs two gl(1|2) chains with disjoint xi", "/chains")
-        xi = tuple(split.part1.xi) + tuple(split.part2.xi)
+    def suite_gl12(self, smp):
+        split, xi = self.split_of("gl12", "gl(1|2)")
         probes = []
-        for k in range(5):
+        for _ in range(5):
             us, vs = smp.generic(1, avoid=xi), smp.generic(1, avoid=xi)
             while any(is_zero(u - v) for u in us for v in vs):
                 vs = smp.generic(1, avoid=xi + us)
@@ -704,25 +615,11 @@ class _Runner:
             signs.extend(resolve_sign(split, us, vs) for us, vs in probes)
             return 0 if len(set(signs)) == 1 else 1
 
-        self.check("gl12", "normalization sign stable across 5 probes", {"signs": signs}, probe_signs)
-        stable = len(set(signs)) == 1
-        self.report.sign_convention = signs[0] if stable else None
-        sign = signs[0]
-        for k in range(self.cfg.campaigns):
-            for a, b in self.ab_grid():
-                us, vs = self.params(smp, a, b, avoid=xi)
-                self.check(
-                    "gl12",
-                    f"tilde bilinear factorization (a,b)=({a},{b}) campaign {k}",
-                    {"u": us, "v": vs},
-                    lambda us=us, vs=vs: check_tilde_factorization(split, us, vs, sign=sign),
-                )
-                self.check(
-                    "gl12",
-                    f"tilde dual bilinear factorization (a,b)=({a},{b}) campaign {k}",
-                    {"u": us, "v": vs},
-                    lambda us=us, vs=vs: check_tilde_dual_factorization(split, us, vs, sign=sign),
-                )
+        yield "normalization sign stable across 5 probes", {"signs": signs}, probe_signs
+        self.report.sign_convention = signs[0] if len(set(signs)) == 1 else None
+        tilde = partial(check_tilde_factorization, split, sign=signs[0])
+        tilde_dual = partial(check_tilde_dual_factorization, split, sign=signs[0])
+        yield from self.factorizations(smp, xi, "tilde ", tilde, tilde_dual)
 
 
 def _first_nonzero(residuals):
