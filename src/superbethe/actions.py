@@ -65,6 +65,11 @@ def action_binding(model, us, vs, z) -> Binding:
     )
 
 
+def action_norm(model, vs, z):
+    """1 / (lam2(z) h(vs,z)), the normalization of every action at z."""
+    return 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), model.c))
+
+
 def action_rhs(model, element, us, vs, z, table=None):
     """Table-driven right-hand side of the normalized action of element at z."""
     table = table or load_formula_table()
@@ -82,6 +87,6 @@ def action_check(model, element, us, vs, z, table=None):
         raise ValueError("action formulas are the gl(2|1) set")
     us, vs = tuple(us), tuple(vs)
     i, j = int(element[1]), int(element[2])
-    norm = 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), model.c))
+    norm = action_norm(model, vs, z)
     lhs = model.apply_T(i, j, z, build_vector(model, us, vs)).scale(norm)
     return lhs.sub(action_rhs(model, element, us, vs, z, table=table))

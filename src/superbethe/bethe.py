@@ -1,15 +1,19 @@
-"""Bethe vectors and dual Bethe vectors on a chain realization.
+"""Bethe vectors B, dual vectors C and their gl(1|2) tilde forms B~, C~.
 
-The vectors are explicit partition sums over two families of spectral
-parameters us (size a) and vs (size b): for each n <= min(a,b) and each
-choice of n-element subsets uI, vI,
+All four are partition sums over the splits us = uI+uII, vs = vI+vII with
+#uI = #vI (us of size a, vs of size b). A ket term is
 
-    K_n(vI|uI) f(uI,uII) g(vII,vI) / (lam2(uII) lam2(vs) f(vs,us))
-        x  T13sym(vI) T23sym(vII) T12(uII) . Omega
+    weight(uI,uII,vI,vII) / (lam2(uII) lam2(vs) f(vs,us))
+        x  T13(vI) T23(vII) T12(uII) . Omega
 
-with symmetrized products of the odd entries and the plain ordered product of
-the (mutually commuting) even T12 factors. Dual vectors mirror this from the
-left with prefactor (-1)^{(b^2-b)/2} and annihilation-type symmetrization.
+with f(us,vs) in place of f(vs,us) on gl(1|2). A block whose entry is odd
+under the signature (T13, T23 on gl(2|1); T13, T12 on gl(1|2)) is
+symmetrized by the creation-type normalizer prod_{j<k} h(x_k, x_j); even
+entries commute and go unnormalized. The mirror rule gives every bra: the
+ket transposed and read from the left, (-1)^{m(m-1)/2} Omega^+ T21(uII)
+T32(vII) T31(vI), with annihilation-type normalizers prod_{j<k} h(x_j, x_k)
+and m the number of odd factors per term (b on gl(2|1), a on gl(1|2)).
+build_family derives all four from the signature and the entry indices.
 
 Coincident parameters across the two families (forced by the action
 formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
@@ -20,25 +24,28 @@ Only a single collision is supported; larger overlaps are refused.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
+from math import prod
 
 from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedOperator, GradedVector
 from .rational import ONE
 from .scalars import EPS, eps_limit, f, g, h, is_zero, izergin, prod_pairs
 
-# element -> (i, j, creation?) for the symmetrized odd products; tilde names
-# belong to the gl(1|2) instance
+# element -> (i, j) for the symmetrized odd products; tilde names belong to
+# the gl(1|2) instance
 SYM_ELEMENTS = {
-    "T13": (1, 3, True),
-    "T23": (2, 3, True),
-    "T31": (3, 1, False),
-    "T32": (3, 2, False),
-    "T~12": (1, 2, True),
-    "T~13": (1, 3, True),
-    "T~21": (2, 1, False),
-    "T~31": (3, 1, False),
+    w: (int(w[-2]), int(w[-1])) for w in ("T13", "T23", "T31", "T32", "T~12", "T~13", "T~21", "T~31")
 }
+
+# the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
+# are applied, to uII, vII and vI; the same for B and B~
+_PLAN = ((1, 2), (2, 3), (1, 3))
+
+
+def _is_odd(sig, i, j):
+    return sig.par(i) != sig.par(j)
 
 
 def _h_normalizer(params, c, creation):
@@ -51,30 +58,30 @@ def _h_normalizer(params, c, creation):
 
 
 def sym_odd_product(model, which, params) -> GradedOperator:
-    """The symmetrized product of odd entries as a single operator."""
-    i, j, creation = SYM_ELEMENTS[which]
+    """The symmetrized product of odd entries as a single operator;
+    creation-type for an entry above the diagonal."""
+    i, j = SYM_ELEMENTS[which]
     if not params:
         return GradedOperator.identity(model.sig, model.arity)
     acc = model.T(i, j, params[0])
     for x in params[1:]:
         acc = acc.compose(model.T(i, j, x))
-    return acc.scale(1 / _h_normalizer(params, model.c, creation))
+    return acc.scale(1 / _h_normalizer(params, model.c, i < j))
 
 
-def _apply_sym(model, i, j, creation, params, vec):
-    for x in reversed(params):
-        vec = model.apply_T(i, j, x, vec)
-    if len(params) > 1:
-        vec = vec.scale(1 / _h_normalizer(params, model.c, creation))
+def _apply_entries(model, i, j, params, vec, dual):
+    """T_ij(x1)...T_ij(xn) . vec, or the bra vec . T_ij(x1)...T_ij(xn); an
+    odd T_ij is divided by its normalizer, creation-type on kets and
+    annihilation-type on bras."""
+    if dual:
+        for x in params:
+            vec = model.apply_T_dual(i, j, x, vec)
+    else:
+        for x in reversed(params):
+            vec = model.apply_T(i, j, x, vec)
+    if len(params) > 1 and _is_odd(model.sig, i, j):
+        vec = vec.scale(1 / _h_normalizer(params, model.c, not dual))
     return vec
-
-
-def _apply_sym_dual(model, i, j, creation, params, dual):
-    for x in params:
-        dual = model.apply_T_dual(i, j, x, dual)
-    if len(params) > 1:
-        dual = dual.scale(1 / _h_normalizer(params, model.c, creation))
-    return dual
 
 
 def _require_distinct(name, xs):
@@ -89,21 +96,20 @@ def _split(xs, picked):
     return chosen, rest
 
 
-def _guard_gl21(model):
-    if model.sig != GL21:
-        raise ValueError(f"this constructor is the gl(2|1) form, got {model.sig.name}")
+def _guard(model, sig):
+    if model.sig != sig:
+        raise ValueError(f"this constructor is the {sig.name} form, got {model.sig.name}")
 
 
 def _partition_terms(model, us, vs, weight):
-    """Partition scaffolding shared by the Bethe, dual and tilde vectors: every
-    split us = u1+u2, vs = v1+v2 with #u1 = #v1, and its coefficient
+    """Every split us = u1+u2, vs = v1+v2 with #u1 = #v1, and its coefficient
     weight(u1, u2, v1, v2, c) / (lam2(u2) lam2(vs) f(vs,us)), with f(us,vs)
     in place of f(vs,us) on gl(1|2)."""
     us, vs = tuple(us), tuple(vs)
     _require_distinct("us", us)
     _require_distinct("vs", vs)
     c = model.c
-    lam2 = lambda xs: _prod(model.lam(2, x) for x in xs)
+    lam2 = lambda xs: prod((model.lam(2, x) for x in xs), start=ONE)
     names, left, right = ("vs,us", vs, us) if model.sig == GL21 else ("us,vs", us, vs)
     base = lam2(vs) * prod_pairs(f, left, right, c)
     if is_zero(base):
@@ -116,47 +122,39 @@ def _partition_terms(model, us, vs, weight):
                 yield weight(u1, u2, v1, v2, c) / (lam2(u2) * base), u1, u2, v1, v2
 
 
+def build_family(model, us, vs, weight, dual):
+    """The partition sum of _PLAN under the given weight: the ket, or with
+    dual its mirror bra (transposed entries, annihilation-type normalizers
+    and the sign (-1)^{m(m-1)/2} for m odd factors per term)."""
+    acc = (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
+    start = model.omega_dual() if dual else model.omega()
+    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, weight):
+        vec, odd = start, 0
+        for (i, j), params in zip(_PLAN, (u2, v2, v1)):
+            if dual:
+                i, j = j, i
+            vec = _apply_entries(model, i, j, params, vec, dual)
+            odd += len(params) * _is_odd(model.sig, i, j)
+        acc = acc.add(vec.scale(coef))
+    if dual and odd * (odd - 1) // 2 % 2:
+        acc = acc.scale(-1)
+    return acc
+
+
 def _bethe_weight(u1, u2, v1, v2, c):
     return izergin(v1, u1, c) * prod_pairs(f, u1, u2, c) * prod_pairs(g, v2, v1, c)
 
 
-def _prod(xs):
-    acc = ONE
-    for x in xs:
-        acc = acc * x
-    return acc
-
-
 def build_vector(model, us, vs) -> GradedVector:
-    """B_{a,b}(us; vs) on the given chain realization."""
-    _guard_gl21(model)
-    omega = model.omega()
-    acc = GradedVector(model.sig, model.arity)
-    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, _bethe_weight):
-        vec = omega
-        for u in reversed(u2):
-            vec = model.apply_T(1, 2, u, vec)
-        vec = _apply_sym(model, 2, 3, True, v2, vec)
-        vec = _apply_sym(model, 1, 3, True, v1, vec)
-        acc = acc.add(vec.scale(coef))
-    return acc
+    """B_{a,b}(us; vs) on a gl(2|1) realization."""
+    _guard(model, GL21)
+    return build_family(model, us, vs, _bethe_weight, dual=False)
 
 
 def build_dual_vector(model, us, vs) -> DualGradedVector:
-    """C_{a,b}(us; vs), built leftward from the dual reference state."""
-    _guard_gl21(model)
-    b = len(vs)
-    acc = DualGradedVector(model.sig, model.arity)
-    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, _bethe_weight):
-        dual = model.omega_dual()
-        for u in u2:
-            dual = model.apply_T_dual(2, 1, u, dual)
-        dual = _apply_sym_dual(model, 3, 2, False, v2, dual)
-        dual = _apply_sym_dual(model, 3, 1, False, v1, dual)
-        acc = acc.add(dual.scale(coef))
-    if (b * b - b) // 2 % 2:
-        acc = acc.scale(-1)
-    return acc
+    """C_{a,b}(us; vs), the mirror of B_{a,b}(us; vs)."""
+    _guard(model, GL21)
+    return build_family(model, us, vs, _bethe_weight, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +180,16 @@ def separate_collision(us, vs):
     return us, vs, True
 
 
+def at_limit(build, us, vs):
+    """build(us, vs) at possibly coincident us/vs via the exact eps -> 0 limit."""
+    us, vs, shifted = separate_collision(us, vs)
+    vec = build(us, vs)
+    return vec.map_values(eps_limit) if shifted else vec
+
+
 def build_vector_limit(model, us, vs, builder=build_vector):
     """Vector at possibly coincident us/vs via the exact eps -> 0 limit."""
-    us, vs, shifted = separate_collision(us, vs)
-    vec = builder(model, us, vs)
-    if shifted:
-        vec = vec.map_values(eps_limit)
-    return vec
+    return at_limit(partial(builder, model), us, vs)
 
 
 def build_dual_vector_limit(model, us, vs):

@@ -39,6 +39,7 @@ from .bethe import (
     vector_to_json,
 )
 from .composite import (
+    REPLAY_CHECKS,
     CompositeModel,
     SplitChain,
     action_decomposition_report,
@@ -356,19 +357,7 @@ class _Runner:
         it computes."""
         t0 = time.perf_counter()
         residual = thunk()
-        self._record(suite, name, parameters, residual, time.perf_counter() - t0)
-
-    def check_all(self, suite, prefix, parameters, thunk):
-        """One record per named residual of the dict thunk returns; the
-        whole run of thunk is charged to the first record."""
-        t0 = time.perf_counter()
-        residuals = thunk()
         dt = time.perf_counter() - t0
-        for name, residual in residuals.items():
-            self._record(suite, f"{prefix} {name}", parameters, residual, dt)
-            dt = 0.0
-
-    def _record(self, suite, name, parameters, residual, dt):
         self.report.records.append(
             CheckRecord(
                 suite,
@@ -388,9 +377,8 @@ class _Runner:
             if only and suite not in only:
                 continue
             smp = ParameterSampler(f"{self.cfg.seed}:{suite}", self.cfg.c)
-            record = self.check_all if suite == "proof-replay" else self.check
             for name, parameters, thunk in getattr(self, "suite_" + suite.replace("-", "_"))(smp):
-                record(suite, name, parameters, thunk)
+                self.check(suite, name, parameters, thunk)
         return self.report
 
     # -- shared draws -------------------------------------------------------------
@@ -593,13 +581,21 @@ class _Runner:
         )
 
     def suite_proof_replay(self, smp):
-        """Its thunks return dicts of residuals, which run() hands to check_all."""
+        """One check per residual of the replay; the first one runs it, so
+        its record carries the replay's time."""
         split, xi = self.split_of("proof-replay", "gl(2|1)")
         for a, b in ((1, 1), (2, 1)):
             if a - 1 <= self.cfg.max_a and b - 1 <= self.cfg.max_b:
                 us, vs, z = self.params(smp, a - 1, b - 1, avoid=xi, z=True)
-                replay = partial(action_decomposition_report, split, us, vs, z)
-                yield f"(a,b)=({a},{b})", {"u": us, "v": vs, "z": z}, replay
+                residuals = {}
+
+                def residual(name):
+                    if not residuals:
+                        residuals.update(action_decomposition_report(split, us, vs, z))
+                    return residuals[name]
+
+                for name in REPLAY_CHECKS:
+                    yield f"(a,b)=({a},{b}) {name}", {"u": us, "v": vs, "z": z}, partial(residual, name)
 
     def suite_gl12(self, smp):
         split, xi = self.split_of("gl12", "gl(1|2)")

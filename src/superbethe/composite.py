@@ -8,10 +8,13 @@ re-assembles every total entry as the coproduct sum of separately built
 partial entries placed with graded embeddings, which must agree exactly.
 
 Juxtapositions of partial vectors follow the graded product: a part-2 ket
-written before a part-1 ket (or a part-1 bra before a part-2 bra) picks up
-(-1)^{p1 p2} relative to the plain tensor, with parities read off the actual
-support. The factor-exchange identity g(vI,vII) B2 B1 = g(vII,vI) B1 B2 pins
-this convention.
+written before a part-1 ket picks up (-1)^{p1 p2} relative to the plain
+tensor, with parities read off the actual support. The factor-exchange
+identity g(vI,vII) B2 B1 = g(vII,vI) B1 B2 pins this convention. By the
+mirror rule of bethe.py a bra is its ket read from the other side, so a
+part-1 bra written before a part-2 bra picks up the same sign, and one
+juxtaposition, one bilinear sum and one factorization residual serve the
+four families B, C, B~ and C~.
 """
 
 from __future__ import annotations
@@ -21,20 +24,20 @@ from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
 
-from .actions import action_binding, load_formula_table
+from .actions import action_binding, action_norm, load_formula_table
 from .bethe import (
     PartialCache,
+    at_limit,
     build_dual_vector,
     build_vector,
     build_vector_limit,
-    separate_collision,
 )
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, embed, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, compile_terms, concat, partition_sum
 from .rational import rat
-from .scalars import eps_limit, f, g, h, is_zero, prod_pairs, three_term_witness
+from .scalars import f, g, is_zero, prod_pairs, three_term_witness
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def coproduct_entries(total: CompositeModel, u) -> Monodromy:
                 term = embed(m1.scaled[k, j], pos1, l).compose(embed(m2.scaled[i, k], pos2, l))
                 acc = term if acc is None else acc.add(term)
             out[(i, j)] = acc
-    return Monodromy(total.sig, total.arity, u, m1.scale * m2.scale, out)
+    return Monodromy(m1.scale * m2.scale, out)
 
 
 def compose_monodromy(split: SplitChain, u):
@@ -131,16 +134,12 @@ def _homogeneous_parity(vec):
     return p
 
 
-def compose_ket(v1: GradedVector, v2: GradedVector, part2_written_first: bool) -> GradedVector:
-    t = vector_tensor(v1, v2)
-    if part2_written_first and _homogeneous_parity(v1) == 1 and _homogeneous_parity(v2) == 1:
-        t = t.scale(-1)
-    return t
-
-
-def compose_bra(c1: DualGradedVector, c2: DualGradedVector, part1_written_first: bool) -> DualGradedVector:
-    t = vector_tensor(c1, c2)
-    if part1_written_first and _homogeneous_parity(c1) == 1 and _homogeneous_parity(c2) == 1:
+def compose_ket(x1: GradedVector, x2: GradedVector, reordered: bool) -> GradedVector:
+    """Part-1 x1 juxtaposed with part-2 x2, kets and bras alike: the plain
+    tensor, times -1 when both are odd and they are written reordered (part
+    2 first for kets, part 1 first for bras)."""
+    t = vector_tensor(x1, x2)
+    if reordered and _homogeneous_parity(x1) == 1 and _homogeneous_parity(x2) == 1:
         t = t.scale(-1)
     return t
 
@@ -209,48 +208,37 @@ def bilinear_sum(
 
     The default coefficient and ket order realize the gl(2|1) composite
     expansion; the dual and gl(1|2) variants pass their own coefficient
-    strings, builders and written orders.
+    strings, builders and written orders (part2_written_first for kets,
+    part1_written_first for bras).
     """
-    if dual:
-        compose, acc = partial(compose_bra, part1_written_first=part1_written_first), DualGradedVector
-    else:
-        compose, acc = partial(compose_ket, part2_written_first=part2_written_first), GradedVector
+    reordered = part1_written_first if dual else part2_written_first
     base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
-    target = _juxtaposed(m1, m2, PartialCache(builder), compose)
-    return partition_sum(_bilinear_terms(coeff), base, target, acc(m1.sig, m1.arity + m2.arity))
+    target = _juxtaposed(m1, m2, PartialCache(builder), partial(compose_ket, reordered=reordered))
+    acc = (DualGradedVector if dual else GradedVector)(m1.sig, m1.arity + m2.arity)
+    return partition_sum(_bilinear_terms(coeff), base, target, acc)
 
 
 def bilinear_sum_limit(m1, m2, us, vs, **kw):
     """bilinear_sum at a single coincident u/v pair, via the exact eps-limit."""
-    us, vs, shifted = separate_collision(us, vs)
-    vec = bilinear_sum(m1, m2, us, vs, **kw)
-    if shifted:
-        vec = vec.map_values(eps_limit)
-    return vec
+    return at_limit(partial(bilinear_sum, m1, m2, **kw), us, vs)
+
+
+def factorization_residual(total, us, vs, builder, **kw):
+    """The total vector builder(total, us, vs) minus its bilinear combination
+    of partial vectors of the same family; kw as for bilinear_sum."""
+    lhs = builder(total, us, vs)
+    return lhs.sub(bilinear_sum(total.part1, total.part2, us, vs, builder=builder, **kw))
 
 
 def check_bethe_factorization(split: SplitChain, us, vs, total=None):
     """Total Bethe vector minus its bilinear combination of partial vectors."""
-    total = total or CompositeModel(split)
-    lhs = build_vector(total, us, vs)
-    rhs = bilinear_sum(total.part1, total.part2, us, vs)
-    return lhs.sub(rhs)
+    return factorization_residual(total or CompositeModel(split), us, vs, build_vector)
 
 
 def check_dual_bethe_factorization(split: SplitChain, us, vs, total=None):
-    total = total or CompositeModel(split)
-    lhs = build_dual_vector(total, us, vs)
-    rhs = bilinear_sum(
-        total.part1,
-        total.part2,
-        us,
-        vs,
-        coeff=BRA_COEFF,
-        builder=build_dual_vector,
-        dual=True,
-        part1_written_first=True,
+    return factorization_residual(
+        total or CompositeModel(split), us, vs, build_dual_vector, coeff=BRA_COEFF, dual=True, part1_written_first=True
     )
-    return lhs.sub(rhs)
 
 
 def check_factor_exchange(split: SplitChain, us1, vs1, us2, vs2):
@@ -274,7 +262,7 @@ def check_recursion(model, us, vs, z):
     """T23(z)/(lam2(z) h(vs,z)) B(us;vs) minus its two-term expansion."""
     us, vs = tuple(us), tuple(vs)
     c = model.c
-    norm = 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), c))
+    norm = action_norm(model, vs, z)
     lhs = model.apply_T(2, 3, z, build_vector(model, us, vs)).scale(norm)
     rhs = build_vector(model, us, (z,) + vs).scale(prod_pairs(f, (z,), us, c))
     for k in range(len(us)):
@@ -291,7 +279,7 @@ def check_composite_creation_actions(split: SplitChain, us, vs, z, total=None):
     us, vs = tuple(us), tuple(vs)
     total = total or CompositeModel(split)
     m1, m2 = total.part1, total.part2
-    norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), total.c))
+    norm = action_norm(total, vs, z)
     cal_b = bilinear_sum(m1, m2, us, vs)
     table = load_formula_table()
     base = action_binding(total, us, vs, z)
@@ -322,10 +310,26 @@ def load_class_table() -> dict:
     }
 
 
+# the residuals of action_decomposition_report, in report order
+REPLAY_CHECKS = (
+    "class_sum_vs_extended_vector",
+    "class_sum_vs_coproduct_sum",
+    "coproduct_sum_vs_direct_action",
+    "cancellation_c23_c32",
+    "cancellation_c13_c24_c33",
+    "cancellation_c12_c22",
+    "match_c11_a1",
+    "match_c21_a3",
+    "match_c31_a2",
+    "g_identity_witness",
+)
+
+
 def action_decomposition_report(split: SplitChain, us, vs, z):
     """Replays the partition-class decomposition of the odd-creation action.
 
-    Returns named residual vectors/scalars; every one must be zero:
+    Returns the residual vectors/scalars named by REPLAY_CHECKS; every one
+    must be zero:
     the three target classes reassemble the extended composite vector, the
     coproduct classes reassemble the direct operator action, the mixed
     classes cancel pairwise and by the three-term g-identity. That identity
@@ -338,7 +342,7 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     m1, m2 = total.part1, total.part2
     c = total.c
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))
-    target = _juxtaposed(m1, m2, PartialCache(build_vector_limit), partial(compose_ket, part2_written_first=True))
+    target = _juxtaposed(m1, m2, PartialCache(build_vector_limit), partial(compose_ket, reordered=True))
     zero = GradedVector(total.sig, total.arity)
     cls = {name: partition_sum(terms, base, target, zero) for name, terms in load_class_table().items()}
 
@@ -348,19 +352,20 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
         if name.startswith("C"):
             c_sum = c_sum.add(vec)
 
-    norm = 1 / (total.lam(2, z) * prod_pairs(h, vs, (z,), c))
+    norm = action_norm(total, vs, z)
     direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs)).scale(norm)
     extended = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
 
-    return {
-        "class_sum_vs_extended_vector": a_sum.sub(extended),
-        "class_sum_vs_coproduct_sum": a_sum.sub(c_sum),
-        "coproduct_sum_vs_direct_action": c_sum.sub(direct),
-        "cancellation_c23_c32": cls["C23"].add(cls["C32"]),
-        "cancellation_c13_c24_c33": cls["C13"].add(cls["C24"]).add(cls["C33"]),
-        "cancellation_c12_c22": cls["C12"].add(cls["C22"]),
-        "match_c11_a1": cls["C11"].sub(cls["A1"]),
-        "match_c21_a3": cls["C21"].sub(cls["A3"]),
-        "match_c31_a2": cls["C31"].sub(cls["A2"]),
-        "g_identity_witness": three_term_witness(us[0], vs[0], z, c) if us and vs else 0,
-    }
+    residuals = (
+        a_sum.sub(extended),
+        a_sum.sub(c_sum),
+        c_sum.sub(direct),
+        cls["C23"].add(cls["C32"]),
+        cls["C13"].add(cls["C24"]).add(cls["C33"]),
+        cls["C12"].add(cls["C22"]),
+        cls["C11"].sub(cls["A1"]),
+        cls["C21"].sub(cls["A3"]),
+        cls["C31"].sub(cls["A2"]),
+        three_term_witness(us[0], vs[0], z, c) if us and vs else 0,
+    )
+    return dict(zip(REPLAY_CHECKS, residuals))

@@ -114,9 +114,6 @@ class GradedVector:
     def basis(cls, sig, digits):
         return cls(sig, len(digits), {encode(digits): 1})
 
-    def copy(self):
-        return type(self)(self.sig, self.arity, dict(self.entries))
-
     def scale(self, c):
         if not c:
             return type(self)(self.sig, self.arity, {})
@@ -316,13 +313,6 @@ class GradedOperator:
             if acc:
                 out[c] = acc
         return DualGradedVector(self.sig, self.arity, out)
-
-    def map_values(self, fn):
-        return GradedOperator(
-            self.sig,
-            self.arity,
-            {c: {r: fn(v) for r, v in m.items()} for c, m in self.cols.items()},
-        )
 
     def support_parity(self):
         tab = parity_table(self.sig, self.arity)

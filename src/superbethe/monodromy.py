@@ -262,9 +262,6 @@ class Monodromy:
     entries of scale*T(u) (one common scale; int entries at a rational
     point, scale 1 and EpsScalar entries at an eps-shifted one)."""
 
-    sig: Signature
-    length: int
-    u: object
     scale: int
     scaled: dict
 
@@ -300,7 +297,7 @@ class Model:
                 scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
             else:
                 scale, op = 1, self.monodromy_op(u)
-            mono = Monodromy(self.sig, self.arity, u, scale, extract_entries(op, self.sig, self.arity))
+            mono = Monodromy(scale, extract_entries(op, self.sig, self.arity))
             self._entries[u] = mono
         return mono
 

@@ -1,7 +1,12 @@
+from functools import reduce
+from itertools import combinations, permutations
+from math import prod
+
 import pytest
 
 from superbethe.errors import DivisionByZero
-from superbethe.graded import GL12, GL21, GradedVector
+from superbethe.gl12 import build_tilde_dual_vector, build_tilde_vector
+from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.bethe import (
     build_dual_vector,
@@ -16,6 +21,7 @@ from superbethe.bethe import (
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
+from superbethe.scalars import f, g, h, izergin, prod_pairs
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -143,3 +149,63 @@ def test_dual_collision_limit(twisted2):
     lim = build_dual_vector_limit(twisted2, (z,), (z,))
     direct = twisted2.T(3, 1, z).apply_dual(twisted2.omega_dual()).scale(1 / twisted2.lam(2, z))
     assert lim == direct
+
+
+def _ordered(model, i, j, params):
+    """T_ij(x1)...T_ij(xn) as one operator, unnormalized."""
+    acc = GradedOperator.identity(model.sig, model.arity)
+    for x in params:
+        acc = acc.compose(model.T(i, j, x))
+    return acc
+
+
+def _splits(xs, n):
+    for picked in combinations(range(len(xs)), n):
+        yield tuple(xs[k] for k in picked), tuple(xs[k] for k in range(len(xs)) if k not in picked)
+
+
+def _materialized(model, us, vs, dual):
+    """B, C (gl(2|1)) or B~, C~ (gl(1|2)) as written in the docstrings of
+    bethe.py and gl12.py, every block a materialized operator: the bra is
+    Omega^+ times the transposed blocks in reverse order, with its own sign."""
+    c, gl21, a, b = model.c, model.sig == GL21, len(us), len(vs)
+    sym = lambda which, xs: sym_odd_product(model, which, xs)
+    lam2 = lambda xs: prod((model.lam(2, x) for x in xs), start=rat(1))
+    base = lam2(vs) * (prod_pairs(f, vs, us, c) if gl21 else prod_pairs(f, us, vs, c))
+    acc = (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
+    for n in range(min(a, b) + 1):
+        for u1, u2 in _splits(us, n):
+            for v1, v2 in _splits(vs, n):
+                if gl21:
+                    w = izergin(v1, u1, c) * prod_pairs(f, u1, u2, c) * prod_pairs(g, v2, v1, c)
+                    ket = (sym("T13", v1), sym("T23", v2), _ordered(model, 1, 2, u2))
+                    bra = (_ordered(model, 2, 1, u2), sym("T32", v2), sym("T31", v1))
+                else:
+                    w = prod_pairs(g, u1, v1, c) * prod_pairs(f, v1, v2, c) * prod_pairs(g, u2, u1, c)
+                    w = w * prod((h(x, y, c) for x, y in permutations(v1, 2)), start=rat(1))
+                    ket = (sym("T~13", v1), _ordered(model, 2, 3, v2), sym("T~12", u2))
+                    bra = (sym("T~21", u2), _ordered(model, 3, 2, v2), sym("T~31", v1))
+                op = reduce(GradedOperator.compose, bra if dual else ket)
+                term = op.apply_dual(model.omega_dual()) if dual else op.apply(model.omega())
+                acc = acc.add(term.scale(w / (lam2(u2) * base)))
+    odd = b if gl21 else a
+    if dual:
+        sign = (-1) ** (odd * (odd - 1) // 2)
+    else:
+        sign = 1 if gl21 else (-1) ** a
+    return acc.scale(sign)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_all_four_builders_match_the_materialized_formula(sig):
+    m = chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig)
+    builders = (build_vector, build_dual_vector) if sig == GL21 else (build_tilde_vector, build_tilde_dual_vector)
+    ps = ParameterSampler(f"materialized:{sig.name}", 1).generic(4, avoid=m.spec.xi)
+    for a in range(3):
+        for b in range(3):
+            us, vs = ps[:a], ps[2 : 2 + b]
+            for dual, build in enumerate(builders):
+                want = _materialized(m, us, vs, dual)
+                # a vector leaves a - b sites at level 2, so it vanishes for b > a
+                assert want.is_zero() == (b > a), (sig.name, a, b, dual)
+                assert build(m, us, vs) == want, (sig.name, a, b, dual)
