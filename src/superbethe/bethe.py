@@ -18,8 +18,10 @@ build_family derives all four from the signature and the entry indices.
 Coincident parameters across the two families (forced by the action
 formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
 v-side entry is shifted by the formal infinitesimal, the whole vector is
-computed over EpsScalar, and the exact limit is taken entrywise at the end.
-Only a single collision is supported; larger overlaps are refused.
+computed over truncated Laurent series in eps (EpsScalar), and the exact
+limit is taken entrywise at the end. Only a single collision is supported;
+larger overlaps are refused, and with one the coefficients stay regular at
+eps = 0 (see scalars.py).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from .composite import (
     check_recursion,
     compose_monodromy,
 )
-from .errors import DivisionByZero, PoleAtZero, SchemaError
+from .errors import DivisionByZero, PoleAtZero, PrecisionExhausted, SchemaError
 from .gl12 import AmbiguousConvention
 from .gl12 import (
     build_tilde_vector,
@@ -92,7 +92,6 @@ class RunConfig:
     campaigns: int = 3
     max_a: int = 2
     max_b: int = 2
-    max_len: int = 4
     split: tuple = None
     us: tuple = None
     vs: tuple = None
@@ -248,7 +247,6 @@ def parse_config(raw) -> RunConfig:
         campaigns=campaigns,
         max_a=_count_at(raw, "max_a", 2),
         max_b=_count_at(raw, "max_b", 2),
-        max_len=max_len,
         split=split,
         us=us,
         vs=vs,
@@ -713,7 +711,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SchemaError, AmbiguousConvention, DivisionByZero, PoleAtZero, ValueError) as e:
+    except (SchemaError, AmbiguousConvention, DivisionByZero, PoleAtZero, PrecisionExhausted, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

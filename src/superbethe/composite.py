@@ -230,14 +230,14 @@ def factorization_residual(total, us, vs, builder, **kw):
     return lhs.sub(bilinear_sum(total.part1, total.part2, us, vs, builder=builder, **kw))
 
 
-def check_bethe_factorization(split: SplitChain, us, vs, total=None):
+def check_bethe_factorization(split: SplitChain, us, vs):
     """Total Bethe vector minus its bilinear combination of partial vectors."""
-    return factorization_residual(total or CompositeModel(split), us, vs, build_vector)
+    return factorization_residual(CompositeModel(split), us, vs, build_vector)
 
 
-def check_dual_bethe_factorization(split: SplitChain, us, vs, total=None):
+def check_dual_bethe_factorization(split: SplitChain, us, vs):
     return factorization_residual(
-        total or CompositeModel(split), us, vs, build_dual_vector, coeff=BRA_COEFF, dual=True, part1_written_first=True
+        CompositeModel(split), us, vs, build_dual_vector, coeff=BRA_COEFF, dual=True, part1_written_first=True
     )
 
 
@@ -273,11 +273,11 @@ def check_recursion(model, us, vs, z):
     return lhs.sub(rhs)
 
 
-def check_composite_creation_actions(split: SplitChain, us, vs, z, total=None):
+def check_composite_creation_actions(split: SplitChain, us, vs, z):
     """Residuals of the two creation-entry actions on composite-sum vectors:
     the packaged table's T13 and T23 rows with composite sums as targets."""
     us, vs = tuple(us), tuple(vs)
-    total = total or CompositeModel(split)
+    total = CompositeModel(split)
     m1, m2 = total.part1, total.part2
     norm = action_norm(total, vs, z)
     cal_b = bilinear_sum(m1, m2, us, vs)

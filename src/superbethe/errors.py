@@ -6,7 +6,12 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class PoleAtZero(ArithmeticError):
-    """An eps-limit was requested but the reduced denominator vanishes at eps=0."""
+    """An eps-limit was requested of a series with a known pole at eps=0."""
+
+
+class PrecisionExhausted(ArithmeticError):
+    """The kept eps-series coefficients do not determine a requested value:
+    an eps-limit's constant term, or the leading term of a divisor."""
 
 
 class CardinalityMismatch(ValueError):

@@ -21,12 +21,9 @@ reports the unique one that holds.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .bethe import _guard, build_family
 from .composite import CompositeModel, SplitChain, factorization_residual
 from .graded import GL12, GL21, DualGradedVector, GradedVector
-from .rational import ONE
 from .scalars import f, g, h, prod_pairs
 
 
@@ -39,15 +36,8 @@ def gradation_relation_holds() -> bool:
     return all(GL21.par(i) == (GL12.par(4 - i) + 1) % 2 for i in (1, 2, 3))
 
 
-def _self_h_product(xs, c):
-    acc = ONE
-    for j, k in combinations(range(len(xs)), 2):
-        acc = acc * h(xs[j], xs[k], c) * h(xs[k], xs[j], c)
-    return acc
-
-
 def _tilde_weight(u1, u2, v1, v2, c):
-    return prod_pairs(g, u1, v1, c) * prod_pairs(f, v1, v2, c) * prod_pairs(g, u2, u1, c) * _self_h_product(v1, c)
+    return prod_pairs(g, u1, v1, c) * prod_pairs(f, v1, v2, c) * prod_pairs(g, u2, u1, c) * prod_pairs(h, v1, v1, c)
 
 
 def build_tilde_vector(model, us, vs) -> GradedVector:
@@ -67,17 +57,17 @@ TILDE_KET_COEFF = "r3_1(vII)*r1_2(uI)*f(vI,vII)*g(uII,uI)/f(uI,vII)"
 TILDE_BRA_COEFF = "r3_2(vI)*r1_1(uII)*f(vII,vI)*g(uI,uII)/f(uII,vI)"
 
 
-def check_tilde_factorization(split: SplitChain, us, vs, sign=1, total=None):
+def check_tilde_factorization(split: SplitChain, us, vs, sign=1):
     """Total tilde vector (under the given normalization sign) minus its
     bilinear combination of partial tilde vectors, written part 1 first."""
-    total = total or CompositeModel(split, lambda_sign=sign)
+    total = CompositeModel(split, lambda_sign=sign)
     return factorization_residual(
         total, us, vs, build_tilde_vector, coeff=TILDE_KET_COEFF, part2_written_first=False
     )
 
 
-def check_tilde_dual_factorization(split: SplitChain, us, vs, sign=1, total=None):
-    total = total or CompositeModel(split, lambda_sign=sign)
+def check_tilde_dual_factorization(split: SplitChain, us, vs, sign=1):
+    total = CompositeModel(split, lambda_sign=sign)
     return factorization_residual(
         total, us, vs, build_tilde_dual_vector, coeff=TILDE_BRA_COEFF, dual=True, part1_written_first=False
     )

@@ -3,278 +3,183 @@
 Two layers:
 
 * plain rationals (see rational.py) carry every generic computation;
-* EpsScalar extends them to univariate rational functions of one formal
+* EpsScalar extends them to truncated Laurent series in one formal
   infinitesimal ``eps``, used to evaluate vectors at coincident spectral
   parameters as exact one-sided limits.
 
-EpsScalar results demote themselves back to plain rationals as soon as the
-eps-dependence cancels, so the hot paths never pay for polynomial arithmetic.
-Polynomials are little-endian coefficient tuples over the rational backend.
-An EpsScalar is stored as num/den with gcd(num, den) = 1 and den monic; that
-form is unique, which makes equality structural and lets eps_limit detect
-removable singularities.
+An EpsScalar is eps^val * (c_0 + c_1 eps + ... + c_{n-1} eps^{n-1}) +
+O(eps^{val+n}) with c_0 != 0, or, for n = 0, the undetermined zero
+O(eps^val) left when every kept coefficient cancels. n is the relative
+precision and val + n the absolute one. A sum keeps the smaller absolute
+precision, a product or quotient the smaller relative one, and a quotient
+inverts the divisor's leading coefficient (power-series arithmetic, Knuth,
+TAOCP vol. 2, 4.7), so no polynomial gcd is ever taken. Rationals take part
+as exact values. EPS is known to the fixed relative precision EPS_PRECISION,
+and an eps-limit never returns a constant term the kept coefficients do not
+fix: it raises PrecisionExhausted, as does a division by an undetermined
+zero.
 
-Reduction (the Henrici scheme of Knuth, TAOCP 4.5.1, which fractions.Fraction
-uses for integers) runs a gcd only where a common factor can appear. With
-a/b and c/d reduced and k a rational:
+There is no retry at a higher precision because the builders shift only one
+parameter (bethe.separate_collision refuses larger overlaps): K(vI|uI) has
+at most a simple pole in eps and 1/f(vs,us) a simple zero, so every
+partition coefficient is regular at eps = 0 and the only singular products
+resolved are 0 * inf.
 
-* k*(a/b) = (k*a)/b, (a/b)/k = (a/k)/b, a/b + k = (a + k*b)/b and
-  k/(a/b) = (k*b)/a need no gcd: gcd(a + k*b, b) = gcd(a, b) = 1;
-* (a/b)*(c/d) cancels gcd(a, d) and gcd(c, b) before multiplying, and the
-  product is then reduced;
-* a/b + c/d with g = gcd(b, d): if g = 1, (a*d + c*b)/(b*d) is reduced;
-  otherwise t = a*(d/g) + c*(b/g) is coprime to b/g and d/g, so only
-  gcd(t, g) is divided out.
-
-The public constructor EpsScalar(num, den) reduces arbitrary input in full;
-results of arithmetic are built by the trusted _reduced.
-
-Also hosts the pairwise set-products of g/f/h in the shorthand semantics and
-the domain-wall partition function (Izergin determinant), evaluated by
-fraction-free Bareiss elimination.
+Also hosts the pairwise set-products of g/f/h and the domain-wall partition
+function (Izergin determinant), evaluated by fraction-free Bareiss
+elimination.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import CardinalityMismatch, DivisionByZero, PoleAtZero
+from .errors import CardinalityMismatch, DivisionByZero, PoleAtZero, PrecisionExhausted
 from .rational import ONE, ZERO, is_rational, rat
 
-# ---------------------------------------------------------------------------
-# polynomial helpers: little-endian tuples, () is the zero polynomial
-# ---------------------------------------------------------------------------
-
-
-def _trim(t):
-    n = len(t)
-    while n and not t[n - 1]:
-        n -= 1
-    return tuple(t[:n])
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _trim(out)
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    # exact division over the rational field; b != ()
-    rem = list(a)
-    quo = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = ONE / b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        coef = rem[shift + len(b) - 1] * inv_lead
-        if coef:
-            quo[shift] = coef
-            for i, y in enumerate(b):
-                rem[shift + i] = rem[shift + i] - coef * y
-    return _trim(quo), _trim(rem)
-
-
-def _pscale(a, k):
-    return tuple(x * k for x in a)
-
-
-def _pgcd(a, b):
-    """Monic gcd; () only when both are ()."""
-    while b:
-        if len(a) == 1 or len(b) == 1:
-            return (ONE,)  # a nonzero constant is coprime to everything
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    inv = ONE / a[-1]
-    return tuple(x * inv for x in a)  # monic
-
-
-def _pquo(a, g):
-    """a / g for a monic divisor g of a."""
-    return a if len(g) == 1 else _pdivmod(a, g)[0]
-
-
-def _pmonic(num, den):
-    lead = den[-1]
-    if lead == ONE:
-        return num, den
-    inv = ONE / lead
-    return _pscale(num, inv), _pscale(den, inv)
-
+# Coefficients EPS carries. Every test and shipped config passes from 1 up
+# (EPS known to O(eps^2)); 3 keeps two orders in hand.
+EPS_PRECISION = 3
 
 # ---------------------------------------------------------------------------
-# EpsScalar arithmetic on reduced (num, den) pairs; see the module docstring
+# series helpers on (val, coefficient tuple) pairs; see the module docstring
 # ---------------------------------------------------------------------------
 
 
-def _reduced(num, den):
-    """num/den already in stored form (trimmed, coprime, den monic; a zero
-    num may come with any den); demotes to a plain rational when eps drops
-    out."""
-    if not num:
-        return ZERO
-    if len(num) == 1 and len(den) == 1:
-        return num[0]
-    val = object.__new__(EpsScalar)
-    object.__setattr__(val, "num", num)
-    object.__setattr__(val, "den", den)
-    return val
+def _series(val, coeffs):
+    """eps^val * coeffs + O(eps^(val + len(coeffs))), leading zeros moved
+    into val."""
+    k = 0
+    while k < len(coeffs) and not coeffs[k]:
+        k += 1
+    x = object.__new__(EpsScalar)
+    object.__setattr__(x, "val", val + k)
+    object.__setattr__(x, "coeffs", tuple(coeffs[k:]))
+    return x
 
 
-def _shifted(a, b, k):
-    """a/b + k for a rational k: gcd(a + k*b, b) = gcd(a, b) = 1."""
-    return _reduced(_padd(a, _pscale(b, k)), b)
+def _top(x):
+    """Absolute precision of an EpsScalar."""
+    return x.val + len(x.coeffs)
 
 
-def _scaled(a, b, k):
-    """k*a/b for a rational k and coprime a, b (b need not be monic)."""
-    if not k:
-        return ZERO
-    return _reduced(*_pmonic(_pscale(a, k), b))
+def _add(v1, a, v2, b, top):
+    """eps^v1 * a + eps^v2 * b + O(eps^top)."""
+    lo = min(v1, v2)
+    out = [ZERO] * (top - lo)
+    for v, cs in ((v1, a), (v2, b)):
+        for i, x in enumerate(cs[: max(top - v, 0)], v - lo):
+            out[i] += x
+    return _series(lo, out)
 
 
-def _sum(a, b, c, d):
-    """a/b + c/d: with g = gcd(b, d), the sum t/(b*d/g) can only share a
-    factor with g."""
-    g = _pgcd(b, d)
-    if len(g) == 1:
-        return _reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-    b1 = _pdivmod(b, g)[0]
-    t = _padd(_pmul(a, _pdivmod(d, g)[0]), _pmul(c, b1))
-    g = _pgcd(t, g)
-    return _reduced(_pquo(t, g), _pmul(b1, _pquo(d, g)))
+def _mul(v1, a, v2, b):
+    n = min(len(a), len(b))
+    return _series(v1 + v2, [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)])
 
 
-def _product(a, b, c, d):
-    """(a/b) * (c/d) by cross-cancellation: only gcd(a, d) and gcd(c, b) can
-    be nontrivial. d need not be monic (division passes a reciprocal)."""
-    g1, g2 = _pgcd(a, d), _pgcd(c, b)
-    num = _pmul(_pquo(a, g1), _pquo(c, g2))
-    den = _pmul(_pquo(b, g2), _pquo(d, g1))
-    return _reduced(*_pmonic(num, den))
+def _div(v1, a, v2, b):
+    """(eps^v1 * a) / (eps^v2 * b) for b[0] != 0."""
+    inv = ONE / b[0]
+    q = []
+    for k in range(min(len(a), len(b))):
+        q.append((a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1))) * inv)
+    return _series(v1 - v2, q)
+
+
+def _scale(x, k):
+    return _series(x.val, [c * k for c in x.coeffs]) if k else ZERO
+
+
+def _neg(cs):
+    return [-c for c in cs]
+
+
+def _divisor(x):
+    if not x.coeffs:
+        raise PrecisionExhausted(f"division by the undetermined zero {x!r}")
+    return x.val, x.coeffs
 
 
 class EpsScalar:
-    """Reduced fraction of polynomials in the formal infinitesimal eps."""
+    """Truncated Laurent series in the formal infinitesimal eps."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(ONE,)):
-        num = _trim(tuple(rat(x) for x in num))
-        den = _trim(tuple(rat(x) for x in den))
-        if not den:
-            raise DivisionByZero("denominator polynomial is identically zero")
-        g = _pgcd(num, den)
-        num, den = _pmonic(_pquo(num, g), _pquo(den, g))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    __slots__ = ("val", "coeffs")
 
     def __setattr__(self, *a):
         raise AttributeError("EpsScalar is immutable")
 
-    # -- predicates ---------------------------------------------------------
+    # -- predicates: structural; every value is truthy, since an undetermined
+    # zero may be nonzero ---------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return True
 
     def __eq__(self, other):
-        if isinstance(other, EpsScalar):
-            return self.num == other.num and self.den == other.den
-        if is_rational(other):
-            return len(self.den) == 1 and self.num == _trim((rat(other),))
-        return NotImplemented
+        return isinstance(other, EpsScalar) and self.val == other.val and self.coeffs == other.coeffs
 
     def __hash__(self):
-        if len(self.den) == 1 and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else ZERO)
-        return hash((self.num, self.den))
+        return hash((self.val, self.coeffs))
 
     def __repr__(self):
-        def fmt(p):
-            return " + ".join(f"({c})*eps^{i}" if i else f"({c})" for i, c in enumerate(p) if c) or "0"
-
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
+        terms = " + ".join(f"({c})*eps^{self.val + i}" for i, c in enumerate(self.coeffs) if c)
+        return f"{terms or '0'} + O(eps^{_top(self)})"
 
     # -- arithmetic: each operator calls the helpers above, never another
     # operator, so every operation is one dunder call -----------------------
 
-    def _reciprocal(self):
-        if not self.num:
-            raise DivisionByZero("division by identically zero scalar")
-        return self.den, self.num
-
     def __add__(self, other):
         if isinstance(other, EpsScalar):
-            return _sum(self.num, self.den, other.num, other.den)
+            return _add(self.val, self.coeffs, other.val, other.coeffs, min(_top(self), _top(other)))
         if is_rational(other):
-            return _shifted(self.num, self.den, other)
+            return _add(self.val, self.coeffs, 0, (other,), _top(self))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(_pneg(self.num), self.den)
+        return _series(self.val, _neg(self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, EpsScalar):
-            return _sum(self.num, self.den, _pneg(other.num), other.den)
+            return _add(self.val, self.coeffs, other.val, _neg(other.coeffs), min(_top(self), _top(other)))
         if is_rational(other):
-            return _shifted(self.num, self.den, -other)
+            return _add(self.val, self.coeffs, 0, (-other,), _top(self))
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, EpsScalar):
-            return _sum(other.num, other.den, _pneg(self.num), self.den)
         if is_rational(other):
-            return _shifted(_pneg(self.num), self.den, other)
+            return _add(0, (other,), self.val, _neg(self.coeffs), _top(self))
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, EpsScalar):
-            return _product(self.num, self.den, other.num, other.den)
+            return _mul(self.val, self.coeffs, other.val, other.coeffs)
         if is_rational(other):
-            return _scaled(self.num, self.den, other)
+            return _scale(self, other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, EpsScalar):
-            return _product(self.num, self.den, *other._reciprocal())
+            return _div(self.val, self.coeffs, *_divisor(other))
         if is_rational(other):
             if not other:
                 raise DivisionByZero("division by identically zero scalar")
-            return _scaled(self.num, self.den, ONE / other)
+            return _scale(self, ONE / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, EpsScalar):
-            return _product(other.num, other.den, *self._reciprocal())
         if is_rational(other):
-            return _scaled(*self._reciprocal(), other)
+            val, coeffs = _divisor(self)
+            if not other:
+                return ZERO
+            return _div(0, (other,) + (ZERO,) * (len(coeffs) - 1), val, coeffs)
         return NotImplemented
 
 
-EPS = EpsScalar((ZERO, ONE))
+EPS = _series(1, (ONE,) + (ZERO,) * (EPS_PRECISION - 1))
 
 
 def is_zero(x) -> bool:
@@ -282,14 +187,21 @@ def is_zero(x) -> bool:
 
 
 def eps_limit(x):
-    """Value at eps = 0 after cancellation of common factors."""
+    """Value at eps = 0: 0 above order zero, the constant term at it.
+
+    Raises PoleAtZero for a known negative order and PrecisionExhausted when
+    the kept coefficients do not fix the constant term."""
     if is_rational(x):
         return rat(x)
     if not isinstance(x, EpsScalar):
         raise TypeError(f"no eps-limit of {type(x).__name__}")
-    if not x.den[0]:
-        raise PoleAtZero(f"pole at eps=0 in {x!r}")
-    return (x.num[0] if x.num else ZERO) / x.den[0]
+    if x.val > 0:
+        return ZERO
+    if not x.coeffs:
+        raise PrecisionExhausted(f"constant term of {x!r} not determined at eps precision {EPS_PRECISION}")
+    if x.val < 0:
+        raise PoleAtZero(f"pole of order {-x.val} at eps=0 in {x!r}")
+    return x.coeffs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +225,6 @@ def h(u, v, c):
     return (u - v + ONE * c) / (ONE * c)
 
 
-_PAIR_FN = {"g": g, "f": f, "h": h}
-
-
 def prod_pairs(fn, left, right, c):
     """prod over l in left, r in right of fn(l, r, c); empty product is 1."""
     acc = ONE
@@ -330,18 +239,6 @@ def prod_unary(fn, xs):
     for x in xs:
         acc = acc * fn(x)
     return acc
-
-
-def set_product(kind, left, right, c, unary_funcs=None):
-    """Shorthand set-product. kind in {g,f,h} takes two sets; r1/r3-style
-    kinds resolve through unary_funcs and take the left set only."""
-    if kind in _PAIR_FN:
-        return prod_pairs(_PAIR_FN[kind], left, right, c)
-    if unary_funcs and kind in unary_funcs:
-        if right:
-            raise ValueError(f"{kind} is a one-set product")
-        return prod_unary(unary_funcs[kind], left)
-    raise KeyError(f"unknown product kind {kind!r}")
 
 
 def bareiss_det(rows):

@@ -1,12 +1,13 @@
-import pytest
-from hypothesis import assume, example, given, strategies as st
+from math import prod
 
-from superbethe import scalars
-from superbethe.errors import CardinalityMismatch, DivisionByZero, PoleAtZero
-from superbethe.rational import ONE, ZERO, is_rational, rat, rat_from_str, rat_to_str
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from superbethe.errors import CardinalityMismatch, DivisionByZero, PoleAtZero, PrecisionExhausted
+from superbethe.rational import ONE, rat, rat_from_str, rat_to_str
 from superbethe.scalars import (
     EPS,
-    EpsScalar,
+    EPS_PRECISION,
     bareiss_det,
     eps_limit,
     f,
@@ -14,7 +15,6 @@ from superbethe.scalars import (
     h,
     is_zero,
     izergin,
-    set_product,
     three_term_witness,
 )
 
@@ -54,16 +54,6 @@ def test_three_term_identity(u, v, z, c):
     assume(not is_zero(c))
     assume(not is_zero(u - v) and not is_zero(u - z) and not is_zero(v - z))
     assert is_zero(three_term_witness(u, v, z, c))
-
-
-def test_set_products():
-    assert set_product("f", (3, 4), (1,), 1) == 2
-    assert set_product("g", (), (5,), 1) == 1
-    assert h(2, 1, 1) * h(3, 1, 1) == 6
-    funcs = {"r1": lambda x: x * x}
-    assert set_product("r1", (2, 3), (), 1, unary_funcs=funcs) == 36
-    with pytest.raises(KeyError):
-        set_product("q", (1,), (2,), 1)
 
 
 def test_izergin_small():
@@ -118,151 +108,47 @@ def test_eps_limit_matches_direct_evaluation(a, b, c, d):
     assert eps_limit(expr) == a / d
 
 
-def test_eps_demotes_when_dependence_cancels():
-    x = (2 + EPS) - EPS
-    assert x == 2 and not hasattr(x, "num")
-    for x in (EPS * 0, 0 * EPS, EPS - EPS):
-        assert x == 0 and is_rational(x)
-    y = (1 + EPS) * (1 - EPS) + EPS * EPS
-    assert y == 1
+def test_eps_limit_needs_the_kept_coefficients():
+    # 1/(1 - eps) = 1 + eps + eps^2 + ...; taking off its first m terms and
+    # dividing by eps^m gives back a constant term 1 that needs coefficient
+    # m of the series, which only m <= EPS_PRECISION keeps
+    def tail(m):
+        x, power = 1 / (1 - EPS), ONE
+        for _ in range(m):
+            x, power = x - power, power * EPS
+        return x / power
+
+    assert eps_limit(tail(EPS_PRECISION)) == 1
+    with pytest.raises(PrecisionExhausted):
+        eps_limit(tail(EPS_PRECISION + 1))
+    assert EPS - EPS and eps_limit(EPS - EPS) == 0  # undetermined, but of positive order
 
 
-# -- canonical form of EpsScalar arithmetic ---------------------------------
-
-small = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))
-nonzero_small = small.filter(bool)
+linear_factors = st.tuples(rationals, rationals).filter(any)
 
 
-def _linear(a):
-    return (-rat(a), ONE)  # eps - a
-
-
-def _poly_from_roots(k, roots):
-    p = (k,)
-    for a in roots:
-        p = scalars._pmul(p, _linear(a))
-    return p
-
-
-# roots from a small set, so numerators and denominators of one operand and
-# of two operands share linear factors often
-roots = st.lists(st.integers(-1, 1), max_size=2)
-factored = st.builds(_poly_from_roots, nonzero_small, roots)
-dense = st.lists(small, min_size=1, max_size=3).map(scalars._trim).filter(bool)
-polys = st.one_of(factored, dense)
-
-
-def _eps_operand(common):
-    """num/den through the reducing constructor: a factor shared by num and
-    den, and `common` factors in the den, shared with the other operand."""
-
-    @st.composite
-    def build(draw):
-        shared = _poly_from_roots(ONE, draw(roots))
-        num = scalars._pmul(draw(st.one_of(polys, st.just(()))), shared)
-        den = scalars._pmul(scalars._pmul(draw(polys), shared), _poly_from_roots(ONE, common))
-        return EpsScalar(num, den)
-
-    return build()
-
-
-@st.composite
-def operand_pairs(draw):
-    common = draw(roots)
-    return draw(_eps_operand(common)), draw(st.one_of(_eps_operand(common), small, st.integers(-3, 3)))
-
-
-def _demoted(x):
-    if len(x.den) == 1 and len(x.num) <= 1:
-        return x.num[0] if x.num else ZERO
-    return x
-
-
-def _pair(x):
-    if isinstance(x, EpsScalar):
-        return x.num, x.den
-    return scalars._trim((rat(x),)), (ONE,)
-
-
-def _form(x):
-    if isinstance(x, EpsScalar):
-        assert x.den[-1] == ONE and x.num[-1:] != (ZERO,)
-        return ("eps", x.num, x.den)
-    assert is_rational(x) and type(x) is type(ZERO)
-    return ("rational", x)
-
-
-def _reference(name, x, y):
-    """x.name(y) from unreduced products, reduced once by the constructor."""
-    mul, add, neg = scalars._pmul, scalars._padd, scalars._pneg
-    a, b = _pair(x)
-    c, d = _pair(y)
-    num, den = {
-        "__add__": (add(mul(a, d), mul(c, b)), mul(b, d)),
-        "__radd__": (add(mul(c, b), mul(a, d)), mul(d, b)),
-        "__sub__": (add(mul(a, d), neg(mul(c, b))), mul(b, d)),
-        "__rsub__": (add(mul(c, b), neg(mul(a, d))), mul(d, b)),
-        "__mul__": (mul(a, c), mul(b, d)),
-        "__rmul__": (mul(c, a), mul(d, b)),
-        "__truediv__": (mul(a, d), mul(b, c)),
-        "__rtruediv__": (mul(c, b), mul(d, a)),
-        "__neg__": (neg(a), b),
-    }[name]
-    return _demoted(EpsScalar(num, den))
-
-
-EPS_OPERATORS = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__"
-)
-
-
-# 1/(eps(eps-1)) + 1/(eps(eps+1)) = 2/((eps-1)(eps+1)): the shared factor eps
-# of the dens cancels from the sum as well
-_SHARED = (EpsScalar((1,), (0, -1, 1)), EpsScalar((1,), (0, 1, 1)))
-
-
-@pytest.mark.parametrize("name", EPS_OPERATORS)
-@given(pair=operand_pairs())
-@example(pair=_SHARED)
-@example(pair=(_SHARED[0], -_SHARED[1]))
-@example(pair=(_SHARED[0], _SHARED[0]))
-def test_eps_arithmetic_is_in_canonical_form(name, pair):
-    x, y = pair
-    if name == "__neg__":
-        result = -x
-    else:
-        assume(name != "__truediv__" or y)
-        assume(name != "__rtruediv__" or x)
-        result = getattr(x, name)(y)
-    assert _form(result) == _form(_reference(name, x, y))
-
-
-def test_rational_operand_needs_no_gcd(monkeypatch):
-    xs = (EPS, (EPS + 1) * (EPS - rat(1, 2)) / ((EPS - 2) * (3 * EPS + 1)), (EPS * EPS + 1) / rat(3))
-    ks = (rat(-3, 7), 2, 0)
-    cases = [(name, x, k) for x in xs for k in ks for name in EPS_OPERATORS if k or name != "__truediv__"]
-
-    def no_gcd(a, b):
-        raise AssertionError("gcd with a rational operand")
-
-    monkeypatch.setattr(scalars, "_pgcd", no_gcd)
-    results = [-x if name == "__neg__" else getattr(x, name)(k) for name, x, k in cases]
-    monkeypatch.undo()
-    for (name, x, k), result in zip(cases, results):
-        assert _form(result) == _form(_reference(name, x, k)), (name, x, k)
+@given(st.lists(st.tuples(linear_factors, st.booleans()), min_size=1, max_size=6))
+def test_eps_limit_of_linear_factors(factors):
+    # a + b eps has order 0 and leading coefficient a, or order 1 and b
+    num = [ab for ab, divide in factors if not divide]
+    den = [ab for ab, divide in factors if divide]
+    order = sum(not a for a, _ in num) - sum(not a for a, _ in den)
+    assume(order >= 0)
+    x = ONE
+    for (a, b), divide in factors:
+        x = x / (a + b * EPS) if divide else x * (a + b * EPS)
+    ratio = prod((a or b for a, b in num), start=ONE) / prod((a or b for a, b in den), start=ONE)
+    assert eps_limit(x) == (ratio if order == 0 else 0)
 
 
 def test_eps_division_by_zero():
     with pytest.raises(DivisionByZero):
         EPS / 0
-    with pytest.raises(DivisionByZero):
-        EPS / (EPS - EPS)
-    with pytest.raises(DivisionByZero):
-        1 / EpsScalar(())
-    with pytest.raises(DivisionByZero):
-        EPS / EpsScalar((), (1, 1))
-    with pytest.raises(DivisionByZero):
-        EpsScalar((1,), ())
+    for undetermined in (EPS - EPS, (1 + EPS) - (1 + EPS)):
+        with pytest.raises(PrecisionExhausted):
+            EPS / undetermined
+        with pytest.raises(PrecisionExhausted):
+            1 / undetermined
 
 
 def test_bareiss_det():
