@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from superbethe.errors import CardinalityMismatch, DivisionByZero, PoleAtZero, PrecisionExhausted
+from superbethe.notation import Binding, UnboundName, evaluate
 from superbethe.rational import ONE, rat, rat_from_str, rat_to_str
 from superbethe.scalars import (
     EPS,
@@ -54,6 +55,15 @@ def test_three_term_identity(u, v, z, c):
     assume(not is_zero(c))
     assume(not is_zero(u - v) and not is_zero(u - z) and not is_zero(v - z))
     assert is_zero(three_term_witness(u, v, z, c))
+
+
+def test_set_products():
+    assert evaluate("f(uI,vI)", Binding({"uI": (3, 4), "vI": (1,)}, c=1)) == 2
+    assert evaluate("g(uI,vI)", Binding({"uI": (), "vI": (5,)}, c=1)) == 1
+    assert evaluate("h(uI,vI)*f(uII,vI)", Binding({"uI": (2, 3), "uII": (), "vI": (1,)}, c=1)) == 6
+    assert evaluate("r1(uI)", Binding({"uI": (2, 3)}, funcs={"r1": lambda x: x * x})) == 36
+    with pytest.raises(UnboundName):
+        evaluate("q(uI,vI)", Binding({"uI": (1,), "vI": (2,)}, c=1))
 
 
 def test_izergin_small():
