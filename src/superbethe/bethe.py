@@ -15,6 +15,13 @@ T32(vII) T31(vI), with annihilation-type normalizers prod_{j<k} h(x_j, x_k)
 and m the number of odd factors per term (b on gl(2|1), a on gl(1|2)).
 build_family derives all four from the signature and the entry indices.
 
+Each block is walked by Model.apply_T_scaled, on integer multiples of the
+factors at rational points, so a term's walk leaves d times its normalized
+block product: the per-term divisor d is the product of the walk
+multipliers and of the odd blocks' h-normalizers. The coefficient is
+divided by d once (not at all when d = 1), and at rational points the
+entries are ints until that coefficient scales them.
+
 Coincident parameters across the two families (forced by the action
 formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
 v-side entry is shifted by the formal infinitesimal, the whole vector is
@@ -50,8 +57,9 @@ def _is_odd(sig, i, j):
     return sig.par(i) != sig.par(j)
 
 
-def _h_normalizer(params, c, creation):
-    acc = ONE
+def _h_normalizer(params, c, creation, acc=ONE):
+    """acc times the normalizer prod_{j<k} h(x_k, x_j) of creation type, or
+    prod_{j<k} h(x_j, x_k) of annihilation type."""
     for j, k in combinations(range(len(params)), 2):
         acc = acc * (h(params[k], params[j], c) if creation else h(params[j], params[k], c))
     if is_zero(acc):
@@ -72,18 +80,17 @@ def sym_odd_product(model, which, params) -> GradedOperator:
 
 
 def _apply_entries(model, i, j, params, vec, dual):
-    """T_ij(x1)...T_ij(xn) . vec, or the bra vec . T_ij(x1)...T_ij(xn); an
-    odd T_ij is divided by its normalizer, creation-type on kets and
-    annihilation-type on bras."""
-    if dual:
-        for x in params:
-            vec = model.apply_T_dual(i, j, x, vec)
-    else:
-        for x in reversed(params):
-            vec = model.apply_T(i, j, x, vec)
+    """(d, d * T_ij(x1)...T_ij(xn) . vec), or with dual the bra
+    vec . T_ij(x1)...T_ij(xn) times d. d is the product of the walks'
+    multipliers, times the normalizer of an odd T_ij (creation-type on kets,
+    annihilation-type on bras) by which the block is divided."""
+    d = 1
+    for x in params if dual else reversed(params):
+        m, vec = model.apply_T_scaled(i, j, x, vec, dual)
+        d *= m
     if len(params) > 1 and _is_odd(model.sig, i, j):
-        vec = vec.scale(1 / _h_normalizer(params, model.c, not dual))
-    return vec
+        d = _h_normalizer(params, model.c, not dual, d)
+    return d, vec
 
 
 def _require_distinct(name, xs):
@@ -131,13 +138,16 @@ def build_family(model, us, vs, weight, dual):
     acc = (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
     start = model.omega_dual() if dual else model.omega()
     for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, weight):
-        vec, odd = start, 0
+        vec, odd, div = start, 0, 1
         for (i, j), params in zip(_PLAN, (u2, v2, v1)):
             if dual:
                 i, j = j, i
-            vec = _apply_entries(model, i, j, params, vec, dual)
+            d, vec = _apply_entries(model, i, j, params, vec, dual)
+            # a product with 1 still costs an EpsScalar operation
+            if d != 1:
+                div = d if div == 1 else div * d
             odd += len(params) * _is_odd(model.sig, i, j)
-        acc = acc.add(vec.scale(coef))
+        acc = acc.add(vec.scale(coef if div == 1 else coef / div))
     if dual and odd * (odd - 1) // 2 % 2:
         acc = acc.scale(-1)
     return acc

@@ -39,14 +39,21 @@ symmetric, so the same factors serve kets (walked rightmost first) and bras
   EpsScalar) T(u) from the same walk; Model.T / Monodromy.entry scale a
   cached entry back to T_ij(u), for the symmetrized odd products and any
   caller that needs T_ij(u) itself.
-* Single entries on vectors. Model.apply_T / Model.apply_T_dual apply one
-  entry T_ij(u) to a sparse ket or bra without building any operator: the
-  vector is lifted to |j> x w (or <i| x w), walked through the factors with
-  the rational or EpsScalar weights, and projected back onto the other
-  auxiliary index, with the extraction sign on both ends. Every Bethe-vector
-  builder and every vector-side check (actions, recursion, composite
-  creation actions, the decomposition replay) goes this way. The per-factor
-  weights are cached per spectral point, the only state this path keeps.
+* Single entries on vectors. Model.apply_T_scaled applies one entry
+  T_ij(u) to a sparse ket or bra without building any operator: the vector
+  is lifted to |j> x w (or <i| x w), walked through the factors and
+  projected back onto the other auxiliary index, with the extraction sign
+  on both ends. At a rational u, on a vector with int entries (every
+  Bethe-vector walk starts from the int reference state), it walks the
+  integer multiples of the factors that build_cleared_product walks and
+  returns (m, m*T_ij(u)*vec), m the product of their multipliers, so only
+  ints are multiplied. At an eps-shifted u, or on Fraction or EpsScalar
+  entries, it walks the rational or EpsScalar weights and m = 1. One cache
+  per model holds these (m, weights) pairs, the only state this path
+  keeps. Model.apply_T / Model.apply_T_dual divide by m
+  once at the end. Every Bethe-vector builder and every vector-side check
+  (actions, recursion, composite creation actions, the decomposition
+  replay) goes this way.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -122,12 +129,7 @@ def build_cleared_product(sig, c, length, factors, u):
     gd*R_{0k} = gd*I + gn*P_{0k}. The product W of those multiples is
     M*T(u) with M the product of the multipliers; dividing W and M by
     gcd(M, entries of W) leaves the lcm of the entry denominators of T(u)."""
-    scale = 1
-    weights = []
-    for factor in factors:
-        m, w = _cleared_weights(sig, c, length, factor, u)
-        scale *= m
-        weights.append(w)
+    scale, weights = _cleared_sequence(sig, c, length, factors, u)
     cols = _walk_columns(length, weights)
     common = scale
     for colmap in cols.values():
@@ -138,6 +140,19 @@ def build_cleared_product(sig, c, length, factors, u):
         scale //= common
         cols = {col: {r: v // common for r, v in colmap.items()} for col, colmap in cols.items()}
     return scale, GradedOperator.from_pruned(sig, length + 1, cols)
+
+
+def _cleared_sequence(sig, c, length, factors, u):
+    """(M, data) for the integer multiples of every factor at a rational u:
+    their _cleared_weights, leftmost factor first, and M the product of
+    their multipliers."""
+    scale = 1
+    weights = []
+    for factor in factors:
+        m, w = _cleared_weights(sig, c, length, factor, u)
+        scale *= m
+        weights.append(w)
+    return scale, weights
 
 
 def _walk_columns(length, weights):
@@ -306,19 +321,39 @@ class Model:
 
     def apply_T(self, i, j, u, vec: GradedVector) -> GradedVector:
         """T_ij(u) . vec, equal to T(i, j, u).apply(vec), matrix-free."""
-        return self._walk(j, i, j, vec, reversed(self._weights_at(u)))
+        return _unscaled(*self.apply_T_scaled(i, j, u, vec))
 
     def apply_T_dual(self, i, j, u, dual: DualGradedVector) -> DualGradedVector:
         """dual . T_ij(u), equal to T(i, j, u).apply_dual(dual), matrix-free."""
-        return self._walk(i, j, j, dual, self._weights_at(u))
+        return _unscaled(*self.apply_T_scaled(i, j, u, dual, dual=True))
 
-    def _weights_at(self, u):
-        """_factor_weights of the whole factor sequence, cached per u."""
-        weights = self._weights.get(u)
-        if weights is None:
-            weights = [_factor_weights(self.sig, self.c, self.arity, f, u) for f in self.factor_sequence()]
-            self._weights[u] = weights
-        return weights
+    def apply_T_scaled(self, i, j, u, vec, dual=False):
+        """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)). m is the
+        product of the factor multipliers when u is rational and every entry
+        of vec an int, so that the walk multiplies ints only, and 1
+        otherwise: on Fraction entries the integer weights only grow the
+        numbers, and each EpsScalar entry would pay one more operation for
+        the identity weight."""
+        cleared = is_rational(u) and all(type(x) is int for x in vec.entries.values())
+        m, weights = self._walk_weights(u, cleared)
+        if dual:
+            return m, self._walk(i, j, j, vec, weights)
+        return m, self._walk(j, i, j, vec, reversed(weights))
+
+    def _walk_weights(self, u, cleared):
+        """(m, data) of the whole factor sequence, cached per (u, cleared):
+        the integer multiples of _cleared_sequence, or the _factor_weights
+        and m = 1."""
+        key = u, cleared
+        hit = self._weights.get(key)
+        if hit is None:
+            factors = self.factor_sequence()
+            if cleared:
+                hit = _cleared_sequence(self.sig, self.c, self.arity, factors, u)
+            else:
+                hit = 1, [_factor_weights(self.sig, self.c, self.arity, f, u) for f in factors]
+            self._weights[key] = hit
+        return hit
 
     def _walk(self, start, end, j, vec, factors):
         """Lift vec to auxiliary index start, apply the factors in the given
@@ -348,6 +383,10 @@ class Model:
 
     def omega_dual(self) -> DualGradedVector:
         return DualGradedVector.basis(self.sig, (1,) * self.arity)
+
+
+def _unscaled(m, vec):
+    return vec if m == 1 else vec.scale(rat(1, m))
 
 
 class ChainModel(Model):

@@ -106,6 +106,9 @@ class EpsScalar:
 
     __slots__ = ("val", "coeffs")
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("EpsScalar has no constructor: build values from EPS by arithmetic")
+
     def __setattr__(self, *a):
         raise AttributeError("EpsScalar is immutable")
 

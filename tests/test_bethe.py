@@ -1,4 +1,5 @@
-from functools import reduce
+from collections import Counter
+from functools import partial, reduce
 from itertools import combinations, permutations
 from math import prod
 
@@ -7,8 +8,10 @@ import pytest
 from superbethe.errors import DivisionByZero
 from superbethe.gl12 import build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
+from superbethe import monodromy
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.bethe import (
+    at_limit,
     build_dual_vector,
     build_dual_vector_limit,
     build_vector,
@@ -209,3 +212,45 @@ def test_all_four_builders_match_the_materialized_formula(sig):
                 # a vector leaves a - b sites at level 2, so it vanishes for b > a
                 assert want.is_zero() == (b > a), (sig.name, a, b, dual)
                 assert build(m, us, vs) == want, (sig.name, a, b, dual)
+
+
+def _weight_values(weights):
+    """Every number _apply_factor multiplies a state by."""
+    if weights[0] == "diag":
+        return weights[1]
+    _, _, _, swap, stay, ident = weights
+    return [w for row in swap for pair in row for w in pair] + list(stay) + [ident] * (ident is not None)
+
+
+def test_vector_walks_multiply_only_ints(monkeypatch):
+    """At rational points all four builders walk plain ints: every factor
+    weight and every state value is an int, a Fraction anywhere fails this
+    test. A coincident point still walks EpsScalars to the same limit as
+    the materialized formula."""
+    seen = Counter()
+    honest = monodromy._apply_factor
+
+    def apply_factor(length, weights, state):
+        seen.update(type(x).__name__ for x in _weight_values(weights))
+        seen.update(type(x).__name__ for x in state.values())
+        out = honest(length, weights, state)
+        seen.update(type(x).__name__ for x in out.values())
+        return out
+
+    monkeypatch.setattr(monodromy, "_apply_factor", apply_factor)
+    xi = (0, rat(1, 3), rat(-2, 5))
+    twist = (rat(2, 3), 1, rat(-3, 2))
+    ps = ParameterSampler("int-walk", 1).generic(4, avoid=xi)
+    us, vs = ps[:2], ps[2:]
+    for sig, builders in ((GL21, (build_vector, build_dual_vector)), (GL12, (build_tilde_vector, build_tilde_dual_vector))):
+        m = chain(3, xi, twist=twist, sig=sig)
+        for build in builders:
+            assert not build(m, us, vs).is_zero(), (sig.name, build.__name__)
+    assert seen["int"] > 0 and set(seen) == {"int"}, seen
+
+    seen.clear()
+    m = chain(3, xi, twist=twist)
+    z = ps[0]
+    lim = build_vector_limit(m, (z, ps[1]), (z, ps[2]))
+    assert seen["EpsScalar"] > 0, seen
+    assert lim == at_limit(partial(_materialized, m, dual=False), (z, ps[1]), (z, ps[2]))

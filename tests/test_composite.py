@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import pytest
 
 from superbethe.bethe import build_dual_vector, build_vector
@@ -207,6 +210,48 @@ def test_replay_classes_from_data_still_bite(split21, monkeypatch):
     monkeypatch.setattr(composite, "load_class_table", lambda: perturbed)
     report = action_decomposition_report(split21, us, vs, z)
     assert not report["cancellation_c23_c32"].is_zero()
+
+
+def test_replay_c13_c24_c33_bite_at_2_2(split21, monkeypatch):
+    """The replay at (a,b) = (2,2), one u and one v beside z, fills the
+    classes C13, C24 and C33, so their cancellation can fail there:
+    dropping h(vi,ui) from the C13 coefficient breaks it at (2,2) and leaves
+    it zero at (1,1), where those classes have no terms."""
+    from superbethe import composite
+
+    table = composite.load_class_table()
+    names = {id(terms): name for name, terms in table.items()}
+    classes = {}
+    honest = composite.partition_sum
+
+    def recording(terms, base, target, acc):
+        out = honest(terms, base, target, acc)
+        if id(terms) in names:
+            classes[names[id(terms)]] = out
+        return out
+
+    monkeypatch.setattr(composite, "load_class_table", lambda: table)
+    monkeypatch.setattr(composite, "partition_sum", recording)
+    smp = ParameterSampler("replay-2-2", 1)
+    xi = split21.part1.xi + split21.part2.xi
+    ps = smp.generic(2, avoid=xi)
+    z = smp.generic_one(avoid=tuple(xi) + ps)
+    points = {(1, 1): ((), ()), (2, 2): (ps[:1], ps[1:])}
+    report = action_decomposition_report(split21, *points[2, 2], z)
+    assert all(r.is_zero() if hasattr(r, "is_zero") else is_zero(r) for r in report.values())
+    for name in ("C13", "C24", "C33"):
+        assert not classes[name].is_zero(), name
+
+    raw = json.loads(resources.files("superbethe").joinpath("data/composite_classes.json").read_text())
+    c13 = raw["C13"][0]
+    assert c13["coefficient"].endswith("*h(vi,z)*h(vi,ui))")
+    c13["coefficient"] = c13["coefficient"][: -len("*h(vi,ui))")] + ")"
+    table = {name: composite._composite_terms(terms, ("ubar", "vbar", "z")) for name, terms in raw.items() if name != "_comment"}
+    names = {id(terms): name for name, terms in table.items()}
+    for ab, broken in (((2, 2), True), ((1, 1), False)):
+        report = action_decomposition_report(split21, *points[ab], z)
+        assert (not report["cancellation_c13_c24_c33"].is_zero()) == broken, ab
+    assert all(classes[name].is_zero() for name in ("C13", "C24", "C33"))
 
 
 def test_g_identity_witness_follows_the_replay(monkeypatch):

@@ -9,6 +9,7 @@ from superbethe.rational import ONE, rat, rat_from_str, rat_to_str
 from superbethe.scalars import (
     EPS,
     EPS_PRECISION,
+    EpsScalar,
     bareiss_det,
     eps_limit,
     f,
@@ -159,6 +160,13 @@ def test_eps_division_by_zero():
             EPS / undetermined
         with pytest.raises(PrecisionExhausted):
             1 / undetermined
+
+
+def test_eps_scalar_has_no_constructor():
+    for args in ((), (1,), (0, (1,))):
+        with pytest.raises(TypeError, match="EPS"):
+            EpsScalar(*args)
+    assert isinstance(EPS * 2 + 1, EpsScalar)
 
 
 def test_bareiss_det():
