@@ -88,5 +88,5 @@ def action_check(model, element, us, vs, z, table=None):
     us, vs = tuple(us), tuple(vs)
     i, j = int(element[1]), int(element[2])
     norm = action_norm(model, vs, z)
-    lhs = model.apply_T(i, j, z, build_vector(model, us, vs)).scale(norm)
+    lhs = model.apply_T(i, j, z, build_vector(model, us, vs), norm)
     return lhs.sub(action_rhs(model, element, us, vs, z, table=table))

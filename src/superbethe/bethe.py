@@ -22,13 +22,22 @@ multipliers and of the odd blocks' h-normalizers. The coefficient is
 divided by d once (not at all when d = 1), and at rational points the
 entries are ints until that coefficient scales them.
 
+The partition coefficients depend only on the weight and the ordered
+parameter tuples, so each model keeps their list per (weight, us, vs): a ket
+and its bra built at the same point share one list.
+
 Coincident parameters across the two families (forced by the action
 formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
-v-side entry is shifted by the formal infinitesimal, the whole vector is
-computed over truncated Laurent series in eps (EpsScalar), and the exact
-limit is taken entrywise at the end. Only a single collision is supported;
-larger overlaps are refused, and with one the coefficients stay regular at
-eps = 0 (see scalars.py).
+v-side entry is shifted by the formal infinitesimal, and only scalars are
+taken to the limit. A term is coef(eps) * W(eps), and W is regular at
+eps = 0 because the walk at the unshifted point exists (a point on an
+inhomogeneity raises DivisionByZero), so the term's limit is
+lim coef * W(0): the coefficient, divided by d, is computed over truncated
+Laurent series (EpsScalar) and its eps-limit taken, and every block is
+walked at the eps-limit of its parameters, on ints. A coefficient with no
+limit raises PoleAtZero or PrecisionExhausted; no term is dropped silently.
+Only a single collision is supported; larger overlaps are refused, and with
+one the coefficients stay regular at eps = 0 (see scalars.py).
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from math import prod
 from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedOperator, GradedVector
 from .rational import ONE
-from .scalars import EPS, eps_limit, f, g, h, is_zero, izergin, prod_pairs
+from .scalars import EPS, EpsScalar, eps_limit, f, g, h, is_zero, izergin, prod_pairs
 
 # element -> (i, j) for the symmetrized odd products; tilde names belong to
 # the gl(1|2) instance
@@ -51,6 +60,11 @@ SYM_ELEMENTS = {
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
 # are applied, to uII, vII and vI; the same for B and B~
 _PLAN = ((1, 2), (2, 3), (1, 3))
+
+
+def _at_zero(x):
+    """x at eps = 0; a rational is its own value."""
+    return eps_limit(x) if isinstance(x, EpsScalar) else x
 
 
 def _is_odd(sig, i, j):
@@ -86,7 +100,7 @@ def _apply_entries(model, i, j, params, vec, dual):
     annihilation-type on bras) by which the block is divided."""
     d = 1
     for x in params if dual else reversed(params):
-        m, vec = model.apply_T_scaled(i, j, x, vec, dual)
+        m, vec = model.apply_T_scaled(i, j, _at_zero(x), vec, dual)
         d *= m
     if len(params) > 1 and _is_odd(model.sig, i, j):
         d = _h_normalizer(params, model.c, not dual, d)
@@ -131,13 +145,24 @@ def _partition_terms(model, us, vs, weight):
                 yield weight(u1, u2, v1, v2, c) / (lam2(u2) * base), u1, u2, v1, v2
 
 
+def _coefficients(model, us, vs, weight):
+    """The list of _partition_terms, computed once per model, weight and
+    ordered parameter tuples, so that a ket and its bra share it."""
+    key = weight, tuple(us), tuple(vs)
+    terms = model.coefficients.get(key)
+    if terms is None:
+        terms = model.coefficients[key] = list(_partition_terms(model, us, vs, weight))
+    return terms
+
+
 def build_family(model, us, vs, weight, dual):
     """The partition sum of _PLAN under the given weight: the ket, or with
     dual its mirror bra (transposed entries, annihilation-type normalizers
-    and the sign (-1)^{m(m-1)/2} for m odd factors per term)."""
+    and the sign (-1)^{m(m-1)/2} for m odd factors per term). At eps-shifted
+    parameters every term is its eps -> 0 limit."""
     acc = (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
     start = model.omega_dual() if dual else model.omega()
-    for coef, _u1, u2, v1, v2 in _partition_terms(model, us, vs, weight):
+    for coef, _u1, u2, v1, v2 in _coefficients(model, us, vs, weight):
         vec, odd, div = start, 0, 1
         for (i, j), params in zip(_PLAN, (u2, v2, v1)):
             if dual:
@@ -147,7 +172,7 @@ def build_family(model, us, vs, weight, dual):
             if d != 1:
                 div = d if div == 1 else div * d
             odd += len(params) * _is_odd(model.sig, i, j)
-        acc = acc.add(vec.scale(coef if div == 1 else coef / div))
+        acc = acc.add(vec.scale(_at_zero(coef if div == 1 else coef / div)))
     if dual and odd * (odd - 1) // 2 % 2:
         acc = acc.scale(-1)
     return acc
@@ -193,7 +218,10 @@ def separate_collision(us, vs):
 
 
 def at_limit(build, us, vs):
-    """build(us, vs) at possibly coincident us/vs via the exact eps -> 0 limit."""
+    """build(us, vs) at possibly coincident us/vs via the exact eps -> 0 limit.
+    The builders of this package take it term by term (build_family,
+    partition_sum); the entrywise limit at the end takes it of the series a
+    vector-valued oracle returns."""
     us, vs, shifted = separate_collision(us, vs)
     vec = build(us, vs)
     return vec.map_values(eps_limit) if shifted else vec

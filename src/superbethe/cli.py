@@ -524,7 +524,7 @@ class _Runner:
             yield (
                 f"chain {ci} coincidence limit equals normalized T13 action",
                 {"z": z},
-                lambda: build_vector_limit(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega()).scale(1 / m.lam(2, z))),
+                lambda: build_vector_limit(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega(), 1 / m.lam(2, z))),
             )
 
     def suite_actions(self, smp):

@@ -263,13 +263,13 @@ def check_recursion(model, us, vs, z):
     us, vs = tuple(us), tuple(vs)
     c = model.c
     norm = action_norm(model, vs, z)
-    lhs = model.apply_T(2, 3, z, build_vector(model, us, vs)).scale(norm)
+    lhs = model.apply_T(2, 3, z, build_vector(model, us, vs), norm)
     rhs = build_vector(model, us, (z,) + vs).scale(prod_pairs(f, (z,), us, c))
     for k in range(len(us)):
         u0 = us[k]
         rest = us[:k] + us[k + 1 :]
         coef = g(u0, z, c) * prod_pairs(f, (u0,), rest, c) * norm
-        rhs = rhs.add(model.apply_T(1, 3, z, build_vector(model, rest, vs)).scale(coef))
+        rhs = rhs.add(model.apply_T(1, 3, z, build_vector(model, rest, vs), coef))
     return lhs.sub(rhs)
 
 
@@ -289,7 +289,7 @@ def check_composite_creation_actions(split: SplitChain, us, vs, z):
 
     residuals = []
     for i, element in ((1, "T13"), (2, "T23")):
-        lhs = total.apply_T(i, 3, z, cal_b).scale(norm)
+        lhs = total.apply_T(i, 3, z, cal_b, norm)
         rhs = partition_sum(table[element], base, target, GradedVector(total.sig, total.arity))
         residuals.append(lhs.sub(rhs))
     return tuple(residuals)
@@ -353,7 +353,7 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
             c_sum = c_sum.add(vec)
 
     norm = action_norm(total, vs, z)
-    direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs)).scale(norm)
+    direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs), norm)
     extended = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
 
     residuals = (

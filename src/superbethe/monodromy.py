@@ -43,17 +43,18 @@ symmetric, so the same factors serve kets (walked rightmost first) and bras
   T_ij(u) to a sparse ket or bra without building any operator: the vector
   is lifted to |j> x w (or <i| x w), walked through the factors and
   projected back onto the other auxiliary index, with the extraction sign
-  on both ends. At a rational u, on a vector with int entries (every
-  Bethe-vector walk starts from the int reference state), it walks the
-  integer multiples of the factors that build_cleared_product walks and
-  returns (m, m*T_ij(u)*vec), m the product of their multipliers, so only
-  ints are multiplied. At an eps-shifted u, or on Fraction or EpsScalar
-  entries, it walks the rational or EpsScalar weights and m = 1. One cache
-  per model holds these (m, weights) pairs, the only state this path
-  keeps. Model.apply_T / Model.apply_T_dual divide by m
-  once at the end. Every Bethe-vector builder and every vector-side check
-  (actions, recursion, composite creation actions, the decomposition
-  replay) goes this way.
+  on both ends. At a rational u it clears the denominators of vec (every
+  Bethe-vector walk starts from the int reference state, where there are
+  none), walks the integer multiples of the factors that
+  build_cleared_product walks and returns (m, m*T_ij(u)*vec), m the
+  product of their multipliers and of the cleared denominators, so only
+  ints are multiplied. At an eps-shifted u, or on EpsScalar entries, it
+  walks the rational or EpsScalar weights and m = 1. One cache per model
+  holds these (m, weights) pairs, the only walk state this path keeps.
+  Model.apply_T / Model.apply_T_dual scale by 1/m once at the end, and
+  apply_T folds a caller's factor into that one scaling. Every
+  Bethe-vector builder and every vector-side check (actions, recursion,
+  composite creation actions, the decomposition replay) goes this way.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -294,6 +295,9 @@ class Model:
     def __init__(self):
         self._entries = {}
         self._weights = {}
+        # partition-coefficient lists of the Bethe-vector builders, filled
+        # by bethe._coefficients
+        self.coefficients = {}
 
     def factor_sequence(self):
         raise NotImplementedError
@@ -319,23 +323,30 @@ class Model:
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
 
-    def apply_T(self, i, j, u, vec: GradedVector) -> GradedVector:
-        """T_ij(u) . vec, equal to T(i, j, u).apply(vec), matrix-free."""
-        return _unscaled(*self.apply_T_scaled(i, j, u, vec))
+    def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
+        """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
+        factor, matrix-free; the walk's 1/m is folded into factor, so the
+        result is scaled once."""
+        return _rescaled(*self.apply_T_scaled(i, j, u, vec), factor)
 
     def apply_T_dual(self, i, j, u, dual: DualGradedVector) -> DualGradedVector:
         """dual . T_ij(u), equal to T(i, j, u).apply_dual(dual), matrix-free."""
-        return _unscaled(*self.apply_T_scaled(i, j, u, dual, dual=True))
+        return _rescaled(*self.apply_T_scaled(i, j, u, dual, dual=True))
 
     def apply_T_scaled(self, i, j, u, vec, dual=False):
-        """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)). m is the
-        product of the factor multipliers when u is rational and every entry
-        of vec an int, so that the walk multiplies ints only, and 1
-        otherwise: on Fraction entries the integer weights only grow the
-        numbers, and each EpsScalar entry would pay one more operation for
-        the identity weight."""
-        cleared = is_rational(u) and all(type(x) is int for x in vec.entries.values())
-        m, weights = self._walk_weights(u, cleared)
+        """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)). At a
+        rational u on a vector with rational entries, the entries are
+        multiplied by the lcm n of their denominators and the walk takes the
+        integer multiples of the factors, with M the product of their
+        multipliers, so that only ints are multiplied; then m = M*n. At an
+        eps-shifted u, or on EpsScalar entries, the walk takes the rational
+        or EpsScalar weights and m = 1: each EpsScalar entry would pay one
+        more operation for the identity weight."""
+        cleared = _cleared_vector(vec) if is_rational(u) else None
+        m, weights = self._walk_weights(u, cleared is not None)
+        if cleared is not None:
+            n, vec = cleared
+            m *= n
         if dual:
             return m, self._walk(i, j, j, vec, weights)
         return m, self._walk(j, i, j, vec, reversed(weights))
@@ -385,8 +396,24 @@ class Model:
         return DualGradedVector.basis(self.sig, (1,) * self.arity)
 
 
-def _unscaled(m, vec):
-    return vec if m == 1 else vec.scale(rat(1, m))
+def _rescaled(m, vec, factor=1):
+    """factor/m times vec, not scaled at all when that is 1."""
+    if m != 1:
+        factor = factor * rat(1, m)
+    return vec if factor == 1 else vec.scale(factor)
+
+
+def _cleared_vector(vec):
+    """(n, n*vec) with int entries, n the lcm of the entry denominators, for
+    a vector of rationals; None if an entry is an EpsScalar."""
+    values = vec.entries.values()
+    if all(type(x) is int for x in values):
+        return 1, vec
+    if not all(is_rational(x) for x in values):
+        return None
+    n = lcm(*(int(x.denominator) for x in values))
+    entries = {k: int(x.numerator) * (n // int(x.denominator)) for k, x in vec.entries.items()}
+    return n, type(vec)(vec.sig, vec.arity, entries)
 
 
 class ChainModel(Model):

@@ -437,5 +437,7 @@ def partition_sum(terms, base, target, acc):
             bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
         for b in bindings:
             coef = eval_expr(coeff, b)
+            if isinstance(coef, scalars.EpsScalar):
+                coef = scalars.eps_limit(coef)
             acc = acc.add(target(b, term_target).scale(coef))
     return acc

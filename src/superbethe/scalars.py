@@ -4,8 +4,8 @@ Two layers:
 
 * plain rationals (see rational.py) carry every generic computation;
 * EpsScalar extends them to truncated Laurent series in one formal
-  infinitesimal ``eps``, used to evaluate vectors at coincident spectral
-  parameters as exact one-sided limits.
+  infinitesimal ``eps``, used to evaluate the coefficients of vectors at
+  coincident spectral parameters as exact one-sided limits.
 
 An EpsScalar is eps^val * (c_0 + c_1 eps + ... + c_{n-1} eps^{n-1}) +
 O(eps^{val+n}) with c_0 != 0, or, for n = 0, the undetermined zero
@@ -19,11 +19,16 @@ and an eps-limit never returns a constant term the kept coefficients do not
 fix: it raises PrecisionExhausted, as does a division by an undetermined
 zero.
 
-There is no retry at a higher precision because the builders shift only one
-parameter (bethe.separate_collision refuses larger overlaps): K(vI|uI) has
-at most a simple pole in eps and 1/f(vs,us) a simple zero, so every
-partition coefficient is regular at eps = 0 and the only singular products
-resolved are 0 * inf.
+Limits are taken of scalars only: bethe.build_family and
+notation.partition_sum take the eps-limit of each term's coefficient and
+scale a vector built at the unshifted point. This is exact because each term
+is coef(eps) * W(eps) with W regular at eps = 0 (its walk at the unshifted
+point exists), so the term's limit is lim coef * W(0), and a coefficient
+with no limit raises. There is no retry at a higher precision because the
+builders shift only one parameter (bethe.separate_collision refuses larger
+overlaps): K(vI|uI) has at most a simple pole in eps and 1/f(vs,us) a simple
+zero, so every partition coefficient is regular at eps = 0 and the only
+singular products resolved are 0 * inf.
 
 Also hosts the pairwise set-products of g/f/h and the domain-wall partition
 function (Izergin determinant), evaluated by fraction-free Bareiss

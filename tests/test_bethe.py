@@ -5,13 +5,17 @@ from math import prod
 
 import pytest
 
-from superbethe.errors import DivisionByZero
+from superbethe import bethe
+from superbethe.actions import action_check
+from superbethe.errors import DivisionByZero, PoleAtZero
 from superbethe.gl12 import build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe import monodromy
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.bethe import (
+    _bethe_weight,
     at_limit,
+    build_family,
     build_dual_vector,
     build_dual_vector_limit,
     build_vector,
@@ -24,7 +28,7 @@ from superbethe.bethe import (
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import f, g, h, izergin, prod_pairs
+from superbethe.scalars import EPS, f, g, h, izergin, prod_pairs
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -222,11 +226,10 @@ def _weight_values(weights):
     return [w for row in swap for pair in row for w in pair] + list(stay) + [ident] * (ident is not None)
 
 
-def test_vector_walks_multiply_only_ints(monkeypatch):
-    """At rational points all four builders walk plain ints: every factor
-    weight and every state value is an int, a Fraction anywhere fails this
-    test. A coincident point still walks EpsScalars to the same limit as
-    the materialized formula."""
+@pytest.fixture
+def walked(monkeypatch):
+    """Counter of the type names of every factor weight and state value
+    _apply_factor multiplies or produces."""
     seen = Counter()
     honest = monodromy._apply_factor
 
@@ -238,19 +241,101 @@ def test_vector_walks_multiply_only_ints(monkeypatch):
         return out
 
     monkeypatch.setattr(monodromy, "_apply_factor", apply_factor)
-    xi = (0, rat(1, 3), rat(-2, 5))
-    twist = (rat(2, 3), 1, rat(-3, 2))
-    ps = ParameterSampler("int-walk", 1).generic(4, avoid=xi)
+    return seen
+
+
+def _only_ints(seen):
+    return seen["int"] > 0 and set(seen) == {"int"}
+
+
+INT_WALK_XI = (0, rat(1, 3), rat(-2, 5))
+INT_WALK_TWIST = (rat(2, 3), 1, rat(-3, 2))
+
+
+def test_vector_walks_multiply_only_ints(walked):
+    """At rational points all four builders walk plain ints: every factor
+    weight and every state value is an int, a Fraction anywhere fails this
+    test. At a coincident point only the coefficients carry eps, so the
+    walks are still on ints, and each builder equals the eps-limit of the
+    materialized formula."""
+    ps = ParameterSampler("int-walk", 1).generic(4, avoid=INT_WALK_XI)
     us, vs = ps[:2], ps[2:]
     for sig, builders in ((GL21, (build_vector, build_dual_vector)), (GL12, (build_tilde_vector, build_tilde_dual_vector))):
-        m = chain(3, xi, twist=twist, sig=sig)
+        m = chain(3, INT_WALK_XI, twist=INT_WALK_TWIST, sig=sig)
         for build in builders:
             assert not build(m, us, vs).is_zero(), (sig.name, build.__name__)
-    assert seen["int"] > 0 and set(seen) == {"int"}, seen
+    assert _only_ints(walked), walked
 
-    seen.clear()
-    m = chain(3, xi, twist=twist)
     z = ps[0]
-    lim = build_vector_limit(m, (z, ps[1]), (z, ps[2]))
-    assert seen["EpsScalar"] > 0, seen
-    assert lim == at_limit(partial(_materialized, m, dual=False), (z, ps[1]), (z, ps[2]))
+    us, vs = (z, ps[1]), (z, ps[2])
+    for sig, dual, build in (
+        (GL21, False, build_vector),
+        (GL21, True, build_dual_vector),
+        (GL12, False, build_tilde_vector),
+    ):
+        walked.clear()
+        m = chain(3, INT_WALK_XI, twist=INT_WALK_TWIST, sig=sig)
+        lim = build_vector_limit(m, us, vs, builder=build)
+        assert _only_ints(walked), (build.__name__, walked)
+        assert not lim.is_zero(), build.__name__
+        assert lim == at_limit(partial(_materialized, m, dual=dual), us, vs), build.__name__
+
+
+def test_action_check_walks_a_rational_vector_on_ints(walked):
+    m = chain(3, INT_WALK_XI, twist=INT_WALK_TWIST)
+    ps = ParameterSampler("int-walk-action", 1).generic(4, avoid=INT_WALK_XI)
+    us, vs, z = ps[:2], ps[2:3], ps[3]
+    assert any(type(x) is not int for x in build_vector(m, us, vs).entries.values())
+    walked.clear()
+    for el in ("T13", "T22", "T21"):
+        assert action_check(m, el, us, vs, z).is_zero(), el
+    assert _only_ints(walked), walked
+
+
+def test_singular_coefficients_are_loud(twisted2):
+    """A coefficient with a pole at eps = 0 raises; its term is never
+    dropped. Only the split with #uI = 1 is singular here, so the terms
+    before it evaluate and the pole is still found."""
+
+    def singular(u1, u2, v1, v2, c):
+        w = _bethe_weight(u1, u2, v1, v2, c)
+        return w / EPS if u1 else w
+
+    us, vs = (rat(3), rat(7, 2)), (rat(17, 4),)
+    assert not build_family(twisted2, us, vs, _bethe_weight, dual=False).is_zero()
+    for dual in (False, True):
+        with pytest.raises(PoleAtZero):
+            build_family(twisted2, us, vs, singular, dual=dual)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts the calls of bethe._partition_terms."""
+    count = Counter()
+    honest = bethe._partition_terms
+
+    def partition_terms(*args):
+        count["calls"] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(bethe, "_partition_terms", partition_terms)
+    return count
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_ket_and_bra_share_one_coefficient_list(sig, evaluations):
+    ket, bra = (build_vector, build_dual_vector) if sig == GL21 else (build_tilde_vector, build_tilde_dual_vector)
+    spec = ChainSpec(2, (0, rat(1, 2)), (2, 1, -3), sig, 1)
+    m = ChainModel(spec)
+    us, vs = (rat(3), rat(7, 2)), (rat(17, 4), rat(-5, 3))
+    first = ket(m, us, vs), bra(m, us, vs)
+    assert evaluations["calls"] == 1
+    assert ket(m, us, vs) == first[0] and bra(m, us, vs) == first[1]
+    assert evaluations["calls"] == 1
+    # the reversed tuples of the symmetry check are a second computation
+    assert ket(m, us[::-1], vs[::-1]) == first[0]
+    assert bra(m, us[::-1], vs[::-1]) == first[1]
+    assert evaluations["calls"] == 2
+    # and so is the same point on another model
+    assert ket(ChainModel(spec), us, vs) == first[0]
+    assert evaluations["calls"] == 3

@@ -1,0 +1,51 @@
+"""Cost gate: the number of partition-coefficient lists and of EpsScalar
+results the vector suites of configs/quick.json compute.
+
+Both counts are deterministic and the same on either rational backend, so a
+rise shows a regression that wall time is too noisy to show. A change that
+lowers a count should lower its pin too.
+"""
+
+import os
+from collections import Counter
+
+import pytest
+
+from superbethe import bethe, scalars
+from superbethe.cli import load_config, run_suites
+
+QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
+
+# suite -> (bethe._partition_terms calls, scalars._series calls)
+PINNED = {
+    "bethe": (6, 79),
+    "actions": (81, 1257),
+    "recursion": (12, 0),
+    "composite": (86, 763),
+}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    count = Counter()
+    partition_terms, series = bethe._partition_terms, scalars._series
+
+    def counted_partition_terms(*args):
+        count["partition_terms"] += 1
+        return partition_terms(*args)
+
+    def counted_series(*args):
+        count["eps_results"] += 1
+        return series(*args)
+
+    monkeypatch.setattr(bethe, "_partition_terms", counted_partition_terms)
+    monkeypatch.setattr(scalars, "_series", counted_series)
+    return count
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED))
+def test_vector_suite_cost_does_not_rise(suite, counted):
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    got = counted["partition_terms"], counted["eps_results"]
+    assert got[0] <= PINNED[suite][0] and got[1] <= PINNED[suite][1], (suite, got, PINNED[suite])

@@ -15,12 +15,17 @@ from superbethe.notation import (
     PartitionSpec,
     UnboundName,
     UnsatisfiableSpec,
+    compile_terms,
     enumerate_partitions,
     evaluate,
     parse,
+    partition_sum,
     print_expr,
 )
+from superbethe.errors import PoleAtZero
+from superbethe.graded import GL21, GradedVector
 from superbethe.rational import rat
+from superbethe.scalars import EPS
 
 
 def test_parse_structure():
@@ -134,3 +139,20 @@ def test_binding_rejects_rebinds():
     b = Binding({"u": (1,)})
     with pytest.raises(ValueError):
         b.with_sets({"u": (2,)})
+
+
+def test_partition_sum_takes_the_limit_of_eps_coefficients():
+    """An EpsScalar coefficient enters as its value at eps = 0; one with a
+    pole raises, and its term is never dropped."""
+    omega = GradedVector.basis(GL21, (1,))
+    target = lambda b, args: omega
+    base = Binding({"u": (rat(3),), "v": (rat(3) + EPS,), "w": (rat(5),)})
+
+    def total(coefficient):
+        raw = [{"partitions": [], "coefficient": coefficient, "target": ["u", "v"]}]
+        return partition_sum(compile_terms(raw, ("u", "v", "w"), ()), base, target, GradedVector(GL21, 1))
+
+    assert total("h(u,v)*g(u,w)") == omega.scale(rat(-1, 2))  # h(3,3) g(3,5)
+    assert total("1/f(u,v)").is_zero()  # a zero of order one at eps = 0
+    with pytest.raises(PoleAtZero):
+        total("g(u,v)")
