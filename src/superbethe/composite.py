@@ -95,12 +95,14 @@ def coproduct_entries(total: CompositeModel, u) -> Monodromy:
     pos2 = tuple(range(l1 + 1, l + 1))
     m1 = total.part1.monodromy(u)
     m2 = total.part2.monodromy(u)
+    e1 = {ij: embed(op, pos1, l) for ij, op in m1.scaled.items()}
+    e2 = {ij: embed(op, pos2, l) for ij, op in m2.scaled.items()}
     out = {}
     for i in range(1, 4):
         for j in range(1, 4):
             acc = None
             for k in range(1, 4):
-                term = embed(m1.scaled[k, j], pos1, l).compose(embed(m2.scaled[i, k], pos2, l))
+                term = e1[k, j].compose(e2[i, k])
                 acc = term if acc is None else acc.add(term)
             out[(i, j)] = acc
     return Monodromy(m1.scale * m2.scale, out)

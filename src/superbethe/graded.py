@@ -14,8 +14,12 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
   digits to its left (insert_identity is its shortcut for one identity
   factor and an even operator).
 
-Everything downstream (composition, application, residuals) is plain sparse
-matrix algebra; once an operator is materialized the signs are inside it.
+Everything downstream is plain sparse matrix algebra; once an operator is
+materialized the signs are inside it. Composition, application and the
+streamed RTT residual multiply through one kernel, column_product (an
+operator's columns times one sparse column); linear_combination sums
+scaled operators in one pass over their entries, with no intermediate
+operator (the exchange residuals).
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous
@@ -120,18 +124,23 @@ class GradedVector:
         return type(self)(self.sig, self.arity, {k: c * v for k, v in self.entries.items()})
 
     def add(self, other):
+        return self._merge(other, False)
+
+    def sub(self, other):
+        # not add(other.scale(-1)): that builds a negated copy of other
+        # beside both operands and the result
+        return self._merge(other, True)
+
+    def _merge(self, other, negate):
         _check_pair(self, other)
         out = dict(self.entries)
         for k, v in other.entries.items():
-            s = out.get(k, 0) + v
+            s = out.get(k, 0) - v if negate else out.get(k, 0) + v
             if s:
                 out[k] = s
             elif k in out:
                 del out[k]
         return type(self)(self.sig, self.arity, out)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
 
     def map_values(self, fn):
         return type(self)(self.sig, self.arity, {k: fn(v) for k, v in self.entries.items()})
@@ -168,6 +177,25 @@ class DualGradedVector(GradedVector):
             if w is not None:
                 acc = acc + v * w
         return acc
+
+
+def column_product(cols, column):
+    """sum_k column[k] * cols[k]: the operator with columns cols {k: {row:
+    value}} applied to the sparse column {k: value}, as {row: value} with no
+    zero entry. Composition, application and the streamed operator
+    identities all multiply through here."""
+    out = {}
+    for k, x in column.items():
+        colmap = cols.get(k)
+        if not colmap:
+            continue
+        for r, av in colmap.items():
+            s = out.get(r, 0) + av * x
+            if s:
+                out[r] = s
+            elif r in out:
+                del out[r]
+    return out
 
 
 def vector_tensor(x: GradedVector, y: GradedVector):
@@ -244,8 +272,8 @@ class GradedOperator:
         return self._merge(other, False)
 
     def sub(self, other):
-        # not add(other.scale(-1)): that holds a negated copy of other
-        # beside both operands and the result, the peak memory of RTT
+        # not add(other.scale(-1)): that builds a negated copy of other
+        # beside both operands and the result
         return self._merge(other, True)
 
     def _merge(self, other, negate):
@@ -269,35 +297,14 @@ class GradedOperator:
         mycols = self.cols
         out = {}
         for c, colmap in other.cols.items():
-            acc = {}
-            for k, bv in colmap.items():
-                inner = mycols.get(k)
-                if not inner:
-                    continue
-                for r, av in inner.items():
-                    s = acc.get(r, 0) + av * bv
-                    if s:
-                        acc[r] = s
-                    elif r in acc:
-                        del acc[r]
+            acc = column_product(mycols, colmap)
             if acc:
                 out[c] = acc
         return GradedOperator.from_pruned(self.sig, self.arity, out)
 
     def apply(self, vec: GradedVector) -> GradedVector:
         _check_pair(self, vec)
-        out = {}
-        for c, x in vec.entries.items():
-            colmap = self.cols.get(c)
-            if not colmap:
-                continue
-            for r, av in colmap.items():
-                s = out.get(r, 0) + av * x
-                if s:
-                    out[r] = s
-                elif r in out:
-                    del out[r]
-        return GradedVector(self.sig, self.arity, out)
+        return GradedVector(self.sig, self.arity, column_product(self.cols, vec.entries))
 
     def apply_dual(self, dual: DualGradedVector) -> DualGradedVector:
         """Right action dual . self."""
@@ -328,6 +335,29 @@ class GradedOperator:
 
     def __repr__(self):
         return f"<GradedOperator {self.sig.name} arity={self.arity} nnz={self.nnz()}>"
+
+
+def linear_combination(terms) -> GradedOperator:
+    """sum of coef * op over the (coef, op) pairs, in one pass over the
+    operands' entries."""
+    first = terms[0][1]
+    out = {}
+    for coef, op in terms:
+        _check_pair(first, op)
+        if not coef:
+            continue
+        for c, colmap in op.cols.items():
+            dest = out.get(c)
+            if dest is None:
+                out[c] = {r: coef * v for r, v in colmap.items()}
+                continue
+            for r, v in colmap.items():
+                s = dest.get(r, 0) + coef * v
+                if s:
+                    dest[r] = s
+                elif r in dest:
+                    del dest[r]
+    return GradedOperator.from_pruned(first.sig, first.arity, {c: m for c, m in out.items() if m})
 
 
 def koszul_tensor(a: GradedOperator, b: GradedOperator) -> GradedOperator:

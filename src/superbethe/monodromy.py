@@ -30,12 +30,19 @@ symmetric, so the same factors serve kets (walked rightmost first) and bras
   graded.clear_denominators with no Fraction arithmetic. Model.monodromy
   caches, per spectral point, the nine entry operators of N_u*T(u) (at an
   eps-shifted point: of T(u) itself, N_u = 1). The operator identities run
-  on these integer operators and scale their residuals back: check_rtt
-  (T(u), T(v) and R(u,v) each cleared once, T lifted into the two-auxiliary
-  space by graded.insert_identity), check_supercommutator (the cached
-  entries, with g(u,v) = p/q folded in as q*lhs - p*rhs),
-  composite.compose_monodromy and vacuum_residuals (eigenvalues scaled by
-  N_u). build_factor_product / Model.monodromy_op return the rational (or
+  on these integer operators and scale their residuals back. check_rtt
+  clears T(u), T(v) and R(u,v) once each, lifts T into the two-auxiliary
+  space by graded.insert_identity, and streams the residual one column at
+  a time through graded.column_product, walking the columns in orbits of
+  the swap of the two auxiliary digits (where R(u,v) has its entries), so
+  no product of the arity-(L+2) operators is ever held.
+  check_supercommutator takes its six products from the PairProducts of
+  (u, v): the at most 162 products T_ab(x) T_cd(y) of the cached entries,
+  each composed once for all 81 tuples, kept for the latest pair only; with
+  g(u,v) = gn/gd each residual is one graded.linear_combination
+  gd*lhs - gn*rhs of four of them. composite.compose_monodromy and
+  vacuum_residuals (eigenvalues scaled by N_u) use the cached entries too.
+  build_factor_product / Model.monodromy_op return the rational (or
   EpsScalar) T(u) from the same walk; Model.T / Monodromy.entry scale a
   cached entry back to T_ij(u), for the symmetrized odd products and any
   caller that needs T_ij(u) itself.
@@ -73,8 +80,10 @@ from .graded import (
     Signature,
     _check_pair,
     clear_denominators,
+    column_product,
     embed,
     insert_identity,
+    linear_combination,
     num_den,
     parity_table,
     r_matrix,
@@ -286,6 +295,24 @@ class Monodromy:
         return self.scaled[(i, j)].scale(rat(1, self.scale))
 
 
+class PairProducts(dict):
+    """The products T_ab(x) T_cd(y) of the scaled entries at one spectral
+    pair (u, v), x and y the two points in either order: at most 162, keyed
+    (x is u, ab, cd), each composed on its first lookup. Every product
+    carries the scale N_u N_v."""
+
+    def __init__(self, mu: Monodromy, mv: Monodromy):
+        super().__init__()
+        self.scale = mu.scale * mv.scale
+        self._sides = {True: (mu.scaled, mv.scaled), False: (mv.scaled, mu.scaled)}
+
+    def __missing__(self, key):
+        at_u, ab, cd = key
+        left, right = self._sides[at_u]
+        op = self[key] = left[ab].compose(right[cd])
+        return op
+
+
 class Model:
     """Shared realization machinery: cached entries, vacuum data, references.
 
@@ -295,6 +322,9 @@ class Model:
     def __init__(self):
         self._entries = {}
         self._weights = {}
+        # the PairProducts of the latest spectral pair only
+        self._pair = None
+        self._products = None
         # partition-coefficient lists of the Bethe-vector builders, filled
         # by bethe._coefficients
         self.coefficients = {}
@@ -322,6 +352,14 @@ class Model:
 
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
+
+    def pair_products(self, u, v) -> PairProducts:
+        """The PairProducts of (u, v). Only the latest pair is kept: a call
+        at another pair replaces it, so at most 162 products are held."""
+        if self._pair != (u, v):
+            self._pair = u, v
+            self._products = PairProducts(self.monodromy(u), self.monodromy(v))
+        return self._products
 
     def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
         """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
@@ -446,7 +484,14 @@ class ChainModel(Model):
 
 
 def check_rtt(model, u, v) -> GradedOperator:
-    """R(u,v)(T(u) x I)(I x T(v)) - (I x T(v))(T(u) x I)R(u,v); zero iff RTT holds."""
+    """R(u,v)(T(u) x I)(I x T(v)) - (I x T(v))(T(u) x I)R(u,v); zero iff RTT holds.
+
+    With A = T(u) x I, B = I x T(v) and R = R(u,v), the residual is streamed
+    one column at a time and no product of them is materialized: column c
+    of RAB is B e_c pushed through A, then R, and column c of BAR is
+    sum_k R[k,c] BA e_k. R = I + g P has its column c entries at c and at
+    c', c with the two auxiliary digits swapped, so the columns are walked
+    in swap orbits {c, c'} and each BA e_k is computed once per orbit."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
     factors = model.factor_sequence()
@@ -455,10 +500,33 @@ def check_rtt(model, u, v) -> GradedOperator:
     nr, r = clear_denominators(r_matrix(u, v, model.sig, model.c))
     # T(u) x I puts the second auxiliary digit after the first one, I x T(v)
     # in front of it; T is even, so both are index arithmetic (insert_identity)
-    a = insert_identity(a, 2)
-    b = insert_identity(b, 1)
-    r = embed(r, (1, 2), model.arity + 2)
-    residual = r.compose(a).compose(b).sub(b.compose(a).compose(r))
+    a = insert_identity(a, 2).cols
+    b = insert_identity(b, 1).cols
+    r = embed(r, (1, 2), model.arity + 2).cols
+    mid = 3**model.arity  # place value of the second auxiliary digit
+    high = 3 * mid
+    out = {}
+    for c in range(3 * high):
+        first, second = c // high, c // mid % 3
+        if second < first:
+            continue  # walked with its orbit partner
+        orbit = (c,) if first == second else (c, c + (second - first) * (high - mid))
+        ba = {}  # BA e_k for every row k of the orbit's columns of R
+        for col in orbit:
+            rcol = r.get(col, {})
+            for k in rcol:
+                if k not in ba:
+                    ba[k] = column_product(b, a.get(k, {}))
+            res = column_product(r, column_product(a, b.get(col, {})))
+            for row, x in column_product(ba, rcol).items():
+                s = res.get(row, 0) - x
+                if s:
+                    res[row] = s
+                else:
+                    del res[row]
+            if res:
+                out[col] = res
+    residual = GradedOperator.from_pruned(model.sig, model.arity + 2, out)
     return residual.scale(rat(1, na * nb * nr))
 
 
@@ -467,28 +535,23 @@ def check_supercommutator(model, i, j, k, l, u, v):
 
     Every product pairs an entry at u with one at v, so both sides carry the
     scale N_u N_v of the cached integer entries; with g(u,v) = gn/gd each
-    residual is (gd*lhs - gn*rhs) / (gd N_u N_v)."""
-    sig = model.sig
-    p = sig.par
+    residual is (gd*lhs - gn*rhs) / (gd N_u N_v). The six products of a
+    tuple are looked up in the Model.pair_products of (u, v), so each of the
+    162 is composed once for all 81 tuples, and each residual is one linear
+    combination of four of them."""
+    p = model.sig.par
     gn, gd = num_den(g_fn(u, v, model.c))
-    mu, mv = model.monodromy(u), model.monodromy(v)
-    tu, tv = mu.scaled, mv.scaled
-    t_ij_u, t_kl_v = tu[i, j], tv[k, l]
-    t_il_u, t_il_v = tu[i, l], tv[i, l]
-    t_kj_u, t_kj_v = tu[k, j], tv[k, j]
-    lhs = t_ij_u.compose(t_kl_v)
-    swapped = t_kl_v.compose(t_ij_u)
-    if (p(i) ^ p(j)) and (p(k) ^ p(l)):
-        lhs = lhs.add(swapped)
-    else:
-        lhs = lhs.sub(swapped)
-    lhs = lhs.scale(gd)
+    t = model.pair_products(u, v)
+    ij, kl, il, kj = (i, j), (k, l), (i, l), (k, j)
+    lhs = [(gd, t[True, ij, kl]), (gd if (p(i) ^ p(j)) and (p(k) ^ p(l)) else -gd, t[False, kl, ij])]
     s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
-    rhs1 = t_il_u.compose(t_kj_v).sub(t_il_v.compose(t_kj_u)).scale(-gn if s1 else gn)
+    c1 = -gn if s1 else gn
+    r1 = linear_combination(lhs + [(-c1, t[True, il, kj]), (c1, t[False, il, kj])])
     s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
-    rhs2 = t_kj_u.compose(t_il_v).sub(t_kj_v.compose(t_il_u)).scale(gn if s2 else -gn)
-    back = rat(1, gd * mu.scale * mv.scale)
-    return lhs.sub(rhs1).scale(back), lhs.sub(rhs2).scale(back)
+    c2 = gn if s2 else -gn
+    r2 = linear_combination(lhs + [(-c2, t[True, kj, il]), (c2, t[False, kj, il])])
+    back = rat(1, gd * t.scale)
+    return r1.scale(back), r2.scale(back)
 
 
 def vacuum_residuals(model, u):

@@ -19,7 +19,7 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import SchemaError
 from .rational import ONE
@@ -283,38 +283,30 @@ def _size_vectors(parts, total):
         return []  # summation over an empty family of partitions
     if not free_ix:
         return [tuple(p.size for p in parts)]
+    remaining = total - fixed
     out = []
-
-    def fill(ix, remaining, acc):
-        if ix == len(free_ix):
-            if remaining == 0:
-                sizes = [p.size for p in parts]
-                for j, k in zip(free_ix, acc):
-                    sizes[j] = k
-                out.append(tuple(sizes))
-            return
-        if ix == len(free_ix) - 1:
-            fill(ix + 1, 0, acc + [remaining])
-            return
-        for k in range(remaining + 1):
-            fill(ix + 1, remaining - k, acc + [k])
-
-    fill(0, total - fixed, [])
+    # every free part but the last takes 0..remaining, the last the rest
+    for head in product(range(remaining + 1), repeat=len(free_ix) - 1):
+        last = remaining - sum(head)
+        if last < 0:
+            continue
+        sizes = [p.size for p in parts]
+        for j, k in zip(free_ix, head + (last,)):
+            sizes[j] = k
+        out.append(tuple(sizes))
     return out
 
 
 def _assignments(universe, sizes):
-    # lexicographic by element index, part by part
-    def go(indices, k):
-        if k == len(sizes):
-            yield []
-            return
-        for chosen in combinations(indices, sizes[k]):
-            rest = [i for i in indices if i not in chosen]
-            for tail in go(rest, k + 1):
-                yield [tuple(universe[i] for i in chosen)] + tail
-
-    yield from go(list(range(len(universe))), 0)
+    """Every split of universe into parts of the given sizes, lexicographic
+    by element position, part by part."""
+    if not sizes:
+        yield []
+        return
+    for chosen in combinations(range(len(universe)), sizes[0]):
+        rest = [x for i, x in enumerate(universe) if i not in chosen]
+        for tail in _assignments(rest, sizes[1:]):
+            yield [tuple(universe[i] for i in chosen)] + tail
 
 
 def enumerate_partitions(spec: PartitionSpec, universe, base: Binding = None):

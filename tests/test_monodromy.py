@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from superbethe import monodromy
+from superbethe import graded, monodromy
 from superbethe.actions import action_check
 from superbethe.bethe import build_dual_vector, build_vector
 from superbethe.composite import (
@@ -425,10 +426,13 @@ def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
 
 
 def test_operator_identities_multiply_only_ints(monkeypatch):
-    """Every compose of the operator identities multiplies plain ints, and
-    T(u) itself is built on ints: a Fraction anywhere fails this test."""
+    """Every compose, column product and linear combination of the operator
+    identities multiplies plain ints, and T(u) itself is built on ints: a
+    Fraction anywhere fails this test."""
     seen = Counter()
     honest_compose = GradedOperator.compose
+    honest_kernel = graded.column_product
+    honest_combination = graded.linear_combination
     honest_build = monodromy.build_cleared_product
 
     def entry_types(op):
@@ -437,6 +441,17 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     def compose(self, other):
         seen.update(t for op in (self, other) for t in entry_types(op))
         return honest_compose(self, other)
+
+    def kernel(cols, column):
+        seen["kernel calls"] += 1
+        seen.update(type(x).__name__ for x in column.values())
+        seen.update(type(a).__name__ for k in column for a in (cols.get(k) or {}).values())
+        return honest_kernel(cols, column)
+
+    def combination(terms):
+        seen.update(type(coef).__name__ for coef, _ in terms)
+        seen.update(t for _, op in terms for t in entry_types(op))
+        return honest_combination(terms)
 
     def build(*args):
         n, op = honest_build(*args)
@@ -447,12 +462,17 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
         raise AssertionError("rational T(u) built")
 
     monkeypatch.setattr(GradedOperator, "compose", compose)
+    monkeypatch.setattr(graded, "column_product", kernel)
+    monkeypatch.setattr(monodromy, "column_product", kernel)
+    monkeypatch.setattr(monodromy, "linear_combination", combination)
     monkeypatch.setattr(monodromy, "build_cleared_product", build)
     monkeypatch.setattr(monodromy, "build_factor_product", refuse)
     smp = ParameterSampler("int-gate", 1)
     xi = smp.generic(3)
     u, v, w = smp.generic(3, avoid=xi)
     assert check_rtt(chain(3, xi, twist=smp.twist()), u, v).is_zero()
+    # the streamed RTT multiplies through the kernel alone
+    assert seen.pop("kernel calls") > 0
     model = chain(2, xi[:2], twist=smp.twist(), sig=GL12)
     for t in product(range(1, 4), repeat=4):
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v))
@@ -460,7 +480,56 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     assert check_unitarity(u, v, GL12, 1).is_zero()
     split, x = _split_2_2(GL21, 4)
     assert all(r.is_zero() for r in compose_monodromy(split, x)[1].values())
+    seen.pop("kernel calls", None)
     assert seen["int"] > 0 and set(seen) == {"int"}, seen
+
+
+def test_rtt_streams_its_residual():
+    """One L=4 RTT check holds no product of its arity-6 factors: its
+    tracemalloc peak stays under 3 MB, where the four materialized products
+    peak above 6 MB."""
+    model = chain(4, (rat(0), rat(1, 3), rat(-2, 5), rat(7, 4)), twist=(rat(2), rat(1, 3), rat(-3)))
+    u, v = rat(5, 2), rat(-3, 7)
+    check_rtt(model, u, v)  # fills the parity tables and the cached P first
+    tracemalloc.start()
+    try:
+        assert check_rtt(model, u, v).is_zero()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 10**6, peak
+
+
+def test_exchange_products_are_composed_once_per_pair(monkeypatch):
+    calls = Counter()
+    honest = GradedOperator.compose
+
+    def compose(self, other):
+        calls["compose"] += 1
+        return honest(self, other)
+
+    smp = ParameterSampler("pair-products", 1)
+    xi = smp.generic(2)
+    twist = smp.twist()
+    u, v, w = smp.generic(3, avoid=xi)
+    monkeypatch.setattr(GradedOperator, "compose", compose)
+    model = chain(2, xi, twist=twist, sig=GL12)
+    tuples = list(product(range(1, 4), repeat=4))
+    for t in tuples:
+        assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v)), t
+    assert calls["compose"] <= 162
+    # with T(u) perturbed the residuals at (u, v), (v, u) and (u, w) are
+    # nonzero and differ, so a product kept from another pair would show
+    _perturb_at(monkeypatch, u)
+    model = chain(2, xi, twist=twist, sig=GL12)
+    nonzero = 0
+    for t in tuples:
+        for x, y in ((u, v), (v, u), (u, w)):
+            got = check_supercommutator(model, *t, x, y)
+            assert got == check_supercommutator(chain(2, xi, twist=twist, sig=GL12), *t, x, y), (t, x, y)
+            nonzero += any(not r.is_zero() for r in got)
+    assert nonzero > 0
+    assert model._pair == (u, w) and len(model._products) <= 162
 
 
 # ---------------------------------------------------------------------------
