@@ -15,16 +15,22 @@ T32(vII) T31(vI), with annihilation-type normalizers prod_{j<k} h(x_j, x_k)
 and m the number of odd factors per term (b on gl(2|1), a on gl(1|2)).
 build_family derives all four from the signature and the entry indices.
 
-Each block is walked by Model.apply_T_scaled, on integer multiples of the
-factors at rational points, so a term's walk leaves d times its normalized
-block product: the per-term divisor d is the product of the walk
-multipliers and of the odd blocks' h-normalizers. The coefficient is
-divided by d once (not at all when d = 1), and at rational points the
-entries are ints until that coefficient scales them.
+The coefficients are computed on ints. Each parameter family us + vs gets
+one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints,
+and the weights (_bethe_weight here, gl12._tilde_weight) are products over
+index subsets of those tables, returning (num, den); K(vI|uI) is the
+tabulated g for #vI = 1 and Bareiss elimination over tabulated entries
+above. lam2 is evaluated once per parameter, and each term's coefficient
+is one quotient, n/d in lowest terms. The coefficient lists depend only on
+the weight and the ordered parameter tuples, so each model keeps them per
+(weight, us, vs): a ket and its bra built at the same point share one list.
 
-The partition coefficients depend only on the weight and the ordered
-parameter tuples, so each model keeps their list per (weight, us, vs): a ket
-and its bra built at the same point share one list.
+Each block is walked by Model.apply_T_scaled on integer multiples of the
+factors, and an odd block's h-normalizer is read from the same table, so a
+term is n/d times an int vector. build_family sums the terms over one int
+denominator, taking an lcm only when a term's d does not divide the current
+one, folds the bra's sign into that denominator and builds each output
+entry as one rational.
 
 Coincident parameters across the two families (forced by the action
 formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
@@ -32,10 +38,13 @@ v-side entry is shifted by the formal infinitesimal, and only scalars are
 taken to the limit. A term is coef(eps) * W(eps), and W is regular at
 eps = 0 because the walk at the unshifted point exists (a point on an
 inhomogeneity raises DivisionByZero), so the term's limit is
-lim coef * W(0): the coefficient, divided by d, is computed over truncated
-Laurent series (EpsScalar) and its eps-limit taken, and every block is
-walked at the eps-limit of its parameters, on ints. A coefficient with no
-limit raises PoleAtZero or PrecisionExhausted; no term is dropped silently.
+lim coef * W(0). The same code serves: the shifted parameter clears to an
+EpsScalar numerator, so its pairs in the table are EpsScalars (truncated
+Laurent series), the coefficient's one quotient is an EpsScalar and n/d is
+its eps-limit, and every block is walked at the eps-limit of its
+parameters, on ints, with its h-normalizer taken there too. A coefficient
+with no limit raises PoleAtZero or PrecisionExhausted, a normalizer that
+vanishes there DivisionByZero; no term is dropped silently.
 Only a single collision is supported; larger overlaps are refused, and with
 one the coefficients stay regular at eps = 0 (see scalars.py).
 """
@@ -44,12 +53,12 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from math import prod
+from math import gcd, lcm
 
 from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedOperator, GradedVector
-from .rational import ONE
-from .scalars import EPS, EpsScalar, eps_limit, f, g, h, is_zero, izergin, prod_pairs
+from .rational import ONE, rat
+from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, h, is_zero, ratio
 
 # element -> (i, j) for the symmetrized odd products; tilde names belong to
 # the gl(1|2) instance
@@ -93,30 +102,33 @@ def sym_odd_product(model, which, params) -> GradedOperator:
     return acc.scale(1 / _h_normalizer(params, model.c, i < j))
 
 
-def _apply_entries(model, i, j, params, vec, dual):
-    """(d, d * T_ij(x1)...T_ij(xn) . vec), or with dual the bra
-    vec . T_ij(x1)...T_ij(xn) times d. d is the product of the walks'
-    multipliers, times the normalizer of an odd T_ij (creation-type on kets,
-    annihilation-type on bras) by which the block is divided."""
-    d = 1
-    for x in params if dual else reversed(params):
-        m, vec = model.apply_T_scaled(i, j, _at_zero(x), vec, dual)
-        d *= m
+def _apply_entries(model, h_table, i, j, params, points, vec, dual):
+    """(p, q, w) with (p/q) w = T_ij(x1)...T_ij(xn) . vec, or with dual the
+    bra vec . T_ij(x1)...T_ij(xn), an odd T_ij divided by its normalizer
+    (creation-type on kets, annihilation-type on bras). params are indices
+    into points, the parameters at eps = 0, where the entries are walked; w
+    is walked on ints, q is the product of the walks' multipliers times the
+    normalizer's numerator and p its denominator, read from the h table of
+    the family's PairTable (at eps = 0)."""
+    p, q = 1, 1
+    for k in params if dual else reversed(params):
+        m, vec = model.apply_T_scaled(i, j, points[k], vec, dual)
+        q *= m
     if len(params) > 1 and _is_odd(model.sig, i, j):
-        d = _h_normalizer(params, model.c, not dual, d)
-    return d, vec
+        pairs = combinations(params, 2)
+        hn, hd = ratio(*PairTable.product(h_table[b][a] if not dual else h_table[a][b] for a, b in pairs))
+        if not hn:
+            raise DivisionByZero("h-pole in symmetrized product (u_k - u_j = -c)")
+        p, q = hd, q * hn
+    return p, q, vec
 
 
 def _require_distinct(name, xs):
-    for i, j in combinations(range(len(xs)), 2):
-        if is_zero(xs[i] - xs[j]):
-            raise ValueError(f"coincident parameters within {name}: {xs[i]!r}")
-
-
-def _split(xs, picked):
-    chosen = tuple(xs[i] for i in picked)
-    rest = tuple(xs[i] for i in range(len(xs)) if i not in picked)
-    return chosen, rest
+    seen = set()
+    for x in xs:
+        if x in seen:
+            raise ValueError(f"coincident parameters within {name}: {x!r}")
+        seen.add(x)
 
 
 def _guard(model, sig):
@@ -125,61 +137,94 @@ def _guard(model, sig):
 
 
 def _partition_terms(model, us, vs, weight):
-    """Every split us = u1+u2, vs = v1+v2 with #u1 = #v1, and its coefficient
-    weight(u1, u2, v1, v2, c) / (lam2(u2) lam2(vs) f(vs,us)), with f(us,vs)
-    in place of f(vs,us) on gl(1|2)."""
+    """The h table of the PairTable of us + vs (us first), which the odd
+    blocks' normalizers read, and every split us = u1+u2, vs = v1+v2 with
+    #u1 = #v1, as (n, d, (u2, v2, v1)): index tuples into us + vs, and n/d
+    in lowest terms the coefficient
+    weight(table, u1, u2, v1, v2) / (lam2(u2) lam2(vs) f(vs,us)), with
+    f(us,vs) in place of f(vs,us) on gl(1|2). weight returns (num, den);
+    the quotient is taken once per term, and at an eps-shifted point n/d is
+    its eps-limit."""
     us, vs = tuple(us), tuple(vs)
     _require_distinct("us", us)
     _require_distinct("vs", vs)
-    c = model.c
-    lam2 = lambda xs: prod((model.lam(2, x) for x in xs), start=ONE)
-    names, left, right = ("vs,us", vs, us) if model.sig == GL21 else ("us,vs", us, vs)
-    base = lam2(vs) * prod_pairs(f, left, right, c)
-    if is_zero(base):
+    table = PairTable(us + vs, model.c)
+    iu, iv = tuple(range(len(us))), tuple(range(len(us), len(us) + len(vs)))
+    lam2 = [as_pair(model.lam(2, x)) for x in us + vs]
+    names, left, right = ("vs,us", iv, iu) if model.sig == GL21 else ("us,vs", iu, iv)
+    base_n, base_d = table.product([table.cross(table.f, left, right), *(lam2[k] for k in iv)])
+    if is_zero(base_n):
         raise DivisionByZero(f"f({names}) vanishes (a pair at difference -c); parameters not generic")
+    terms = []
     for n in range(min(len(us), len(vs)) + 1):
-        for iu in combinations(range(len(us)), n):
-            u1, u2 = _split(us, iu)
-            for iv in combinations(range(len(vs)), n):
-                v1, v2 = _split(vs, iv)
-                yield weight(u1, u2, v1, v2, c) / (lam2(u2) * base), u1, u2, v1, v2
+        for u1 in combinations(iu, n):
+            u2 = tuple(k for k in iu if k not in u1)
+            # 1 / (lam2(u2) lam2(vs) f) as num/den
+            num, den = table.product([(base_d, base_n), *(lam2[k][::-1] for k in u2)])
+            for v1 in combinations(iv, n):
+                v2 = tuple(k for k in iv if k not in v1)
+                wn, wd = weight(table, u1, u2, v1, v2)
+                terms.append((*ratio(wn * num, wd * den), (u2, v2, v1)))
+    return table.h, terms
 
 
 def _coefficients(model, us, vs, weight):
-    """The list of _partition_terms, computed once per model, weight and
-    ordered parameter tuples, so that a ket and its bra share it."""
+    """_partition_terms, computed once per model, weight and ordered
+    parameter tuples, so that a ket and its bra share it."""
     key = weight, tuple(us), tuple(vs)
-    terms = model.coefficients.get(key)
-    if terms is None:
-        terms = model.coefficients[key] = list(_partition_terms(model, us, vs, weight))
-    return terms
+    hit = model.coefficients.get(key)
+    if hit is None:
+        hit = model.coefficients[key] = _partition_terms(model, us, vs, weight)
+    return hit
+
+
+def _accumulate(acc, den, n, d, entries):
+    """Add (n/d) * entries to acc, which holds den times a sum of ints;
+    returns the new den, the lcm of den and d in lowest terms."""
+    if not n:
+        return den
+    k = gcd(n, d) if d > 0 else -gcd(n, d)
+    n, d = n // k, d // k
+    if den % d:
+        grown = lcm(den, d)
+        up = grown // den
+        for key in acc:
+            acc[key] *= up
+        den = grown
+    n *= den // d
+    for key, x in entries.items():
+        acc[key] = acc.get(key, 0) + n * x
+    return den
 
 
 def build_family(model, us, vs, weight, dual):
     """The partition sum of _PLAN under the given weight: the ket, or with
     dual its mirror bra (transposed entries, annihilation-type normalizers
     and the sign (-1)^{m(m-1)/2} for m odd factors per term). At eps-shifted
-    parameters every term is its eps -> 0 limit."""
-    acc = (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
+    parameters every term is its eps -> 0 limit. The terms, n/d times int
+    vectors, are summed over one int denominator (see _accumulate), which
+    also takes the bra's sign."""
+    h_table, terms = _coefficients(model, us, vs, weight)
+    points = [_at_zero(x) for x in (*us, *vs)]
     start = model.omega_dual() if dual else model.omega()
-    for coef, _u1, u2, v1, v2 in _coefficients(model, us, vs, weight):
-        vec, odd, div = start, 0, 1
-        for (i, j), params in zip(_PLAN, (u2, v2, v1)):
+    acc, den = {}, 1
+    for n, d, blocks in terms:
+        vec, odd = start, 0
+        for (i, j), params in zip(_PLAN, blocks):
             if dual:
                 i, j = j, i
-            d, vec = _apply_entries(model, i, j, params, vec, dual)
-            # a product with 1 still costs an EpsScalar operation
-            if d != 1:
-                div = d if div == 1 else div * d
+            p, q, vec = _apply_entries(model, h_table, i, j, params, points, vec, dual)
+            n, d = n * p, d * q
             odd += len(params) * _is_odd(model.sig, i, j)
-        acc = acc.add(vec.scale(_at_zero(coef if div == 1 else coef / div)))
+        den = _accumulate(acc, den, n, d, vec.entries)
     if dual and odd * (odd - 1) // 2 % 2:
-        acc = acc.scale(-1)
-    return acc
+        den = -den
+    return type(start)(model.sig, model.arity, {key: rat(x, den) for key, x in acc.items() if x})
 
 
-def _bethe_weight(u1, u2, v1, v2, c):
-    return izergin(v1, u1, c) * prod_pairs(f, u1, u2, c) * prod_pairs(g, v2, v1, c)
+def _bethe_weight(t, u1, u2, v1, v2):
+    """K(vI|uI) f(uI,uII) g(vII,vI) over the pair table t, as (num, den)."""
+    return t.product([t.izergin(v1, u1), t.cross(t.f, u1, u2), t.cross(t.g, v2, v1)])
 
 
 def build_vector(model, us, vs) -> GradedVector:

@@ -12,7 +12,9 @@ within-set product h(vI,vI) over ordered pairs j != k). This is the plan of
 the gl(2|1) vectors evaluated by bethe.build_family: on gl(1|2) T12 and T13
 are the odd entries and get the symmetrization, T23 is even. The dual is the
 same mirror as on gl(2|1), whose sign (-1)^{m(m-1)/2} counts m = a odd
-factors here.
+factors here. _tilde_weight, like the gl(2|1) weight, is a product over the
+(num, den) int pairs of the family's scalars.PairTable, and build_family
+divides it by the tabulated f(us,vs) once per term.
 
 The composite normalization sign for the total vacuum eigenvalues is not
 assumed: resolve_sign probes the primal factorization under both choices and
@@ -24,7 +26,6 @@ from __future__ import annotations
 from .bethe import _guard, build_family
 from .composite import CompositeModel, SplitChain, factorization_residual
 from .graded import GL12, GL21, DualGradedVector, GradedVector
-from .scalars import f, g, h, prod_pairs
 
 
 class AmbiguousConvention(RuntimeError):
@@ -36,8 +37,10 @@ def gradation_relation_holds() -> bool:
     return all(GL21.par(i) == (GL12.par(4 - i) + 1) % 2 for i in (1, 2, 3))
 
 
-def _tilde_weight(u1, u2, v1, v2, c):
-    return prod_pairs(g, u1, v1, c) * prod_pairs(f, v1, v2, c) * prod_pairs(g, u2, u1, c) * prod_pairs(h, v1, v1, c)
+def _tilde_weight(t, u1, u2, v1, v2):
+    """g(uI,vI) f(vI,vII) g(uII,uI) h(vI,vI) over the pair table t, as
+    (num, den)."""
+    return t.product([t.cross(t.g, u1, v1), t.cross(t.f, v1, v2), t.cross(t.g, u2, u1), t.within(t.h, v1)])
 
 
 def build_tilde_vector(model, us, vs) -> GradedVector:

@@ -28,8 +28,9 @@ symmetric, so the same factors serve kets (walked rightmost first) and bras
   of its denominators, and gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd) and
   divides out the common factor, which gives exactly the (N_u, N_u*T(u)) of
   graded.clear_denominators with no Fraction arithmetic. Model.monodromy
-  caches, per spectral point, the nine entry operators of N_u*T(u) (at an
-  eps-shifted point: of T(u) itself, N_u = 1). The operator identities run
+  returns the nine entry operators of N_u*T(u) (at an eps-shifted point: of
+  T(u) itself, N_u = 1) and keeps those of the latest point only, since
+  every caller asks for a point once in a row. The operator identities run
   on these integer operators and scale their residuals back. check_rtt
   clears T(u), T(v) and R(u,v) once each, lifts T into the two-auxiliary
   space by graded.insert_identity, and streams the residual one column at
@@ -320,7 +321,8 @@ class Model:
     """
 
     def __init__(self):
-        self._entries = {}
+        # the Monodromy of the latest spectral point only, as (u, Monodromy)
+        self._entries = None
         self._weights = {}
         # the PairProducts of the latest spectral pair only
         self._pair = None
@@ -339,15 +341,16 @@ class Model:
         return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
 
     def monodromy(self, u) -> Monodromy:
-        """T(u) split into its entries, cached per spectral point."""
-        mono = self._entries.get(u)
-        if mono is None:
-            if is_rational(u):
-                scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
-            else:
-                scale, op = 1, self.monodromy_op(u)
-            mono = Monodromy(scale, extract_entries(op, self.sig, self.arity))
-            self._entries[u] = mono
+        """T(u) split into its entries. Only the latest spectral point is
+        kept: a call at another point replaces it."""
+        if self._entries is not None and self._entries[0] == u:
+            return self._entries[1]
+        if is_rational(u):
+            scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
+        else:
+            scale, op = 1, self.monodromy_op(u)
+        mono = Monodromy(scale, extract_entries(op, self.sig, self.arity))
+        self._entries = u, mono
         return mono
 
     def T(self, i, j, u) -> GradedOperator:
@@ -471,7 +474,7 @@ class ChainModel(Model):
         return fs
 
     def lam(self, i, u):
-        d = rat(1) * self.spec.twist[i - 1]
+        d = rat(self.spec.twist[i - 1])
         if i == 1:
             for xi in self.spec.xi:
                 d = d * f_fn(u, xi, self.c)

@@ -32,12 +32,18 @@ singular products resolved are 0 * inf.
 
 Also hosts the pairwise set-products of g/f/h and the domain-wall partition
 function (Izergin determinant), evaluated by fraction-free Bareiss
-elimination.
+elimination, whose divisions are exact, so an int matrix stays on ints.
+
+PairTable tabulates g, f and h of a parameter family as (num, den) ints for
+the Bethe-vector coefficients (EpsScalars in the pairs of an eps-shifted
+parameter), and ratio takes each coefficient's one quotient, or its
+eps-limit.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .errors import CardinalityMismatch, DivisionByZero, PoleAtZero, PrecisionExhausted
 from .rational import ONE, ZERO, is_rational, rat
@@ -249,27 +255,34 @@ def prod_unary(fn, xs):
     return acc
 
 
+def _exact_quotient(x, y):
+    """x / y for a y known to divide x; ints stay ints."""
+    return x // y if type(x) is int and type(y) is int else x / y
+
+
 def bareiss_det(rows):
-    """Fraction-free determinant over the exact field; rows is consumed."""
+    """Fraction-free determinant of a matrix of ints, rationals or
+    EpsScalars; rows is consumed. Every division is exact, so an int matrix
+    is eliminated on ints."""
     n = len(rows)
     if n == 0:
         return ONE
-    sign = ONE
-    prev = ONE
+    negate = False
     for k in range(n - 1):
         if not rows[k][k]:
             for i in range(k + 1, n):
                 if rows[i][k]:
                     rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
+                    negate = not negate
                     break
             else:
                 return ZERO
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) / prev
+                x = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                rows[i][j] = _exact_quotient(x, prev) if k else x
         prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+    return -rows[n - 1][n - 1] if negate else rows[n - 1][n - 1]
 
 
 def izergin(vs, us, c):
@@ -297,6 +310,143 @@ def izergin(vs, us, c):
             row.append(gv * gv / f(v, u, c))
         rows.append(row)
     return pref * bareiss_det(rows)
+
+
+# ---------------------------------------------------------------------------
+# pair tables: g, f and h of one parameter family as integer pairs
+# ---------------------------------------------------------------------------
+
+
+def as_pair(x):
+    """(num, den) of x: ints, den > 0, for a rational; (x, 1) for an
+    EpsScalar."""
+    if isinstance(x, EpsScalar):
+        return x, 1
+    return int(x.numerator), int(x.denominator)
+
+
+def ratio(num, den):
+    """num/den as (p, q) ints in lowest terms with q > 0. Either operand may
+    be an EpsScalar; then the quotient is taken once and p/q is its
+    eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
+    if type(num) is not int or type(den) is not int:
+        return as_pair(eps_limit(num / den))
+    if not den:
+        raise DivisionByZero("division by identically zero scalar")
+    k = gcd(num, den)
+    if den < 0:
+        k = -k
+    return num // k, den // k
+
+
+def _cleared(x):
+    """(p, q) with x = p/q and q a positive int: p is an int at a rational
+    x and an EpsScalar at an eps-shifted one, q the denominator of x at
+    eps = 0."""
+    if isinstance(x, EpsScalar):
+        q = int(eps_limit(x).denominator)
+        return x * q, q
+    return as_pair(x)
+
+
+class PairTable:
+    """g, f and h of every ordered pair of a parameter family xs, tabulated
+    once as (num, den) pairs.
+
+    Each parameter is cleared once as x = p/q (p an EpsScalar at an
+    eps-shifted x, q always an int), and with c = cn/cd the pair (i, j),
+    i != j, has g(x_i, x_j) = gn/gd with gn = cn q_i q_j and
+    gd = cd (p_i q_j - p_j q_i), f = (gd + gn)/gd and h = (gd + gn)/gn.
+    The tables are indexed [i][j]; the diagonal of g and f is undefined,
+    h(x, x) = 1. At a rational point every entry is an int, so the set
+    products below multiply only ints; at an eps-shifted point the pairs of
+    the shifted parameter are EpsScalars and the same products carry them.
+    """
+
+    __slots__ = ("g", "f", "h")
+
+    def __init__(self, xs, c):
+        cn, cd = as_pair(c)
+        cleared = [_cleared(x) for x in xs]
+        size = len(xs)
+        self.g = [[None] * size for _ in range(size)]
+        self.f = [[None] * size for _ in range(size)]
+        self.h = [[(1, 1)] * size for _ in range(size)]
+        for i, j in combinations(range(size), 2):
+            (pi, qi), (pj, qj) = cleared[i], cleared[j]
+            gn = cn * qi * qj
+            gd = pi * (cd * qj) - pj * (cd * qi)
+            if is_zero(gd):
+                raise DivisionByZero("g(u,v) at coincident arguments")
+            up, down = gd + gn, gn - gd
+            self.g[i][j], self.g[j][i] = (gn, gd), (gn, -gd)
+            self.f[i][j], self.f[j][i] = (up, gd), (down, -gd)
+            self.h[i][j], self.h[j][i] = (up, gn), (down, gn)
+
+    @staticmethod
+    def product(pairs):
+        """prod of (num, den) pairs, as (num, den); the empty one is (1, 1).
+        Pairs with an EpsScalar are multiplied apart from the int ones and
+        joined once, so an int factor costs no series operation."""
+        num = den = 1
+        series = None
+        for n, d in pairs:
+            if type(n) is int and type(d) is int:
+                num *= n
+                den *= d
+            elif series is None:
+                series = n, d
+            else:
+                series = series[0] * n, series[1] * d
+        if series is None:
+            return num, den
+        return series[0] * num, series[1] * den
+
+    def cross(self, table, left, right):
+        """prod over i in left, j in right of table[i][j], as (num, den)."""
+        return self.product(table[i][j] for i in left for j in right)
+
+    def within(self, table, idx):
+        """prod over the ordered pairs i != j of idx of table[i][j]."""
+        return self.product(table[i][j] for i in idx for j in idx if i != j)
+
+    def izergin(self, vs, us):
+        """K_n(x_vs | x_us) as (num, den), vs and us index tuples.
+
+        K_1 is the tabulated g. For n >= 2 it is the determinant form of
+        izergin: the row of v in det[g^2/f], g^2/f = gn^2 / (gd (gd + gn)),
+        is multiplied by the product of its entries' denominators, which
+        leaves ints (EpsScalars in the shifted parameter's row or column) for
+        bareiss_det, and the f-parts of those multipliers cancel the
+        prefactor prod h(vs, us), so
+        K = prod_{i<j} g(v_i,v_j) g(u_j,u_i) det M / prod (gn gd)(vs, us).
+        """
+        n = len(vs)
+        if n != len(us):
+            raise CardinalityMismatch(f"|vs|={n} vs |us|={len(us)}")
+        if n == 0:
+            return 1, 1
+        if n == 1:
+            return self.g[vs[0]][us[0]]
+        g, f = self.g, self.f
+        num, den = self.product(
+            pair for i, j in combinations(range(n), 2) for pair in (g[vs[i]][vs[j]], g[us[j]][us[i]])
+        )
+        rows = []
+        for v in vs:
+            gs = [g[v][u] for u in us]
+            dens = [gd * f[v][u][0] for u, (_, gd) in zip(us, gs)]
+            row = []
+            for l, (gn, _) in enumerate(gs):
+                x = gn * gn
+                for k, d in enumerate(dens):
+                    if k != l:
+                        x = x * d
+                row.append(x)
+            rows.append(row)
+            for gn, gd in gs:
+                den = den * gn * gd
+        return num * bareiss_det(rows), den
 
 
 def three_term_witness(u, v, z, c):

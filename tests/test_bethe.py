@@ -1,4 +1,6 @@
+import sys
 from collections import Counter
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, permutations
 from math import prod
@@ -8,7 +10,7 @@ import pytest
 from superbethe import bethe
 from superbethe.actions import action_check
 from superbethe.errors import DivisionByZero, PoleAtZero
-from superbethe.gl12 import build_tilde_dual_vector, build_tilde_vector
+from superbethe.gl12 import _tilde_weight, build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe import monodromy
 from superbethe.monodromy import ChainModel, ChainSpec
@@ -26,9 +28,11 @@ from superbethe.bethe import (
     vector_from_json,
     vector_to_json,
 )
-from superbethe.rational import rat
+from superbethe.rational import BACKEND, rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, f, g, h, izergin, prod_pairs
+from superbethe.scalars import EPS, PairTable, f, g, h, izergin, prod_pairs
+
+from oracles import assert_coefficients_match, assert_izergin_matches
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -171,12 +175,25 @@ def _splits(xs, n):
         yield tuple(xs[k] for k in picked), tuple(xs[k] for k in range(len(xs)) if k not in picked)
 
 
+class _HeldEntries:
+    """The model's T(i, j, x) read from entries built once per point: a model
+    keeps its latest point only, and _materialized revisits every point."""
+
+    def __init__(self, model, points):
+        self.sig, self.arity, self.c = model.sig, model.arity, model.c
+        self._monos = {x: model.monodromy(x) for x in points}
+
+    def T(self, i, j, x):
+        return self._monos[x].entry(i, j)
+
+
 def _materialized(model, us, vs, dual):
     """B, C (gl(2|1)) or B~, C~ (gl(1|2)) as written in the docstrings of
     bethe.py and gl12.py, every block a materialized operator: the bra is
     Omega^+ times the transposed blocks in reverse order, with its own sign."""
     c, gl21, a, b = model.c, model.sig == GL21, len(us), len(vs)
-    sym = lambda which, xs: sym_odd_product(model, which, xs)
+    held = _HeldEntries(model, us + vs)
+    sym = lambda which, xs: sym_odd_product(held, which, xs)
     lam2 = lambda xs: prod((model.lam(2, x) for x in xs), start=rat(1))
     base = lam2(vs) * (prod_pairs(f, vs, us, c) if gl21 else prod_pairs(f, us, vs, c))
     acc = (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
@@ -185,13 +202,13 @@ def _materialized(model, us, vs, dual):
             for v1, v2 in _splits(vs, n):
                 if gl21:
                     w = izergin(v1, u1, c) * prod_pairs(f, u1, u2, c) * prod_pairs(g, v2, v1, c)
-                    ket = (sym("T13", v1), sym("T23", v2), _ordered(model, 1, 2, u2))
-                    bra = (_ordered(model, 2, 1, u2), sym("T32", v2), sym("T31", v1))
+                    ket = (sym("T13", v1), sym("T23", v2), _ordered(held, 1, 2, u2))
+                    bra = (_ordered(held, 2, 1, u2), sym("T32", v2), sym("T31", v1))
                 else:
                     w = prod_pairs(g, u1, v1, c) * prod_pairs(f, v1, v2, c) * prod_pairs(g, u2, u1, c)
                     w = w * prod((h(x, y, c) for x, y in permutations(v1, 2)), start=rat(1))
-                    ket = (sym("T~13", v1), _ordered(model, 2, 3, v2), sym("T~12", u2))
-                    bra = (sym("T~21", u2), _ordered(model, 3, 2, v2), sym("T~31", v1))
+                    ket = (sym("T~13", v1), _ordered(held, 2, 3, v2), sym("T~12", u2))
+                    bra = (sym("T~21", u2), _ordered(held, 3, 2, v2), sym("T~31", v1))
                 op = reduce(GradedOperator.compose, bra if dual else ket)
                 term = op.apply_dual(model.omega_dual()) if dual else op.apply(model.omega())
                 acc = acc.add(term.scale(w / (lam2(u2) * base)))
@@ -297,15 +314,103 @@ def test_singular_coefficients_are_loud(twisted2):
     dropped. Only the split with #uI = 1 is singular here, so the terms
     before it evaluate and the pole is still found."""
 
-    def singular(u1, u2, v1, v2, c):
-        w = _bethe_weight(u1, u2, v1, v2, c)
-        return w / EPS if u1 else w
+    def singular(t, u1, u2, v1, v2):
+        wn, wd = _bethe_weight(t, u1, u2, v1, v2)
+        return (wn, wd * EPS) if u1 else (wn, wd)
 
     us, vs = (rat(3), rat(7, 2)), (rat(17, 4),)
     assert not build_family(twisted2, us, vs, _bethe_weight, dual=False).is_zero()
     for dual in (False, True):
         with pytest.raises(PoleAtZero):
             build_family(twisted2, us, vs, singular, dual=dual)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_partition_coefficients_match_the_formula(sig):
+    """Every tabulated coefficient, under both weights, at every split up to
+    (a,b) = (3,3), equals the closed formula evaluated pair by pair, at a
+    rational point and at a coincident point shifted by eps."""
+    # c and lam2 both non-integral, so every clearing step is exercised
+    m = chain(1, (0,), twist=(2, rat(2, 3), -3), sig=sig, c=rat(3, 2))
+    ps = ParameterSampler(f"coefficients:{sig.name}", 1).generic(6, avoid=m.spec.xi)
+    for a in range(4):
+        for b in range(4):
+            us, vs = ps[:a], ps[3 : 3 + b]
+            assert_coefficients_match(m, us, vs)
+            if a and b:
+                us, vs, _ = separate_collision(us, (us[-1],) + vs[1:])
+                assert_coefficients_match(m, us, vs)
+
+
+def test_tabulated_izergin_matches_the_determinant():
+    ps = ParameterSampler("tabulated-izergin", 1).generic(6)
+    for c in (1, rat(3, 2), rat(-2, 5)):
+        table = PairTable(ps, c)
+        for n in (2, 3):
+            assert_izergin_matches(table, ps, c, n)
+
+
+_FRACTION_OPS = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__floordiv__",
+    "__rfloordiv__",
+    "__mod__",
+    "__neg__",
+    "__pow__",
+)
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Counts the Fraction operations of the program: every arithmetic
+    operator call, and every Fraction built outside the fractions module."""
+    count = Counter()
+    for name in _FRACTION_OPS:
+        honest = getattr(Fraction, name)
+
+        def op(*args, _name=name, _honest=honest):
+            count[_name] += 1
+            return _honest(*args)
+
+        monkeypatch.setattr(Fraction, name, op)
+    honest_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") != "fractions":
+            count["__new__"] += 1
+        return honest_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    return count
+
+
+@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
+def test_partition_coefficients_multiply_only_ints(fraction_ops):
+    """At a rational point build_family does no rational arithmetic per
+    term. With the walks' weights cached, a fresh coefficient list and the
+    sum cost one Fraction operation per lam2 evaluation (one per parameter)
+    and one per output entry, within terms + output nnz; the parent code
+    paid several per term."""
+    ps = ParameterSampler("int-coefficients", 1).generic(5, avoid=INT_WALK_XI)
+    us, vs = ps[:3], ps[3:]
+    for sig, weight in ((GL21, _bethe_weight), (GL12, _tilde_weight)):
+        m = chain(3, INT_WALK_XI, twist=INT_WALK_TWIST, sig=sig)
+        for dual in (False, True):
+            build_family(m, us, vs, weight, dual)
+            m.coefficients.clear()
+            fraction_ops.clear()
+            vec = build_family(m, us, vs, weight, dual)
+            (_, terms), = m.coefficients.values()
+            ops = sum(fraction_ops.values())
+            assert not vec.is_zero()
+            assert ops <= len(terms) + len(vec.entries), (sig.name, dual, fraction_ops, len(terms), len(vec.entries))
 
 
 @pytest.fixture

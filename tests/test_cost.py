@@ -20,10 +20,10 @@ QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 
 # suite -> (bethe._partition_terms calls, scalars._series calls)
 PINNED = {
-    "bethe": (6, 79),
-    "actions": (81, 1257),
+    "bethe": (6, 69),
+    "actions": (81, 987),
     "recursion": (12, 0),
-    "composite": (86, 763),
+    "composite": (86, 615),
 }
 
 

@@ -3,7 +3,8 @@
 The default suite caps the parameter families at a,b <= 2; partition counts
 grow fast beyond that, so the larger grids are gated here rather than run on
 every invocation. They exercise the same code paths at (3,3) and on the
-longest configured chains.
+longest configured chains, and check the partition coefficients against
+their closed formula at (4,4).
 """
 
 import os
@@ -11,7 +12,7 @@ import os
 import pytest
 
 from superbethe.actions import ELEMENTS, action_check
-from superbethe.bethe import build_vector, grading_of
+from superbethe.bethe import build_vector, grading_of, separate_collision
 from superbethe.composite import (
     SplitChain,
     check_bethe_factorization,
@@ -23,6 +24,8 @@ from superbethe.graded import GL12, GL21
 from superbethe.monodromy import ChainModel, ChainSpec, check_rtt
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
+
+from oracles import assert_coefficients_match
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SUPERBETHE_EXTENDED"),
@@ -79,3 +82,16 @@ def test_longest_chain_cap():
     ps = smp.generic(4, avoid=xi)
     vec = build_vector(model, ps[:2], ps[2:])
     assert not vec.is_zero() and grading_of(vec) == 0
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_partition_coefficients_at_4_4(sig):
+    """The tabulated coefficients of both weights against the closed formula
+    at (4,4), 70 splits each, at a rational and an eps-shifted point."""
+    model = ChainModel(ChainSpec(1, (0,), (2, rat(2, 3), -3), sig, rat(3, 2)))
+    ps = ParameterSampler(f"ext-coefficients:{sig.name}", 1).generic(8, avoid=model.spec.xi)
+    us, vs = ps[:4], ps[4:]
+    assert_coefficients_match(model, us, vs)
+    us, vs, shifted = separate_collision(us, (us[-1],) + vs[1:])
+    assert shifted
+    assert_coefficients_match(model, us, vs)

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -530,6 +532,26 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
             nonzero += any(not r.is_zero() for r in got)
     assert nonzero > 0
     assert model._pair == (u, w) and len(model._products) <= 162
+
+
+def test_model_holds_at_most_one_monodromy():
+    """Model.monodromy keeps the latest point's entries only: of the
+    Monodromy objects returned at several points, rational and eps-shifted,
+    at most one stays alive once the caller drops them, and it is returned
+    again at the same point."""
+    smp = ParameterSampler("one-monodromy", 1)
+    xi = smp.generic(2)
+    model = chain(2, xi, twist=smp.twist())
+    points = smp.generic(3, avoid=xi)
+    refs = []
+    for u in points + (points[0] + EPS, points[1]):
+        mono = model.monodromy(u)
+        refs.append(weakref.ref(mono))
+        assert model.monodromy(u) is mono
+    del mono
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= 1
+    assert model.monodromy(points[1]) is refs[-1]()
 
 
 # ---------------------------------------------------------------------------
