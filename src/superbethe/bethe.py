@@ -263,13 +263,11 @@ def separate_collision(us, vs):
 
 
 def at_limit(build, us, vs):
-    """build(us, vs) at possibly coincident us/vs via the exact eps -> 0 limit.
-    The builders of this package take it term by term (build_family,
-    partition_sum); the entrywise limit at the end takes it of the series a
-    vector-valued oracle returns."""
-    us, vs, shifted = separate_collision(us, vs)
-    vec = build(us, vs)
-    return vec.map_values(eps_limit) if shifted else vec
+    """build(us, vs) at possibly coincident us/vs via the exact eps -> 0
+    limit, which the builders of this package take term by term
+    (build_family, partition_sum) on the eps-separated parameters."""
+    us, vs, _ = separate_collision(us, vs)
+    return build(us, vs)
 
 
 def build_vector_limit(model, us, vs, builder=build_vector):

@@ -38,6 +38,7 @@ from math import lcm
 
 from .errors import ArityMismatch, SignatureMismatch
 from .rational import rat
+from .scalars import as_pair
 from .scalars import g as g_fn
 
 
@@ -141,9 +142,6 @@ class GradedVector:
             elif k in out:
                 del out[k]
         return type(self)(self.sig, self.arity, out)
-
-    def map_values(self, fn):
-        return type(self)(self.sig, self.arity, {k: fn(v) for k, v in self.entries.items()})
 
     def is_zero(self):
         return not self.entries
@@ -399,11 +397,6 @@ def clear_denominators(op: GradedOperator):
     return n, GradedOperator.from_pruned(op.sig, op.arity, cols)
 
 
-def num_den(x):
-    """Numerator and positive denominator of an exact rational, as ints."""
-    return int(x.numerator), int(x.denominator)
-
-
 def embed(a: GradedOperator, positions, arity: int) -> GradedOperator:
     """Place operator a on the given (1-based, increasing) tensor factors."""
     m = a.arity
@@ -514,6 +507,6 @@ def check_unitarity(u, v, sig: Signature, c) -> GradedOperator:
     n1, r_uv = clear_denominators(r_matrix(u, v, sig, c))
     n2, r_vu = clear_denominators(r_matrix(v, u, sig, c))
     gv = g_fn(u, v, c)
-    p, q = num_den((1 - gv * gv) * n1 * n2)
+    p, q = as_pair((1 - gv * gv) * n1 * n2)
     residual = r_uv.compose(r_vu).scale(q).sub(GradedOperator.identity(sig, 2).scale(p))
     return residual.scale(rat(1, q * n1 * n2))

@@ -19,50 +19,48 @@ other part's R factors).
 One walk engine for T(u). Each R_{0k} = I + g(u, xi_k) P_{0k} sends a basis
 state to itself plus the state with the auxiliary and site-k digits swapped,
 with the graded sign given by swap_sign, and D scales by the auxiliary digit;
-_apply_factor pushes a sparse state through one factor. Every factor is
-symmetric, so the same factors serve kets (walked rightmost first) and bras
-(leftmost first). It is used in two ways:
+_apply_factor pushes a sparse state through the integer multiple of one
+factor: the twist times the lcm of its denominators, and
+gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd. Every factor is symmetric, so
+the same factors serve kets (walked rightmost first) and bras (leftmost
+first). It is used in two ways:
 
 * Whole operators. build_cleared_product pushes each of the 3^(L+1) basis
-  columns through the factors with integer weights (the twist times the lcm
-  of its denominators, and gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd) and
-  divides out the common factor, which gives exactly the (N_u, N_u*T(u)) of
-  graded.clear_denominators with no Fraction arithmetic. Model.monodromy
-  returns the nine entry operators of N_u*T(u) (at an eps-shifted point: of
-  T(u) itself, N_u = 1) and keeps those of the latest point only, since
-  every caller asks for a point once in a row. The operator identities run
-  on these integer operators and scale their residuals back. check_rtt
-  clears T(u), T(v) and R(u,v) once each, lifts T into the two-auxiliary
-  space by graded.insert_identity, and streams the residual one column at
-  a time through graded.column_product, walking the columns in orbits of
-  the swap of the two auxiliary digits (where R(u,v) has its entries), so
-  no product of the arity-(L+2) operators is ever held.
+  columns through the factors and divides out the common factor, which
+  gives exactly the (N_u, N_u*T(u)) of graded.clear_denominators with no
+  Fraction arithmetic. Model.monodromy returns the nine entry operators of
+  N_u*T(u) and keeps those of the latest point only, since every caller
+  asks for a point once in a row. The operator identities run on these
+  integer operators and scale their residuals back. check_rtt clears T(u),
+  T(v) and R(u,v) once each, lifts T into the two-auxiliary space by
+  graded.insert_identity, and streams the residual one column at a time
+  through graded.column_product, walking the columns in orbits of the swap
+  of the two auxiliary digits (where R(u,v) has its entries), so no product
+  of the arity-(L+2) operators is ever held.
   check_supercommutator takes its six products from the PairProducts of
   (u, v): the at most 162 products T_ab(x) T_cd(y) of the cached entries,
   each composed once for all 81 tuples, kept for the latest pair only; with
   g(u,v) = gn/gd each residual is one graded.linear_combination
   gd*lhs - gn*rhs of four of them. composite.compose_monodromy and
   vacuum_residuals (eigenvalues scaled by N_u) use the cached entries too.
-  build_factor_product / Model.monodromy_op return the rational (or
-  EpsScalar) T(u) from the same walk; Model.T / Monodromy.entry scale a
-  cached entry back to T_ij(u), for the symmetrized odd products and any
-  caller that needs T_ij(u) itself.
+  build_factor_product / Model.monodromy_op return the rational T(u) from
+  the same walk; Model.T / Monodromy.entry scale a cached entry back to
+  T_ij(u), for the symmetrized odd products and any caller that needs
+  T_ij(u) itself.
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator: the vector
   is lifted to |j> x w (or <i| x w), walked through the factors and
   projected back onto the other auxiliary index, with the extraction sign
-  on both ends. At a rational u it clears the denominators of vec (every
-  Bethe-vector walk starts from the int reference state, where there are
-  none), walks the integer multiples of the factors that
-  build_cleared_product walks and returns (m, m*T_ij(u)*vec), m the
+  on both ends. It clears the denominators of vec (every Bethe-vector walk
+  starts from the int reference state, where there are none), walks the
+  integer multiples of the factors and returns (m, m*T_ij(u)*vec), m the
   product of their multipliers and of the cleared denominators, so only
-  ints are multiplied. At an eps-shifted u, or on EpsScalar entries, it
-  walks the rational or EpsScalar weights and m = 1. One cache per model
-  holds these (m, weights) pairs, the only walk state this path keeps.
-  Model.apply_T / Model.apply_T_dual scale by 1/m once at the end, and
-  apply_T folds a caller's factor into that one scaling. Every
-  Bethe-vector builder and every vector-side check (actions, recursion,
-  composite creation actions, the decomposition replay) goes this way.
+  ints are multiplied. One cache per model holds these (m, weights) pairs
+  per point, the only walk state this path keeps. Model.apply_T /
+  Model.apply_T_dual scale by 1/m once at the end, and apply_T folds a
+  caller's factor into that one scaling. Every Bethe-vector builder and
+  every vector-side check (actions, recursion, composite creation actions,
+  the decomposition replay) goes this way.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -85,14 +83,13 @@ from .graded import (
     embed,
     insert_identity,
     linear_combination,
-    num_den,
     parity_table,
     r_matrix,
 )
-from .rational import ONE, is_rational, rat
+from .rational import is_rational, rat
+from .scalars import as_pair, is_zero
 from .scalars import f as f_fn
 from .scalars import g as g_fn
-from .scalars import is_zero
 
 
 @dataclass(frozen=True)
@@ -121,14 +118,10 @@ def build_factor_product(sig, c, length, factors, u) -> GradedOperator:
 
     factors: sequence of ("diag", (d1,d2,d3)) or ("site", site_index, xi).
     Returns the operator on arity length+1 (auxiliary factor is position 1):
-    at a rational u the cleared product scaled back, otherwise (an
-    eps-shifted u) the column walk with the rational or EpsScalar weights.
+    the cleared product at the rational u, scaled back.
     """
-    if is_rational(u):
-        n, op = build_cleared_product(sig, c, length, factors, u)
-        return op.scale(rat(1, n))
-    weights = [_factor_weights(sig, c, length, f, u) for f in factors]
-    return GradedOperator.from_pruned(sig, length + 1, _walk_columns(length, weights))
+    n, op = build_cleared_product(sig, c, length, factors, u)
+    return op.scale(rat(1, n))
 
 
 def build_cleared_product(sig, c, length, factors, u):
@@ -157,6 +150,8 @@ def _cleared_sequence(sig, c, length, factors, u):
     """(M, data) for the integer multiples of every factor at a rational u:
     their _cleared_weights, leftmost factor first, and M the product of
     their multipliers."""
+    if not is_rational(u):
+        raise TypeError(f"T(u) is walked at rational points only, not at u = {u!r}")
     scale = 1
     weights = []
     for factor in factors:
@@ -189,50 +184,31 @@ def swap_sign(pa, pb, between):
     return -1 if (pa & pb) ^ ((pa ^ pb) & between) else 1
 
 
-def _site_weights(sig, length, site, gv, ident=None):
-    """_apply_factor data of ident*I + gv*P_{0k} for k = site; ident None
-    stands for 1 and spares _apply_factor a multiplication by it."""
-    signed = {1: gv, -1: -gv}
-    par = sig.parity
-    # swap[a][b][p]: weight of the swapped state for auxiliary digit a, site
-    # digit b and parity p of the sites before site k
-    swap = [[[signed[swap_sign(par[a], par[b], p)] for p in (0, 1)] for b in range(3)] for a in range(3)]
-    one = ONE if ident is None else ident
-    stay = {1: one + gv, -1: one - gv}
-    stay = [stay[swap_sign(par[a], par[a], 0)] for a in range(3)]
-    return ("site", 3 ** (length - site), parity_table(sig, site - 1), swap, stay, ident)
-
-
-def _site_point(factor, u):
+def _cleared_weights(sig, c, length, factor, u):
+    """(m, data) for the integer multiple m*F of one factor F at a rational
+    u, with the data _apply_factor needs: m the lcm of the twist
+    denominators and ("diag", m*d), or, with g(u, xi_k) = gn/gd, m = gd and
+    ("site", place of site k, parity table of the sites before it, swap
+    weights, stay weights, gd) for gd*I + gn*P_{0k}."""
     kind, *payload = factor
+    if kind == "diag":
+        pairs = [as_pair(d) for d in payload[0]]
+        m = lcm(*(q for _, q in pairs))
+        return m, ("diag", tuple(p * (m // q) for p, q in pairs))
     if kind != "site":
         raise ValueError(f"unknown factor kind {kind!r}")
     site, xi = payload
     if is_zero(u - xi):
         raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
-    return site, xi
-
-
-def _factor_weights(sig, c, length, factor, u):
-    """The data _apply_factor needs for one factor at the spectral point u:
-    ("diag", d) or ("site", place of site k, parity table of the sites
-    before it, swap weights, stay weights, identity weight or None)."""
-    if factor[0] == "diag":
-        return ("diag", tuple(factor[1]))
-    site, xi = _site_point(factor, u)
-    return _site_weights(sig, length, site, g_fn(u, xi, c))
-
-
-def _cleared_weights(sig, c, length, factor, u):
-    """(m, data) for the integer multiple m*F of one factor F at a rational
-    u: m the lcm of the twist denominators, or the denominator of g(u, xi)."""
-    if factor[0] == "diag":
-        pairs = [num_den(d) for d in factor[1]]
-        m = lcm(*(q for _, q in pairs))
-        return m, ("diag", tuple(p * (m // q) for p, q in pairs))
-    site, xi = _site_point(factor, u)
-    gn, gd = num_den(g_fn(u, xi, c))
-    return gd, _site_weights(sig, length, site, gn, gd)
+    gn, gd = as_pair(g_fn(u, xi, c))
+    signed = {1: gn, -1: -gn}
+    par = sig.parity
+    # swap[a][b][p]: weight of the swapped state for auxiliary digit a, site
+    # digit b and parity p of the sites before site k
+    swap = [[[signed[swap_sign(par[a], par[b], p)] for p in (0, 1)] for b in range(3)] for a in range(3)]
+    stay = {1: gd + gn, -1: gd - gn}
+    stay = [stay[swap_sign(par[a], par[a], 0)] for a in range(3)]
+    return gd, ("site", 3 ** (length - site), parity_table(sig, site - 1), swap, stay, gd)
 
 
 def _apply_factor(length, weights, state):
@@ -256,7 +232,7 @@ def _apply_factor(length, weights, state):
             y = stay[a] * x
             out[key] = y if s is None else s + y
             continue
-        y = x if ident is None else ident * x
+        y = ident * x
         s = out.get(key)
         out[key] = y if s is None else s + y
         swapped = key + (b - a) * (shift - place)
@@ -284,9 +260,8 @@ def extract_entries(big: GradedOperator, sig, length):
 
 @dataclass
 class Monodromy:
-    """The nine entry operators of T(u) at one spectral point, held as the
-    entries of scale*T(u) (one common scale; int entries at a rational
-    point, scale 1 and EpsScalar entries at an eps-shifted one)."""
+    """The nine entry operators of T(u) at one rational spectral point, held
+    as the int entries of scale*T(u), one common scale."""
 
     scale: int
     scaled: dict
@@ -345,10 +320,7 @@ class Model:
         kept: a call at another point replaces it."""
         if self._entries is not None and self._entries[0] == u:
             return self._entries[1]
-        if is_rational(u):
-            scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
-        else:
-            scale, op = 1, self.monodromy_op(u)
+        scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
         mono = Monodromy(scale, extract_entries(op, self.sig, self.arity))
         self._entries = u, mono
         return mono
@@ -375,36 +347,23 @@ class Model:
         return _rescaled(*self.apply_T_scaled(i, j, u, dual, dual=True))
 
     def apply_T_scaled(self, i, j, u, vec, dual=False):
-        """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)). At a
-        rational u on a vector with rational entries, the entries are
-        multiplied by the lcm n of their denominators and the walk takes the
-        integer multiples of the factors, with M the product of their
-        multipliers, so that only ints are multiplied; then m = M*n. At an
-        eps-shifted u, or on EpsScalar entries, the walk takes the rational
-        or EpsScalar weights and m = 1: each EpsScalar entry would pay one
-        more operation for the identity weight."""
-        cleared = _cleared_vector(vec) if is_rational(u) else None
-        m, weights = self._walk_weights(u, cleared is not None)
-        if cleared is not None:
-            n, vec = cleared
-            m *= n
+        """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)), at a
+        rational u. The entries of vec are multiplied by the lcm n of their
+        denominators and the walk takes the integer multiples of the
+        factors, with M the product of their multipliers, so that only ints
+        are multiplied; then m = M*n."""
+        m, weights = self._walk_weights(u)
+        n, vec = _cleared_vector(vec)
+        m *= n
         if dual:
             return m, self._walk(i, j, j, vec, weights)
         return m, self._walk(j, i, j, vec, reversed(weights))
 
-    def _walk_weights(self, u, cleared):
-        """(m, data) of the whole factor sequence, cached per (u, cleared):
-        the integer multiples of _cleared_sequence, or the _factor_weights
-        and m = 1."""
-        key = u, cleared
-        hit = self._weights.get(key)
+    def _walk_weights(self, u):
+        """The _cleared_sequence of the whole factor sequence, cached per u."""
+        hit = self._weights.get(u)
         if hit is None:
-            factors = self.factor_sequence()
-            if cleared:
-                hit = _cleared_sequence(self.sig, self.c, self.arity, factors, u)
-            else:
-                hit = 1, [_factor_weights(self.sig, self.c, self.arity, f, u) for f in factors]
-            self._weights[key] = hit
+            hit = self._weights[u] = _cleared_sequence(self.sig, self.c, self.arity, self.factor_sequence(), u)
         return hit
 
     def _walk(self, start, end, j, vec, factors):
@@ -445,13 +404,11 @@ def _rescaled(m, vec, factor=1):
 
 
 def _cleared_vector(vec):
-    """(n, n*vec) with int entries, n the lcm of the entry denominators, for
-    a vector of rationals; None if an entry is an EpsScalar."""
+    """(n, n*vec) with int entries, n the lcm of the entry denominators of
+    a vector of rationals."""
     values = vec.entries.values()
     if all(type(x) is int for x in values):
         return 1, vec
-    if not all(is_rational(x) for x in values):
-        return None
     n = lcm(*(int(x.denominator) for x in values))
     entries = {k: int(x.numerator) * (n // int(x.denominator)) for k, x in vec.entries.items()}
     return n, type(vec)(vec.sig, vec.arity, entries)
@@ -543,7 +500,7 @@ def check_supercommutator(model, i, j, k, l, u, v):
     162 is composed once for all 81 tuples, and each residual is one linear
     combination of four of them."""
     p = model.sig.par
-    gn, gd = num_den(g_fn(u, v, model.c))
+    gn, gd = as_pair(g_fn(u, v, model.c))
     t = model.pair_products(u, v)
     ij, kl, il, kj = (i, j), (k, l), (i, l), (k, j)
     lhs = [(gd, t[True, ij, kl]), (gd if (p(i) ^ p(j)) and (p(k) ^ p(l)) else -gd, t[False, kl, ij])]

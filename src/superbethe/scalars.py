@@ -4,7 +4,7 @@ Two layers:
 
 * plain rationals (see rational.py) carry every generic computation;
 * EpsScalar extends them to truncated Laurent series in one formal
-  infinitesimal ``eps``, used to evaluate the coefficients of vectors at
+  infinitesimal ``eps``, used to evaluate the partition coefficients at
   coincident spectral parameters as exact one-sided limits.
 
 An EpsScalar is eps^val * (c_0 + c_1 eps + ... + c_{n-1} eps^{n-1}) +
@@ -20,15 +20,13 @@ fix: it raises PrecisionExhausted, as does a division by an undetermined
 zero.
 
 Limits are taken of scalars only: bethe.build_family and
-notation.partition_sum take the eps-limit of each term's coefficient and
-scale a vector built at the unshifted point. This is exact because each term
-is coef(eps) * W(eps) with W regular at eps = 0 (its walk at the unshifted
-point exists), so the term's limit is lim coef * W(0), and a coefficient
-with no limit raises. There is no retry at a higher precision because the
-builders shift only one parameter (bethe.separate_collision refuses larger
-overlaps): K(vI|uI) has at most a simple pole in eps and 1/f(vs,us) a simple
-zero, so every partition coefficient is regular at eps = 0 and the only
-singular products resolved are 0 * inf.
+notation.partition_sum take the eps-limit of each term's coefficient (why
+this is exact: bethe.py), and a coefficient with no limit raises. There is
+no retry at a higher precision because the builders shift only one
+parameter (bethe.separate_collision refuses larger overlaps): K(vI|uI) has
+at most a simple pole in eps and 1/f(vs,us) a simple zero, so every
+partition coefficient is regular at eps = 0 and the only singular products
+resolved are 0 * inf.
 
 Also hosts the pairwise set-products of g/f/h and the domain-wall partition
 function (Izergin determinant), evaluated by fraction-free Bareiss
@@ -318,8 +316,8 @@ def izergin(vs, us, c):
 
 
 def as_pair(x):
-    """(num, den) of x: ints, den > 0, for a rational; (x, 1) for an
-    EpsScalar."""
+    """(num, den) of x: numerator and positive denominator as ints for an
+    exact rational; (x, 1) for an EpsScalar."""
     if isinstance(x, EpsScalar):
         return x, 1
     return int(x.numerator), int(x.denominator)

@@ -1,5 +1,9 @@
 """Independent oracles shared by the test modules.
 
+T(u) as the embedded product of its factors, for checking the column walk
+of monodromy.py; it shares no sign with the walk and, unlike the walk,
+evaluates at eps-shifted points too.
+
 The partition coefficients of the Bethe-vector builders as the closed
 formulas read, evaluated by the scalar functions g, f, h, izergin and
 prod_pairs one pair at a time (over EpsScalar at an eps-shifted point, then
@@ -11,9 +15,25 @@ from itertools import combinations
 from math import comb, gcd, prod
 
 from superbethe import bethe, gl12
-from superbethe.graded import GL21
+from superbethe.graded import GL21, GradedOperator, embed, r_matrix
 from superbethe.rational import rat
 from superbethe.scalars import eps_limit, f, g, h, izergin, prod_pairs
+
+
+def embedded_product(sig, c, length, factors, u):
+    """T(u) as the ordered product of its factors, each placed on the full
+    space by embed (R_{0k} from r_matrix, so from koszul_tensor): a second
+    construction, sharing no sign with the walk's swap_sign."""
+    arity = length + 1
+    acc = None
+    for kind, *payload in factors:
+        if kind == "diag":
+            op = embed(GradedOperator.diagonal(sig, tuple(payload[0])), (1,), arity)
+        else:
+            site, xi = payload
+            op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)
+        acc = op if acc is None else acc.compose(op)
+    return acc if acc is not None else GradedOperator.identity(sig, arity)
 
 
 def bethe_weight(u1, u2, v1, v2, c):

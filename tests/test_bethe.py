@@ -13,7 +13,7 @@ from superbethe.errors import DivisionByZero, PoleAtZero
 from superbethe.gl12 import _tilde_weight, build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe import monodromy
-from superbethe.monodromy import ChainModel, ChainSpec
+from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
 from superbethe.bethe import (
     _bethe_weight,
     at_limit,
@@ -30,9 +30,9 @@ from superbethe.bethe import (
 )
 from superbethe.rational import BACKEND, rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, PairTable, f, g, h, izergin, prod_pairs
+from superbethe.scalars import EPS, PairTable, eps_limit, f, g, h, izergin, prod_pairs
 
-from oracles import assert_coefficients_match, assert_izergin_matches
+from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -176,21 +176,27 @@ def _splits(xs, n):
 
 
 class _HeldEntries:
-    """The model's T(i, j, x) read from entries built once per point: a model
-    keeps its latest point only, and _materialized revisits every point."""
+    """The model's T(i, j, x) read from its embedded factor product, built
+    once per point: it shares no code with the walk and evaluates at
+    eps-shifted points too."""
 
     def __init__(self, model, points):
         self.sig, self.arity, self.c = model.sig, model.arity, model.c
-        self._monos = {x: model.monodromy(x) for x in points}
+        factors = model.factor_sequence()
+        self._entries = {
+            x: extract_entries(embedded_product(self.sig, self.c, self.arity, factors, x), self.sig, self.arity)
+            for x in points
+        }
 
     def T(self, i, j, x):
-        return self._monos[x].entry(i, j)
+        return self._entries[x][i, j]
 
 
 def _materialized(model, us, vs, dual):
     """B, C (gl(2|1)) or B~, C~ (gl(1|2)) as written in the docstrings of
     bethe.py and gl12.py, every block a materialized operator: the bra is
-    Omega^+ times the transposed blocks in reverse order, with its own sign."""
+    Omega^+ times the transposed blocks in reverse order, with its own sign.
+    At an eps-shifted point the vector is taken to its entrywise eps-limit."""
     c, gl21, a, b = model.c, model.sig == GL21, len(us), len(vs)
     held = _HeldEntries(model, us + vs)
     sym = lambda which, xs: sym_odd_product(held, which, xs)
@@ -217,7 +223,7 @@ def _materialized(model, us, vs, dual):
         sign = (-1) ** (odd * (odd - 1) // 2)
     else:
         sign = 1 if gl21 else (-1) ** a
-    return acc.scale(sign)
+    return type(acc)(acc.sig, acc.arity, {k: eps_limit(x * sign) for k, x in acc.entries.items()})
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -240,7 +246,7 @@ def _weight_values(weights):
     if weights[0] == "diag":
         return weights[1]
     _, _, _, swap, stay, ident = weights
-    return [w for row in swap for pair in row for w in pair] + list(stay) + [ident] * (ident is not None)
+    return [w for row in swap for pair in row for w in pair] + list(stay) + [ident]
 
 
 @pytest.fixture

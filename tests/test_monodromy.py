@@ -42,7 +42,9 @@ from superbethe.monodromy import (
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, EpsScalar, g
+from superbethe.scalars import EPS, g
+
+from oracles import embedded_product
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -187,7 +189,7 @@ def test_apply_T_equals_materialized_entries(sig, length):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-def test_apply_T_on_two_twist_composite_at_eps_point(sig):
+def test_apply_T_on_two_twist_composite(sig):
     smp = ParameterSampler(f"apply-composite:{sig.name}", 1)
     xi = smp.generic(3)
     split = SplitChain(
@@ -195,10 +197,22 @@ def test_apply_T_on_two_twist_composite_at_eps_point(sig):
         ChainSpec(2, xi[1:], smp.twist(), sig, 1),
     )
     total = CompositeModel(split)
-    u = smp.generic_one(avoid=xi) + EPS
+    u = smp.generic_one(avoid=xi)
     ket, bra = _sparse_pair(smp, sig, 3, nnz=4)
     _assert_actions_match(total, u, ket, bra)
-    assert any(isinstance(x, EpsScalar) for x in total.apply_T(1, 3, u, ket).entries.values())
+
+
+def test_walk_refuses_an_eps_shifted_point():
+    """T(u) is walked at rational points only: eps-limits are taken of
+    scalar coefficients, so no operator or vector holds an EpsScalar."""
+    m = chain(2, (0, rat(1, 3)))
+    u = rat(5, 2) + EPS
+    with pytest.raises(TypeError, match="rational points only"):
+        m.monodromy(u)
+    with pytest.raises(TypeError, match="rational points only"):
+        m.apply_T(1, 3, u, m.omega())
+    with pytest.raises(TypeError, match="rational points only"):
+        m.apply_T_dual(3, 1, u, m.omega_dual())
 
 
 def test_apply_T_on_inhomogeneity():
@@ -536,15 +550,14 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
 
 def test_model_holds_at_most_one_monodromy():
     """Model.monodromy keeps the latest point's entries only: of the
-    Monodromy objects returned at several points, rational and eps-shifted,
-    at most one stays alive once the caller drops them, and it is returned
-    again at the same point."""
+    Monodromy objects returned at four points, at most one stays alive once
+    the caller drops them, and it is returned again at the same point."""
     smp = ParameterSampler("one-monodromy", 1)
     xi = smp.generic(2)
     model = chain(2, xi, twist=smp.twist())
-    points = smp.generic(3, avoid=xi)
+    points = smp.generic(4, avoid=xi)
     refs = []
-    for u in points + (points[0] + EPS, points[1]):
+    for u in points + (points[1],):
         mono = model.monodromy(u)
         refs.append(weakref.ref(mono))
         assert model.monodromy(u) is mono
@@ -559,24 +572,8 @@ def test_model_holds_at_most_one_monodromy():
 # ---------------------------------------------------------------------------
 
 
-def _embedded_product(sig, c, length, factors, u):
-    """T(u) as the ordered product of its factors, each placed on the full
-    space by embed (R_{0k} from r_matrix, so from koszul_tensor): a second
-    construction, sharing no sign with the walk's swap_sign."""
-    arity = length + 1
-    acc = None
-    for kind, *payload in factors:
-        if kind == "diag":
-            op = embed(GradedOperator.diagonal(sig, tuple(payload[0])), (1,), arity)
-        else:
-            site, xi = payload
-            op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)
-        acc = op if acc is None else acc.compose(op)
-    return acc if acc is not None else GradedOperator.identity(sig, arity)
-
-
 def _embedded_monodromy(model, u):
-    return _embedded_product(model.sig, model.c, model.arity, model.factor_sequence(), u)
+    return embedded_product(model.sig, model.c, model.arity, model.factor_sequence(), u)
 
 
 def _assert_walk_matches(model, u):
@@ -603,9 +600,6 @@ def test_walk_equals_embedded_factor_product(sig, length):
     chain_pos = tuple(range(3, n + 1))
     assert insert_identity(cleared, 2) == embed(cleared, (1,) + chain_pos, n)
     assert insert_identity(cleared, 1) == embed(cleared, (2,) + chain_pos, n)
-    _, mono = _assert_walk_matches(model, u + EPS)
-    assert mono.scale == 1
-    assert any(isinstance(x, EpsScalar) for m in mono.scaled[1, 3].cols.values() for x in m.values())
 
 
 def test_walk_equals_embedded_product_on_two_twist_composite():
@@ -615,7 +609,6 @@ def test_walk_equals_embedded_product_on_two_twist_composite():
     total = CompositeModel(split)
     u = smp.generic_one(avoid=xi)
     _assert_walk_matches(total, u)
-    _assert_walk_matches(total, u + EPS)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
