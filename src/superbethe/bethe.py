@@ -16,13 +16,12 @@ and m the number of odd factors per term (b on gl(2|1), a on gl(1|2)).
 build_family derives all four from the signature and the entry indices.
 
 The coefficients are computed on ints. Each parameter family us + vs gets
-one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints,
-and the weights (_bethe_weight here, gl12._tilde_weight) are products over
-index subsets of those tables, returning (num, den); K(vI|uI) is the
-tabulated g for #vI = 1 and Bareiss elimination over tabulated entries
-above. lam2 is evaluated once per parameter, and each term's coefficient
-is one quotient, n/d in lowest terms. The coefficient lists depend only on
-the weight and the ordered parameter tuples, so each model keeps them per
+one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints.
+A weight is shorthand (BETHE_WEIGHT, gl12.TILDE_WEIGHT), evaluated over it
+by notation.weight_product like every shorthand coefficient. lam2 is
+evaluated once per parameter, and each term's coefficient is one quotient,
+n/d in lowest terms. The coefficient lists depend only on the
+weight and the ordered parameter tuples, so each model keeps them per
 (weight, us, vs): a ket and its bra built at the same point share one list.
 
 Each block is walked by Model.apply_T_scaled on integer multiples of the
@@ -56,50 +55,18 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DivisionByZero
-from .graded import GL21, DualGradedVector, GradedOperator, GradedVector
-from .rational import ONE, rat
-from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, h, is_zero, ratio
-
-# element -> (i, j) for the symmetrized odd products; tilde names belong to
-# the gl(1|2) instance
-SYM_ELEMENTS = {
-    w: (int(w[-2]), int(w[-1])) for w in ("T13", "T23", "T31", "T32", "T~12", "T~13", "T~21", "T~31")
-}
+from .graded import GL21, DualGradedVector, GradedVector, decode, encode
+from .notation import parse, weight_product
+from .rational import rat, rat_from_str, rat_to_str
+from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, is_zero, ratio
 
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
 # are applied, to uII, vII and vI; the same for B and B~
 _PLAN = ((1, 2), (2, 3), (1, 3))
 
 
-def _at_zero(x):
-    """x at eps = 0; a rational is its own value."""
-    return eps_limit(x) if isinstance(x, EpsScalar) else x
-
-
 def _is_odd(sig, i, j):
     return sig.par(i) != sig.par(j)
-
-
-def _h_normalizer(params, c, creation, acc=ONE):
-    """acc times the normalizer prod_{j<k} h(x_k, x_j) of creation type, or
-    prod_{j<k} h(x_j, x_k) of annihilation type."""
-    for j, k in combinations(range(len(params)), 2):
-        acc = acc * (h(params[k], params[j], c) if creation else h(params[j], params[k], c))
-    if is_zero(acc):
-        raise DivisionByZero("h-pole in symmetrized product (u_k - u_j = -c)")
-    return acc
-
-
-def sym_odd_product(model, which, params) -> GradedOperator:
-    """The symmetrized product of odd entries as a single operator;
-    creation-type for an entry above the diagonal."""
-    i, j = SYM_ELEMENTS[which]
-    if not params:
-        return GradedOperator.identity(model.sig, model.arity)
-    acc = model.T(i, j, params[0])
-    for x in params[1:]:
-        acc = acc.compose(model.T(i, j, x))
-    return acc.scale(1 / _h_normalizer(params, model.c, i < j))
 
 
 def _apply_entries(model, h_table, i, j, params, points, vec, dual):
@@ -152,7 +119,7 @@ def _partition_terms(model, us, vs, weight):
     iu, iv = tuple(range(len(us))), tuple(range(len(us), len(us) + len(vs)))
     lam2 = [as_pair(model.lam(2, x)) for x in us + vs]
     names, left, right = ("vs,us", iv, iu) if model.sig == GL21 else ("us,vs", iu, iv)
-    base_n, base_d = table.product([table.cross(table.f, left, right), *(lam2[k] for k in iv)])
+    base_n, base_d = table.product(table.cross(table.f, left, right) + [lam2[k] for k in iv])
     if is_zero(base_n):
         raise DivisionByZero(f"f({names}) vanishes (a pair at difference -c); parameters not generic")
     terms = []
@@ -205,7 +172,7 @@ def build_family(model, us, vs, weight, dual):
     vectors, are summed over one int denominator (see _accumulate), which
     also takes the bra's sign."""
     h_table, terms = _coefficients(model, us, vs, weight)
-    points = [_at_zero(x) for x in (*us, *vs)]
+    points = [eps_limit(x) if isinstance(x, EpsScalar) else x for x in (*us, *vs)]  # at eps = 0
     start = model.omega_dual() if dual else model.omega()
     acc, den = {}, 1
     for n, d, blocks in terms:
@@ -222,9 +189,8 @@ def build_family(model, us, vs, weight, dual):
     return type(start)(model.sig, model.arity, {key: rat(x, den) for key, x in acc.items() if x})
 
 
-def _bethe_weight(t, u1, u2, v1, v2):
-    """K(vI|uI) f(uI,uII) g(vII,vI) over the pair table t, as (num, den)."""
-    return t.product([t.izergin(v1, u1), t.cross(t.f, u1, u2), t.cross(t.g, v2, v1)])
+BETHE_WEIGHT = "K(vI|uI)*f(uI,uII)*g(vII,vI)"
+_bethe_weight = partial(weight_product, parse(BETHE_WEIGHT))
 
 
 def build_vector(model, us, vs) -> GradedVector:
@@ -307,9 +273,6 @@ def grading_of(vec, vacuous=None):
 
 
 def vector_to_json(vec) -> dict:
-    from .graded import decode
-    from .rational import rat_to_str
-
     out = {}
     for key in sorted(vec.entries):
         digits = "".join(str(d) for d in decode(key, vec.arity))
@@ -318,9 +281,6 @@ def vector_to_json(vec) -> dict:
 
 
 def vector_from_json(sig, arity, data) -> GradedVector:
-    from .graded import encode
-    from .rational import rat_from_str
-
     entries = {}
     for digits, val in data.items():
         if len(digits) != arity or any(ch not in "123" for ch in digits):

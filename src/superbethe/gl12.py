@@ -8,11 +8,12 @@ the weight and the gradation differ. The tilde vectors read
               x T13sym(vI) T23(vII) T12sym(uII) . Omega
 
 over splits with #uI = #vI (note f(us,vs) with the u-family first, and the
-within-set product h(vI,vI) over ordered pairs j != k). This is the plan of
-the gl(2|1) vectors evaluated by bethe.build_family: on gl(1|2) T12 and T13
-are the odd entries and get the symmetrization, T23 is even. The dual is the
-same mirror as on gl(2|1), whose sign (-1)^{m(m-1)/2} counts m = a odd
-factors here. _tilde_weight, like the gl(2|1) weight, is a product over the
+within-set product h(vI,vI), whose diagonal h(x,x) is 1). This is the plan
+of the gl(2|1) vectors evaluated by bethe.build_family: on gl(1|2) T12 and
+T13 are the odd entries and get the symmetrization, T23 is even. The dual
+is the same mirror as on gl(2|1), whose sign (-1)^{m(m-1)/2} counts m = a
+odd factors here. The weight is the shorthand TILDE_WEIGHT, evaluated like
+the gl(2|1) weight by notation.weight_product as one product over the
 (num, den) int pairs of the family's scalars.PairTable, and build_family
 divides it by the tabulated f(us,vs) once per term.
 
@@ -23,9 +24,12 @@ reports the unique one that holds.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .bethe import _guard, build_family
 from .composite import CompositeModel, SplitChain, factorization_residual
 from .graded import GL12, GL21, DualGradedVector, GradedVector
+from .notation import parse, weight_product
 
 
 class AmbiguousConvention(RuntimeError):
@@ -37,10 +41,8 @@ def gradation_relation_holds() -> bool:
     return all(GL21.par(i) == (GL12.par(4 - i) + 1) % 2 for i in (1, 2, 3))
 
 
-def _tilde_weight(t, u1, u2, v1, v2):
-    """g(uI,vI) f(vI,vII) g(uII,uI) h(vI,vI) over the pair table t, as
-    (num, den)."""
-    return t.product([t.cross(t.g, u1, v1), t.cross(t.f, v1, v2), t.cross(t.g, u2, u1), t.within(t.h, v1)])
+TILDE_WEIGHT = "g(uI,vI)*f(vI,vII)*g(uII,uI)*h(vI,vI)"
+_tilde_weight = partial(weight_product, parse(TILDE_WEIGHT))
 
 
 def build_tilde_vector(model, us, vs) -> GradedVector:

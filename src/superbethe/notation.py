@@ -7,13 +7,17 @@ to one-set products, K(A|B) is the domain-wall partition function, and '*',
 '/', unary '-', integer literals and '(expr)^n' compose them. Singletons are
 one-element sets; there is no scalar/set overloading.
 
+One evaluator serves every coefficient: a chain of '*' and '/' is one
+scalars.PairTable.product of (num, den) pairs, read from one PairTable per
+base binding (eval_expr) or per Bethe-vector parameter family (weight_product).
+
 Also hosts the one engine behind every shorthand summation: a PartitionSpec
 names the disjoint parts of a source set with fixed or free cardinalities, and
 enumerate_partitions yields one Binding per admissible assignment, in
 lexicographic order of element indices. compile_terms turns the JSON term
 shape of the formula tables into (partitions, coefficient AST, target)
 triples, and partition_sum evaluates a list of them against a target vector
-function.
+function, each coefficient taken through scalars.ratio.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import SchemaError
-from .rational import ONE
-from .scalars import izergin, prod_pairs, prod_unary
-from . import scalars
+from .rational import ONE, rat
+from .scalars import PairTable, as_pair, ratio
 
 
 class ExprSyntaxError(ValueError):
@@ -87,49 +90,40 @@ class _Parser:
     def error(self, expected):
         raise ExprSyntaxError(f"expected {expected}", self.pos + 1)
 
-    def skip_ws(self):
+    def peek(self):
+        """The next character after whitespace; "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
             self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, ch):
         if self.peek() != ch:
             self.error(repr(ch))
         self.pos += 1
 
-    def name(self):
-        self.skip_ws()
+    def scan(self, accepts, expected):
+        """The longest nonempty run of characters that accepts takes."""
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+        while self.pos < len(self.text) and accepts(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
-            self.error("identifier")
-        return self.text[start:self.pos]
+            self.error(expected)
+        return self.text[start : self.pos]
+
+    def name(self):
+        return self.scan(lambda ch: ch.isalnum() or ch == "_", "identifier")
 
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("integer")
-        return int(self.text[start:self.pos])
+        return int(self.scan(str.isdigit, "integer"))
 
     def expr(self):
         node = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = Mul(node, self.factor())
-            elif ch == "/":
-                self.pos += 1
-                node = Div(node, self.factor())
-            else:
-                return node
+        while self.peek() in ("*", "/"):
+            op = Mul if self.text[self.pos] == "*" else Div
+            self.pos += 1
+            node = op(node, self.factor())
+        return node
 
     def factor(self):
         ch = self.peek()
@@ -165,8 +159,7 @@ class _Parser:
 def parse(text: str):
     p = _Parser(text)
     node = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
+    if p.peek():
         p.error("end of input")
     return node
 
@@ -175,32 +168,56 @@ def print_expr(node) -> str:
     if isinstance(node, Lit):
         return str(node.value)
     if isinstance(node, Call):
-        if node.name == "K":
-            return f"K({node.args[0]}|{node.args[1]})"
-        return f"{node.name}({','.join(node.args)})"
+        return f"{node.name}({('|' if node.name == 'K' else ',').join(node.args)})"
     if isinstance(node, Neg):
         return f"-{print_expr(node.arg)}"
     if isinstance(node, Pow):
         return f"({print_expr(node.base)})^{node.exponent}"
     if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        left = print_expr(node.left)
         right = print_expr(node.right)
         if isinstance(node.right, (Mul, Div)):
             right = f"({right})"
-        return f"{left}{op}{right}"
+        return print_expr(node.left) + ("*" if isinstance(node, Mul) else "/") + right
     raise TypeError(f"not an expression node: {node!r}")
 
 
 # --- bindings and evaluation ------------------------------------------------
 
+_PAIR = ("g", "f", "h")  # the PairTable tables of the pair functions
+
+
+class Scope:
+    """The distinct parameter values of a base binding, their index and
+    PairTable, and the unary functions' values at them, each computed once
+    as (num, den); every binding derived by with_sets shares them."""
+
+    def __init__(self, sets, c, funcs):
+        self.values = tuple(dict.fromkeys(x for xs in sets.values() for x in xs))
+        self.index = {x: k for k, x in enumerate(self.values)}
+        self.table, self.funcs, self.cache = PairTable(self.values, c), funcs, {}
+
+    def unary(self, name, ks):
+        if name not in self.funcs:
+            raise UnboundName(name)
+        for k in ks:
+            if (name, k) not in self.cache:
+                self.cache[name, k] = as_pair(self.funcs[name](self.values[k]))
+        return [self.cache[name, k] for k in ks]
+
+
 @dataclass(frozen=True)
 class Binding:
-    """Named parameter sets plus the ambient constant and ratio functions."""
+    """Named parameter sets plus the ambient constant and ratio functions,
+    and the Scope that with_sets hands on."""
 
     sets: dict
     c: object = ONE
     funcs: dict = field(default_factory=dict)
+    scope: Scope = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.scope is None:
+            object.__setattr__(self, "scope", Scope(self.sets, self.c, self.funcs))
 
     def with_sets(self, more):
         clash = set(self.sets) & set(more)
@@ -208,7 +225,8 @@ class Binding:
             raise ValueError(f"names bound twice: {sorted(clash)}")
         merged = dict(self.sets)
         merged.update({k: tuple(v) for k, v in more.items()})
-        return Binding(merged, self.c, self.funcs)
+        shared = all(x in self.scope.index for xs in more.values() for x in xs)
+        return Binding(merged, self.c, self.funcs, self.scope if shared else None)
 
     def resolve(self, name):
         try:
@@ -217,45 +235,54 @@ class Binding:
             raise UnboundName(name) from None
 
 
-_PAIR = {"g": scalars.g, "f": scalars.f, "h": scalars.h}
+def _factors(node, table, sets, unary, inverted=False):
+    """The (num, den) factors whose product is node, each inverted if
+    inverted: the entries of table for g, f and h, table.izergin for K,
+    unary(name, indices) for a unary function; sets(name) is a set's index
+    tuple in table."""
+    kind = type(node)
+    if kind is Mul or kind is Div:
+        left = _factors(node.left, table, sets, unary, inverted)
+        return left + _factors(node.right, table, sets, unary, inverted ^ (kind is Div))
+    if kind is Neg:
+        return [(-1, 1)] + _factors(node.arg, table, sets, unary, inverted)
+    if kind is Pow:
+        return _factors(node.base, table, sets, unary, inverted) * node.exponent
+    if kind is Lit:
+        pairs = [(node.value, 1)]
+    elif kind is not Call:
+        raise TypeError(f"not an expression node: {node!r}")
+    elif node.name == "K":
+        pairs = [table.izergin(sets(node.args[0]), sets(node.args[1]))]
+    elif node.name in _PAIR:
+        if len(node.args) != 2:
+            raise ValueError(f"{node.name} takes two set arguments")
+        pairs = table.cross(getattr(table, node.name), sets(node.args[0]), sets(node.args[1]))
+    else:
+        pairs = unary(node.name, sets(node.args[0]))
+        if len(node.args) != 1:
+            raise ValueError(f"{node.name} takes one set argument")
+    return [(d, n) for n, d in pairs] if inverted else pairs
 
 
 def eval_expr(node, binding: Binding):
-    if isinstance(node, Lit):
-        return ONE * node.value
-    if isinstance(node, Neg):
-        return -eval_expr(node.arg, binding)
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, binding)
-        acc = ONE
-        for _ in range(node.exponent):
-            acc = acc * base
-        return acc
-    if isinstance(node, Mul):
-        return eval_expr(node.left, binding) * eval_expr(node.right, binding)
-    if isinstance(node, Div):
-        return eval_expr(node.left, binding) / eval_expr(node.right, binding)
-    if isinstance(node, Call):
-        if node.name == "K":
-            vs = binding.resolve(node.args[0])
-            us = binding.resolve(node.args[1])
-            return izergin(vs, us, binding.c)
-        if node.name in _PAIR:
-            if len(node.args) != 2:
-                raise ValueError(f"{node.name} takes two set arguments")
-            left = binding.resolve(node.args[0])
-            right = binding.resolve(node.args[1])
-            return prod_pairs(_PAIR[node.name], left, right, binding.c)
-        if node.name in binding.funcs:
-            if len(node.args) != 1:
-                raise ValueError(f"{node.name} takes one set argument")
-            return prod_unary(binding.funcs[node.name], binding.resolve(node.args[0]))
-        raise UnboundName(node.name)
-    raise TypeError(f"not an expression node: {node!r}")
+    """node at binding as (num, den): one PairTable.product of the entries
+    of the scope's table, the unary values and the literals it names."""
+    scope = binding.scope
+    sets = lambda name: [scope.index[x] for x in binding.resolve(name)]
+    return PairTable.product(_factors(node, scope.table, sets, scope.unary))
 
 
 def evaluate(text: str, binding: Binding):
-    return eval_expr(parse(text), binding)
+    """text at binding as one rational; at an eps-shifted binding, its
+    eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
+    return rat(*ratio(*eval_expr(parse(text), binding)))
+
+
+def weight_product(node, t, uI, uII, vI, vII):
+    """A Bethe-vector weight, which reads no unary function, over the
+    PairTable t, with uI, uII, vI and vII index tuples into it, as (num, den)."""
+    return PairTable.product(_factors(node, t, {"uI": uI, "uII": uII, "vI": vI, "vII": vII}.__getitem__, None))
 
 
 # --- partition enumeration ---------------------------------------------------
@@ -277,24 +304,9 @@ def _size_vectors(parts, total):
         raise UnsatisfiableSpec(f"duplicate part names in {parts}")
     if any(p.size is not None and p.size < 0 for p in parts):
         raise UnsatisfiableSpec(f"negative part size in {parts}")
-    fixed = sum(p.size for p in parts if p.size is not None)
-    free_ix = [i for i, p in enumerate(parts) if p.size is None]
-    if fixed > total or (not free_ix and fixed != total):
-        return []  # summation over an empty family of partitions
-    if not free_ix:
-        return [tuple(p.size for p in parts)]
-    remaining = total - fixed
-    out = []
-    # every free part but the last takes 0..remaining, the last the rest
-    for head in product(range(remaining + 1), repeat=len(free_ix) - 1):
-        last = remaining - sum(head)
-        if last < 0:
-            continue
-        sizes = [p.size for p in parts]
-        for j, k in zip(free_ix, head + (last,)):
-            sizes[j] = k
-        out.append(tuple(sizes))
-    return out
+    # a free part takes any size; no size vector is a sum over no partition
+    ranges = [range(total + 1) if p.size is None else (p.size,) for p in parts]
+    return [sizes for sizes in product(*ranges) if sum(sizes) == total]
 
 
 def _assignments(universe, sizes):
@@ -312,12 +324,12 @@ def _assignments(universe, sizes):
 def enumerate_partitions(spec: PartitionSpec, universe, base: Binding = None):
     """All admissible splits of universe into spec.parts, one Binding each."""
     base = base if base is not None else Binding({})
-    parts = tuple(spec.parts)
-    out = []
-    for sizes in _size_vectors(parts, len(universe)):
-        for assignment in _assignments(tuple(universe), sizes):
-            out.append(base.with_sets({p.name: vals for p, vals in zip(parts, assignment)}))
-    return out
+    names, universe = [p.name for p in spec.parts], tuple(universe)
+    return [
+        base.with_sets(dict(zip(names, split)))
+        for sizes in _size_vectors(tuple(spec.parts), len(universe))
+        for split in _assignments(universe, sizes)
+    ]
 
 
 # --- partition sums ------------------------------------------------------------
@@ -413,10 +425,7 @@ def _calls(node):
 def concat(binding, spec):
     """The parameters a target argument names: one set, or several joined."""
     if isinstance(spec, tuple):
-        out = ()
-        for name in spec:
-            out = out + binding.sets[name]
-        return out
+        return sum((binding.sets[name] for name in spec), ())
     return binding.sets[spec]
 
 
@@ -428,8 +437,6 @@ def partition_sum(terms, base, target, acc):
         for spec in parts:
             bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
         for b in bindings:
-            coef = eval_expr(coeff, b)
-            if isinstance(coef, scalars.EpsScalar):
-                coef = scalars.eps_limit(coef)
+            coef = rat(*ratio(*eval_expr(coeff, b)))
             acc = acc.add(target(b, term_target).scale(coef))
     return acc

@@ -19,23 +19,20 @@ and an eps-limit never returns a constant term the kept coefficients do not
 fix: it raises PrecisionExhausted, as does a division by an undetermined
 zero.
 
-Limits are taken of scalars only: bethe.build_family and
-notation.partition_sum take the eps-limit of each term's coefficient (why
-this is exact: bethe.py), and a coefficient with no limit raises. There is
-no retry at a higher precision because the builders shift only one
-parameter (bethe.separate_collision refuses larger overlaps): K(vI|uI) has
-at most a simple pole in eps and 1/f(vs,us) a simple zero, so every
-partition coefficient is regular at eps = 0 and the only singular products
-resolved are 0 * inf.
+Limits are taken of scalars only: ratio takes the eps-limit of each term's
+coefficient (why this is exact: bethe.py), and raises for one with no
+limit. There is no retry at a higher precision because the builders shift
+only one parameter (bethe.separate_collision refuses larger overlaps):
+K(vI|uI) has at most a simple pole in eps and 1/f(vs,us) a simple zero, so
+every partition coefficient is regular at eps = 0 and the only singular
+products resolved are 0 * inf.
 
-Also hosts the pairwise set-products of g/f/h and the domain-wall partition
-function (Izergin determinant), evaluated by fraction-free Bareiss
-elimination, whose divisions are exact, so an int matrix stays on ints.
-
-PairTable tabulates g, f and h of a parameter family as (num, den) ints for
-the Bethe-vector coefficients (EpsScalars in the pairs of an eps-shifted
-parameter), and ratio takes each coefficient's one quotient, or its
-eps-limit.
+Also hosts g, f, h, their set products and the domain-wall partition
+function (Izergin determinant, by fraction-free Bareiss elimination, which
+keeps an int matrix on ints), one pair at a time: the reference for the
+tests and the benchmark. Every shorthand coefficient is instead a product
+over a PairTable, g, f and h of a parameter family as (num, den) ints, and
+ratio takes its one quotient, or its eps-limit.
 """
 
 from __future__ import annotations
@@ -246,13 +243,6 @@ def prod_pairs(fn, left, right, c):
     return acc
 
 
-def prod_unary(fn, xs):
-    acc = ONE
-    for x in xs:
-        acc = acc * fn(x)
-    return acc
-
-
 def _exact_quotient(x, y):
     """x / y for a y known to divide x; ints stay ints."""
     return x // y if type(x) is int and type(y) is int else x / y
@@ -327,13 +317,11 @@ def ratio(num, den):
     """num/den as (p, q) ints in lowest terms with q > 0. Either operand may
     be an EpsScalar; then the quotient is taken once and p/q is its
     eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
+    if not isinstance(den, EpsScalar) and not den:
+        raise DivisionByZero("zero denominator: a g or f at coincident arguments, or a zero divisor")
     if type(num) is not int or type(den) is not int:
         return as_pair(eps_limit(num / den))
-    if not den:
-        raise DivisionByZero("division by identically zero scalar")
-    k = gcd(num, den)
-    if den < 0:
-        k = -k
+    k = gcd(num, den) if den > 0 else -gcd(num, den)
     return num // k, den // k
 
 
@@ -349,16 +337,17 @@ def _cleared(x):
 
 class PairTable:
     """g, f and h of every ordered pair of a parameter family xs, tabulated
-    once as (num, den) pairs.
+    once as (num, den) pairs, indexed [i][j]; the source of every shorthand
+    coefficient (notation.eval_expr, the Bethe-vector weights).
 
     Each parameter is cleared once as x = p/q (p an EpsScalar at an
     eps-shifted x, q always an int), and with c = cn/cd the pair (i, j),
     i != j, has g(x_i, x_j) = gn/gd with gn = cn q_i q_j and
     gd = cd (p_i q_j - p_j q_i), f = (gd + gn)/gd and h = (gd + gn)/gn.
-    The tables are indexed [i][j]; the diagonal of g and f is undefined,
-    h(x, x) = 1. At a rational point every entry is an int, so the set
-    products below multiply only ints; at an eps-shifted point the pairs of
-    the shifted parameter are EpsScalars and the same products carry them.
+    On the diagonal h = 1, and g and f have the denominator 0, so ratio
+    raises DivisionByZero on a product that has one as a factor. At a
+    rational point every entry is an int; at an eps-shifted point the pairs
+    of the shifted parameter are EpsScalars, and the products carry them.
     """
 
     __slots__ = ("g", "f", "h")
@@ -367,8 +356,8 @@ class PairTable:
         cn, cd = as_pair(c)
         cleared = [_cleared(x) for x in xs]
         size = len(xs)
-        self.g = [[None] * size for _ in range(size)]
-        self.f = [[None] * size for _ in range(size)]
+        self.g = [[(1, 0)] * size for _ in range(size)]
+        self.f = [[(1, 0)] * size for _ in range(size)]
         self.h = [[(1, 1)] * size for _ in range(size)]
         for i, j in combinations(range(size), 2):
             (pi, qi), (pj, qj) = cleared[i], cleared[j]
@@ -401,12 +390,8 @@ class PairTable:
         return series[0] * num, series[1] * den
 
     def cross(self, table, left, right):
-        """prod over i in left, j in right of table[i][j], as (num, den)."""
-        return self.product(table[i][j] for i in left for j in right)
-
-    def within(self, table, idx):
-        """prod over the ordered pairs i != j of idx of table[i][j]."""
-        return self.product(table[i][j] for i in idx for j in idx if i != j)
+        """The entries table[i][j], i in left and j in right, as a list."""
+        return [table[i][j] for i in left for j in right]
 
     def izergin(self, vs, us):
         """K_n(x_vs | x_us) as (num, den), vs and us index tuples.

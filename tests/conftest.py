@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from superbethe import graded
@@ -17,3 +21,44 @@ def _flipped_permutation(sig):
 def flipped_koszul(monkeypatch):
     """Make r_matrix, and so every R factor, use the wrong Koszul sign."""
     monkeypatch.setattr(graded, "super_permutation", _flipped_permutation)
+
+
+_FRACTION_OPS = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__floordiv__",
+    "__rfloordiv__",
+    "__mod__",
+    "__neg__",
+    "__pow__",
+)
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Counts the Fraction operations of the program: every arithmetic
+    operator call, and every Fraction built outside the fractions module."""
+    count = Counter()
+    for name in _FRACTION_OPS:
+        honest = getattr(Fraction, name)
+
+        def op(*args, _name=name, _honest=honest):
+            count[_name] += 1
+            return _honest(*args)
+
+        monkeypatch.setattr(Fraction, name, op)
+    honest_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") != "fractions":
+            count["__new__"] += 1
+        return honest_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    return count

@@ -2,22 +2,31 @@
 
 T(u) as the embedded product of its factors, for checking the column walk
 of monodromy.py; it shares no sign with the walk and, unlike the walk,
-evaluates at eps-shifted points too.
+evaluates at eps-shifted points too. The symmetrized product of odd entries
+as one operator, normalized by h one pair at a time, for checking the
+walked blocks of bethe.py.
 
 The partition coefficients of the Bethe-vector builders as the closed
 formulas read, evaluated by the scalar functions g, f, h, izergin and
 prod_pairs one pair at a time (over EpsScalar at an eps-shifted point, then
 taken to the limit), for checking bethe._partition_terms, which computes
-them from integer pair tables.
+them from integer pair tables. Every shorthand coefficient the same way,
+for checking notation.eval_expr, which reads one pair table.
 """
 
 from itertools import combinations
 from math import comb, gcd, prod
 
 from superbethe import bethe, gl12
+from superbethe.actions import action_binding, load_formula_table
+from superbethe.composite import SplitChain, load_class_table, ratio_funcs
+from superbethe.errors import DivisionByZero
 from superbethe.graded import GL21, GradedOperator, embed, r_matrix
-from superbethe.rational import rat
-from superbethe.scalars import eps_limit, f, g, h, izergin, prod_pairs
+from superbethe.monodromy import ChainModel, ChainSpec
+from superbethe.notation import Binding, Call, Div, Lit, Mul, Neg, Pow, enumerate_partitions, eval_expr, print_expr
+from superbethe.rational import ONE, rat
+from superbethe.sampling import ParameterSampler
+from superbethe.scalars import eps_limit, f, g, h, is_zero, izergin, prod_pairs, ratio
 
 
 def embedded_product(sig, c, length, factors, u):
@@ -34,6 +43,35 @@ def embedded_product(sig, c, length, factors, u):
             op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)
         acc = op if acc is None else acc.compose(op)
     return acc if acc is not None else GradedOperator.identity(sig, arity)
+
+
+# element -> (i, j) for the symmetrized odd products; tilde names belong to
+# the gl(1|2) instance
+SYM_ELEMENTS = {
+    w: (int(w[-2]), int(w[-1])) for w in ("T13", "T23", "T31", "T32", "T~12", "T~13", "T~21", "T~31")
+}
+
+
+def _h_normalizer(params, c, creation, acc=ONE):
+    """acc times the normalizer prod_{j<k} h(x_k, x_j) of creation type, or
+    prod_{j<k} h(x_j, x_k) of annihilation type."""
+    for j, k in combinations(range(len(params)), 2):
+        acc = acc * (h(params[k], params[j], c) if creation else h(params[j], params[k], c))
+    if is_zero(acc):
+        raise DivisionByZero("h-pole in symmetrized product (u_k - u_j = -c)")
+    return acc
+
+
+def sym_odd_product(model, which, params) -> GradedOperator:
+    """The symmetrized product of odd entries as a single operator;
+    creation-type for an entry above the diagonal."""
+    i, j = SYM_ELEMENTS[which]
+    if not params:
+        return GradedOperator.identity(model.sig, model.arity)
+    acc = model.T(i, j, params[0])
+    for x in params[1:]:
+        acc = acc.compose(model.T(i, j, x))
+    return acc.scale(1 / _h_normalizer(params, model.c, i < j))
 
 
 def bethe_weight(u1, u2, v1, v2, c):
@@ -90,3 +128,81 @@ def assert_izergin_matches(table, xs, c, n):
             num, den = table.izergin(iv, iu)
             want = izergin(tuple(xs[k] for k in iv), tuple(xs[k] for k in iu), c)
             assert rat(num, den) == want, (iv, iu)
+
+
+_PAIR_FUNCTIONS = {"g": g, "f": f, "h": h}
+
+
+def shorthand_value(node, binding):
+    """A shorthand coefficient at binding, one pair at a time through g, f,
+    h, izergin and prod_pairs: an EpsScalar at an eps-shifted binding."""
+    if isinstance(node, Lit):
+        return rat(node.value)
+    if isinstance(node, Neg):
+        return -shorthand_value(node.arg, binding)
+    if isinstance(node, Pow):
+        return prod((shorthand_value(node.base, binding) for _ in range(node.exponent)), start=ONE)
+    if isinstance(node, Mul):
+        return shorthand_value(node.left, binding) * shorthand_value(node.right, binding)
+    if isinstance(node, Div):
+        return shorthand_value(node.left, binding) / shorthand_value(node.right, binding)
+    assert isinstance(node, Call), node
+    sets = [binding.resolve(name) for name in node.args]
+    if node.name == "K":
+        return izergin(*sets, binding.c)
+    if node.name in _PAIR_FUNCTIONS:
+        return prod_pairs(_PAIR_FUNCTIONS[node.name], *sets, binding.c)
+    return prod((binding.funcs[node.name](x) for x in sets[0]), start=ONE)
+
+
+def outcome(value):
+    """value() or the type of the arithmetic error it raises."""
+    try:
+        return value()
+    except ArithmeticError as err:
+        return type(err)
+
+
+def assert_shorthand_matches(terms, base):
+    """Every coefficient of the compiled terms, at every binding their
+    partitions derive from base, as eval_expr gives it and taken through
+    ratio equals the eps-limit of shorthand_value, or both raise the same
+    error. Returns the outcomes."""
+    outcomes = []
+    for specs, coeff, _ in terms:
+        bindings = [base]
+        for spec in specs:
+            bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
+        for b in bindings:
+            got = outcome(lambda: rat(*ratio(*eval_expr(coeff, b))))
+            want = outcome(lambda: eps_limit(shorthand_value(coeff, b)))
+            assert got == want, (print_expr(coeff), b.sets, got, want)
+            outcomes.append(got)
+    return outcomes
+
+
+# a chain for the action table and a split for the composite classes, with
+# c, twists and lam2 all non-integral
+ORACLE_C = rat(3, 2)
+ORACLE_CHAIN = ChainSpec(2, (0, rat(1, 3)), (2, rat(2, 3), -3), GL21, ORACLE_C)
+ORACLE_SPLIT = SplitChain(
+    ChainSpec(1, (0,), (2, rat(2, 3), -3), GL21, ORACLE_C),
+    ChainSpec(1, (rat(1, 3),), (rat(1, 2), 1, 5), GL21, ORACLE_C),
+)
+
+
+def packaged_bases(a, b, seed, shifted):
+    """(compiled terms, base binding) for every entry of the packaged action
+    table and class table, at a ubar and vbar of sizes a, b and a z drawn
+    from seed; with shifted, the first of vbar is the first of ubar plus
+    eps."""
+    ps = ParameterSampler(seed, ORACLE_C).generic(a + b + 1, avoid=(0, rat(1, 3)))
+    us, vs, z = ps[:a], ps[a : a + b], ps[-1]
+    if shifted:
+        us, vs, _ = bethe.separate_collision(us, (us[0],) + vs[1:])
+    action_base = action_binding(ChainModel(ORACLE_CHAIN), us, vs, z)
+    funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
+    class_base = Binding({"ubar": tuple(us), "vbar": tuple(vs), "z": (z,)}, c=ORACLE_C, funcs=funcs)
+    return [(terms, action_base) for terms in load_formula_table().values()] + [
+        (terms, class_base) for terms in load_class_table().values()
+    ]

@@ -1,6 +1,4 @@
-import sys
 from collections import Counter
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, permutations
 from math import prod
@@ -24,7 +22,6 @@ from superbethe.bethe import (
     build_vector_limit,
     grading_of,
     separate_collision,
-    sym_odd_product,
     vector_from_json,
     vector_to_json,
 )
@@ -32,7 +29,7 @@ from superbethe.rational import BACKEND, rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import EPS, PairTable, eps_limit, f, g, h, izergin, prod_pairs
 
-from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product
+from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product, sym_odd_product
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -354,47 +351,6 @@ def test_tabulated_izergin_matches_the_determinant():
         table = PairTable(ps, c)
         for n in (2, 3):
             assert_izergin_matches(table, ps, c, n)
-
-
-_FRACTION_OPS = (
-    "__add__",
-    "__radd__",
-    "__sub__",
-    "__rsub__",
-    "__mul__",
-    "__rmul__",
-    "__truediv__",
-    "__rtruediv__",
-    "__floordiv__",
-    "__rfloordiv__",
-    "__mod__",
-    "__neg__",
-    "__pow__",
-)
-
-
-@pytest.fixture
-def fraction_ops(monkeypatch):
-    """Counts the Fraction operations of the program: every arithmetic
-    operator call, and every Fraction built outside the fractions module."""
-    count = Counter()
-    for name in _FRACTION_OPS:
-        honest = getattr(Fraction, name)
-
-        def op(*args, _name=name, _honest=honest):
-            count[_name] += 1
-            return _honest(*args)
-
-        monkeypatch.setattr(Fraction, name, op)
-    honest_new = Fraction.__new__
-
-    def new(cls, *args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") != "fractions":
-            count["__new__"] += 1
-        return honest_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", new)
-    return count
 
 
 @pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")

@@ -387,6 +387,20 @@ def test_malformed_formula_table_is_a_schema_error(tmp_path, capsys, case):
     assert f"at {table_pointer}:" in str(err.value)
 
 
+def test_a_coefficient_at_coincident_arguments_exits_2(tmp_path, capsys):
+    """A well-formed table whose coefficient reads g at coincident arguments
+    loads, and verify stops on it with one error line and no traceback."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(_table_with(lambda t: t["T11"][0].update(coefficient="g(ubar,ubar)"))))
+    raw = {"suites": ["actions"], "max_a": 1, "max_b": 1, "chains": [{"L": 1, "xi": ["0"]}], "action_formula_file": str(table)}
+    parse_config(raw)
+    assert main(["verify", "--config", write_config(tmp_path, raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "coincident" in line
+
+
 FIXED_PARAMETER_POLES = {
     "u on an inhomogeneity": ({"u": ["1/2"], "v": ["9"]}, "/u/0"),
     "v on an inhomogeneity": ({"u": ["3"], "v": ["5", "0"]}, "/v/1"),

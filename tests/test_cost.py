@@ -1,6 +1,7 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
-results the vector suites of configs/quick.json compute, and the number of
-operator compositions its RTT and exchange suites make.
+results the vector suites of configs/quick.json compute, the number of
+operator compositions its RTT and exchange suites make, and the Fraction
+operations of the shorthand coefficients of the action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -9,21 +10,27 @@ lowers a count should lower its pin too.
 
 import os
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from superbethe import bethe, scalars
+from superbethe.actions import action_binding, load_formula_table
 from superbethe.cli import load_config, run_suites
-from superbethe.graded import GradedOperator
+from superbethe.graded import GL21, GradedOperator
+from superbethe.monodromy import ChainModel, ChainSpec
+from superbethe.notation import Binding, partition_sum
+from superbethe.rational import BACKEND, rat
+from superbethe.sampling import ParameterSampler
 
 QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 
 # suite -> (bethe._partition_terms calls, scalars._series calls)
 PINNED = {
     "bethe": (6, 69),
-    "actions": (81, 987),
+    "actions": (81, 963),
     "recursion": (12, 0),
-    "composite": (86, 615),
+    "composite": (86, 574),
 }
 
 
@@ -74,3 +81,44 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     assert calls["compose"] <= COMPOSE_PINNED[suite], (suite, calls["compose"])
+
+
+class _Terms(list):
+    """A partition-sum accumulator that keeps each term's coefficient."""
+
+    def add(self, coefficient):
+        self.append(coefficient)
+        return self
+
+
+@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
+def test_shorthand_coefficients_multiply_only_ints(fraction_ops):
+    """At a rational base every coefficient of the action table is computed
+    on ints from one pair table: besides the unary-function values, each
+    computed once per parameter, a coefficient costs one Fraction operation,
+    the rational its target is scaled by."""
+    model = ChainModel(ChainSpec(2, (0, rat(1, 3)), (2, rat(2, 3), -3), GL21, rat(3, 2)))
+    ps = ParameterSampler("shorthand-cost", 1).generic(5, avoid=model.spec.xi)
+    us, vs, z = ps[:2], ps[2:4], ps[4]
+    calls, inside = Counter(), Counter()
+
+    def counted(name, fn):
+        def value(x):
+            before = sum(fraction_ops.values())
+            out = fn(x)
+            inside["ops"] += sum(fraction_ops.values()) - before
+            calls[name, x] += 1
+            return out
+
+        return value
+
+    base = action_binding(model, us, vs, z)
+    base = Binding(base.sets, base.c, {name: counted(name, fn) for name, fn in base.funcs.items()})
+    target = lambda b, args: SimpleNamespace(scale=lambda coefficient: coefficient)
+    fraction_ops.clear()
+    terms = _Terms()
+    for element_terms in load_formula_table().values():
+        partition_sum(element_terms, base, target, terms)
+    assert len(terms) > 30 and max(calls.values()) == 1
+    ops = sum(fraction_ops.values()) - inside["ops"]
+    assert ops <= len(terms), (ops, len(terms), fraction_ops)

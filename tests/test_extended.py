@@ -3,8 +3,9 @@
 The default suite caps the parameter families at a,b <= 2; partition counts
 grow fast beyond that, so the larger grids are gated here rather than run on
 every invocation. They exercise the same code paths at (3,3) and on the
-longest configured chains, and check the partition coefficients against
-their closed formula at (4,4).
+longest configured chains, check the partition coefficients against
+their closed formula at (4,4), and every packaged shorthand coefficient
+against its pair-by-pair evaluation at (3,3).
 """
 
 import os
@@ -25,7 +26,7 @@ from superbethe.monodromy import ChainModel, ChainSpec, check_rtt
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 
-from oracles import assert_coefficients_match
+from oracles import assert_coefficients_match, assert_shorthand_matches, packaged_bases
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SUPERBETHE_EXTENDED"),
@@ -95,3 +96,13 @@ def test_partition_coefficients_at_4_4(sig):
     us, vs, shifted = separate_collision(us, (us[-1],) + vs[1:])
     assert shifted
     assert_coefficients_match(model, us, vs)
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
+def test_packaged_coefficients_at_3_3(shifted):
+    """Every coefficient of the action table and the class table at every
+    partition at (a,b) = (3,3) against the per-pair oracle."""
+    count = 0
+    for terms, base in packaged_bases(3, 3, "ext-shorthand-oracle", shifted):
+        count += len(assert_shorthand_matches(terms, base))
+    assert count == 1290

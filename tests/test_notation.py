@@ -1,6 +1,6 @@
 import json
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +22,15 @@ from superbethe.notation import (
     partition_sum,
     print_expr,
 )
-from superbethe.errors import PoleAtZero
+from superbethe.bethe import BETHE_WEIGHT, _bethe_weight
+from superbethe.errors import DivisionByZero, PoleAtZero
+from superbethe.gl12 import TILDE_WEIGHT, _tilde_weight
 from superbethe.graded import GL21, GradedVector
 from superbethe.rational import rat
-from superbethe.scalars import EPS
+from superbethe.sampling import ParameterSampler
+from superbethe.scalars import EPS, PairTable, ratio
+
+from oracles import ORACLE_C, assert_shorthand_matches, outcome, packaged_bases
 
 
 def test_parse_structure():
@@ -156,3 +161,51 @@ def test_partition_sum_takes_the_limit_of_eps_coefficients():
     assert total("1/f(u,v)").is_zero()  # a zero of order one at eps = 0
     with pytest.raises(PoleAtZero):
         total("g(u,v)")
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
+def test_packaged_coefficients_match_the_per_pair_oracle(shifted):
+    """Every coefficient of the action table and the class table, at every
+    partition of a seeded binding at (a,b) = (2,2), equals the eps-limit of
+    its pair-by-pair evaluation; at the shifted binding ubar and vbar share
+    a parameter up to eps."""
+    count = 0
+    for terms, base in packaged_bases(2, 2, "shorthand-oracle", shifted):
+        count += len(assert_shorthand_matches(terms, base))
+    assert count == 252
+
+
+def test_a_coefficient_with_a_pole_raises_on_both_paths():
+    (terms, base), *_ = packaged_bases(2, 2, "shorthand-oracle", shifted=True)
+    raw = [{"partitions": [], "coefficient": "r1(z)*g(vbar,ubar)", "target": ["ubar", "vbar"]}]
+    assert assert_shorthand_matches(compile_terms(raw, ("ubar", "vbar", "z"), ("r1",)), base) == [PoleAtZero]
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
+@pytest.mark.parametrize("text, weight", [(BETHE_WEIGHT, _bethe_weight), (TILDE_WEIGHT, _tilde_weight)])
+def test_weight_strings_match_the_oracle_and_their_compiled_form(text, weight, shifted):
+    """Each Bethe-vector weight at every split with #uI = #vI: eval_expr, the
+    per-pair oracle and the compiled weight over a PairTable agree, on a
+    value or on the pole a weight alone may have at the shifted point."""
+    ps = ParameterSampler("weight-oracle", ORACLE_C).generic(6)
+    xs = ps[:5] + ((ps[0] + EPS,) if shifted else ps[5:])
+    terms = compile_terms([{"partitions": [], "coefficient": text, "target": ["uI", "vI"]}], ("uI", "uII", "vI", "vII"), ())
+    table = PairTable(xs, ORACLE_C)
+    for n in range(3):
+        for u1, v1 in product(combinations(range(3), n), combinations(range(3, 6), n)):
+            u2 = tuple(k for k in range(3) if k not in u1)
+            v2 = tuple(k for k in range(3, 6) if k not in v1)
+            sets = {name: tuple(xs[k] for k in idx) for name, idx in zip(("uI", "uII", "vI", "vII"), (u1, u2, v1, v2))}
+            (got,) = assert_shorthand_matches(terms, Binding(sets, c=ORACLE_C))
+            assert outcome(lambda: rat(*ratio(*weight(table, u1, u2, v1, v2)))) == got
+
+
+def test_coincident_arguments():
+    """g and f raise at coincident arguments, as scalars.g does, across
+    sets too; h is 1 there."""
+    b = Binding({"uI": (rat(1, 3),), "vI": (rat(1, 3),), "w": (rat(2),)}, c=1)
+    for text in ("g(uI,uI)", "f(uI,uI)", "g(uI,vI)*h(w,uI)", "K(uI|vI)"):
+        with pytest.raises(DivisionByZero):
+            evaluate(text, b)
+    assert evaluate("h(uI,uI)", b) == 1
+    assert evaluate("h(uI,vI)*g(w,uI)", b) == rat(3, 5)
