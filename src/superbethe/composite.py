@@ -4,8 +4,8 @@ replay of the creation-operator action decomposition.
 A SplitChain glues two sub-chains; the total monodromy is the auxiliary-space
 matrix product of the part monodromies, realized as the factor sequence
 (twist2, part-2 R's, twist1, part-1 R's). compose_monodromy independently
-re-assembles every total entry as the coproduct sum of separately built
-partial entries placed with graded embeddings, which must agree exactly.
+re-assembles every total entry as the coproduct sum of graded tensor
+products of separately built partial entries, which must agree exactly.
 
 Juxtapositions of partial vectors follow the graded product: a part-2 ket
 written before a part-1 ket picks up (-1)^{p1 p2} relative to the plain
@@ -33,7 +33,7 @@ from .bethe import (
     build_vector_limit,
 )
 from .errors import SignatureMismatch
-from .graded import DualGradedVector, GradedVector, embed, vector_tensor
+from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, compile_terms, concat, partition_sum
 from .rational import rat
@@ -88,23 +88,17 @@ class CompositeModel(Model):
 
 
 def coproduct_entries(total: CompositeModel, u) -> Monodromy:
-    """T_ij(u) = sum_k T^(1)_kj(u) T^(2)_ik(u) with graded embeddings, summed
-    over the parts' scaled entries, so its scale is N_1 N_2."""
-    l1, l = total.part1.arity, total.arity
-    pos1 = tuple(range(1, l1 + 1))
-    pos2 = tuple(range(l1 + 1, l + 1))
+    """T_ij(u) = sum_k T^(1)_kj(u) T^(2)_ik(u) over the parts' scaled
+    entries, so its scale is N_1 N_2. Part 1 occupies the first factors, so
+    each term, the product (A x I)(I x B) of the graded embeddings, is the
+    graded tensor product koszul_tensor(A, B)."""
     m1 = total.part1.monodromy(u)
     m2 = total.part2.monodromy(u)
-    e1 = {ij: embed(op, pos1, l) for ij, op in m1.scaled.items()}
-    e2 = {ij: embed(op, pos2, l) for ij, op in m2.scaled.items()}
-    out = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            acc = None
-            for k in range(1, 4):
-                term = e1[k, j].compose(e2[i, k])
-                acc = term if acc is None else acc.add(term)
-            out[(i, j)] = acc
+    out = {
+        (i, j): linear_combination([(1, koszul_tensor(m1.scaled[k, j], m2.scaled[i, k])) for k in range(1, 4)])
+        for i in range(1, 4)
+        for j in range(1, 4)
+    }
     return Monodromy(m1.scale * m2.scale, out)
 
 

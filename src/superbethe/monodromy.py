@@ -25,42 +25,26 @@ gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd. Every factor is symmetric, so
 the same factors serve kets (walked rightmost first) and bras (leftmost
 first). It is used in two ways:
 
-* Whole operators. build_cleared_product pushes each of the 3^(L+1) basis
-  columns through the factors and divides out the common factor, which
-  gives exactly the (N_u, N_u*T(u)) of graded.clear_denominators with no
-  Fraction arithmetic. Model.monodromy returns the nine entry operators of
-  N_u*T(u) and keeps those of the latest point only, since every caller
-  asks for a point once in a row. The operator identities run on these
-  integer operators and scale their residuals back. check_rtt clears T(u),
-  T(v) and R(u,v) once each, lifts T into the two-auxiliary space by
-  graded.insert_identity, and streams the residual one column at a time
-  through graded.column_product, walking the columns in orbits of the swap
-  of the two auxiliary digits (where R(u,v) has its entries), so no product
-  of the arity-(L+2) operators is ever held.
-  check_supercommutator takes its six products from the PairProducts of
-  (u, v): the at most 162 products T_ab(x) T_cd(y) of the cached entries,
-  each composed once for all 81 tuples, kept for the latest pair only; with
-  g(u,v) = gn/gd each residual is one graded.linear_combination
-  gd*lhs - gn*rhs of four of them. composite.compose_monodromy and
-  vacuum_residuals (eigenvalues scaled by N_u) use the cached entries too.
-  build_factor_product / Model.monodromy_op return the rational T(u) from
-  the same walk; Model.T / Monodromy.entry scale a cached entry back to
-  T_ij(u), for the symmetrized odd products and any caller that needs
-  T_ij(u) itself.
+* Whole operators. build_cleared_product walks each column prefix
+  (aux, s_1..s_j) once and gives exactly the (N_u, N_u*T(u)) of
+  graded.clear_denominators with no Fraction arithmetic. Model.monodromy
+  returns the nine entry operators of N_u*T(u) and keeps those of the
+  latest point only, since every caller asks for a point once in a row.
+  The operator identities run on these integer operators and scale their
+  residuals back: check_rtt streams its residual by column and applies
+  R(u,v) by auxiliary-digit arithmetic, check_supercommutator reads its
+  products from the PairProducts of its (u, v) pair, and
+  composite.compose_monodromy and vacuum_residuals read the cached entries
+  too. build_factor_product / Model.monodromy_op return the rational T(u);
+  Model.T / Monodromy.entry scale a cached entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
-  T_ij(u) to a sparse ket or bra without building any operator: the vector
-  is lifted to |j> x w (or <i| x w), walked through the factors and
-  projected back onto the other auxiliary index, with the extraction sign
-  on both ends. It clears the denominators of vec (every Bethe-vector walk
-  starts from the int reference state, where there are none), walks the
-  integer multiples of the factors and returns (m, m*T_ij(u)*vec), m the
-  product of their multipliers and of the cleared denominators, so only
-  ints are multiplied. One cache per model holds these (m, weights) pairs
-  per point, the only walk state this path keeps. Model.apply_T /
-  Model.apply_T_dual scale by 1/m once at the end, and apply_T folds a
-  caller's factor into that one scaling. Every Bethe-vector builder and
-  every vector-side check (actions, recursion, composite creation actions,
-  the decomposition replay) goes this way.
+  T_ij(u) to a sparse ket or bra without building any operator, walking
+  the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec).
+  One cache per model holds the factors' (m, weights) per point, the only
+  walk state this path keeps. Model.apply_T / Model.apply_T_dual scale by
+  1/m once at the end. Every Bethe-vector builder and every vector-side
+  check (actions, recursion, composite creation actions, the decomposition
+  replay) goes this way.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -69,6 +53,7 @@ the embedded product of the factors as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 
 from .errors import DivisionByZero
@@ -80,14 +65,13 @@ from .graded import (
     _check_pair,
     clear_denominators,
     column_product,
-    embed,
     insert_identity,
     linear_combination,
     parity_table,
     r_matrix,
 )
 from .rational import is_rational, rat
-from .scalars import as_pair, is_zero
+from .scalars import as_pair, is_zero, ratio
 from .scalars import f as f_fn
 from .scalars import g as g_fn
 
@@ -132,9 +116,26 @@ def build_cleared_product(sig, c, length, factors, u):
     the lcm of its denominators, and with g(u, xi_k) = gn/gd,
     gd*R_{0k} = gd*I + gn*P_{0k}. The product W of those multiples is
     M*T(u) with M the product of the multipliers; dividing W and M by
-    gcd(M, entries of W) leaves the lcm of the entry denominators of T(u)."""
-    scale, weights = _cleared_sequence(sig, c, length, factors, u)
-    cols = _walk_columns(length, weights)
+    gcd(M, entries of W) leaves the lcm of the entry denominators of T(u).
+
+    The factors are walked rightmost first, which reaches the sites in the
+    order 1..L. After the factors of sites 1..j a column's digits of sites
+    j+1..L are untouched and the rest of its state depends only on its
+    digits (aux, s_1..s_j), so each such prefix is walked once, as a
+    j-site chain, and extended by one digit per site."""
+    scale, weights = _cleared_sequence(sig, c, factors, u)
+    weights.reverse()
+    if [w[1] for w in weights if w[0] == "site"] != list(range(1, length + 1)):
+        raise ValueError(f"the factors must reach the sites in the order 1..{length}")
+    states = [{a: 1} for a in range(3)]  # indexed by the prefix (aux, s_1..s_j)
+    sites = 0
+    for w in weights:
+        if w[0] == "site":
+            sites += 1
+            states = [{key * 3 + d: x for key, x in state.items()} for state in states for d in range(3)]
+        for k, state in enumerate(states):  # in place: one layer held at a time
+            states[k] = _apply_factor(sites, w, state)
+    cols = {col: state for col, state in enumerate(states) if state}
     common = scale
     for colmap in cols.values():
         if common == 1:
@@ -146,7 +147,7 @@ def build_cleared_product(sig, c, length, factors, u):
     return scale, GradedOperator.from_pruned(sig, length + 1, cols)
 
 
-def _cleared_sequence(sig, c, length, factors, u):
+def _cleared_sequence(sig, c, factors, u):
     """(M, data) for the integer multiples of every factor at a rational u:
     their _cleared_weights, leftmost factor first, and M the product of
     their multipliers."""
@@ -155,26 +156,10 @@ def _cleared_sequence(sig, c, length, factors, u):
     scale = 1
     weights = []
     for factor in factors:
-        m, w = _cleared_weights(sig, c, length, factor, u)
+        m, w = _cleared_weights(sig, c, factor, u)
         scale *= m
         weights.append(w)
     return scale, weights
-
-
-def _walk_columns(length, weights):
-    """The columns {col: {row: value}} of the product of the factors whose
-    _apply_factor data is `weights` (leftmost factor first): each basis
-    state of auxiliary x chain is pushed through the factors, rightmost
-    first."""
-    order = weights[::-1]
-    cols = {}
-    for col in range(3 ** (length + 1)):
-        state = {col: 1}
-        for w in order:
-            state = _apply_factor(length, w, state)
-        if state:
-            cols[col] = state
-    return cols
 
 
 def swap_sign(pa, pb, between):
@@ -184,12 +169,21 @@ def swap_sign(pa, pb, between):
     return -1 if (pa & pb) ^ ((pa ^ pb) & between) else 1
 
 
-def _cleared_weights(sig, c, length, factor, u):
+@cache
+def _swap_signs(parity, sign):
+    """The signs of P_{0k} for a signature's parity and a sign rule:
+    swap[a][b][p] for an auxiliary digit a, a site digit b != a and parity p
+    of the sites before site k, and stay[a] on a state with b == a."""
+    swap = tuple(tuple(tuple(sign(parity[a], parity[b], p) for p in (0, 1)) for b in range(3)) for a in range(3))
+    return swap, tuple(sign(parity[a], parity[a], 0) for a in range(3))
+
+
+def _cleared_weights(sig, c, factor, u):
     """(m, data) for the integer multiple m*F of one factor F at a rational
     u, with the data _apply_factor needs: m the lcm of the twist
     denominators and ("diag", m*d), or, with g(u, xi_k) = gn/gd, m = gd and
-    ("site", place of site k, parity table of the sites before it, swap
-    weights, stay weights, gd) for gd*I + gn*P_{0k}."""
+    ("site", k, parity table of the sites before site k, swap weights, stay
+    weights, gd) for gd*I + gn*P_{0k}."""
     kind, *payload = factor
     if kind == "diag":
         pairs = [as_pair(d) for d in payload[0]]
@@ -198,21 +192,22 @@ def _cleared_weights(sig, c, length, factor, u):
     if kind != "site":
         raise ValueError(f"unknown factor kind {kind!r}")
     site, xi = payload
-    if is_zero(u - xi):
+    (up, uq), (xp, xq), (cn, cd) = as_pair(u), as_pair(xi), as_pair(c)
+    diff = up * xq - xp * uq  # (u - xi) uq xq
+    if not diff:
         raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
-    gn, gd = as_pair(g_fn(u, xi, c))
-    signed = {1: gn, -1: -gn}
-    par = sig.parity
-    # swap[a][b][p]: weight of the swapped state for auxiliary digit a, site
-    # digit b and parity p of the sites before site k
-    swap = [[[signed[swap_sign(par[a], par[b], p)] for p in (0, 1)] for b in range(3)] for a in range(3)]
-    stay = {1: gd + gn, -1: gd - gn}
-    stay = [stay[swap_sign(par[a], par[a], 0)] for a in range(3)]
-    return gd, ("site", 3 ** (length - site), parity_table(sig, site - 1), swap, stay, gd)
+    gn, gd = ratio(cn * uq * xq, cd * diff)
+    # the signs are keyed on swap_sign itself, so a replaced rule takes effect
+    swap, stay = _swap_signs(sig.parity, swap_sign)
+    # two int objects each, shared by every entry: the weights are cached per point
+    signed, kept = {1: gn, -1: -gn}, {1: gd + gn, -1: gd - gn}
+    swap = [[[signed[s] for s in row] for row in rows] for rows in swap]
+    return gd, ("site", site, parity_table(sig, site - 1), swap, [kept[s] for s in stay], gd)
 
 
-def _apply_factor(length, weights, state):
-    """One factor applied to a sparse state on arity length+1.
+def _apply_factor(length, weights, state, keep=None):
+    """One factor applied to a sparse state on arity length+1; with keep,
+    only the outputs on auxiliary digit keep.
 
     Every factor is a symmetric matrix, so the same map serves kets and bras.
     """
@@ -221,24 +216,30 @@ def _apply_factor(length, weights, state):
     if weights[0] == "diag":
         d = weights[1]
         for key, x in state.items():
-            out[key] = d[key // shift] * x
+            a = key // shift
+            if keep is None or a == keep:
+                out[key] = d[a] * x
         return out
-    _, place, prefix, swap, stay, ident = weights
+    _, site, prefix, swap, stay, ident = weights
+    place = 3 ** (length - site)
     for key, x in state.items():
         a, rest = divmod(key, shift)
         b = rest // place % 3
         if a == b:
-            s = out.get(key)
-            y = stay[a] * x
-            out[key] = y if s is None else s + y
+            if keep is None or a == keep:
+                s = out.get(key)
+                y = stay[a] * x
+                out[key] = y if s is None else s + y
             continue
-        y = ident * x
-        s = out.get(key)
-        out[key] = y if s is None else s + y
-        swapped = key + (b - a) * (shift - place)
-        y = swap[a][b][prefix[rest // (place * 3)]] * x
-        s = out.get(swapped)
-        out[swapped] = y if s is None else s + y
+        if keep is None or a == keep:
+            y = ident * x
+            s = out.get(key)
+            out[key] = y if s is None else s + y
+        if keep is None or b == keep:
+            swapped = key + (b - a) * (shift - place)
+            y = swap[a][b][prefix[rest // (place * 3)]] * x
+            s = out.get(swapped)
+            out[swapped] = y if s is None else s + y
     return {key: x for key, x in out.items() if x}
 
 
@@ -275,11 +276,13 @@ class PairProducts(dict):
     """The products T_ab(x) T_cd(y) of the scaled entries at one spectral
     pair (u, v), x and y the two points in either order: at most 162, keyed
     (x is u, ab, cd), each composed on its first lookup. Every product
-    carries the scale N_u N_v."""
+    carries the scale N_u N_v; with g(u, v) = gn/gd, back = 1/(gd N_u N_v)
+    scales an exchange residual gd*lhs - gn*rhs back."""
 
-    def __init__(self, mu: Monodromy, mv: Monodromy):
+    def __init__(self, mu: Monodromy, mv: Monodromy, g):
         super().__init__()
-        self.scale = mu.scale * mv.scale
+        self.gn, self.gd = as_pair(g)
+        self.back = rat(1, self.gd * mu.scale * mv.scale)
         self._sides = {True: (mu.scaled, mv.scaled), False: (mv.scaled, mu.scaled)}
 
     def __missing__(self, key):
@@ -332,8 +335,8 @@ class Model:
         """The PairProducts of (u, v). Only the latest pair is kept: a call
         at another pair replaces it, so at most 162 products are held."""
         if self._pair != (u, v):
+            self._products = PairProducts(self.monodromy(u), self.monodromy(v), g_fn(u, v, self.c))
             self._pair = u, v
-            self._products = PairProducts(self.monodromy(u), self.monodromy(v))
         return self._products
 
     def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
@@ -357,33 +360,45 @@ class Model:
         m *= n
         if dual:
             return m, self._walk(i, j, j, vec, weights)
-        return m, self._walk(j, i, j, vec, reversed(weights))
+        return m, self._walk(j, i, j, vec, weights[::-1])
 
     def _walk_weights(self, u):
         """The _cleared_sequence of the whole factor sequence, cached per u."""
         hit = self._weights.get(u)
         if hit is None:
-            hit = self._weights[u] = _cleared_sequence(self.sig, self.c, self.arity, self.factor_sequence(), u)
+            hit = self._weights[u] = _cleared_sequence(self.sig, self.c, self.factor_sequence(), u)
         return hit
 
     def _walk(self, start, end, j, vec, factors):
         """Lift vec to auxiliary index start, apply the factors in the given
         order and project onto auxiliary index end; both ends carry the
-        extraction sign (-1)^{[j] par(chain digits)}."""
+        extraction sign (-1)^{[j] par(chain digits)}. Nothing is computed
+        that the projection would drop: a twist first in the order meets
+        only auxiliary index start and one last only end, so each is the
+        scalar of its entry there, and the last factor walked keeps only
+        its outputs on end."""
         _check_pair(self, vec)
         shift = 3 ** self.arity
         par = parity_table(self.sig, self.arity)
         odd = self.sig.par(j)
+        d = 1
+        if factors and factors[0][0] == "diag":
+            d, factors = factors[0][1][start - 1], factors[1:]
+        if factors and factors[-1][0] == "diag":
+            d, factors = d * factors[-1][1][end - 1], factors[:-1]
         lo = (start - 1) * shift
-        state = {lo + n: (-x if odd and par[n] else x) for n, x in vec.entries.items()}
-        for weights in factors:
+        state = {lo + n: d * (-x if odd and par[n] else x) for n, x in vec.entries.items()}
+        for weights in factors[:-1]:
             state = _apply_factor(self.arity, weights, state)
+        if factors:
+            state = _apply_factor(self.arity, factors[-1], state, end - 1)
+        elif start != end:
+            state = {}  # no site factor: T(u) is the twist, diagonal
         lo = (end - 1) * shift
         out = {}
         for key, x in state.items():
             m = key - lo
-            if 0 <= m < shift:
-                out[m] = -x if odd and par[m] else x
+            out[m] = -x if odd and par[m] else x
         return type(vec)(self.sig, self.arity, out)
 
     def r(self, i, u):
@@ -448,10 +463,13 @@ def check_rtt(model, u, v) -> GradedOperator:
 
     With A = T(u) x I, B = I x T(v) and R = R(u,v), the residual is streamed
     one column at a time and no product of them is materialized: column c
-    of RAB is B e_c pushed through A, then R, and column c of BAR is
-    sum_k R[k,c] BA e_k. R = I + g P has its column c entries at c and at
-    c', c with the two auxiliary digits swapped, so the columns are walked
-    in swap orbits {c, c'} and each BA e_k is computed once per orbit."""
+    of RAB is R applied to AB e_c, and column c of BAR is
+    sum_k R[k,c] BA e_k. R acts on the two auxiliary digits alone, the
+    leading tensor positions, so R x I carries no sign and is applied by
+    digit arithmetic on its nine columns. R = I + g P has its column c
+    entries at c and at c', c with the two auxiliary digits swapped, so the
+    columns are walked in swap orbits {c, c'} and each BA e_k is computed
+    once per orbit."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
     factors = model.factor_sequence()
@@ -462,28 +480,32 @@ def check_rtt(model, u, v) -> GradedOperator:
     # in front of it; T is even, so both are index arithmetic (insert_identity)
     a = insert_identity(a, 2).cols
     b = insert_identity(b, 1).cols
-    r = embed(r, (1, 2), model.arity + 2).cols
     mid = 3**model.arity  # place value of the second auxiliary digit
-    high = 3 * mid
+    # R x I sends e_c to sum_k R[k, p] e_{c + (k - p) mid}, p = c // mid the
+    # auxiliary digit pair of c; per p, the (offset, R[k, p]) of its column
+    r = [[((k - p) * mid, y) for k, y in r.cols.get(p, {}).items()] for p in range(9)]
     out = {}
-    for c in range(3 * high):
-        first, second = c // high, c // mid % 3
+    for c in range(9 * mid):
+        first, second = divmod(c // mid, 3)
         if second < first:
             continue  # walked with its orbit partner
-        orbit = (c,) if first == second else (c, c + (second - first) * (high - mid))
+        orbit = (c,) if first == second else (c, c + 2 * (second - first) * mid)
         ba = {}  # BA e_k for every row k of the orbit's columns of R
         for col in orbit:
-            rcol = r.get(col, {})
-            for k in rcol:
+            rcol = r[col // mid]
+            for off, _ in rcol:
+                k = col + off
                 if k not in ba:
                     ba[k] = column_product(b, a.get(k, {}))
-            res = column_product(r, column_product(a, b.get(col, {})))
-            for row, x in column_product(ba, rcol).items():
-                s = res.get(row, 0) - x
-                if s:
-                    res[row] = s
-                else:
-                    del res[row]
+            res = {}
+            for key, x in column_product(a, b.get(col, {})).items():
+                for off, y in r[key // mid]:
+                    row = key + off
+                    res[row] = res.get(row, 0) + y * x
+            for off, y in rcol:
+                for row, x in ba[col + off].items():
+                    res[row] = res.get(row, 0) - y * x
+            res = {row: x for row, x in res.items() if x}
             if res:
                 out[col] = res
     residual = GradedOperator.from_pruned(model.sig, model.arity + 2, out)
@@ -496,12 +518,13 @@ def check_supercommutator(model, i, j, k, l, u, v):
     Every product pairs an entry at u with one at v, so both sides carry the
     scale N_u N_v of the cached integer entries; with g(u,v) = gn/gd each
     residual is (gd*lhs - gn*rhs) / (gd N_u N_v). The six products of a
-    tuple are looked up in the Model.pair_products of (u, v), so each of the
-    162 is composed once for all 81 tuples, and each residual is one linear
-    combination of four of them."""
+    tuple, gn, gd and that scale-back are looked up in the
+    Model.pair_products of (u, v), so each of the 162 products is composed
+    once for all 81 tuples, and each residual is one linear combination of
+    four of them."""
     p = model.sig.par
-    gn, gd = as_pair(g_fn(u, v, model.c))
     t = model.pair_products(u, v)
+    gn, gd = t.gn, t.gd
     ij, kl, il, kj = (i, j), (k, l), (i, l), (k, j)
     lhs = [(gd, t[True, ij, kl]), (gd if (p(i) ^ p(j)) and (p(k) ^ p(l)) else -gd, t[False, kl, ij])]
     s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
@@ -510,8 +533,7 @@ def check_supercommutator(model, i, j, k, l, u, v):
     s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
     c2 = gn if s2 else -gn
     r2 = linear_combination(lhs + [(-c2, t[True, kj, il]), (c2, t[False, kj, il])])
-    back = rat(1, gd * t.scale)
-    return r1.scale(back), r2.scale(back)
+    return r1.scale(t.back), r2.scale(t.back)
 
 
 def vacuum_residuals(model, u):

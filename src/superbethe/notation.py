@@ -10,6 +10,7 @@ one-element sets; there is no scalar/set overloading.
 One evaluator serves every coefficient: a chain of '*' and '/' is one
 scalars.PairTable.product of (num, den) pairs, read from one PairTable per
 base binding (eval_expr) or per Bethe-vector parameter family (weight_product).
+Each parsed expression is flattened into its leaves once, on first use.
 
 Also hosts the one engine behind every shorthand summation: a PartitionSpec
 names the disjoint parts of a source set with fixed or free cardinalities, and
@@ -235,34 +236,51 @@ class Binding:
             raise UnboundName(name) from None
 
 
-def _factors(node, table, sets, unary, inverted=False):
-    """The (num, den) factors whose product is node, each inverted if
-    inverted: the entries of table for g, f and h, table.izergin for K,
-    unary(name, indices) for a unary function; sets(name) is a set's index
-    tuple in table."""
+def _compiled(node):
+    """node as a flat list of (leaf, inverted) pairs, a leaf a Lit or a Call,
+    whose product, each inverted leaf taken as its reciprocal, is node.
+    Compiled on first use and cached on the node; a pair function with
+    other than two set arguments raises here."""
+    flat = node.__dict__.get("_flat")
+    if flat is None:
+        flat = _flatten(node, False)
+        object.__setattr__(node, "_flat", flat)
+    return flat
+
+
+def _flatten(node, inverted):
     kind = type(node)
     if kind is Mul or kind is Div:
-        left = _factors(node.left, table, sets, unary, inverted)
-        return left + _factors(node.right, table, sets, unary, inverted ^ (kind is Div))
+        return _flatten(node.left, inverted) + _flatten(node.right, inverted ^ (kind is Div))
     if kind is Neg:
-        return [(-1, 1)] + _factors(node.arg, table, sets, unary, inverted)
+        return [(Lit(-1), False)] + _flatten(node.arg, inverted)
     if kind is Pow:
-        return _factors(node.base, table, sets, unary, inverted) * node.exponent
-    if kind is Lit:
-        pairs = [(node.value, 1)]
-    elif kind is not Call:
+        return _flatten(node.base, inverted) * node.exponent
+    if kind is Call and node.name in _PAIR and len(node.args) != 2:
+        raise ValueError(f"{node.name} takes two set arguments")
+    if kind is not Call and kind is not Lit:
         raise TypeError(f"not an expression node: {node!r}")
-    elif node.name == "K":
-        pairs = [table.izergin(sets(node.args[0]), sets(node.args[1]))]
-    elif node.name in _PAIR:
-        if len(node.args) != 2:
-            raise ValueError(f"{node.name} takes two set arguments")
-        pairs = table.cross(getattr(table, node.name), sets(node.args[0]), sets(node.args[1]))
-    else:
-        pairs = unary(node.name, sets(node.args[0]))
-        if len(node.args) != 1:
-            raise ValueError(f"{node.name} takes one set argument")
-    return [(d, n) for n, d in pairs] if inverted else pairs
+    return [(node, inverted)]
+
+
+def _factors(node, table, sets, unary):
+    """The (num, den) factors whose product is node: the entries of table
+    for g, f and h, table.izergin for K, unary(name, indices) for a unary
+    function; sets(name) is a set's index tuple in table."""
+    out = []
+    for leaf, inverted in _compiled(node):
+        if type(leaf) is Lit:
+            pairs = [(leaf.value, 1)]
+        elif leaf.name == "K":
+            pairs = [table.izergin(sets(leaf.args[0]), sets(leaf.args[1]))]
+        elif leaf.name in _PAIR:
+            pairs = table.cross(getattr(table, leaf.name), sets(leaf.args[0]), sets(leaf.args[1]))
+        else:
+            pairs = unary(leaf.name, sets(leaf.args[0]))
+            if len(leaf.args) != 1:
+                raise ValueError(f"{leaf.name} takes one set argument")
+        out.extend([(d, n) for n, d in pairs] if inverted else pairs)
+    return out
 
 
 def eval_expr(node, binding: Binding):

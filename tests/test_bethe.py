@@ -249,14 +249,15 @@ def _weight_values(weights):
 @pytest.fixture
 def walked(monkeypatch):
     """Counter of the type names of every factor weight and state value
-    _apply_factor multiplies or produces."""
+    _apply_factor multiplies or produces, the last factor of a walk, which
+    keeps one auxiliary digit, included."""
     seen = Counter()
     honest = monodromy._apply_factor
 
-    def apply_factor(length, weights, state):
+    def apply_factor(length, weights, state, keep=None):
         seen.update(type(x).__name__ for x in _weight_values(weights))
         seen.update(type(x).__name__ for x in state.values())
-        out = honest(length, weights, state)
+        out = honest(length, weights, state, keep)
         seen.update(type(x).__name__ for x in out.values())
         return out
 

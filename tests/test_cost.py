@@ -1,7 +1,8 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
 results the vector suites of configs/quick.json compute, the number of
-operator compositions its RTT and exchange suites make, and the Fraction
-operations of the shorthand coefficients of the action table.
+operator compositions its RTT and exchange suites make, the embeds and
+walked state entries of its RTT, composite and Bethe suites, and the
+Fraction operations of the shorthand coefficients of the action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -9,12 +10,13 @@ lowers a count should lower its pin too.
 """
 
 import os
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from superbethe import bethe, scalars
+from superbethe import bethe, graded, monodromy, scalars
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.cli import load_config, run_suites
 from superbethe.graded import GL21, GradedOperator
@@ -81,6 +83,42 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     assert calls["compose"] <= COMPOSE_PINNED[suite], (suite, calls["compose"])
+
+
+# suite -> (graded.embed calls, state entries into and out of
+# monodromy._apply_factor): RTT applies R(u,v) by digit arithmetic and the
+# coproduct sums graded tensor products, so neither embeds; T(u) is built
+# once per column prefix, and a vector walk's last factor keeps only the
+# wanted auxiliary digit
+WALK_PINNED = {
+    "rtt": (0, 1020),
+    "composite": (0, 942),
+    "bethe": (0, 711),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(WALK_PINNED))
+def test_embeds_and_walked_entries_do_not_rise(suite, monkeypatch):
+    count = Counter()
+    embed, apply_factor = graded.embed, monodromy._apply_factor
+
+    def counted_embed(*args):
+        count["embed"] += 1
+        return embed(*args)
+
+    def counted_apply_factor(length, weights, state, keep=None):
+        out = apply_factor(length, weights, state, keep)
+        count["walked"] += len(state) + len(out)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superbethe") and getattr(module, "embed", None) is embed:
+            monkeypatch.setattr(module, "embed", counted_embed)
+    monkeypatch.setattr(monodromy, "_apply_factor", counted_apply_factor)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    got = count["embed"], count["walked"]
+    assert got[0] <= WALK_PINNED[suite][0] and got[1] <= WALK_PINNED[suite][1], (suite, got, WALK_PINNED[suite])
 
 
 class _Terms(list):

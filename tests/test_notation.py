@@ -95,6 +95,18 @@ def test_unbound_name():
         evaluate("r9(uI)", Binding({"uI": (1,)}, c=1))
 
 
+def test_call_arity_is_refused():
+    """A pair function is refused for its arity when the expression is
+    flattened, before any set is looked up; a unary one once its name is
+    bound."""
+    b = Binding({"uI": (1,)}, c=1, funcs={"r1": lambda x: x})
+    for text in ("g(uI)", "f(uI,uII,vI)", "r1(uI,uI)"):
+        with pytest.raises(ValueError, match="set argument"):
+            evaluate(text, b)
+    with pytest.raises(UnboundName):
+        evaluate("r9(uI,uI)", b)
+
+
 def test_eval_is_order_insensitive():
     b1 = Binding({"uI": (1, 4, 9), "vI": (2, 7)}, c=1)
     b2 = Binding({"uI": (9, 1, 4), "vI": (7, 2)}, c=1)
