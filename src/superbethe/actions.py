@@ -1,14 +1,16 @@
 """Action of monodromy entries on Bethe vectors, data-driven.
 
-Each of the seven gl(2|1) formulas lives in data/action_formulas.json as a
-list of terms (partition shape, coefficient expression, target vector
-arguments), so every term is individually auditable. action_check compares
+A table term is a partition shape, a shorthand coefficient and the target
+vector's arguments, so every term is individually auditable. action_check
+compares
 
     T_el(z) / (lam2(z) h(vbar,z)) . B(ubar; vbar)
 
-against the table-driven right-hand side; residuals are exactly zero. Target
-vectors whose argument sets share z are evaluated through the eps-limit
-builder. T31 and T32 have no tabulated action and are rejected.
+against the table-driven right-hand side; residuals are exactly zero. Every
+coefficient, and the normalization's h(vbar,z) (NORM), is shorthand
+evaluated by notation. A target vector whose argument sets share z is
+built at the eps-limit. T31 and T32 have no tabulated action and are
+rejected.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from importlib import resources
 from .bethe import PartialCache, build_vector, build_vector_limit
 from .errors import SchemaError
 from .graded import GL21, GradedVector
-from .notation import Binding, compile_terms, concat, partition_sum
-from .scalars import h, prod_pairs
+from .notation import Binding, compile_terms, concat, evaluate, partition_sum
 
 ELEMENTS = ("T11", "T22", "T33", "T13", "T23", "T12", "T21")
 _FUNCS = ("r1", "r3")
+
+# the normalization of every action at z, but for the 1/lam2(z)
+NORM = "1/h(vbar,z)"
 
 
 def load_formula_table(path=None) -> dict:
@@ -67,13 +71,15 @@ def action_binding(model, us, vs, z) -> Binding:
 
 def action_norm(model, vs, z):
     """1 / (lam2(z) h(vs,z)), the normalization of every action at z."""
-    return 1 / (model.lam(2, z) * prod_pairs(h, vs, (z,), model.c))
+    return evaluate(NORM, Binding({"vbar": tuple(vs), "z": (z,)}, c=model.c)) / model.lam(2, z)
 
 
-def action_rhs(model, element, us, vs, z, table=None):
-    """Table-driven right-hand side of the normalized action of element at z."""
+def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit):
+    """Table-driven right-hand side of the normalized action of element at
+    z, each target vector built once by builder(model, us, vs): by default
+    the Bethe vector, at coincident parameters its eps-limit."""
     table = table or load_formula_table()
-    partials = PartialCache(build_vector_limit)
+    partials = PartialCache(builder)
 
     def target(b, args):
         return partials.get("t", model, concat(b, args[0]), concat(b, args[1]))

@@ -60,6 +60,7 @@ from .gl12 import (
 )
 from .graded import SIGNATURES, check_unitarity, check_ybe, decode
 from .monodromy import ChainModel, ChainSpec, check_rtt, check_supercommutator, vacuum_residuals
+from .notation import Binding, evaluate
 from .rational import BACKEND, rat_from_str
 from .sampling import ParameterSampler
 from .scalars import f, g, h, is_zero, izergin, three_term_witness
@@ -434,13 +435,15 @@ class _Runner:
 
     def suite_scalar(self, smp):
         c = self.cfg.c
+        # K as the runs read it, PairTable.izergin through the shorthand
+        K = lambda vs, us, c: evaluate("K(vI|uI)", Binding({"vI": tuple(vs), "uI": tuple(us)}, c=c))
         for k in range(10):
             v, u = smp.generic(2)
-            yield f"izergin K1 equals g (draw {k})", {"v": v, "u": u}, lambda: izergin((v,), (u,), c) - g(v, u, c)
+            yield f"izergin K1 equals g (draw {k})", {"v": v, "u": u}, lambda: K((v,), (u,), c) - g(v, u, c)
         yield (
             "izergin K2 frozen value",
             {"v": "5,6", "u": "1,2", "c": 1},
-            lambda: izergin((5, 6), (1, 2), 1) - rat_from_str("1/6"),
+            lambda: K((5, 6), (1, 2), 1) - rat_from_str("1/6"),
         )
         vs = smp.generic(3)
         us = smp.generic(3, avoid=vs)
@@ -448,7 +451,7 @@ class _Runner:
         worst = 0
         for pv in permutations(vs):
             for pu in permutations(us):
-                d = izergin(pv, pu, c) - base
+                d = K(pv, pu, c) - base
                 if not is_zero(d):
                     worst = d
         yield "izergin permutation invariance n=3", {"v": vs, "u": us}, lambda: worst

@@ -12,9 +12,12 @@ written before a part-1 ket picks up (-1)^{p1 p2} relative to the plain
 tensor, with parities read off the actual support. The factor-exchange
 identity g(vI,vII) B2 B1 = g(vII,vI) B1 B2 pins this convention. By the
 mirror rule of bethe.py a bra is its ket read from the other side, so a
-part-1 bra written before a part-2 bra picks up the same sign, and one
-juxtaposition, one bilinear sum and one factorization residual serve the
-four families B, C, B~ and C~.
+part-1 bra written before a part-2 bra picks up the same sign.
+
+Every coefficient here is shorthand evaluated by notation: KET_COEFF and
+BRA_COEFF, EXCHANGE_COEFFS, RECURSION_COEFFS and the packaged partition
+classes; the creation actions on composite sums are actions.action_rhs with
+the composite sum as target builder.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
 
-from .actions import action_binding, action_norm, load_formula_table
+from .actions import action_norm, action_rhs
 from .bethe import (
     PartialCache,
     at_limit,
@@ -35,9 +38,9 @@ from .bethe import (
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
-from .notation import Binding, PartSpec, PartitionSpec, compile_terms, concat, partition_sum
+from .notation import Binding, PartSpec, PartitionSpec, compile_terms, concat, evaluate, partition_sum
 from .rational import rat
-from .scalars import f, g, is_zero, prod_pairs, three_term_witness
+from .scalars import is_zero, three_term_witness
 
 
 @dataclass(frozen=True)
@@ -237,16 +240,17 @@ def check_dual_bethe_factorization(split: SplitChain, us, vs):
     )
 
 
+# the coefficients of B2 B1 and of B1 B2 in the factor exchange
+EXCHANGE_COEFFS = ("g(vI,vII)", "g(vII,vI)")
+
+
 def check_factor_exchange(split: SplitChain, us1, vs1, us2, vs2):
     """g(vI,vII) B2 B1 - g(vII,vI) B1 B2 on given partial parameter sets."""
-    m1 = ChainModel(split.part1)
-    m2 = ChainModel(split.part2)
-    c = m1.c
-    b1 = build_vector(m1, us1, vs1)
-    b2 = build_vector(m2, us2, vs2)
-    lhs = compose_ket(b1, b2, True).scale(prod_pairs(g, vs1, vs2, c))
-    rhs = compose_ket(b1, b2, False).scale(prod_pairs(g, vs2, vs1, c))
-    return lhs.sub(rhs)
+    b1 = build_vector(ChainModel(split.part1), us1, vs1)
+    b2 = build_vector(ChainModel(split.part2), us2, vs2)
+    sets = Binding({"vI": tuple(vs1), "vII": tuple(vs2)}, c=split.part1.c)
+    left, right = (evaluate(coeff, sets) for coeff in EXCHANGE_COEFFS)
+    return compose_ket(b1, b2, True).scale(left).sub(compose_ket(b1, b2, False).scale(right))
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +258,28 @@ def check_factor_exchange(split: SplitChain, us1, vs1, us2, vs2):
 # ---------------------------------------------------------------------------
 
 
+# the coefficients of B(ubar; {z, vbar}) and, summed over u0 in ubar, of
+# T13(z)/(lam2(z) h(vbar,z)) B(ubar0; vbar), ubar0 = ubar minus u0
+RECURSION_COEFFS = ("f(z,ubar)", "g(u0,z)*f(u0,ubar0)")
+
+
+@cache
+def _recursion_terms(coeff):
+    raw = [{"partitions": [["ubar", "u0", "ubar0"]], "coefficient": coeff, "target": ["ubar0", "vbar"]}]
+    return compile_terms(raw, ("ubar", "vbar", "z"), ())
+
+
 def check_recursion(model, us, vs, z):
-    """T23(z)/(lam2(z) h(vs,z)) B(us;vs) minus its two-term expansion."""
+    """T23(z)/(lam2(z) h(vs,z)) B(us;vs) minus its two-term expansion; the
+    sum over u0 is one vector, so T13(z) is applied once."""
     us, vs = tuple(us), tuple(vs)
-    c = model.c
     norm = action_norm(model, vs, z)
     lhs = model.apply_T(2, 3, z, build_vector(model, us, vs), norm)
-    rhs = build_vector(model, us, (z,) + vs).scale(prod_pairs(f, (z,), us, c))
-    for k in range(len(us)):
-        u0 = us[k]
-        rest = us[:k] + us[k + 1 :]
-        coef = g(u0, z, c) * prod_pairs(f, (u0,), rest, c) * norm
-        rhs = rhs.add(model.apply_T(1, 3, z, build_vector(model, rest, vs), coef))
-    return lhs.sub(rhs)
+    base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=model.c)
+    rhs = build_vector(model, us, (z,) + vs).scale(evaluate(RECURSION_COEFFS[0], base))
+    target = lambda b, args: build_vector(model, concat(b, args[0]), concat(b, args[1]))
+    summed = partition_sum(_recursion_terms(RECURSION_COEFFS[1]), base, target, GradedVector(model.sig, model.arity))
+    return lhs.sub(rhs).sub(model.apply_T(1, 3, z, summed, norm))
 
 
 def check_composite_creation_actions(split: SplitChain, us, vs, z):
@@ -277,18 +290,11 @@ def check_composite_creation_actions(split: SplitChain, us, vs, z):
     m1, m2 = total.part1, total.part2
     norm = action_norm(total, vs, z)
     cal_b = bilinear_sum(m1, m2, us, vs)
-    table = load_formula_table()
-    base = action_binding(total, us, vs, z)
-
-    def target(b, args):
-        return bilinear_sum_limit(m1, m2, concat(b, args[0]), concat(b, args[1]))
-
-    residuals = []
-    for i, element in ((1, "T13"), (2, "T23")):
-        lhs = total.apply_T(i, 3, z, cal_b, norm)
-        rhs = partition_sum(table[element], base, target, GradedVector(total.sig, total.arity))
-        residuals.append(lhs.sub(rhs))
-    return tuple(residuals)
+    composite_sum = lambda _, us, vs: bilinear_sum_limit(m1, m2, us, vs)
+    return tuple(
+        total.apply_T(i, 3, z, cal_b, norm).sub(action_rhs(total, f"T{i}3", us, vs, z, builder=composite_sum))
+        for i in (1, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,16 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
   factor and an even operator).
 
 Everything downstream is plain sparse matrix algebra; once an operator is
-materialized the signs are inside it. Composition, application and the
-streamed RTT residual multiply through one kernel, column_product (an
-operator's columns times one sparse column); linear_combination sums
-scaled operators in one pass over their entries, with no intermediate
-operator (the exchange residuals).
+materialized the signs are inside it. Every operator sum (add, sub, R(u,v),
+the exchange residuals) is one linear_combination, with no intermediate
+operator.
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous
-in their factors, so they run on integer operators: clear_denominators scales
-each factor once by the lcm of its denominators, every embed/compose/add then
-multiplies Python ints, and the residual is scaled back by the product of the
-scales, which makes it equal to the residual of the rational formula.
+in their factors, so they run on integer operators: every embed, compose
+and sum multiplies Python ints, and the residual is scaled back by the
+product of the scales, which makes it equal to the residual of the
+rational formula.
 """
 
 from __future__ import annotations
@@ -267,27 +265,10 @@ class GradedOperator:
         )
 
     def add(self, other):
-        return self._merge(other, False)
+        return linear_combination([(1, self), (1, other)])
 
     def sub(self, other):
-        # not add(other.scale(-1)): that builds a negated copy of other
-        # beside both operands and the result
-        return self._merge(other, True)
-
-    def _merge(self, other, negate):
-        _check_pair(self, other)
-        out = {c: dict(m) for c, m in self.cols.items()}
-        for c, colmap in other.cols.items():
-            dest = out.setdefault(c, {})
-            for r, v in colmap.items():
-                s = dest.get(r, 0) - v if negate else dest.get(r, 0) + v
-                if s:
-                    dest[r] = s
-                elif r in dest:
-                    del dest[r]
-            if not dest:
-                del out[c]
-        return GradedOperator.from_pruned(self.sig, self.arity, out)
+        return linear_combination([(1, self), (-1, other)])
 
     def compose(self, other):
         """self after other (matrix product self . other)."""
@@ -488,8 +469,7 @@ def super_permutation(sig: Signature) -> GradedOperator:
 def r_matrix(u, v, sig: Signature, c) -> GradedOperator:
     # super_permutation is looked up as a module global on every call, so a
     # replacement of it (a flipped-sign negative control) takes effect here
-    gv = g_fn(u, v, c)
-    return GradedOperator.identity(sig, 2).add(super_permutation(sig).scale(gv))
+    return linear_combination([(1, GradedOperator.identity(sig, 2)), (g_fn(u, v, c), super_permutation(sig))])
 
 
 def check_ybe(u, v, w, sig: Signature, c) -> GradedOperator:

@@ -31,20 +31,15 @@ first). It is used in two ways:
   returns the nine entry operators of N_u*T(u) and keeps those of the
   latest point only, since every caller asks for a point once in a row.
   The operator identities run on these integer operators and scale their
-  residuals back: check_rtt streams its residual by column and applies
-  R(u,v) by auxiliary-digit arithmetic, check_supercommutator reads its
-  products from the PairProducts of its (u, v) pair, and
-  composite.compose_monodromy and vacuum_residuals read the cached entries
-  too. build_factor_product / Model.monodromy_op return the rational T(u);
-  Model.T / Monodromy.entry scale a cached entry back to T_ij(u).
+  residuals back. build_factor_product / Model.monodromy_op return the
+  rational T(u); Model.T / Monodromy.entry scale a cached entry back to
+  T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec).
   One cache per model holds the factors' (m, weights) per point, the only
-  walk state this path keeps. Model.apply_T / Model.apply_T_dual scale by
-  1/m once at the end. Every Bethe-vector builder and every vector-side
-  check (actions, recursion, composite creation actions, the decomposition
-  replay) goes this way.
+  walk state this path keeps; the graded signs are indices shared by every
+  point. Model.apply_T / Model.apply_T_dual scale by 1/m once at the end.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -171,19 +166,21 @@ def swap_sign(pa, pb, between):
 
 @cache
 def _swap_signs(parity, sign):
-    """The signs of P_{0k} for a signature's parity and a sign rule:
-    swap[a][b][p] for an auxiliary digit a, a site digit b != a and parity p
-    of the sites before site k, and stay[a] on a state with b == a."""
-    swap = tuple(tuple(tuple(sign(parity[a], parity[b], p) for p in (0, 1)) for b in range(3)) for a in range(3))
-    return swap, tuple(sign(parity[a], parity[a], 0) for a in range(3))
+    """The signs of P_{0k} for a signature's parity and a sign rule, as
+    indices into a pair (x, -x), so every point shares them: swap[a][b][p]
+    for an auxiliary digit a, a site digit b != a and parity p of the sites
+    before site k, and stay[a] on a state with b == a."""
+    index = lambda pa, pb, p: (1 - sign(parity[pa], parity[pb], p)) // 2
+    swap = tuple(tuple(tuple(index(a, b, p) for p in (0, 1)) for b in range(3)) for a in range(3))
+    return swap, tuple(index(a, a, 0) for a in range(3))
 
 
 def _cleared_weights(sig, c, factor, u):
     """(m, data) for the integer multiple m*F of one factor F at a rational
     u, with the data _apply_factor needs: m the lcm of the twist
     denominators and ("diag", m*d), or, with g(u, xi_k) = gn/gd, m = gd and
-    ("site", k, parity table of the sites before site k, swap weights, stay
-    weights, gd) for gd*I + gn*P_{0k}."""
+    ("site", k, parity table of the sites before site k, swap and stay sign
+    indices, (gn, -gn), (gd + gn, gd - gn), gd) for gd*I + gn*P_{0k}."""
     kind, *payload = factor
     if kind == "diag":
         pairs = [as_pair(d) for d in payload[0]]
@@ -199,10 +196,7 @@ def _cleared_weights(sig, c, factor, u):
     gn, gd = ratio(cn * uq * xq, cd * diff)
     # the signs are keyed on swap_sign itself, so a replaced rule takes effect
     swap, stay = _swap_signs(sig.parity, swap_sign)
-    # two int objects each, shared by every entry: the weights are cached per point
-    signed, kept = {1: gn, -1: -gn}, {1: gd + gn, -1: gd - gn}
-    swap = [[[signed[s] for s in row] for row in rows] for rows in swap]
-    return gd, ("site", site, parity_table(sig, site - 1), swap, [kept[s] for s in stay], gd)
+    return gd, ("site", site, parity_table(sig, site - 1), swap, stay, (gn, -gn), (gd + gn, gd - gn), gd)
 
 
 def _apply_factor(length, weights, state, keep=None):
@@ -220,7 +214,7 @@ def _apply_factor(length, weights, state, keep=None):
             if keep is None or a == keep:
                 out[key] = d[a] * x
         return out
-    _, site, prefix, swap, stay, ident = weights
+    _, site, prefix, swap, stay, signed, kept, ident = weights
     place = 3 ** (length - site)
     for key, x in state.items():
         a, rest = divmod(key, shift)
@@ -228,7 +222,7 @@ def _apply_factor(length, weights, state, keep=None):
         if a == b:
             if keep is None or a == keep:
                 s = out.get(key)
-                y = stay[a] * x
+                y = kept[stay[a]] * x
                 out[key] = y if s is None else s + y
             continue
         if keep is None or a == keep:
@@ -237,7 +231,7 @@ def _apply_factor(length, weights, state, keep=None):
             out[key] = y if s is None else s + y
         if keep is None or b == keep:
             swapped = key + (b - a) * (shift - place)
-            y = swap[a][b][prefix[rest // (place * 3)]] * x
+            y = signed[swap[a][b][prefix[rest // (place * 3)]]] * x
             s = out.get(swapped)
             out[swapped] = y if s is None else s + y
     return {key: x for key, x in out.items() if x}

@@ -7,23 +7,15 @@ to one-set products, K(A|B) is the domain-wall partition function, and '*',
 '/', unary '-', integer literals and '(expr)^n' compose them. Singletons are
 one-element sets; there is no scalar/set overloading.
 
-One evaluator serves every coefficient: a chain of '*' and '/' is one
-scalars.PairTable.product of (num, den) pairs, read from one PairTable per
-base binding (eval_expr) or per Bethe-vector parameter family (weight_product).
-Each parsed expression is flattened into its leaves once, on first use.
-
-Also hosts the one engine behind every shorthand summation: a PartitionSpec
-names the disjoint parts of a source set with fixed or free cardinalities, and
-enumerate_partitions yields one Binding per admissible assignment, in
-lexicographic order of element indices. compile_terms turns the JSON term
-shape of the formula tables into (partitions, coefficient AST, target)
-triples, and partition_sum evaluates a list of them against a target vector
-function, each coefficient taken through scalars.ratio.
+A PartitionSpec names the disjoint parts of a source set with fixed or free
+cardinalities, and enumerate_partitions yields one Binding per admissible
+assignment, in lexicographic order of element indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 from .errors import SchemaError
@@ -157,7 +149,9 @@ class _Parser:
         return Call(ident, tuple(args))
 
 
+@cache
 def parse(text: str):
+    """text as an AST, parsed once per distinct text."""
     p = _Parser(text)
     node = p.expr()
     if p.peek():

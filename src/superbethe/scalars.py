@@ -1,11 +1,9 @@
 """Exact field arithmetic for the rational structure constants.
 
-Two layers:
-
-* plain rationals (see rational.py) carry every generic computation;
-* EpsScalar extends them to truncated Laurent series in one formal
-  infinitesimal ``eps``, used to evaluate the partition coefficients at
-  coincident spectral parameters as exact one-sided limits.
+EpsScalar extends the plain rationals of rational.py, which carry every
+generic computation, to truncated Laurent series in one formal
+infinitesimal ``eps``, to evaluate the partition coefficients at coincident
+spectral parameters as exact one-sided limits.
 
 An EpsScalar is eps^val * (c_0 + c_1 eps + ... + c_{n-1} eps^{n-1}) +
 O(eps^{val+n}) with c_0 != 0, or, for n = 0, the undetermined zero
@@ -26,13 +24,6 @@ only one parameter (bethe.separate_collision refuses larger overlaps):
 K(vI|uI) has at most a simple pole in eps and 1/f(vs,us) a simple zero, so
 every partition coefficient is regular at eps = 0 and the only singular
 products resolved are 0 * inf.
-
-Also hosts g, f, h, their set products and the domain-wall partition
-function (Izergin determinant, by fraction-free Bareiss elimination, which
-keeps an int matrix on ints), one pair at a time: the reference for the
-tests and the benchmark. Every shorthand coefficient is instead a product
-over a PairTable, g, f and h of a parameter family as (num, den) ints, and
-ratio takes its one quotient, or its eps-limit.
 """
 
 from __future__ import annotations
@@ -214,7 +205,7 @@ def eps_limit(x):
 
 
 # ---------------------------------------------------------------------------
-# the rational structure functions and their set products
+# the rational structure functions, one pair at a time
 # ---------------------------------------------------------------------------
 
 
@@ -232,15 +223,6 @@ def f(u, v, c):
 def h(u, v, c):
     # equals f/g wherever g is defined, but is regular at u == v (value 1)
     return (u - v + ONE * c) / (ONE * c)
-
-
-def prod_pairs(fn, left, right, c):
-    """prod over l in left, r in right of fn(l, r, c); empty product is 1."""
-    acc = ONE
-    for l in left:
-        for r in right:
-            acc = acc * fn(l, r, c)
-    return acc
 
 
 def _exact_quotient(x, y):

@@ -7,11 +7,12 @@ as one operator, normalized by h one pair at a time, for checking the
 walked blocks of bethe.py.
 
 The partition coefficients of the Bethe-vector builders as the closed
-formulas read, evaluated by the scalar functions g, f, h, izergin and
-prod_pairs one pair at a time (over EpsScalar at an eps-shifted point, then
-taken to the limit), for checking bethe._partition_terms, which computes
-them from integer pair tables. Every shorthand coefficient the same way,
-for checking notation.eval_expr, which reads one pair table.
+formulas read, evaluated by the scalar functions g, f, h and izergin and
+their set product prod_pairs one pair at a time (over EpsScalar at an
+eps-shifted point, then taken to the limit), for checking
+bethe._partition_terms, which computes them from integer pair tables.
+Every shorthand coefficient the same way, for checking notation.eval_expr,
+which reads one pair table.
 """
 
 from itertools import combinations
@@ -26,7 +27,16 @@ from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.notation import Binding, Call, Div, Lit, Mul, Neg, Pow, enumerate_partitions, eval_expr, print_expr
 from superbethe.rational import ONE, rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import eps_limit, f, g, h, is_zero, izergin, prod_pairs, ratio
+from superbethe.scalars import eps_limit, f, g, h, is_zero, izergin, ratio
+
+
+def prod_pairs(fn, left, right, c):
+    """prod over l in left, r in right of fn(l, r, c); empty product is 1."""
+    acc = ONE
+    for l in left:
+        for r in right:
+            acc = acc * fn(l, r, c)
+    return acc
 
 
 def embedded_product(sig, c, length, factors, u):

@@ -27,9 +27,9 @@ from superbethe.bethe import (
 )
 from superbethe.rational import BACKEND, rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, PairTable, eps_limit, f, g, h, izergin, prod_pairs
+from superbethe.scalars import EPS, PairTable, eps_limit, f, g, h, izergin
 
-from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product, sym_odd_product
+from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product, prod_pairs, sym_odd_product
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -242,8 +242,8 @@ def _weight_values(weights):
     """Every number _apply_factor multiplies a state by."""
     if weights[0] == "diag":
         return weights[1]
-    _, _, _, swap, stay, ident = weights
-    return [w for row in swap for pair in row for w in pair] + list(stay) + [ident]
+    _, _, _, _, _, signed, kept, ident = weights
+    return [*signed, *kept, ident]
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from superbethe import composite
 from superbethe.bethe import build_dual_vector, build_vector
 from superbethe.composite import (
     CompositeModel,
@@ -149,6 +150,31 @@ def test_recursion_relation():
             us, vs = ps[:a], ps[a:]
             z = smp.generic_one(avoid=tuple(xi) + ps)
             assert check_recursion(model, us, vs, z).is_zero(), (length, a, b)
+
+
+@pytest.mark.parametrize("a", (1, 2))
+def test_recursion_with_swapped_g_arguments_fails(monkeypatch, a):
+    """The recursion term with g(z,u0) in place of g(u0,z) leaves a nonzero
+    residual at (a,b) = (a,1) on a gl(2|1) L=2 chain."""
+    model = ChainModel(cs(2, (0, rat(1, 3)), (2, 1, -3)))
+    ps = ParameterSampler("recursion-control", 1).generic(a + 1, avoid=(0, rat(1, 3)))
+    us, z = ps[:a], ps[a]
+    assert check_recursion(model, us, (), z).is_zero()
+    assert composite.RECURSION_COEFFS == ("f(z,ubar)", "g(u0,z)*f(u0,ubar0)")
+    monkeypatch.setattr(composite, "RECURSION_COEFFS", ("f(z,ubar)", "g(z,u0)*f(u0,ubar0)"))
+    assert not check_recursion(model, us, (), z).is_zero()
+
+
+def test_factor_exchange_with_one_g_on_both_sides_fails(monkeypatch):
+    """g(vI,vII) on both sides of the factor exchange leaves a nonzero
+    residual at b = 1 on a gl(2|1) L=2 split: both partial vectors are odd,
+    so B2 B1 = -B1 B2."""
+    split = SplitChain(cs(1, (0,), (2, 1, 3)), cs(1, (rat(1, 3),), (1, 1, -1)))
+    us1, us2, vs1, vs2 = ((x,) for x in ParameterSampler("exchange-control", 1).generic(4, avoid=(0, rat(1, 3))))
+    assert check_factor_exchange(split, us1, vs1, us2, vs2).is_zero()
+    assert composite.EXCHANGE_COEFFS == ("g(vI,vII)", "g(vII,vI)")
+    monkeypatch.setattr(composite, "EXCHANGE_COEFFS", ("g(vI,vII)", "g(vI,vII)"))
+    assert not check_factor_exchange(split, us1, vs1, us2, vs2).is_zero()
 
 
 def test_composite_creation_actions(split21):
