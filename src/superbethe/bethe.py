@@ -55,9 +55,9 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DivisionByZero
-from .graded import GL21, DualGradedVector, GradedVector, decode, encode
+from .graded import GL21, DualGradedVector, GradedVector, decode
 from .notation import parse, weight_product
-from .rational import rat, rat_from_str, rat_to_str
+from .rational import rat, rat_to_str
 from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, is_zero, ratio
 
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
@@ -278,12 +278,3 @@ def vector_to_json(vec) -> dict:
         digits = "".join(str(d) for d in decode(key, vec.arity))
         out[digits] = rat_to_str(vec.entries[key])
     return out
-
-
-def vector_from_json(sig, arity, data) -> GradedVector:
-    entries = {}
-    for digits, val in data.items():
-        if len(digits) != arity or any(ch not in "123" for ch in digits):
-            raise ValueError(f"bad basis multi-index {digits!r}")
-        entries[encode(tuple(int(ch) for ch in digits))] = rat_from_str(val)
-    return GradedVector(sig, arity, entries)

@@ -582,10 +582,11 @@ class _Runner:
         )
 
     def suite_proof_replay(self, smp):
-        """One check per residual of the replay; the first one runs it, so
-        its record carries the replay's time."""
+        """One check per residual of the replay at (a,b) = (1,1), (2,1),
+        (1,2) and (2,2), as max_a and max_b allow; the first one runs it,
+        so its record carries the replay's time."""
         split, xi = self.split_of("proof-replay", "gl(2|1)")
-        for a, b in ((1, 1), (2, 1)):
+        for a, b in ((1, 1), (2, 1), (1, 2), (2, 2)):
             if a - 1 <= self.cfg.max_a and b - 1 <= self.cfg.max_b:
                 us, vs, z = self.params(smp, a - 1, b - 1, avoid=xi, z=True)
                 residuals = {}

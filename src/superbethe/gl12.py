@@ -28,17 +28,12 @@ from functools import partial
 
 from .bethe import _guard, build_family
 from .composite import CompositeModel, SplitChain, factorization_residual
-from .graded import GL12, GL21, DualGradedVector, GradedVector
+from .graded import GL12, DualGradedVector, GradedVector
 from .notation import parse, weight_product
 
 
 class AmbiguousConvention(RuntimeError):
     """Neither or both composite normalization signs satisfy the factorization."""
-
-
-def gradation_relation_holds() -> bool:
-    """[i] on gl(2|1) equals [4-i] on gl(1|2) plus one, mod 2, for i=1,2,3."""
-    return all(GL21.par(i) == (GL12.par(4 - i) + 1) % 2 for i in (1, 2, 3))
 
 
 TILDE_WEIGHT = "g(uI,vI)*f(vI,vII)*g(uII,uI)*h(vI,vI)"

@@ -238,16 +238,8 @@ class GradedOperator:
         """Matrix unit E_ij on one factor."""
         return cls(sig, 1, {j - 1: {i - 1: 1}})
 
-    @classmethod
-    def diagonal(cls, sig, values):
-        """diag(values[0..2]) on one factor."""
-        return cls(sig, 1, {k: {k: values[k]} for k in range(3)})
-
     def entry(self, row, col):
         return self.cols.get(col, {}).get(row, 0)
-
-    def entry_digits(self, row_digits, col_digits):
-        return self.entry(encode(row_digits), encode(col_digits))
 
     def nnz(self):
         return sum(len(c) for c in self.cols.values())

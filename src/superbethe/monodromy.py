@@ -26,20 +26,18 @@ the same factors serve kets (walked rightmost first) and bras (leftmost
 first). It is used in two ways:
 
 * Whole operators. build_cleared_product walks each column prefix
-  (aux, s_1..s_j) once and gives exactly the (N_u, N_u*T(u)) of
-  graded.clear_denominators with no Fraction arithmetic. Model.monodromy
-  returns the nine entry operators of N_u*T(u) and keeps those of the
-  latest point only, since every caller asks for a point once in a row.
-  The operator identities run on these integer operators and scale their
-  residuals back. build_factor_product / Model.monodromy_op return the
-  rational T(u); Model.T / Monodromy.entry scale a cached entry back to
-  T_ij(u).
+  (aux, s_1..s_j) once and gives (N_u, N_u*T(u)) with int entries and no
+  Fraction arithmetic. Model.monodromy returns the nine entry operators of
+  N_u*T(u), built on every call. The operator identities run on these
+  integer operators and scale their residuals back.
+  build_factor_product / Model.monodromy_op return the rational T(u);
+  Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec).
   One cache per model holds the factors' (m, weights) per point, the only
   walk state this path keeps; the graded signs are indices shared by every
-  point. Model.apply_T / Model.apply_T_dual scale by 1/m once at the end.
+  point. Model.apply_T scales by 1/m once at the end.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -49,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DivisionByZero
 from .graded import (
@@ -104,14 +102,12 @@ def build_factor_product(sig, c, length, factors, u) -> GradedOperator:
 
 
 def build_cleared_product(sig, c, length, factors, u):
-    """(N, N*T(u)) for the factor product at a rational u, exactly what
-    clear_denominators(build_factor_product(...)) returns, built on ints.
+    """(M, M*T(u)) for the factor product at a rational u, built on ints.
 
     Each factor is walked as an integer multiple of itself: the twist times
     the lcm of its denominators, and with g(u, xi_k) = gn/gd,
-    gd*R_{0k} = gd*I + gn*P_{0k}. The product W of those multiples is
-    M*T(u) with M the product of the multipliers; dividing W and M by
-    gcd(M, entries of W) leaves the lcm of the entry denominators of T(u).
+    gd*R_{0k} = gd*I + gn*P_{0k}. The product of those multiples is M*T(u)
+    with M the product of the multipliers.
 
     The factors are walked rightmost first, which reaches the sites in the
     order 1..L. After the factors of sites 1..j a column's digits of sites
@@ -131,14 +127,6 @@ def build_cleared_product(sig, c, length, factors, u):
         for k, state in enumerate(states):  # in place: one layer held at a time
             states[k] = _apply_factor(sites, w, state)
     cols = {col: state for col, state in enumerate(states) if state}
-    common = scale
-    for colmap in cols.values():
-        if common == 1:
-            break
-        common = gcd(common, *colmap.values())
-    if common > 1:
-        scale //= common
-        cols = {col: {r: v // common for r, v in colmap.items()} for col, colmap in cols.items()}
     return scale, GradedOperator.from_pruned(sig, length + 1, cols)
 
 
@@ -287,14 +275,12 @@ class PairProducts(dict):
 
 
 class Model:
-    """Shared realization machinery: cached entries, vacuum data, references.
+    """Shared realization machinery: entries, vacuum data, references.
 
     Subclasses provide sig, c, arity, factor_sequence() and lam(i, u).
     """
 
     def __init__(self):
-        # the Monodromy of the latest spectral point only, as (u, Monodromy)
-        self._entries = None
         self._weights = {}
         # the PairProducts of the latest spectral pair only
         self._pair = None
@@ -313,14 +299,9 @@ class Model:
         return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
 
     def monodromy(self, u) -> Monodromy:
-        """T(u) split into its entries. Only the latest spectral point is
-        kept: a call at another point replaces it."""
-        if self._entries is not None and self._entries[0] == u:
-            return self._entries[1]
+        """T(u) split into its entries, built on every call."""
         scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
-        mono = Monodromy(scale, extract_entries(op, self.sig, self.arity))
-        self._entries = u, mono
-        return mono
+        return Monodromy(scale, extract_entries(op, self.sig, self.arity))
 
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
@@ -337,11 +318,10 @@ class Model:
         """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
         factor, matrix-free; the walk's 1/m is folded into factor, so the
         result is scaled once."""
-        return _rescaled(*self.apply_T_scaled(i, j, u, vec), factor)
-
-    def apply_T_dual(self, i, j, u, dual: DualGradedVector) -> DualGradedVector:
-        """dual . T_ij(u), equal to T(i, j, u).apply_dual(dual), matrix-free."""
-        return _rescaled(*self.apply_T_scaled(i, j, u, dual, dual=True))
+        m, out = self.apply_T_scaled(i, j, u, vec)
+        if m != 1:
+            factor = factor * rat(1, m)
+        return out if factor == 1 else out.scale(factor)
 
     def apply_T_scaled(self, i, j, u, vec, dual=False):
         """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)), at a
@@ -403,13 +383,6 @@ class Model:
 
     def omega_dual(self) -> DualGradedVector:
         return DualGradedVector.basis(self.sig, (1,) * self.arity)
-
-
-def _rescaled(m, vec, factor=1):
-    """factor/m times vec, not scaled at all when that is 1."""
-    if m != 1:
-        factor = factor * rat(1, m)
-    return vec if factor == 1 else vec.scale(factor)
 
 
 def _cleared_vector(vec):
@@ -510,7 +483,7 @@ def check_supercommutator(model, i, j, k, l, u, v):
     """Residuals of both displayed forms of the bilinear exchange relation.
 
     Every product pairs an entry at u with one at v, so both sides carry the
-    scale N_u N_v of the cached integer entries; with g(u,v) = gn/gd each
+    scale N_u N_v of the integer entries; with g(u,v) = gn/gd each
     residual is (gd*lhs - gn*rhs) / (gd N_u N_v). The six products of a
     tuple, gn, gd and that scale-back are looked up in the
     Model.pair_products of (u, v), so each of the 162 products is composed
@@ -533,7 +506,7 @@ def check_supercommutator(model, i, j, k, l, u, v):
 def vacuum_residuals(model, u):
     """Every vacuum-axiom residual at the spectral point u, as (name, is_zero).
 
-    The axioms are homogeneous in T(u), so they are read off the cached
+    The axioms are homogeneous in T(u), so they are read off the
     entries of N_u*T(u), with the eigenvalues scaled by N_u as well."""
     mono = model.monodromy(u)
     t = mono.scaled

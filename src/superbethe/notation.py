@@ -187,8 +187,11 @@ class Scope:
     as (num, den); every binding derived by with_sets shares them."""
 
     def __init__(self, sets, c, funcs):
-        self.values = tuple(dict.fromkeys(x for xs in sets.values() for x in xs))
-        self.index = {x: k for k, x in enumerate(self.values)}
+        self.index = index = {}
+        for xs in sets.values():
+            for x in xs:
+                index.setdefault(x, len(index))
+        self.values = tuple(index)
         self.table, self.funcs, self.cache = PairTable(self.values, c), funcs, {}
 
     def unary(self, name, ks):
@@ -233,8 +236,7 @@ class Binding:
 def _compiled(node):
     """node as a flat list of (leaf, inverted) pairs, a leaf a Lit or a Call,
     whose product, each inverted leaf taken as its reciprocal, is node.
-    Compiled on first use and cached on the node; a pair function with
-    other than two set arguments raises here."""
+    Compiled on first use and cached on the node."""
     flat = node.__dict__.get("_flat")
     if flat is None:
         flat = _flatten(node, False)
@@ -250,8 +252,6 @@ def _flatten(node, inverted):
         return [(Lit(-1), False)] + _flatten(node.arg, inverted)
     if kind is Pow:
         return _flatten(node.base, inverted) * node.exponent
-    if kind is Call and node.name in _PAIR and len(node.args) != 2:
-        raise ValueError(f"{node.name} takes two set arguments")
     if kind is not Call and kind is not Lit:
         raise TypeError(f"not an expression node: {node!r}")
     return [(node, inverted)]
@@ -260,7 +260,9 @@ def _flatten(node, inverted):
 def _factors(node, table, sets, unary):
     """The (num, den) factors whose product is node: the entries of table
     for g, f and h, table.izergin for K, unary(name, indices) for a unary
-    function; sets(name) is a set's index tuple in table."""
+    function; sets(name) is a set's index tuple in table. A pair function
+    is refused for its arity before its sets are looked up, a unary one
+    once its name is bound."""
     out = []
     for leaf, inverted in _compiled(node):
         if type(leaf) is Lit:
@@ -268,6 +270,8 @@ def _factors(node, table, sets, unary):
         elif leaf.name == "K":
             pairs = [table.izergin(sets(leaf.args[0]), sets(leaf.args[1]))]
         elif leaf.name in _PAIR:
+            if len(leaf.args) != 2:
+                raise ValueError(f"{leaf.name} takes two set arguments")
             pairs = table.cross(getattr(table, leaf.name), sets(leaf.args[0]), sets(leaf.args[1]))
         else:
             pairs = unary(leaf.name, sets(leaf.args[0]))
@@ -412,26 +416,18 @@ def _checked_coefficient(text, bound, funcs, at):
         ast = parse(text)
     except ExprSyntaxError as err:
         raise SchemaError(f"{err} in {text!r}", at) from None
-    for call in _calls(ast):
-        arity = 2 if call.name in _PAIR or call.name == "K" else 1 if call.name in funcs else None
+    for leaf, _ in _compiled(ast):
+        if type(leaf) is Lit:
+            continue
+        arity = 2 if leaf.name in _PAIR or leaf.name == "K" else 1 if leaf.name in funcs else None
         if arity is None:
-            raise SchemaError(f"unknown function {call.name!r}", at)
-        if len(call.args) != arity:
-            raise SchemaError(f"{call.name} takes {arity} set argument(s)", at)
-        for name in call.args:
+            raise SchemaError(f"unknown function {leaf.name!r}", at)
+        if len(leaf.args) != arity:
+            raise SchemaError(f"{leaf.name} takes {arity} set argument(s)", at)
+        for name in leaf.args:
             if name not in bound:
                 raise SchemaError(f"set {name!r} is not bound", at)
     return ast
-
-
-def _calls(node):
-    if isinstance(node, Call):
-        yield node
-    elif isinstance(node, (Neg, Pow)):
-        yield from _calls(node.arg if isinstance(node, Neg) else node.base)
-    elif isinstance(node, (Mul, Div)):
-        yield from _calls(node.left)
-        yield from _calls(node.right)
 
 
 def concat(binding, spec):

@@ -47,7 +47,7 @@ def embedded_product(sig, c, length, factors, u):
     acc = None
     for kind, *payload in factors:
         if kind == "diag":
-            op = embed(GradedOperator.diagonal(sig, tuple(payload[0])), (1,), arity)
+            op = embed(GradedOperator(sig, 1, {k: {k: d} for k, d in enumerate(payload[0])}), (1,), arity)
         else:
             site, xi = payload
             op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)

@@ -22,7 +22,6 @@ from superbethe.bethe import (
     build_vector_limit,
     grading_of,
     separate_collision,
-    vector_from_json,
     vector_to_json,
 )
 from superbethe.rational import BACKEND, rat
@@ -72,14 +71,6 @@ def test_worked_example_against_independent_matrices(site):
     got = build_vector(site, (u,), (v,))
     assert got == by_hand
     assert vector_to_json(got) == {"3": "1/3"}
-
-
-def test_vector_json_roundtrip(twisted2):
-    vec = build_vector(twisted2, (rat(3),), (rat(17, 4),))
-    data = vector_to_json(vec)
-    assert vector_from_json(GL21, 2, data) == vec
-    with pytest.raises(ValueError):
-        vector_from_json(GL21, 2, {"14": "1"})
 
 
 def test_sym_product_edges(twisted2):

@@ -93,6 +93,20 @@ def test_verify_and_report_roundtrip(tmp_path, capsys):
     assert data["environment"]["seed"] == 1729
 
 
+def test_report_subcommand_writes_the_verify_report(tmp_path, capsys):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
+    written = {}
+    for command, out_flag in (("report", "--out"), ("verify", "--report")):
+        out_path = str(tmp_path / f"{command}.json")
+        assert main([command, "--config", cfg, out_flag, out_path]) == 0
+        with open(out_path) as fh:
+            written[command] = json.load(fh)
+        for check in written[command]["checks"]:
+            check["runtime"] = 0.0
+    capsys.readouterr()
+    assert written["report"]["checks"] and written["report"] == written["verify"]
+
+
 def _strip_runtime(report_json):
     for check in report_json["checks"]:
         check.pop("runtime")
@@ -220,7 +234,7 @@ def test_replay_and_sign_probes_are_timed(monkeypatch):
     assert report.all_zero()
     replay = [r for r in report.records if r.suite == "proof-replay"]
     firsts = [r for r in replay if r.name.endswith("class_sum_vs_extended_vector")]
-    assert len(firsts) == 2 and all(r.runtime >= 0.05 for r in firsts)
+    assert len(firsts) == 4 and all(r.runtime >= 0.05 for r in firsts)
     (probe,) = [r for r in report.records if r.name == "normalization sign stable across 5 probes"]
     assert probe.runtime >= 0.05
     assert probe.parameters == {"signs": "[1, 1, 1, 1, 1]"}

@@ -67,8 +67,8 @@ def test_superpermutation():
 
 def test_r_matrix_entries():
     r = r_matrix(2, 1, GL21, 1)
-    assert r.entry_digits((1, 1), (1, 1)) == 2
-    assert r.entry_digits((3, 3), (3, 3)) == 0
+    assert r.entry(encode((1, 1)), encode((1, 1))) == 2
+    assert r.entry(encode((3, 3)), encode((3, 3))) == 0
     assert r_matrix(3, 1, GL21, 1).compose(r_matrix(1, 3, GL21, 1)) == GradedOperator.identity(
         GL21, 2
     ).scale(rat(3, 4))

@@ -174,7 +174,8 @@ def _assert_actions_match(model, u, ket, bra):
         for j in range(1, 4):
             entry = model.T(i, j, u)
             assert model.apply_T(i, j, u, ket) == entry.apply(ket), (i, j)
-            assert model.apply_T_dual(i, j, u, bra) == entry.apply_dual(bra), (i, j)
+            m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
+            assert scaled == entry.apply_dual(bra).scale(m), (i, j)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -212,7 +213,7 @@ def test_walk_refuses_an_eps_shifted_point():
     with pytest.raises(TypeError, match="rational points only"):
         m.apply_T(1, 3, u, m.omega())
     with pytest.raises(TypeError, match="rational points only"):
-        m.apply_T_dual(3, 1, u, m.omega_dual())
+        m.apply_T_scaled(3, 1, u, m.omega_dual(), dual=True)
 
 
 def test_apply_T_on_inhomogeneity():
@@ -220,7 +221,7 @@ def test_apply_T_on_inhomogeneity():
     with pytest.raises(DivisionByZero):
         m.apply_T(1, 1, 1, m.omega())
     with pytest.raises(DivisionByZero):
-        m.apply_T_dual(1, 1, 0, m.omega_dual())
+        m.apply_T_scaled(1, 1, 0, m.omega_dual(), dual=True)
 
 
 def test_vector_side_never_materializes_T(monkeypatch):
@@ -548,10 +549,10 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
     assert model._pair == (u, w) and len(model._products) <= 162
 
 
-def test_model_holds_at_most_one_monodromy():
-    """Model.monodromy keeps the latest point's entries only: of the
-    Monodromy objects returned at four points, at most one stays alive once
-    the caller drops them, and it is returned again at the same point."""
+def test_model_holds_no_monodromy():
+    """Model.monodromy keeps no entries: every Monodromy it returns, at four
+    points and again at one of them, dies once the caller drops it, and a
+    second call at a point builds equal entries anew."""
     smp = ParameterSampler("one-monodromy", 1)
     xi = smp.generic(2)
     model = chain(2, xi, twist=smp.twist())
@@ -560,11 +561,11 @@ def test_model_holds_at_most_one_monodromy():
     for u in points + (points[1],):
         mono = model.monodromy(u)
         refs.append(weakref.ref(mono))
-        assert model.monodromy(u) is mono
-    del mono
+        again = model.monodromy(u)
+        assert again is not mono and again == mono
+    del mono, again
     gc.collect()
-    assert sum(ref() is not None for ref in refs) <= 1
-    assert model.monodromy(points[1]) is refs[-1]()
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------

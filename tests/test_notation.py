@@ -96,9 +96,8 @@ def test_unbound_name():
 
 
 def test_call_arity_is_refused():
-    """A pair function is refused for its arity when the expression is
-    flattened, before any set is looked up; a unary one once its name is
-    bound."""
+    """A pair function is refused for its arity before its sets are looked
+    up; a unary one once its name is bound."""
     b = Binding({"uI": (1,)}, c=1, funcs={"r1": lambda x: x})
     for text in ("g(uI)", "f(uI,uII,vI)", "r1(uI,uI)"):
         with pytest.raises(ValueError, match="set argument"):
