@@ -22,7 +22,7 @@ from importlib import resources
 from .bethe import PartialCache, build_vector, build_vector_limit
 from .errors import SchemaError
 from .graded import GL21, GradedVector
-from .notation import Binding, compile_terms, concat, evaluate, partition_sum
+from .notation import Binding, compile_terms, evaluate, partition_sum
 
 ELEMENTS = ("T11", "T22", "T33", "T13", "T23", "T12", "T21")
 _FUNCS = ("r1", "r3")
@@ -80,10 +80,7 @@ def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit
     the Bethe vector, at coincident parameters its eps-limit."""
     table = table or load_formula_table()
     partials = PartialCache(builder)
-
-    def target(b, args):
-        return partials.get("t", model, concat(b, args[0]), concat(b, args[1]))
-
+    target = lambda args: partials.get("t", model, *args)
     return partition_sum(table[element], action_binding(model, us, vs, z), target, GradedVector(model.sig, model.arity))
 
 

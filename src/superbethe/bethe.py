@@ -16,11 +16,14 @@ and m the number of odd factors per term (b on gl(2|1), a on gl(1|2)).
 build_family derives all four from the signature and the entry indices.
 
 The coefficients are computed on ints. Each parameter family us + vs gets
-one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints.
-A weight is shorthand (BETHE_WEIGHT, gl12.TILDE_WEIGHT), evaluated over it
-by notation.weight_product like every shorthand coefficient. lam2 is
-evaluated once per parameter, and each term's coefficient is one quotient,
-n/d in lowest terms. The coefficient lists depend only on the
+one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints;
+a u equal to a v keeps its own entry there, so without an eps shift the
+table raises DivisionByZero.
+A weight is shorthand text (BETHE_WEIGHT, gl12.TILDE_WEIGHT), parsed once
+and evaluated over that table by notation.eval_expr like every shorthand
+coefficient, at the splits notation.splits enumerates. lam2 is evaluated
+once per parameter, and each term's coefficient is one quotient, n/d in
+lowest terms. The coefficient lists depend only on the
 weight and the ordered parameter tuples, so each model keeps them per
 (weight, us, vs): a ket and its bra built at the same point share one list.
 
@@ -56,7 +59,7 @@ from math import gcd, lcm
 
 from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedVector, decode
-from .notation import parse, weight_product
+from .notation import eval_expr, parse, splits
 from .rational import rat, rat_to_str
 from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, is_zero, ratio
 
@@ -108,14 +111,14 @@ def _partition_terms(model, us, vs, weight):
     blocks' normalizers read, and every split us = u1+u2, vs = v1+v2 with
     #u1 = #v1, as (n, d, (u2, v2, v1)): index tuples into us + vs, and n/d
     in lowest terms the coefficient
-    weight(table, u1, u2, v1, v2) / (lam2(u2) lam2(vs) f(vs,us)), with
-    f(us,vs) in place of f(vs,us) on gl(1|2). weight returns (num, den);
-    the quotient is taken once per term, and at an eps-shifted point n/d is
-    its eps-limit."""
+    weight(u1, u2, v1, v2) / (lam2(u2) lam2(vs) f(vs,us)), with f(us,vs) in
+    place of f(vs,us) on gl(1|2). weight is shorthand over uI, uII, vI and
+    vII; the quotient is taken once per term, and at an eps-shifted point
+    n/d is its eps-limit."""
     us, vs = tuple(us), tuple(vs)
     _require_distinct("us", us)
     _require_distinct("vs", vs)
-    table = PairTable(us + vs, model.c)
+    table, node = PairTable(us + vs, model.c), parse(weight)
     iu, iv = tuple(range(len(us))), tuple(range(len(us), len(us) + len(vs)))
     lam2 = [as_pair(model.lam(2, x)) for x in us + vs]
     names, left, right = ("vs,us", iv, iu) if model.sig == GL21 else ("us,vs", iu, iv)
@@ -124,13 +127,12 @@ def _partition_terms(model, us, vs, weight):
         raise DivisionByZero(f"f({names}) vanishes (a pair at difference -c); parameters not generic")
     terms = []
     for n in range(min(len(us), len(vs)) + 1):
-        for u1 in combinations(iu, n):
-            u2 = tuple(k for k in iu if k not in u1)
+        v_splits = splits(iv, (n, len(vs) - n))
+        for u1, u2 in splits(iu, (n, len(us) - n)):
             # 1 / (lam2(u2) lam2(vs) f) as num/den
             num, den = table.product([(base_d, base_n), *(lam2[k][::-1] for k in u2)])
-            for v1 in combinations(iv, n):
-                v2 = tuple(k for k in iv if k not in v1)
-                wn, wd = weight(table, u1, u2, v1, v2)
+            for v1, v2 in v_splits:
+                wn, wd = eval_expr(node, table, {"uI": u1, "uII": u2, "vI": v1, "vII": v2})
                 terms.append((*ratio(wn * num, wd * den), (u2, v2, v1)))
     return table.h, terms
 
@@ -190,19 +192,18 @@ def build_family(model, us, vs, weight, dual):
 
 
 BETHE_WEIGHT = "K(vI|uI)*f(uI,uII)*g(vII,vI)"
-_bethe_weight = partial(weight_product, parse(BETHE_WEIGHT))
 
 
 def build_vector(model, us, vs) -> GradedVector:
     """B_{a,b}(us; vs) on a gl(2|1) realization."""
     _guard(model, GL21)
-    return build_family(model, us, vs, _bethe_weight, dual=False)
+    return build_family(model, us, vs, BETHE_WEIGHT, dual=False)
 
 
 def build_dual_vector(model, us, vs) -> DualGradedVector:
     """C_{a,b}(us; vs), the mirror of B_{a,b}(us; vs)."""
     _guard(model, GL21)
-    return build_family(model, us, vs, _bethe_weight, dual=True)
+    return build_family(model, us, vs, BETHE_WEIGHT, dual=True)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .bethe import (
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
-from .notation import Binding, PartSpec, PartitionSpec, compile_terms, concat, evaluate, partition_sum
+from .notation import Binding, PartSpec, PartitionSpec, compile_terms, evaluate, partition_sum
 from .rational import rat
 from .scalars import is_zero, three_term_witness
 
@@ -167,19 +167,6 @@ def ratio_funcs(m1, m2):
     }
 
 
-def _juxtaposed(m1, m2, partials, compose):
-    """Target of a composite sum: the cached partial vectors named by
-    [[u1, v1], [u2, v2]], joined by compose."""
-
-    def target(b, args):
-        (u1, v1), (u2, v2) = args
-        p1 = partials.get(1, m1, concat(b, u1), concat(b, v1))
-        p2 = partials.get(2, m2, concat(b, u2), concat(b, v2))
-        return compose(p1, p2)
-
-    return target
-
-
 def _composite_terms(raw, names, pointer=""):
     funcs = tuple(ratio_funcs(None, None))  # the names only
     return compile_terms(raw, names, funcs, _FREE_SPLITS, juxtaposed=True, pointer=pointer)
@@ -212,7 +199,8 @@ def bilinear_sum(
     """
     reordered = part1_written_first if dual else part2_written_first
     base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
-    target = _juxtaposed(m1, m2, PartialCache(builder), partial(compose_ket, reordered=reordered))
+    partials = PartialCache(builder)
+    target = lambda args: compose_ket(partials.get(1, m1, *args[:2]), partials.get(2, m2, *args[2:]), reordered)
     acc = (DualGradedVector if dual else GradedVector)(m1.sig, m1.arity + m2.arity)
     return partition_sum(_bilinear_terms(coeff), base, target, acc)
 
@@ -277,7 +265,7 @@ def check_recursion(model, us, vs, z):
     lhs = model.apply_T(2, 3, z, build_vector(model, us, vs), norm)
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=model.c)
     rhs = build_vector(model, us, (z,) + vs).scale(evaluate(RECURSION_COEFFS[0], base))
-    target = lambda b, args: build_vector(model, concat(b, args[0]), concat(b, args[1]))
+    target = lambda args: build_vector(model, *args)
     summed = partition_sum(_recursion_terms(RECURSION_COEFFS[1]), base, target, GradedVector(model.sig, model.arity))
     return lhs.sub(rhs).sub(model.apply_T(1, 3, z, summed, norm))
 
@@ -344,7 +332,8 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     m1, m2 = total.part1, total.part2
     c = total.c
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))
-    target = _juxtaposed(m1, m2, PartialCache(build_vector_limit), partial(compose_ket, reordered=True))
+    partials = PartialCache(build_vector_limit)
+    target = lambda args: compose_ket(partials.get(1, m1, *args[:2]), partials.get(2, m2, *args[2:]), True)
     zero = GradedVector(total.sig, total.arity)
     cls = {name: partition_sum(terms, base, target, zero) for name, terms in load_class_table().items()}
 

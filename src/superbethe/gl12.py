@@ -13,7 +13,7 @@ of the gl(2|1) vectors evaluated by bethe.build_family: on gl(1|2) T12 and
 T13 are the odd entries and get the symmetrization, T23 is even. The dual
 is the same mirror as on gl(2|1), whose sign (-1)^{m(m-1)/2} counts m = a
 odd factors here. The weight is the shorthand TILDE_WEIGHT, evaluated like
-the gl(2|1) weight by notation.weight_product as one product over the
+the gl(2|1) weight by notation.eval_expr as one product over the
 (num, den) int pairs of the family's scalars.PairTable, and build_family
 divides it by the tabulated f(us,vs) once per term.
 
@@ -24,12 +24,9 @@ reports the unique one that holds.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .bethe import _guard, build_family
 from .composite import CompositeModel, SplitChain, factorization_residual
 from .graded import GL12, DualGradedVector, GradedVector
-from .notation import parse, weight_product
 
 
 class AmbiguousConvention(RuntimeError):
@@ -37,20 +34,19 @@ class AmbiguousConvention(RuntimeError):
 
 
 TILDE_WEIGHT = "g(uI,vI)*f(vI,vII)*g(uII,uI)*h(vI,vI)"
-_tilde_weight = partial(weight_product, parse(TILDE_WEIGHT))
 
 
 def build_tilde_vector(model, us, vs) -> GradedVector:
     """B~_{a,b}(us; vs) on a gl(1|2) realization."""
     _guard(model, GL12)
-    vec = build_family(model, us, vs, _tilde_weight, dual=False)
+    vec = build_family(model, us, vs, TILDE_WEIGHT, dual=False)
     return vec.scale(-1) if len(us) % 2 else vec
 
 
 def build_tilde_dual_vector(model, us, vs) -> DualGradedVector:
     """C~_{a,b}(us; vs), the mirror of B~_{a,b}(us; vs) without its (-1)^a."""
     _guard(model, GL12)
-    return build_family(model, us, vs, _tilde_weight, dual=True)
+    return build_family(model, us, vs, TILDE_WEIGHT, dual=True)
 
 
 TILDE_KET_COEFF = "r3_1(vII)*r1_2(uI)*f(vI,vII)*g(uII,uI)/f(uI,vII)"

@@ -7,14 +7,19 @@ to one-set products, K(A|B) is the domain-wall partition function, and '*',
 '/', unary '-', integer literals and '(expr)^n' compose them. Singletons are
 one-element sets; there is no scalar/set overloading.
 
-A PartitionSpec names the disjoint parts of a source set with fixed or free
-cardinalities, and enumerate_partitions yields one Binding per admissible
-assignment, in lexicographic order of element indices.
+A Binding holds every parameter once: its distinct values, their PairTable
+and each named set as a tuple of indices into them. A PartitionSpec names
+the disjoint parts of a source set with fixed or free cardinalities;
+enumerate_partitions gives each admissible split as a dict of part name to
+tuple, in lexicographic order of element positions, through splits, the one
+split enumerator, which bethe.py also uses. partition_sum sums a compiled
+term over the splits of one Binding's index tuples, and eval_expr, the one
+coefficient evaluator, reads each coefficient from that Binding's table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 
@@ -181,18 +186,25 @@ def print_expr(node) -> str:
 _PAIR = ("g", "f", "h")  # the PairTable tables of the pair functions
 
 
-class Scope:
-    """The distinct parameter values of a base binding, their index and
-    PairTable, and the unary functions' values at them, each computed once
-    as (num, den); every binding derived by with_sets shares them."""
+class _Sets(dict):
+    """A Binding's sets by name; an unbound name raises UnboundName."""
 
-    def __init__(self, sets, c, funcs):
-        self.index = index = {}
-        for xs in sets.values():
-            for x in xs:
-                index.setdefault(x, len(index))
-        self.values = tuple(index)
-        self.table, self.funcs, self.cache = PairTable(self.values, c), funcs, {}
+    def __missing__(self, name):
+        raise UnboundName(name)
+
+
+class Binding:
+    """Named parameter sets, the ambient constant c and the unary functions,
+    built once per base: the distinct parameter values and their PairTable,
+    each set as a tuple of indices into them, and the unary functions'
+    values, each computed once as (num, den). A partition sum's splits are
+    index tuples into one Binding."""
+
+    def __init__(self, sets, c=ONE, funcs=None):
+        index = {}
+        self.sets = _Sets((name, tuple(index.setdefault(x, len(index)) for x in xs)) for name, xs in sets.items())
+        self.values, self.c, self.funcs = tuple(index), c, funcs or {}
+        self.table, self.cache = PairTable(self.values, c), {}
 
     def unary(self, name, ks):
         if name not in self.funcs:
@@ -201,36 +213,6 @@ class Scope:
             if (name, k) not in self.cache:
                 self.cache[name, k] = as_pair(self.funcs[name](self.values[k]))
         return [self.cache[name, k] for k in ks]
-
-
-@dataclass(frozen=True)
-class Binding:
-    """Named parameter sets plus the ambient constant and ratio functions,
-    and the Scope that with_sets hands on."""
-
-    sets: dict
-    c: object = ONE
-    funcs: dict = field(default_factory=dict)
-    scope: Scope = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.scope is None:
-            object.__setattr__(self, "scope", Scope(self.sets, self.c, self.funcs))
-
-    def with_sets(self, more):
-        clash = set(self.sets) & set(more)
-        if clash:
-            raise ValueError(f"names bound twice: {sorted(clash)}")
-        merged = dict(self.sets)
-        merged.update({k: tuple(v) for k, v in more.items()})
-        shared = all(x in self.scope.index for xs in more.values() for x in xs)
-        return Binding(merged, self.c, self.funcs, self.scope if shared else None)
-
-    def resolve(self, name):
-        try:
-            return self.sets[name]
-        except KeyError:
-            raise UnboundName(name) from None
 
 
 def _compiled(node):
@@ -257,48 +239,34 @@ def _flatten(node, inverted):
     return [(node, inverted)]
 
 
-def _factors(node, table, sets, unary):
-    """The (num, den) factors whose product is node: the entries of table
-    for g, f and h, table.izergin for K, unary(name, indices) for a unary
-    function; sets(name) is a set's index tuple in table. A pair function
-    is refused for its arity before its sets are looked up, a unary one
-    once its name is bound."""
+def eval_expr(node, table, sets, unary=None):
+    """node as (num, den): one PairTable.product of the entries of table for
+    g, f and h, table.izergin for K, unary(name, indices) for a unary
+    function and the literals; sets maps a set name to its index tuple in
+    table. A pair function is refused for its arity before its sets are
+    looked up, a unary one once its name is bound."""
     out = []
     for leaf, inverted in _compiled(node):
         if type(leaf) is Lit:
             pairs = [(leaf.value, 1)]
         elif leaf.name == "K":
-            pairs = [table.izergin(sets(leaf.args[0]), sets(leaf.args[1]))]
+            pairs = [table.izergin(sets[leaf.args[0]], sets[leaf.args[1]])]
         elif leaf.name in _PAIR:
             if len(leaf.args) != 2:
                 raise ValueError(f"{leaf.name} takes two set arguments")
-            pairs = table.cross(getattr(table, leaf.name), sets(leaf.args[0]), sets(leaf.args[1]))
+            pairs = table.cross(getattr(table, leaf.name), sets[leaf.args[0]], sets[leaf.args[1]])
         else:
-            pairs = unary(leaf.name, sets(leaf.args[0]))
+            pairs = unary(leaf.name, sets[leaf.args[0]])
             if len(leaf.args) != 1:
                 raise ValueError(f"{leaf.name} takes one set argument")
         out.extend([(d, n) for n, d in pairs] if inverted else pairs)
-    return out
-
-
-def eval_expr(node, binding: Binding):
-    """node at binding as (num, den): one PairTable.product of the entries
-    of the scope's table, the unary values and the literals it names."""
-    scope = binding.scope
-    sets = lambda name: [scope.index[x] for x in binding.resolve(name)]
-    return PairTable.product(_factors(node, scope.table, sets, scope.unary))
+    return PairTable.product(out)
 
 
 def evaluate(text: str, binding: Binding):
     """text at binding as one rational; at an eps-shifted binding, its
     eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
-    return rat(*ratio(*eval_expr(parse(text), binding)))
-
-
-def weight_product(node, t, uI, uII, vI, vII):
-    """A Bethe-vector weight, which reads no unary function, over the
-    PairTable t, with uI, uII, vI and vII index tuples into it, as (num, den)."""
-    return PairTable.product(_factors(node, t, {"uI": uI, "uII": uII, "vI": vI, "vII": vII}.__getitem__, None))
+    return rat(*ratio(*eval_expr(parse(text), binding.table, binding.sets, binding.unary)))
 
 
 # --- partition enumeration ---------------------------------------------------
@@ -325,26 +293,26 @@ def _size_vectors(parts, total):
     return [sizes for sizes in product(*ranges) if sum(sizes) == total]
 
 
-def _assignments(universe, sizes):
-    """Every split of universe into parts of the given sizes, lexicographic
-    by element position, part by part."""
-    if not sizes:
-        yield []
-        return
-    for chosen in combinations(range(len(universe)), sizes[0]):
-        rest = [x for i, x in enumerate(universe) if i not in chosen]
-        for tail in _assignments(rest, sizes[1:]):
-            yield [tuple(universe[i] for i in chosen)] + tail
+@cache
+def splits(universe: tuple, sizes: tuple):
+    """Every split of universe, distinct elements, into parts of the given
+    sizes, which sum to its length, as tuples of parts: lexicographic by
+    element position, part by part. Computed once per universe and sizes;
+    the universes are index tuples, which recur."""
+    out = [((), universe)]  # (parts so far, rest)
+    for size in sizes[:-1]:
+        out = [(parts + (chosen,), tuple(x for x in rest if x not in chosen)) for parts, rest in out for chosen in combinations(rest, size)]
+    return tuple(parts + (rest,) for parts, rest in out) if sizes else ((),)
 
 
-def enumerate_partitions(spec: PartitionSpec, universe, base: Binding = None):
-    """All admissible splits of universe into spec.parts, one Binding each."""
-    base = base if base is not None else Binding({})
+def enumerate_partitions(spec: PartitionSpec, universe):
+    """All admissible splits of universe into spec.parts, one dict of part
+    name to tuple each."""
     names, universe = [p.name for p in spec.parts], tuple(universe)
     return [
-        base.with_sets(dict(zip(names, split)))
+        dict(zip(names, split))
         for sizes in _size_vectors(tuple(spec.parts), len(universe))
-        for split in _assignments(universe, sizes)
+        for split in splits(universe, sizes)
     ]
 
 
@@ -358,7 +326,9 @@ def compile_terms(raw, names, funcs, prefix=(), juxtaposed=False, pointer=""):
     names are the sets the base binding holds and funcs its unary function
     names; every term sums over the specs in prefix before its own
     partitions. A target is [u, v], or [[u1, v1], [u2, v2]] if juxtaposed,
-    each argument a set name or a list of names to join. Every name a term
+    each argument a set name or a list of names to join, and compiles to
+    the tuple of its arguments' name tuples, (u1, v1, u2, v2) if
+    juxtaposed. Every name a term
     reads must be bound by then; a violation raises SchemaError with the
     JSON pointer below pointer.
     """
@@ -396,7 +366,7 @@ def _checked_target(raw, bound, at, juxtaposed):
     if not isinstance(raw, list) or len(raw) != 2:
         raise SchemaError("a target is a pair", at)
     if juxtaposed:
-        return tuple(_checked_target(x, bound, f"{at}/{i}", False) for i, x in enumerate(raw))
+        return sum((_checked_target(x, bound, f"{at}/{i}", False) for i, x in enumerate(raw)), ())
     out = []
     for i, arg in enumerate(raw):
         names = [arg] if isinstance(arg, str) else arg
@@ -405,7 +375,7 @@ def _checked_target(raw, bound, at, juxtaposed):
         for j, name in enumerate(names):
             if not isinstance(name, str) or name not in bound:
                 raise SchemaError(f"set {name!r} is not bound", f"{at}/{i}" + ("" if isinstance(arg, str) else f"/{j}"))
-        out.append(arg if isinstance(arg, str) else tuple(arg))
+        out.append(tuple(names))
     return tuple(out)
 
 
@@ -430,21 +400,18 @@ def _checked_coefficient(text, bound, funcs, at):
     return ast
 
 
-def concat(binding, spec):
-    """The parameters a target argument names: one set, or several joined."""
-    if isinstance(spec, tuple):
-        return sum((binding.sets[name] for name in spec), ())
-    return binding.sets[spec]
-
-
 def partition_sum(terms, base, target, acc):
-    """acc plus, over every compiled term and every partition of base's sets
-    the term names, coefficient x target(binding, term target)."""
-    for parts, coeff, term_target in terms:
-        bindings = [base]
+    """acc plus, over every compiled term and every split of base's sets by
+    the term's partitions, coefficient x target(args): a split is a dict of
+    index tuples into base, and args are the parameter tuples of the term's
+    target arguments, a juxtaposed target's four in a row."""
+    values = base.values
+    for parts, coeff, arguments in terms:
+        split_sets = [base.sets]
         for spec in parts:
-            bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
-        for b in bindings:
-            coef = rat(*ratio(*eval_expr(coeff, b)))
-            acc = acc.add(target(b, term_target).scale(coef))
+            split_sets = [{**sets, **split} for sets in split_sets for split in enumerate_partitions(spec, sets[spec.source])]
+        for sets in split_sets:
+            coef = rat(*ratio(*eval_expr(coeff, base.table, sets, base.unary)))
+            args = [tuple(values[k] for name in names for k in sets[name]) for names in arguments]
+            acc = acc.add(target(args).scale(coef))
     return acc

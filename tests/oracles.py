@@ -11,8 +11,9 @@ formulas read, evaluated by the scalar functions g, f, h and izergin and
 their set product prod_pairs one pair at a time (over EpsScalar at an
 eps-shifted point, then taken to the limit), for checking
 bethe._partition_terms, which computes them from integer pair tables.
-Every shorthand coefficient the same way, for checking notation.eval_expr,
-which reads one pair table.
+Every shorthand coefficient the same way, at every split of a base
+Binding's sets, for checking notation.eval_expr, which reads that
+Binding's one pair table at the split's index tuples.
 """
 
 from itertools import combinations
@@ -95,7 +96,7 @@ def tilde_weight(u1, u2, v1, v2, c):
 
 
 # each tabulated weight of the package and its formula
-WEIGHTS = {bethe._bethe_weight: bethe_weight, gl12._tilde_weight: tilde_weight}
+WEIGHTS = {bethe.BETHE_WEIGHT: bethe_weight, gl12.TILDE_WEIGHT: tilde_weight}
 
 
 def coefficient(model, u1, u2, v1, v2, vs, us, formula):
@@ -143,26 +144,27 @@ def assert_izergin_matches(table, xs, c, n):
 _PAIR_FUNCTIONS = {"g": g, "f": f, "h": h}
 
 
-def shorthand_value(node, binding):
-    """A shorthand coefficient at binding, one pair at a time through g, f,
-    h, izergin and prod_pairs: an EpsScalar at an eps-shifted binding."""
+def shorthand_value(node, sets, c, funcs):
+    """A shorthand coefficient at the parameter sets, one pair at a time
+    through g, f, h, izergin and prod_pairs: an EpsScalar at an eps-shifted
+    point."""
     if isinstance(node, Lit):
         return rat(node.value)
     if isinstance(node, Neg):
-        return -shorthand_value(node.arg, binding)
+        return -shorthand_value(node.arg, sets, c, funcs)
     if isinstance(node, Pow):
-        return prod((shorthand_value(node.base, binding) for _ in range(node.exponent)), start=ONE)
+        return prod((shorthand_value(node.base, sets, c, funcs) for _ in range(node.exponent)), start=ONE)
     if isinstance(node, Mul):
-        return shorthand_value(node.left, binding) * shorthand_value(node.right, binding)
+        return shorthand_value(node.left, sets, c, funcs) * shorthand_value(node.right, sets, c, funcs)
     if isinstance(node, Div):
-        return shorthand_value(node.left, binding) / shorthand_value(node.right, binding)
+        return shorthand_value(node.left, sets, c, funcs) / shorthand_value(node.right, sets, c, funcs)
     assert isinstance(node, Call), node
-    sets = [binding.resolve(name) for name in node.args]
+    args = [sets[name] for name in node.args]
     if node.name == "K":
-        return izergin(*sets, binding.c)
+        return izergin(*args, c)
     if node.name in _PAIR_FUNCTIONS:
-        return prod_pairs(_PAIR_FUNCTIONS[node.name], *sets, binding.c)
-    return prod((binding.funcs[node.name](x) for x in sets[0]), start=ONE)
+        return prod_pairs(_PAIR_FUNCTIONS[node.name], *args, c)
+    return prod((funcs[node.name](x) for x in args[0]), start=ONE)
 
 
 def outcome(value):
@@ -174,19 +176,20 @@ def outcome(value):
 
 
 def assert_shorthand_matches(terms, base):
-    """Every coefficient of the compiled terms, at every binding their
-    partitions derive from base, as eval_expr gives it and taken through
-    ratio equals the eps-limit of shorthand_value, or both raise the same
-    error. Returns the outcomes."""
+    """Every coefficient of the compiled terms, at every split of base's
+    sets by their partitions, as eval_expr gives it and taken through ratio
+    equals the eps-limit of shorthand_value at the split's parameters, or
+    both raise the same error. Returns the outcomes."""
     outcomes = []
     for specs, coeff, _ in terms:
-        bindings = [base]
+        split_sets = [base.sets]
         for spec in specs:
-            bindings = [nb for b in bindings for nb in enumerate_partitions(spec, b.sets[spec.source], b)]
-        for b in bindings:
-            got = outcome(lambda: rat(*ratio(*eval_expr(coeff, b))))
-            want = outcome(lambda: eps_limit(shorthand_value(coeff, b)))
-            assert got == want, (print_expr(coeff), b.sets, got, want)
+            split_sets = [{**sets, **split} for sets in split_sets for split in enumerate_partitions(spec, sets[spec.source])]
+        for sets in split_sets:
+            params = {name: tuple(base.values[k] for k in ks) for name, ks in sets.items()}
+            got = outcome(lambda: rat(*ratio(*eval_expr(coeff, base.table, sets, base.unary))))
+            want = outcome(lambda: eps_limit(shorthand_value(coeff, params, base.c, base.funcs)))
+            assert got == want, (print_expr(coeff), params, got, want)
             outcomes.append(got)
     return outcomes
 

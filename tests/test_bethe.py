@@ -1,19 +1,19 @@
 from collections import Counter
 from functools import partial, reduce
 from itertools import combinations, permutations
-from math import prod
+from math import comb, prod
 
 import pytest
 
 from superbethe import bethe
 from superbethe.actions import action_check
 from superbethe.errors import DivisionByZero, PoleAtZero
-from superbethe.gl12 import _tilde_weight, build_tilde_dual_vector, build_tilde_vector
+from superbethe.gl12 import TILDE_WEIGHT, build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe import monodromy
 from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
 from superbethe.bethe import (
-    _bethe_weight,
+    BETHE_WEIGHT,
     at_limit,
     build_family,
     build_dual_vector,
@@ -26,7 +26,7 @@ from superbethe.bethe import (
 )
 from superbethe.rational import BACKEND, rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, PairTable, eps_limit, f, g, h, izergin
+from superbethe.scalars import PairTable, eps_limit, f, g, h, izergin
 
 from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product, prod_pairs, sym_odd_product
 
@@ -133,6 +133,25 @@ def test_collision_separation_rules():
 def test_rejects_plain_coincident_families(twisted2):
     with pytest.raises(ValueError):
         build_vector(twisted2, (rat(3), rat(3)), ())
+
+
+@pytest.mark.parametrize("us, vs", [((rat(3),), (rat(3),)), ((rat(3), rat(5)), (rat(7), rat(5)))])
+def test_a_u_equal_to_a_v_without_eps_raises(us, vs):
+    """At a u equal to a v with no eps shift every builder raises and none
+    returns a vector: the coefficients' table keeps the u and the v apart,
+    and their g is singular."""
+    builders = ((GL21, build_vector), (GL21, build_dual_vector), (GL12, build_tilde_vector), (GL12, build_tilde_dual_vector))
+    for sig, build in builders:
+        with pytest.raises(DivisionByZero):
+            build(chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig), us, vs)
+
+
+def test_partition_terms_count_the_equal_size_splits(twisted2):
+    for a in range(4):
+        for b in range(4):
+            ps = ParameterSampler(f"split-count:{a},{b}", 1).generic(a + b, avoid=twisted2.spec.xi)
+            _, terms = bethe._partition_terms(twisted2, ps[:a], ps[a:], BETHE_WEIGHT)
+            assert len(terms) == sum(comb(a, n) * comb(b, n) for n in range(min(a, b) + 1)), (a, b)
 
 
 def test_guard_rejects_other_signature():
@@ -306,18 +325,14 @@ def test_action_check_walks_a_rational_vector_on_ints(walked):
 
 def test_singular_coefficients_are_loud(twisted2):
     """A coefficient with a pole at eps = 0 raises; its term is never
-    dropped. Only the split with #uI = 1 is singular here, so the terms
-    before it evaluate and the pole is still found."""
-
-    def singular(t, u1, u2, v1, v2):
-        wn, wd = _bethe_weight(t, u1, u2, v1, v2)
-        return (wn, wd * EPS) if u1 else (wn, wd)
-
-    us, vs = (rat(3), rat(7, 2)), (rat(17, 4),)
-    assert not build_family(twisted2, us, vs, _bethe_weight, dual=False).is_zero()
+    dropped. With an extra g(uI,vI), only the split that pairs u = 3 with
+    v = 3 + eps is singular, so the terms before it evaluate and the pole
+    is still found."""
+    us, vs, _ = separate_collision((rat(3), rat(7, 2)), (rat(3),))
+    assert not build_family(twisted2, us, vs, BETHE_WEIGHT, dual=False).is_zero()
     for dual in (False, True):
         with pytest.raises(PoleAtZero):
-            build_family(twisted2, us, vs, singular, dual=dual)
+            build_family(twisted2, us, vs, BETHE_WEIGHT + "*g(uI,vI)", dual=dual)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -354,7 +369,7 @@ def test_partition_coefficients_multiply_only_ints(fraction_ops):
     paid several per term."""
     ps = ParameterSampler("int-coefficients", 1).generic(5, avoid=INT_WALK_XI)
     us, vs = ps[:3], ps[3:]
-    for sig, weight in ((GL21, _bethe_weight), (GL12, _tilde_weight)):
+    for sig, weight in ((GL21, BETHE_WEIGHT), (GL12, TILDE_WEIGHT)):
         m = chain(3, INT_WALK_XI, twist=INT_WALK_TWIST, sig=sig)
         for dual in (False, True):
             build_family(m, us, vs, weight, dual)

@@ -88,7 +88,8 @@ def test_verify_and_report_roundtrip(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
     assert main(["verify", "--config", cfg, "--report", out_path]) == 0
     capsys.readouterr()
-    data = json.loads(open(out_path).read())
+    with open(out_path) as fh:
+        data = json.load(fh)
     assert data["checks"] and all(c["residual_is_zero"] for c in data["checks"])
     assert data["environment"]["seed"] == 1729
 

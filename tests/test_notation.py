@@ -1,6 +1,6 @@
 import json
 from importlib import resources
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,14 +17,16 @@ from superbethe.notation import (
     UnsatisfiableSpec,
     compile_terms,
     enumerate_partitions,
+    eval_expr,
     evaluate,
     parse,
     partition_sum,
     print_expr,
+    splits,
 )
-from superbethe.bethe import BETHE_WEIGHT, _bethe_weight
-from superbethe.errors import DivisionByZero, PoleAtZero
-from superbethe.gl12 import TILDE_WEIGHT, _tilde_weight
+from superbethe.bethe import BETHE_WEIGHT
+from superbethe.errors import DivisionByZero, PoleAtZero, SchemaError
+from superbethe.gl12 import TILDE_WEIGHT
 from superbethe.graded import GL21, GradedVector
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
@@ -119,28 +121,28 @@ def test_partition_counts():
     single = PartitionSpec("u", (PartSpec("u0", 1), PartSpec("rest")))
     assert len(enumerate_partitions(single, (1, 2, 3))) == 3
     constrained = PartitionSpec("v", (PartSpec("vI", 0), PartSpec("vII")))
-    out = enumerate_partitions(constrained, (1,))
-    assert len(out) == 1 and out[0].sets["vII"] == (1,)
+    assert enumerate_partitions(constrained, (1,)) == [{"vI": (), "vII": (1,)}]
 
 
 def test_partitions_exhaustive_and_duplicate_free():
     for n in range(5):
         universe = tuple(range(10, 10 + n))
         spec = PartitionSpec("u", (PartSpec("a"), PartSpec("b")))
-        got = {(b.sets["a"], b.sets["b"]) for b in enumerate_partitions(spec, universe)}
+        out = enumerate_partitions(spec, universe)
+        got = {(split["a"], split["b"]) for split in out}
         brute = set()
         for mask in product((0, 1), repeat=n):
             a = tuple(universe[i] for i in range(n) if mask[i] == 0)
             b = tuple(universe[i] for i in range(n) if mask[i] == 1)
             brute.add((a, b))
         assert got == brute
-        assert len(enumerate_partitions(spec, universe)) == 2 ** n
+        assert len(out) == 2 ** n
 
 
 def test_ordered_singleton_pairs():
     spec = PartitionSpec("u", (PartSpec("u0", 1), PartSpec("u1", 1), PartSpec("rest")))
     out = enumerate_partitions(spec, (5, 6))
-    assert {(b.sets["u0"], b.sets["u1"]) for b in out} == {((5,), (6,)), ((6,), (5,))}
+    assert out == [{"u0": (5,), "u1": (6,), "rest": ()}, {"u0": (6,), "u1": (5,), "rest": ()}]
 
 
 def test_empty_family_vs_unsatisfiable():
@@ -151,17 +153,39 @@ def test_empty_family_vs_unsatisfiable():
         enumerate_partitions(dup, (1,))
 
 
-def test_binding_rejects_rebinds():
-    b = Binding({"u": (1,)})
-    with pytest.raises(ValueError):
-        b.with_sets({"u": (2,)})
+def test_splits_at_fixed_sizes_are_exhaustive_and_lexicographic():
+    """Every split of up to 5 elements into up to 4 parts of fixed sizes:
+    each assignment of elements to parts once, in lexicographic order of
+    the parts' element positions."""
+    for n, parts in product(range(6), range(1, 5)):
+        universe = tuple(range(20, 20 + n))
+        for sizes in product(range(n + 1), repeat=parts):
+            if sum(sizes) != n:
+                continue
+            out = splits(universe, sizes)
+            labels = [tuple(sorted((universe.index(x), p) for p, part in enumerate(split) for x in part)) for split in out]
+            brute = {
+                tuple(enumerate(mask))
+                for mask in product(range(parts), repeat=n)
+                if all(mask.count(p) == size for p, size in enumerate(sizes))
+            }
+            assert len(labels) == len(set(labels)) and set(labels) == brute, (n, sizes)
+            positions = [tuple(tuple(universe.index(x) for x in part) for part in split) for split in out]
+            assert positions == sorted(positions), (n, sizes)
+
+
+def test_compile_terms_refuses_a_partition_that_rebinds_a_set():
+    raw = [{"partitions": [["ubar", "vbar", "rest"]], "coefficient": "1", "target": ["rest", "vbar"]}]
+    with pytest.raises(SchemaError) as err:
+        compile_terms(raw, ("ubar", "vbar"), ())
+    assert err.value.pointer == "/0/partitions/0/1"
 
 
 def test_partition_sum_takes_the_limit_of_eps_coefficients():
     """An EpsScalar coefficient enters as its value at eps = 0; one with a
     pole raises, and its term is never dropped."""
     omega = GradedVector.basis(GL21, (1,))
-    target = lambda b, args: omega
+    target = lambda args: omega
     base = Binding({"u": (rat(3),), "v": (rat(3) + EPS,), "w": (rat(5),)})
 
     def total(coefficient):
@@ -193,22 +217,21 @@ def test_a_coefficient_with_a_pole_raises_on_both_paths():
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
-@pytest.mark.parametrize("text, weight", [(BETHE_WEIGHT, _bethe_weight), (TILDE_WEIGHT, _tilde_weight)])
-def test_weight_strings_match_the_oracle_and_their_compiled_form(text, weight, shifted):
-    """Each Bethe-vector weight at every split with #uI = #vI: eval_expr, the
-    per-pair oracle and the compiled weight over a PairTable agree, on a
-    value or on the pole a weight alone may have at the shifted point."""
+@pytest.mark.parametrize("text", [BETHE_WEIGHT, TILDE_WEIGHT])
+def test_weight_strings_match_the_oracle_and_their_compiled_form(text, shifted):
+    """Each Bethe-vector weight at every split with #uI = #vI: eval_expr at a
+    Binding, the per-pair oracle and eval_expr over the index tuples of a
+    bare PairTable agree, on a value or on the pole a weight alone may have
+    at the shifted point."""
     ps = ParameterSampler("weight-oracle", ORACLE_C).generic(6)
     xs = ps[:5] + ((ps[0] + EPS,) if shifted else ps[5:])
     terms = compile_terms([{"partitions": [], "coefficient": text, "target": ["uI", "vI"]}], ("uI", "uII", "vI", "vII"), ())
     table = PairTable(xs, ORACLE_C)
     for n in range(3):
-        for u1, v1 in product(combinations(range(3), n), combinations(range(3, 6), n)):
-            u2 = tuple(k for k in range(3) if k not in u1)
-            v2 = tuple(k for k in range(3, 6) if k not in v1)
-            sets = {name: tuple(xs[k] for k in idx) for name, idx in zip(("uI", "uII", "vI", "vII"), (u1, u2, v1, v2))}
-            (got,) = assert_shorthand_matches(terms, Binding(sets, c=ORACLE_C))
-            assert outcome(lambda: rat(*ratio(*weight(table, u1, u2, v1, v2)))) == got
+        for (u1, u2), (v1, v2) in product(splits((0, 1, 2), (n, 3 - n)), splits((3, 4, 5), (n, 3 - n))):
+            idx = {"uI": u1, "uII": u2, "vI": v1, "vII": v2}
+            (got,) = assert_shorthand_matches(terms, Binding({name: tuple(xs[k] for k in ks) for name, ks in idx.items()}, c=ORACLE_C))
+            assert outcome(lambda: rat(*ratio(*eval_expr(parse(text), table, idx)))) == got
 
 
 def test_coincident_arguments():
