@@ -29,7 +29,16 @@ weight and the ordered parameter tuples, so each model keeps them per
 
 Each block is walked by Model.apply_T_scaled on integer multiples of the
 factors, and an odd block's h-normalizer is read from the same table, so a
-term is n/d times an int vector. build_family sums the terms over one int
+term is n/d times an int vector. The steps of a term, T12(x) ... T13(y)
+in the order they are applied, are walked through the model's walk trie
+of its side (Model.walks, see monodromy.py), keyed by (i, j, point id)
+with the ids of Model.point_ids, given to the parameters at eps = 0 once
+per build. A step on a path the model has walked before, in this build or
+an earlier one (the kets of a symmetry check, the shifted sets of an
+action's right-hand side, the partial vectors of a factorization), is one
+dict lookup. Only identical step sequences are shared, so the reuse is
+exact, and the returned vector is built anew from the trie's, which no
+build mutates. build_family sums the terms over one int
 denominator, taking an lcm only when a term's d does not divide the current
 one, folds the bra's sign into that denominator and builds each output
 entry as one rational.
@@ -68,29 +77,35 @@ from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, is_zero, rat
 _PLAN = ((1, 2), (2, 3), (1, 3))
 
 
-def _is_odd(sig, i, j):
-    return sig.par(i) != sig.par(j)
-
-
-def _apply_entries(model, h_table, i, j, params, points, vec, dual):
-    """(p, q, w) with (p/q) w = T_ij(x1)...T_ij(xn) . vec, or with dual the
-    bra vec . T_ij(x1)...T_ij(xn), an odd T_ij divided by its normalizer
-    (creation-type on kets, annihilation-type on bras). params are indices
-    into points, the parameters at eps = 0, where the entries are walked; w
-    is walked on ints, q is the product of the walks' multipliers times the
-    normalizer's numerator and p its denominator, read from the h table of
-    the family's PairTable (at eps = 0)."""
+def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
+    """(p, q, node) with (p/q) w = T_ij(x1)...T_ij(xn) . v, or with dual the
+    bra v . T_ij(x1)...T_ij(xn), v the vector of the walk-trie node given
+    and w that of the node returned, an odd T_ij (odd: its parity under the
+    signature) divided by its normalizer (creation-type on kets,
+    annihilation-type on bras). params are indices into points, the
+    (point id, parameter at eps = 0) pairs where the entries are walked; a
+    step is walked by Model.apply_T_scaled on its first visit only and read
+    from the trie after that. w is an int vector, q is the product of the
+    steps' multipliers times the normalizer's numerator and p its
+    denominator, read from the h table of the family's PairTable (at
+    eps = 0)."""
     p, q = 1, 1
     for k in params if dual else reversed(params):
-        m, vec = model.apply_T_scaled(i, j, points[k], vec, dual)
-        q *= m
-    if len(params) > 1 and _is_odd(model.sig, i, j):
+        pid, x = points[k]
+        step = i, j, pid
+        child = node[2].get(step)
+        if child is None:
+            m, vec = model.apply_T_scaled(i, j, x, node[1], dual)
+            child = node[2][step] = m, vec, {}
+        q *= child[0]
+        node = child
+    if odd and len(params) > 1:
         pairs = combinations(params, 2)
         hn, hd = ratio(*PairTable.product(h_table[b][a] if not dual else h_table[a][b] for a, b in pairs))
         if not hn:
             raise DivisionByZero("h-pole in symmetrized product (u_k - u_j = -c)")
         p, q = hd, q * hn
-    return p, q, vec
+    return p, q, node
 
 
 def _require_distinct(name, xs):
@@ -174,18 +189,24 @@ def build_family(model, us, vs, weight, dual):
     vectors, are summed over one int denominator (see _accumulate), which
     also takes the bra's sign."""
     h_table, terms = _coefficients(model, us, vs, weight)
-    points = [eps_limit(x) if isinstance(x, EpsScalar) else x for x in (*us, *vs)]  # at eps = 0
+    ids = model.point_ids
+    points = []
+    for x in (*us, *vs):
+        x = eps_limit(x) if isinstance(x, EpsScalar) else x  # at eps = 0
+        points.append((ids.setdefault(x, len(ids)), x))
+    par = model.sig.par
+    plan = [(j, i) if dual else (i, j) for i, j in _PLAN]
+    plan = [(i, j, par(i) != par(j)) for i, j in plan]
     start = model.omega_dual() if dual else model.omega()
+    root = 1, start, model.walks[dual]
     acc, den = {}, 1
     for n, d, blocks in terms:
-        vec, odd = start, 0
-        for (i, j), params in zip(_PLAN, blocks):
-            if dual:
-                i, j = j, i
-            p, q, vec = _apply_entries(model, h_table, i, j, params, points, vec, dual)
+        node, odd = root, 0
+        for (i, j, odd_entry), params in zip(plan, blocks):
+            p, q, node = _apply_entries(model, h_table, i, j, odd_entry, params, points, node, dual)
             n, d = n * p, d * q
-            odd += len(params) * _is_odd(model.sig, i, j)
-        den = _accumulate(acc, den, n, d, vec.entries)
+            odd += len(params) * odd_entry
+        den = _accumulate(acc, den, n, d, node[1].entries)
     if dual and odd * (odd - 1) // 2 % 2:
         den = -den
     return type(start)(model.sig, model.arity, {key: rat(x, den) for key, x in acc.items() if x})

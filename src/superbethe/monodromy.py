@@ -35,9 +35,20 @@ first). It is used in two ways:
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec).
-  One cache per model holds the factors' (m, weights) per point, the only
-  walk state this path keeps; the graded signs are indices shared by every
-  point. Model.apply_T scales by 1/m once at the end.
+  One cache per model holds the factors' (m, weights) per point; the graded
+  signs are indices shared by every point. Model.apply_T scales by 1/m once
+  at the end.
+* Walk tries. Each model holds one trie per side, Model.walks (kets, then
+  bras), which bethe.build_family walks its terms through. A node is keyed
+  by one step (i, j, point id) and holds (m, v, children): m the multiplier
+  of its step's apply_T_scaled and v the int vector of its path from Omega
+  (Omega^+), so a step sequence the model has walked before costs one dict
+  lookup per step. Model.point_ids gives each walk point, a parameter at
+  eps = 0, a small int once per build, so no lookup hashes a Fraction. The
+  memo is exact: a walk is a pure function of the model and its steps, and
+  only identical step sequences are reused, never an algebraic identity
+  (commuting T12s, reversed orders). The tries live and die with their
+  model.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -47,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
+from math import lcm, prod
 
 from .errors import DivisionByZero
 from .graded import (
@@ -63,9 +74,8 @@ from .graded import (
     parity_table,
     r_matrix,
 )
-from .rational import is_rational, rat
+from .rational import ONE, is_rational, rat
 from .scalars import as_pair, is_zero, ratio
-from .scalars import f as f_fn
 from .scalars import g as g_fn
 
 
@@ -282,6 +292,13 @@ class Model:
 
     def __init__(self):
         self._weights = {}
+        # the walk tries of bethe.build_family, kets first, then bras: the
+        # children of Omega resp. Omega^+, each keyed by its step (i, j,
+        # point id) and holding (m, v, children), m the multiplier of its
+        # step and v the int vector of its path
+        self.walks = ({}, {})
+        # point id of each walk point, a spectral parameter at eps = 0
+        self.point_ids = {}
         # the PairProducts of the latest spectral pair only
         self._pair = None
         self._products = None
@@ -413,10 +430,16 @@ class ChainModel(Model):
         return fs
 
     def lam(self, i, u):
+        """lam_i(u): the twist d_i, times prod_k f(u, xi_k) for i = 1,
+        taken as one quotient prod_k (u - xi_k + c) / prod_k (u - xi_k);
+        u may be eps-shifted."""
         d = rat(self.spec.twist[i - 1])
         if i == 1:
-            for xi in self.spec.xi:
-                d = d * f_fn(u, xi, self.c)
+            diffs = [u - xi for xi in self.spec.xi]
+            den = prod(diffs, start=ONE)
+            if is_zero(den):
+                raise DivisionByZero("lam1(u) at an inhomogeneity")
+            d = d * prod((x + self.c for x in diffs), start=ONE) / den
         return d
 
 

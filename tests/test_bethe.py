@@ -413,3 +413,57 @@ def test_ket_and_bra_share_one_coefficient_list(sig, evaluations):
     # and so is the same point on another model
     assert ket(ChainModel(spec), us, vs) == first[0]
     assert evaluations["calls"] == 3
+
+
+@pytest.fixture
+def walk_steps(monkeypatch):
+    """Counts the single-entry walks, the Model.apply_T_scaled calls."""
+    count = Counter()
+    honest = monodromy.Model.apply_T_scaled
+
+    def apply_T_scaled(self, *args):
+        count["steps"] += 1
+        return honest(self, *args)
+
+    monkeypatch.setattr(monodromy.Model, "apply_T_scaled", apply_T_scaled)
+    return count
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
+    """B, C (gl(2|1)) and B~, C~ (gl(1|2)) at (2,2) on L=3 are the same on a
+    fresh model and on one whose walk tries were filled by other builds that
+    share their step prefixes: a ket and a bra of fewer parameters, the
+    reversed tuples and an eps-separated u/v collision, whose shifted v is
+    walked at the point of an unshifted u. A vector returned by a build
+    shares nothing with the tries, so a build repeated after the caller
+    cleared the first result gives it again, with no walk."""
+    builders = (build_vector, build_dual_vector) if sig == GL21 else (build_tilde_vector, build_tilde_dual_vector)
+    ps = ParameterSampler(f"walk-trie:{sig.name}", 1).generic(5, avoid=INT_WALK_XI)
+    us, vs, w = ps[:2], ps[2:4], ps[4]
+    model = lambda: chain(3, INT_WALK_XI, twist=INT_WALK_TWIST, sig=sig)
+    fresh = {}
+    for build in builders:
+        walk_steps.clear()
+        fresh[build] = build(model(), us, vs)
+        fresh[build, "steps"] = walk_steps["steps"]
+        assert not fresh[build].is_zero(), build.__name__
+    collision = (us[0], w), (us[0], vs[1])
+    warm = model()
+    for build in builders:
+        build(warm, us[:1], vs[:1])
+        build(warm, us, vs[:1])
+        build(warm, us[::-1], vs[::-1])
+        limit = build_vector_limit(warm, *collision, builder=build)
+        assert limit == build_vector_limit(model(), *collision, builder=build), build.__name__
+    # the shifted v took the point id of the u it collides with
+    assert sorted(warm.point_ids.values()) == list(range(5))
+    for build in builders:
+        walk_steps.clear()
+        got = build(warm, us, vs)
+        assert 0 < walk_steps["steps"] < fresh[build, "steps"], (build.__name__, walk_steps)
+        assert got.entries == fresh[build].entries, build.__name__
+        got.entries.clear()
+        walk_steps.clear()
+        assert build(warm, us, vs).entries == fresh[build].entries, build.__name__
+        assert walk_steps["steps"] == 0, build.__name__

@@ -88,12 +88,17 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 # suite -> (graded.embed calls, state entries into and out of
 # monodromy._apply_factor): RTT applies R(u,v) by digit arithmetic and the
 # coproduct sums graded tensor products, so neither embeds; T(u) is built
-# once per column prefix, and a vector walk's last factor keeps only the
-# wanted auxiliary digit
+# once per column prefix, a vector walk's last factor keeps only the
+# wanted auxiliary digit, and each model walks a Bethe-vector step sequence
+# once (the walk tries of bethe.build_family)
 WALK_PINNED = {
     "rtt": (0, 1020),
-    "composite": (0, 942),
-    "bethe": (0, 711),
+    "composite": (0, 696),
+    "bethe": (0, 635),
+    "actions": (0, 781),
+    "proof-replay": (0, 173),
+    "gl12": (0, 724),
+    "recursion": (0, 79),
 }
 
 

@@ -68,9 +68,10 @@ def test_single_site_entries():
 
 def test_empty_chain_is_twist_diagonal():
     m = chain(0, (), twist=(2, 3, 5))
+    mono = m.monodromy(rat(7, 2))
     for i in range(1, 4):
         for j in range(1, 4):
-            op = m.T(i, j, rat(7, 2))
+            op = mono.entry(i, j)
             if i == j:
                 assert op == GradedOperator.identity(GL21, 0).scale(m.spec.twist[i - 1])
             else:
@@ -105,9 +106,10 @@ def test_vacuum_axioms(sig, twist):
 
 def test_entry_parity():
     m = chain(2, (0, 1), twist=(2, 1, 3))
+    mono = m.monodromy(rat(9, 2))
     for i in range(1, 4):
         for j in range(1, 4):
-            op = m.T(i, j, rat(9, 2))
+            op = mono.entry(i, j)
             assert not op.is_zero()
             assert op.support_parity() == (GL21.par(i) ^ GL21.par(j))
 
@@ -170,9 +172,10 @@ def _sparse_pair(smp, sig, length, nnz=3):
 
 
 def _assert_actions_match(model, u, ket, bra):
+    mono = model.monodromy(u)
     for i in range(1, 4):
         for j in range(1, 4):
-            entry = model.T(i, j, u)
+            entry = mono.entry(i, j)
             assert model.apply_T(i, j, u, ket) == entry.apply(ket), (i, j)
             m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
             assert scaled == entry.apply_dual(bra).scale(m), (i, j)
