@@ -67,7 +67,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DivisionByZero
-from .graded import GL21, DualGradedVector, GradedVector, decode
+from .graded import GL21, DualGradedVector, GradedVector, digit_string
 from .notation import eval_expr, parse, splits
 from .rational import rat, rat_to_str
 from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, is_zero, ratio
@@ -295,8 +295,4 @@ def grading_of(vec, vacuous=None):
 
 
 def vector_to_json(vec) -> dict:
-    out = {}
-    for key in sorted(vec.entries):
-        digits = "".join(str(d) for d in decode(key, vec.arity))
-        out[digits] = rat_to_str(vec.entries[key])
-    return out
+    return {digit_string(key, vec.arity): rat_to_str(vec.entries[key]) for key in sorted(vec.entries)}

@@ -16,6 +16,16 @@ suites the config enables.
 
 Each suite is a generator of (name, parameters, thunk) triples; one loop in
 _Runner.run gives it a seeded sampler and records every check it yields.
+A thunk returns its residual as one of:
+  a rational or int scalar, which is its own sample;
+  a GradedVector, DualGradedVector or GradedOperator, sampled by its first
+    nonzero entry (first_nonzero);
+  a tuple of residuals, sampled by its first nonzero member;
+  a string naming a failure the check has already located (the vacuum
+    axioms, the exchange tuples), or 0 when there is none.
+_witness reads each kind as None when it is exactly zero, else its sample;
+a record's residual_is_zero and residual_sample ("0" when zero) both come
+from that one value.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from .gl12 import (
     check_tilde_factorization,
     resolve_sign,
 )
-from .graded import SIGNATURES, check_unitarity, check_ybe, decode
+from .graded import SIGNATURES, GradedOperator, GradedVector, check_unitarity, check_ybe
 from .monodromy import ChainModel, ChainSpec, check_rtt, check_supercommutator, vacuum_residuals
 from .notation import Binding, evaluate
 from .rational import BACKEND, rat_from_str
@@ -216,8 +226,10 @@ def parse_config(raw) -> RunConfig:
             or any(not _is_int(i) or i < 0 or i >= len(chains) for i in split)
         ):
             raise SchemaError("split must be two valid chain indices", "/split")
-        if chains[split[0]].sig != chains[split[1]].sig:
-            raise SchemaError("split chains must share a signature", "/split")
+        try:
+            SplitChain(chains[split[0]], chains[split[1]])
+        except ValueError as err:  # SignatureMismatch is one
+            raise SchemaError(str(err), "/split") from None
         split = tuple(split)
 
     def param_list(key):
@@ -315,27 +327,15 @@ def emit_report(report: Report, path):
         fh.write("\n")
 
 
-def _sample_of(residual):
-    """Human-readable witness of the first nonzero entry, or "0". A string
-    residual is a failure the check has already located and described."""
-    if hasattr(residual, "cols"):
-        for col in sorted(residual.cols):
-            for row in sorted(residual.cols[col]):
-                r = decode(row, residual.arity)
-                c = decode(col, residual.arity)
-                return f"[{''.join(map(str,r))},{''.join(map(str,c))}]={residual.cols[col][row]}"
-        return "0"
-    if hasattr(residual, "entries"):
-        for key in sorted(residual.entries):
-            return f"[{''.join(map(str, decode(key, residual.arity)))}]={residual.entries[key]}"
-        return "0"
-    return "0" if is_zero(residual) else str(residual)
-
-
-def _is_zero_residual(residual):
-    if hasattr(residual, "is_zero"):
-        return residual.is_zero()
-    return is_zero(residual)
+def _witness(residual):
+    """None for an exactly-zero residual, else where it is not zero: a
+    tuple's first nonzero member's witness, a graded object's first nonzero
+    entry, a scalar itself, or a failure string the check has located."""
+    if isinstance(residual, tuple):
+        return next((w for w in map(_witness, residual) if w is not None), None)
+    if isinstance(residual, (GradedVector, GradedOperator)):
+        return residual.first_nonzero()
+    return None if is_zero(residual) else str(residual)
 
 
 class _Runner:
@@ -357,13 +357,14 @@ class _Runner:
         t0 = time.perf_counter()
         residual = thunk()
         dt = time.perf_counter() - t0
+        witness = _witness(residual)
         self.report.records.append(
             CheckRecord(
                 suite,
                 name,
                 {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in parameters.items()},
-                _is_zero_residual(residual),
-                _sample_of(residual),
+                witness is None,
+                "0" if witness is None else witness,
                 round(dt, 6),
             )
         )
@@ -491,8 +492,9 @@ class _Runner:
             def all_tuples():
                 for i, j, k, l in product(range(1, 4), repeat=4):
                     for form, r in enumerate(check_supercommutator(model, i, j, k, l, u, v), 1):
-                        if not r.is_zero():
-                            return f"(i,j,k,l)=({i},{j},{k},{l}) form {form}: {_sample_of(r)}"
+                        witness = r.first_nonzero()
+                        if witness is not None:
+                            return f"(i,j,k,l)=({i},{j},{k},{l}) form {form}: {witness}"
                 return 0
 
             name = f"chain {ci} ({chain.sig.name}) exchange relations, all 81 tuples, both forms"
@@ -555,7 +557,7 @@ class _Runner:
         yield (
             "coproduct monodromy equals direct total",
             {"u": u},
-            lambda: _first_nonzero(compose_monodromy(split, u)[1].values()),
+            lambda: tuple(compose_monodromy(split, u)[1].values()),
         )
         total = CompositeModel(split)
         yield (
@@ -578,7 +580,7 @@ class _Runner:
         yield (
             "creation-entry actions on composite sums",
             {"u": us, "v": vs, "z": z},
-            lambda: _first_nonzero(check_composite_creation_actions(split, us, vs, z)),
+            partial(check_composite_creation_actions, split, us, vs, z),
         )
 
     def suite_proof_replay(self, smp):
@@ -618,15 +620,6 @@ class _Runner:
         tilde = partial(check_tilde_factorization, split, sign=signs[0])
         tilde_dual = partial(check_tilde_dual_factorization, split, sign=signs[0])
         yield from self.factorizations(smp, xi, "tilde ", tilde, tilde_dual)
-
-
-def _first_nonzero(residuals):
-    last = 0
-    for r in residuals:
-        last = r
-        if not _is_zero_residual(r):
-            return r
-    return last
 
 
 def run_suites(cfg: RunConfig, only=None) -> Report:

@@ -87,6 +87,12 @@ def decode(key: int, arity: int):
     return tuple(out)
 
 
+def digit_string(key: int, arity: int) -> str:
+    """The multi-index of key as digits over {1,2,3}, the text of every
+    printed or serialized basis index."""
+    return "".join(map(str, decode(key, arity)))
+
+
 def _check_pair(a, b):
     if a.sig != b.sig:
         raise SignatureMismatch(f"{a.sig.name} vs {b.sig.name}")
@@ -109,9 +115,13 @@ class GradedVector:
     __slots__ = ("sig", "arity", "entries")
 
     def __init__(self, sig, arity, entries=None):
+        """entries, {key: value}, is kept as given, not copied, unless it
+        holds a zero, which a copy drops: every producer hands over a fresh
+        dict and does not change it afterwards."""
         self.sig = sig
         self.arity = arity
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
+        entries = {} if entries is None else entries
+        self.entries = entries if all(entries.values()) else {k: v for k, v in entries.items() if v}
 
     @classmethod
     def basis(cls, sig, digits):
@@ -144,6 +154,11 @@ class GradedVector:
     def is_zero(self):
         return not self.entries
 
+    def first_nonzero(self):
+        """The least-key entry as "[digits]=value", or None when zero."""
+        key = min(self.entries, default=None)
+        return None if key is None else f"[{digit_string(key, self.arity)}]={self.entries[key]}"
+
     def support_parity(self):
         tab = parity_table(self.sig, self.arity)
         return _scan([tab[k] for k in self.entries])
@@ -157,7 +172,7 @@ class GradedVector:
         )
 
     def __repr__(self):
-        items = ", ".join(f"{''.join(map(str, decode(k, self.arity)))}: {v}" for k, v in sorted(self.entries.items()))
+        items = ", ".join(f"{digit_string(k, self.arity)}: {v}" for k, v in sorted(self.entries.items()))
         return f"<{type(self).__name__} {self.sig.name} arity={self.arity} {{{items}}}>"
 
 
@@ -246,6 +261,15 @@ class GradedOperator:
 
     def is_zero(self):
         return not self.cols
+
+    def first_nonzero(self):
+        """The entry of least column, and least row in it, as
+        "[row digits,column digits]=value", or None when zero."""
+        if not self.cols:
+            return None
+        col = min(self.cols)
+        row = min(self.cols[col])
+        return f"[{digit_string(row, self.arity)},{digit_string(col, self.arity)}]={self.cols[col][row]}"
 
     def scale(self, c):
         if not c:

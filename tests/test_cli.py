@@ -13,7 +13,8 @@ from superbethe.cli import (
     parse_config,
     run_suites,
 )
-from superbethe.rational import rat_from_str
+from superbethe.graded import GL21, DualGradedVector, GradedOperator, GradedVector
+from superbethe.rational import rat, rat_from_str
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -59,6 +60,21 @@ def test_schema_error_pointers(tmp_path):
             }
         )
     assert err.value.pointer == "/split"
+
+
+@pytest.mark.parametrize(
+    "chains, split",
+    [
+        ([{"L": 1, "xi": ["0"]}, {"L": 1, "xi": ["0"]}], [0, 1]),
+        ([{"L": 1, "xi": ["0"]}, {"L": 1, "xi": ["1"]}], [0, 0]),
+    ],
+    ids=["shared inhomogeneity", "one chain twice"],
+)
+def test_split_chains_need_disjoint_inhomogeneities(tmp_path, capsys, chains, split):
+    """Caught at parse time, before any suite prints, not when the
+    composite suite builds the split."""
+    raw = {"suites": ["scalar", "composite"], "chains": chains, "split": split}
+    _schema_failure(tmp_path, capsys, raw, "/split")
 
 
 def test_bethe_eval_worked_example(tmp_path, capsys):
@@ -266,8 +282,65 @@ def test_vacuum_and_exchange_failures_are_located(monkeypatch):
             assert not bad.residual_is_zero
             located[ok.suite] = bad.residual_sample
     assert located["bethe"] == "T21 annihilates ket"
-    sample = cli._sample_of(cli.ChainModel(parse_config(raw).chains[0]).T(1, 3, rat_from_str(failing[0].parameters["u"])))
+    sample = cli.ChainModel(parse_config(raw).chains[0]).T(1, 3, rat_from_str(failing[0].parameters["u"])).first_nonzero()
     assert located["commutator"] == f"(i,j,k,l)=(1,3,2,3) form 2: {sample}" and sample != "0"
+
+
+def _record(residual):
+    """(residual_is_zero, residual_sample) of one check returning residual."""
+    from superbethe import cli
+
+    runner = cli._Runner(parse_config({"chains": [], "suites": []}))
+    runner.check("suite", "check", {}, lambda: residual)
+    (record,) = runner.report.records
+    return record.residual_is_zero, record.residual_sample
+
+
+RESIDUAL_KINDS = {
+    "zero rational": (rat(0), (True, "0")),
+    "nonzero rational": (rat(-3, 7), (False, "-3/7")),
+    "int 0": (0, (True, "0")),
+    "int 1": (1, (False, "1")),
+    "zero vector": (GradedVector(GL21, 2), (True, "0")),
+    "vector, least key wins": (GradedVector(GL21, 2, {5: rat(2), 1: rat(-1, 3), 7: rat(4)}), (False, "[12]=-1/3")),
+    "dual vector, least key wins": (DualGradedVector(GL21, 2, {8: rat(1, 2), 3: rat(-5)}), (False, "[21]=-5")),
+    "zero operator": (GradedOperator(GL21, 2), (True, "0")),
+    # the least column wins, then the least row in it
+    "operator, least column then row wins": (
+        GradedOperator(GL21, 2, {4: {2: rat(5), 0: rat(7, 2)}, 1: {8: rat(-3)}}),
+        (False, "[33,12]=-3"),
+    ),
+    "located failure": ("T21 annihilates ket", (False, "T21 annihilates ket")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_KINDS))
+def test_each_residual_kind_gives_its_record(case):
+    residual, expected = RESIDUAL_KINDS[case]
+    assert _record(residual) == expected
+
+
+def test_several_residuals_report_the_first_nonzero_one(monkeypatch):
+    """The coproduct's nine residuals and the two creation actions are one
+    check each, whose sample is its first nonzero residual's entry."""
+    from superbethe import cli
+
+    zero_op, zero_vec = GradedOperator(GL21, 2), GradedVector(GL21, 2)
+    coproduct = {(1, 1): zero_op, (1, 2): GradedOperator(GL21, 2, {3: {5: rat(2, 3)}}),
+                 (1, 3): GradedOperator(GL21, 2, {0: {0: rat(9)}})}
+    actions = (zero_vec, GradedVector(GL21, 2, {4: rat(1, 2), 2: rat(3)}))
+    monkeypatch.setattr(cli, "compose_monodromy", lambda split, u: (None, coproduct))
+    monkeypatch.setattr(cli, "check_composite_creation_actions", lambda split, us, vs, z: actions)
+    raw = {"campaigns": 1, "max_a": 0, "max_b": 0, "suites": ["composite"],
+           "chains": [{"L": 1, "xi": ["0"]}, {"L": 1, "xi": ["1"]}]}
+    records = {r.name: (r.residual_is_zero, r.residual_sample) for r in run_suites(parse_config(raw)).records}
+    assert records["coproduct monodromy equals direct total"] == (False, "[23,21]=2/3")
+    assert records["creation-entry actions on composite sums"] == (False, "[13]=3")
+    monkeypatch.setattr(cli, "compose_monodromy", lambda split, u: (None, {(1, 1): zero_op, (1, 2): zero_op}))
+    monkeypatch.setattr(cli, "check_composite_creation_actions", lambda split, us, vs, z: (zero_vec, zero_vec))
+    records = {r.name: (r.residual_is_zero, r.residual_sample) for r in run_suites(parse_config(raw)).records}
+    assert records["coproduct monodromy equals direct total"] == (True, "0")
+    assert records["creation-entry actions on composite sums"] == (True, "0")
 
 
 def _schema_failure(tmp_path, capsys, raw, pointer):

@@ -193,6 +193,14 @@ def test_encode_decode_roundtrip():
     assert parity_table(GL12, 2)[encode((1, 2))] == 1
 
 
+def test_zero_entries_are_dropped():
+    entries = {0: rat(2), 4: rat(0), 7: 0}
+    v = GradedVector(GL21, 2, entries)
+    assert v.entries == {0: rat(2)} and entries == {0: rat(2), 4: rat(0), 7: 0}
+    assert GradedVector(GL21, 2, {4: 0}).is_zero() and GradedVector(GL21, 2).is_zero()
+    assert v == GradedVector(GL21, 2, {0: rat(2)})
+
+
 def test_dual_pairing_and_tensor():
     v = GradedVector(GL21, 1, {0: rat(2), 2: rat(3)})
     w = GradedVector.basis(GL21, (2,))
