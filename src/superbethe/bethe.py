@@ -15,6 +15,16 @@ T32(vII) T31(vI), with annihilation-type normalizers prod_{j<k} h(x_j, x_k)
 and m the number of odd factors per term (b on gl(2|1), a on gl(1|2)).
 build_family derives all four from the signature and the entry indices.
 
+Each term moves a sites off digit 1 of Omega and b onto digit 3, so on L
+fundamental sites it lies in the weight space with digit counts
+(L-a, a-b, b), empty unless b <= a <= L (Model.weight_space_nonempty).
+build_family returns the zero vector for any other (a, b) before it
+computes a coefficient or walks a step. That is exact: every term is
+coef * W with W zero at every parameter value, so even a pole of coef
+multiplies an identically zero vector. The refusals that need no
+coefficient stay: coincident parameters within us or vs raise ValueError,
+a u equal to a v with no eps shift DivisionByZero.
+
 The coefficients are computed on ints. Each parameter family us + vs gets
 one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints;
 a u equal to a v keeps its own entry there, so without an eps shift the
@@ -108,12 +118,13 @@ def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
     return p, q, node
 
 
-def _require_distinct(name, xs):
-    seen = set()
-    for x in xs:
-        if x in seen:
-            raise ValueError(f"coincident parameters within {name}: {x!r}")
-        seen.add(x)
+def _require_distinct(us, vs):
+    for name, xs in (("us", us), ("vs", vs)):
+        seen = set()
+        for x in xs:
+            if x in seen:
+                raise ValueError(f"coincident parameters within {name}: {x!r}")
+            seen.add(x)
 
 
 def _guard(model, sig):
@@ -131,8 +142,7 @@ def _partition_terms(model, us, vs, weight):
     vII; the quotient is taken once per term, and at an eps-shifted point
     n/d is its eps-limit."""
     us, vs = tuple(us), tuple(vs)
-    _require_distinct("us", us)
-    _require_distinct("vs", vs)
+    _require_distinct(us, vs)
     table, node = PairTable(us + vs, model.c), parse(weight)
     iu, iv = tuple(range(len(us))), tuple(range(len(us), len(us) + len(vs)))
     lam2 = [as_pair(model.lam(2, x)) for x in us + vs]
@@ -187,7 +197,15 @@ def build_family(model, us, vs, weight, dual):
     and the sign (-1)^{m(m-1)/2} for m odd factors per term). At eps-shifted
     parameters every term is its eps -> 0 limit. The terms, n/d times int
     vectors, are summed over one int denominator (see _accumulate), which
-    also takes the bra's sign."""
+    also takes the bra's sign. A pair (a, b) that Model.weight_space_nonempty
+    rules out gives the zero vector, with no coefficient and no walk, even
+    where a coefficient has a pole (exact, see above), after the refusals
+    that need no coefficient."""
+    if not model.weight_space_nonempty(len(us), len(vs)):
+        _require_distinct(us, vs)
+        if not set(us).isdisjoint(vs):
+            raise DivisionByZero("g(u,v) at coincident arguments")
+        return (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
     h_table, terms = _coefficients(model, us, vs, weight)
     ids = model.point_ids
     points = []

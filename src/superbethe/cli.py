@@ -680,7 +680,12 @@ def _cmd_bethe_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="superbethe", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="superbethe",
+        description="Check the gl(2|1) and gl(1|2) identities a JSON config enables, with exactly-zero "
+        "residuals: verify runs its suites (exit 0 iff every residual is zero), report writes their JSON "
+        "report, and bethe eval prints a Bethe vector's sparse entries.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification suites from a config")

@@ -392,6 +392,21 @@ class Model:
             out[m] = -x if odd and par[m] else x
         return type(vec)(self.sig, self.arity, out)
 
+    def weight_space_nonempty(self, a, b):
+        """Whether a Bethe vector B_{a,b} (C, B~, C~ alike) can be nonzero
+        here: 0 <= b <= a <= arity. Every site is fundamental and Omega has
+        digit 1 at each. T(u) conserves the digit counts of the auxiliary
+        factor and the sites together, so on a ket T12 moves one site from
+        digit 1 to 2, T13 one from 1 to 3 and T23 one from 2 to 3 (a bra
+        reads the same moves from the left). A term
+        T13(vI) T23(vII) T12(uII) . Omega, #uI = #vI, makes #uII + #vI = a
+        moves off digit 1 and #vII + #vI = b onto digit 3, so it lies in
+        the weight space with digit counts (arity - a, a - b, b), which is
+        empty unless b <= a <= arity, at every parameter value and on
+        either signature. A site in another representation (a dual one)
+        would need its own count."""
+        return 0 <= b <= a <= self.arity
+
     def r(self, i, u):
         return self.lam(i, u) / self.lam(2, u)
 

@@ -130,20 +130,57 @@ def test_collision_separation_rules():
         separate_collision((1, 2), (1, 2))
 
 
-def test_rejects_plain_coincident_families(twisted2):
-    with pytest.raises(ValueError):
-        build_vector(twisted2, (rat(3), rat(3)), ())
+ALL_BUILDERS = ((GL21, build_vector), (GL21, build_dual_vector), (GL12, build_tilde_vector), (GL12, build_tilde_dual_vector))
 
 
-@pytest.mark.parametrize("us, vs", [((rat(3),), (rat(3),)), ((rat(3), rat(5)), (rat(7), rat(5)))])
+def test_rejects_plain_coincident_families():
+    """Coincident parameters within us or within vs raise ValueError on every
+    builder, also at an (a, b) whose vector the weight rule makes zero on
+    L=2: (1,2), (0,2) and (3,0)."""
+    cases = (
+        ((rat(3), rat(3)), ()),
+        ((rat(3),), (rat(5), rat(5))),
+        ((), (rat(5), rat(5))),
+        ((rat(3), rat(3), rat(4)), ()),
+    )
+    for sig, build in ALL_BUILDERS:
+        for us, vs in cases:
+            with pytest.raises(ValueError):
+                build(chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig), us, vs)
+
+
+@pytest.mark.parametrize(
+    "us, vs",
+    [
+        ((rat(3),), (rat(3),)),
+        ((rat(3), rat(5)), (rat(7), rat(5))),
+        ((rat(3),), (rat(7), rat(3))),
+        ((rat(3), rat(5), rat(6)), (rat(5),)),
+    ],
+)
 def test_a_u_equal_to_a_v_without_eps_raises(us, vs):
     """At a u equal to a v with no eps shift every builder raises and none
     returns a vector: the coefficients' table keeps the u and the v apart,
-    and their g is singular."""
-    builders = ((GL21, build_vector), (GL21, build_dual_vector), (GL12, build_tilde_vector), (GL12, build_tilde_dual_vector))
-    for sig, build in builders:
+    and their g is singular. The weight rule does not hide it where it makes
+    the vector zero on L=2, at (1,2) and (3,1)."""
+    for sig, build in ALL_BUILDERS:
         with pytest.raises(DivisionByZero):
             build(chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig), us, vs)
+
+
+def test_a_pole_of_a_rule_empty_coefficient_gives_zero():
+    """With v - u = -c (u - v = -c on gl(1|2)) every coefficient has the pole
+    1/f(vs,us) (1/f(us,vs)), and at (1,1) on L=2 every builder raises. At
+    (1,2) the vector each coefficient multiplies is zero at every parameter
+    value, so the builders return the zero vector of their type."""
+    for sig, build in ALL_BUILDERS:
+        m = chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig)
+        v = rat(2) if sig == GL21 else rat(4)
+        with pytest.raises(DivisionByZero):
+            build(m, (rat(3),), (v,))
+        vec = build(m, (rat(3),), (v, rat(7)))
+        assert vec.is_zero() and (vec.sig, vec.arity) == (sig, 2), build.__name__
+        assert type(vec) is (DualGradedVector if "dual" in build.__name__ else GradedVector), build.__name__
 
 
 def test_partition_terms_count_the_equal_size_splits(twisted2):
@@ -246,6 +283,35 @@ def test_all_four_builders_match_the_materialized_formula(sig):
                 # a vector leaves a - b sites at level 2, so it vanishes for b > a
                 assert want.is_zero() == (b > a), (sig.name, a, b, dual)
                 assert build(m, us, vs) == want, (sig.name, a, b, dual)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_weight_rule_matches_the_materialized_terms(sig, length):
+    """Model.weight_space_nonempty against the entries themselves, without
+    build_family: at every (a,b) up to (L+1, L+1), every plan term
+    T13(vI) T23(vII) T12(uII) . Omega and its mirror
+    Omega^+ T21(uII) T32(vII) T31(vI), with the entries read from the
+    embedded factor product, is zero where the rule says the weight space
+    is empty and nonzero where it is not."""
+    xi = INT_WALK_XI[:length]
+    m = chain(length, xi, twist=INT_WALK_TWIST, sig=sig)
+    ps = ParameterSampler(f"weight-rule:{sig.name}:{length}", 1).generic(2 * length + 2, avoid=xi)
+    held = _HeldEntries(m, ps)
+    for a in range(length + 2):
+        for b in range(length + 2):
+            us, vs = ps[:a], ps[length + 1 : length + 1 + b]
+            nonempty = m.weight_space_nonempty(a, b)
+            for n in range(min(a, b) + 1):
+                for _, u2 in _splits(us, n):
+                    for v1, v2 in _splits(vs, n):
+                        ket, bra = m.omega(), m.omega_dual()
+                        for (i, j), xs in zip(((1, 2), (2, 3), (1, 3)), (u2, v2, v1)):
+                            for x in xs:
+                                ket = held.T(i, j, x).apply(ket)
+                                bra = held.T(j, i, x).apply_dual(bra)
+                        assert ket.is_zero() != nonempty, (a, b, u2, v2, v1)
+                        assert bra.is_zero() != nonempty, (a, b, u2, v2, v1)
 
 
 def _weight_values(weights):
@@ -467,3 +533,19 @@ def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
         walk_steps.clear()
         assert build(warm, us, vs).entries == fresh[build].entries, build.__name__
         assert walk_steps["steps"] == 0, build.__name__
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_rule_empty_builds_compute_nothing(sig, evaluations, walk_steps):
+    """A build the weight rule makes zero returns the zero vector of its type
+    with no coefficient list and no walk, and leaves the model's coefficient
+    lists, walk tries and point ids empty."""
+    builders = [build for s, build in ALL_BUILDERS if s == sig]
+    m = chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig)
+    ps = ParameterSampler(f"rule-empty:{sig.name}", 1).generic(6, avoid=m.spec.xi)
+    for a, b in ((0, 1), (1, 2), (3, 0), (3, 3)):
+        for dual, build in enumerate(builders):
+            vec = build(m, ps[:a], ps[3 : 3 + b])
+            assert vec.is_zero() and type(vec) is (DualGradedVector if dual else GradedVector), (a, b, dual)
+    assert evaluations["calls"] == 0 and walk_steps["steps"] == 0
+    assert m.coefficients == {} and m.walks == ({}, {}) and m.point_ids == {}

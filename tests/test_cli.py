@@ -166,6 +166,15 @@ def test_negative_control_config_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_help_lists_the_subcommands_without_developer_notes(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in ("verify", "report", "bethe eval"))
+    assert "_Runner" not in out and "_witness" not in out
+
+
 def test_unknown_suite_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, {"suites": ["rtt"], "chains": [{"L": 1, "xi": ["0"]}]})
     assert main(["verify", "--config", cfg, "--suite", "bogus"]) == 2
