@@ -35,15 +35,24 @@ coefficient, at the splits notation.splits enumerates. lam2 is evaluated
 once per parameter, and each term's coefficient is one quotient, n/d in
 lowest terms. The coefficient lists depend only on the
 weight and the ordered parameter tuples, so each model keeps them per
-(weight, us, vs): a ket and its bra built at the same point share one list.
+weight and parameters: a ket and its bra built at the same point share one
+list.
+
+build_family looks up each parameter's point id (Model.point_ids, keyed by
+its value at eps = 0) once, before the coefficient lookup, and that is the
+one hash of a rational parameter a build makes. Three lookups read the ids:
+the refusal of coincident parameters within us or vs (two parameters
+coincide when they are equal at eps = 0), the key of the
+coefficient lists (the weight, the point ids, and a shifted entry's
+EpsScalar itself) and the model's cache of each walk point's factor
+weights (Model.apply_T_scaled).
 
 Each block is walked by Model.apply_T_scaled on integer multiples of the
 factors, and an odd block's h-normalizer is read from the same table, so a
 term is n/d times an int vector. The steps of a term, T12(x) ... T13(y)
 in the order they are applied, are walked through the model's walk trie
-of its side (Model.walks, see monodromy.py), keyed by (i, j, point id)
-with the ids of Model.point_ids, given to the parameters at eps = 0 once
-per build. A step on a path the model has walked before, in this build or
+of its side (Model.walks, see monodromy.py), keyed by (i, j, point id).
+A step on a path the model has walked before, in this build or
 an earlier one (the kets of a symmetry check, the shifted sets of an
 action's right-hand side, the partial vectors of a factorization), is one
 dict lookup. Only identical step sequences are shared, so the reuse is
@@ -61,8 +70,9 @@ eps = 0 because the walk at the unshifted point exists (a point on an
 inhomogeneity raises DivisionByZero), so the term's limit is
 lim coef * W(0). The same code serves: the shifted parameter clears to an
 EpsScalar numerator, so its pairs in the table are EpsScalars (truncated
-Laurent series), the coefficient's one quotient is an EpsScalar and n/d is
-its eps-limit, and every block is walked at the eps-limit of its
+Laurent series with int coefficients), the coefficient's one quotient has
+EpsScalar terms and n/d is its eps-limit, read off their leading terms
+(scalars.ratio), and every block is walked at the eps-limit of its
 parameters, on ints, with its h-normalizer taken there too. A coefficient
 with no limit raises PoleAtZero or PrecisionExhausted, a normalizer that
 vanishes there DivisionByZero; no term is dropped silently.
@@ -105,7 +115,7 @@ def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
         step = i, j, pid
         child = node[2].get(step)
         if child is None:
-            m, vec = model.apply_T_scaled(i, j, x, node[1], dual)
+            m, vec = model.apply_T_scaled(i, j, x, node[1], dual, pid)
             child = node[2][step] = m, vec, {}
         q *= child[0]
         node = child
@@ -118,13 +128,14 @@ def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
     return p, q, node
 
 
-def _require_distinct(us, vs):
-    for name, xs in (("us", us), ("vs", vs)):
-        seen = set()
-        for x in xs:
-            if x in seen:
-                raise ValueError(f"coincident parameters within {name}: {x!r}")
-            seen.add(x)
+def _require_distinct(keys, points, a):
+    """Refuse coincident parameters within us or within vs. keys[k] stands
+    for parameter k of us + vs, a of them in us, and points[k] is its value
+    at eps = 0, which the message gives in the config wire format."""
+    for name, lo, hi in (("us", 0, a), ("vs", a, len(keys))):
+        for k in range(lo + 1, hi):
+            if keys[k] in keys[lo:k]:
+                raise ValueError(f"coincident parameters within {name}: {rat_to_str(points[k])}")
 
 
 def _guard(model, sig):
@@ -142,7 +153,6 @@ def _partition_terms(model, us, vs, weight):
     vII; the quotient is taken once per term, and at an eps-shifted point
     n/d is its eps-limit."""
     us, vs = tuple(us), tuple(vs)
-    _require_distinct(us, vs)
     table, node = PairTable(us + vs, model.c), parse(weight)
     iu, iv = tuple(range(len(us))), tuple(range(len(us), len(us) + len(vs)))
     lam2 = [as_pair(model.lam(2, x)) for x in us + vs]
@@ -162,10 +172,11 @@ def _partition_terms(model, us, vs, weight):
     return table.h, terms
 
 
-def _coefficients(model, us, vs, weight):
+def _coefficients(model, us, vs, weight, ids):
     """_partition_terms, computed once per model, weight and ordered
-    parameter tuples, so that a ket and its bra share it."""
-    key = weight, tuple(us), tuple(vs)
+    parameter tuples, so that a ket and its bra share it. The parameters are
+    keyed by their point ids, ids, and a shifted one by its EpsScalar."""
+    key = weight, len(us), *(x if isinstance(x, EpsScalar) else pid for x, pid in zip((*us, *vs), ids))
     hit = model.coefficients.get(key)
     if hit is None:
         hit = model.coefficients[key] = _partition_terms(model, us, vs, weight)
@@ -201,17 +212,17 @@ def build_family(model, us, vs, weight, dual):
     rules out gives the zero vector, with no coefficient and no walk, even
     where a coefficient has a pole (exact, see above), after the refusals
     that need no coefficient."""
-    if not model.weight_space_nonempty(len(us), len(vs)):
-        _require_distinct(us, vs)
-        if not set(us).isdisjoint(vs):
+    a = len(us)
+    at_zero = [eps_limit(x) if isinstance(x, EpsScalar) else x for x in (*us, *vs)]
+    if not model.weight_space_nonempty(a, len(vs)):
+        _require_distinct(at_zero, at_zero, a)
+        if any(u == v for u in us for v in vs):
             raise DivisionByZero("g(u,v) at coincident arguments")
         return (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
-    h_table, terms = _coefficients(model, us, vs, weight)
-    ids = model.point_ids
-    points = []
-    for x in (*us, *vs):
-        x = eps_limit(x) if isinstance(x, EpsScalar) else x  # at eps = 0
-        points.append((ids.setdefault(x, len(ids)), x))
+    ids = [model.point_id(x) for x in at_zero]
+    _require_distinct(ids, at_zero, a)
+    h_table, terms = _coefficients(model, us, vs, weight, ids)
+    points = list(zip(ids, at_zero))
     par = model.sig.par
     plan = [(j, i) if dual else (i, j) for i, j in _PLAN]
     plan = [(i, j, par(i) != par(j)) for i, j in plan]

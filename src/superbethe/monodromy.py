@@ -35,17 +35,17 @@ first). It is used in two ways:
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec).
-  One cache per model holds the factors' (m, weights) per point; the graded
-  signs are indices shared by every point. Model.apply_T scales by 1/m once
-  at the end.
+  One cache per model holds the factors' (m, weights) per point, keyed by
+  its point id; the graded signs are indices shared by every point.
+  Model.apply_T scales by 1/m once at the end.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
   of its step's apply_T_scaled and v the int vector of its path from Omega
   (Omega^+), so a step sequence the model has walked before costs one dict
   lookup per step. Model.point_ids gives each walk point, a parameter at
-  eps = 0, a small int once per build, so no lookup hashes a Fraction. The
-  memo is exact: a walk is a pure function of the model and its steps, and
+  eps = 0, a small int, looked up once per parameter per build. The memo
+  is exact: a walk is a pure function of the model and its steps, and
   only identical step sequences are reused, never an algebraic identity
   (commuting T12s, reversed orders). The tries live and die with their
   model.
@@ -140,12 +140,16 @@ def build_cleared_product(sig, c, length, factors, u):
     return scale, GradedOperator.from_pruned(sig, length + 1, cols)
 
 
+def _require_rational(u):
+    if not is_rational(u):
+        raise TypeError(f"T(u) is walked at rational points only, not at u = {u!r}")
+
+
 def _cleared_sequence(sig, c, factors, u):
     """(M, data) for the integer multiples of every factor at a rational u:
     their _cleared_weights, leftmost factor first, and M the product of
     their multipliers."""
-    if not is_rational(u):
-        raise TypeError(f"T(u) is walked at rational points only, not at u = {u!r}")
+    _require_rational(u)
     scale = 1
     weights = []
     for factor in factors:
@@ -291,6 +295,7 @@ class Model:
     """
 
     def __init__(self):
+        # the factor weights of each walk point, keyed by its point id
         self._weights = {}
         # the walk tries of bethe.build_family, kets first, then bras: the
         # children of Omega resp. Omega^+, each keyed by its step (i, j,
@@ -340,24 +345,31 @@ class Model:
             factor = factor * rat(1, m)
         return out if factor == 1 else out.scale(factor)
 
-    def apply_T_scaled(self, i, j, u, vec, dual=False):
+    def point_id(self, u):
+        """The point id of a rational u (point_ids), given on first sight."""
+        _require_rational(u)
+        return self.point_ids.setdefault(u, len(self.point_ids))
+
+    def apply_T_scaled(self, i, j, u, vec, dual=False, pid=None):
         """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)), at a
-        rational u. The entries of vec are multiplied by the lcm n of their
+        rational u, whose point id pid is looked up unless the caller holds
+        it. The entries of vec are multiplied by the lcm n of their
         denominators and the walk takes the integer multiples of the
         factors, with M the product of their multipliers, so that only ints
         are multiplied; then m = M*n."""
-        m, weights = self._walk_weights(u)
+        m, weights = self._walk_weights(self.point_id(u) if pid is None else pid, u)
         n, vec = _cleared_vector(vec)
         m *= n
         if dual:
             return m, self._walk(i, j, j, vec, weights)
         return m, self._walk(j, i, j, vec, weights[::-1])
 
-    def _walk_weights(self, u):
-        """The _cleared_sequence of the whole factor sequence, cached per u."""
-        hit = self._weights.get(u)
+    def _walk_weights(self, pid, u):
+        """The _cleared_sequence of the whole factor sequence at u, cached
+        per point id pid."""
+        hit = self._weights.get(pid)
         if hit is None:
-            hit = self._weights[u] = _cleared_sequence(self.sig, self.c, self.factor_sequence(), u)
+            hit = self._weights[pid] = _cleared_sequence(self.sig, self.c, self.factor_sequence(), u)
         return hit
 
     def _walk(self, start, end, j, vec, factors):

@@ -12,18 +12,26 @@ precision and val + n the absolute one. A sum keeps the smaller absolute
 precision, a product or quotient the smaller relative one, and a quotient
 inverts the divisor's leading coefficient (power-series arithmetic, Knuth,
 TAOCP vol. 2, 4.7), so no polynomial gcd is ever taken. Rationals take part
-as exact values. EPS is known to the fixed relative precision EPS_PRECISION,
-and an eps-limit never returns a constant term the kept coefficients do not
-fix: it raises PrecisionExhausted, as does a division by an undetermined
-zero.
+as exact values. A coefficient is stored as an int wherever its value is
+integral, on either backend: EPS is built from ints, and only a rational
+operand or a division that does not come out even makes one rational
+(eps_limit still returns the backend's rational). EPS is known to the fixed
+relative precision EPS_PRECISION, and an eps-limit never returns a constant
+term the kept coefficients do not fix: it raises PrecisionExhausted, as
+does a division by an undetermined zero.
 
 Limits are taken of scalars only: ratio takes the eps-limit of each term's
 coefficient (why this is exact: bethe.py), and raises for one with no
-limit. There is no retry at a higher precision because the builders shift
-only one parameter (bethe.separate_collision refuses larger overlaps):
-K(vI|uI) has at most a simple pole in eps and 1/f(vs,us) a simple zero, so
-every partition coefficient is regular at eps = 0 and the only singular
-products resolved are 0 * inf.
+limit. It reads the limit of num/den off the leading terms, with no series
+division: the quotient has the order val(num) - val(den) and the leading
+coefficient c0(num)/c0(den), and ratio raises exactly where
+eps_limit(num / den) raises (_limit_of_quotient). bareiss_det and an
+explicit / keep the series division. There is no retry at a higher
+precision because the builders shift only one parameter
+(bethe.separate_collision refuses larger overlaps): K(vI|uI) has at most a
+simple pole in eps and 1/f(vs,us) a simple zero, so every partition
+coefficient is regular at eps = 0 and the only singular products resolved
+are 0 * inf.
 """
 
 from __future__ import annotations
@@ -45,13 +53,13 @@ EPS_PRECISION = 3
 
 def _series(val, coeffs):
     """eps^val * coeffs + O(eps^(val + len(coeffs))), leading zeros moved
-    into val."""
+    into val and every integral coefficient stored as an int."""
     k = 0
     while k < len(coeffs) and not coeffs[k]:
         k += 1
     x = object.__new__(EpsScalar)
     object.__setattr__(x, "val", val + k)
-    object.__setattr__(x, "coeffs", tuple(coeffs[k:]))
+    object.__setattr__(x, "coeffs", tuple(c if type(c) is int or c.denominator != 1 else int(c) for c in coeffs[k:]))
     return x
 
 
@@ -63,7 +71,7 @@ def _top(x):
 def _add(v1, a, v2, b, top):
     """eps^v1 * a + eps^v2 * b + O(eps^top)."""
     lo = min(v1, v2)
-    out = [ZERO] * (top - lo)
+    out = [0] * (top - lo)
     for v, cs in ((v1, a), (v2, b)):
         for i, x in enumerate(cs[: max(top - v, 0)], v - lo):
             out[i] += x
@@ -75,12 +83,20 @@ def _mul(v1, a, v2, b):
     return _series(v1 + v2, [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)])
 
 
+def _quotient(x, y):
+    """x / y exactly: an int where an int y divides an int x, else a
+    rational."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return rat(x, y) if r else q
+    return x / y
+
+
 def _div(v1, a, v2, b):
     """(eps^v1 * a) / (eps^v2 * b) for b[0] != 0."""
-    inv = ONE / b[0]
     q = []
     for k in range(min(len(a), len(b))):
-        q.append((a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1))) * inv)
+        q.append(_quotient(a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1)), b[0]))
     return _series(v1 - v2, q)
 
 
@@ -175,11 +191,11 @@ class EpsScalar:
             val, coeffs = _divisor(self)
             if not other:
                 return ZERO
-            return _div(0, (other,) + (ZERO,) * (len(coeffs) - 1), val, coeffs)
+            return _div(0, (other,) + (0,) * (len(coeffs) - 1), val, coeffs)
         return NotImplemented
 
 
-EPS = _series(1, (ONE,) + (ZERO,) * (EPS_PRECISION - 1))
+EPS = _series(1, (1,) + (0,) * (EPS_PRECISION - 1))
 
 
 def is_zero(x) -> bool:
@@ -201,7 +217,7 @@ def eps_limit(x):
         raise PrecisionExhausted(f"constant term of {x!r} not determined at eps precision {EPS_PRECISION}")
     if x.val < 0:
         raise PoleAtZero(f"pole of order {-x.val} at eps=0 in {x!r}")
-    return x.coeffs[0]
+    return rat(x.coeffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +241,6 @@ def h(u, v, c):
     return (u - v + ONE * c) / (ONE * c)
 
 
-def _exact_quotient(x, y):
-    """x / y for a y known to divide x; ints stay ints."""
-    return x // y if type(x) is int and type(y) is int else x / y
-
-
 def bareiss_det(rows):
     """Fraction-free determinant of a matrix of ints, rationals or
     EpsScalars; rows is consumed. Every division is exact, so an int matrix
@@ -250,7 +261,7 @@ def bareiss_det(rows):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 x = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = _exact_quotient(x, prev) if k else x
+                rows[i][j] = _quotient(x, prev) if k else x
         prev = rows[k][k]
     return -rows[n - 1][n - 1] if negate else rows[n - 1][n - 1]
 
@@ -295,16 +306,54 @@ def as_pair(x):
     return int(x.numerator), int(x.denominator)
 
 
+_ZERO_DENOMINATOR = "zero denominator: a g or f at coincident arguments, or a zero divisor"
+
+
 def ratio(num, den):
     """num/den as (p, q) ints in lowest terms with q > 0. Either operand may
-    be an EpsScalar; then the quotient is taken once and p/q is its
-    eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
-    if not isinstance(den, EpsScalar) and not den:
-        raise DivisionByZero("zero denominator: a g or f at coincident arguments, or a zero divisor")
-    if type(num) is not int or type(den) is not int:
-        return as_pair(eps_limit(num / den))
-    k = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // k, den // k
+    be an EpsScalar; then p/q is the eps-limit of the quotient, read from
+    the leading terms (_limit_of_quotient), with no series division."""
+    if type(num) is int and type(den) is int:
+        if not den:
+            raise DivisionByZero(_ZERO_DENOMINATOR)
+        k = gcd(num, den) if den > 0 else -gcd(num, den)
+        return num // k, den // k
+    if isinstance(num, EpsScalar) or isinstance(den, EpsScalar):
+        return ratio(*_limit_of_quotient(num, den))
+    if not den:
+        raise DivisionByZero(_ZERO_DENOMINATOR)
+    return as_pair(num / den)
+
+
+def _limit_of_quotient(num, den):
+    """Rationals (a, b), b != 0, with a/b = eps_limit(num / den), raising
+    exactly where that raises. A rational operand has order 0 and is its own
+    leading coefficient. The quotient has the order val(num) - val(den) and
+    the leading coefficient c0(num)/c0(den), so it is read off the leading
+    terms in the order of the checks of the division and of eps_limit: a
+    denominator that is an undetermined zero raises PrecisionExhausted, a
+    zero numerator gives 0, a positive order 0, an undetermined numerator
+    raises PrecisionExhausted and a negative order PoleAtZero."""
+    if isinstance(den, EpsScalar):
+        dv, (dc, *_) = _divisor(den)
+    elif not den:
+        raise DivisionByZero(_ZERO_DENOMINATOR)
+    else:
+        dv, dc = 0, den
+    if not isinstance(num, EpsScalar):
+        if not num:
+            return 0, 1
+        nv, nc = 0, num
+    else:
+        nv, nc = num.val, num.coeffs[0] if num.coeffs else None
+    order = nv - dv
+    if order > 0:
+        return 0, 1
+    if nc is None:
+        raise PrecisionExhausted(f"constant term of ({num!r})/({den!r}) not determined at eps precision {EPS_PRECISION}")
+    if order < 0:
+        raise PoleAtZero(f"pole of order {-order} at eps=0 in ({num!r})/({den!r})")
+    return nc, dc
 
 
 def _cleared(x):

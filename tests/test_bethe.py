@@ -136,16 +136,18 @@ ALL_BUILDERS = ((GL21, build_vector), (GL21, build_dual_vector), (GL12, build_ti
 def test_rejects_plain_coincident_families():
     """Coincident parameters within us or within vs raise ValueError on every
     builder, also at an (a, b) whose vector the weight rule makes zero on
-    L=2: (1,2), (0,2) and (3,0)."""
+    L=2: (1,2), (0,2) and (3,0). The message names the value in the config
+    wire format."""
     cases = (
         ((rat(3), rat(3)), ()),
         ((rat(3),), (rat(5), rat(5))),
         ((), (rat(5), rat(5))),
         ((rat(3), rat(3), rat(4)), ()),
+        ((rat(3), rat(1, 3)), (rat(-7, 2), rat(-7, 2))),
     )
     for sig, build in ALL_BUILDERS:
         for us, vs in cases:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^coincident parameters within (us: 3|vs: 5|vs: -7/2)$"):
                 build(chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig), us, vs)
 
 

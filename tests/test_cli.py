@@ -85,6 +85,18 @@ def test_bethe_eval_worked_example(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"1": "1"}
 
 
+def test_bethe_eval_names_a_coincident_parameter_in_the_wire_format(capsys):
+    """The refusal of coincident us gives the value as configs write it, the
+    same text on either rational backend, and exits 2."""
+    quick = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
+    assert main(["bethe", "eval", "--config", quick, "--u", "3", "--u", "3", "--v", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: coincident parameters within us: 3"]
+    assert main(["bethe", "eval", "--config", quick, "--u", "3", "--v", "5/2", "--v", "5/2"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: coincident parameters within vs: 5/2"]
+
+
 def test_empty_suites_run(tmp_path, capsys):
     cfg = write_config(tmp_path, {"suites": [], "chains": [{"L": 1, "xi": ["0"]}]})
     assert main(["verify", "--config", cfg]) == 0

@@ -1,8 +1,9 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
 results the vector suites of configs/quick.json compute, the number of
 operator compositions its RTT and exchange suites make, the embeds and
-walked state entries of its RTT, composite and Bethe suites, and the
-Fraction operations of the shorthand coefficients of the action table.
+walked state entries of its RTT, composite and Bethe suites, the Fraction
+operations and hashes of its vector suites, and the Fraction operations of
+the shorthand coefficients of the action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -12,6 +13,7 @@ lowers a count should lower its pin too.
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -24,16 +26,18 @@ from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.notation import Binding, partition_sum
 from superbethe.rational import BACKEND, rat
 from superbethe.sampling import ParameterSampler
+from superbethe.scalars import EPS, EpsScalar, PairTable
 
 QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 
 # suite -> (bethe._partition_terms calls, scalars._series calls); a vector
-# its weight makes zero computes no coefficient list
+# its weight makes zero computes no coefficient list, and scalars.ratio
+# reads an eps-limit off the leading terms, with no series division
 PINNED = {
-    "bethe": (6, 63),
-    "actions": (44, 419),
+    "bethe": (6, 57),
+    "actions": (44, 381),
     "recursion": (9, 0),
-    "composite": (52, 166),
+    "composite": (52, 142),
 }
 
 
@@ -61,6 +65,58 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
     assert report.records and report.all_zero()
     got = counted["partition_terms"], counted["eps_results"]
     assert got[0] <= PINNED[suite][0] and got[1] <= PINNED[suite][1], (suite, got, PINNED[suite])
+
+
+# suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
+# EpsScalar keeps its integral coefficients as ints, and a Bethe-vector
+# build hashes each parameter once, for its point id
+FRACTION_PINNED = {
+    "bethe": (291, 39),
+    "actions": (1880, 1023),
+    "recursion": (155, 36),
+    "composite": (620, 422),
+    "gl12": (823, 338),
+    "proof-replay": (912, 748),
+}
+
+
+@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
+@pytest.mark.parametrize("suite", sorted(FRACTION_PINNED))
+def test_vector_suite_fraction_work_does_not_rise(suite, fraction_ops, monkeypatch):
+    hashes = Counter()
+    honest = Fraction.__hash__
+
+    def counted_hash(self):
+        hashes["hash"] += 1
+        return honest(self)
+
+    config = load_config(QUICK)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    fraction_ops.clear()
+    report = run_suites(config, only={suite})
+    assert report.records and report.all_zero()
+    got = sum(fraction_ops.values()), hashes["hash"]
+    pin = FRACTION_PINNED[suite]
+    assert got[0] <= pin[0] and got[1] <= pin[1], (suite, got, pin)
+
+
+def test_eps_shifted_pair_tables_hold_int_coefficients():
+    """At an eps-shifted rational point every entry of a PairTable is an int
+    or an EpsScalar whose series coefficients are all ints: clearing the
+    point's denominator leaves an integral series, and nothing divides."""
+    xs = (rat(7, 2), rat(-5, 3) + EPS, rat(4), rat(1, 6))
+    table = PairTable(xs, rat(3, 2))
+    shifted = 0
+    for entries in (table.g, table.f, table.h):
+        for row in entries:
+            for pair in row:
+                for x in pair:
+                    if isinstance(x, EpsScalar):
+                        shifted += 1
+                        assert all(type(c) is int for c in x.coeffs), x
+                    else:
+                        assert type(x) is int, x
+    assert shifted
 
 
 # suite -> GradedOperator.compose calls: RTT streams its residual without
