@@ -11,13 +11,22 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
 
 * embed, which places an operator on a subset of tensor factors: each
   parity-changing block picks up the parity of the identity-factor column
-  digits to its left (insert_identity is its shortcut for one identity
-  factor and an even operator).
+  digits to its left (monodromy.lifted_column reads its columns for one
+  identity factor and an even operator).
 
 Everything downstream is plain sparse matrix algebra; once an operator is
 materialized the signs are inside it. Every operator sum (add, sub, R(u,v),
 the exchange residuals) is one linear_combination, with no intermediate
 operator.
+
+There are two multiplication kernels. column_product multiplies dict
+columns, for composition and application. The packed kernel serves
+operators that conserve the digit counts, which are block-diagonal over
+weight_classes: in a class of S keys a column {key: x} is one int with
+x in the slot of its key (pack, slot_shifts), packed_product applies a
+packed operator to a sparse column, and unpack reads a column back in
+balanced base 2^W. With every |x| below 2^(W-1) (slot_width) a packed
+column is 0 exactly when the column is.
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import lcm
+from operator import lshift, mul
 
 from .errors import ArityMismatch, SignatureMismatch
 from .rational import rat
@@ -193,8 +203,7 @@ class DualGradedVector(GradedVector):
 def column_product(cols, column):
     """sum_k column[k] * cols[k]: the operator with columns cols {k: {row:
     value}} applied to the sparse column {k: value}, as {row: value} with no
-    zero entry. Composition, application and the streamed operator
-    identities all multiply through here."""
+    zero entry. Composition and application multiply through here."""
     out = {}
     for k, x in column.items():
         colmap = cols.get(k)
@@ -206,6 +215,71 @@ def column_product(cols, column):
                 out[r] = s
             elif r in out:
                 del out[r]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# packed columns: the second kernel
+# ---------------------------------------------------------------------------
+
+
+@cache
+def weight_classes(arity):
+    """The keys of the given arity grouped by their digit counts (the gl(2|1)
+    weight), each group in increasing key order and the groups in the order
+    of their least keys. An operator that conserves the digit counts, such
+    as T(u), R(u,v) and the identity and their tensor products, is
+    block-diagonal over these groups."""
+    groups = {}
+    for key in range(3**arity):
+        digits = decode(key, arity)
+        groups.setdefault((digits.count(1), digits.count(2)), []).append(key)
+    return tuple(tuple(keys) for keys in groups.values())
+
+
+def slot_width(bound):
+    """The slot width W for packed columns whose entries x all have
+    |x| <= bound: bound < 2^(W-1), so unpack reads every entry back."""
+    return bound.bit_length() + 1
+
+
+def slot_shifts(keys, width):
+    """{key: width*i} for the i-th of keys: the bit offset of each key's
+    slot in a packed column over keys."""
+    return {key: width * i for i, key in enumerate(keys)}
+
+
+def pack(column, shifts):
+    """The sparse column {key: value} as one int, sum_k value_k 2^shifts[k]
+    (Kronecker substitution)."""
+    return sum(map(lshift, column.values(), map(shifts.__getitem__, column)))
+
+
+def packed_product(packed, column):
+    """sum_k column[k] * packed[k] as one int: the operator whose columns
+    are packed ({k: packed column}) applied to the sparse column {k: value}.
+    Packing is Z-linear, so this is the packed image of the product."""
+    return sum(map(mul, column.values(), map(packed.__getitem__, column)))
+
+
+def unpack(x, keys, width):
+    """The column {key: value}, no zero entry, that packs to x in slots of
+    the given width over keys, read in balanced base 2^width. It is exact
+    when every entry has |value| < 2^(width-1); then x is 0 only for the
+    zero column, since the highest nonzero slot outweighs all below it."""
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    out = {}
+    for key in keys:
+        if not x:
+            break
+        d = x & mask
+        x >>= width
+        if d >= half:
+            d -= full
+            x += 1
+        if d:
+            out[key] = d
     return out
 
 
@@ -430,37 +504,6 @@ def embed(a: GradedOperator, positions, arity: int) -> GradedOperator:
                 val = -va if sgn else va
                 cols.setdefault(base_c + add, {})[base_r + add] = val
     return GradedOperator.from_pruned(sig, arity, cols)
-
-
-def insert_identity(op: GradedOperator, position: int) -> GradedOperator:
-    """An even operator with an identity factor inserted at the (1-based)
-    tensor position `position`, equal to embedding op on the other positions.
-
-    For an even op (every entry keeps the total parity) embed's sign, the
-    parity of the inserted digit d times the number of parity-changing
-    factors to its right, reduces to (-1)^{[d] (par(row prefix) +
-    par(col prefix))}, the prefixes being the digits left of the inserted
-    one; at position 1 there is no sign at all. So each entry is copied
-    three times with its index widened by one digit."""
-    sig = op.sig
-    low = 3 ** (op.arity + 1 - position)  # place value of the inserted digit
-    high = 3 * low
-    pre = parity_table(sig, position - 1)
-    cols = {}
-    for c, colmap in op.cols.items():
-        ch, cl = divmod(c, low)
-        pc = pre[ch]
-        even, odd = {}, {}
-        for r, v in colmap.items():
-            rh, rl = divmod(r, low)
-            key = rh * high + rl
-            even[key] = v
-            odd[key] = -v if pre[rh] ^ pc else v
-        base = ch * high + cl
-        for d in range(3):
-            off = d * low
-            cols[base + off] = {k + off: v for k, v in (odd if sig.parity[d] else even).items()}
-    return GradedOperator.from_pruned(sig, op.arity + 1, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ first). It is used in two ways:
   (aux, s_1..s_j) once and gives (N_u, N_u*T(u)) with int entries and no
   Fraction arithmetic. Model.monodromy returns the nine entry operators of
   N_u*T(u), built on every call. The operator identities run on these
-  integer operators and scale their residuals back.
+  integer operators and scale their residuals back. check_rtt reads
+  T(u) x I and I x T(v) off N*T by index arithmetic (lifted_column) and
+  multiplies them one weight class at a time on packed int columns.
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
@@ -68,11 +70,15 @@ from .graded import (
     Signature,
     _check_pair,
     clear_denominators,
-    column_product,
-    insert_identity,
     linear_combination,
+    pack,
+    packed_product,
     parity_table,
     r_matrix,
+    slot_shifts,
+    slot_width,
+    unpack,
+    weight_classes,
 )
 from .rational import ONE, is_rational, rat
 from .scalars import as_pair, is_zero, ratio
@@ -478,55 +484,85 @@ class ChainModel(Model):
 def check_rtt(model, u, v) -> GradedOperator:
     """R(u,v)(T(u) x I)(I x T(v)) - (I x T(v))(T(u) x I)R(u,v); zero iff RTT holds.
 
-    With A = T(u) x I, B = I x T(v) and R = R(u,v), the residual is streamed
-    one column at a time and no product of them is materialized: column c
-    of RAB is R applied to AB e_c, and column c of BAR is
-    sum_k R[k,c] BA e_k. R acts on the two auxiliary digits alone, the
-    leading tensor positions, so R x I carries no sign and is applied by
-    digit arithmetic on its nine columns. R = I + g P has its column c
-    entries at c and at c', c with the two auxiliary digits swapped, so the
-    columns are walked in swap orbits {c, c'} and each BA e_k is computed
-    once per orbit."""
+    With A = T(u) x I, B = I x T(v) and R = R(u,v) x I on the cleared
+    integer operators, the residual is computed one weight class at a time
+    (graded.weight_classes of the keys (aux_1, aux_2, sites)): T(u), the
+    identity and R conserve the digit counts, so A, B and R are
+    block-diagonal over the classes. In a class of S keys every column is
+    one int of S slots (graded.pack, Kronecker substitution), and
+
+        column c of RAB = sum_k B[k,c] pack(RA e_k),
+        column c of BAR = sum_k R[k,c] pack(BA e_k),
+        pack(BA e_k) = sum_m A[m,k] pack(B e_m).
+
+    R = I + gP has at most two entries in each row and column, so every
+    residual entry has |x| <= 4 S r a b, r, a and b the largest |entry| of
+    the cleared R, T(u) and T(v); slots of width slot_width of that bound
+    hold each entry exactly, a packed column is 0 only if the residual
+    column is, and only nonzero columns are unpacked. The columns of A, B
+    and R are read by index arithmetic (lifted_column) and each class's
+    packed ints are dropped before the next class."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
+    sig, length = model.sig, model.arity
     factors = model.factor_sequence()
-    na, a = build_cleared_product(model.sig, model.c, model.arity, factors, u)
-    nb, b = build_cleared_product(model.sig, model.c, model.arity, factors, v)
-    nr, r = clear_denominators(r_matrix(u, v, model.sig, model.c))
-    # T(u) x I puts the second auxiliary digit after the first one, I x T(v)
-    # in front of it; T is even, so both are index arithmetic (insert_identity)
-    a = insert_identity(a, 2).cols
-    b = insert_identity(b, 1).cols
-    mid = 3**model.arity  # place value of the second auxiliary digit
-    # R x I sends e_c to sum_k R[k, p] e_{c + (k - p) mid}, p = c // mid the
-    # auxiliary digit pair of c; per p, the (offset, R[k, p]) of its column
-    r = [[((k - p) * mid, y) for k, y in r.cols.get(p, {}).items()] for p in range(9)]
+    na, a = build_cleared_product(sig, model.c, length, factors, u)
+    nb, b = build_cleared_product(sig, model.c, length, factors, v)
+    nr, r = clear_denominators(r_matrix(u, v, sig, model.c))
+    bound = 4 * _largest(r) * _largest(a) * _largest(b)
     out = {}
-    for c in range(9 * mid):
-        first, second = divmod(c // mid, 3)
-        if second < first:
-            continue  # walked with its orbit partner
-        orbit = (c,) if first == second else (c, c + 2 * (second - first) * mid)
-        ba = {}  # BA e_k for every row k of the orbit's columns of R
-        for col in orbit:
-            rcol = r[col // mid]
-            for off, _ in rcol:
-                k = col + off
-                if k not in ba:
-                    ba[k] = column_product(b, a.get(k, {}))
-            res = {}
-            for key, x in column_product(a, b.get(col, {})).items():
-                for off, y in r[key // mid]:
-                    row = key + off
-                    res[row] = res.get(row, 0) + y * x
-            for off, y in rcol:
-                for row, x in ba[col + off].items():
-                    res[row] = res.get(row, 0) - y * x
-            res = {row: x for row, x in res.items() if x}
-            if res:
-                out[col] = res
-    residual = GradedOperator.from_pruned(model.sig, model.arity + 2, out)
-    return residual.scale(rat(1, na * nb * nr))
+    for keys in weight_classes(length + 2):
+        out.update(_rtt_block(sig.parity, length, a.cols, b.cols, r.cols, keys, slot_width(len(keys) * bound)))
+    return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, na * nb * nr))
+
+
+def _largest(op):
+    return max(abs(x) for colmap in op.cols.values() for x in colmap.values())
+
+
+def lifted_column(cols, length, parity, key, position):
+    """Column key, as {row: value}, of an even operator with columns cols on
+    (auxiliary factor) x (length sites) with an identity factor inserted at
+    tensor position 2 (T x I) or 1 (I x T), read by index arithmetic.
+
+    I x T carries no sign. For T x I embed's sign reduces, T being even, to
+    (-1)^{[d] ([r_1] + [c_1])}, d the inserted digit and r_1, c_1 the
+    auxiliary digits of the row and of the column of T."""
+    mid = 3**length  # place value of the second of the two leading digits
+    first, rest = divmod(key, 3 * mid)
+    if position == 1:
+        return {row + first * 3 * mid: x for row, x in cols.get(rest, {}).items()}
+    d, sites = divmod(rest, mid)
+    colmap = cols.get(first * mid + sites, {})
+    # row = (r_1, r_sites) of T goes to (r_1, d, r_sites)
+    if not parity[d]:
+        return {row + (2 * (row // mid) + d) * mid: x for row, x in colmap.items()}
+    pc = parity[first]
+    return {row + (2 * (row // mid) + d) * mid: -x if parity[row // mid] ^ pc else x for row, x in colmap.items()}
+
+
+def _rtt_block(parity, length, a, b, r, keys, width):
+    """The nonzero residual columns of check_rtt on one weight class keys,
+    in slots of the given width: a, b and r are the columns of the cleared
+    T(u), T(v) and R(u,v)."""
+    mid = 3**length
+    shifts = slot_shifts(keys, width)
+    cols_a = {k: lifted_column(a, length, parity, k, 2) for k in keys}
+    cols_b = {k: lifted_column(b, length, parity, k, 1) for k in keys}
+    # R x I acts on the two auxiliary digits alone, the leading ones, so it
+    # carries no sign
+    cols_r = {k: {p * mid + k % mid: y for p, y in r.get(k // mid, {}).items()} for k in keys}
+    packed = {k: pack(col, shifts) for k, col in cols_r.items()}
+    packed_ra = {k: packed_product(packed, col) for k, col in cols_a.items()}
+    packed = {k: pack(col, shifts) for k, col in cols_b.items()}
+    packed_ba = {k: packed_product(packed, col) for k, col in cols_a.items()}
+    del packed
+    out = {}
+    for c in keys:
+        x = packed_product(packed_ra, cols_b[c]) - packed_product(packed_ba, cols_r[c])
+        if x:
+            out[c] = unpack(x, keys, width)
+    return out
 
 
 def check_supercommutator(model, i, j, k, l, u, v):

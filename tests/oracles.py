@@ -2,7 +2,11 @@
 
 T(u) as the embedded product of its factors, for checking the column walk
 of monodromy.py; it shares no sign with the walk and, unlike the walk,
-evaluates at eps-shifted points too. The symmetrized product of odd entries
+evaluates at eps-shifted points too. The RTT residual as the rational
+formula with every factor placed by embed, for checking the packed weight
+classes of monodromy.check_rtt, and insert_identity, an even operator
+lifted by one identity factor, for checking the columns check_rtt reads by
+index arithmetic; perturb_at corrupts one entry of T at one point. The symmetrized product of odd entries
 as one operator, normalized by h one pair at a time, for checking the
 walked blocks of bethe.py.
 
@@ -19,11 +23,11 @@ Binding's one pair table at the split's index tuples.
 from itertools import combinations
 from math import comb, gcd, prod
 
-from superbethe import bethe, gl12
+from superbethe import bethe, gl12, monodromy
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.composite import SplitChain, load_class_table, ratio_funcs
 from superbethe.errors import DivisionByZero
-from superbethe.graded import GL21, GradedOperator, embed, r_matrix
+from superbethe.graded import GL21, GradedOperator, embed, parity_table, r_matrix
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.notation import Binding, Call, Div, Lit, Mul, Neg, Pow, enumerate_partitions, eval_expr, print_expr
 from superbethe.rational import ONE, rat
@@ -40,6 +44,37 @@ def prod_pairs(fn, left, right, c):
     return acc
 
 
+def insert_identity(op: GradedOperator, position: int) -> GradedOperator:
+    """An even operator with an identity factor inserted at the (1-based)
+    tensor position `position`, equal to embedding op on the other positions.
+
+    For an even op (every entry keeps the total parity) embed's sign, the
+    parity of the inserted digit d times the number of parity-changing
+    factors to its right, reduces to (-1)^{[d] (par(row prefix) +
+    par(col prefix))}, the prefixes being the digits left of the inserted
+    one; at position 1 there is no sign at all. So each entry is copied
+    three times with its index widened by one digit."""
+    sig = op.sig
+    low = 3 ** (op.arity + 1 - position)  # place value of the inserted digit
+    high = 3 * low
+    pre = parity_table(sig, position - 1)
+    cols = {}
+    for c, colmap in op.cols.items():
+        ch, cl = divmod(c, low)
+        pc = pre[ch]
+        even, odd = {}, {}
+        for r, v in colmap.items():
+            rh, rl = divmod(r, low)
+            key = rh * high + rl
+            even[key] = v
+            odd[key] = -v if pre[rh] ^ pc else v
+        base = ch * high + cl
+        for d in range(3):
+            off = d * low
+            cols[base + off] = {k + off: v for k, v in (odd if sig.parity[d] else even).items()}
+    return GradedOperator.from_pruned(sig, op.arity + 1, cols)
+
+
 def embedded_product(sig, c, length, factors, u):
     """T(u) as the ordered product of its factors, each placed on the full
     space by embed (R_{0k} from r_matrix, so from koszul_tensor): a second
@@ -54,6 +89,40 @@ def embedded_product(sig, c, length, factors, u):
             op = embed(r_matrix(u, xi, sig, c), (1, 1 + site), arity)
         acc = op if acc is None else acc.compose(op)
     return acc if acc is not None else GradedOperator.identity(sig, arity)
+
+
+def embedded_monodromy(model, u):
+    return embedded_product(model.sig, model.c, model.arity, model.factor_sequence(), u)
+
+
+def rtt_reference(model, u, v, build=None):
+    """The rational RTT residual, every factor placed by embed; T(u) from
+    build (default: the embedded factor product)."""
+    build = build or embedded_monodromy
+    n = model.arity + 2
+    chain_pos = tuple(range(3, n + 1))
+    a = embed(build(model, u), (1,) + chain_pos, n)
+    b = embed(build(model, v), (2,) + chain_pos, n)
+    r = embed(r_matrix(u, v, model.sig, model.c), (1, 2), n)
+    return r.compose(a).compose(b).sub(b.compose(a).compose(r))
+
+
+def perturb_at(monkeypatch, point, delta=1):
+    """Add delta to the first stored entry of every N*T(point) built from now
+    on (so delta/N to that entry of T(point))."""
+    honest = monodromy.build_cleared_product
+
+    def perturbed(sig, c, length, factors, x):
+        n, op = honest(sig, c, length, factors, x)
+        if x != point:
+            return n, op
+        cols = {col: dict(colmap) for col, colmap in op.cols.items()}
+        col = min(cols)
+        row = min(cols[col])
+        cols[col][row] += delta
+        return n, GradedOperator(op.sig, op.arity, cols)
+
+    monkeypatch.setattr(monodromy, "build_cleared_product", perturbed)
 
 
 # element -> (i, j) for the symmetrized odd products; tilde names belong to

@@ -119,8 +119,9 @@ def test_eps_shifted_pair_tables_hold_int_coefficients():
     assert shifted
 
 
-# suite -> GradedOperator.compose calls: RTT streams its residual without
-# one, and the exchange suite composes the 162 entry products of its pair
+# suite -> GradedOperator.compose calls: RTT multiplies packed int columns
+# one weight class at a time (graded.packed_product) without one, and the
+# exchange suite composes the 162 entry products of its pair
 COMPOSE_PINNED = {
     "rtt": 0,
     "commutator": 162,
@@ -143,8 +144,9 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 
 
 # suite -> (graded.embed calls, state entries into and out of
-# monodromy._apply_factor): RTT applies R(u,v) by digit arithmetic and the
-# coproduct sums graded tensor products, so neither embeds; T(u) is built
+# monodromy._apply_factor): RTT reads R(u,v) x I, T(u) x I and I x T(v)
+# by index arithmetic (monodromy.lifted_column) and the coproduct sums
+# graded tensor products, so neither embeds; T(u) is built
 # once per column prefix, a vector walk's last factor keeps only the
 # wanted auxiliary digit, each model walks a Bethe-vector step sequence
 # once (the walk tries of bethe.build_family), and a vector its weight makes

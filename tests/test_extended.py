@@ -5,10 +5,13 @@ grow fast beyond that, so the larger grids are gated here rather than run on
 every invocation. They exercise the same code paths at (3,3) and on the
 longest configured chains, check the partition coefficients against
 their closed formula at (4,4), and every packaged shorthand coefficient
-against its pair-by-pair evaluation at (3,3).
+against its pair-by-pair evaluation at (3,3). RTT runs at L=4 with a
+perturbed entry against the rational formula, and at L=5, the largest
+packed weight classes, under a memory pin.
 """
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -22,11 +25,11 @@ from superbethe.composite import (
 )
 from superbethe.gl12 import check_tilde_factorization
 from superbethe.graded import GL12, GL21
-from superbethe.monodromy import ChainModel, ChainSpec, check_rtt
+from superbethe.monodromy import ChainModel, ChainSpec, Model, check_rtt
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 
-from oracles import assert_coefficients_match, assert_shorthand_matches, packaged_bases
+from oracles import assert_coefficients_match, assert_shorthand_matches, packaged_bases, perturb_at, rtt_reference
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SUPERBETHE_EXTENDED"),
@@ -106,3 +109,33 @@ def test_packaged_coefficients_at_3_3(shifted):
     for terms, base in packaged_bases(3, 3, "ext-shorthand-oracle", shifted):
         count += len(assert_shorthand_matches(terms, base))
     assert count == 1290
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("delta", [1, 2**200], ids=["1", "2^200"])
+def test_rtt_with_a_perturbed_entry_at_l4(sig, delta, monkeypatch):
+    smp = ParameterSampler(f"ext-rtt-perturbed:{sig.name}", 1)
+    xi = smp.generic(4)
+    model = ChainModel(ChainSpec(4, xi, smp.twist(), sig, 1))
+    u, v = smp.generic(2, avoid=xi)
+    perturb_at(monkeypatch, v, delta)
+    res = check_rtt(model, u, v)
+    assert not res.is_zero() and res == rtt_reference(model, u, v, build=Model.monodromy_op)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_rtt_at_l5_is_zero_within_its_memory_pin(sig):
+    """One L=5 RTT check holds the two cleared T's and one weight class's
+    packed columns at a time: its tracemalloc peak stays under 5.3 MB."""
+    smp = ParameterSampler(f"ext-rtt5:{sig.name}", 1)
+    xi = smp.generic(5)
+    model = ChainModel(ChainSpec(5, xi, smp.twist(), sig, 1))
+    u, v = smp.generic(2, avoid=xi)
+    check_rtt(model, u, v)  # fills the parity tables, the weight classes and the cached P first
+    tracemalloc.start()
+    try:
+        assert check_rtt(model, u, v).is_zero()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.3 * 10**6, peak

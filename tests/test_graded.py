@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -12,17 +13,25 @@ from superbethe.graded import (
     check_unitarity,
     check_ybe,
     clear_denominators,
+    column_product,
     embed,
     encode,
     decode,
-    insert_identity,
     koszul_tensor,
+    pack,
+    packed_product,
     parity_table,
     r_matrix,
+    slot_shifts,
+    slot_width,
     super_permutation,
+    unpack,
     vector_tensor,
+    weight_classes,
 )
 from superbethe.rational import rat
+
+from oracles import insert_identity
 
 
 def unit(sig, i, j):
@@ -144,6 +153,77 @@ def test_insert_identity_equals_embed(sig):
     for pos in range(1, arity + 2):
         others = tuple(p for p in range(1, arity + 2) if p != pos)
         assert insert_identity(even, pos) == embed(even, others, arity + 1), pos
+
+
+# ---------------------------------------------------------------------------
+# packed columns
+# ---------------------------------------------------------------------------
+
+
+def _round_trip(column, keys, width):
+    return unpack(pack(column, slot_shifts(keys, width)), keys, width)
+
+
+def test_weight_classes_group_the_keys_by_digit_counts():
+    for arity in range(5):
+        classes = weight_classes(arity)
+        assert sorted(k for keys in classes for k in keys) == list(range(3**arity))
+        assert len(classes) == comb(arity + 2, 2)
+        for keys in classes:
+            assert list(keys) == sorted(keys)
+            assert len({tuple(sorted(decode(k, arity))) for k in keys}) == 1
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 31, 64, 200])
+def test_packed_columns_round_trip_up_to_the_slot_bound(width):
+    """Every entry with |x| <= 2^(width-1) - 1, the largest that
+    slot_width gives this width for, is read back exactly: at +-top, at 0,
+    in single-slot classes and with mixed signs; only the zero column packs
+    to 0."""
+    top = 2 ** (width - 1) - 1
+    assert slot_width(top) == width
+    rng = random.Random(width)
+    classes = weight_classes(3)
+    assert any(len(keys) == 1 for keys in classes)
+    for keys in classes:
+        columns = [
+            {k: top for k in keys},
+            {k: -top for k in keys},
+            {k: top if i % 2 else -top for i, k in enumerate(keys)},
+            {k: rng.choice((-top, -1, 0, 0, 1, top, rng.randint(-top, top))) for k in keys},
+            {keys[-1]: -top},
+        ]
+        for column in columns:
+            nonzero = {k: x for k, x in column.items() if x}
+            assert _round_trip(column, keys, width) == nonzero
+            assert (pack(column, slot_shifts(keys, width)) == 0) == (not nonzero)
+        assert pack({}, slot_shifts(keys, width)) == 0 and unpack(0, keys, width) == {}
+
+
+@pytest.mark.parametrize("width", [3, 8, 64])
+def test_one_bit_less_than_the_slot_bound_fails(width):
+    """At width - 1 bits the largest entries are read back wrong, and a
+    nonzero column whose entries exceed its slots packs to 0: the width
+    bound is what makes a packed zero an exact zero."""
+    top = 2 ** (width - 1) - 1
+    keys = weight_classes(2)[1]
+    assert len(keys) == 2
+    assert _round_trip({keys[0]: top}, keys, width) == {keys[0]: top}
+    assert _round_trip({keys[0]: top}, keys, width - 1) != {keys[0]: top}
+    assert _round_trip({keys[0]: -top, keys[1]: top}, keys, width - 1) != {keys[0]: -top, keys[1]: top}
+    assert pack({keys[0]: 2 ** (width - 1), keys[1]: -1}, slot_shifts(keys, width - 1)) == 0
+
+
+def test_packed_product_is_the_packed_column_product():
+    rng = random.Random(5)
+    for keys in weight_classes(3):
+        cols = {k: {r: rng.randint(-9, 9) for r in rng.sample(keys, min(len(keys), 3))} for k in keys}
+        column = {k: rng.randint(-2**70, 2**70) for k in keys}
+        width = slot_width(len(keys) * 9 * 2**70)
+        shifts = slot_shifts(keys, width)
+        packed = {k: pack(col, shifts) for k, col in cols.items()}
+        assert packed_product(packed, column) == pack(column_product(cols, column), shifts)
+        assert unpack(packed_product(packed, column), keys, width) == column_product(cols, column)
 
 
 def test_disjoint_embeds_supercommute():

@@ -28,7 +28,6 @@ from superbethe.graded import (
     check_ybe,
     clear_denominators,
     embed,
-    insert_identity,
     r_matrix,
 )
 from superbethe.monodromy import (
@@ -38,13 +37,14 @@ from superbethe.monodromy import (
     check_rtt,
     check_supercommutator,
     extract_entries,
+    lifted_column,
     vacuum_residuals,
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import EPS, g
 
-from oracles import embedded_product
+from oracles import embedded_monodromy, insert_identity, perturb_at, rtt_reference
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -277,18 +277,6 @@ def test_flipped_swap_sign_breaks_factorization(monkeypatch, flip):
 # ---------------------------------------------------------------------------
 
 
-def _rtt_reference(model, u, v, build=None):
-    """The rational RTT residual, every factor placed by embed; T(u) from
-    build (default: the embedded factor product)."""
-    build = build or _embedded_monodromy
-    n = model.arity + 2
-    chain_pos = tuple(range(3, n + 1))
-    a = embed(build(model, u), (1,) + chain_pos, n)
-    b = embed(build(model, v), (2,) + chain_pos, n)
-    r = embed(r_matrix(u, v, model.sig, model.c), (1, 2), n)
-    return r.compose(a).compose(b).sub(b.compose(a).compose(r))
-
-
 def _rational_entries(model, u):
     return extract_entries(model.monodromy_op(u), model.sig, model.arity)
 
@@ -361,7 +349,7 @@ def test_rtt_equals_rational_formula(sig, length):
     model = chain(length, xi, twist=smp.twist(), sig=sig)
     u, v = smp.generic(2, avoid=xi)
     res = check_rtt(model, u, v)
-    assert res.is_zero() and res == _rtt_reference(model, u, v)
+    assert res.is_zero() and res == rtt_reference(model, u, v)
     assert vacuum_residuals(model, u) == _vacuum_reference(model, u)
 
 
@@ -396,31 +384,13 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
     res = check_rtt(model, u, v)
     # the walk builds T(u) with swap_sign, not with the flipped P, so only
     # R(u,v) is flipped: the embedded product, flipped throughout, differs
-    assert not res.is_zero() and res != _rtt_reference(model, u, v)
-    assert res == _rtt_reference(model, u, v, build=Model.monodromy_op)
+    assert not res.is_zero() and res != rtt_reference(model, u, v)
+    assert res == rtt_reference(model, u, v, build=Model.monodromy_op)
     pairs = _all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
     split, x = _split_2_2(sig, 2)
     _, residuals = compose_monodromy(split, x)
     assert residuals == _compose_monodromy_reference(split, x)
-
-
-def _perturb_at(monkeypatch, point):
-    """Add 1 to the first stored entry of every N*T(point) built from now on
-    (so 1/N to that entry of T(point))."""
-    honest = monodromy.build_cleared_product
-
-    def perturbed(sig, c, length, factors, x):
-        n, op = honest(sig, c, length, factors, x)
-        if x != point:
-            return n, op
-        cols = {col: dict(colmap) for col, colmap in op.cols.items()}
-        col = min(cols)
-        row = min(cols[col])
-        cols[col][row] += 1
-        return n, GradedOperator(op.sig, op.arity, cols)
-
-    monkeypatch.setattr(monodromy, "build_cleared_product", perturbed)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -430,28 +400,86 @@ def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
     model = chain(2, xi, twist=smp.twist(), sig=sig)
     u, v = smp.generic(2, avoid=xi)
     split, x = _split_2_2(sig, 3)
-    _perturb_at(monkeypatch, u)
+    perturb_at(monkeypatch, u)
     res = check_rtt(model, u, v)
-    assert not res.is_zero() and res == _rtt_reference(model, u, v, build=Model.monodromy_op)
+    assert not res.is_zero() and res == rtt_reference(model, u, v, build=Model.monodromy_op)
     vacuum = vacuum_residuals(model, u)
     assert vacuum == _vacuum_reference(model, u)
     assert ("T11 ket eigenvalue", False) in vacuum
     pairs = _all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
     assert any(not r.is_zero() for got, _ in pairs.values() for r in got)
-    _perturb_at(monkeypatch, x)
+    perturb_at(monkeypatch, x)
     _, residuals = compose_monodromy(split, x)
     assert residuals == _compose_monodromy_reference(split, x)
     assert any(not r.is_zero() for r in residuals.values())
 
 
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("delta", [1, 2**200], ids=["1", "2^200"])
+def test_rtt_with_a_perturbed_entry_equals_rational_formula(sig, delta, monkeypatch):
+    """A nonzero residual, unpacked from its weight classes, equals the
+    rational formula's entry for entry, also when one entry of N*T(v) is
+    2^200 off and the slot width grows with it."""
+    smp = ParameterSampler(f"rtt-perturbed:{sig.name}", 1)
+    xi = smp.generic(3)
+    model = chain(3, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    perturb_at(monkeypatch, v, delta)
+    res = check_rtt(model, u, v)
+    assert not res.is_zero() and res == rtt_reference(model, u, v, build=Model.monodromy_op)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_rtt_residual_beyond_the_entry_product_fits_its_slots(sig, monkeypatch):
+    """With 2^100 added to every entry of N*T at every point, residual
+    entries exceed r*a*b, the product of the largest cleared entries of R,
+    T(u) and T(v), so a slot sized without the 4*S factor would not hold
+    them; the unpacked residual still equals the rational formula."""
+    honest = monodromy.build_cleared_product
+
+    def shifted(*args):
+        n, op = honest(*args)
+        return n, GradedOperator(op.sig, op.arity, {c: {r: x + 2**100 for r, x in m.items()} for c, m in op.cols.items()})
+
+    monkeypatch.setattr(monodromy, "build_cleared_product", shifted)
+    smp = ParameterSampler(f"rtt-dense:{sig.name}", 1)
+    xi = smp.generic(3)
+    model = chain(3, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    res = check_rtt(model, u, v)
+    assert res == rtt_reference(model, u, v, build=Model.monodromy_op)
+    (na, a), (nb, b) = (shifted(sig, model.c, 3, model.factor_sequence(), x) for x in (u, v))
+    nr, r = clear_denominators(r_matrix(u, v, sig, model.c))
+    largest = lambda op: max(abs(x) for m in op.cols.values() for x in m.values())
+    cleared = res.scale(na * nb * nr)
+    assert largest(cleared) > largest(r) * largest(a) * largest(b)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_rtt_reads_the_lifted_columns(sig):
+    """The columns check_rtt reads by index arithmetic are those of
+    T x I and I x T, each T(u) lifted by an identity factor."""
+    for length in (1, 2, 3):
+        smp = ParameterSampler(f"rtt-lift:{sig.name}:{length}", 1)
+        xi = smp.generic(length)
+        model = chain(length, xi, twist=smp.twist(), sig=sig)
+        _, t = monodromy.build_cleared_product(sig, model.c, length, model.factor_sequence(), smp.generic_one(avoid=xi))
+        for position in (1, 2):
+            want = insert_identity(t, position).cols
+            got = {k: lifted_column(t.cols, length, sig.parity, k, position) for k in range(3 ** (length + 2))}
+            assert {k: col for k, col in got.items() if col} == want, (length, position)
+
+
 def test_operator_identities_multiply_only_ints(monkeypatch):
-    """Every compose, column product and linear combination of the operator
-    identities multiplies plain ints, and T(u) itself is built on ints: a
-    Fraction anywhere fails this test."""
+    """Every compose, column product, packed column and linear combination
+    of the operator identities multiplies plain ints, and T(u) itself is
+    built on ints: a Fraction anywhere fails this test."""
     seen = Counter()
     honest_compose = GradedOperator.compose
     honest_kernel = graded.column_product
+    honest_pack = graded.pack
+    honest_packed_product = graded.packed_product
     honest_combination = graded.linear_combination
     honest_build = monodromy.build_cleared_product
 
@@ -463,10 +491,20 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
         return honest_compose(self, other)
 
     def kernel(cols, column):
-        seen["kernel calls"] += 1
         seen.update(type(x).__name__ for x in column.values())
         seen.update(type(a).__name__ for k in column for a in (cols.get(k) or {}).values())
         return honest_kernel(cols, column)
+
+    def pack(column, shifts):
+        seen["packed kernel calls"] += 1
+        seen.update(type(x).__name__ for x in column.values())
+        return honest_pack(column, shifts)
+
+    def packed_product(packed, column):
+        seen["packed kernel calls"] += 1
+        seen.update(type(x).__name__ for x in column.values())
+        seen.update(type(packed[k]).__name__ for k in column)
+        return honest_packed_product(packed, column)
 
     def combination(terms):
         seen.update(type(coef).__name__ for coef, _ in terms)
@@ -483,7 +521,8 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
 
     monkeypatch.setattr(GradedOperator, "compose", compose)
     monkeypatch.setattr(graded, "column_product", kernel)
-    monkeypatch.setattr(monodromy, "column_product", kernel)
+    monkeypatch.setattr(monodromy, "pack", pack)
+    monkeypatch.setattr(monodromy, "packed_product", packed_product)
     monkeypatch.setattr(monodromy, "linear_combination", combination)
     monkeypatch.setattr(monodromy, "build_cleared_product", build)
     monkeypatch.setattr(monodromy, "build_factor_product", refuse)
@@ -491,8 +530,8 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     xi = smp.generic(3)
     u, v, w = smp.generic(3, avoid=xi)
     assert check_rtt(chain(3, xi, twist=smp.twist()), u, v).is_zero()
-    # the streamed RTT multiplies through the kernel alone
-    assert seen.pop("kernel calls") > 0
+    # RTT multiplies through the packed kernel, one weight class at a time
+    assert seen.pop("packed kernel calls") > 0
     model = chain(2, xi[:2], twist=smp.twist(), sig=GL12)
     for t in product(range(1, 4), repeat=4):
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v))
@@ -500,7 +539,6 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     assert check_unitarity(u, v, GL12, 1).is_zero()
     split, x = _split_2_2(GL21, 4)
     assert all(r.is_zero() for r in compose_monodromy(split, x)[1].values())
-    seen.pop("kernel calls", None)
     assert seen["int"] > 0 and set(seen) == {"int"}, seen
 
 
@@ -540,7 +578,7 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
     assert calls["compose"] <= 162
     # with T(u) perturbed the residuals at (u, v), (v, u) and (u, w) are
     # nonzero and differ, so a product kept from another pair would show
-    _perturb_at(monkeypatch, u)
+    perturb_at(monkeypatch, u)
     model = chain(2, xi, twist=twist, sig=GL12)
     nonzero = 0
     for t in tuples:
@@ -576,12 +614,8 @@ def test_model_holds_no_monodromy():
 # ---------------------------------------------------------------------------
 
 
-def _embedded_monodromy(model, u):
-    return embedded_product(model.sig, model.c, model.arity, model.factor_sequence(), u)
-
-
 def _assert_walk_matches(model, u):
-    oracle = _embedded_monodromy(model, u)
+    oracle = embedded_monodromy(model, u)
     want = extract_entries(oracle, model.sig, model.arity)
     assert extract_entries(model.monodromy_op(u), model.sig, model.arity) == want
     mono = model.monodromy(u)
