@@ -109,15 +109,16 @@ def compose_monodromy(split: SplitChain, u):
     """Coproduct-composed monodromy plus its residual against the direct build.
 
     The sides carry the scales N_1 N_2 (composed) and N_total (direct); each
-    residual is (N_total composed - N_1 N_2 direct) / (N_1 N_2 N_total)."""
+    residual is (N_total composed - N_1 N_2 direct) / (N_1 N_2 N_total), one
+    linear combination, scaled back only when nonzero."""
     total = CompositeModel(split)
     direct = total.monodromy(u)
     composed = coproduct_entries(total, u)
     back = rat(1, composed.scale * direct.scale)
-    residuals = {
-        ij: op.scale(direct.scale).sub(direct.scaled[ij].scale(composed.scale)).scale(back)
-        for ij, op in composed.scaled.items()
-    }
+    residuals = {}
+    for ij, op in composed.scaled.items():
+        res = linear_combination([(direct.scale, op), (-composed.scale, direct.scaled[ij])])
+        residuals[ij] = res if res.is_zero() else res.scale(back)
     return composed, residuals
 
 

@@ -16,24 +16,26 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
 
 Everything downstream is plain sparse matrix algebra; once an operator is
 materialized the signs are inside it. Every operator sum (add, sub, R(u,v),
-the exchange residuals) is one linear_combination, with no intermediate
-operator.
+the Yang-Baxter and coproduct residuals) is one linear_combination, with
+no intermediate operator.
 
 There are two multiplication kernels. column_product multiplies dict
 columns, for composition and application. The packed kernel serves
 operators that conserve the digit counts, which are block-diagonal over
-weight_classes: in a class of S keys a column {key: x} is one int with
-x in the slot of its key (pack, slot_shifts), packed_product applies a
-packed operator to a sparse column, and unpack reads a column back in
-balanced base 2^W. With every |x| below 2^(W-1) (slot_width) a packed
-column is 0 exactly when the column is.
+the weight classes of weight_spaces: in a class of S keys a column
+{key: x} is one int with x in the slot of its key (pack, slot_shifts),
+packed_product applies a packed operator to a sparse column, and unpack
+reads a column back in balanced base 2^W. With every |x| below
+2^(W-1) (slot_width) a packed column is 0 exactly when the column is. RTT
+and the exchange relations (monodromy.py) multiply through it.
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous
-in their factors, so they run on integer operators: every embed, compose
-and sum multiplies Python ints, and the residual is scaled back by the
-product of the scales, which makes it equal to the residual of the
-rational formula.
+in their factors, so they run on integer operators: every embed, compose,
+packed product and sum multiplies Python ints, and the residual is scaled
+back by the product of the scales, which makes it equal to the residual of
+the rational formula. The Yang-Baxter residual is a fixed combination of
+four products of permutations (check_ybe), composed once per P.
 """
 
 from __future__ import annotations
@@ -224,17 +226,19 @@ def column_product(cols, column):
 
 
 @cache
-def weight_classes(arity):
-    """The keys of the given arity grouped by their digit counts (the gl(2|1)
-    weight), each group in increasing key order and the groups in the order
-    of their least keys. An operator that conserves the digit counts, such
-    as T(u), R(u,v) and the identity and their tensor products, is
-    block-diagonal over these groups."""
+def weight_spaces(arity):
+    """{(count of digit 1, count of digit 2): keys}: the keys of the given
+    arity grouped by their digit counts (the gl(2|1) weight), each group in
+    increasing key order and the groups in the order of their least keys.
+    An operator that conserves the digit counts, such as T(u), R(u,v) and
+    the identity and their tensor products, is block-diagonal over these
+    groups, and an entry T_ab(u) maps the group of weight n to that of
+    n + e_b - e_a."""
     groups = {}
     for key in range(3**arity):
         digits = decode(key, arity)
         groups.setdefault((digits.count(1), digits.count(2)), []).append(key)
-    return tuple(tuple(keys) for keys in groups.values())
+    return {weight: tuple(keys) for weight, keys in groups.items()}
 
 
 def slot_width(bound):
@@ -532,13 +536,37 @@ def r_matrix(u, v, sig: Signature, c) -> GradedOperator:
 
 
 def check_ybe(u, v, w, sig: Signature, c) -> GradedOperator:
-    """R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v) on three factors."""
-    n12, r12 = clear_denominators(r_matrix(u, v, sig, c))
-    n13, r13 = clear_denominators(r_matrix(u, w, sig, c))
-    n23, r23 = clear_denominators(r_matrix(v, w, sig, c))
-    r12, r13, r23 = embed(r12, (1, 2), 3), embed(r13, (1, 3), 3), embed(r23, (2, 3), 3)
-    residual = r12.compose(r13).compose(r23).sub(r23.compose(r13).compose(r12))
-    return residual.scale(rat(1, n12 * n13 * n23))
+    """R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v) on three factors.
+
+    With g = gn/gd at each pair, gd R = gd I + gn P. Expanding both products
+    by distributivity, the terms with fewer than two P factors cancel, and
+    the cleared residual is exactly
+
+        n12 n13 d23 [P12,P13] + n12 n23 d13 [P12,P23] + n13 n23 d12 [P13,P23]
+          + n12 n13 n23 (P12 P13 P23 - P23 P13 P12),
+
+    [X,Y] = XY - YX, scaled back by 1/(d12 d13 d23). The four operators are
+    fixed (_ybe_operators, cached on P's entries), so a check is one linear
+    combination of them."""
+    (n12, d12), (n13, d13), (n23, d23) = (as_pair(g_fn(x, y, c)) for x, y in ((u, v), (u, w), (v, w)))
+    # super_permutation is looked up as a module global on every call, so a
+    # replacement of it (a flipped-sign negative control) takes effect here
+    p = super_permutation(sig)
+    ops = _ybe_operators(sig, tuple((col, tuple(sorted(colmap.items()))) for col, colmap in sorted(p.cols.items())))
+    coefs = (n12 * n13 * d23, n12 * n23 * d13, n13 * n23 * d12, n12 * n13 * n23)
+    return linear_combination(list(zip(coefs, ops))).scale(rat(1, d12 * d13 * d23))
+
+
+@cache
+def _ybe_operators(sig, entries):
+    """[P12,P13], [P12,P23], [P13,P23] and P12 P13 P23 - P23 P13 P12 on
+    three factors, for the permutation P with the given entries, ((col,
+    ((row, value), ...)), ...)."""
+    p = GradedOperator(sig, 2, {col: dict(rows) for col, rows in entries})
+    p12, p13, p23 = (embed(p, positions, 3) for positions in ((1, 2), (1, 3), (2, 3)))
+    bracket = lambda x, y: x.compose(y).sub(y.compose(x))
+    triple = p12.compose(p13).compose(p23).sub(p23.compose(p13).compose(p12))
+    return bracket(p12, p13), bracket(p12, p23), bracket(p13, p23), triple
 
 
 def check_unitarity(u, v, sig: Signature, c) -> GradedOperator:

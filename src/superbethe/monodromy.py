@@ -31,7 +31,11 @@ first). It is used in two ways:
   N_u*T(u), built on every call. The operator identities run on these
   integer operators and scale their residuals back. check_rtt reads
   T(u) x I and I x T(v) off N*T by index arithmetic (lifted_column) and
-  multiplies them one weight class at a time on packed int columns.
+  multiplies them one weight class at a time on packed int columns. The
+  exchange relations read the ExchangeTable of their (u, v) pair
+  (Model.exchange_table, the latest pair only): each column of the 18
+  entries packed into the weight space its weight shift predicts, and
+  each product column one packed_product.
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
@@ -61,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import lcm, prod
+from operator import sub
 
 from .errors import DivisionByZero
 from .graded import (
@@ -70,7 +75,6 @@ from .graded import (
     Signature,
     _check_pair,
     clear_denominators,
-    linear_combination,
     pack,
     packed_product,
     parity_table,
@@ -78,7 +82,7 @@ from .graded import (
     slot_shifts,
     slot_width,
     unpack,
-    weight_classes,
+    weight_spaces,
 )
 from .rational import ONE, is_rational, rat
 from .scalars import as_pair, is_zero, ratio
@@ -274,24 +278,79 @@ class Monodromy:
         return self.scaled[(i, j)].scale(rat(1, self.scale))
 
 
-class PairProducts(dict):
-    """The products T_ab(x) T_cd(y) of the scaled entries at one spectral
-    pair (u, v), x and y the two points in either order: at most 162, keyed
-    (x is u, ab, cd), each composed on its first lookup. Every product
-    carries the scale N_u N_v; with g(u, v) = gn/gd, back = 1/(gd N_u N_v)
-    scales an exchange residual gd*lhs - gn*rhs back."""
+class ExchangeTable(dict):
+    """The entry products of one spectral pair (u, v) on packed int columns.
 
-    def __init__(self, mu: Monodromy, mv: Monodromy, g):
+    An entry T_ab maps the weight space of weight n of the chain
+    (graded.weight_spaces) to that of n + e_b - e_a, so every column of the
+    18 scaled entries N_u T_ab(u) and N_v T_ab(v) is packed (graded.pack)
+    into the space its weight shift predicts; a row outside it fails the
+    slot lookup. Column c of T_ab(x) T_cd(y) is then one packed_product of
+    the packed columns of T_ab(x) with column c of T_cd(y), and lies in the
+    space of the weight of c shifted by e_b - e_a + e_d - e_c. With
+    g(u, v) = gn/gd, an exchange residual of the cleared entries is
+    L + coef Q, L = gd T_ij(u) T_kl(v) +- gd T_kl(v) T_ij(u), coef = +-gn
+    and Q = T_il(v) T_kj(u) - T_il(u) T_kj(v); every entry of it has
+    |x| <= 2 (|gd| + |gn|) S a b, S the largest space and a, b the largest
+    |entry| of N_u T(u) and N_v T(v), and the slots are wide enough for
+    that (graded.slot_width).
+
+    Keyed (at_u, ab, cd), the table holds the packed columns of
+    T_ab(x) T_cd(y), x = u and y = v if at_u, else x = v and y = u, a list
+    over every column c; exchanged holds those of Q. Each is computed on
+    its first lookup: at most 162 products and 81 Q."""
+
+    def __init__(self, model, u, v):
         super().__init__()
-        self.gn, self.gd = as_pair(g)
+        mu, mv = model.monodromy(u), model.monodromy(v)
+        self.pair, self.sig, self.length = (u, v), model.sig, model.arity
+        self.gn, self.gd = as_pair(g_fn(u, v, model.c))
         self.back = rat(1, self.gd * mu.scale * mv.scale)
-        self._sides = {True: (mu.scaled, mv.scaled), False: (mv.scaled, mu.scaled)}
+        self.spaces = weight_spaces(self.length)
+        self.weights = {key: weight for weight, keys in self.spaces.items() for key in keys}
+        largest = [max(map(_largest, mono.scaled.values())) for mono in (mu, mv)]
+        self.width = slot_width(2 * (abs(self.gd) + abs(self.gn)) * max(map(len, self.spaces.values())) * prod(largest))
+        shifts = {weight: slot_shifts(keys, self.width) for weight, keys in self.spaces.items()}
+        self.entries = {True: mu.scaled, False: mv.scaled}
+        self.packed = {}
+        for at_u, entries in self.entries.items():
+            for (a, b), op in entries.items():
+                packed = self.packed[at_u, (a, b)] = [0] * 3**self.length
+                for k, col in op.cols.items():
+                    # (k, l) = (1, 1) shifts nothing: the weight of T_ab e_k
+                    packed[k] = pack(col, shifts.get(_shifted(self.weights[k], a, b, 1, 1), {}))
+        self.exchanged = {}
 
     def __missing__(self, key):
         at_u, ab, cd = key
-        left, right = self._sides[at_u]
-        op = self[key] = left[ab].compose(right[cd])
-        return op
+        packed, cols = self.packed[at_u, ab], self.entries[not at_u][cd].cols
+        out = self[key] = [packed_product(packed, cols[c]) if c in cols else 0 for c in range(3**self.length)]
+        return out
+
+    def q(self, il, kj):
+        """Q = T_il(v) T_kj(u) - T_il(u) T_kj(v) packed, shared by the 81 tuples."""
+        out = self.exchanged.get((il, kj))
+        if out is None:
+            out = self.exchanged[il, kj] = list(map(sub, self[False, il, kj], self[True, il, kj]))
+        return out
+
+    def residual(self, lhs, coef, q, ijkl):
+        """The exchange residual L + coef Q of the tuple ijkl, unpacked from
+        its nonzero columns and scaled back by 1/(gd N_u N_v)."""
+        out = {}
+        for c, x in enumerate([x + coef * y for x, y in zip(lhs, q)]):
+            if x:
+                keys = self.spaces[_shifted(self.weights[c], *ijkl)]
+                out[c] = {r: self.back * y for r, y in unpack(x, keys, self.width).items()}
+        return GradedOperator.from_pruned(self.sig, self.length, out)
+
+
+def _shifted(weight, i, j, k, l):
+    """The weight (count of digit 1, count of digit 2) shifted by
+    e_j - e_i + e_l - e_k: that of T_ij T_kl applied to a key of the given
+    weight."""
+    n1, n2 = weight
+    return n1 + (j == 1) - (i == 1) + (l == 1) - (k == 1), n2 + (j == 2) - (i == 2) + (l == 2) - (k == 2)
 
 
 class Model:
@@ -310,9 +369,8 @@ class Model:
         self.walks = ({}, {})
         # point id of each walk point, a spectral parameter at eps = 0
         self.point_ids = {}
-        # the PairProducts of the latest spectral pair only
-        self._pair = None
-        self._products = None
+        # the ExchangeTable of the latest spectral pair only
+        self._exchange = None
         # partition-coefficient lists of the Bethe-vector builders, filled
         # by bethe._coefficients
         self.coefficients = {}
@@ -334,13 +392,12 @@ class Model:
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
 
-    def pair_products(self, u, v) -> PairProducts:
-        """The PairProducts of (u, v). Only the latest pair is kept: a call
-        at another pair replaces it, so at most 162 products are held."""
-        if self._pair != (u, v):
-            self._products = PairProducts(self.monodromy(u), self.monodromy(v), g_fn(u, v, self.c))
-            self._pair = u, v
-        return self._products
+    def exchange_table(self, u, v) -> ExchangeTable:
+        """The ExchangeTable of (u, v). Only the latest pair is kept: a call
+        at another pair replaces it."""
+        if self._exchange is None or self._exchange.pair != (u, v):
+            self._exchange = ExchangeTable(self, u, v)
+        return self._exchange
 
     def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
         """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
@@ -486,7 +543,7 @@ def check_rtt(model, u, v) -> GradedOperator:
 
     With A = T(u) x I, B = I x T(v) and R = R(u,v) x I on the cleared
     integer operators, the residual is computed one weight class at a time
-    (graded.weight_classes of the keys (aux_1, aux_2, sites)): T(u), the
+    (graded.weight_spaces of the keys (aux_1, aux_2, sites)): T(u), the
     identity and R conserve the digit counts, so A, B and R are
     block-diagonal over the classes. In a class of S keys every column is
     one int of S slots (graded.pack, Kronecker substitution), and
@@ -511,13 +568,13 @@ def check_rtt(model, u, v) -> GradedOperator:
     nr, r = clear_denominators(r_matrix(u, v, sig, model.c))
     bound = 4 * _largest(r) * _largest(a) * _largest(b)
     out = {}
-    for keys in weight_classes(length + 2):
+    for keys in weight_spaces(length + 2).values():
         out.update(_rtt_block(sig.parity, length, a.cols, b.cols, r.cols, keys, slot_width(len(keys) * bound)))
     return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, na * nb * nr))
 
 
 def _largest(op):
-    return max(abs(x) for colmap in op.cols.values() for x in colmap.values())
+    return max((abs(x) for colmap in op.cols.values() for x in colmap.values()), default=0)
 
 
 def lifted_column(cols, length, parity, key, position):
@@ -570,23 +627,21 @@ def check_supercommutator(model, i, j, k, l, u, v):
 
     Every product pairs an entry at u with one at v, so both sides carry the
     scale N_u N_v of the integer entries; with g(u,v) = gn/gd each
-    residual is (gd*lhs - gn*rhs) / (gd N_u N_v). The six products of a
-    tuple, gn, gd and that scale-back are looked up in the
-    Model.pair_products of (u, v), so each of the 162 products is composed
-    once for all 81 tuples, and each residual is one linear combination of
-    four of them."""
+    residual is (gd*lhs - gn*rhs) / (gd N_u N_v). On the packed columns of
+    the Model.exchange_table of (u, v), the forms are L + c1 Q(il,kj) and
+    L + c2 Q(kj,il), with L = gd T_ij(u) T_kl(v) +- gd T_kl(v) T_ij(u)
+    shared by both, Q(ab,cd) = T_ab(v) T_cd(u) - T_ab(u) T_cd(v) shared by
+    the 81 tuples and c1, c2 = +-gn: one int multiply-add per column, and
+    only nonzero columns are unpacked."""
     p = model.sig.par
-    t = model.pair_products(u, v)
+    t = model.exchange_table(u, v)
     gn, gd = t.gn, t.gd
-    ij, kl, il, kj = (i, j), (k, l), (i, l), (k, j)
-    lhs = [(gd, t[True, ij, kl]), (gd if (p(i) ^ p(j)) and (p(k) ^ p(l)) else -gd, t[False, kl, ij])]
+    swapped = gd if (p(i) ^ p(j)) and (p(k) ^ p(l)) else -gd
+    lhs = [gd * x + swapped * y for x, y in zip(t[True, (i, j), (k, l)], t[False, (k, l), (i, j)])]
     s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
-    c1 = -gn if s1 else gn
-    r1 = linear_combination(lhs + [(-c1, t[True, il, kj]), (c1, t[False, il, kj])])
     s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
-    c2 = gn if s2 else -gn
-    r2 = linear_combination(lhs + [(-c2, t[True, kj, il]), (c2, t[False, kj, il])])
-    return r1.scale(t.back), r2.scale(t.back)
+    il, kj, ijkl = (i, l), (k, j), (i, j, k, l)
+    return t.residual(lhs, -gn if s1 else gn, t.q(il, kj), ijkl), t.residual(lhs, gn if s2 else -gn, t.q(kj, il), ijkl)
 
 
 def vacuum_residuals(model, u):

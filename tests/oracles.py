@@ -6,9 +6,14 @@ evaluates at eps-shifted points too. The RTT residual as the rational
 formula with every factor placed by embed, for checking the packed weight
 classes of monodromy.check_rtt, and insert_identity, an even operator
 lifted by one identity factor, for checking the columns check_rtt reads by
-index arithmetic; perturb_at corrupts one entry of T at one point. The symmetrized product of odd entries
-as one operator, normalized by h one pair at a time, for checking the
-walked blocks of bethe.py.
+index arithmetic; perturb_at corrupts one entry of T at one point. Both
+exchange residuals as the rational formulas, composing the rational
+entries of T(u) and T(v), for checking the packed columns of
+monodromy.check_supercommutator, and the Yang-Baxter residual with every
+cleared R factor placed by embed, for checking the expansion of
+graded.check_ybe. The symmetrized product of odd entries as one operator,
+normalized by h one pair at a time, for checking the walked blocks of
+bethe.py.
 
 The partition coefficients of the Bethe-vector builders as the closed
 formulas read, evaluated by the scalar functions g, f, h and izergin and
@@ -20,15 +25,15 @@ Binding's sets, for checking notation.eval_expr, which reads that
 Binding's one pair table at the split's index tuples.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, prod
 
 from superbethe import bethe, gl12, monodromy
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.composite import SplitChain, load_class_table, ratio_funcs
 from superbethe.errors import DivisionByZero
-from superbethe.graded import GL21, GradedOperator, embed, parity_table, r_matrix
-from superbethe.monodromy import ChainModel, ChainSpec
+from superbethe.graded import GL21, GradedOperator, clear_denominators, embed, parity_table, r_matrix
+from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
 from superbethe.notation import Binding, Call, Div, Lit, Mul, Neg, Pow, enumerate_partitions, eval_expr, print_expr
 from superbethe.rational import ONE, rat
 from superbethe.sampling import ParameterSampler
@@ -105,6 +110,50 @@ def rtt_reference(model, u, v, build=None):
     b = embed(build(model, v), (2,) + chain_pos, n)
     r = embed(r_matrix(u, v, model.sig, model.c), (1, 2), n)
     return r.compose(a).compose(b).sub(b.compose(a).compose(r))
+
+
+def rational_entries(model, u):
+    """The nine rational entries of T(u), split off Model.monodromy_op."""
+    return extract_entries(model.monodromy_op(u), model.sig, model.arity)
+
+
+def supercommutator_reference(model, i, j, k, l, u, v, tu, tv):
+    """Both exchange residuals of the tuple (i, j, k, l) as the rational
+    formulas read, every product a compose of the rational entries tu and
+    tv of T(u) and T(v)."""
+    p = model.sig.par
+    gv = g(u, v, model.c)
+    lhs = tu[i, j].compose(tv[k, l])
+    swapped = tv[k, l].compose(tu[i, j])
+    lhs = lhs.add(swapped) if (p(i) ^ p(j)) and (p(k) ^ p(l)) else lhs.sub(swapped)
+    s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
+    rhs1 = tu[i, l].compose(tv[k, j]).sub(tv[i, l].compose(tu[k, j])).scale(-gv if s1 else gv)
+    s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
+    rhs2 = tu[k, j].compose(tv[i, l]).sub(tv[k, j].compose(tu[i, l])).scale(gv if s2 else -gv)
+    return lhs.sub(rhs1), lhs.sub(rhs2)
+
+
+def all_supercommutators(model, u, v):
+    """{(i, j, k, l): (program residuals, reference residuals)} for all 81
+    tuples, the reference on the rational entries of Model.monodromy_op."""
+    tu, tv = rational_entries(model, u), rational_entries(model, v)
+    return {
+        t: (monodromy.check_supercommutator(model, *t, u, v), supercommutator_reference(model, *t, u, v, tu, tv))
+        for t in product(range(1, 4), repeat=4)
+    }
+
+
+def ybe_reference(u, v, w, sig, c):
+    """The Yang-Baxter residual with every cleared R factor placed by embed
+    and the two triple products composed, scaled back by the product of the
+    factors' scales; R from r_matrix, so from the super_permutation in
+    force."""
+    n12, r12 = clear_denominators(r_matrix(u, v, sig, c))
+    n13, r13 = clear_denominators(r_matrix(u, w, sig, c))
+    n23, r23 = clear_denominators(r_matrix(v, w, sig, c))
+    r12, r13, r23 = embed(r12, (1, 2), 3), embed(r13, (1, 3), 3), embed(r23, (2, 3), 3)
+    residual = r12.compose(r13).compose(r23).sub(r23.compose(r13).compose(r12))
+    return residual.scale(rat(1, n12 * n13 * n23))
 
 
 def perturb_at(monkeypatch, point, delta=1):

@@ -1,6 +1,6 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
 results the vector suites of configs/quick.json compute, the number of
-operator compositions its RTT and exchange suites make, the embeds and
+operator compositions its RTT, exchange and Yang-Baxter suites make, the embeds and
 walked state entries of its RTT, composite and Bethe suites, the Fraction
 operations and hashes of its vector suites, and the Fraction operations of
 the shorthand coefficients of the action table.
@@ -120,16 +120,22 @@ def test_eps_shifted_pair_tables_hold_int_coefficients():
 
 
 # suite -> GradedOperator.compose calls: RTT multiplies packed int columns
-# one weight class at a time (graded.packed_product) without one, and the
-# exchange suite composes the 162 entry products of its pair
+# one weight class at a time (graded.packed_product) and the exchange
+# relations the packed entries of their pair, neither through a compose;
+# Yang-Baxter builds its four permutation products once per signature, ten
+# composes each, and reads them from a cache afterwards (cleared here, so
+# the pin counts the cold build); each of the 40 unitarity checks of the
+# ybe suite composes R(u,v) R(v,u) once
 COMPOSE_PINNED = {
     "rtt": 0,
-    "commutator": 162,
+    "commutator": 0,
+    "ybe": 60,
 }
 
 
 @pytest.mark.parametrize("suite", sorted(COMPOSE_PINNED))
 def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
+    graded._ybe_operators.cache_clear()
     calls = Counter()
     compose = GradedOperator.compose
 

@@ -7,7 +7,9 @@ longest configured chains, check the partition coefficients against
 their closed formula at (4,4), and every packaged shorthand coefficient
 against its pair-by-pair evaluation at (3,3). RTT runs at L=4 with a
 perturbed entry against the rational formula, and at L=5, the largest
-packed weight classes, under a memory pin.
+packed weight classes, under a memory pin. The exchange relations run at
+L=4, all 81 tuples, honest and with a perturbed entry, against the
+rational formulas: the only run of their packed columns at that size.
 """
 
 import os
@@ -29,7 +31,14 @@ from superbethe.monodromy import ChainModel, ChainSpec, Model, check_rtt
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 
-from oracles import assert_coefficients_match, assert_shorthand_matches, packaged_bases, perturb_at, rtt_reference
+from oracles import (
+    all_supercommutators,
+    assert_coefficients_match,
+    assert_shorthand_matches,
+    packaged_bases,
+    perturb_at,
+    rtt_reference,
+)
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SUPERBETHE_EXTENDED"),
@@ -139,3 +148,20 @@ def test_rtt_at_l5_is_zero_within_its_memory_pin(sig):
     finally:
         tracemalloc.stop()
     assert peak <= 5.3 * 10**6, peak
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("perturbed", [False, True], ids=["honest", "perturbed"])
+def test_supercommutator_at_l4_equals_rational_formula(sig, perturbed, monkeypatch):
+    """All 81 tuples, both forms, at L=4 against the rational formulas;
+    perturbed, one entry of N*T(u) is 2^200 off and the residuals are
+    nonzero."""
+    smp = ParameterSampler(f"ext-comm4:{sig.name}", 1)
+    xi = smp.generic(4)
+    model = ChainModel(ChainSpec(4, xi, smp.twist(), sig, 1))
+    u, v = smp.generic(2, avoid=xi)
+    if perturbed:
+        perturb_at(monkeypatch, u, 2**200)
+    pairs = all_supercommutators(model, u, v)
+    assert all(got == want for got, want in pairs.values())
+    assert any(not r.is_zero() for got, _ in pairs.values() for r in got) == perturbed

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from superbethe import graded
 from superbethe.errors import ArityMismatch, DivisionByZero, SignatureMismatch
 from superbethe.graded import (
     GL12,
@@ -27,11 +28,11 @@ from superbethe.graded import (
     super_permutation,
     unpack,
     vector_tensor,
-    weight_classes,
+    weight_spaces,
 )
 from superbethe.rational import rat
 
-from oracles import insert_identity
+from oracles import insert_identity, ybe_reference
 
 
 def unit(sig, i, j):
@@ -166,12 +167,15 @@ def _round_trip(column, keys, width):
 
 def test_weight_classes_group_the_keys_by_digit_counts():
     for arity in range(5):
-        classes = weight_classes(arity)
+        spaces = weight_spaces(arity)
+        classes = tuple(spaces.values())
         assert sorted(k for keys in classes for k in keys) == list(range(3**arity))
         assert len(classes) == comb(arity + 2, 2)
         for keys in classes:
             assert list(keys) == sorted(keys)
             assert len({tuple(sorted(decode(k, arity))) for k in keys}) == 1
+        for (n1, n2), keys in spaces.items():
+            assert all(decode(k, arity).count(1) == n1 and decode(k, arity).count(2) == n2 for k in keys)
 
 
 @pytest.mark.parametrize("width", [2, 3, 8, 31, 64, 200])
@@ -183,7 +187,7 @@ def test_packed_columns_round_trip_up_to_the_slot_bound(width):
     top = 2 ** (width - 1) - 1
     assert slot_width(top) == width
     rng = random.Random(width)
-    classes = weight_classes(3)
+    classes = tuple(weight_spaces(3).values())
     assert any(len(keys) == 1 for keys in classes)
     for keys in classes:
         columns = [
@@ -206,7 +210,7 @@ def test_one_bit_less_than_the_slot_bound_fails(width):
     nonzero column whose entries exceed its slots packs to 0: the width
     bound is what makes a packed zero an exact zero."""
     top = 2 ** (width - 1) - 1
-    keys = weight_classes(2)[1]
+    keys = weight_spaces(2)[1, 1]
     assert len(keys) == 2
     assert _round_trip({keys[0]: top}, keys, width) == {keys[0]: top}
     assert _round_trip({keys[0]: top}, keys, width - 1) != {keys[0]: top}
@@ -216,7 +220,7 @@ def test_one_bit_less_than_the_slot_bound_fails(width):
 
 def test_packed_product_is_the_packed_column_product():
     rng = random.Random(5)
-    for keys in weight_classes(3):
+    for keys in weight_spaces(3).values():
         cols = {k: {r: rng.randint(-9, 9) for r in rng.sample(keys, min(len(keys), 3))} for k in keys}
         column = {k: rng.randint(-2**70, 2**70) for k in keys}
         width = slot_width(len(keys) * 9 * 2**70)
@@ -356,3 +360,51 @@ def test_ybe_and_unitarity_under_flipped_koszul_sign(sig, flipped_koszul):
         assert not res.is_zero()
         assert res == _ybe_reference(u, v, w, sig, c)
         assert check_unitarity(u, v, sig, c) == _unitarity_reference(u, v, sig, c)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_ybe_equals_the_embedded_product(sig):
+    """The expansion of check_ybe in the four permutation products equals
+    the embedded, composed product of the cleared R factors."""
+    for c, (u, v, w) in _ybe_and_unitarity_draws(sig):
+        res = check_ybe(u, v, w, sig, c)
+        assert res.is_zero() and res == ybe_reference(u, v, w, sig, c)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_ybe_equals_the_embedded_product_under_flipped_koszul_sign(sig, flipped_koszul):
+    for c, (u, v, w) in _ybe_and_unitarity_draws(sig):
+        res = check_ybe(u, v, w, sig, c)
+        assert not res.is_zero() and res == ybe_reference(u, v, w, sig, c)
+
+
+def _signed_permutation(odd):
+    """P with E_ij x E_ji signed by (-1)^odd([i], [j]); odd = [j] is honest."""
+
+    def permutation(sig):
+        acc = GradedOperator(sig, 2)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                term = koszul_tensor(unit(sig, i, j), unit(sig, j, i))
+                acc = acc.add(term.scale(-1) if odd(sig.par(i), sig.par(j)) else term)
+        return acc
+
+    return permutation
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_ybe_follows_each_replaced_permutation(sig, monkeypatch):
+    """check_ybe caches its permutation products on P's entries, not on the
+    signature: two replacements of super_permutation in one process each
+    take effect, and the honest P is back after them."""
+    u, v, w = rat(3), rat(2), rat(1)
+    assert check_ybe(u, v, w, sig, 1).is_zero()
+    results = []
+    for odd in (lambda pi, pj: pi, lambda pi, pj: pi | pj):
+        monkeypatch.setattr(graded, "super_permutation", _signed_permutation(odd))
+        res = check_ybe(u, v, w, sig, 1)
+        assert not res.is_zero() and res == ybe_reference(u, v, w, sig, 1)
+        results.append(res)
+    assert results[0] != results[1]
+    monkeypatch.undo()
+    assert check_ybe(u, v, w, sig, 1).is_zero()

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from superbethe import graded, monodromy
+from superbethe import composite, graded, monodromy
 from superbethe.actions import action_check
 from superbethe.bethe import build_dual_vector, build_vector
 from superbethe.composite import (
@@ -29,6 +29,7 @@ from superbethe.graded import (
     clear_denominators,
     embed,
     r_matrix,
+    weight_spaces,
 )
 from superbethe.monodromy import (
     ChainModel,
@@ -44,7 +45,14 @@ from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import EPS, g
 
-from oracles import embedded_monodromy, insert_identity, perturb_at, rtt_reference
+from oracles import (
+    all_supercommutators,
+    embedded_monodromy,
+    insert_identity,
+    perturb_at,
+    rational_entries,
+    rtt_reference,
+)
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -277,30 +285,12 @@ def test_flipped_swap_sign_breaks_factorization(monkeypatch, flip):
 # ---------------------------------------------------------------------------
 
 
-def _rational_entries(model, u):
-    return extract_entries(model.monodromy_op(u), model.sig, model.arity)
-
-
-def _supercommutator_reference(model, i, j, k, l, u, v):
-    p = model.sig.par
-    gv = g(u, v, model.c)
-    tu, tv = _rational_entries(model, u), _rational_entries(model, v)
-    lhs = tu[i, j].compose(tv[k, l])
-    swapped = tv[k, l].compose(tu[i, j])
-    lhs = lhs.add(swapped) if (p(i) ^ p(j)) and (p(k) ^ p(l)) else lhs.sub(swapped)
-    s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
-    rhs1 = tu[i, l].compose(tv[k, j]).sub(tv[i, l].compose(tu[k, j])).scale(-gv if s1 else gv)
-    s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
-    rhs2 = tu[k, j].compose(tv[i, l]).sub(tv[k, j].compose(tu[i, l])).scale(gv if s2 else -gv)
-    return lhs.sub(rhs1), lhs.sub(rhs2)
-
-
 def _compose_monodromy_reference(split, u):
     total = CompositeModel(split)
     l1, length = total.part1.arity, total.arity
     pos1, pos2 = tuple(range(1, l1 + 1)), tuple(range(l1 + 1, length + 1))
-    m1, m2 = _rational_entries(total.part1, u), _rational_entries(total.part2, u)
-    direct = _rational_entries(total, u)
+    m1, m2 = rational_entries(total.part1, u), rational_entries(total.part2, u)
+    direct = rational_entries(total, u)
     out = {}
     for i, j in product(range(1, 4), repeat=2):
         acc = GradedOperator(total.sig, length)
@@ -311,7 +301,7 @@ def _compose_monodromy_reference(split, u):
 
 
 def _vacuum_reference(model, u):
-    t = _rational_entries(model, u)
+    t = rational_entries(model, u)
     omega, dual = model.omega(), model.omega_dual()
     out = []
     for i in range(1, 4):
@@ -324,14 +314,6 @@ def _vacuum_reference(model, u):
         elif i < j:
             out.append((f"T{i}{j} annihilates bra", t[i, j].apply_dual(dual).is_zero()))
     return out
-
-
-def _all_supercommutators(model, u, v):
-    """{(i, j, k, l): (program residuals, reference residuals)} for all 81 tuples."""
-    return {
-        t: (check_supercommutator(model, *t, u, v), _supercommutator_reference(model, *t, u, v))
-        for t in product(range(1, 4), repeat=4)
-    }
 
 
 def _split_2_2(sig, seed):
@@ -354,13 +336,13 @@ def test_rtt_equals_rational_formula(sig, length):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-@pytest.mark.parametrize("length", [1, 2])
+@pytest.mark.parametrize("length", [1, 2, 3])
 def test_supercommutator_equals_rational_formula(sig, length):
     smp = ParameterSampler(f"comm-oracle:{sig.name}:{length}", 1)
     xi = smp.generic(length)
     model = chain(length, xi, twist=smp.twist(), sig=sig)
     u, v = smp.generic(2, avoid=xi)
-    for t, (got, want) in _all_supercommutators(model, u, v).items():
+    for t, (got, want) in all_supercommutators(model, u, v).items():
         assert got == want, t
         assert got[0].is_zero() and got[1].is_zero(), t
 
@@ -386,7 +368,7 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
     # R(u,v) is flipped: the embedded product, flipped throughout, differs
     assert not res.is_zero() and res != rtt_reference(model, u, v)
     assert res == rtt_reference(model, u, v, build=Model.monodromy_op)
-    pairs = _all_supercommutators(model, u, v)
+    pairs = all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
     split, x = _split_2_2(sig, 2)
     _, residuals = compose_monodromy(split, x)
@@ -406,13 +388,87 @@ def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
     vacuum = vacuum_residuals(model, u)
     assert vacuum == _vacuum_reference(model, u)
     assert ("T11 ket eigenvalue", False) in vacuum
-    pairs = _all_supercommutators(model, u, v)
+    pairs = all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
     assert any(not r.is_zero() for got, _ in pairs.values() for r in got)
     perturb_at(monkeypatch, x)
     _, residuals = compose_monodromy(split, x)
     assert residuals == _compose_monodromy_reference(split, x)
     assert any(not r.is_zero() for r in residuals.values())
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("at_u", [True, False], ids=["at-u", "at-v"])
+@pytest.mark.parametrize("delta", [1, 2**200], ids=["1", "2^200"])
+def test_supercommutator_with_a_perturbed_entry_equals_rational_formula(sig, at_u, delta, monkeypatch):
+    """Nonzero exchange residuals, unpacked from their packed columns, equal
+    the rational formulas on the perturbed entries tuple for tuple, also
+    when one entry of N*T is 2^200 off and the slot width grows with it."""
+    smp = ParameterSampler(f"comm-perturbed:{sig.name}", 1)
+    xi = smp.generic(2)
+    model = chain(2, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    perturb_at(monkeypatch, u if at_u else v, delta)
+    pairs = all_supercommutators(model, u, v)
+    assert all(got == want for got, want in pairs.values())
+    assert any(not r.is_zero() for got, _ in pairs.values() for r in got)
+
+
+def _plant_foreign_entry(monkeypatch):
+    """Make every N*T(u) built from now on hold one entry that breaks the
+    weight: 1 in column (1, 1, ..., 1) at the row with site 1 on digit 2."""
+    honest = monodromy.build_cleared_product
+
+    def planted(sig, c, length, factors, x):
+        n, op = honest(sig, c, length, factors, x)
+        cols = {col: dict(colmap) for col, colmap in op.cols.items()}
+        cols[0][3 ** (length - 1)] = 1
+        return n, GradedOperator(op.sig, op.arity, cols)
+
+    monkeypatch.setattr(monodromy, "build_cleared_product", planted)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch):
+    """With N*T planted at every point as 2^100 in every slot of every
+    weight class and g(u,v) = 1/1000, anticommutator residual entries reach
+    2 gd S a b, above half the bound 2 (|gd| + |gn|) S a b that sizes the
+    slots, so a slot one bit narrower would not hold them; the unpacked
+    residuals still equal the rational formulas."""
+    honest = monodromy.build_cleared_product
+
+    def dense(sig, c, length, factors, x):
+        n, _ = honest(sig, c, length, factors, x)
+        cols = {col: {row: 2**100 for row in keys} for keys in weight_spaces(length + 1).values() for col in keys}
+        return n, GradedOperator(sig, length + 1, cols)
+
+    monkeypatch.setattr(monodromy, "build_cleared_product", dense)
+    model = chain(2, (rat(1, 3), rat(-2, 5)), twist=(2, rat(1, 3), -3), sig=sig)
+    u, v = rat(1001, 2), rat(-999, 2)
+    pairs = all_supercommutators(model, u, v)
+    assert all(got == want for got, want in pairs.values())
+    t = model.exchange_table(u, v)
+    assert (t.gn, t.gd) == (1, 1000)
+    bound = 2 * (t.gd + t.gn) * max(map(len, weight_spaces(2).values())) * 2**200
+    largest = max(abs(x / t.back) for got, _ in pairs.values() for r in got for m in r.cols.values() for x in m.values())
+    assert 2 * largest > bound
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_an_entry_that_breaks_the_weight_raises(sig, monkeypatch):
+    """RTT and the exchange relations pack each column into the weight
+    class its weight predicts, so an entry outside it fails the slot lookup:
+    they raise rather than return a residual."""
+    smp = ParameterSampler(f"foreign-entry:{sig.name}", 1)
+    xi = smp.generic(2)
+    model = chain(2, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    _plant_foreign_entry(monkeypatch)
+    assert model.monodromy(u).scaled[1, 1].entry(3, 0) == 1  # the planted entry, site 1 on digit 2
+    with pytest.raises(KeyError):
+        check_rtt(model, u, v)
+    with pytest.raises(KeyError):
+        check_supercommutator(model, 1, 1, 1, 1, u, v)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -507,6 +563,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
         return honest_packed_product(packed, column)
 
     def combination(terms):
+        seen["linear combinations"] += 1
         seen.update(type(coef).__name__ for coef, _ in terms)
         seen.update(t for _, op in terms for t in entry_types(op))
         return honest_combination(terms)
@@ -523,7 +580,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     monkeypatch.setattr(graded, "column_product", kernel)
     monkeypatch.setattr(monodromy, "pack", pack)
     monkeypatch.setattr(monodromy, "packed_product", packed_product)
-    monkeypatch.setattr(monodromy, "linear_combination", combination)
+    monkeypatch.setattr(composite, "linear_combination", combination)
     monkeypatch.setattr(monodromy, "build_cleared_product", build)
     monkeypatch.setattr(monodromy, "build_factor_product", refuse)
     smp = ParameterSampler("int-gate", 1)
@@ -535,10 +592,19 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     model = chain(2, xi[:2], twist=smp.twist(), sig=GL12)
     for t in product(range(1, 4), repeat=4):
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v))
-    assert check_ybe(u, v, w, GL21, 1).is_zero()
+    # and so do the exchange relations, on the packed entries of their pair
+    assert seen.pop("packed kernel calls") > 0
+    # the Yang-Baxter residual is one linear combination of the cached
+    # permutation products, which are built on ints: here, afresh
+    graded._ybe_operators.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(graded, "linear_combination", combination)
+        assert check_ybe(u, v, w, GL21, 1).is_zero()
+    assert seen.pop("linear combinations") > 0 and seen["int"] > 0
     assert check_unitarity(u, v, GL12, 1).is_zero()
     split, x = _split_2_2(GL21, 4)
     assert all(r.is_zero() for r in compose_monodromy(split, x)[1].values())
+    assert seen.pop("linear combinations") > 0
     assert seen["int"] > 0 and set(seen) == {"int"}, seen
 
 
@@ -559,23 +625,34 @@ def test_rtt_streams_its_residual():
 
 
 def test_exchange_products_are_composed_once_per_pair(monkeypatch):
+    """The exchange relations compose no operator: each of the 162 entry
+    products of a pair is computed once on packed columns, one
+    packed_product per column, and each Q once for the 81 tuples."""
     calls = Counter()
     honest = GradedOperator.compose
+    honest_packed_product = monodromy.packed_product
 
     def compose(self, other):
         calls["compose"] += 1
         return honest(self, other)
+
+    def packed_product(packed, column):
+        calls["packed_product"] += 1
+        return honest_packed_product(packed, column)
 
     smp = ParameterSampler("pair-products", 1)
     xi = smp.generic(2)
     twist = smp.twist()
     u, v, w = smp.generic(3, avoid=xi)
     monkeypatch.setattr(GradedOperator, "compose", compose)
+    monkeypatch.setattr(monodromy, "packed_product", packed_product)
     model = chain(2, xi, twist=twist, sig=GL12)
     tuples = list(product(range(1, 4), repeat=4))
     for t in tuples:
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v)), t
-    assert calls["compose"] <= 162
+    assert calls["compose"] == 0
+    assert calls["packed_product"] <= 162 * 3**2
+    assert len(model._exchange) <= 162 and len(model._exchange.exchanged) <= 81
     # with T(u) perturbed the residuals at (u, v), (v, u) and (u, w) are
     # nonzero and differ, so a product kept from another pair would show
     perturb_at(monkeypatch, u)
@@ -587,7 +664,7 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
             assert got == check_supercommutator(chain(2, xi, twist=twist, sig=GL12), *t, x, y), (t, x, y)
             nonzero += any(not r.is_zero() for r in got)
     assert nonzero > 0
-    assert model._pair == (u, w) and len(model._products) <= 162
+    assert model._exchange.pair == (u, w) and len(model._exchange) <= 162
 
 
 def test_model_holds_no_monodromy():
