@@ -11,8 +11,7 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
 
 * embed, which places an operator on a subset of tensor factors: each
   parity-changing block picks up the parity of the identity-factor column
-  digits to its left (monodromy.lifted_column reads its columns for one
-  identity factor and an even operator).
+  digits to its left.
 
 Everything downstream is plain sparse matrix algebra; once an operator is
 materialized the signs are inside it. Every operator sum (add, sub, R(u,v),
@@ -21,13 +20,13 @@ no intermediate operator.
 
 There are two multiplication kernels. column_product multiplies dict
 columns, for composition and application. The packed kernel serves
-operators that conserve the digit counts, which are block-diagonal over
-the weight classes of weight_spaces: in a class of S keys a column
-{key: x} is one int with x in the slot of its key (pack, slot_shifts),
-packed_product applies a packed operator to a sparse column, and unpack
-reads a column back in balanced base 2^W. With every |x| below
-2^(W-1) (slot_width) a packed column is 0 exactly when the column is. RTT
-and the exchange relations (monodromy.py) multiply through it.
+operators that map each weight space of weight_spaces into a single one,
+as the entries T_ab(u) do: over a space of S keys a column {key: x} is
+one int with x in the slot of its key (pack, slot_shifts), packed_product
+applies a packed operator to a sparse column, and unpack reads a column
+back in balanced base 2^W. With every |x| below 2^(W-1) (slot_width) a
+packed column is 0 exactly when the column is. RTT and the exchange
+relations (monodromy.py) multiply the entries of T(u) through it.
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous
@@ -35,7 +34,8 @@ in their factors, so they run on integer operators: every embed, compose,
 packed product and sum multiplies Python ints, and the residual is scaled
 back by the product of the scales, which makes it equal to the residual of
 the rational formula. The Yang-Baxter residual is a fixed combination of
-four products of permutations (check_ybe), composed once per P.
+four products of permutations (check_ybe) and the unitarity residual a
+multiple of P^2 - I (check_unitarity), all composed once per P.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import lcm
-from operator import lshift, mul
+from operator import lshift
 
 from .errors import ArityMismatch, SignatureMismatch
 from .rational import rat
@@ -262,8 +262,12 @@ def pack(column, shifts):
 def packed_product(packed, column):
     """sum_k column[k] * packed[k] as one int: the operator whose columns
     are packed ({k: packed column}) applied to the sparse column {k: value}.
-    Packing is Z-linear, so this is the packed image of the product."""
-    return sum(map(mul, column.values(), map(packed.__getitem__, column)))
+    Packing is Z-linear, so this is the packed image of the product. A plain
+    loop: on columns of a few entries it beats sum over map."""
+    out = 0
+    for k, x in column.items():
+        out += x * packed[k]
+    return out
 
 
 def unpack(x, keys, width):
@@ -546,34 +550,39 @@ def check_ybe(u, v, w, sig: Signature, c) -> GradedOperator:
           + n12 n13 n23 (P12 P13 P23 - P23 P13 P12),
 
     [X,Y] = XY - YX, scaled back by 1/(d12 d13 d23). The four operators are
-    fixed (_ybe_operators, cached on P's entries), so a check is one linear
-    combination of them."""
+    fixed (_permutation_products), so a check is one linear combination of
+    them."""
     (n12, d12), (n13, d13), (n23, d23) = (as_pair(g_fn(x, y, c)) for x, y in ((u, v), (u, w), (v, w)))
-    # super_permutation is looked up as a module global on every call, so a
-    # replacement of it (a flipped-sign negative control) takes effect here
-    p = super_permutation(sig)
-    ops = _ybe_operators(sig, tuple((col, tuple(sorted(colmap.items()))) for col, colmap in sorted(p.cols.items())))
     coefs = (n12 * n13 * d23, n12 * n23 * d13, n13 * n23 * d12, n12 * n13 * n23)
-    return linear_combination(list(zip(coefs, ops))).scale(rat(1, d12 * d13 * d23))
+    return linear_combination(list(zip(coefs, _permutation_products(sig)[:4]))).scale(rat(1, d12 * d13 * d23))
+
+
+def _permutation_products(sig):
+    """[P12,P13], [P12,P23], [P13,P23] and P12 P13 P23 - P23 P13 P12 on
+    three factors, and P^2 - I on two, for the P super_permutation gives:
+    it is looked up as a module global on every call, so a replacement of
+    it (a flipped-sign negative control) takes effect here, and the
+    products are cached on its entries."""
+    return _products_of(sig, tuple((col, tuple(sorted(m.items()))) for col, m in sorted(super_permutation(sig).cols.items())))
 
 
 @cache
-def _ybe_operators(sig, entries):
-    """[P12,P13], [P12,P23], [P13,P23] and P12 P13 P23 - P23 P13 P12 on
-    three factors, for the permutation P with the given entries, ((col,
-    ((row, value), ...)), ...)."""
+def _products_of(sig, entries):
+    """The products of _permutation_products for the permutation with the
+    given entries, ((col, ((row, value), ...)), ...)."""
     p = GradedOperator(sig, 2, {col: dict(rows) for col, rows in entries})
     p12, p13, p23 = (embed(p, positions, 3) for positions in ((1, 2), (1, 3), (2, 3)))
     bracket = lambda x, y: x.compose(y).sub(y.compose(x))
     triple = p12.compose(p13).compose(p23).sub(p23.compose(p13).compose(p12))
-    return bracket(p12, p13), bracket(p12, p23), bracket(p13, p23), triple
+    return bracket(p12, p13), bracket(p12, p23), bracket(p13, p23), triple, p.compose(p).sub(GradedOperator.identity(sig, 2))
 
 
 def check_unitarity(u, v, sig: Signature, c) -> GradedOperator:
-    """R(u,v) R(v,u) - (1 - g(u,v)^2) I on two factors."""
-    n1, r_uv = clear_denominators(r_matrix(u, v, sig, c))
-    n2, r_vu = clear_denominators(r_matrix(v, u, sig, c))
-    gv = g_fn(u, v, c)
-    p, q = as_pair((1 - gv * gv) * n1 * n2)
-    residual = r_uv.compose(r_vu).scale(q).sub(GradedOperator.identity(sig, 2).scale(p))
-    return residual.scale(rat(1, q * n1 * n2))
+    """R(u,v) R(v,u) - (1 - g(u,v)^2) I on two factors.
+
+    g(v,u) = -g(u,v), so R(u,v) R(v,u) = (I + gP)(I - gP) = I - g^2 P^2 and
+    the residual is exactly -g^2 (P^2 - I), P^2 - I cached with the
+    Yang-Baxter products (_permutation_products). The flipped-Koszul
+    control does not reach it: the flipped P still squares to I (ROADMAP,
+    Finding D)."""
+    return _permutation_products(sig)[4].scale(-g_fn(u, v, c) ** 2)

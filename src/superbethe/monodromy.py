@@ -29,13 +29,14 @@ first). It is used in two ways:
   (aux, s_1..s_j) once and gives (N_u, N_u*T(u)) with int entries and no
   Fraction arithmetic. Model.monodromy returns the nine entry operators of
   N_u*T(u), built on every call. The operator identities run on these
-  integer operators and scale their residuals back. check_rtt reads
-  T(u) x I and I x T(v) off N*T by index arithmetic (lifted_column) and
-  multiplies them one weight class at a time on packed int columns. The
+  integer operators and scale their residuals back. RTT and the exchange
+  relations multiply entries of N_u*T(u) and N_v*T(v) on one packed
+  engine: _pack_pair packs each column of the 18 entries into the weight
+  space its weight shift predicts, and each column of an entry product is
+  one packed_product. check_rtt contracts the 162 products of the blocks
+  of N*T with the entries of R(u,v), one chain column at a time; the
   exchange relations read the ExchangeTable of their (u, v) pair
-  (Model.exchange_table, the latest pair only): each column of the 18
-  entries packed into the weight space its weight shift predicts, and
-  each product column one packed_product.
+  (Model.exchange_table, the latest pair only).
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
@@ -64,8 +65,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, compress, product, repeat
 from math import lcm, prod
-from operator import sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import DivisionByZero
 from .graded import (
@@ -251,18 +253,41 @@ def _apply_factor(length, weights, state, keep=None):
 
 def extract_entries(big: GradedOperator, sig, length):
     """Split an auxiliary x chain operator into its nine auxiliary blocks."""
-    shift = 3 ** length
-    par = parity_table(sig, length)
+    return {ij: GradedOperator.from_pruned(sig, length, cols) for ij, cols in _blocks(big, sig, length).items()}
+
+
+def _blocks(big, sig, length, signed=True):
+    """The nine auxiliary blocks of an auxiliary x chain operator as
+    {(i, j): {col: {row: x}}}; signed, each entry carries the extraction
+    sign (-1)^{[j] (par(row) + par(col))}."""
+    shift, par = 3**length, parity_table(sig, length)
     out = {(i, j): {} for i in range(1, 4) for j in range(1, 4)}
     for col, colmap in big.cols.items():
         j, n = divmod(col, shift)
-        pj = sig.par(j + 1)
+        flip = signed and sig.parity[j]
         for row, val in colmap.items():
             i, m = divmod(row, shift)
-            if pj and (par[m] ^ par[n]):
-                val = -val
-            out[(i + 1, j + 1)].setdefault(n, {})[m] = val
-    return {ij: GradedOperator.from_pruned(sig, length, cols) for ij, cols in out.items()}
+            out[i + 1, j + 1].setdefault(n, {})[m] = -val if flip and par[m] ^ par[n] else val
+    return out
+
+
+def _pack_pair(entries, length, width):
+    """(packed, weights) for the entries {at_u: {(a, b): columns}} of a
+    spectral pair: packed is {at_u: {(a, b): a list over every key k of 0
+    or column k packed (graded.pack) in slots of the given width over the
+    weight space of the weight of k shifted by e_b - e_a}}, and weights
+    gives the weight (graded.weight_spaces) of every key. A row outside the
+    predicted space fails the slot lookup (KeyError)."""
+    weights = {key: weight for weight, keys in weight_spaces(length).items() for key in keys}
+    shifts = {weight: slot_shifts(keys, width) for weight, keys in weight_spaces(length).items()}
+    out = {at_u: {} for at_u in entries}
+    for at_u, cols_of in entries.items():
+        for (a, b), cols in cols_of.items():
+            packed = out[at_u][a, b] = [0] * 3**length
+            for k, col in cols.items():
+                # (k, l) = (1, 1) shifts nothing: the space of T_ab e_k
+                packed[k] = pack(col, shifts.get(_shifted(weights[k], a, b, 1, 1), {}))
+    return out, weights
 
 
 @dataclass
@@ -307,23 +332,15 @@ class ExchangeTable(dict):
         self.gn, self.gd = as_pair(g_fn(u, v, model.c))
         self.back = rat(1, self.gd * mu.scale * mv.scale)
         self.spaces = weight_spaces(self.length)
-        self.weights = {key: weight for weight, keys in self.spaces.items() for key in keys}
         largest = [max(map(_largest, mono.scaled.values())) for mono in (mu, mv)]
         self.width = slot_width(2 * (abs(self.gd) + abs(self.gn)) * max(map(len, self.spaces.values())) * prod(largest))
-        shifts = {weight: slot_shifts(keys, self.width) for weight, keys in self.spaces.items()}
-        self.entries = {True: mu.scaled, False: mv.scaled}
-        self.packed = {}
-        for at_u, entries in self.entries.items():
-            for (a, b), op in entries.items():
-                packed = self.packed[at_u, (a, b)] = [0] * 3**self.length
-                for k, col in op.cols.items():
-                    # (k, l) = (1, 1) shifts nothing: the weight of T_ab e_k
-                    packed[k] = pack(col, shifts.get(_shifted(self.weights[k], a, b, 1, 1), {}))
+        self.entries = {at_u: {ab: op.cols for ab, op in mono.scaled.items()} for at_u, mono in ((True, mu), (False, mv))}
+        self.packed, self.weights = _pack_pair(self.entries, self.length, self.width)
         self.exchanged = {}
 
     def __missing__(self, key):
         at_u, ab, cd = key
-        packed, cols = self.packed[at_u, ab], self.entries[not at_u][cd].cols
+        packed, cols = self.packed[at_u][ab], self.entries[not at_u][cd]
         out = self[key] = [packed_product(packed, cols[c]) if c in cols else 0 for c in range(3**self.length)]
         return out
 
@@ -541,85 +558,84 @@ class ChainModel(Model):
 def check_rtt(model, u, v) -> GradedOperator:
     """R(u,v)(T(u) x I)(I x T(v)) - (I x T(v))(T(u) x I)R(u,v); zero iff RTT holds.
 
-    With A = T(u) x I, B = I x T(v) and R = R(u,v) x I on the cleared
-    integer operators, the residual is computed one weight class at a time
-    (graded.weight_spaces of the keys (aux_1, aux_2, sites)): T(u), the
-    identity and R conserve the digit counts, so A, B and R are
-    block-diagonal over the classes. In a class of S keys every column is
-    one int of S slots (graded.pack, Kronecker substitution), and
+    In components RTT is the 81 exchange relations (Kulish-Sklyanin 1982).
+    With T_xc the blocks of the cleared N*T as build_cleared_product gives
+    them (_blocks, no extraction sign), block ((a,b),(c,d)) of the cleared
+    residual is
 
-        column c of RAB = sum_k B[k,c] pack(RA e_k),
-        column c of BAR = sum_k R[k,c] pack(BA e_k),
-        pack(BA e_k) = sum_m A[m,k] pack(B e_m).
+        sum_xy R[ab,xy] e T_xc(u) T_yd(v) - sum_c'd' R[c'd',cd] e' T_bd'(v) T_ac'(u),
 
-    R = I + gP has at most two entries in each row and column, so every
-    residual entry has |x| <= 4 S r a b, r, a and b the largest |entry| of
-    the cleared R, T(u) and T(v); slots of width slot_width of that bound
-    hold each entry exactly, a packed column is 0 only if the residual
-    column is, and only nonzero columns are unpacked. The columns of A, B
-    and R are read by index arithmetic (lifted_column) and each class's
-    packed ints are dropped before the next class."""
+    e = -1 iff [y]([x] + [c]) is odd and e' = -1 iff [d']([a] + [c']) is
+    odd: the sign of T(u) x I, while I x T(v) and R x I carry none.
+    R = I + gP has at most two entries in each row and column, so a block
+    has at most four terms and each of the 162 entry products serves two
+    blocks (_rtt_plan); R's entries are read on every call. The columns of
+    the 18 entries are packed into the weight spaces of the chain
+    (_pack_pair, as in ExchangeTable), and for one chain column s at a time
+    each product column is one packed_product and each block column the
+    combination of its terms: no product is kept past its column. Every
+    residual entry has |x| <= 4 r S a b, S the largest space and r, a, b
+    the largest |entry| of the cleared R, T(u) and T(v), and the slots are
+    that wide (graded.slot_width), so a packed block column is 0 only if
+    the residual column is, and only nonzero ones are unpacked."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
     sig, length = model.sig, model.arity
-    factors = model.factor_sequence()
-    na, a = build_cleared_product(sig, model.c, length, factors, u)
-    nb, b = build_cleared_product(sig, model.c, length, factors, v)
     nr, r = clear_denominators(r_matrix(u, v, sig, model.c))
-    bound = 4 * _largest(r) * _largest(a) * _largest(b)
+    blocks, layers = _rtt_plan(sig.parity)
+    read = {9 * row + col: x for col, colmap in r.cols.items() for row, x in colmap.items()}
+    (t0, c0), (t1, c1), (t2, c2), (t3, c3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))]) for take, signs, reads in layers]
+    scale, largest, entries = nr, [max(map(abs, read.values()))], {}
+    for at_u, x in ((True, u), (False, v)):
+        n, op = build_cleared_product(sig, model.c, length, model.factor_sequence(), x)
+        scale, entries[at_u] = scale * n, _blocks(op, sig, length, signed=False)
+        largest.append(_largest(op))
+        del op  # before the next build: one N*T held at a time
+    spaces, shift = weight_spaces(length), 3**length
+    width = slot_width(4 * max(map(len, spaces.values())) * prod(largest))
+    packed, weights = _pack_pair(entries, length, width)
+    sides = [(packed[at_u].values(), right) for at_u in (True, False) for right in entries[not at_u].values()]
     out = {}
-    for keys in weight_spaces(length + 2).values():
-        out.update(_rtt_block(sig.parity, length, a.cols, b.cols, r.cols, keys, slot_width(len(keys) * bound)))
-    return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, na * nb * nr))
+    for s in range(shift):
+        cols = [*chain.from_iterable(map(packed_product, left, repeat(col)) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
+        sums = [*map(add, map(add, map(mul, c0, t0(cols)), map(mul, c1, t1(cols))), map(add, map(mul, c2, t2(cols)), map(mul, c3, t3(cols))))]
+        for (a, b, c, d), x in compress(zip(blocks, sums), sums):
+            rows = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
+            out.setdefault((3 * c + d - 4) * shift + s, {}).update({(3 * a + b - 4) * shift + m: y for m, y in rows.items()})
+    return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, scale))
+
+
+@cache
+def _rtt_plan(parity):
+    """The structure of check_rtt's residual for a signature's parity:
+    (blocks, layers).
+
+    The 162 entry products are numbered 81 g + 9 j + i: T_ab(x) T_cd(y)
+    with i = key(a, b), j = key(c, d), key(a, b) = 3a + b - 4, and x = u,
+    y = v if g = 0, x = v, y = u if g = 1. blocks lists the 81
+    ((a,b),(c,d)) as (a, b, c, d). Each of the four layers holds one term
+    of every block, as an itemgetter of its products, its signs and its
+    entries of R, flattened as 9 row + col: R's diagonal and its swap,
+    first on T(u) T(v) and then on T(v) T(u); a block with a = b (c = d)
+    has no swap term on the first (second) side, and sign 0 pads it.
+    R(u,v) = I + gP, as r_matrix builds it for any signed permutation P,
+    has no entry elsewhere."""
+    p, pad = [None, *parity], (0, 0, 0)
+    key = lambda x, y: 3 * x + y - 4
+    blocks = list(product(range(1, 4), repeat=4))
+    terms = [[], [], [], []]
+    for a, b, c, d in blocks:
+        for swap, ((x, y), (e, f)) in enumerate((((a, b), (c, d)), ((b, a), (d, c)))):
+            t = (9 * key(y, d) + key(x, c), 1 - 2 * (p[y] & (p[x] ^ p[c])), 9 * key(a, b) + key(x, y))
+            terms[swap].append(pad if swap and a == b else t)
+            t = (81 + 9 * key(a, e) + key(b, f), 2 * (p[f] & (p[a] ^ p[e])) - 1, 9 * key(e, f) + key(c, d))
+            terms[2 + swap].append(pad if swap and c == d else t)
+    layers = [(itemgetter(*index), signs, reads) for index, signs, reads in (zip(*layer) for layer in terms)]
+    return blocks, layers
 
 
 def _largest(op):
-    return max((abs(x) for colmap in op.cols.values() for x in colmap.values()), default=0)
-
-
-def lifted_column(cols, length, parity, key, position):
-    """Column key, as {row: value}, of an even operator with columns cols on
-    (auxiliary factor) x (length sites) with an identity factor inserted at
-    tensor position 2 (T x I) or 1 (I x T), read by index arithmetic.
-
-    I x T carries no sign. For T x I embed's sign reduces, T being even, to
-    (-1)^{[d] ([r_1] + [c_1])}, d the inserted digit and r_1, c_1 the
-    auxiliary digits of the row and of the column of T."""
-    mid = 3**length  # place value of the second of the two leading digits
-    first, rest = divmod(key, 3 * mid)
-    if position == 1:
-        return {row + first * 3 * mid: x for row, x in cols.get(rest, {}).items()}
-    d, sites = divmod(rest, mid)
-    colmap = cols.get(first * mid + sites, {})
-    # row = (r_1, r_sites) of T goes to (r_1, d, r_sites)
-    if not parity[d]:
-        return {row + (2 * (row // mid) + d) * mid: x for row, x in colmap.items()}
-    pc = parity[first]
-    return {row + (2 * (row // mid) + d) * mid: -x if parity[row // mid] ^ pc else x for row, x in colmap.items()}
-
-
-def _rtt_block(parity, length, a, b, r, keys, width):
-    """The nonzero residual columns of check_rtt on one weight class keys,
-    in slots of the given width: a, b and r are the columns of the cleared
-    T(u), T(v) and R(u,v)."""
-    mid = 3**length
-    shifts = slot_shifts(keys, width)
-    cols_a = {k: lifted_column(a, length, parity, k, 2) for k in keys}
-    cols_b = {k: lifted_column(b, length, parity, k, 1) for k in keys}
-    # R x I acts on the two auxiliary digits alone, the leading ones, so it
-    # carries no sign
-    cols_r = {k: {p * mid + k % mid: y for p, y in r.get(k // mid, {}).items()} for k in keys}
-    packed = {k: pack(col, shifts) for k, col in cols_r.items()}
-    packed_ra = {k: packed_product(packed, col) for k, col in cols_a.items()}
-    packed = {k: pack(col, shifts) for k, col in cols_b.items()}
-    packed_ba = {k: packed_product(packed, col) for k, col in cols_a.items()}
-    del packed
-    out = {}
-    for c in keys:
-        x = packed_product(packed_ra, cols_b[c]) - packed_product(packed_ba, cols_r[c])
-        if x:
-            out[c] = unpack(x, keys, width)
-    return out
+    return max((max(map(abs, colmap.values())) for colmap in op.cols.values()), default=0)
 
 
 def check_supercommutator(model, i, j, k, l, u, v):

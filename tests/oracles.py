@@ -3,10 +3,11 @@
 T(u) as the embedded product of its factors, for checking the column walk
 of monodromy.py; it shares no sign with the walk and, unlike the walk,
 evaluates at eps-shifted points too. The RTT residual as the rational
-formula with every factor placed by embed, for checking the packed weight
-classes of monodromy.check_rtt, and insert_identity, an even operator
-lifted by one identity factor, for checking the columns check_rtt reads by
-index arithmetic; perturb_at corrupts one entry of T at one point. Both
+formula with every factor placed by embed, for checking the packed entry
+products of monodromy.check_rtt, and insert_identity, an even operator
+lifted by one identity factor, whose sign is the sign of T(u) x I that
+check_rtt's plan reads in closed form; perturb_at corrupts one entry of T
+at one point. Both
 exchange residuals as the rational formulas, composing the rational
 entries of T(u) and T(v), for checking the packed columns of
 monodromy.check_supercommutator, and the Yang-Baxter residual with every

@@ -92,3 +92,13 @@ def test_corrupted_table_is_detected(site):
     assert not residual.is_zero()
     # the same check against the shipped table passes
     assert action_check(site, "T23", (rat(3),), (), z).is_zero()
+
+
+def test_actions_at_2_2():
+    smp = ParameterSampler("extact", 1)
+    xi = smp.generic(2)
+    model = ChainModel(ChainSpec(2, xi, (2, 1, -3), GL21, 1))
+    ps = smp.generic(4, avoid=xi)
+    z = smp.generic_one(avoid=tuple(xi) + ps)
+    for el in ELEMENTS:
+        assert action_check(model, el, ps[:2], ps[2:], z).is_zero(), el

@@ -301,3 +301,23 @@ def test_g_identity_witness_follows_the_replay(monkeypatch):
     assert calls == [(us[0], vs[0], z, 1) for z in zs]
     assert is_zero(action_decomposition_report(split, (), (), zs[0])["g_identity_witness"])
     assert len(calls) == 2
+
+
+def test_factorizations_at_3_3():
+    sp = SplitChain(
+        ChainSpec(2, (0, rat(1, 3)), (2, 1, 3), GL21, 1),
+        ChainSpec(2, (1, rat(5, 3)), (rat(1, 2), 1, -1), GL21, 1),
+    )
+    smp = ParameterSampler("ext33", 1)
+    drawn = smp.generic(6, avoid=sp.part1.xi + sp.part2.xi)
+    assert check_bethe_factorization(sp, drawn[:3], drawn[3:]).is_zero()
+    assert check_dual_bethe_factorization(sp, drawn[:3], drawn[3:]).is_zero()
+
+
+def test_recursion_at_3_3():
+    smp = ParameterSampler("extrec", 1)
+    xi = smp.generic(3)
+    model = ChainModel(ChainSpec(3, xi, (2, 1, -3), GL21, 1))
+    ps = smp.generic(5, avoid=xi)
+    z = smp.generic_one(avoid=tuple(xi) + ps)
+    assert check_recursion(model, ps[:3], ps[3:], z).is_zero()

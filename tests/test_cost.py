@@ -1,9 +1,10 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
 results the vector suites of configs/quick.json compute, the number of
-operator compositions its RTT, exchange and Yang-Baxter suites make, the embeds and
-walked state entries of its RTT, composite and Bethe suites, the Fraction
-operations and hashes of its vector suites, and the Fraction operations of
-the shorthand coefficients of the action table.
+operator compositions its RTT, exchange and Yang-Baxter suites make, the
+packed products of its RTT suite, the embeds and walked state entries of
+its RTT, composite and Bethe suites, the Fraction operations and hashes of
+its vector suites, and the Fraction operations of the shorthand
+coefficients of the action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -119,23 +120,23 @@ def test_eps_shifted_pair_tables_hold_int_coefficients():
     assert shifted
 
 
-# suite -> GradedOperator.compose calls: RTT multiplies packed int columns
-# one weight class at a time (graded.packed_product) and the exchange
+# suite -> GradedOperator.compose calls: RTT multiplies the entry products
+# of N*T on packed int columns (graded.packed_product) and the exchange
 # relations the packed entries of their pair, neither through a compose;
-# Yang-Baxter builds its four permutation products once per signature, ten
-# composes each, and reads them from a cache afterwards (cleared here, so
-# the pin counts the cold build); each of the 40 unitarity checks of the
-# ybe suite composes R(u,v) R(v,u) once
+# Yang-Baxter and unitarity read five permutation products (graded.
+# _permutation_products), built once per signature, ten composes for the
+# Yang-Baxter four and one for P^2 - I, from a cache afterwards (cleared
+# here, so the pin counts the cold build)
 COMPOSE_PINNED = {
     "rtt": 0,
     "commutator": 0,
-    "ybe": 60,
+    "ybe": 22,
 }
 
 
 @pytest.mark.parametrize("suite", sorted(COMPOSE_PINNED))
 def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
-    graded._ybe_operators.cache_clear()
+    graded._products_of.cache_clear()
     calls = Counter()
     compose = GradedOperator.compose
 
@@ -150,8 +151,8 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 
 
 # suite -> (graded.embed calls, state entries into and out of
-# monodromy._apply_factor): RTT reads R(u,v) x I, T(u) x I and I x T(v)
-# by index arithmetic (monodromy.lifted_column) and the coproduct sums
+# monodromy._apply_factor): RTT multiplies the auxiliary blocks of N*T(u)
+# and N*T(v) as build_cleared_product gives them and the coproduct sums
 # graded tensor products, so neither embeds; T(u) is built
 # once per column prefix, a vector walk's last factor keeps only the
 # wanted auxiliary digit, each model walks a Bethe-vector step sequence
@@ -190,6 +191,27 @@ def test_embeds_and_walked_entries_do_not_rise(suite, monkeypatch):
     assert report.records and report.all_zero()
     got = count["embed"], count["walked"]
     assert got[0] <= WALK_PINNED[suite][0] and got[1] <= WALK_PINNED[suite][1], (suite, got, WALK_PINNED[suite])
+
+
+# suite -> graded.packed_product calls: check_rtt computes each of the 162
+# entry products once per column of the chain, and only where its right
+# factor's column is nonempty; nothing else of the suite packs
+PACKED_PINNED = {"rtt": 2106}
+
+
+@pytest.mark.parametrize("suite", sorted(PACKED_PINNED))
+def test_packed_products_do_not_rise(suite, monkeypatch):
+    calls = Counter()
+    honest = monodromy.packed_product
+
+    def counted(packed, column):
+        calls["packed_product"] += 1
+        return honest(packed, column)
+
+    monkeypatch.setattr(monodromy, "packed_product", counted)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    assert calls["packed_product"] <= PACKED_PINNED[suite], (suite, calls["packed_product"])
 
 
 class _Terms(list):

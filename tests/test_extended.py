@@ -1,15 +1,19 @@
 """Opt-in checks above the default caps (set SUPERBETHE_EXTENDED=1).
 
-The default suite caps the parameter families at a,b <= 2; partition counts
-grow fast beyond that, so the larger grids are gated here rather than run on
-every invocation. They exercise the same code paths at (3,3) and on the
-longest configured chains, check the partition coefficients against
+Partition counts and the rational references grow fast beyond the default
+caps, so the costly grids are gated here rather than run on every
+invocation; the vector-side checks at (3,3) and on the longest configured
+chain take well under a second and run in the default suite (the
+factorizations and the recursion in test_composite.py and test_gl12.py,
+the actions in test_actions.py, the longest-chain cap in
+test_monodromy.py). Here the partition coefficients are checked against
 their closed formula at (4,4), and every packaged shorthand coefficient
 against its pair-by-pair evaluation at (3,3). RTT runs at L=4 with a
 perturbed entry against the rational formula, and at L=5, the largest
-packed weight classes, under a memory pin. The exchange relations run at
-L=4, all 81 tuples, honest and with a perturbed entry, against the
-rational formulas: the only run of their packed columns at that size.
+arity-L weight spaces and entry products, under a memory pin. The
+exchange relations run at L=4, all 81 tuples, honest and with a perturbed
+entry, against the rational formulas: the only run of their packed
+columns at that size.
 """
 
 import os
@@ -17,15 +21,7 @@ import tracemalloc
 
 import pytest
 
-from superbethe.actions import ELEMENTS, action_check
-from superbethe.bethe import build_vector, grading_of, separate_collision
-from superbethe.composite import (
-    SplitChain,
-    check_bethe_factorization,
-    check_dual_bethe_factorization,
-    check_recursion,
-)
-from superbethe.gl12 import check_tilde_factorization
+from superbethe.bethe import separate_collision
 from superbethe.graded import GL12, GL21
 from superbethe.monodromy import ChainModel, ChainSpec, Model, check_rtt
 from superbethe.rational import rat
@@ -44,57 +40,6 @@ pytestmark = pytest.mark.skipif(
     not os.environ.get("SUPERBETHE_EXTENDED"),
     reason="extended grid is opt-in (SUPERBETHE_EXTENDED=1)",
 )
-
-
-def test_factorizations_at_3_3():
-    sp = SplitChain(
-        ChainSpec(2, (0, rat(1, 3)), (2, 1, 3), GL21, 1),
-        ChainSpec(2, (1, rat(5, 3)), (rat(1, 2), 1, -1), GL21, 1),
-    )
-    smp = ParameterSampler("ext33", 1)
-    drawn = smp.generic(6, avoid=sp.part1.xi + sp.part2.xi)
-    assert check_bethe_factorization(sp, drawn[:3], drawn[3:]).is_zero()
-    assert check_dual_bethe_factorization(sp, drawn[:3], drawn[3:]).is_zero()
-
-
-def test_tilde_factorization_at_3_2():
-    sp = SplitChain(
-        ChainSpec(2, (0, rat(1, 3)), (2, 1, 3), GL12, 1),
-        ChainSpec(2, (1, rat(5, 3)), (rat(1, 2), 1, -1), GL12, 1),
-    )
-    smp = ParameterSampler("ext32", 1)
-    drawn = smp.generic(5, avoid=sp.part1.xi + sp.part2.xi)
-    assert check_tilde_factorization(sp, drawn[:3], drawn[3:], sign=1).is_zero()
-
-
-def test_recursion_at_3_3():
-    smp = ParameterSampler("extrec", 1)
-    xi = smp.generic(3)
-    model = ChainModel(ChainSpec(3, xi, (2, 1, -3), GL21, 1))
-    ps = smp.generic(5, avoid=xi)
-    z = smp.generic_one(avoid=tuple(xi) + ps)
-    assert check_recursion(model, ps[:3], ps[3:], z).is_zero()
-
-
-def test_actions_at_2_2():
-    smp = ParameterSampler("extact", 1)
-    xi = smp.generic(2)
-    model = ChainModel(ChainSpec(2, xi, (2, 1, -3), GL21, 1))
-    ps = smp.generic(4, avoid=xi)
-    z = smp.generic_one(avoid=tuple(xi) + ps)
-    for el in ELEMENTS:
-        assert action_check(model, el, ps[:2], ps[2:], z).is_zero(), el
-
-
-def test_longest_chain_cap():
-    smp = ParameterSampler("extl4", 1)
-    xi = smp.generic(4)
-    model = ChainModel(ChainSpec(4, xi, (2, 1, 3), GL21, 1))
-    u, v = smp.generic(2, avoid=xi)
-    assert check_rtt(model, u, v).is_zero()
-    ps = smp.generic(4, avoid=xi)
-    vec = build_vector(model, ps[:2], ps[2:])
-    assert not vec.is_zero() and grading_of(vec) == 0
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -134,13 +79,14 @@ def test_rtt_with_a_perturbed_entry_at_l4(sig, delta, monkeypatch):
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_rtt_at_l5_is_zero_within_its_memory_pin(sig):
-    """One L=5 RTT check holds the two cleared T's and one weight class's
-    packed columns at a time: its tracemalloc peak stays under 5.3 MB."""
+    """One L=5 RTT check holds the blocks of the two cleared T's, their
+    packed columns and the entry products of one chain column at a time:
+    its tracemalloc peak stays under 5.3 MB."""
     smp = ParameterSampler(f"ext-rtt5:{sig.name}", 1)
     xi = smp.generic(5)
     model = ChainModel(ChainSpec(5, xi, smp.twist(), sig, 1))
     u, v = smp.generic(2, avoid=xi)
-    check_rtt(model, u, v)  # fills the parity tables, the weight classes and the cached P first
+    check_rtt(model, u, v)  # fills the parity tables, the weight spaces, the plan and the cached P first
     tracemalloc.start()
     try:
         assert check_rtt(model, u, v).is_zero()

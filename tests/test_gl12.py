@@ -118,3 +118,13 @@ def test_degenerate_empty_part():
     b2 = build_tilde_vector(total.part2, us, vs)
     assert build_tilde_vector(total, us, vs) == vector_tensor(GradedVector.basis(GL12, ()), b2)
     assert check_tilde_factorization(sp, us, vs, sign=1).is_zero()
+
+
+def test_tilde_factorization_at_3_2():
+    sp = SplitChain(
+        ChainSpec(2, (0, rat(1, 3)), (2, 1, 3), GL12, 1),
+        ChainSpec(2, (1, rat(5, 3)), (rat(1, 2), 1, -1), GL12, 1),
+    )
+    smp = ParameterSampler("ext32", 1)
+    drawn = smp.generic(5, avoid=sp.part1.xi + sp.part2.xi)
+    assert check_tilde_factorization(sp, drawn[:3], drawn[3:], sign=1).is_zero()

@@ -363,6 +363,19 @@ def test_ybe_and_unitarity_under_flipped_koszul_sign(sig, flipped_koszul):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_unitarity_with_a_perturbed_permutation_equals_the_composed_formula(sig, monkeypatch):
+    """check_unitarity reads P through the module global: with one entry of
+    P perturbed, P^2 != I, and the residual -g^2 (P^2 - I) is nonzero and
+    equals R(u,v) R(v,u) - (1 - g^2) I composed."""
+    cols = {col: dict(colmap) for col, colmap in graded.super_permutation(sig).cols.items()}
+    cols[0][0] += 1
+    monkeypatch.setattr(graded, "super_permutation", lambda s: GradedOperator(s, 2, cols))
+    for c, (u, v, w) in _ybe_and_unitarity_draws(sig):
+        res = check_unitarity(u, v, sig, c)
+        assert not res.is_zero() and res == _unitarity_reference(u, v, sig, c)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_ybe_equals_the_embedded_product(sig):
     """The expansion of check_ybe in the four permutation products equals
     the embedded, composed product of the cleared R factors."""

@@ -8,7 +8,7 @@ import pytest
 
 from superbethe import composite, graded, monodromy
 from superbethe.actions import action_check
-from superbethe.bethe import build_dual_vector, build_vector
+from superbethe.bethe import build_dual_vector, build_vector, grading_of
 from superbethe.composite import (
     CompositeModel,
     SplitChain,
@@ -38,7 +38,6 @@ from superbethe.monodromy import (
     check_rtt,
     check_supercommutator,
     extract_entries,
-    lifted_column,
     vacuum_residuals,
 )
 from superbethe.rational import rat
@@ -513,18 +512,37 @@ def test_rtt_residual_beyond_the_entry_product_fits_its_slots(sig, monkeypatch):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-def test_rtt_reads_the_lifted_columns(sig):
-    """The columns check_rtt reads by index arithmetic are those of
-    T x I and I x T, each T(u) lifted by an identity factor."""
+@pytest.mark.parametrize("at_u", [True, False], ids=["at-u", "at-v"])
+def test_rtt_blocks_are_the_exchange_relations(sig, at_u, monkeypatch):
+    """Block ((a,b),(c,d)) of the RTT residual, rows (a, b, m) and columns
+    (c, d, n), is the second exchange form of the tuple (a, c, b, d)
+    (Kulish-Sklyanin 1982) times e(a,b,c) s(a,c) s(b,d): e the sign of
+    T(u) x I, -1 iff [b]([a] + [c]) is odd, and s(i,j) = -1 iff [j] = 1
+    and [i] = 0, the extraction sign of the entry T_ij. With the first
+    entry of N*T(u) (of N*T(v)) perturbed, 12 (8) blocks are nonzero."""
+    p = [None, *sig.parity]
+    s = lambda i, j: -1 if p[j] and not p[i] else 1
     for length in (1, 2, 3):
-        smp = ParameterSampler(f"rtt-lift:{sig.name}:{length}", 1)
+        smp = ParameterSampler(f"rtt-blocks:{sig.name}:{length}", 1)
         xi = smp.generic(length)
         model = chain(length, xi, twist=smp.twist(), sig=sig)
-        _, t = monodromy.build_cleared_product(sig, model.c, length, model.factor_sequence(), smp.generic_one(avoid=xi))
-        for position in (1, 2):
-            want = insert_identity(t, position).cols
-            got = {k: lifted_column(t.cols, length, sig.parity, k, position) for k in range(3 ** (length + 2))}
-            assert {k: col for k, col in got.items() if col} == want, (length, position)
+        u, v = smp.generic(2, avoid=xi)
+        with monkeypatch.context() as patched:
+            perturb_at(patched, u if at_u else v)
+            res = check_rtt(model, u, v)
+            shift = 3**length
+            blocks = {}
+            for col, colmap in res.cols.items():
+                for row, x in colmap.items():
+                    blocks.setdefault((row // shift, col // shift), {}).setdefault(col % shift, {})[row % shift] = x
+            nonzero = 0
+            for a, b, c, d in product(range(1, 4), repeat=4):
+                got = GradedOperator(sig, length, blocks.get((3 * a + b - 4, 3 * c + d - 4), {}))
+                e = -1 if p[b] & (p[a] ^ p[c]) else 1
+                want = check_supercommutator(model, a, c, b, d, u, v)[1].scale(e * s(a, c) * s(b, d))
+                assert got == want, (length, a, b, c, d)
+                nonzero += not got.is_zero()
+        assert nonzero == (12 if at_u else 8), (length, nonzero)
 
 
 def test_operator_identities_multiply_only_ints(monkeypatch):
@@ -587,7 +605,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     xi = smp.generic(3)
     u, v, w = smp.generic(3, avoid=xi)
     assert check_rtt(chain(3, xi, twist=smp.twist()), u, v).is_zero()
-    # RTT multiplies through the packed kernel, one weight class at a time
+    # RTT multiplies through the packed kernel, one entry product at a time
     assert seen.pop("packed kernel calls") > 0
     model = chain(2, xi[:2], twist=smp.twist(), sig=GL12)
     for t in product(range(1, 4), repeat=4):
@@ -596,7 +614,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     assert seen.pop("packed kernel calls") > 0
     # the Yang-Baxter residual is one linear combination of the cached
     # permutation products, which are built on ints: here, afresh
-    graded._ybe_operators.cache_clear()
+    graded._products_of.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(graded, "linear_combination", combination)
         assert check_ybe(u, v, w, GL21, 1).is_zero()
@@ -614,7 +632,7 @@ def test_rtt_streams_its_residual():
     peak above 6 MB."""
     model = chain(4, (rat(0), rat(1, 3), rat(-2, 5), rat(7, 4)), twist=(rat(2), rat(1, 3), rat(-3)))
     u, v = rat(5, 2), rat(-3, 7)
-    check_rtt(model, u, v)  # fills the parity tables and the cached P first
+    check_rtt(model, u, v)  # fills the parity tables, the plan and the cached P first
     tracemalloc.start()
     try:
         assert check_rtt(model, u, v).is_zero()
@@ -740,3 +758,14 @@ def test_flipped_swap_sign_breaks_rtt(monkeypatch, sig, flip):
     # so only the odd-odd flip can show
     one_site = check_rtt(chain(1, xi[:1], twist=twist, sig=sig), u, v)
     assert one_site.is_zero() == (flip == "between")
+
+
+def test_longest_chain_cap():
+    smp = ParameterSampler("extl4", 1)
+    xi = smp.generic(4)
+    model = ChainModel(ChainSpec(4, xi, (2, 1, 3), GL21, 1))
+    u, v = smp.generic(2, avoid=xi)
+    assert check_rtt(model, u, v).is_zero()
+    ps = smp.generic(4, avoid=xi)
+    vec = build_vector(model, ps[:2], ps[2:])
+    assert not vec.is_zero() and grading_of(vec) == 0
