@@ -25,8 +25,9 @@ as the entries T_ab(u) do: over a space of S keys a column {key: x} is
 one int with x in the slot of its key (pack, slot_shifts), packed_product
 applies a packed operator to a sparse column, and unpack reads a column
 back in balanced base 2^W. With every |x| below 2^(W-1) (slot_width) a
-packed column is 0 exactly when the column is. RTT and the exchange
-relations (monodromy.py) multiply the entries of T(u) through it.
+packed column is 0 exactly when the column is. The RTT pass of
+monodromy.py, which serves RTT and the exchange relations alike,
+multiplies the entries of T(u) through it.
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous

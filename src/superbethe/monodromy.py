@@ -30,13 +30,14 @@ first). It is used in two ways:
   Fraction arithmetic. Model.monodromy returns the nine entry operators of
   N_u*T(u), built on every call. The operator identities run on these
   integer operators and scale their residuals back. RTT and the exchange
-  relations multiply entries of N_u*T(u) and N_v*T(v) on one packed
-  engine: _pack_pair packs each column of the 18 entries into the weight
-  space its weight shift predicts, and each column of an entry product is
-  one packed_product. check_rtt contracts the 162 products of the blocks
-  of N*T with the entries of R(u,v), one chain column at a time; the
-  exchange relations read the ExchangeTable of their (u, v) pair
-  (Model.exchange_table, the latest pair only).
+  relations are one streamed pass, _rtt_pass: it packs each column of
+  the 18 entries of N_u*T(u) and N_v*T(v) into the weight space its
+  weight shift predicts and, one chain column at a time, computes the 162
+  entry products as packed_products and contracts them with the entries
+  of R(u,v), and for the exchange relations also of R(v,u). check_rtt
+  unpacks the (u, v) blocks into its operator; the exchange relations,
+  which are RTT written out in components, are signed blocks at (u, v)
+  and (v, u), kept per model for the latest pair (check_supercommutator).
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, product, repeat
 from math import lcm, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 
 from .errors import DivisionByZero
 from .graded import (
@@ -88,7 +89,6 @@ from .graded import (
 )
 from .rational import ONE, is_rational, rat
 from .scalars import as_pair, is_zero, ratio
-from .scalars import g as g_fn
 
 
 @dataclass(frozen=True)
@@ -271,25 +271,6 @@ def _blocks(big, sig, length, signed=True):
     return out
 
 
-def _pack_pair(entries, length, width):
-    """(packed, weights) for the entries {at_u: {(a, b): columns}} of a
-    spectral pair: packed is {at_u: {(a, b): a list over every key k of 0
-    or column k packed (graded.pack) in slots of the given width over the
-    weight space of the weight of k shifted by e_b - e_a}}, and weights
-    gives the weight (graded.weight_spaces) of every key. A row outside the
-    predicted space fails the slot lookup (KeyError)."""
-    weights = {key: weight for weight, keys in weight_spaces(length).items() for key in keys}
-    shifts = {weight: slot_shifts(keys, width) for weight, keys in weight_spaces(length).items()}
-    out = {at_u: {} for at_u in entries}
-    for at_u, cols_of in entries.items():
-        for (a, b), cols in cols_of.items():
-            packed = out[at_u][a, b] = [0] * 3**length
-            for k, col in cols.items():
-                # (k, l) = (1, 1) shifts nothing: the space of T_ab e_k
-                packed[k] = pack(col, shifts.get(_shifted(weights[k], a, b, 1, 1), {}))
-    return out, weights
-
-
 @dataclass
 class Monodromy:
     """The nine entry operators of T(u) at one rational spectral point, held
@@ -301,65 +282,6 @@ class Monodromy:
     def entry(self, i, j) -> GradedOperator:
         """The rational entry T_ij(u)."""
         return self.scaled[(i, j)].scale(rat(1, self.scale))
-
-
-class ExchangeTable(dict):
-    """The entry products of one spectral pair (u, v) on packed int columns.
-
-    An entry T_ab maps the weight space of weight n of the chain
-    (graded.weight_spaces) to that of n + e_b - e_a, so every column of the
-    18 scaled entries N_u T_ab(u) and N_v T_ab(v) is packed (graded.pack)
-    into the space its weight shift predicts; a row outside it fails the
-    slot lookup. Column c of T_ab(x) T_cd(y) is then one packed_product of
-    the packed columns of T_ab(x) with column c of T_cd(y), and lies in the
-    space of the weight of c shifted by e_b - e_a + e_d - e_c. With
-    g(u, v) = gn/gd, an exchange residual of the cleared entries is
-    L + coef Q, L = gd T_ij(u) T_kl(v) +- gd T_kl(v) T_ij(u), coef = +-gn
-    and Q = T_il(v) T_kj(u) - T_il(u) T_kj(v); every entry of it has
-    |x| <= 2 (|gd| + |gn|) S a b, S the largest space and a, b the largest
-    |entry| of N_u T(u) and N_v T(v), and the slots are wide enough for
-    that (graded.slot_width).
-
-    Keyed (at_u, ab, cd), the table holds the packed columns of
-    T_ab(x) T_cd(y), x = u and y = v if at_u, else x = v and y = u, a list
-    over every column c; exchanged holds those of Q. Each is computed on
-    its first lookup: at most 162 products and 81 Q."""
-
-    def __init__(self, model, u, v):
-        super().__init__()
-        mu, mv = model.monodromy(u), model.monodromy(v)
-        self.pair, self.sig, self.length = (u, v), model.sig, model.arity
-        self.gn, self.gd = as_pair(g_fn(u, v, model.c))
-        self.back = rat(1, self.gd * mu.scale * mv.scale)
-        self.spaces = weight_spaces(self.length)
-        largest = [max(map(_largest, mono.scaled.values())) for mono in (mu, mv)]
-        self.width = slot_width(2 * (abs(self.gd) + abs(self.gn)) * max(map(len, self.spaces.values())) * prod(largest))
-        self.entries = {at_u: {ab: op.cols for ab, op in mono.scaled.items()} for at_u, mono in ((True, mu), (False, mv))}
-        self.packed, self.weights = _pack_pair(self.entries, self.length, self.width)
-        self.exchanged = {}
-
-    def __missing__(self, key):
-        at_u, ab, cd = key
-        packed, cols = self.packed[at_u][ab], self.entries[not at_u][cd]
-        out = self[key] = [packed_product(packed, cols[c]) if c in cols else 0 for c in range(3**self.length)]
-        return out
-
-    def q(self, il, kj):
-        """Q = T_il(v) T_kj(u) - T_il(u) T_kj(v) packed, shared by the 81 tuples."""
-        out = self.exchanged.get((il, kj))
-        if out is None:
-            out = self.exchanged[il, kj] = list(map(sub, self[False, il, kj], self[True, il, kj]))
-        return out
-
-    def residual(self, lhs, coef, q, ijkl):
-        """The exchange residual L + coef Q of the tuple ijkl, unpacked from
-        its nonzero columns and scaled back by 1/(gd N_u N_v)."""
-        out = {}
-        for c, x in enumerate([x + coef * y for x, y in zip(lhs, q)]):
-            if x:
-                keys = self.spaces[_shifted(self.weights[c], *ijkl)]
-                out[c] = {r: self.back * y for r, y in unpack(x, keys, self.width).items()}
-        return GradedOperator.from_pruned(self.sig, self.length, out)
 
 
 def _shifted(weight, i, j, k, l):
@@ -386,8 +308,9 @@ class Model:
         self.walks = ({}, {})
         # point id of each walk point, a spectral parameter at eps = 0
         self.point_ids = {}
-        # the ExchangeTable of the latest spectral pair only
-        self._exchange = None
+        # ((u, v), *_rtt_pass(model, u, v, exchange=True)) of the latest
+        # spectral pair only, for check_supercommutator
+        self._pair_blocks = None
         # partition-coefficient lists of the Bethe-vector builders, filled
         # by bethe._coefficients
         self.coefficients = {}
@@ -408,13 +331,6 @@ class Model:
 
     def T(self, i, j, u) -> GradedOperator:
         return self.monodromy(u).entry(i, j)
-
-    def exchange_table(self, u, v) -> ExchangeTable:
-        """The ExchangeTable of (u, v). Only the latest pair is kept: a call
-        at another pair replaces it."""
-        if self._exchange is None or self._exchange.pair != (u, v):
-            self._exchange = ExchangeTable(self, u, v)
-        return self._exchange
 
     def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
         """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
@@ -561,65 +477,96 @@ def check_rtt(model, u, v) -> GradedOperator:
     In components RTT is the 81 exchange relations (Kulish-Sklyanin 1982).
     With T_xc the blocks of the cleared N*T as build_cleared_product gives
     them (_blocks, no extraction sign), block ((a,b),(c,d)) of the cleared
-    residual is
+    residual, rows (a, b, m) and columns (c, d, n), is
 
         sum_xy R[ab,xy] e T_xc(u) T_yd(v) - sum_c'd' R[c'd',cd] e' T_bd'(v) T_ac'(u),
 
     e = -1 iff [y]([x] + [c]) is odd and e' = -1 iff [d']([a] + [c']) is
-    odd: the sign of T(u) x I, while I x T(v) and R x I carry none.
-    R = I + gP has at most two entries in each row and column, so a block
-    has at most four terms and each of the 162 entry products serves two
-    blocks (_rtt_plan); R's entries are read on every call. The columns of
-    the 18 entries are packed into the weight spaces of the chain
-    (_pack_pair, as in ExchangeTable), and for one chain column s at a time
-    each product column is one packed_product and each block column the
-    combination of its terms: no product is kept past its column. Every
-    residual entry has |x| <= 4 r S a b, S the largest space and r, a, b
-    the largest |entry| of the cleared R, T(u) and T(v), and the slots are
-    that wide (graded.slot_width), so a packed block column is 0 only if
-    the residual column is, and only nonzero ones are unpacked."""
-    if is_zero(u - v):
-        raise DivisionByZero("RTT needs u != v")
+    odd: the sign of T(u) x I, while I x T(v) and R x I carry none. The
+    blocks are computed one chain column at a time (_rtt_pass)."""
     sig, length = model.sig, model.arity
-    nr, r = clear_denominators(r_matrix(u, v, sig, model.c))
-    blocks, layers = _rtt_plan(sig.parity)
-    read = {9 * row + col: x for col, colmap in r.cols.items() for row, x in colmap.items()}
-    (t0, c0), (t1, c1), (t2, c2), (t3, c3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))]) for take, signs, reads in layers]
-    scale, largest, entries = nr, [max(map(abs, read.values()))], {}
-    for at_u, x in ((True, u), (False, v)):
-        n, op = build_cleared_product(sig, model.c, length, model.factor_sequence(), x)
-        scale, entries[at_u] = scale * n, _blocks(op, sig, length, signed=False)
-        largest.append(_largest(op))
-        del op  # before the next build: one N*T held at a time
-    spaces, shift = weight_spaces(length), 3**length
-    width = slot_width(4 * max(map(len, spaces.values())) * prod(largest))
-    packed, weights = _pack_pair(entries, length, width)
-    sides = [(packed[at_u].values(), right) for at_u in (True, False) for right in entries[not at_u].values()]
+    (scale,), nonzero = _rtt_pass(model, u, v)
+    blocks, shift = _rtt_plan(sig.parity)[0], 3**length
     out = {}
-    for s in range(shift):
-        cols = [*chain.from_iterable(map(packed_product, left, repeat(col)) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
-        sums = [*map(add, map(add, map(mul, c0, t0(cols)), map(mul, c1, t1(cols))), map(add, map(mul, c2, t2(cols)), map(mul, c3, t3(cols))))]
-        for (a, b, c, d), x in compress(zip(blocks, sums), sums):
-            rows = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
+    for (a, b, c, d), cols in zip(blocks, nonzero):
+        for s, rows in cols.items():
             out.setdefault((3 * c + d - 4) * shift + s, {}).update({(3 * a + b - 4) * shift + m: y for m, y in rows.items()})
     return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, scale))
 
 
+def _rtt_pass(model, u, v, exchange=False):
+    """The blocks of the cleared RTT residual at (u, v), and with exchange
+    also at (v, u): (scales, nonzero).
+
+    nonzero lists the blocks ((a,b),(c,d)) at (u, v) in the order of
+    _rtt_plan's blocks, then with exchange those at (v, u), each as
+    {s: column s} of its nonzero chain columns s only; a side's cleared
+    residual is the rational one times its entry of scales, N_u N_v times
+    the scale of its cleared R. R = I + gP has at most two entries in each
+    row and column, so a block has at most four terms and each of the 162
+    entry products serves two blocks of a side; at (v, u) the products
+    T(v) T(u) take the place of T(u) T(v) and the other way round. R's
+    entries are read on every call. Each column of the 18 entries is
+    packed (graded.pack) into the weight space its weight shift predicts,
+    and a row outside it fails the slot lookup (KeyError). For one chain
+    column s at a time each product column is one packed_product and
+    each block column the combination of its terms: no product is kept past
+    its column. Every residual entry has |x| <= 4 r S a b, S the largest
+    space and r, a, b the largest |entry| of both cleared R's, T(u) and
+    T(v), and the slots are that wide (graded.slot_width), so a packed
+    block column is 0 only if the residual column is, and only nonzero
+    ones are unpacked."""
+    if is_zero(u - v):
+        raise DivisionByZero("RTT needs u != v")
+    sig, length = model.sig, model.arity
+    rs = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))[: 1 + exchange]]
+    read = {81 * side + 9 * row + col: x for side, (_, r) in enumerate(rs) for col, colmap in r.cols.items() for row, x in colmap.items()}
+    blocks, layers = _rtt_plan(sig.parity, exchange)
+    (t0, c0), (t1, c1), (t2, c2), (t3, c3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))]) for take, signs, reads in layers]
+    scale, largest, entries = 1, [max(map(abs, read.values()))], []
+    for x in (u, v):
+        n, op = build_cleared_product(sig, model.c, length, model.factor_sequence(), x)
+        scale *= n
+        entries.append(_blocks(op, sig, length, signed=False))
+        largest.append(max((max(map(abs, colmap.values())) for colmap in op.cols.values()), default=0))
+        del op  # before the next build: one N*T held at a time
+    spaces = weight_spaces(length)
+    width = slot_width(4 * max(map(len, spaces.values())) * prod(largest))
+    weights = {key: weight for weight, keys in spaces.items() for key in keys}
+    shifts = {weight: slot_shifts(keys, width) for weight, keys in spaces.items()}
+    # T_ab maps the space of weight n to that of n + e_b - e_a ((k, l) = (1, 1) shifts nothing)
+    targets = {ab: {w: shifts.get(_shifted(w, *ab, 1, 1), {}) for w in spaces} for ab in entries[0]}
+    packed = [[pack(cols[k], targets[ab][weights[k]]) if k in cols else 0 for k in range(3**length)] for x in entries for ab, cols in x.items()]
+    sides = [(packed[9 * x : 9 * x + 9], right) for x in (0, 1) for right in entries[1 - x].values()]
+    nonzero = [{} for _ in blocks]
+    for s in range(3**length):
+        cols = [*chain.from_iterable(map(packed_product, left, repeat(col)) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
+        sums = [*map(add, map(add, map(mul, c0, t0(cols)), map(mul, c1, t1(cols))), map(add, map(mul, c2, t2(cols)), map(mul, c3, t3(cols))))]
+        for block, x in compress(enumerate(sums), sums):
+            a, b, c, d = blocks[block]
+            nonzero[block][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
+    return [n * scale for n, _ in rs], nonzero
+
+
 @cache
-def _rtt_plan(parity):
-    """The structure of check_rtt's residual for a signature's parity:
+def _rtt_plan(parity, exchange=False):
+    """The structure of the RTT residual's blocks for a signature's parity:
     (blocks, layers).
 
     The 162 entry products are numbered 81 g + 9 j + i: T_ab(x) T_cd(y)
     with i = key(a, b), j = key(c, d), key(a, b) = 3a + b - 4, and x = u,
     y = v if g = 0, x = v, y = u if g = 1. blocks lists the 81
-    ((a,b),(c,d)) as (a, b, c, d). Each of the four layers holds one term
-    of every block, as an itemgetter of its products, its signs and its
-    entries of R, flattened as 9 row + col: R's diagonal and its swap,
-    first on T(u) T(v) and then on T(v) T(u); a block with a = b (c = d)
-    has no swap term on the first (second) side, and sign 0 pads it.
-    R(u,v) = I + gP, as r_matrix builds it for any signed permutation P,
-    has no entry elsewhere."""
+    ((a,b),(c,d)) as (a, b, c, d), in the order of 9 key(a,b) + key(c,d).
+    Each of the four layers holds one term of every block, as an
+    itemgetter of its products, its signs and its entries of R, flattened
+    as 9 row + col: R's diagonal and its swap, first on T(u) T(v) and then
+    on T(v) T(u); a block with a = b (c = d) has no swap term on the first
+    (second) side, and sign 0 pads it. With exchange, blocks lists the 81
+    again and every layer goes on with the terms of the residual at (v, u):
+    the same signs, the products of the other half and the entries of
+    R(v, u), numbered after R(u, v)'s (81 more). R(u,v) = I + gP, as
+    r_matrix builds it for any signed permutation P, has no entry
+    elsewhere."""
     p, pad = [None, *parity], (0, 0, 0)
     key = lambda x, y: 3 * x + y - 4
     blocks = list(product(range(1, 4), repeat=4))
@@ -630,34 +577,37 @@ def _rtt_plan(parity):
             terms[swap].append(pad if swap and a == b else t)
             t = (81 + 9 * key(a, e) + key(b, f), 2 * (p[f] & (p[a] ^ p[e])) - 1, 9 * key(e, f) + key(c, d))
             terms[2 + swap].append(pad if swap and c == d else t)
+    if exchange:
+        blocks *= 2
+        terms = [layer + [((index + 81) % 162, sign, 81 + read) for index, sign, read in layer] for layer in terms]
     layers = [(itemgetter(*index), signs, reads) for index, signs, reads in (zip(*layer) for layer in terms)]
     return blocks, layers
-
-
-def _largest(op):
-    return max((max(map(abs, colmap.values())) for colmap in op.cols.values()), default=0)
 
 
 def check_supercommutator(model, i, j, k, l, u, v):
     """Residuals of both displayed forms of the bilinear exchange relation.
 
-    Every product pairs an entry at u with one at v, so both sides carry the
-    scale N_u N_v of the integer entries; with g(u,v) = gn/gd each
-    residual is (gd*lhs - gn*rhs) / (gd N_u N_v). On the packed columns of
-    the Model.exchange_table of (u, v), the forms are L + c1 Q(il,kj) and
-    L + c2 Q(kj,il), with L = gd T_ij(u) T_kl(v) +- gd T_kl(v) T_ij(u)
-    shared by both, Q(ab,cd) = T_ab(v) T_cd(u) - T_ab(u) T_cd(v) shared by
-    the 81 tuples and c1, c2 = +-gn: one int multiply-add per column, and
-    only nonzero columns are unpacked."""
-    p = model.sig.par
-    t = model.exchange_table(u, v)
-    gn, gd = t.gn, t.gd
-    swapped = gd if (p(i) ^ p(j)) and (p(k) ^ p(l)) else -gd
-    lhs = [gd * x + swapped * y for x, y in zip(t[True, (i, j), (k, l)], t[False, (k, l), (i, j)])]
-    s1 = (p(i) & p(j)) ^ (p(i) & p(l)) ^ (p(j) & p(l))
-    s2 = (p(i) & p(k)) ^ (p(i) & p(l)) ^ (p(k) & p(l))
-    il, kj, ijkl = (i, l), (k, j), (i, j, k, l)
-    return t.residual(lhs, -gn if s1 else gn, t.q(il, kj), ijkl), t.residual(lhs, gn if s2 else -gn, t.q(kj, il), ijkl)
+    They are signed blocks of RTT residuals (check_rtt). With s(a,b) = -1
+    iff [b] = 1 and [a] = 0, the extraction sign of T_ab,
+
+        form 1 of (i,j,k,l) = -s(i,j) s(k,l) (-1)^{[j]([k]+[l])} block ((k,i),(l,j)) at (v, u),
+        form 2 of (i,j,k,l) =  s(i,j) s(k,l) (-1)^{[k]([i]+[j])} block ((i,k),(j,l)) at (u, v).
+
+    One _rtt_pass with exchange computes the blocks at (u, v) and (v, u)
+    for all 81 tuples, and the model keeps their nonzero columns for the
+    latest pair only (Model._pair_blocks); each call scales its two blocks
+    back by 1/(gd N_u N_v), g(u,v) = gn/gd."""
+    pair = model._pair_blocks
+    if pair is None or pair[0] != (u, v):
+        pair = model._pair_blocks = (u, v), *_rtt_pass(model, u, v, exchange=True)
+    _, scales, nonzero = pair
+    p = [None, *model.sig.parity]
+    key = lambda a, b: 3 * a + b - 4
+    s = (-1 if p[j] > p[i] else 1) * (-1 if p[l] > p[k] else 1)
+    form1 = nonzero[81 + 9 * key(k, i) + key(l, j)], s if p[j] & (p[k] ^ p[l]) else -s, scales[1]
+    form2 = nonzero[9 * key(i, k) + key(j, l)], -s if p[k] & (p[i] ^ p[j]) else s, scales[0]
+    zero = GradedOperator(model.sig, model.arity)
+    return tuple(GradedOperator.from_pruned(zero.sig, zero.arity, cols).scale(rat(sign, n)) if cols else zero for cols, sign, n in (form1, form2))
 
 
 def vacuum_residuals(model, u):

@@ -1,10 +1,10 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
 results the vector suites of configs/quick.json compute, the number of
 operator compositions its RTT, exchange and Yang-Baxter suites make, the
-packed products of its RTT suite, the embeds and walked state entries of
-its RTT, composite and Bethe suites, the Fraction operations and hashes of
-its vector suites, and the Fraction operations of the shorthand
-coefficients of the action table.
+packed products of its RTT and exchange suites, the embeds and walked
+state entries of its RTT, composite and Bethe suites, the Fraction
+operations and hashes of its vector suites, and the Fraction operations of
+the shorthand coefficients of the action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -193,10 +193,11 @@ def test_embeds_and_walked_entries_do_not_rise(suite, monkeypatch):
     assert got[0] <= WALK_PINNED[suite][0] and got[1] <= WALK_PINNED[suite][1], (suite, got, WALK_PINNED[suite])
 
 
-# suite -> graded.packed_product calls: check_rtt computes each of the 162
-# entry products once per column of the chain, and only where its right
-# factor's column is nonempty; nothing else of the suite packs
-PACKED_PINNED = {"rtt": 2106}
+# suite -> graded.packed_product calls: the RTT pass computes each of the
+# 162 entry products once per column of the chain, and only where its right
+# factor's column is nonempty, once per RTT check and once per exchange
+# pair for all 81 tuples; nothing else of the suites packs
+PACKED_PINNED = {"rtt": 2106, "commutator": 1026}
 
 
 @pytest.mark.parametrize("suite", sorted(PACKED_PINNED))

@@ -11,9 +11,9 @@ their closed formula at (4,4), and every packaged shorthand coefficient
 against its pair-by-pair evaluation at (3,3). RTT runs at L=4 with a
 perturbed entry against the rational formula, and at L=5, the largest
 arity-L weight spaces and entry products, under a memory pin. The
-exchange relations run at L=4, all 81 tuples, honest and with a perturbed
-entry, against the rational formulas: the only run of their packed
-columns at that size.
+exchange relations, signed blocks of the RTT residuals at (u, v) and
+(v, u) from the same pass, run at L=4, all 81 tuples, honest and with a
+perturbed entry, against the rational formulas.
 """
 
 import os

@@ -29,6 +29,7 @@ from superbethe.graded import (
     clear_denominators,
     embed,
     r_matrix,
+    slot_width,
     weight_spaces,
 )
 from superbethe.monodromy import (
@@ -367,8 +368,15 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
     # R(u,v) is flipped: the embedded product, flipped throughout, differs
     assert not res.is_zero() and res != rtt_reference(model, u, v)
     assert res == rtt_reference(model, u, v, build=Model.monodromy_op)
-    pairs = all_supercommutators(model, u, v)
-    assert all(got == want for got, want in pairs.values())
+    # the exchange residuals are blocks of RTT residuals, so they read the
+    # flipped R(u,v) and R(v,u) too, and some of them fail
+    blocks = {form: _rtt_blocks(rtt_reference(model, *pts, build=Model.monodromy_op), sig, 2) for form, pts in ((1, (v, u)), (2, (u, v)))}
+    failing = 0
+    for t in product(range(1, 4), repeat=4):
+        got = check_supercommutator(model, *t, u, v)
+        assert got == tuple(_exchange_form(sig, blocks[form], form, *t) for form in (1, 2)), t
+        failing += any(not r.is_zero() for r in got)
+    assert failing > 0
     split, x = _split_2_2(sig, 2)
     _, residuals = compose_monodromy(split, x)
     assert residuals == _compose_monodromy_reference(split, x)
@@ -430,10 +438,11 @@ def _plant_foreign_entry(monkeypatch):
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch):
     """With N*T planted at every point as 2^100 in every slot of every
-    weight class and g(u,v) = 1/1000, anticommutator residual entries reach
-    2 gd S a b, above half the bound 2 (|gd| + |gn|) S a b that sizes the
-    slots, so a slot one bit narrower would not hold them; the unpacked
-    residuals still equal the rational formulas."""
+    weight class and g(u,v) = 1/1000, anticommutator residual entries of
+    the cleared blocks reach 2 gd S a b, near half the bound 4 r S a b,
+    r = gd + gn, that sizes the slots of RTT and the exchange relations
+    alike, so slots two bits narrower than theirs would not hold them; the
+    unpacked residuals still equal the rational formulas."""
     honest = monodromy.build_cleared_product
 
     def dense(sig, c, length, factors, x):
@@ -441,16 +450,19 @@ def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch)
         cols = {col: {row: 2**100 for row in keys} for keys in weight_spaces(length + 1).values() for col in keys}
         return n, GradedOperator(sig, length + 1, cols)
 
+    bounds = []
     monkeypatch.setattr(monodromy, "build_cleared_product", dense)
+    monkeypatch.setattr(monodromy, "slot_width", lambda bound: bounds.append(bound) or slot_width(bound))
     model = chain(2, (rat(1, 3), rat(-2, 5)), twist=(2, rat(1, 3), -3), sig=sig)
     u, v = rat(1001, 2), rat(-999, 2)
     pairs = all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
-    t = model.exchange_table(u, v)
-    assert (t.gn, t.gd) == (1, 1000)
-    bound = 2 * (t.gd + t.gn) * max(map(len, weight_spaces(2).values())) * 2**200
-    largest = max(abs(x / t.back) for got, _ in pairs.values() for r in got for m in r.cols.values() for x in m.values())
-    assert 2 * largest > bound
+    cleared = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))]
+    assert [n for n, _ in cleared] == [1000, 1000]
+    r = max(abs(x) for _, op in cleared for m in op.cols.values() for x in m.values())
+    assert r == 1001 and bounds == [4 * r * max(map(len, weight_spaces(2).values())) * 2**200]
+    largest = max(abs(x) for cols in model._pair_blocks[-1] for rows in cols.values() for x in rows.values())
+    assert largest >= 2 ** (slot_width(bounds[0]) - 3)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -511,17 +523,40 @@ def test_rtt_residual_beyond_the_entry_product_fits_its_slots(sig, monkeypatch):
     assert largest(cleared) > largest(r) * largest(a) * largest(b)
 
 
-@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-@pytest.mark.parametrize("at_u", [True, False], ids=["at-u", "at-v"])
-def test_rtt_blocks_are_the_exchange_relations(sig, at_u, monkeypatch):
-    """Block ((a,b),(c,d)) of the RTT residual, rows (a, b, m) and columns
-    (c, d, n), is the second exchange form of the tuple (a, c, b, d)
-    (Kulish-Sklyanin 1982) times e(a,b,c) s(a,c) s(b,d): e the sign of
-    T(u) x I, -1 iff [b]([a] + [c]) is odd, and s(i,j) = -1 iff [j] = 1
-    and [i] = 0, the extraction sign of the entry T_ij. With the first
-    entry of N*T(u) (of N*T(v)) perturbed, 12 (8) blocks are nonzero."""
+def _rtt_blocks(res, sig, length):
+    """{(a, b, c, d): block ((a,b),(c,d))} of an RTT residual, the block
+    with rows (a, b, m) and columns (c, d, n) as an operator on the chain."""
+    shift = 3**length
+    blocks = {}
+    for col, colmap in res.cols.items():
+        for row, x in colmap.items():
+            blocks.setdefault((row // shift, col // shift), {}).setdefault(col % shift, {})[row % shift] = x
+    return {(a, b, c, d): GradedOperator(sig, length, blocks.get((3 * a + b - 4, 3 * c + d - 4), {})) for a, b, c, d in product(range(1, 4), repeat=4)}
+
+
+def _exchange_form(sig, blocks, form, i, j, k, l):
+    """Exchange form 1 (2) of the tuple (i, j, k, l) read off the _rtt_blocks
+    of the RTT residual at (v, u) (at (u, v)), by the sign table of
+    check_supercommutator: -s(i,j) s(k,l) (-1)^{[j]([k]+[l])} block
+    ((k,i),(l,j)), resp. s(i,j) s(k,l) (-1)^{[k]([i]+[j])} block
+    ((i,k),(j,l)), with s(a,b) = -1 iff [b] = 1 and [a] = 0, the extraction
+    sign of the entry T_ab."""
     p = [None, *sig.parity]
-    s = lambda i, j: -1 if p[j] and not p[i] else 1
+    s = (-1 if p[j] and not p[i] else 1) * (-1 if p[l] and not p[k] else 1)
+    if form == 1:
+        return blocks[k, i, l, j].scale(s if p[j] & (p[k] ^ p[l]) else -s)
+    return blocks[i, k, j, l].scale(-s if p[k] & (p[i] ^ p[j]) else s)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize(
+    "at_u, form", [(True, 2), (False, 2), (True, 1), (False, 1)], ids=["at-u", "at-v", "at-u-form-1", "at-v-form-1"]
+)
+def test_rtt_blocks_are_the_exchange_relations(sig, at_u, form, monkeypatch):
+    """The blocks of the RTT residual at (v, u) are the first exchange forms
+    and those at (u, v) the second ones (Kulish-Sklyanin 1982), signed as
+    _exchange_form reads them. With the first entry of N*T(u) (of N*T(v))
+    perturbed, 12 (8) blocks at (u, v) and 8 (12) at (v, u) are nonzero."""
     for length in (1, 2, 3):
         smp = ParameterSampler(f"rtt-blocks:{sig.name}:{length}", 1)
         xi = smp.generic(length)
@@ -529,20 +564,13 @@ def test_rtt_blocks_are_the_exchange_relations(sig, at_u, monkeypatch):
         u, v = smp.generic(2, avoid=xi)
         with monkeypatch.context() as patched:
             perturb_at(patched, u if at_u else v)
-            res = check_rtt(model, u, v)
-            shift = 3**length
-            blocks = {}
-            for col, colmap in res.cols.items():
-                for row, x in colmap.items():
-                    blocks.setdefault((row // shift, col // shift), {}).setdefault(col % shift, {})[row % shift] = x
+            blocks = _rtt_blocks(check_rtt(model, *((v, u) if form == 1 else (u, v))), sig, length)
             nonzero = 0
-            for a, b, c, d in product(range(1, 4), repeat=4):
-                got = GradedOperator(sig, length, blocks.get((3 * a + b - 4, 3 * c + d - 4), {}))
-                e = -1 if p[b] & (p[a] ^ p[c]) else 1
-                want = check_supercommutator(model, a, c, b, d, u, v)[1].scale(e * s(a, c) * s(b, d))
-                assert got == want, (length, a, b, c, d)
+            for t in product(range(1, 4), repeat=4):
+                got = check_supercommutator(model, *t, u, v)[form - 1]
+                assert got == _exchange_form(sig, blocks, form, *t), (length, t)
                 nonzero += not got.is_zero()
-        assert nonzero == (12 if at_u else 8), (length, nonzero)
+        assert nonzero == (12 if at_u == (form == 2) else 8), (length, nonzero)
 
 
 def test_operator_identities_multiply_only_ints(monkeypatch):
@@ -645,7 +673,8 @@ def test_rtt_streams_its_residual():
 def test_exchange_products_are_composed_once_per_pair(monkeypatch):
     """The exchange relations compose no operator: each of the 162 entry
     products of a pair is computed once on packed columns, one
-    packed_product per column, and each Q once for the 81 tuples."""
+    packed_product per column, for all 81 tuples, and the model keeps only
+    nonzero block columns, of the latest pair only."""
     calls = Counter()
     honest = GradedOperator.compose
     honest_packed_product = monodromy.packed_product
@@ -670,7 +699,7 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v)), t
     assert calls["compose"] == 0
     assert calls["packed_product"] <= 162 * 3**2
-    assert len(model._exchange) <= 162 and len(model._exchange.exchanged) <= 81
+    assert model._pair_blocks[0] == (u, v) and not any(model._pair_blocks[-1])
     # with T(u) perturbed the residuals at (u, v), (v, u) and (u, w) are
     # nonzero and differ, so a product kept from another pair would show
     perturb_at(monkeypatch, u)
@@ -682,7 +711,7 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
             assert got == check_supercommutator(chain(2, xi, twist=twist, sig=GL12), *t, x, y), (t, x, y)
             nonzero += any(not r.is_zero() for r in got)
     assert nonzero > 0
-    assert model._exchange.pair == (u, w) and len(model._exchange) <= 162
+    assert model._pair_blocks[0] == (u, w)
 
 
 def test_model_holds_no_monodromy():
