@@ -200,8 +200,8 @@ def bilinear_sum(
     """
     reordered = part1_written_first if dual else part2_written_first
     base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
-    partials = PartialCache(builder)
-    target = lambda args: compose_ket(partials.get(1, m1, *args[:2]), partials.get(2, m2, *args[2:]), reordered)
+    # each split has its own (uI, vI) and (uII, vII): no partial recurs
+    target = lambda args: compose_ket(builder(m1, *args[:2]), builder(m2, *args[2:]), reordered)
     acc = (DualGradedVector if dual else GradedVector)(m1.sig, m1.arity + m2.arity)
     return partition_sum(_bilinear_terms(coeff), base, target, acc)
 

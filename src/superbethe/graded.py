@@ -2,7 +2,7 @@
 
 Basis multi-indices over {1,2,3} are encoded as base-3 integers (first tensor
 factor most significant, so integer order == lexicographic order); parities
-are cached per (signature, arity). Koszul signs enter in exactly two places:
+are cached per (signature, arity). Here Koszul signs enter in two places:
 
 * koszul_tensor, whose entrywise sign (-1)^{(par(rB)+par(cB)) * par(cA)}
   reproduces the matrix-unit product rule
@@ -13,8 +13,12 @@ are cached per (signature, arity). Koszul signs enter in exactly two places:
   parity-changing block picks up the parity of the identity-factor column
   digits to its left.
 
-Everything downstream is plain sparse matrix algebra; once an operator is
-materialized the signs are inside it. Every operator sum (add, sub, R(u,v),
+monodromy.py carries three more, none shared with these: swap_sign, the
+sign of P_{0k} in the walk of T(u); extraction_sign, one constant per
+entry T_ij read off the auxiliary matrix units; and the signs e and e' of
+T(u) x I in the RTT plan (_rtt_plan), which also reads the extraction
+signs. Everything else is plain sparse matrix algebra; once an operator
+is materialized the signs are inside it. Every operator sum (add, sub, R(u,v),
 the Yang-Baxter and coproduct residuals) is one linear_combination, with
 no intermediate operator.
 

@@ -7,9 +7,11 @@ A chain realization is the ordered operator product
 on (auxiliary factor) x (sites 1..L), auxiliary factor first, with
 D = diag(d_1, d_2, d_3) acting in the auxiliary space. Entries T_ij(u) are
 read off the auxiliary matrix units with the Koszul extraction sign
-(-1)^{(par(row)+par(col)) [j]}; the L=1 worked value T_13(u) = -g(u,0) E_31
-and the closed forms lambda_1 = d_1 f(u, xi), lambda_2 = d_2, lambda_3 = d_3
-pin this convention against the vacuum axioms.
+(-1)^{(par(row)+par(col)) [j]}, which is one constant per entry since T(u)
+conserves the weight (extraction_sign, the one definition of it); the L=1
+worked value T_13(u) = -g(u,0) E_31 and the closed forms
+lambda_1 = d_1 f(u, xi), lambda_2 = d_2, lambda_3 = d_3 pin this convention
+against the vacuum axioms.
 
 The factor-sequence form is deliberately more general than a single chain:
 composite totals interleave two diagonal twists between the site blocks,
@@ -23,18 +25,19 @@ _apply_factor pushes a sparse state through the integer multiple of one
 factor: the twist times the lcm of its denominators, and
 gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd. Every factor is symmetric, so
 the same factors serve kets (walked rightmost first) and bras (leftmost
-first). It is used in two ways:
+first). T(u) is reached in two ways:
 
-* Whole operators. build_cleared_product walks each column prefix
+* Whole entries. build_cleared_product walks each column prefix
   (aux, s_1..s_j) once and gives (N_u, N_u*T(u)) with int entries and no
-  Fraction arithmetic. Model.monodromy returns the nine entry operators of
-  N_u*T(u), built on every call. The operator identities run on these
-  integer operators and scale their residuals back. RTT and the exchange
-  relations are one streamed pass, _rtt_pass: it packs each column of
-  the 18 entries of N_u*T(u) and N_v*T(v) into the weight space its
-  weight shift predicts and, one chain column at a time, computes the 162
-  entry products as packed_products and contracts them with the entries
-  of R(u,v), and for the exchange relations also of R(v,u). check_rtt
+  Fraction arithmetic. Model.monodromy splits it into the nine signed
+  entry operators of N_u*T(u) (extract_entries), built on every call; RTT,
+  the exchange relations, the coproduct and Model.T read them, and the
+  operator identities scale their residuals back. RTT and the exchange
+  relations are one streamed pass, _rtt_pass: it packs each column of the
+  18 entries of N_u*T(u) and N_v*T(v) into the weight space its weight
+  shift predicts and, one chain column at a time, computes the 162 entry
+  products as packed_products and contracts them with the entries of
+  R(u,v), and for the exchange relations also of R(v,u). check_rtt
   unpacks the (u, v) blocks into its operator; the exchange relations,
   which are RTT written out in components, are signed blocks at (u, v)
   and (v, u), kept per model for the latest pair (check_supercommutator).
@@ -42,10 +45,12 @@ first). It is used in two ways:
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
-  the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec).
-  One cache per model holds the factors' (m, weights) per point, keyed by
-  its point id; the graded signs are indices shared by every point.
-  Model.apply_T scales by 1/m once at the end.
+  the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec);
+  the extraction sign is one factor of the walk's twist scalar. One cache
+  per model holds the factors' (m, weights) per point, keyed by its point
+  id; the graded signs are indices shared by every point. Model.apply_T
+  scales by 1/m once at the end. The vacuum axioms (vacuum_residuals) are
+  twelve walks of Omega and Omega^+ on one _cleared_sequence.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
@@ -251,24 +256,40 @@ def _apply_factor(length, weights, state, keep=None):
     return {key: x for key, x in out.items() if x}
 
 
+def extraction_sign(sig, i, j):
+    """The Koszul sign eps_ij with which the entry T_ij is read off the
+    auxiliary matrix units: -1 iff [j] = 1 and [i] = 0. Reading it off
+    carries (-1)^{[j] (par(row) + par(col))}, and T(u) conserves the weight,
+    so every nonzero entry of the block (i, j) has par(row) + par(col) =
+    [i] + [j] and the sign is this one constant."""
+    return -1 if sig.par(j) > sig.par(i) else 1
+
+
+_SIGN_TABLES = {}
+
+
+def _sign_table(sig):
+    """(p, eps) for a signature: p[i] = [i] and eps[i][j] =
+    extraction_sign(sig, i, j), indexed 1..3; built once per parity."""
+    table = _SIGN_TABLES.get(sig.parity)
+    if table is None:
+        eps = [None] + [[None] + [extraction_sign(sig, i, j) for j in range(1, 4)] for i in range(1, 4)]
+        table = _SIGN_TABLES[sig.parity] = [None, *sig.parity], eps
+    return table
+
+
 def extract_entries(big: GradedOperator, sig, length):
-    """Split an auxiliary x chain operator into its nine auxiliary blocks."""
-    return {ij: GradedOperator.from_pruned(sig, length, cols) for ij, cols in _blocks(big, sig, length).items()}
-
-
-def _blocks(big, sig, length, signed=True):
-    """The nine auxiliary blocks of an auxiliary x chain operator as
-    {(i, j): {col: {row: x}}}; signed, each entry carries the extraction
-    sign (-1)^{[j] (par(row) + par(col))}."""
-    shift, par = 3**length, parity_table(sig, length)
+    """Split an auxiliary x chain operator into its nine auxiliary blocks,
+    T_ij the block (i, j) times extraction_sign(sig, i, j)."""
+    eps = _sign_table(sig)[1]
+    shift = 3**length
     out = {(i, j): {} for i in range(1, 4) for j in range(1, 4)}
     for col, colmap in big.cols.items():
         j, n = divmod(col, shift)
-        flip = signed and sig.parity[j]
         for row, val in colmap.items():
             i, m = divmod(row, shift)
-            out[i + 1, j + 1].setdefault(n, {})[m] = -val if flip and par[m] ^ par[n] else val
-    return out
+            out[i + 1, j + 1].setdefault(n, {})[m] = val if eps[i + 1][j + 1] > 0 else -val
+    return {ij: GradedOperator.from_pruned(sig, length, cols) for ij, cols in out.items()}
 
 
 @dataclass
@@ -355,10 +376,7 @@ class Model:
         are multiplied; then m = M*n."""
         m, weights = self._walk_weights(self.point_id(u) if pid is None else pid, u)
         n, vec = _cleared_vector(vec)
-        m *= n
-        if dual:
-            return m, self._walk(i, j, j, vec, weights)
-        return m, self._walk(j, i, j, vec, weights[::-1])
+        return m * n, self._walk(i, j, vec, weights, dual)
 
     def _walk_weights(self, pid, u):
         """The _cleared_sequence of the whole factor sequence at u, cached
@@ -368,25 +386,29 @@ class Model:
             hit = self._weights[pid] = _cleared_sequence(self.sig, self.c, self.factor_sequence(), u)
         return hit
 
-    def _walk(self, start, end, j, vec, factors):
-        """Lift vec to auxiliary index start, apply the factors in the given
-        order and project onto auxiliary index end; both ends carry the
-        extraction sign (-1)^{[j] par(chain digits)}. Nothing is computed
-        that the projection would drop: a twist first in the order meets
-        only auxiliary index start and one last only end, so each is the
-        scalar of its entry there, and the last factor walked keeps only
-        its outputs on end."""
+    def _walk(self, i, j, vec, factors, dual=False):
+        """T_ij . vec, or with dual vec . T_ij, for the factors given
+        leftmost first (the _cleared_sequence data of some point): vec is
+        lifted to auxiliary index j (i), the factors are applied rightmost
+        (leftmost) first, and the state is projected onto auxiliary index i
+        (j). The extraction sign is one constant (extraction_sign), so it
+        joins the twist scalar d. Nothing is computed that the projection
+        would drop: a twist first in the order meets only the lifted index
+        and one last only the projected one, so each is the scalar of its
+        entry there, and the last factor walked keeps only its outputs on
+        the projected index."""
         _check_pair(self, vec)
-        shift = 3 ** self.arity
-        par = parity_table(self.sig, self.arity)
-        odd = self.sig.par(j)
-        d = 1
+        start, end = (i, j) if dual else (j, i)
+        if not dual:
+            factors = factors[::-1]
+        d = extraction_sign(self.sig, i, j)
         if factors and factors[0][0] == "diag":
-            d, factors = factors[0][1][start - 1], factors[1:]
+            d, factors = d * factors[0][1][start - 1], factors[1:]
         if factors and factors[-1][0] == "diag":
             d, factors = d * factors[-1][1][end - 1], factors[:-1]
+        shift = 3**self.arity
         lo = (start - 1) * shift
-        state = {lo + n: d * (-x if odd and par[n] else x) for n, x in vec.entries.items()}
+        state = {lo + n: d * x for n, x in vec.entries.items()}
         for weights in factors[:-1]:
             state = _apply_factor(self.arity, weights, state)
         if factors:
@@ -394,11 +416,7 @@ class Model:
         elif start != end:
             state = {}  # no site factor: T(u) is the twist, diagonal
         lo = (end - 1) * shift
-        out = {}
-        for key, x in state.items():
-            m = key - lo
-            out[m] = -x if odd and par[m] else x
-        return type(vec)(self.sig, self.arity, out)
+        return type(vec)(self.sig, self.arity, {key - lo: x for key, x in state.items()})
 
     def weight_space_nonempty(self, a, b):
         """Whether a Bethe vector B_{a,b} (C, B~, C~ alike) can be nonzero
@@ -475,18 +493,19 @@ def check_rtt(model, u, v) -> GradedOperator:
     """R(u,v)(T(u) x I)(I x T(v)) - (I x T(v))(T(u) x I)R(u,v); zero iff RTT holds.
 
     In components RTT is the 81 exchange relations (Kulish-Sklyanin 1982).
-    With T_xc the blocks of the cleared N*T as build_cleared_product gives
-    them (_blocks, no extraction sign), block ((a,b),(c,d)) of the cleared
+    With T_xc the entries of N*T as Model.monodromy gives them and
+    eps_xc = extraction_sign(sig, x, c), block ((a,b),(c,d)) of the cleared
     residual, rows (a, b, m) and columns (c, d, n), is
 
-        sum_xy R[ab,xy] e T_xc(u) T_yd(v) - sum_c'd' R[c'd',cd] e' T_bd'(v) T_ac'(u),
+        sum_xy R[ab,xy] e eps_xc eps_yd T_xc(u) T_yd(v)
+            - sum_c'd' R[c'd',cd] e' eps_ac' eps_bd' T_bd'(v) T_ac'(u),
 
     e = -1 iff [y]([x] + [c]) is odd and e' = -1 iff [d']([a] + [c']) is
     odd: the sign of T(u) x I, while I x T(v) and R x I carry none. The
     blocks are computed one chain column at a time (_rtt_pass)."""
     sig, length = model.sig, model.arity
     (scale,), nonzero = _rtt_pass(model, u, v)
-    blocks, shift = _rtt_plan(sig.parity)[0], 3**length
+    blocks, shift = _rtt_plan(sig)[0], 3**length
     out = {}
     for (a, b, c, d), cols in zip(blocks, nonzero):
         for s, rows in cols.items():
@@ -505,33 +524,35 @@ def _rtt_pass(model, u, v, exchange=False):
     the scale of its cleared R. R = I + gP has at most two entries in each
     row and column, so a block has at most four terms and each of the 162
     entry products serves two blocks of a side; at (v, u) the products
-    T(v) T(u) take the place of T(u) T(v) and the other way round. R's
-    entries are read on every call. Each column of the 18 entries is
-    packed (graded.pack) into the weight space its weight shift predicts,
-    and a row outside it fails the slot lookup (KeyError). For one chain
-    column s at a time each product column is one packed_product and
-    each block column the combination of its terms: no product is kept past
-    its column. Every residual entry has |x| <= 4 r S a b, S the largest
-    space and r, a, b the largest |entry| of both cleared R's, T(u) and
-    T(v), and the slots are that wide (graded.slot_width), so a packed
-    block column is 0 only if the residual column is, and only nonzero
-    ones are unpacked."""
+    T(v) T(u) take the place of T(u) T(v) and the other way round. The
+    entries N*T(u) and N*T(v) are those of Model.monodromy, and R's entries
+    are read on every call. Each column of the 18 entries is packed
+    (graded.pack) into the weight space its weight shift predicts, and a
+    row outside it fails the slot lookup (KeyError). For one chain column s
+    at a time each product column is one packed_product and each block
+    column the combination of its terms: no product is kept past its
+    column. R's diagonal holds gd + gn and gd - gn, so r, the largest
+    |entry| of both cleared R's, is |gd| + |gn|, and no row or column of R
+    sums to more than r in absolute value; each side of a block is then at
+    most r S a b and every residual entry has |x| <= 2 r S a b, S the
+    largest space and a, b the largest |entry| of N*T(u) and N*T(v). The
+    slots are that wide (graded.slot_width), so a packed block column is 0
+    only if the residual column is, and only nonzero ones are unpacked."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
     sig, length = model.sig, model.arity
     rs = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))[: 1 + exchange]]
     read = {81 * side + 9 * row + col: x for side, (_, r) in enumerate(rs) for col, colmap in r.cols.items() for row, x in colmap.items()}
-    blocks, layers = _rtt_plan(sig.parity, exchange)
+    blocks, layers = _rtt_plan(sig, exchange)
     (t0, c0), (t1, c1), (t2, c2), (t3, c3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))]) for take, signs, reads in layers]
     scale, largest, entries = 1, [max(map(abs, read.values()))], []
     for x in (u, v):
-        n, op = build_cleared_product(sig, model.c, length, model.factor_sequence(), x)
-        scale *= n
-        entries.append(_blocks(op, sig, length, signed=False))
-        largest.append(max((max(map(abs, colmap.values())) for colmap in op.cols.values()), default=0))
-        del op  # before the next build: one N*T held at a time
+        mono = model.monodromy(x)
+        scale *= mono.scale
+        entries.append({ij: op.cols for ij, op in mono.scaled.items()})
+        largest.append(max((max(map(abs, colmap.values())) for cols in entries[-1].values() for colmap in cols.values()), default=0))
     spaces = weight_spaces(length)
-    width = slot_width(4 * max(map(len, spaces.values())) * prod(largest))
+    width = slot_width(2 * max(map(len, spaces.values())) * prod(largest))
     weights = {key: weight for weight, keys in spaces.items() for key in keys}
     shifts = {weight: slot_shifts(keys, width) for weight, keys in spaces.items()}
     # T_ab maps the space of weight n to that of n + e_b - e_a ((k, l) = (1, 1) shifts nothing)
@@ -549,8 +570,8 @@ def _rtt_pass(model, u, v, exchange=False):
 
 
 @cache
-def _rtt_plan(parity, exchange=False):
-    """The structure of the RTT residual's blocks for a signature's parity:
+def _rtt_plan(sig, exchange=False):
+    """The structure of the RTT residual's blocks for a signature:
     (blocks, layers).
 
     The 162 entry products are numbered 81 g + 9 j + i: T_ab(x) T_cd(y)
@@ -561,22 +582,23 @@ def _rtt_plan(parity, exchange=False):
     itemgetter of its products, its signs and its entries of R, flattened
     as 9 row + col: R's diagonal and its swap, first on T(u) T(v) and then
     on T(v) T(u); a block with a = b (c = d) has no swap term on the first
-    (second) side, and sign 0 pads it. With exchange, blocks lists the 81
-    again and every layer goes on with the terms of the residual at (v, u):
-    the same signs, the products of the other half and the entries of
-    R(v, u), numbered after R(u, v)'s (81 more). R(u,v) = I + gP, as
-    r_matrix builds it for any signed permutation P, has no entry
-    elsewhere."""
-    p, pad = [None, *parity], (0, 0, 0)
+    (second) side, and sign 0 pads it. A sign is e (e') times the
+    extraction signs of the product's two entries (check_rtt). With
+    exchange, blocks lists the 81 again and every layer goes on with the
+    terms of the residual at (v, u): the same signs, the products of the
+    other half and the entries of R(v, u), numbered after R(u, v)'s (81
+    more). R(u,v) = I + gP, as r_matrix builds it for any signed
+    permutation P, has no entry elsewhere."""
+    (p, eps), pad = _sign_table(sig), (0, 0, 0)
     key = lambda x, y: 3 * x + y - 4
     blocks = list(product(range(1, 4), repeat=4))
     terms = [[], [], [], []]
     for a, b, c, d in blocks:
         for swap, ((x, y), (e, f)) in enumerate((((a, b), (c, d)), ((b, a), (d, c)))):
-            t = (9 * key(y, d) + key(x, c), 1 - 2 * (p[y] & (p[x] ^ p[c])), 9 * key(a, b) + key(x, y))
-            terms[swap].append(pad if swap and a == b else t)
-            t = (81 + 9 * key(a, e) + key(b, f), 2 * (p[f] & (p[a] ^ p[e])) - 1, 9 * key(e, f) + key(c, d))
-            terms[2 + swap].append(pad if swap and c == d else t)
+            sign = (1 - 2 * (p[y] & (p[x] ^ p[c]))) * eps[x][c] * eps[y][d]
+            terms[swap].append(pad if swap and a == b else (9 * key(y, d) + key(x, c), sign, 9 * key(a, b) + key(x, y)))
+            sign = (2 * (p[f] & (p[a] ^ p[e])) - 1) * eps[a][e] * eps[b][f]
+            terms[2 + swap].append(pad if swap and c == d else (81 + 9 * key(a, e) + key(b, f), sign, 9 * key(e, f) + key(c, d)))
     if exchange:
         blocks *= 2
         terms = [layer + [((index + 81) % 162, sign, 81 + read) for index, sign, read in layer] for layer in terms]
@@ -587,11 +609,11 @@ def _rtt_plan(parity, exchange=False):
 def check_supercommutator(model, i, j, k, l, u, v):
     """Residuals of both displayed forms of the bilinear exchange relation.
 
-    They are signed blocks of RTT residuals (check_rtt). With s(a,b) = -1
-    iff [b] = 1 and [a] = 0, the extraction sign of T_ab,
+    They are signed blocks of RTT residuals (check_rtt). With eps_ab =
+    extraction_sign(sig, a, b),
 
-        form 1 of (i,j,k,l) = -s(i,j) s(k,l) (-1)^{[j]([k]+[l])} block ((k,i),(l,j)) at (v, u),
-        form 2 of (i,j,k,l) =  s(i,j) s(k,l) (-1)^{[k]([i]+[j])} block ((i,k),(j,l)) at (u, v).
+        form 1 of (i,j,k,l) = -eps_ij eps_kl (-1)^{[j]([k]+[l])} block ((k,i),(l,j)) at (v, u),
+        form 2 of (i,j,k,l) =  eps_ij eps_kl (-1)^{[k]([i]+[j])} block ((i,k),(j,l)) at (u, v).
 
     One _rtt_pass with exchange computes the blocks at (u, v) and (v, u)
     for all 81 tuples, and the model keeps their nonzero columns for the
@@ -601,11 +623,11 @@ def check_supercommutator(model, i, j, k, l, u, v):
     if pair is None or pair[0] != (u, v):
         pair = model._pair_blocks = (u, v), *_rtt_pass(model, u, v, exchange=True)
     _, scales, nonzero = pair
-    p = [None, *model.sig.parity]
-    key = lambda a, b: 3 * a + b - 4
-    s = (-1 if p[j] > p[i] else 1) * (-1 if p[l] > p[k] else 1)
-    form1 = nonzero[81 + 9 * key(k, i) + key(l, j)], s if p[j] & (p[k] ^ p[l]) else -s, scales[1]
-    form2 = nonzero[9 * key(i, k) + key(j, l)], -s if p[k] & (p[i] ^ p[j]) else s, scales[0]
+    p, eps = _sign_table(model.sig)
+    s = eps[i][j] * eps[k][l]
+    # blocks 81 + 9 key(k,i) + key(l,j) and 9 key(i,k) + key(j,l), key as in _rtt_plan
+    form1 = nonzero[27 * k + 9 * i + 3 * l + j + 41], s if p[j] & (p[k] ^ p[l]) else -s, scales[1]
+    form2 = nonzero[27 * i + 9 * k + 3 * j + l - 40], -s if p[k] & (p[i] ^ p[j]) else s, scales[0]
     zero = GradedOperator(model.sig, model.arity)
     return tuple(GradedOperator.from_pruned(zero.sig, zero.arity, cols).scale(rat(sign, n)) if cols else zero for cols, sign, n in (form1, form2))
 
@@ -613,23 +635,22 @@ def check_supercommutator(model, i, j, k, l, u, v):
 def vacuum_residuals(model, u):
     """Every vacuum-axiom residual at the spectral point u, as (name, is_zero).
 
-    The axioms are homogeneous in T(u), so they are read off the
-    entries of N_u*T(u), with the eigenvalues scaled by N_u as well."""
-    mono = model.monodromy(u)
-    t = mono.scaled
-    omega = model.omega()
-    dual = model.omega_dual()
+    Each axiom applies one entry of T(u) to Omega or Omega^+: twelve walks
+    (Model._walk) of the integer multiples of the factors at u, one
+    _cleared_sequence with multiplier M, so each walk gives M times the
+    entry's action and the eigenvalues are scaled by M as well. No entry of
+    T(u) is materialized."""
+    m, factors = _cleared_sequence(model.sig, model.c, model.factor_sequence(), u)
+    omega, dual = model.omega(), model.omega_dual()
     out = []
     for i in range(1, 4):
-        lam = model.lam(i, u) * mono.scale
-        res = t[i, i].apply(omega).sub(omega.scale(lam))
-        out.append((f"T{i}{i} ket eigenvalue", res.is_zero()))
-        dres = t[i, i].apply_dual(dual).sub(dual.scale(lam))
-        out.append((f"T{i}{i} bra eigenvalue", dres.is_zero()))
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i > j:
-                out.append((f"T{i}{j} annihilates ket", t[i, j].apply(omega).is_zero()))
-            elif i < j:
-                out.append((f"T{i}{j} annihilates bra", t[i, j].apply_dual(dual).is_zero()))
+        lam = model.lam(i, u) * m
+        for side, vec in (("ket", omega), ("bra", dual)):
+            res = model._walk(i, i, vec, factors, vec is dual).sub(vec.scale(lam))
+            out.append((f"T{i}{i} {side} eigenvalue", res.is_zero()))
+    for i, j in product(range(1, 4), repeat=2):
+        if i > j:
+            out.append((f"T{i}{j} annihilates ket", model._walk(i, j, omega, factors).is_zero()))
+        elif i < j:
+            out.append((f"T{i}{j} annihilates bra", model._walk(i, j, dual, factors, True).is_zero()))
     return out

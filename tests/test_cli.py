@@ -541,3 +541,32 @@ def test_fixed_parameter_poles_follow_the_signature():
     assert parse_config({"u": ["4"], "v": ["3"], "chains": gl12}).vs == (3,)
     with pytest.raises(SchemaError):
         parse_config({"u": ["4"], "v": ["3"], "chains": gl21})
+
+
+def test_a_configured_split_is_the_one_the_split_suites_use():
+    """split names the parts in order, which need not be the first pair of
+    chains with disjoint xi the runner would pick without it."""
+    from superbethe import cli
+
+    chains = [{"L": 1, "xi": ["0"]}, {"L": 1, "xi": ["1"]}, {"L": 2, "xi": ["2", "5/2"], "twist": ["2", "1", "3"]}]
+    cfg = parse_config({"chains": chains, "suites": [], "split": [2, 0]})
+    split, xi = cli._Runner(cfg).split_of("composite", "gl(2|1)")
+    assert (split.part1, split.part2) == (cfg.chains[2], cfg.chains[0])
+    assert xi == (2, rat(5, 2), 0)
+    default, _ = cli._Runner(parse_config({"chains": chains, "suites": []})).split_of("composite", "gl(2|1)")
+    assert (default.part1, default.part2) == (cfg.chains[0], cfg.chains[1])
+
+
+def test_fixed_parameters_are_the_ones_the_records_name():
+    """With u and v fixed in the config, each action and recursion check at
+    (a,b) runs at the first a u's and the first b v's (b - 1 for the
+    recursion, which adds z) and names them as its parameters."""
+    raw = {"chains": [{"L": 2, "xi": ["0", "1/2"]}], "suites": ["actions", "recursion"], "campaigns": 1,
+           "max_a": 1, "max_b": 1, "u": ["3", "5"], "v": ["9", "7/2"]}
+    report = run_suites(parse_config(raw))
+    assert report.all_zero() and {r.suite for r in report.records} == {"actions", "recursion"}
+    for record in report.records:
+        a, b = map(int, re.search(r"\(a,b\)=\((\d),(\d)\)", record.name).groups())
+        b -= record.suite == "recursion"
+        assert record.parameters["u"] == ",".join(raw["u"][:a]), record.name
+        assert record.parameters["v"] == ",".join(raw["v"][:b]), record.name

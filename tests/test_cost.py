@@ -69,15 +69,16 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 
 
 # suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
-# EpsScalar keeps its integral coefficients as ints, and a Bethe-vector
-# build hashes each parameter once, for its point id
+# EpsScalar keeps its integral coefficients as ints, a Bethe-vector
+# build hashes each parameter once, for its point id, and a bilinear sum
+# builds its partial vectors without a cache, whose keys would hash them
 FRACTION_PINNED = {
     "bethe": (291, 39),
     "actions": (1880, 1023),
     "recursion": (155, 36),
-    "composite": (620, 422),
-    "gl12": (823, 338),
-    "proof-replay": (912, 748),
+    "composite": (620, 134),
+    "gl12": (823, 130),
+    "proof-replay": (912, 484),
 }
 
 
@@ -151,17 +152,18 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 
 
 # suite -> (graded.embed calls, state entries into and out of
-# monodromy._apply_factor): RTT multiplies the auxiliary blocks of N*T(u)
-# and N*T(v) as build_cleared_product gives them and the coproduct sums
-# graded tensor products, so neither embeds; T(u) is built
-# once per column prefix, a vector walk's last factor keeps only the
-# wanted auxiliary digit, each model walks a Bethe-vector step sequence
-# once (the walk tries of bethe.build_family), and a vector its weight makes
-# zero (Model.weight_space_nonempty) is not walked at all
+# monodromy._apply_factor): RTT multiplies the entries of N*T(u) and N*T(v)
+# as Model.monodromy gives them and the coproduct sums graded tensor
+# products, so neither embeds; T(u) is built once per column prefix, a
+# vector walk's last factor keeps only the wanted auxiliary digit, the
+# vacuum axioms walk Omega and Omega^+ instead of building T(u), each model
+# walks a Bethe-vector step sequence once (the walk tries of
+# bethe.build_family), and a vector its weight makes zero
+# (Model.weight_space_nonempty) is not walked at all
 WALK_PINNED = {
     "rtt": (0, 1020),
     "composite": (0, 642),
-    "bethe": (0, 635),
+    "bethe": (0, 251),
     "actions": (0, 690),
     "proof-replay": (0, 129),
     "gl12": (0, 678),

@@ -39,6 +39,7 @@ from superbethe.monodromy import (
     check_rtt,
     check_supercommutator,
     extract_entries,
+    extraction_sign,
     vacuum_residuals,
 )
 from superbethe.rational import rat
@@ -253,6 +254,8 @@ def test_vector_side_never_materializes_T(monkeypatch):
     assert not build_tilde_vector(m12, us, vs).is_zero()
     assert action_check(m21, "T13", us, vs, z).is_zero()
     assert check_recursion(m21, us, vs, z).is_zero()
+    for model in (m21, m12):
+        assert all(ok for _, ok in vacuum_residuals(model, z))
 
 
 _HONEST_SWAP_SIGN = monodromy.swap_sign
@@ -264,6 +267,28 @@ _FLIPPED_SWAP_SIGNS = {
     if (pa ^ pb) & between
     else _HONEST_SWAP_SIGN(pa, pb, between),
 }
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("flip", ["honest", *sorted(_FLIPPED_SWAP_SIGNS)])
+def test_every_entry_carries_its_extraction_sign(monkeypatch, sig, flip):
+    """The premise of extraction_sign: every nonzero entry of the block T_ij
+    of T(u) has par(row) + par(col) = [i] + [j], so the sign
+    (-1)^{[j](par(row) + par(col))} of reading it off is the constant
+    eps_ij, with the honest swap signs and with either flipped one."""
+    if flip != "honest":
+        monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+    for length in range(4):
+        smp = ParameterSampler(f"extraction-sign:{sig.name}:{length}", 1)
+        xi = smp.generic(length)
+        model = chain(length, xi, twist=smp.twist(), sig=sig)
+        par = graded.parity_table(sig, length)
+        for (i, j), op in model.monodromy(smp.generic_one(avoid=xi)).scaled.items():
+            assert op.cols or length == 0 and i != j, (length, i, j)
+            for col, rows in op.cols.items():
+                for row in rows:
+                    assert par[row] ^ par[col] == sig.par(i) ^ sig.par(j), (length, i, j, row, col)
+                    assert (-1) ** (sig.par(j) * (par[row] ^ par[col])) == extraction_sign(sig, i, j)
 
 
 @pytest.mark.parametrize("flip", sorted(_FLIPPED_SWAP_SIGNS))
@@ -382,6 +407,21 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
     assert residuals == _compose_monodromy_reference(split, x)
 
 
+def _perturb_twist_at(monkeypatch, point):
+    """Add 1 to the first entry of the cleared twist, M d_1, in every
+    _cleared_sequence at point from now on: the walks and every N*T(point)
+    built read it."""
+    honest = monodromy._cleared_sequence
+
+    def perturbed(sig, c, factors, x):
+        m, weights = honest(sig, c, factors, x)
+        if x != point:
+            return m, weights
+        return m, [("diag", (w[1][0] + 1, *w[1][1:])) if w[0] == "diag" else w for w in weights]
+
+    monkeypatch.setattr(monodromy, "_cleared_sequence", perturbed)
+
+
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
     smp = ParameterSampler(f"perturb-oracle:{sig.name}", 1)
@@ -389,12 +429,16 @@ def test_identities_with_a_perturbed_monodromy_entry(sig, monkeypatch):
     model = chain(2, xi, twist=smp.twist(), sig=sig)
     u, v = smp.generic(2, avoid=xi)
     split, x = _split_2_2(sig, 3)
+    # the vacuum axioms walk the factors, so their control perturbs the
+    # factors themselves, which the materialized entries read as well
+    with monkeypatch.context() as patched:
+        _perturb_twist_at(patched, u)
+        vacuum = vacuum_residuals(model, u)
+        assert vacuum == _vacuum_reference(model, u)
+        assert ("T11 ket eigenvalue", False) in vacuum and ("T11 bra eigenvalue", False) in vacuum
     perturb_at(monkeypatch, u)
     res = check_rtt(model, u, v)
     assert not res.is_zero() and res == rtt_reference(model, u, v, build=Model.monodromy_op)
-    vacuum = vacuum_residuals(model, u)
-    assert vacuum == _vacuum_reference(model, u)
-    assert ("T11 ket eigenvalue", False) in vacuum
     pairs = all_supercommutators(model, u, v)
     assert all(got == want for got, want in pairs.values())
     assert any(not r.is_zero() for got, _ in pairs.values() for r in got)
@@ -439,9 +483,9 @@ def _plant_foreign_entry(monkeypatch):
 def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch):
     """With N*T planted at every point as 2^100 in every slot of every
     weight class and g(u,v) = 1/1000, anticommutator residual entries of
-    the cleared blocks reach 2 gd S a b, near half the bound 4 r S a b,
+    the cleared blocks reach 2 gd S a b, 0.999 of the bound 2 r S a b,
     r = gd + gn, that sizes the slots of RTT and the exchange relations
-    alike, so slots two bits narrower than theirs would not hold them; the
+    alike, so slots one bit narrower than theirs would not hold them; the
     unpacked residuals still equal the rational formulas."""
     honest = monodromy.build_cleared_product
 
@@ -460,9 +504,9 @@ def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch)
     cleared = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))]
     assert [n for n, _ in cleared] == [1000, 1000]
     r = max(abs(x) for _, op in cleared for m in op.cols.values() for x in m.values())
-    assert r == 1001 and bounds == [4 * r * max(map(len, weight_spaces(2).values())) * 2**200]
+    assert r == 1001 and bounds == [2 * r * max(map(len, weight_spaces(2).values())) * 2**200]
     largest = max(abs(x) for cols in model._pair_blocks[-1] for rows in cols.values() for x in rows.values())
-    assert largest >= 2 ** (slot_width(bounds[0]) - 3)
+    assert largest >= 2 ** (slot_width(bounds[0]) - 2)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -501,7 +545,7 @@ def test_rtt_with_a_perturbed_entry_equals_rational_formula(sig, delta, monkeypa
 def test_rtt_residual_beyond_the_entry_product_fits_its_slots(sig, monkeypatch):
     """With 2^100 added to every entry of N*T at every point, residual
     entries exceed r*a*b, the product of the largest cleared entries of R,
-    T(u) and T(v), so a slot sized without the 4*S factor would not hold
+    T(u) and T(v), so a slot sized without the 2*S factor would not hold
     them; the unpacked residual still equals the rational formula."""
     honest = monodromy.build_cleared_product
 
