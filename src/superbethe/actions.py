@@ -8,9 +8,9 @@ compares
 
 against the table-driven right-hand side; residuals are exactly zero. Every
 coefficient, and the normalization's h(vbar,z) (NORM), is shorthand
-evaluated by notation. A target vector whose argument sets share z is
-built at the eps-limit. T31 and T32 have no tabulated action and are
-rejected.
+evaluated by notation, on one Binding of ubar, vbar and z per check. A
+target vector whose argument sets share z is built at the eps-limit. T31
+and T32 have no tabulated action and are rejected.
 """
 
 from __future__ import annotations
@@ -69,19 +69,24 @@ def action_binding(model, us, vs, z) -> Binding:
     )
 
 
-def action_norm(model, vs, z):
-    """1 / (lam2(z) h(vs,z)), the normalization of every action at z."""
-    return evaluate(NORM, Binding({"vbar": tuple(vs), "z": (z,)}, c=model.c)) / model.lam(2, z)
+def action_norm(model, vs, z, base=None):
+    """1 / (lam2(z) h(vs,z)), the normalization of every action at z: NORM
+    on base, a Binding of vbar and z (one of vs and z if not given), over
+    lam2(z) from the point's record in Model.points."""
+    lam2 = model.points[model.point_id(z)][1]
+    return evaluate(NORM, base or Binding({"vbar": tuple(vs), "z": (z,)}, c=model.c), [lam2[::-1]])
 
 
-def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit):
+def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit, base=None):
     """Table-driven right-hand side of the normalized action of element at
-    z, each target vector built once by builder(model, us, vs): by default
-    the Bethe vector, at coincident parameters its eps-limit."""
+    z, summed over base (action_binding if not given), each target vector
+    built once by builder(model, us, vs): by default the Bethe vector, at
+    coincident parameters its eps-limit."""
     table = table or load_formula_table()
     partials = PartialCache(builder)
-    target = lambda args: partials.get("t", model, *args)
-    return partition_sum(table[element], action_binding(model, us, vs, z), target, GradedVector(model.sig, model.arity))
+    target = lambda args, keys: partials.get("t", model, *args, key=keys)
+    base = base or action_binding(model, us, vs, z)
+    return partition_sum(table[element], base, target, GradedVector(model.sig, model.arity))
 
 
 def action_check(model, element, us, vs, z, table=None):
@@ -90,6 +95,7 @@ def action_check(model, element, us, vs, z, table=None):
         raise ValueError("action formulas are the gl(2|1) set")
     us, vs = tuple(us), tuple(vs)
     i, j = int(element[1]), int(element[2])
-    norm = action_norm(model, vs, z)
+    base = action_binding(model, us, vs, z)
+    norm = action_norm(model, vs, z, base)
     lhs = model.apply_T(i, j, z, build_vector(model, us, vs), norm)
-    return lhs.sub(action_rhs(model, element, us, vs, z, table=table))
+    return lhs.sub(action_rhs(model, element, us, vs, z, table=table, base=base))

@@ -26,26 +26,30 @@ coefficient stay: coincident parameters within us or vs raise ValueError,
 a u equal to a v with no eps shift DivisionByZero.
 
 The coefficients are computed on ints. Each parameter family us + vs gets
-one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints;
-a u equal to a v keeps its own entry there, so without an eps shift the
-table raises DivisionByZero.
-A weight is shorthand text (BETHE_WEIGHT, gl12.TILDE_WEIGHT), parsed once
-and evaluated over that table by notation.eval_expr like every shorthand
-coefficient, at the splits notation.splits enumerates. lam2 is evaluated
-once per parameter, and each term's coefficient is one quotient, n/d in
-lowest terms. The coefficient lists depend only on the
-weight and the ordered parameter tuples, so each model keeps them per
-weight and parameters: a ket and its bra built at the same point share one
-list.
+one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints,
+built from the cleared pairs (p, q) of its points; a u equal to a v keeps
+its own entry there, so without an eps shift the table raises
+DivisionByZero. A weight is shorthand text (BETHE_WEIGHT,
+gl12.TILDE_WEIGHT), compiled once per weight and (a, b) into a plan
+(_weight_plan, from notation.compile_plan): for every split, in the order
+notation.splits enumerates them, the table entries, K blocks and literals
+its coefficient reads. A term's coefficient is then one
+PairTable.product of those reads, of f and lam2 of the base and of lam2
+of u2, and one quotient, n/d in lowest terms; nothing is parsed or
+interpreted per split. The coefficient lists depend only on the weight and
+the ordered parameter tuples, so each model keeps them per weight and
+parameters: a ket and its bra built at the same point share one list.
 
-build_family looks up each parameter's point id (Model.point_ids, keyed by
+build_family looks up each parameter's point id (Model.point_id, keyed by
 its value at eps = 0) once, before the coefficient lookup, and that is the
-one hash of a rational parameter a build makes. Three lookups read the ids:
-the refusal of coincident parameters within us or vs (two parameters
-coincide when they are equal at eps = 0), the key of the
-coefficient lists (the weight, the point ids, and a shifted entry's
-EpsScalar itself) and the model's cache of each walk point's factor
-weights (Model.apply_T_scaled).
+one hash of a rational parameter a build makes. A point id's first lookup
+computes the point's record (Model.points): its cleared pair and lam2 as
+ints, which every later build on the model reads. The ids are read by the
+refusal of coincident parameters within us or vs (two parameters coincide
+when they are equal at eps = 0), the key of the coefficient lists (the
+weight, the point ids, and a shifted entry's EpsScalar itself), the
+points' records and the model's walk data of each point
+(Model.apply_T_scaled).
 
 Each block is walked by Model.apply_T_scaled on integer multiples of the
 factors, and an odd block's h-normalizer is read from the same table, so a
@@ -82,19 +86,27 @@ one the coefficients stay regular at eps = 0 (see scalars.py).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedVector, digit_string
-from .notation import eval_expr, parse, splits
+from .notation import PartitionSpec, PartSpec, compile_plan, parse, plan_value
 from .rational import rat, rat_to_str
-from .scalars import EPS, EpsScalar, PairTable, as_pair, eps_limit, is_zero, ratio
+from .scalars import EPS, EpsScalar, PairTable, eps_limit, is_zero, ratio
 
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
 # are applied, to uII, vII and vI; the same for B and B~
 _PLAN = ((1, 2), (2, 3), (1, 3))
+
+
+@cache
+def _entry_plan(sig, dual):
+    """_PLAN's entries as (i, j, odd), transposed for a bra, odd their parity
+    under the signature."""
+    entries = [(j, i) if dual else (i, j) for i, j in _PLAN]
+    return tuple((i, j, sig.par(i) != sig.par(j)) for i, j in entries)
 
 
 def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
@@ -143,32 +155,55 @@ def _guard(model, sig):
         raise ValueError(f"this constructor is the {sig.name} form, got {model.sig.name}")
 
 
-def _partition_terms(model, us, vs, weight):
+@cache
+def _weight_plan(weight, a, b):
+    """Every split us = u1+u2, vs = v1+v2 with #u1 = #v1 of a us (indices
+    0..a-1) and b vs (a..a+b-1), as (u2, v2, v1, reads): index tuples and
+    the reads of weight there, from notation.compile_plan, in the order of
+    notation.splits. One plan per weight text and sizes; no value enters."""
+    node, layout = parse(weight), (("us", tuple(range(a))), ("vs", tuple(range(a, a + b))))
+    out = []
+    for n in range(min(a, b) + 1):
+        specs = (PartitionSpec("us", (PartSpec("uI", n), PartSpec("uII"))), PartitionSpec("vs", (PartSpec("vI", n), PartSpec("vII"))))
+        names, splits = compile_plan(node, layout, specs)
+        u2, v2, v1 = (names.index(name) for name in ("uII", "vII", "vI"))
+        out += [(sets[u2], sets[v2], sets[v1], reads) for sets, reads in splits]
+    return tuple(out)
+
+
+def _partition_terms(model, us, vs, weight, ids=None):
     """The h table of the PairTable of us + vs (us first), which the odd
     blocks' normalizers read, and every split us = u1+u2, vs = v1+v2 with
     #u1 = #v1, as (n, d, (u2, v2, v1)): index tuples into us + vs, and n/d
     in lowest terms the coefficient
     weight(u1, u2, v1, v2) / (lam2(u2) lam2(vs) f(vs,us)), with f(us,vs) in
     place of f(vs,us) on gl(1|2). weight is shorthand over uI, uII, vI and
-    vII; the quotient is taken once per term, and at an eps-shifted point
-    n/d is its eps-limit."""
+    vII, read at each split by its _weight_plan. The parameters' cleared
+    pairs and lam2 come from Model.points by their point ids, ids (looked up
+    if not given); a shifted parameter is cleared by its point's
+    denominator, and lam2 is read at its eps-limit, which leaves the limit
+    unchanged, as the coefficients are regular at eps = 0 (scalars.py). The
+    quotient is taken once per term, and at an eps-shifted point n/d is its
+    eps-limit."""
     us, vs = tuple(us), tuple(vs)
-    table, node = PairTable(us + vs, model.c), parse(weight)
-    iu, iv = tuple(range(len(us))), tuple(range(len(us), len(us) + len(vs)))
-    lam2 = [as_pair(model.lam(2, x)) for x in us + vs]
+    xs, a = us + vs, len(us)
+    if ids is None:
+        ids = [model.point_id(eps_limit(x) if isinstance(x, EpsScalar) else x) for x in xs]
+    points = [model.points[pid] for pid in ids]
+    cleared = [(x * pq[1], pq[1]) if isinstance(x, EpsScalar) else pq for x, (pq, _) in zip(xs, points)]
+    table = PairTable(xs, model.c, cleared)
+    lam2 = [pair for _, pair in points]
+    iu, iv = range(a), range(a, len(xs))
     names, left, right = ("vs,us", iv, iu) if model.sig == GL21 else ("us,vs", iu, iv)
     base_n, base_d = table.product(table.cross(table.f, left, right) + [lam2[k] for k in iv])
     if is_zero(base_n):
         raise DivisionByZero(f"f({names}) vanishes (a pair at difference -c); parameters not generic")
+    base, inverse = (base_d, base_n), [pair[::-1] for pair in lam2]
     terms = []
-    for n in range(min(len(us), len(vs)) + 1):
-        v_splits = splits(iv, (n, len(vs) - n))
-        for u1, u2 in splits(iu, (n, len(us) - n)):
-            # 1 / (lam2(u2) lam2(vs) f) as num/den
-            num, den = table.product([(base_d, base_n), *(lam2[k][::-1] for k in u2)])
-            for v1, v2 in v_splits:
-                wn, wd = eval_expr(node, table, {"uI": u1, "uII": u2, "vI": v1, "vII": v2})
-                terms.append((*ratio(wn * num, wd * den), (u2, v2, v1)))
+    for u2, v2, v1, reads in _weight_plan(weight, a, len(vs)):
+        # weight / (lam2(u2) lam2(vs) f) as num/den
+        wn, wd = plan_value(reads, table, extra=[base, *(inverse[k] for k in u2)])
+        terms.append((*ratio(wn, wd), (u2, v2, v1)))
     return table.h, terms
 
 
@@ -179,7 +214,7 @@ def _coefficients(model, us, vs, weight, ids):
     key = weight, len(us), *(x if isinstance(x, EpsScalar) else pid for x, pid in zip((*us, *vs), ids))
     hit = model.coefficients.get(key)
     if hit is None:
-        hit = model.coefficients[key] = _partition_terms(model, us, vs, weight)
+        hit = model.coefficients[key] = _partition_terms(model, us, vs, weight, ids)
     return hit
 
 
@@ -223,19 +258,19 @@ def build_family(model, us, vs, weight, dual):
     _require_distinct(ids, at_zero, a)
     h_table, terms = _coefficients(model, us, vs, weight, ids)
     points = list(zip(ids, at_zero))
-    par = model.sig.par
-    plan = [(j, i) if dual else (i, j) for i, j in _PLAN]
-    plan = [(i, j, par(i) != par(j)) for i, j in plan]
+    plan = _entry_plan(model.sig, dual)
     start = model.omega_dual() if dual else model.omega()
     root = 1, start, model.walks[dual]
     acc, den = {}, 1
     for n, d, blocks in terms:
-        node, odd = root, 0
+        node = root
         for (i, j, odd_entry), params in zip(plan, blocks):
-            p, q, node = _apply_entries(model, h_table, i, j, odd_entry, params, points, node, dual)
-            n, d = n * p, d * q
-            odd += len(params) * odd_entry
+            if params:
+                p, q, node = _apply_entries(model, h_table, i, j, odd_entry, params, points, node, dual)
+                n, d = n * p, d * q
         den = _accumulate(acc, den, n, d, node[1].entries)
+    # every term has the same number of odd factors
+    odd = sum(len(params) * odd_entry for (_, _, odd_entry), params in zip(plan, blocks))
     if dual and odd * (odd - 1) // 2 % 2:
         den = -den
     return type(start)(model.sig, model.arity, {key: rat(x, den) for key, x in acc.items() if x})
@@ -297,14 +332,17 @@ def build_dual_vector_limit(model, us, vs):
 
 
 class PartialCache:
-    """Memo for partial Bethe vectors keyed by (tag, parameter tuples)."""
+    """Memo for partial Bethe vectors keyed by (tag, key): key the index
+    tuples of us and vs into the one Binding of a partition sum
+    (notation.partition_sum gives them to its target), so a lookup hashes
+    ints only; without one, the parameter tuples themselves."""
 
     def __init__(self, builder):
         self.builder = builder
         self.store = {}
 
-    def get(self, tag, model, us, vs):
-        key = (tag, tuple(us), tuple(vs))
+    def get(self, tag, model, us, vs, key=None):
+        key = tag, key or (tuple(us), tuple(vs))
         vec = self.store.get(key)
         if vec is None:
             vec = self.builder(model, us, vs)

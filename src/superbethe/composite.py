@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
 
-from .actions import action_norm, action_rhs
+from .actions import action_binding, action_norm, action_rhs
 from .bethe import (
     PartialCache,
     at_limit,
@@ -201,7 +201,7 @@ def bilinear_sum(
     reordered = part1_written_first if dual else part2_written_first
     base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
     # each split has its own (uI, vI) and (uII, vII): no partial recurs
-    target = lambda args: compose_ket(builder(m1, *args[:2]), builder(m2, *args[2:]), reordered)
+    target = lambda args, _: compose_ket(builder(m1, *args[:2]), builder(m2, *args[2:]), reordered)
     acc = (DualGradedVector if dual else GradedVector)(m1.sig, m1.arity + m2.arity)
     return partition_sum(_bilinear_terms(coeff), base, target, acc)
 
@@ -262,11 +262,11 @@ def check_recursion(model, us, vs, z):
     """T23(z)/(lam2(z) h(vs,z)) B(us;vs) minus its two-term expansion; the
     sum over u0 is one vector, so T13(z) is applied once."""
     us, vs = tuple(us), tuple(vs)
-    norm = action_norm(model, vs, z)
-    lhs = model.apply_T(2, 3, z, build_vector(model, us, vs), norm)
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=model.c)
+    norm = action_norm(model, vs, z, base)
+    lhs = model.apply_T(2, 3, z, build_vector(model, us, vs), norm)
     rhs = build_vector(model, us, (z,) + vs).scale(evaluate(RECURSION_COEFFS[0], base))
-    target = lambda args: build_vector(model, *args)
+    target = lambda args, _: build_vector(model, *args)
     summed = partition_sum(_recursion_terms(RECURSION_COEFFS[1]), base, target, GradedVector(model.sig, model.arity))
     return lhs.sub(rhs).sub(model.apply_T(1, 3, z, summed, norm))
 
@@ -277,11 +277,12 @@ def check_composite_creation_actions(split: SplitChain, us, vs, z):
     us, vs = tuple(us), tuple(vs)
     total = CompositeModel(split)
     m1, m2 = total.part1, total.part2
-    norm = action_norm(total, vs, z)
+    base = action_binding(total, us, vs, z)
+    norm = action_norm(total, vs, z, base)
     cal_b = bilinear_sum(m1, m2, us, vs)
     composite_sum = lambda _, us, vs: bilinear_sum_limit(m1, m2, us, vs)
     return tuple(
-        total.apply_T(i, 3, z, cal_b, norm).sub(action_rhs(total, f"T{i}3", us, vs, z, builder=composite_sum))
+        total.apply_T(i, 3, z, cal_b, norm).sub(action_rhs(total, f"T{i}3", us, vs, z, builder=composite_sum, base=base))
         for i in (1, 2)
     )
 
@@ -334,7 +335,9 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     c = total.c
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))
     partials = PartialCache(build_vector_limit)
-    target = lambda args: compose_ket(partials.get(1, m1, *args[:2]), partials.get(2, m2, *args[2:]), True)
+    target = lambda args, keys: compose_ket(
+        partials.get(1, m1, *args[:2], key=keys[:2]), partials.get(2, m2, *args[2:], key=keys[2:]), True
+    )
     zero = GradedVector(total.sig, total.arity)
     cls = {name: partition_sum(terms, base, target, zero) for name, terms in load_class_table().items()}
 
@@ -344,7 +347,7 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
         if name.startswith("C"):
             c_sum = c_sum.add(vec)
 
-    norm = action_norm(total, vs, z)
+    norm = action_norm(total, vs, z, base)
     direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs), norm)
     extended = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
 

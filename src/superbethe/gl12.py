@@ -12,10 +12,10 @@ within-set product h(vI,vI), whose diagonal h(x,x) is 1). This is the plan
 of the gl(2|1) vectors evaluated by bethe.build_family: on gl(1|2) T12 and
 T13 are the odd entries and get the symmetrization, T23 is even. The dual
 is the same mirror as on gl(2|1), whose sign (-1)^{m(m-1)/2} counts m = a
-odd factors here. The weight is the shorthand TILDE_WEIGHT, evaluated like
-the gl(2|1) weight by notation.eval_expr as one product over the
-(num, den) int pairs of the family's scalars.PairTable, and build_family
-divides it by the tabulated f(us,vs) once per term.
+odd factors here. The weight is the shorthand TILDE_WEIGHT, read like the
+gl(2|1) weight off its compiled plan as one product over the (num, den)
+int pairs of the family's scalars.PairTable, and build_family divides it
+by the tabulated f(us,vs) once per term.
 
 The composite normalization sign for the total vacuum eigenvalues is not
 assumed: resolve_sign probes the primal factorization under both choices and

@@ -111,7 +111,7 @@ def digit_string(key: int, arity: int) -> str:
 
 
 def _check_pair(a, b):
-    if a.sig != b.sig:
+    if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch(f"{a.sig.name} vs {b.sig.name}")
     if a.arity != b.arity:
         raise ArityMismatch(f"arity {a.arity} vs {b.arity}")

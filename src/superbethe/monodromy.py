@@ -46,11 +46,17 @@ first). T(u) is reached in two ways:
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec);
-  the extraction sign is one factor of the walk's twist scalar. One cache
-  per model holds the factors' (m, weights) per point, keyed by its point
-  id; the graded signs are indices shared by every point. Model.apply_T
-  scales by 1/m once at the end. The vacuum axioms (vacuum_residuals) are
-  twelve walks of Omega and Omega^+ on one _cleared_sequence.
+  the extraction sign is one factor of the walk's twist scalar. Each model
+  builds its factor skeleton (_factor_skeleton: sites, xi cleared, parity
+  prefixes, the graded signs as indices and the cleared twists) on its
+  first walk, so a new point computes only g(u, xi_k) = gn/gd per site
+  (_point_weights). The model keeps each point's (M, walk orders) by its
+  point id, the ket and bra orders with the twists at either end taken
+  out as scalars (_walk_orders). Model.points holds the rest of a point's
+  int data: u cleared as (p, q) and lam2(u), which the Bethe-vector
+  builders read. Model.apply_T scales by 1/m once at the end. The vacuum
+  axioms (vacuum_residuals) are twelve walks of Omega and Omega^+ on one
+  _cleared_sequence.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
@@ -60,8 +66,8 @@ first). T(u) is reached in two ways:
   eps = 0, a small int, looked up once per parameter per build. The memo
   is exact: a walk is a pure function of the model and its steps, and
   only identical step sequences are reused, never an algebraic identity
-  (commuting T12s, reversed orders). The tries live and die with their
-  model.
+  (commuting T12s, reversed orders). The tries, the skeleton and every
+  per-point record live and die with their model.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
 the embedded product of the factors as an independent oracle.
@@ -164,16 +170,10 @@ def _require_rational(u):
 
 def _cleared_sequence(sig, c, factors, u):
     """(M, data) for the integer multiples of every factor at a rational u:
-    their _cleared_weights, leftmost factor first, and M the product of
-    their multipliers."""
+    their _point_weights on a fresh _factor_skeleton, leftmost factor
+    first, and M the product of their multipliers."""
     _require_rational(u)
-    scale = 1
-    weights = []
-    for factor in factors:
-        m, w = _cleared_weights(sig, c, factor, u)
-        scale *= m
-        weights.append(w)
-    return scale, weights
+    return _point_weights(_factor_skeleton(sig, c, factors), *as_pair(u))
 
 
 def swap_sign(pa, pb, between):
@@ -194,28 +194,70 @@ def _swap_signs(parity, sign):
     return swap, tuple(index(a, a, 0) for a in range(3))
 
 
-def _cleared_weights(sig, c, factor, u):
-    """(m, data) for the integer multiple m*F of one factor F at a rational
-    u, with the data _apply_factor needs: m the lcm of the twist
-    denominators and ("diag", m*d), or, with g(u, xi_k) = gn/gd, m = gd and
-    ("site", k, parity table of the sites before site k, swap and stay sign
-    indices, (gn, -gn), (gd + gn, gd - gn), gd) for gd*I + gn*P_{0k}."""
-    kind, *payload = factor
-    if kind == "diag":
-        pairs = [as_pair(d) for d in payload[0]]
-        m = lcm(*(q for _, q in pairs))
-        return m, ("diag", tuple(p * (m // q) for p, q in pairs))
-    if kind != "site":
-        raise ValueError(f"unknown factor kind {kind!r}")
-    site, xi = payload
-    (up, uq), (xp, xq), (cn, cd) = as_pair(u), as_pair(xi), as_pair(c)
-    diff = up * xq - xp * uq  # (u - xi) uq xq
-    if not diff:
-        raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
-    gn, gd = ratio(cn * uq * xq, cd * diff)
-    # the signs are keyed on swap_sign itself, so a replaced rule takes effect
+def _factor_skeleton(sig, c, factors):
+    """The part of every factor's integer multiple that no point changes,
+    leftmost first: (m, ("diag", m*d)) for a twist d, m the lcm of its
+    denominators, and for R_{0k}(u, xi) (xi, head, cn xq, cd xq, cd xp),
+    head = ("site", k, parity table of the sites before site k, swap and
+    stay sign indices) and c = cn/cd, xi = xp/xq. The signs are read
+    through swap_sign here, so a rule replaced before the skeleton is built
+    takes effect."""
+    cn, cd = as_pair(c)
     swap, stay = _swap_signs(sig.parity, swap_sign)
-    return gd, ("site", site, parity_table(sig, site - 1), swap, stay, (gn, -gn), (gd + gn, gd - gn), gd)
+    out = []
+    for kind, *payload in factors:
+        if kind == "diag":
+            pairs = [as_pair(d) for d in payload[0]]
+            m = lcm(*(q for _, q in pairs))
+            out.append((m, ("diag", tuple(p * (m // q) for p, q in pairs))))
+        elif kind == "site":
+            site, xi = payload
+            xp, xq = as_pair(xi)
+            out.append((xi, ("site", site, parity_table(sig, site - 1), swap, stay), cn * xq, cd * xq, cd * xp))
+        else:
+            raise ValueError(f"unknown factor kind {kind!r}")
+    return out
+
+
+def _point_weights(skeleton, up, uq):
+    """(M, data) for the integer multiples m*F of the factors of a
+    _factor_skeleton at u = up/uq, with the data _apply_factor needs and M
+    the product of the multipliers: a twist as its skeleton has it, and
+    with g(u, xi_k) = gn/gd, m = gd and head + ((gn, -gn), (gd + gn,
+    gd - gn), gd) for gd*I + gn*P_{0k}."""
+    scale, weights = 1, []
+    for entry in skeleton:
+        if len(entry) == 2:
+            m, data = entry
+        else:
+            xi, head, gn_x, gd_u, gd_x = entry
+            diff = up * gd_u - uq * gd_x  # cd (u - xi) uq xq
+            if not diff:
+                raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
+            gn, m = ratio(uq * gn_x, diff)
+            data = (*head, (gn, -gn), (m + gn, m - gn), m)
+        scale *= m
+        weights.append(data)
+    return scale, weights
+
+
+def _walk_orders(weights):
+    """The factor data of a point in the order a ket walks them (rightmost
+    first) and a bra (leftmost first), each as (head, factors, last, tail):
+    a twist first in the order is taken out as head, one last as tail, and
+    of the factors between them the last one as last (Model._walk); each
+    is None where there is none."""
+    orders = []
+    for order in (weights[::-1], weights):
+        head = tail = last = None
+        if order and order[0][0] == "diag":
+            head, order = order[0][1], order[1:]
+        if order and order[-1][0] == "diag":
+            tail, order = order[-1][1], order[:-1]
+        if order:
+            order, last = order[:-1], order[-1]
+        orders.append((head, order, last, tail))
+    return orders
 
 
 def _apply_factor(length, weights, state, keep=None):
@@ -235,23 +277,24 @@ def _apply_factor(length, weights, state, keep=None):
         return out
     _, site, prefix, swap, stay, signed, kept, ident = weights
     place = 3 ** (length - site)
+    jump, above, get = shift - place, place * 3, out.get
     for key, x in state.items():
         a, rest = divmod(key, shift)
         b = rest // place % 3
         if a == b:
             if keep is None or a == keep:
-                s = out.get(key)
+                s = get(key)
                 y = kept[stay[a]] * x
                 out[key] = y if s is None else s + y
             continue
         if keep is None or a == keep:
             y = ident * x
-            s = out.get(key)
+            s = get(key)
             out[key] = y if s is None else s + y
         if keep is None or b == keep:
-            swapped = key + (b - a) * (shift - place)
-            y = signed[swap[a][b][prefix[rest // (place * 3)]]] * x
-            s = out.get(swapped)
+            swapped = key + (b - a) * jump
+            y = signed[swap[a][b][prefix[rest // above]]] * x
+            s = get(swapped)
             out[swapped] = y if s is None else s + y
     return {key: x for key, x in out.items() if x}
 
@@ -320,15 +363,20 @@ class Model:
     """
 
     def __init__(self):
-        # the factor weights of each walk point, keyed by its point id
+        # point id of each walk point, a spectral parameter at eps = 0
+        self.point_ids = {}
+        # per point id: its cleared pair (p, q) and lam2 there as (num, den)
+        self.points = []
+        # the walk data (M, _walk_orders) of each walked point, keyed by
+        # its point id, and the _factor_skeleton they are computed from,
+        # built on the first walk
         self._weights = {}
+        self._skeleton = None
         # the walk tries of bethe.build_family, kets first, then bras: the
         # children of Omega resp. Omega^+, each keyed by its step (i, j,
         # point id) and holding (m, v, children), m the multiplier of its
         # step and v the int vector of its path
         self.walks = ({}, {})
-        # point id of each walk point, a spectral parameter at eps = 0
-        self.point_ids = {}
         # ((u, v), *_rtt_pass(model, u, v, exchange=True)) of the latest
         # spectral pair only, for check_supercommutator
         self._pair_blocks = None
@@ -363,9 +411,14 @@ class Model:
         return out if factor == 1 else out.scale(factor)
 
     def point_id(self, u):
-        """The point id of a rational u (point_ids), given on first sight."""
+        """The point id of a rational u (point_ids), given on first sight,
+        when its points record is computed: u cleared as (p, q) and
+        lam2(u) as (num, den)."""
         _require_rational(u)
-        return self.point_ids.setdefault(u, len(self.point_ids))
+        pid = self.point_ids.setdefault(u, len(self.points))
+        if pid == len(self.points):
+            self.points.append((as_pair(u), as_pair(self.lam(2, u))))
+        return pid
 
     def apply_T_scaled(self, i, j, u, vec, dual=False, pid=None):
         """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)), at a
@@ -374,49 +427,51 @@ class Model:
         denominators and the walk takes the integer multiples of the
         factors, with M the product of their multipliers, so that only ints
         are multiplied; then m = M*n."""
-        m, weights = self._walk_weights(self.point_id(u) if pid is None else pid, u)
+        m, orders = self._walk_weights(self.point_id(u) if pid is None else pid)
         n, vec = _cleared_vector(vec)
-        return m * n, self._walk(i, j, vec, weights, dual)
+        return m * n, self._walk(i, j, vec, orders, dual)
 
-    def _walk_weights(self, pid, u):
-        """The _cleared_sequence of the whole factor sequence at u, cached
-        per point id pid."""
+    def _walk_weights(self, pid):
+        """The walk data (M, _walk_orders) of the whole factor sequence at
+        the point pid, computed on its first walk from the model's
+        _factor_skeleton, which the model's first walk builds."""
         hit = self._weights.get(pid)
         if hit is None:
-            hit = self._weights[pid] = _cleared_sequence(self.sig, self.c, self.factor_sequence(), u)
+            if self._skeleton is None:
+                self._skeleton = _factor_skeleton(self.sig, self.c, self.factor_sequence())
+            m, weights = _point_weights(self._skeleton, *self.points[pid][0])
+            hit = self._weights[pid] = m, _walk_orders(weights)
         return hit
 
-    def _walk(self, i, j, vec, factors, dual=False):
-        """T_ij . vec, or with dual vec . T_ij, for the factors given
-        leftmost first (the _cleared_sequence data of some point): vec is
-        lifted to auxiliary index j (i), the factors are applied rightmost
-        (leftmost) first, and the state is projected onto auxiliary index i
-        (j). The extraction sign is one constant (extraction_sign), so it
-        joins the twist scalar d. Nothing is computed that the projection
-        would drop: a twist first in the order meets only the lifted index
-        and one last only the projected one, so each is the scalar of its
-        entry there, and the last factor walked keeps only its outputs on
-        the projected index."""
+    def _walk(self, i, j, vec, orders, dual=False):
+        """T_ij . vec, or with dual vec . T_ij, for the _walk_orders of the
+        factor data of some point: vec is lifted to auxiliary index j (i),
+        the factors are applied rightmost (leftmost) first, and the state is
+        projected onto auxiliary index i (j). The extraction sign is one
+        constant (extraction_sign), so it joins the twist scalar d. Nothing
+        is computed that the projection would drop: a twist first in the
+        order (head) meets only the lifted index and one last (tail) only
+        the projected one, so each is the scalar of its entry there, and the
+        last factor walked keeps only its outputs on the projected index."""
         _check_pair(self, vec)
         start, end = (i, j) if dual else (j, i)
-        if not dual:
-            factors = factors[::-1]
-        d = extraction_sign(self.sig, i, j)
-        if factors and factors[0][0] == "diag":
-            d, factors = d * factors[0][1][start - 1], factors[1:]
-        if factors and factors[-1][0] == "diag":
-            d, factors = d * factors[-1][1][end - 1], factors[:-1]
+        head, factors, last, tail = orders[dual]
+        d = _sign_table(self.sig)[1][i][j]
+        if head is not None:
+            d *= head[start - 1]
+        if tail is not None:
+            d *= tail[end - 1]
         shift = 3**self.arity
         lo = (start - 1) * shift
         state = {lo + n: d * x for n, x in vec.entries.items()}
-        for weights in factors[:-1]:
+        for weights in factors:
             state = _apply_factor(self.arity, weights, state)
-        if factors:
-            state = _apply_factor(self.arity, factors[-1], state, end - 1)
+        if last is not None:
+            state = _apply_factor(self.arity, last, state, end - 1)
         elif start != end:
             state = {}  # no site factor: T(u) is the twist, diagonal
         lo = (end - 1) * shift
-        return type(vec)(self.sig, self.arity, {key - lo: x for key, x in state.items()})
+        return type(vec)(self.sig, self.arity, {key - lo: x for key, x in state.items()} if lo else state)
 
     def weight_space_nonempty(self, a, b):
         """Whether a Bethe vector B_{a,b} (C, B~, C~ alike) can be nonzero
@@ -447,7 +502,7 @@ def _cleared_vector(vec):
     """(n, n*vec) with int entries, n the lcm of the entry denominators of
     a vector of rationals."""
     values = vec.entries.values()
-    if all(type(x) is int for x in values):
+    if {*map(type, values)} <= {int}:
         return 1, vec
     n = lcm(*(int(x.denominator) for x in values))
     entries = {k: int(x.numerator) * (n // int(x.denominator)) for k, x in vec.entries.items()}
@@ -640,7 +695,8 @@ def vacuum_residuals(model, u):
     _cleared_sequence with multiplier M, so each walk gives M times the
     entry's action and the eigenvalues are scaled by M as well. No entry of
     T(u) is materialized."""
-    m, factors = _cleared_sequence(model.sig, model.c, model.factor_sequence(), u)
+    m, weights = _cleared_sequence(model.sig, model.c, model.factor_sequence(), u)
+    factors = _walk_orders(weights)
     omega, dual = model.omega(), model.omega_dual()
     out = []
     for i in range(1, 4):

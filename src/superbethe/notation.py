@@ -8,13 +8,20 @@ to one-set products, K(A|B) is the domain-wall partition function, and '*',
 one-element sets; there is no scalar/set overloading.
 
 A Binding holds every parameter once: its distinct values, their PairTable
-and each named set as a tuple of indices into them. A PartitionSpec names
-the disjoint parts of a source set with fixed or free cardinalities;
-enumerate_partitions gives each admissible split as a dict of part name to
-tuple, in lexicographic order of element positions, through splits, the one
-split enumerator, which bethe.py also uses. partition_sum sums a compiled
-term over the splits of one Binding's index tuples, and eval_expr, the one
-coefficient evaluator, reads each coefficient from that Binding's table.
+and each named set as a tuple of indices into them, its layout. A
+PartitionSpec names the disjoint parts of a source set with fixed or free
+cardinalities; enumerate_partitions gives each admissible split as a dict of
+part name to tuple, in lexicographic order of element positions, through
+splits, the one split enumerator.
+
+There is one evaluator. compile_plan compiles an AST for a layout and the
+partition specs of a sum, once per AST, layout and specs (the key holds
+names and index tuples, never a value): for every split, the table entries,
+K blocks, unary reads and folded literals its coefficient reads. plan_value
+multiplies one split's reads with one PairTable.product. partition_sum,
+evaluate, eval_expr (compile, then evaluate) and the Bethe-vector builders
+(bethe._weight_plan) all read coefficients this way, so no AST is
+interpreted per split.
 """
 
 from __future__ import annotations
@@ -204,6 +211,7 @@ class Binding:
         index = {}
         self.sets = _Sets((name, tuple(index.setdefault(x, len(index)) for x in xs)) for name, xs in sets.items())
         self.values, self.c, self.funcs = tuple(index), c, funcs or {}
+        self.layout = tuple(self.sets.items())
         self.table, self.cache = PairTable(self.values, c), {}
 
     def unary(self, name, ks):
@@ -215,18 +223,9 @@ class Binding:
         return [self.cache[name, k] for k in ks]
 
 
-def _compiled(node):
-    """node as a flat list of (leaf, inverted) pairs, a leaf a Lit or a Call,
-    whose product, each inverted leaf taken as its reciprocal, is node.
-    Compiled on first use and cached on the node."""
-    flat = node.__dict__.get("_flat")
-    if flat is None:
-        flat = _flatten(node, False)
-        object.__setattr__(node, "_flat", flat)
-    return flat
-
-
 def _flatten(node, inverted):
+    """node as a flat list of (leaf, inverted) pairs, a leaf a Lit or a Call,
+    whose product, each inverted leaf taken as its reciprocal, is node."""
     kind = type(node)
     if kind is Mul or kind is Div:
         return _flatten(node.left, inverted) + _flatten(node.right, inverted ^ (kind is Div))
@@ -239,34 +238,88 @@ def _flatten(node, inverted):
     return [(node, inverted)]
 
 
-def eval_expr(node, table, sets, unary=None):
-    """node as (num, den): one PairTable.product of the entries of table for
-    g, f and h, table.izergin for K, unary(name, indices) for a unary
-    function and the literals; sets maps a set name to its index tuple in
-    table. A pair function is refused for its arity before its sets are
-    looked up, a unary one once its name is bound."""
-    out = []
-    for leaf, inverted in _compiled(node):
+@cache
+def compile_plan(node, layout, specs=()):
+    """node compiled for a set layout, a tuple of (name, index tuple) pairs,
+    at every split of it by the partition specs, taken in turn as
+    enumerate_partitions splits them: (names, splits), names the layout's
+    set names and then the specs' part names, and splits one (sets, reads)
+    per split in that order, sets the split's index tuples in the order of
+    names and reads what node reads there (_reads). Compiled once per AST,
+    layout and specs, like parse and splits; the key holds set names and
+    index tuples, never a parameter value, so every base of the same shape
+    shares the plan."""
+    split_sets = [_Sets(layout)]
+    for spec in specs:
+        split_sets = [_Sets({**sets, **split}) for sets in split_sets for split in enumerate_partitions(spec, sets[spec.source])]
+    names = tuple(name for name, _ in layout) + tuple(part.name for spec in specs for part in spec.parts)
+    leaves = _flatten(node, False)
+    return names, tuple((tuple(sets[name] for name in names), _reads(leaves, sets)) for sets in split_sets)
+
+
+def _reads(leaves, sets):
+    """What the leaves read at one split, as (literal, up, down, blocks,
+    unaries): literal the product of the literals as (num, den), or None
+    for (1, 1); up and down the reads of the g, f and h tables in the
+    numerator and in the denominator, flat as t, i, j, t, i, j, ...
+    (t = 0, 1, 2), which a plan stores more compactly than one tuple per
+    read; blocks the K reads (vs, us, inverted) and unaries the unary reads
+    (name, indices, inverted, arity). A pair function is refused for its
+    arity before its sets are looked up."""
+    num = den = 1
+    up, down, blocks, unaries = [], [], [], []
+    for leaf, inverted in leaves:
         if type(leaf) is Lit:
-            pairs = [(leaf.value, 1)]
+            num, den = (num, den * leaf.value) if inverted else (num * leaf.value, den)
         elif leaf.name == "K":
-            pairs = [table.izergin(sets[leaf.args[0]], sets[leaf.args[1]])]
+            blocks.append((sets[leaf.args[0]], sets[leaf.args[1]], inverted))
         elif leaf.name in _PAIR:
             if len(leaf.args) != 2:
                 raise ValueError(f"{leaf.name} takes two set arguments")
-            pairs = table.cross(getattr(table, leaf.name), sets[leaf.args[0]], sets[leaf.args[1]])
+            t = _PAIR.index(leaf.name)
+            (down if inverted else up).extend(x for i in sets[leaf.args[0]] for j in sets[leaf.args[1]] for x in (t, i, j))
         else:
-            pairs = unary(leaf.name, sets[leaf.args[0]])
-            if len(leaf.args) != 1:
-                raise ValueError(f"{leaf.name} takes one set argument")
-        out.extend([(d, n) for n, d in pairs] if inverted else pairs)
-    return PairTable.product(out)
+            unaries.append((leaf.name, sets[leaf.args[0]], inverted, len(leaf.args)))
+    return (num, den) if (num, den) != (1, 1) else None, tuple(up), tuple(down), tuple(blocks), tuple(unaries)
 
 
-def evaluate(text: str, binding: Binding):
-    """text at binding as one rational; at an eps-shifted binding, its
-    eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
-    return rat(*ratio(*eval_expr(parse(text), binding.table, binding.sets, binding.unary)))
+def plan_value(reads, table, unary=None, extra=()):
+    """One split of a plan as (num, den): the entries of table its reads
+    name, table.izergin for K, unary(name, indices) for a unary function
+    (refused for its arity once its name is bound), its literals and the
+    pairs in extra, multiplied by one PairTable.product."""
+    literal, up, down, blocks, unaries = reads
+    rows, up, down = (table.g, table.f, table.h), iter(up), iter(down)
+    pairs = [rows[t][i][j] for t, i, j in zip(up, up, up)]
+    pairs += [rows[t][i][j][::-1] for t, i, j in zip(down, down, down)]
+    for vs, us, inverted in blocks:
+        k = table.izergin(vs, us)
+        pairs.append(k[::-1] if inverted else k)
+    for name, ks, inverted, arity in unaries:
+        values = unary(name, ks)
+        if arity != 1:
+            raise ValueError(f"{name} takes one set argument")
+        pairs += [x[::-1] for x in values] if inverted else values
+    if literal:
+        pairs.append(literal)
+    pairs += extra
+    return PairTable.product(pairs)
+
+
+def eval_expr(node, table, sets, unary=None):
+    """node as (num, den) at the sets given, which map a set name to its
+    index tuple in table: its compile_plan for that layout, evaluated by
+    plan_value, the one evaluator."""
+    _, ((_, reads),) = compile_plan(node, tuple(sets.items()))
+    return plan_value(reads, table, unary)
+
+
+def evaluate(text: str, binding: Binding, extra=()):
+    """text at binding, times the (num, den) pairs in extra, as one
+    rational; at an eps-shifted binding, its eps-limit (PoleAtZero or
+    PrecisionExhausted if it has none)."""
+    _, ((_, reads),) = compile_plan(parse(text), binding.layout)
+    return rat(*ratio(*plan_value(reads, binding.table, binding.unary, extra)))
 
 
 # --- partition enumeration ---------------------------------------------------
@@ -386,7 +439,7 @@ def _checked_coefficient(text, bound, funcs, at):
         ast = parse(text)
     except ExprSyntaxError as err:
         raise SchemaError(f"{err} in {text!r}", at) from None
-    for leaf, _ in _compiled(ast):
+    for leaf, _ in _flatten(ast, False):
         if type(leaf) is Lit:
             continue
         arity = 2 if leaf.name in _PAIR or leaf.name == "K" else 1 if leaf.name in funcs else None
@@ -402,16 +455,17 @@ def _checked_coefficient(text, bound, funcs, at):
 
 def partition_sum(terms, base, target, acc):
     """acc plus, over every compiled term and every split of base's sets by
-    the term's partitions, coefficient x target(args): a split is a dict of
-    index tuples into base, and args are the parameter tuples of the term's
-    target arguments, a juxtaposed target's four in a row."""
+    the term's partitions, coefficient x target(args, keys), each
+    coefficient read off the term's compile_plan: keys are the index tuples
+    into base of the term's target arguments, a juxtaposed target's four in
+    a row, and args their parameter tuples. A Binding holds each value once,
+    so equal keys within one base are equal arguments."""
     values = base.values
     for parts, coeff, arguments in terms:
-        split_sets = [base.sets]
-        for spec in parts:
-            split_sets = [{**sets, **split} for sets in split_sets for split in enumerate_partitions(spec, sets[spec.source])]
-        for sets in split_sets:
-            coef = rat(*ratio(*eval_expr(coeff, base.table, sets, base.unary)))
-            args = [tuple(values[k] for name in names for k in sets[name]) for names in arguments]
-            acc = acc.add(target(args).scale(coef))
+        names, splits = compile_plan(coeff, base.layout, parts)
+        where = [[names.index(name) for name in argument] for argument in arguments]
+        for sets, reads in splits:
+            coef = rat(*ratio(*plan_value(reads, base.table, base.unary)))
+            keys = tuple(tuple(k for at in argument for k in sets[at]) for argument in where)
+            acc = acc.add(target([tuple(values[k] for k in key) for key in keys], keys).scale(coef))
     return acc

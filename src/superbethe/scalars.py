@@ -369,10 +369,12 @@ def _cleared(x):
 class PairTable:
     """g, f and h of every ordered pair of a parameter family xs, tabulated
     once as (num, den) pairs, indexed [i][j]; the source of every shorthand
-    coefficient (notation.eval_expr, the Bethe-vector weights).
+    coefficient (the plans of notation, the Bethe-vector weights among them).
 
     Each parameter is cleared once as x = p/q (p an EpsScalar at an
-    eps-shifted x, q always an int), and with c = cn/cd the pair (i, j),
+    eps-shifted x, q always an int), or read from cleared, the pairs a
+    caller already holds (bethe.py reads them from Model.points), and with
+    c = cn/cd the pair (i, j),
     i != j, has g(x_i, x_j) = gn/gd with gn = cn q_i q_j and
     gd = cd (p_i q_j - p_j q_i), f = (gd + gn)/gd and h = (gd + gn)/gn.
     On the diagonal h = 1, and g and f have the denominator 0, so ratio
@@ -383,9 +385,9 @@ class PairTable:
 
     __slots__ = ("g", "f", "h")
 
-    def __init__(self, xs, c):
+    def __init__(self, xs, c, cleared=None):
         cn, cd = as_pair(c)
-        cleared = [_cleared(x) for x in xs]
+        cleared = cleared or [_cleared(x) for x in xs]
         size = len(xs)
         self.g = [[(1, 0)] * size for _ in range(size)]
         self.f = [[(1, 0)] * size for _ in range(size)]

@@ -22,8 +22,8 @@ their set product prod_pairs one pair at a time (over EpsScalar at an
 eps-shifted point, then taken to the limit), for checking
 bethe._partition_terms, which computes them from integer pair tables.
 Every shorthand coefficient the same way, at every split of a base
-Binding's sets, for checking notation.eval_expr, which reads that
-Binding's one pair table at the split's index tuples.
+Binding's sets, for checking the plans of notation.compile_plan, which read
+that Binding's one pair table at the split's index tuples.
 """
 
 from itertools import combinations, product
@@ -35,7 +35,19 @@ from superbethe.composite import SplitChain, load_class_table, ratio_funcs
 from superbethe.errors import DivisionByZero
 from superbethe.graded import GL21, GradedOperator, clear_denominators, embed, parity_table, r_matrix
 from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
-from superbethe.notation import Binding, Call, Div, Lit, Mul, Neg, Pow, enumerate_partitions, eval_expr, print_expr
+from superbethe.notation import (
+    Binding,
+    Call,
+    Div,
+    Lit,
+    Mul,
+    Neg,
+    Pow,
+    compile_plan,
+    enumerate_partitions,
+    plan_value,
+    print_expr,
+)
 from superbethe.rational import ONE, rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import eps_limit, f, g, h, is_zero, izergin, ratio
@@ -296,17 +308,21 @@ def outcome(value):
 
 def assert_shorthand_matches(terms, base):
     """Every coefficient of the compiled terms, at every split of base's
-    sets by their partitions, as eval_expr gives it and taken through ratio
-    equals the eps-limit of shorthand_value at the split's parameters, or
-    both raise the same error. Returns the outcomes."""
+    sets by their partitions, as the term's plan (notation.compile_plan)
+    gives it and taken through ratio, equals the eps-limit of
+    shorthand_value at the split's parameters, or both raise the same error;
+    the plan holds exactly those splits, in enumeration order. Returns the
+    outcomes."""
     outcomes = []
     for specs, coeff, _ in terms:
         split_sets = [base.sets]
         for spec in specs:
             split_sets = [{**sets, **split} for sets in split_sets for split in enumerate_partitions(spec, sets[spec.source])]
-        for sets in split_sets:
+        names, plan = compile_plan(coeff, base.layout, specs)
+        assert [dict(zip(names, parts)) for parts, _ in plan] == split_sets, print_expr(coeff)
+        for sets, (_, reads) in zip(split_sets, plan):
             params = {name: tuple(base.values[k] for k in ks) for name, ks in sets.items()}
-            got = outcome(lambda: rat(*ratio(*eval_expr(coeff, base.table, sets, base.unary))))
+            got = outcome(lambda: rat(*ratio(*plan_value(reads, base.table, base.unary))))
             want = outcome(lambda: eps_limit(shorthand_value(coeff, params, base.c, base.funcs)))
             assert got == want, (print_expr(coeff), params, got, want)
             outcomes.append(got)

@@ -431,10 +431,10 @@ def test_tabulated_izergin_matches_the_determinant():
 @pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
 def test_partition_coefficients_multiply_only_ints(fraction_ops):
     """At a rational point build_family does no rational arithmetic per
-    term. With the walks' weights cached, a fresh coefficient list and the
-    sum cost one Fraction operation per lam2 evaluation (one per parameter)
-    and one per output entry, within terms + output nnz; the parent code
-    paid several per term."""
+    term. With the walks' weights and the points' records (lam2 among them)
+    held by the model, a fresh coefficient list and the sum cost one
+    Fraction operation per output entry, the entry itself, and none per
+    term."""
     ps = ParameterSampler("int-coefficients", 1).generic(5, avoid=INT_WALK_XI)
     us, vs = ps[:3], ps[3:]
     for sig, weight in ((GL21, BETHE_WEIGHT), (GL12, TILDE_WEIGHT)):
@@ -447,7 +447,7 @@ def test_partition_coefficients_multiply_only_ints(fraction_ops):
             (_, terms), = m.coefficients.values()
             ops = sum(fraction_ops.values())
             assert not vec.is_zero()
-            assert ops <= len(terms) + len(vec.entries), (sig.name, dual, fraction_ops, len(terms), len(vec.entries))
+            assert ops <= len(vec.entries), (sig.name, dual, fraction_ops, len(terms), len(vec.entries))
 
 
 @pytest.fixture
@@ -541,7 +541,8 @@ def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
 def test_rule_empty_builds_compute_nothing(sig, evaluations, walk_steps):
     """A build the weight rule makes zero returns the zero vector of its type
     with no coefficient list and no walk, and leaves the model's coefficient
-    lists, walk tries and point ids empty."""
+    lists, walk tries, point ids and per-point records empty, with no factor
+    skeleton built."""
     builders = [build for s, build in ALL_BUILDERS if s == sig]
     m = chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig)
     ps = ParameterSampler(f"rule-empty:{sig.name}", 1).generic(6, avoid=m.spec.xi)
@@ -551,3 +552,4 @@ def test_rule_empty_builds_compute_nothing(sig, evaluations, walk_steps):
             assert vec.is_zero() and type(vec) is (DualGradedVector if dual else GradedVector), (a, b, dual)
     assert evaluations["calls"] == 0 and walk_steps["steps"] == 0
     assert m.coefficients == {} and m.walks == ({}, {}) and m.point_ids == {}
+    assert m.points == [] and m._weights == {} and m._skeleton is None

@@ -3,8 +3,9 @@ results the vector suites of configs/quick.json compute, the number of
 operator compositions its RTT, exchange and Yang-Baxter suites make, the
 packed products of its RTT and exchange suites, the embeds and walked
 state entries of its RTT, composite and Bethe suites, the Fraction
-operations and hashes of its vector suites, and the Fraction operations of
-the shorthand coefficients of the action table.
+operations and hashes of its vector suites, the factor skeletons and
+per-point factor evaluations of its vector suites, and the Fraction
+operations of the shorthand coefficients of the action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -35,10 +36,10 @@ QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 # its weight makes zero computes no coefficient list, and scalars.ratio
 # reads an eps-limit off the leading terms, with no series division
 PINNED = {
-    "bethe": (6, 57),
-    "actions": (44, 381),
+    "bethe": (6, 48),
+    "actions": (44, 333),
     "recursion": (9, 0),
-    "composite": (52, 142),
+    "composite": (52, 130),
 }
 
 
@@ -70,15 +71,17 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 
 # suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
 # EpsScalar keeps its integral coefficients as ints, a Bethe-vector
-# build hashes each parameter once, for its point id, and a bilinear sum
-# builds its partial vectors without a cache, whose keys would hash them
+# build hashes each parameter once, for its point id, and reads lam2 from
+# its point's record, a bilinear sum builds its partial vectors without a
+# cache, and the partial vectors of an action's right-hand side and of the
+# replay are cached by their index tuples into the sum's one Binding
 FRACTION_PINNED = {
-    "bethe": (291, 39),
-    "actions": (1880, 1023),
-    "recursion": (155, 36),
-    "composite": (620, 134),
-    "gl12": (823, 130),
-    "proof-replay": (912, 484),
+    "bethe": (285, 39),
+    "actions": (1643, 558),
+    "recursion": (143, 36),
+    "composite": (593, 110),
+    "gl12": (799, 130),
+    "proof-replay": (860, 156),
 }
 
 
@@ -195,6 +198,65 @@ def test_embeds_and_walked_entries_do_not_rise(suite, monkeypatch):
     assert got[0] <= WALK_PINNED[suite][0] and got[1] <= WALK_PINNED[suite][1], (suite, got, WALK_PINNED[suite])
 
 
+# suite -> (factor skeletons built, per-point factor evaluations) of one
+# run: a model builds its skeleton on its first walk and evaluates the
+# factors of each point it walks once, and each _cleared_sequence call (the
+# materialized T(u) of the coproduct, the vacuum axioms) builds one of each
+POINT_PINNED = {
+    "bethe": (8, 14),
+    "actions": (3, 24),
+    "recursion": (3, 9),
+    "composite": (20, 32),
+    "gl12": (42, 78),
+    "proof-replay": (12, 20),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(POINT_PINNED))
+def test_per_point_factor_data_is_computed_once(suite, monkeypatch):
+    """Every model builds at most one factor skeleton and evaluates each
+    point's factors on it at most once, exactly for the points it keeps
+    walk data for; every other skeleton is one _cleared_sequence call's."""
+    models, skeletons, evaluations, sequences = [], [], Counter(), Counter()
+    init, skeleton, point_weights, sequence = (
+        monodromy.Model.__init__,
+        monodromy._factor_skeleton,
+        monodromy._point_weights,
+        monodromy._cleared_sequence,
+    )
+
+    def counted_init(self):
+        models.append(self)
+        init(self)
+
+    def counted_skeleton(*args):
+        skeletons.append(skeleton(*args))  # kept alive, so ids stay unique
+        return skeletons[-1]
+
+    def counted_point_weights(skel, up, uq):
+        evaluations[id(skel), up, uq] += 1
+        return point_weights(skel, up, uq)
+
+    def counted_sequence(*args):
+        sequences["calls"] += 1
+        return sequence(*args)
+
+    monkeypatch.setattr(monodromy.Model, "__init__", counted_init)
+    monkeypatch.setattr(monodromy, "_factor_skeleton", counted_skeleton)
+    monkeypatch.setattr(monodromy, "_point_weights", counted_point_weights)
+    monkeypatch.setattr(monodromy, "_cleared_sequence", counted_sequence)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    walked = [m for m in models if m._skeleton is not None]
+    assert len(skeletons) == len(walked) + sequences["calls"]
+    assert max(evaluations.values()) == 1
+    per_skeleton = Counter(skel for skel, _, _ in evaluations.elements())
+    assert all(per_skeleton[id(m._skeleton)] == len(m._weights) for m in walked)
+    got = len(skeletons), sum(evaluations.values())
+    pin = POINT_PINNED[suite]
+    assert got[0] <= pin[0] and got[1] <= pin[1], (suite, got, pin)
+
+
 # suite -> graded.packed_product calls: the RTT pass computes each of the
 # 162 entry products once per column of the chain, and only where its right
 # factor's column is nonempty, once per RTT check and once per exchange
@@ -248,7 +310,7 @@ def test_shorthand_coefficients_multiply_only_ints(fraction_ops):
 
     funcs = action_binding(model, us, vs, z).funcs
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, model.c, {name: counted(name, fn) for name, fn in funcs.items()})
-    target = lambda args: SimpleNamespace(scale=lambda coefficient: coefficient)
+    target = lambda args, keys: SimpleNamespace(scale=lambda coefficient: coefficient)
     fraction_ops.clear()
     terms = _Terms()
     for element_terms in load_formula_table().values():

@@ -305,6 +305,28 @@ def test_flipped_swap_sign_breaks_factorization(monkeypatch, flip):
     assert not check_bethe_factorization(split, us, vs).is_zero()
 
 
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("flip", sorted(_FLIPPED_SWAP_SIGNS))
+def test_swap_sign_replaced_before_the_first_walk_reaches_the_skeleton(monkeypatch, sig, flip):
+    """A model builds its factor skeleton, which holds the swap signs, on its
+    first walk: a model made under the honest swap_sign and first walked
+    after the rule was replaced walks with the replaced rule, like the T(u)
+    built then, while a model walked before keeps the honest signs."""
+    smp = ParameterSampler(f"skeleton-swap-sign:{sig.name}", 1)
+    xi = smp.generic(2)
+    u = smp.generic_one(avoid=xi)
+    twist = smp.twist()
+    honest, late = chain(2, xi, twist, sig), chain(2, xi, twist, sig)
+    basis = [GradedVector.basis(sig, digits) for digits in product((1, 2, 3), repeat=2)]
+    walked = lambda model: [model.apply_T(i, j, u, vec) for i, j in product(range(1, 4), repeat=2) for vec in basis]
+    before = walked(honest)
+    monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+    after = walked(late)
+    assert after != before and walked(honest) == before
+    built = late.monodromy(u)
+    assert after == [built.entry(i, j).apply(vec) for i, j in product(range(1, 4), repeat=2) for vec in basis]
+
+
 # ---------------------------------------------------------------------------
 # integer-scaled operator identities against the rational formulas
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,24 +16,30 @@ from superbethe.notation import (
     PartitionSpec,
     UnboundName,
     UnsatisfiableSpec,
+    compile_plan,
     compile_terms,
     enumerate_partitions,
     eval_expr,
     evaluate,
     parse,
     partition_sum,
+    plan_value,
     print_expr,
     splits,
 )
-from superbethe.bethe import BETHE_WEIGHT
+from superbethe import composite
+from superbethe.actions import NORM, action_binding, load_formula_table
+from superbethe.bethe import BETHE_WEIGHT, _weight_plan, separate_collision
+from superbethe.composite import BRA_COEFF, EXCHANGE_COEFFS, KET_COEFF, RECURSION_COEFFS, ratio_funcs
 from superbethe.errors import DivisionByZero, PoleAtZero, SchemaError
-from superbethe.gl12 import TILDE_WEIGHT
+from superbethe.gl12 import TILDE_BRA_COEFF, TILDE_KET_COEFF, TILDE_WEIGHT
 from superbethe.graded import GL21, GradedVector
+from superbethe.monodromy import ChainModel
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import EPS, PairTable, ratio
 
-from oracles import ORACLE_C, assert_shorthand_matches, outcome, packaged_bases
+from oracles import ORACLE_C, ORACLE_CHAIN, ORACLE_SPLIT, assert_shorthand_matches, outcome, packaged_bases
 
 
 def test_parse_structure():
@@ -185,7 +192,7 @@ def test_partition_sum_takes_the_limit_of_eps_coefficients():
     """An EpsScalar coefficient enters as its value at eps = 0; one with a
     pole raises, and its term is never dropped."""
     omega = GradedVector.basis(GL21, (1,))
-    target = lambda args: omega
+    target = lambda args, keys: omega
     base = Binding({"u": (rat(3),), "v": (rat(3) + EPS,), "w": (rat(5),)})
 
     def total(coefficient):
@@ -219,19 +226,126 @@ def test_a_coefficient_with_a_pole_raises_on_both_paths():
 @pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
 @pytest.mark.parametrize("text", [BETHE_WEIGHT, TILDE_WEIGHT])
 def test_weight_strings_match_the_oracle_and_their_compiled_form(text, shifted):
-    """Each Bethe-vector weight at every split with #uI = #vI: eval_expr at a
-    Binding, the per-pair oracle and eval_expr over the index tuples of a
-    bare PairTable agree, on a value or on the pole a weight alone may have
-    at the shifted point."""
+    """Each Bethe-vector weight at every split with #uI = #vI: the plan
+    bethe._partition_terms reads (bethe._weight_plan, splits in the order of
+    notation.splits), eval_expr at a Binding, the per-pair oracle and
+    eval_expr over the index tuples of a bare PairTable agree, on a value or
+    on the pole a weight alone may have at the shifted point."""
     ps = ParameterSampler("weight-oracle", ORACLE_C).generic(6)
     xs = ps[:5] + ((ps[0] + EPS,) if shifted else ps[5:])
     terms = compile_terms([{"partitions": [], "coefficient": text, "target": ["uI", "vI"]}], ("uI", "uII", "vI", "vII"), ())
     table = PairTable(xs, ORACLE_C)
-    for n in range(3):
-        for (u1, u2), (v1, v2) in product(splits((0, 1, 2), (n, 3 - n)), splits((3, 4, 5), (n, 3 - n))):
-            idx = {"uI": u1, "uII": u2, "vI": v1, "vII": v2}
-            (got,) = assert_shorthand_matches(terms, Binding({name: tuple(xs[k] for k in ks) for name, ks in idx.items()}, c=ORACLE_C))
-            assert outcome(lambda: rat(*ratio(*eval_expr(parse(text), table, idx)))) == got
+    plan = _weight_plan(text, 3, 3)
+    order = [(u2, v2, v1) for n in range(4) for (_, u2), (v1, v2) in product(splits((0, 1, 2), (n, 3 - n)), splits((3, 4, 5), (n, 3 - n)))]
+    assert [entry[:3] for entry in plan] == order
+    for u2, v2, v1, reads in plan:
+        idx = {"uI": tuple(k for k in (0, 1, 2) if k not in u2), "uII": u2, "vI": v1, "vII": v2}
+        (got,) = assert_shorthand_matches(terms, Binding({name: tuple(xs[k] for k in ks) for name, ks in idx.items()}, c=ORACLE_C))
+        assert outcome(lambda: rat(*ratio(*eval_expr(parse(text), table, idx)))) == got
+        assert outcome(lambda: rat(*ratio(*plan_value(reads, table)))) == got
+
+
+def _single(text, names, funcs=(), partitions=()):
+    """text compiled as the coefficient of one term over the sets names."""
+    return compile_terms([{"partitions": list(partitions), "coefficient": text, "target": [names[0], names[0]]}], names, funcs)
+
+
+def _coefficient_bases(shifted):
+    """(compiled terms, base) for every packaged coefficient outside the
+    action and class tables, and for a literal, a negation and a power: a
+    ubar and vbar of two each and a z, sharing a parameter up to eps if
+    shifted."""
+    ps = ParameterSampler("plan-oracle", ORACLE_C).generic(5, avoid=(0, rat(1, 3)))
+    us, vs, z = ps[:2], ps[2:4], ps[4]
+    if shifted:
+        us, vs, _ = separate_collision(us, (us[0],) + vs[1:])
+    funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
+    parts = Binding({"ubar": us, "vbar": vs}, c=ORACLE_C, funcs=funcs)
+    action = action_binding(ChainModel(ORACLE_CHAIN), us, vs, z)
+    plain = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=ORACLE_C)
+    first_t11 = load_formula_table()["T11"][0][1]
+    singles = [["ubar", "uI", "uII"], ["vbar", "vI", "vII"]]
+    return [
+        *((composite._bilinear_terms(coeff), parts) for coeff in (KET_COEFF, BRA_COEFF, TILDE_KET_COEFF, TILDE_BRA_COEFF)),
+        (_single(RECURSION_COEFFS[0], ("ubar", "vbar", "z")), plain),
+        (composite._recursion_terms(RECURSION_COEFFS[1]), plain),
+        *((_single(coeff, ("vI", "vII")), Binding({"vI": vs, "vII": (us[1], z)}, c=ORACLE_C)) for coeff in EXCHANGE_COEFFS),
+        (_single(NORM, ("vbar", "z")), Binding({"vbar": vs, "z": (z,)}, c=ORACLE_C)),
+        *((_single(weight, ("ubar", "vbar"), partitions=singles), plain) for weight in (BETHE_WEIGHT, TILDE_WEIGHT)),
+        (_single("2*" + print_expr(first_t11), ("ubar", "vbar", "z"), ("r1", "r3")), action),
+        (_single("-(h(vbar,z)*r1(z))^2/3", ("ubar", "vbar", "z"), ("r1", "r3")), action),
+    ]
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
+def test_every_other_packaged_coefficient_matches_the_oracle_by_plan(shifted):
+    """The composite coefficients (KET_COEFF, BRA_COEFF and their tilde
+    forms), both recursion and both exchange coefficients, NORM, both
+    Bethe-vector weights, and a literal, a negation and a power (the "2*"
+    shape of the perturbed-table control), each read off its plan at every
+    split, equal the per-pair oracle's eps-limit."""
+    count = 0
+    for terms, base in _coefficient_bases(shifted):
+        outcomes = assert_shorthand_matches(terms, base)
+        assert outcomes
+        count += len(outcomes)
+    assert count == 4 * 16 + 1 + 2 + 2 + 1 + 2 * 4 + 2
+
+
+class _Kept(list):
+    """A partition-sum accumulator that keeps what each target's scale gives."""
+
+    def add(self, term):
+        self.append(term)
+        return self
+
+
+def _halves(xs):
+    """Every free split of xs into two parts, as enumerate_partitions orders
+    them, as parameter tuples."""
+    spec = PartitionSpec("x", (PartSpec("a"), PartSpec("b")))
+    return [(tuple(xs[k] for k in split["a"]), tuple(xs[k] for k in split["b"])) for split in enumerate_partitions(spec, range(len(xs)))]
+
+
+def test_plans_are_shared_by_layout_and_told_apart_by_ast():
+    """A plan is keyed by the AST and the base's index tuples: two bases of
+    the same shape share one plan object; a base whose sets share a value,
+    which a Binding holds once, has another layout and another plan, which
+    partition_sum reads (a plan keyed by the set sizes alone would read
+    past that base's values); and an AST with one leaf's arguments swapped
+    has its own plan, with other values."""
+    ps = ParameterSampler("plan-shape", ORACLE_C).generic(8)
+    specs = composite._FREE_SPLITS
+    node = parse(KET_COEFF)
+    funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
+    first, second = (Binding({"ubar": ps[k : k + 2], "vbar": ps[k + 2 : k + 4]}, c=ORACLE_C, funcs=funcs) for k in (0, 4))
+    assert first.values != second.values and first.layout == second.layout
+    assert compile_plan(node, first.layout, specs) is compile_plan(node, second.layout, specs)
+    shared = Binding({"ubar": ps[:2], "vbar": (ps[0], ps[3])}, c=ORACLE_C, funcs=funcs)
+    assert shared.layout != first.layout
+    assert compile_plan(node, shared.layout, specs) is not compile_plan(node, first.layout, specs)
+    # partition_sum reads the shared base's own plan: each term's coefficient
+    # is the oracle's and each target gets that split's parameters (the
+    # coefficient pairs the shared value with itself only through h, which
+    # is 1 there on both paths)
+    text = "r1_2(uI)*r3_1(vII)*g(vI,vII)*h(uII,vI)/f(uI,uII)"
+    raw = [{"partitions": [], "coefficient": text, "target": [["uI", "vI"], ["uII", "vII"]]}]
+    terms = compile_terms(raw, ("ubar", "vbar"), tuple(funcs), specs, juxtaposed=True)
+    outcomes = assert_shorthand_matches(terms, shared)
+    seen = partition_sum(terms, shared, lambda args, keys: SimpleNamespace(scale=lambda coef: (coef, args)), _Kept())
+    us, vs = ps[:2], (ps[0], ps[3])
+    want = [((u1, v1), (u2, v2)) for u1, u2 in _halves(us) for v1, v2 in _halves(vs)]
+    assert [coef for coef, _ in seen] == outcomes
+    assert [((a[0], a[1]), (a[2], a[3])) for _, a in seen] == want
+    swapped = parse(KET_COEFF.replace("g(vI,vII)", "g(vII,vI)"))
+    assert swapped != node
+    assert compile_plan(swapped, first.layout, specs) is not compile_plan(node, first.layout, specs)
+
+    def values(ast):
+        _, plan = compile_plan(ast, first.layout, specs)
+        return [rat(*ratio(*plan_value(reads, first.table, first.unary))) for _, reads in plan]
+
+    assert values(swapped) != values(node)
 
 
 def test_coincident_arguments():
