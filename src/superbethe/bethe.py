@@ -62,9 +62,10 @@ action's right-hand side, the partial vectors of a factorization), is one
 dict lookup. Only identical step sequences are shared, so the reuse is
 exact, and the returned vector is built anew from the trie's, which no
 build mutates. build_family sums the terms over one int
-denominator, taking an lcm only when a term's d does not divide the current
-one, folds the bra's sign into that denominator and builds each output
-entry as one rational.
+denominator (graded.accumulate), taking an lcm only when a term's d does not
+divide the current one, folds the bra's sign into that denominator and
+returns the sum as it is, int numerators over that denominator
+(GradedVector.from_ints): a build at a rational point makes no Fraction.
 
 Coincident parameters across the two families (forced by the action
 formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
@@ -88,12 +89,11 @@ from __future__ import annotations
 
 from functools import cache, partial
 from itertools import combinations
-from math import gcd, lcm
 
 from .errors import DivisionByZero
-from .graded import GL21, DualGradedVector, GradedVector, digit_string
+from .graded import GL21, DualGradedVector, GradedVector, accumulate, digit_string
 from .notation import PartitionSpec, PartSpec, compile_plan, parse, plan_value
-from .rational import rat, rat_to_str
+from .rational import rat_to_str
 from .scalars import EPS, EpsScalar, PairTable, eps_limit, is_zero, ratio
 
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
@@ -218,35 +218,16 @@ def _coefficients(model, us, vs, weight, ids):
     return hit
 
 
-def _accumulate(acc, den, n, d, entries):
-    """Add (n/d) * entries to acc, which holds den times a sum of ints;
-    returns the new den, the lcm of den and d in lowest terms."""
-    if not n:
-        return den
-    k = gcd(n, d) if d > 0 else -gcd(n, d)
-    n, d = n // k, d // k
-    if den % d:
-        grown = lcm(den, d)
-        up = grown // den
-        for key in acc:
-            acc[key] *= up
-        den = grown
-    n *= den // d
-    for key, x in entries.items():
-        acc[key] = acc.get(key, 0) + n * x
-    return den
-
-
 def build_family(model, us, vs, weight, dual):
     """The partition sum of _PLAN under the given weight: the ket, or with
     dual its mirror bra (transposed entries, annihilation-type normalizers
     and the sign (-1)^{m(m-1)/2} for m odd factors per term). At eps-shifted
     parameters every term is its eps -> 0 limit. The terms, n/d times int
-    vectors, are summed over one int denominator (see _accumulate), which
-    also takes the bra's sign. A pair (a, b) that Model.weight_space_nonempty
-    rules out gives the zero vector, with no coefficient and no walk, even
-    where a coefficient has a pole (exact, see above), after the refusals
-    that need no coefficient."""
+    vectors, are summed over one int denominator (graded.accumulate), which
+    also takes the bra's sign, and returned as those ints over it. A pair
+    (a, b) that Model.weight_space_nonempty rules out gives the zero vector,
+    with no coefficient and no walk, even where a coefficient has a pole
+    (exact, see above), after the refusals that need no coefficient."""
     a = len(us)
     at_zero = [eps_limit(x) if isinstance(x, EpsScalar) else x for x in (*us, *vs)]
     if not model.weight_space_nonempty(a, len(vs)):
@@ -268,12 +249,12 @@ def build_family(model, us, vs, weight, dual):
             if params:
                 p, q, node = _apply_entries(model, h_table, i, j, odd_entry, params, points, node, dual)
                 n, d = n * p, d * q
-        den = _accumulate(acc, den, n, d, node[1].entries)
+        den = accumulate(acc, den, n, d, node[1].num)
     # every term has the same number of odd factors
     odd = sum(len(params) * odd_entry for (_, _, odd_entry), params in zip(plan, blocks))
     if dual and odd * (odd - 1) // 2 % 2:
         den = -den
-    return type(start)(model.sig, model.arity, {key: rat(x, den) for key, x in acc.items() if x})
+    return type(start).from_ints(model.sig, model.arity, acc, den)
 
 
 BETHE_WEIGHT = "K(vI|uI)*f(uI,uII)*g(vII,vI)"

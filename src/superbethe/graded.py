@@ -41,6 +41,19 @@ back by the product of the scales, which makes it equal to the residual of
 the rational formula. The Yang-Baxter residual is a fixed combination of
 four products of permutations (check_ybe) and the unitarity residual a
 multiple of P^2 - I (check_unitarity), all composed once per P.
+
+Vectors are stored fraction-free, as in bareiss_det (Bareiss, Math. Comp.
+22, 1968): a GradedVector holds num, {key: int} with no zero, over one
+positive int den. The constructor clears rational entries once, and
+from_ints adopts ints as they are. scale, add, sub, vector_tensor and ==
+work on the ints: the lcm of two denominators, their product, a
+cross-multiplied comparison. entries, {key: num/den}, is a read-only view
+for printing and serializing, built on its first read, and num itself at
+den 1. Entries that are not all rational (EpsScalars, which only the
+materialized test oracles build) are kept as given over den 1, and the
+same arithmetic runs on them. accumulate is the one accumulator of the
+partition sums: it folds n/d times an int vector into one int dict over
+one denominator.
 """
 
 from __future__ import annotations
@@ -48,11 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import lshift
 
 from .errors import ArityMismatch, SignatureMismatch
-from .rational import rat
+from .rational import is_rational, rat
 from .scalars import as_pair
 from .scalars import g as g_fn
 
@@ -128,26 +141,76 @@ def _scan(parities):
     return "mixed"
 
 
+def _over(x, den):
+    """x / den for a numerator x of a vector and its positive int den: a
+    rational for an int x, x itself for den 1."""
+    if den == 1:
+        return x
+    return rat(x, den) if type(x) is int else x / den
+
+
 class GradedVector:
-    __slots__ = ("sig", "arity", "entries")
+    """A sparse vector as int numerators over one positive int denominator:
+    num {key: n}, no n zero, and den, the vector being num / den. entries,
+    the vector's values {key: n/den}, is a read-only view built on its first
+    read; at den 1 it is num itself."""
+
+    __slots__ = ("sig", "arity", "num", "den", "_entries")
 
     def __init__(self, sig, arity, entries=None):
-        """entries, {key: value}, is kept as given, not copied, unless it
-        holds a zero, which a copy drops: every producer hands over a fresh
-        dict and does not change it afterwards."""
-        self.sig = sig
-        self.arity = arity
+        """entries, {key: value}, is cleared once: rational values become
+        num over the lcm of their denominators. Values that are not all
+        rational (EpsScalars) are kept as given over den 1, and the
+        arithmetic on them stays generic. An int dict is kept, not copied,
+        unless it holds a zero, which a copy drops: every producer hands
+        over a fresh dict and does not change it afterwards."""
         entries = {} if entries is None else entries
-        self.entries = entries if all(entries.values()) else {k: v for k, v in entries.items() if v}
+        num = entries if all(entries.values()) else {k: v for k, v in entries.items() if v}
+        den = 1
+        if not {*map(type, num.values())} <= {int} and all(map(is_rational, num.values())):
+            den = lcm(*(int(x.denominator) for x in num.values()))
+            num = {k: int(x.numerator) * (den // int(x.denominator)) for k, x in num.items()}
+        self._adopt(sig, arity, num, den)
+
+    def _adopt(self, sig, arity, num, den):
+        self.sig, self.arity, self.num, self.den, self._entries = sig, arity, num, den, None
+
+    @classmethod
+    def from_ints(cls, sig, arity, num, den=1):
+        """The vector num / den, adopting num {key: int} as it is but for
+        its zeros, which a copy drops, and for the sign of a negative den,
+        which moves into num; den is a nonzero int."""
+        if not all(num.values()):
+            num = {k: x for k, x in num.items() if x}
+        if den < 0:
+            num, den = {k: -x for k, x in num.items()}, -den
+        vec = cls.__new__(cls)
+        vec._adopt(sig, arity, num, den)
+        return vec
+
+    @property
+    def entries(self):
+        if self.den == 1:
+            return self.num
+        if self._entries is None:
+            den = self.den
+            self._entries = {k: _over(x, den) for k, x in self.num.items()}
+        return self._entries
 
     @classmethod
     def basis(cls, sig, digits):
-        return cls(sig, len(digits), {encode(digits): 1})
+        return cls.from_ints(sig, len(digits), {encode(digits): 1})
 
-    def scale(self, c):
+    def scale(self, c, d=1):
+        """(c/d) times the vector, d a nonzero int: on the numerators for a
+        rational c, else on the entries."""
         if not c:
-            return type(self)(self.sig, self.arity, {})
-        return type(self)(self.sig, self.arity, {k: c * v for k, v in self.entries.items()})
+            return type(self).from_ints(self.sig, self.arity, {})
+        if not is_rational(c):
+            vec = type(self)(self.sig, self.arity, {k: c * v for k, v in self.entries.items()})
+            return vec if d == 1 else vec.scale(1, d)
+        n, cd = as_pair(c)
+        return type(self).from_ints(self.sig, self.arity, {k: n * x for k, x in self.num.items()}, self.den * cd * d)
 
     def add(self, other):
         return self._merge(other, False)
@@ -158,35 +221,43 @@ class GradedVector:
         return self._merge(other, True)
 
     def _merge(self, other, negate):
+        """self + other (self - other with negate) over the lcm of the two
+        denominators."""
         _check_pair(self, other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, 0) - v if negate else out.get(k, 0) + v
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        up, step = den // self.den, den // other.den
+        out = dict(self.num) if up == 1 else {k: up * x for k, x in self.num.items()}
+        if negate:
+            step = -step
+        for k, v in other.num.items():
+            s = out.get(k, 0) + step * v
             if s:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return type(self)(self.sig, self.arity, out)
+        return type(self).from_ints(self.sig, self.arity, out, den)
 
     def is_zero(self):
-        return not self.entries
+        return not self.num
 
     def first_nonzero(self):
         """The least-key entry as "[digits]=value", or None when zero."""
-        key = min(self.entries, default=None)
-        return None if key is None else f"[{digit_string(key, self.arity)}]={self.entries[key]}"
+        key = min(self.num, default=None)
+        return None if key is None else f"[{digit_string(key, self.arity)}]={_over(self.num[key], self.den)}"
 
     def support_parity(self):
         tab = parity_table(self.sig, self.arity)
-        return _scan([tab[k] for k in self.entries])
+        return _scan([tab[k] for k in self.num])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self.sig == other.sig
-            and self.arity == other.arity
-            and self.entries == other.entries
-        )
+        """Equal values: the numerators cross-multiplied by the other's
+        denominator agree key by key."""
+        if not (isinstance(other, type(self)) and self.sig == other.sig and self.arity == other.arity):
+            return False
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da == db:
+            return a == b
+        return a.keys() == b.keys() and all(x * db == b[k] * da for k, x in a.items())
 
     def __repr__(self):
         items = ", ".join(f"{digit_string(k, self.arity)}: {v}" for k, v in sorted(self.entries.items()))
@@ -196,15 +267,39 @@ class GradedVector:
 class DualGradedVector(GradedVector):
     """Same sparse storage, acting on kets from the left."""
 
+    __slots__ = ()
+
     def pair(self, vec: GradedVector):
         _check_pair(self, vec)
         acc = 0
-        small, big = (self.entries, vec.entries) if len(self.entries) < len(vec.entries) else (vec.entries, self.entries)
+        small, big = (self.num, vec.num) if len(self.num) < len(vec.num) else (vec.num, self.num)
         for k, v in small.items():
             w = big.get(k)
             if w is not None:
                 acc = acc + v * w
-        return acc
+        return _over(acc, self.den * vec.den)
+
+
+def accumulate(acc, den, n, d, num):
+    """Add (n/d) * num to acc, for ints n and d != 0 and a dict num: acc
+    holds den times a sum, den > 0. Returns the new den, the lcm of den and
+    d taken in lowest terms, so acc is rescaled only when d does not divide
+    den; an entry that cancels stays in acc as 0. The one accumulator of the
+    partition sums (bethe.build_family, notation.partition_sum)."""
+    if not n:
+        return den
+    k = gcd(n, d) if d > 0 else -gcd(n, d)
+    n, d = n // k, d // k
+    if den % d:
+        grown = lcm(den, d)
+        up = grown // den
+        for key in acc:
+            acc[key] *= up
+        den = grown
+    n *= den // d
+    for key, x in num.items():
+        acc[key] = acc.get(key, 0) + n * x
+    return den
 
 
 def column_product(cols, column):
@@ -297,16 +392,18 @@ def unpack(x, keys, width):
 
 
 def vector_tensor(x: GradedVector, y: GradedVector):
+    """x (x) y, of x's type: the products of the numerators over the
+    product of the denominators."""
     if x.sig != y.sig:
         raise SignatureMismatch(f"{x.sig.name} vs {y.sig.name}")
     shift = 3 ** y.arity
-    cls = type(x)
     out = {}
-    for kx, vx in x.entries.items():
+    ynum = y.num.items()
+    for kx, vx in x.num.items():
         base = kx * shift
-        for ky, vy in y.entries.items():
+        for ky, vy in ynum:
             out[base + ky] = vx * vy
-    return cls(x.sig, x.arity + y.arity, out)
+    return type(x).from_ints(x.sig, x.arity + y.arity, out, x.den * y.den)
 
 
 class GradedOperator:
@@ -386,12 +483,13 @@ class GradedOperator:
 
     def apply(self, vec: GradedVector) -> GradedVector:
         _check_pair(self, vec)
-        return GradedVector(self.sig, self.arity, column_product(self.cols, vec.entries))
+        out = GradedVector(self.sig, self.arity, column_product(self.cols, vec.num))
+        return out if vec.den == 1 else out.scale(1, vec.den)
 
     def apply_dual(self, dual: DualGradedVector) -> DualGradedVector:
         """Right action dual . self."""
         _check_pair(self, dual)
-        dentries = dual.entries
+        dentries = dual.num
         out = {}
         for c, colmap in self.cols.items():
             acc = 0
@@ -401,7 +499,8 @@ class GradedOperator:
                     acc = acc + x * av
             if acc:
                 out[c] = acc
-        return DualGradedVector(self.sig, self.arity, out)
+        out = DualGradedVector(self.sig, self.arity, out)
+        return out if dual.den == 1 else out.scale(1, dual.den)
 
     def support_parity(self):
         tab = parity_table(self.sig, self.arity)

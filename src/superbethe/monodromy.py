@@ -45,17 +45,19 @@ first). T(u) is reached in two ways:
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
-  the lifted vector (Model._walk) on ints and returning (m, m*T_ij(u)*vec);
-  the extraction sign is one factor of the walk's twist scalar. Each model
-  builds its factor skeleton (_factor_skeleton: sites, xi cleared, parity
-  prefixes, the graded signs as indices and the cleared twists) on its
-  first walk, so a new point computes only g(u, xi_k) = gn/gd per site
+  the lifted numerators of the vector (num, over its den; Model._walk) on
+  ints and returning (m, m*T_ij(u)*vec) as an int vector, den folded into
+  m; the extraction sign is one factor of the walk's twist scalar. Each
+  model builds its factor skeleton (_factor_skeleton: sites, xi cleared,
+  parity prefixes, the graded signs as indices and the cleared twists) on
+  its first walk, so a new point computes only g(u, xi_k) = gn/gd per site
   (_point_weights). The model keeps each point's (M, walk orders) by its
   point id, the ket and bra orders with the twists at either end taken
   out as scalars (_walk_orders). Model.points holds the rest of a point's
   int data: u cleared as (p, q) and lam2(u), which the Bethe-vector
-  builders read. Model.apply_T scales by 1/m once at the end. The vacuum
-  axioms (vacuum_residuals) are twelve walks of Omega and Omega^+ on one
+  builders read. Model.apply_T scales by factor/m once at the end, on the
+  vector's numerators and denominator. The vacuum axioms
+  (vacuum_residuals) are twelve walks of Omega and Omega^+ on one
   _cleared_sequence.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
@@ -404,11 +406,9 @@ class Model:
     def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
         """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
         factor, matrix-free; the walk's 1/m is folded into factor, so the
-        result is scaled once."""
+        result is scaled once, on its numerators for a rational factor."""
         m, out = self.apply_T_scaled(i, j, u, vec)
-        if m != 1:
-            factor = factor * rat(1, m)
-        return out if factor == 1 else out.scale(factor)
+        return out.scale(factor, m)
 
     def point_id(self, u):
         """The point id of a rational u (point_ids), given on first sight,
@@ -423,13 +423,11 @@ class Model:
     def apply_T_scaled(self, i, j, u, vec, dual=False, pid=None):
         """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)), at a
         rational u, whose point id pid is looked up unless the caller holds
-        it. The entries of vec are multiplied by the lcm n of their
-        denominators and the walk takes the integer multiples of the
-        factors, with M the product of their multipliers, so that only ints
-        are multiplied; then m = M*n."""
+        it. The walk takes the numerators of vec, num with vec = num/den, and
+        the integer multiples of the factors, with M the product of their
+        multipliers, so that only ints are multiplied; then m = M*den."""
         m, orders = self._walk_weights(self.point_id(u) if pid is None else pid)
-        n, vec = _cleared_vector(vec)
-        return m * n, self._walk(i, j, vec, orders, dual)
+        return m * vec.den, self._walk(i, j, vec, orders, dual)
 
     def _walk_weights(self, pid):
         """The walk data (M, _walk_orders) of the whole factor sequence at
@@ -444,8 +442,9 @@ class Model:
         return hit
 
     def _walk(self, i, j, vec, orders, dual=False):
-        """T_ij . vec, or with dual vec . T_ij, for the _walk_orders of the
-        factor data of some point: vec is lifted to auxiliary index j (i),
+        """T_ij . num, or with dual num . T_ij, for the _walk_orders of the
+        factor data of some point and the numerators num of vec (its den is
+        the caller's to take): num is lifted to auxiliary index j (i),
         the factors are applied rightmost (leftmost) first, and the state is
         projected onto auxiliary index i (j). The extraction sign is one
         constant (extraction_sign), so it joins the twist scalar d. Nothing
@@ -463,7 +462,7 @@ class Model:
             d *= tail[end - 1]
         shift = 3**self.arity
         lo = (start - 1) * shift
-        state = {lo + n: d * x for n, x in vec.entries.items()}
+        state = {lo + n: d * x for n, x in vec.num.items()}
         for weights in factors:
             state = _apply_factor(self.arity, weights, state)
         if last is not None:
@@ -471,7 +470,7 @@ class Model:
         elif start != end:
             state = {}  # no site factor: T(u) is the twist, diagonal
         lo = (end - 1) * shift
-        return type(vec)(self.sig, self.arity, {key - lo: x for key, x in state.items()} if lo else state)
+        return type(vec).from_ints(self.sig, self.arity, {key - lo: x for key, x in state.items()} if lo else state)
 
     def weight_space_nonempty(self, a, b):
         """Whether a Bethe vector B_{a,b} (C, B~, C~ alike) can be nonzero
@@ -496,17 +495,6 @@ class Model:
 
     def omega_dual(self) -> DualGradedVector:
         return DualGradedVector.basis(self.sig, (1,) * self.arity)
-
-
-def _cleared_vector(vec):
-    """(n, n*vec) with int entries, n the lcm of the entry denominators of
-    a vector of rationals."""
-    values = vec.entries.values()
-    if {*map(type, values)} <= {int}:
-        return 1, vec
-    n = lcm(*(int(x.denominator) for x in values))
-    entries = {k: int(x.numerator) * (n // int(x.denominator)) for k, x in vec.entries.items()}
-    return n, type(vec)(vec.sig, vec.arity, entries)
 
 
 class ChainModel(Model):

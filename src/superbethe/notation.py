@@ -31,6 +31,7 @@ from functools import cache
 from itertools import combinations, product
 
 from .errors import SchemaError
+from .graded import _check_pair, accumulate
 from .rational import ONE, rat
 from .scalars import PairTable, as_pair, ratio
 
@@ -459,13 +460,20 @@ def partition_sum(terms, base, target, acc):
     coefficient read off the term's compile_plan: keys are the index tuples
     into base of the term's target arguments, a juxtaposed target's four in
     a row, and args their parameter tuples. A Binding holds each value once,
-    so equal keys within one base are equal arguments."""
+    so equal keys within one base are equal arguments. Each coefficient is
+    (n, d) ints in lowest terms (at an eps-shifted base its eps-limit), each
+    target a vector of acc's signature and arity, num over den, and every
+    term is folded into one int dict over one denominator
+    (graded.accumulate), which becomes the vector returned, of acc's type."""
     values = base.values
+    total, den = dict(acc.num), acc.den
     for parts, coeff, arguments in terms:
         names, splits = compile_plan(coeff, base.layout, parts)
         where = [[names.index(name) for name in argument] for argument in arguments]
         for sets, reads in splits:
-            coef = rat(*ratio(*plan_value(reads, base.table, base.unary)))
+            n, d = ratio(*plan_value(reads, base.table, base.unary))
             keys = tuple(tuple(k for at in argument for k in sets[at]) for argument in where)
-            acc = acc.add(target([tuple(values[k] for k in key) for key in keys], keys).scale(coef))
-    return acc
+            vec = target([tuple(values[k] for k in key) for key in keys], keys)
+            _check_pair(acc, vec)
+            den = accumulate(total, den, n, d * vec.den, vec.num)
+    return type(acc).from_ints(acc.sig, acc.arity, total, den)

@@ -377,8 +377,10 @@ class PairTable:
     c = cn/cd the pair (i, j),
     i != j, has g(x_i, x_j) = gn/gd with gn = cn q_i q_j and
     gd = cd (p_i q_j - p_j q_i), f = (gd + gn)/gd and h = (gd + gn)/gn.
-    On the diagonal h = 1, and g and f have the denominator 0, so ratio
-    raises DivisionByZero on a product that has one as a factor. At a
+    On the diagonal h = 1, and g and f are (0, 0), which read either way
+    up keeps the denominator 0, so ratio raises DivisionByZero on a product
+    that has one, or its reciprocal, as a factor; so does a K block that
+    pairs a parameter with itself. At a
     rational point every entry is an int; at an eps-shifted point the pairs
     of the shifted parameter are EpsScalars, and the products carry them.
     """
@@ -389,8 +391,8 @@ class PairTable:
         cn, cd = as_pair(c)
         cleared = cleared or [_cleared(x) for x in xs]
         size = len(xs)
-        self.g = [[(1, 0)] * size for _ in range(size)]
-        self.f = [[(1, 0)] * size for _ in range(size)]
+        self.g = [[(0, 0)] * size for _ in range(size)]
+        self.f = [[(0, 0)] * size for _ in range(size)]
         self.h = [[(1, 1)] * size for _ in range(size)]
         for i, j in combinations(range(size), 2):
             (pi, qi), (pj, qj) = cleared[i], cleared[j]

@@ -16,14 +16,13 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from superbethe import bethe, graded, monodromy, scalars
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.cli import load_config, run_suites
-from superbethe.graded import GL21, GradedOperator
+from superbethe.graded import GL21, GradedOperator, GradedVector
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.notation import Binding, partition_sum
 from superbethe.rational import BACKEND, rat
@@ -74,14 +73,16 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # build hashes each parameter once, for its point id, and reads lam2 from
 # its point's record, a bilinear sum builds its partial vectors without a
 # cache, and the partial vectors of an action's right-hand side and of the
-# replay are cached by their index tuples into the sum's one Binding
+# replay are cached by their index tuples into the sum's one Binding;
+# vectors are int numerators over one int denominator, so their sums,
+# scalings and tensor products make no Fraction
 FRACTION_PINNED = {
-    "bethe": (285, 39),
-    "actions": (1643, 558),
-    "recursion": (143, 36),
-    "composite": (593, 110),
-    "gl12": (799, 130),
-    "proof-replay": (860, 156),
+    "bethe": (190, 39),
+    "actions": (854, 558),
+    "recursion": (76, 36),
+    "composite": (390, 110),
+    "gl12": (433, 130),
+    "proof-replay": (472, 156),
 }
 
 
@@ -279,20 +280,12 @@ def test_packed_products_do_not_rise(suite, monkeypatch):
     assert calls["packed_product"] <= PACKED_PINNED[suite], (suite, calls["packed_product"])
 
 
-class _Terms(list):
-    """A partition-sum accumulator that keeps each term's coefficient."""
-
-    def add(self, coefficient):
-        self.append(coefficient)
-        return self
-
-
 @pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
 def test_shorthand_coefficients_multiply_only_ints(fraction_ops):
     """At a rational base every coefficient of the action table is computed
-    on ints from one pair table: besides the unary-function values, each
-    computed once per parameter, a coefficient costs one Fraction operation,
-    the rational its target is scaled by."""
+    on ints from one pair table and enters the sum as ints: besides the
+    unary-function values, each computed once per parameter, the sums make
+    no Fraction."""
     model = ChainModel(ChainSpec(2, (0, rat(1, 3)), (2, rat(2, 3), -3), GL21, rat(3, 2)))
     ps = ParameterSampler("shorthand-cost", 1).generic(5, avoid=model.spec.xi)
     us, vs, z = ps[:2], ps[2:4], ps[4]
@@ -310,11 +303,16 @@ def test_shorthand_coefficients_multiply_only_ints(fraction_ops):
 
     funcs = action_binding(model, us, vs, z).funcs
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, model.c, {name: counted(name, fn) for name, fn in funcs.items()})
-    target = lambda args, keys: SimpleNamespace(scale=lambda coefficient: coefficient)
+    terms = Counter()
+    omega = GradedVector.basis(GL21, (1,))
+
+    def target(args, keys):
+        terms["terms"] += 1
+        return omega
+
     fraction_ops.clear()
-    terms = _Terms()
     for element_terms in load_formula_table().values():
-        partition_sum(element_terms, base, target, terms)
-    assert len(terms) > 30 and max(calls.values()) == 1
+        partition_sum(element_terms, base, target, GradedVector(GL21, 1))
+    assert terms["terms"] > 30 and max(calls.values()) == 1
     ops = sum(fraction_ops.values()) - inside["ops"]
-    assert ops <= len(terms), (ops, len(terms), fraction_ops)
+    assert ops == 0, (ops, terms["terms"], fraction_ops)

@@ -3,12 +3,14 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from superbethe import graded
 from superbethe.errors import ArityMismatch, DivisionByZero, SignatureMismatch
 from superbethe.graded import (
     GL12,
     GL21,
+    DualGradedVector,
     GradedOperator,
     GradedVector,
     check_unitarity,
@@ -18,6 +20,7 @@ from superbethe.graded import (
     embed,
     encode,
     decode,
+    digit_string,
     koszul_tensor,
     pack,
     packed_product,
@@ -30,7 +33,8 @@ from superbethe.graded import (
     vector_tensor,
     weight_spaces,
 )
-from superbethe.rational import rat
+from superbethe.rational import is_rational, rat
+from superbethe.scalars import EPS
 
 from oracles import insert_identity, ybe_reference
 
@@ -290,10 +294,90 @@ def test_dual_pairing_and_tensor():
     w = GradedVector.basis(GL21, (2,))
     tv = vector_tensor(v, w)
     assert tv.entries == {encode((1, 2)): rat(2), encode((3, 2)): rat(3)}
-    from superbethe.graded import DualGradedVector
-
     d = DualGradedVector(GL21, 1, {2: rat(5)})
     assert d.pair(v) == 15
+
+
+# ---------------------------------------------------------------------------
+# vectors as int numerators over one denominator, against plain Fractions
+# ---------------------------------------------------------------------------
+
+_rationals = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
+# an EpsScalar entry, as the materialized oracle of the Bethe-vector tests
+# builds them
+_series = st.builds(lambda r, k: r + k * EPS, _rationals, st.integers(-3, 3).filter(bool))
+_scalars = st.one_of(st.integers(-6, 6), _rationals, st.just(0), st.just(-1), st.just(rat(-1)))
+
+
+def _entries(values):
+    return st.dictionaries(st.integers(0, 8), values, max_size=6)
+
+
+def _reference_merge(a, b, sign):
+    out = {k: v for k, v in a.items() if v}
+    for k, v in b.items():
+        if v:
+            s = out.get(k, 0) + (v if sign > 0 else -v)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _assert_holds(vec, want, arity=2):
+    """vec has the values want (no zero among them), stored as int
+    numerators over a positive int denominator wherever want is rational,
+    and prints its least entry as want's does."""
+    assert vec.den > 0 and type(vec.den) is int and 0 not in vec.num.values()
+    if all(map(is_rational, want.values())):
+        assert all(type(x) is int for x in vec.num.values()), vec.num
+    assert vec.entries == want and vec.is_zero() == (not want)
+    least = min(want, default=None)
+    assert vec.first_nonzero() == (None if least is None else f"[{digit_string(least, arity)}]={want[least]}")
+    assert vec == type(vec)(vec.sig, arity, dict(want))
+
+
+@given(_entries(_rationals), _entries(st.one_of(_rationals, _series)), _scalars, st.booleans())
+def test_vector_arithmetic_matches_plain_fractions(a, b, c, dual):
+    """add, sub, scale (by an int, a rational, 0 and -1), vector_tensor,
+    pair and == on num/den vectors give the values of the same arithmetic on
+    {key: Fraction} dicts, for b with EpsScalar entries too; == holds across
+    different denominators of one value."""
+    cls = DualGradedVector if dual else GradedVector
+    x, y = cls(GL21, 2, dict(a)), cls(GL21, 2, dict(b))
+    ra, rb = {k: v for k, v in a.items() if v}, {k: v for k, v in b.items() if v}
+    for vec, want in ((x, ra), (y, rb)):
+        _assert_holds(vec, want)
+        assert type(vec) is cls and vec.entries is vec.entries
+    _assert_holds(x.add(y), _reference_merge(ra, rb, 1))
+    _assert_holds(x.sub(y), _reference_merge(ra, rb, -1))
+    _assert_holds(y.sub(x), _reference_merge(rb, ra, -1))
+    _assert_holds(x.scale(c), {k: c * v for k, v in ra.items()} if c else {})
+    _assert_holds(y.scale(c), {k: c * v for k, v in rb.items()} if c else {})
+    tensor = vector_tensor(x, y)
+    assert type(tensor) is cls
+    _assert_holds(tensor, {kx * 9 + ky: vx * vy for kx, vx in ra.items() for ky, vy in rb.items()}, arity=4)
+    if dual:
+        assert x.pair(GradedVector(GL21, 2, dict(b))) == sum((v * rb[k] for k, v in ra.items() if k in rb), start=rat(0))
+    third = x.scale(3).scale(rat(1, 3))
+    assert third == x and third.den == 3 * x.den
+    assert (x != x.scale(2)) == bool(ra) and x != GradedVector(GL12, 2, dict(a)) and x != cls(GL21, 3, dict(a))
+
+
+def test_vector_storage():
+    """Rational entries are cleared once into int numerators over the lcm
+    of their denominators; from_ints adopts ints and moves a negative
+    denominator's sign into them; at den 1 entries is num itself."""
+    v = GradedVector(GL21, 2, {1: rat(1, 2), 4: rat(-2, 3), 5: 0, 7: rat(4)})
+    assert (v.num, v.den) == ({1: 3, 4: -4, 7: 24}, 6)
+    assert v.entries == {1: rat(1, 2), 4: rat(-2, 3), 7: 4}
+    w = GradedVector.from_ints(GL21, 2, {1: -3, 4: 4, 5: 0, 7: -24}, -6)
+    assert (w.num, w.den) == ({1: 3, 4: -4, 7: 24}, 6) and w == v
+    ints = GradedVector(GL21, 2, {0: 2, 3: -1})
+    assert ints.den == 1 and ints.entries is ints.num
+    shifted = GradedVector(GL21, 2, {0: rat(1, 2) + EPS, 3: rat(1, 3)})
+    assert shifted.den == 1 and shifted.num[3] == rat(1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import json
 from importlib import resources
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -292,14 +291,6 @@ def test_every_other_packaged_coefficient_matches_the_oracle_by_plan(shifted):
     assert count == 4 * 16 + 1 + 2 + 2 + 1 + 2 * 4 + 2
 
 
-class _Kept(list):
-    """A partition-sum accumulator that keeps what each target's scale gives."""
-
-    def add(self, term):
-        self.append(term)
-        return self
-
-
 def _halves(xs):
     """Every free split of xs into two parts, as enumerate_partitions orders
     them, as parameter tuples."""
@@ -332,11 +323,19 @@ def test_plans_are_shared_by_layout_and_told_apart_by_ast():
     raw = [{"partitions": [], "coefficient": text, "target": [["uI", "vI"], ["uII", "vII"]]}]
     terms = compile_terms(raw, ("ubar", "vbar"), tuple(funcs), specs, juxtaposed=True)
     outcomes = assert_shorthand_matches(terms, shared)
-    seen = partition_sum(terms, shared, lambda args, keys: SimpleNamespace(scale=lambda coef: (coef, args)), _Kept())
+    seen = []
+
+    def target(args, keys):
+        # the k-th split's target is the k-th basis vector, so the sum holds
+        # each split's coefficient at its own key
+        seen.append(args)
+        return GradedVector.from_ints(GL21, 3, {len(seen) - 1: 1})
+
+    total = partition_sum(terms, shared, target, GradedVector(GL21, 3))
     us, vs = ps[:2], (ps[0], ps[3])
     want = [((u1, v1), (u2, v2)) for u1, u2 in _halves(us) for v1, v2 in _halves(vs)]
-    assert [coef for coef, _ in seen] == outcomes
-    assert [((a[0], a[1]), (a[2], a[3])) for _, a in seen] == want
+    assert [total.entries.get(k, 0) for k in range(len(seen))] == outcomes
+    assert [((a[0], a[1]), (a[2], a[3])) for a in seen] == want
     swapped = parse(KET_COEFF.replace("g(vI,vII)", "g(vII,vI)"))
     assert swapped != node
     assert compile_plan(swapped, first.layout, specs) is not compile_plan(node, first.layout, specs)
@@ -349,11 +348,33 @@ def test_plans_are_shared_by_layout_and_told_apart_by_ast():
 
 
 def test_coincident_arguments():
-    """g and f raise at coincident arguments, as scalars.g does, across
-    sets too; h is 1 there."""
+    """g, f and K raise at coincident arguments, as scalars.g does, across
+    sets too, and so do their reciprocals; h is 1 there."""
     b = Binding({"uI": (rat(1, 3),), "vI": (rat(1, 3),), "w": (rat(2),)}, c=1)
     for text in ("g(uI,uI)", "f(uI,uI)", "g(uI,vI)*h(w,uI)", "K(uI|vI)"):
+        for text in (text, f"1/({text})^1"):
+            with pytest.raises(DivisionByZero):
+                evaluate(text, b)
+    for text in ("1/f(uI,vI)", "1/g(uI,vI)", "1/K(uI|vI)", "h(w,uI)/g(vI,uI)"):
         with pytest.raises(DivisionByZero):
             evaluate(text, b)
-    assert evaluate("h(uI,uI)", b) == 1
+    assert evaluate("h(uI,uI)", b) == 1 and evaluate("1/h(uI,vI)", b) == 1
     assert evaluate("h(uI,vI)*g(w,uI)", b) == rat(3, 5)
+
+
+def test_a_reciprocal_at_coincident_arguments_raises_as_the_oracle_does():
+    """KET_COEFF divides by f(vII,uI): at a base whose ubar and vbar share a
+    value, every split that puts it in both uI and vII raises
+    DivisionByZero on the plan, as on the per-pair oracle (not 0), and the
+    other splits keep their values; a K block of two sets that share a
+    value raises either way up."""
+    ps = ParameterSampler("coincident-reciprocal", ORACLE_C).generic(4)
+    funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
+    shared = Binding({"ubar": ps[:2], "vbar": (ps[0], ps[3])}, c=ORACLE_C, funcs=funcs)
+    outcomes = assert_shorthand_matches(composite._bilinear_terms(KET_COEFF), shared)
+    assert len(outcomes) == 16
+    raised = [x for x in outcomes if x is DivisionByZero]
+    assert 0 < len(raised) < 16 and 0 not in outcomes
+    for text in ("K(ubar|vbar)", "1/K(ubar|vbar)"):
+        with pytest.raises(DivisionByZero):
+            evaluate(text, shared)
