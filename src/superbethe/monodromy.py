@@ -20,22 +20,32 @@ other part's R factors).
 
 One walk engine for T(u). Each R_{0k} = I + g(u, xi_k) P_{0k} sends a basis
 state to itself plus the state with the auxiliary and site-k digits swapped,
-with the graded sign given by swap_sign, and D scales by the auxiliary digit;
-_apply_factor pushes a sparse state through the integer multiple of one
-factor: the twist times the lcm of its denominators, and
-gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd. Every factor is symmetric, so
-the same factors serve kets (walked rightmost first) and bras (leftmost
-first). T(u) is reached in two ways:
+with the graded sign given by swap_sign, and D scales by the auxiliary digit.
+Each factor is walked as its integer multiple: the twist times the lcm of
+its denominators, and gd*R_{0k} = gd*I + gn*P_{0k} for g = gn/gd. Every
+factor is symmetric, so the same factors serve kets (walked rightmost
+first) and bras (leftmost first). T(u) is reached in two ways:
 
-* Whole entries. build_cleared_product walks each column prefix
-  (aux, s_1..s_j) once and gives (N_u, N_u*T(u)) with int entries and no
-  Fraction arithmetic. Model.monodromy splits it into the nine signed
-  entry operators of N_u*T(u) (extract_entries), built on every call; RTT,
-  the exchange relations, the coproduct and Model.T read them, and the
-  operator identities scale their residuals back. RTT and the exchange
-  relations are one streamed pass, _rtt_pass: it packs each column of the
-  18 entries of N_u*T(u) and N_v*T(v) into the weight space its weight
-  shift predicts and, one chain column at a time, computes the 162 entry
+* Whole entries. build_cleared_product gives (N_u, N_u*T(u)) with int
+  entries and no Fraction arithmetic, one site at a time, as the coproduct
+  T^(j+1) = T^(j) L_{j+1} builds it (Faddeev 1996). It holds one level:
+  the columns of every prefix (aux, s_1..s_j) of the sites walked so far.
+  Site j+1 extends each prefix by a digit d in one pass over the level
+  (_level_step): an entry (a; m) goes to (a; m, d) times kept if a = d,
+  and otherwise to (a; m, d) times gd and to (d; m, a) times the signed
+  gn. Every output row has one source, told apart by whether its
+  auxiliary digit is d and whether its last digit is d, so the step adds
+  nothing up; it drops an entry only where kept = gd +- gn is 0, at
+  u = xi_k -+ c. Each twist scales the coefficients of the step before it.
+  Model.monodromy splits the product into the nine signed entry operators
+  of N_u*T(u) (extract_entries: each column split once by the auxiliary
+  digit of its rows, a block column negated as a whole where the
+  extraction sign is -1), built on every call; RTT, the exchange
+  relations, the coproduct and Model.T read them, and the operator
+  identities scale their residuals back. RTT and the exchange relations
+  are one streamed pass, _rtt_pass: it packs each column of the 18
+  entries of N_u*T(u) and N_v*T(v) into the weight space its weight shift
+  predicts and, one chain column at a time, computes the 162 entry
   products as packed_products and contracts them with the entries of
   R(u,v), and for the exchange relations also of R(v,u). check_rtt
   unpacks the (u, v) blocks into its operator; the exchange relations,
@@ -46,19 +56,20 @@ first). T(u) is reached in two ways:
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted numerators of the vector (num, over its den; Model._walk) on
-  ints and returning (m, m*T_ij(u)*vec) as an int vector, den folded into
-  m; the extraction sign is one factor of the walk's twist scalar. Each
-  model builds its factor skeleton (_factor_skeleton: sites, xi cleared,
-  parity prefixes, the graded signs as indices and the cleared twists) on
-  its first walk, so a new point computes only g(u, xi_k) = gn/gd per site
-  (_point_weights). The model keeps each point's (M, walk orders) by its
-  point id, the ket and bra orders with the twists at either end taken
-  out as scalars (_walk_orders). Model.points holds the rest of a point's
-  int data: u cleared as (p, q) and lam2(u), which the Bethe-vector
-  builders read. Model.apply_T scales by factor/m once at the end, on the
-  vector's numerators and denominator. The vacuum axioms
-  (vacuum_residuals) are twelve walks of Omega and Omega^+ on one
-  _cleared_sequence.
+  ints through one _apply_factor per factor, which adds up the states two
+  inputs reach, and returning (m, m*T_ij(u)*vec) as an int vector, den
+  folded into m; the extraction sign is one factor of the walk's twist
+  scalar. Each model builds its factor skeleton (_factor_skeleton: sites,
+  xi cleared, parity prefixes, the graded signs as indices and the cleared
+  twists) on its first walk, so a new point computes only
+  g(u, xi_k) = gn/gd per site (_point_weights). The model keeps each
+  point's (M, walk orders) by its point id, the ket and bra orders with
+  the twists at either end taken out as scalars (_walk_orders).
+  Model.points holds the rest of a point's int data: u cleared as (p, q)
+  and lam2(u), which the Bethe-vector builders read. Model.apply_T scales
+  by factor/m once at the end, on the vector's numerators and
+  denominator. The vacuum axioms (vacuum_residuals) are twelve walks of
+  Omega and Omega^+ on one _cleared_sequence.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
@@ -147,22 +158,71 @@ def build_cleared_product(sig, c, length, factors, u):
     The factors are walked rightmost first, which reaches the sites in the
     order 1..L. After the factors of sites 1..j a column's digits of sites
     j+1..L are untouched and the rest of its state depends only on its
-    digits (aux, s_1..s_j), so each such prefix is walked once, as a
-    j-site chain, and extended by one digit per site."""
+    digits (aux, s_1..s_j), so the build holds one level: the columns of
+    every such prefix, in prefix order, each a j-site chain. Site j+1
+    extends prefix p by a digit d in one pass over the level (_level_step),
+    and each twist is folded into the coefficients of the site step walked
+    before it (or into the start, before any site)."""
     scale, weights = _cleared_sequence(sig, c, factors, u)
-    weights.reverse()
-    if [w[1] for w in weights if w[0] == "site"] != list(range(1, length + 1)):
-        raise ValueError(f"the factors must reach the sites in the order 1..{length}")
-    states = [{a: 1} for a in range(3)]  # indexed by the prefix (aux, s_1..s_j)
-    sites = 0
+    steps, twist = [], [1, 1, 1]  # twist: the product of the twists since the last site
     for w in weights:
-        if w[0] == "site":
-            sites += 1
-            states = [{key * 3 + d: x for key, x in state.items()} for state in states for d in range(3)]
-        for k, state in enumerate(states):  # in place: one layer held at a time
-            states[k] = _apply_factor(sites, w, state)
-    cols = {col: state for col, state in enumerate(states) if state}
+        if w[0] == "diag":
+            twist = [*map(mul, twist, w[1])]
+        else:
+            steps.append((w, twist))
+            twist = [1, 1, 1]
+    steps.reverse()
+    if [w[1] for w, _ in steps] != list(range(1, length + 1)):
+        raise ValueError(f"the factors must reach the sites in the order 1..{length}")
+    level = [{a: x} for a, x in enumerate(twist)]  # the column (a) of no site
+    for w, after in steps:
+        level = _level_step(level, w, after)
+    cols = {col: state for col, state in enumerate(level) if state}
     return scale, GradedOperator.from_pruned(sig, length + 1, cols)
+
+
+def _level_step(level, weights, twist):
+    """The columns of every prefix of j+1 sites from those of j sites, for
+    the factor of site j+1 and, after it, the twist (a product of twists).
+
+    A column of prefix p = (c; s_1..s_j) is {(a; m): x} with m the digits
+    of sites 1..j; extending p by the digit d puts d at site j+1 of every
+    row, and gd*I + gn*P_{0,j+1} sends (a; m, d) to itself times
+    kept = gd + gn*sign if a = d, and otherwise to itself times gd plus
+    (d; m, a) times gn*sign. So the column 3p + d takes from each entry
+    (a; m) of column p: (a; m, d) times kept or gd, and for a != d also
+    (d; m, a). Its rows with auxiliary digit a != d end in d and come from
+    (a; m); those with auxiliary digit d end in d (kept) or in a != d (the
+    swap of (a; m)): every output row has one source, so the step adds
+    nothing up and makes a zero only where kept is 0, at u = xi +- c. The
+    coefficient of a row depends only on (a, the parity of m, d), and the
+    twist only scales it by the row's new auxiliary digit."""
+    _, site, prefix, swap, stay, signed, kept, ident = weights
+    up = 3**site  # the auxiliary place of a row of j+1 sites
+    moves = []
+    for a in range(3):
+        b, d = (x for x in range(3) if x != a)
+        ka, ia = kept[stay[a]] * twist[a], ident * twist[a]
+        for q in (0, 1):
+            moves.append((a, ka, ia, b, (b - a) * up + a, signed[swap[a][b][q]] * twist[b], d, (d - a) * up + a, signed[swap[a][d][q]] * twist[d]))
+    table = [moves[2 * a + q] for a in range(3) for q in prefix]  # by row (a; m)
+    out = []
+    for col in level:
+        children = ({}, {}, {})  # the columns 3p, 3p + 1, 3p + 2
+        for key, x in col.items():
+            a, ka, ia, b, rb, xb, d, rd, xd = table[key]
+            key *= 3
+            y = ia * x
+            child = children[b]
+            child[key + b] = y
+            child[key + rb] = xb * x
+            child = children[d]
+            child[key + d] = y
+            child[key + rd] = xd * x
+            if ka:
+                children[a][key + a] = ka * x
+        out += children
+    return out
 
 
 def _require_rational(u):
@@ -323,18 +383,31 @@ def _sign_table(sig):
     return table
 
 
+@cache
+def _aux_split(length):
+    """(auxiliary digit, chain key) of every key of auxiliary x chain."""
+    return [divmod(key, 3**length) for key in range(3 ** (length + 1))]
+
+
 def extract_entries(big: GradedOperator, sig, length):
     """Split an auxiliary x chain operator into its nine auxiliary blocks,
-    T_ij the block (i, j) times extraction_sign(sig, i, j)."""
+    T_ij the block (i, j) times extraction_sign(sig, i, j): each column is
+    split once by the auxiliary digit of its rows, and a block column is
+    negated as a whole where the sign is -1."""
     eps = _sign_table(sig)[1]
-    shift = 3**length
-    out = {(i, j): {} for i in range(1, 4) for j in range(1, 4)}
+    split = _aux_split(length)
+    blocks = [{} for _ in range(9)]  # the columns of block (i, j) at 3j + i - 4
+    negated = [eps[i][j] < 0 for j in range(1, 4) for i in range(1, 4)]
     for col, colmap in big.cols.items():
-        j, n = divmod(col, shift)
+        j, n = split[col]
+        parts = ({}, {}, {})
         for row, val in colmap.items():
-            i, m = divmod(row, shift)
-            out[i + 1, j + 1].setdefault(n, {})[m] = val if eps[i + 1][j + 1] > 0 else -val
-    return {ij: GradedOperator.from_pruned(sig, length, cols) for ij, cols in out.items()}
+            i, m = split[row]
+            parts[i][m] = val
+        for k, part in enumerate(parts, 3 * j):
+            if part:
+                blocks[k][n] = {m: -val for m, val in part.items()} if negated[k] else part
+    return {(i, j): GradedOperator.from_pruned(sig, length, blocks[3 * j + i - 4]) for i in range(1, 4) for j in range(1, 4)}
 
 
 @dataclass
@@ -548,9 +621,9 @@ def check_rtt(model, u, v) -> GradedOperator:
     blocks are computed one chain column at a time (_rtt_pass)."""
     sig, length = model.sig, model.arity
     (scale,), nonzero = _rtt_pass(model, u, v)
-    blocks, shift = _rtt_plan(sig)[0], 3**length
+    shift = 3**length
     out = {}
-    for (a, b, c, d), cols in zip(blocks, nonzero):
+    for (a, b, c, d), cols in zip(product(range(1, 4), repeat=4), nonzero):
         for s, rows in cols.items():
             out.setdefault((3 * c + d - 4) * shift + s, {}).update({(3 * a + b - 4) * shift + m: y for m, y in rows.items()})
     return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, scale))
@@ -560,8 +633,8 @@ def _rtt_pass(model, u, v, exchange=False):
     """The blocks of the cleared RTT residual at (u, v), and with exchange
     also at (v, u): (scales, nonzero).
 
-    nonzero lists the blocks ((a,b),(c,d)) at (u, v) in the order of
-    _rtt_plan's blocks, then with exchange those at (v, u), each as
+    nonzero lists the blocks ((a,b),(c,d)) at (u, v), then with exchange
+    those at (v, u), at their number k in _rtt_plan, each as
     {s: column s} of its nonzero chain columns s only; a side's cleared
     residual is the rational one times its entry of scales, N_u N_v times
     the scale of its cleared R. R = I + gP has at most two entries in each
@@ -573,21 +646,22 @@ def _rtt_pass(model, u, v, exchange=False):
     (graded.pack) into the weight space its weight shift predicts, and a
     row outside it fails the slot lookup (KeyError). For one chain column s
     at a time each product column is one packed_product and each block
-    column the combination of its terms: no product is kept past its
-    column. R's diagonal holds gd + gn and gd - gn, so r, the largest
-    |entry| of both cleared R's, is |gd| + |gn|, and no row or column of R
-    sums to more than r in absolute value; each side of a block is then at
-    most r S a b and every residual entry has |x| <= 2 r S a b, S the
-    largest space and a, b the largest |entry| of N*T(u) and N*T(v). The
-    slots are that wide (graded.slot_width), so a packed block column is 0
-    only if the residual column is, and only nonzero ones are unpacked."""
+    column the combination of its terms, a swap term only on the run of
+    blocks that has one: no product is kept past its column. R's diagonal
+    holds gd + gn and gd - gn, so r, the largest |entry| of both cleared
+    R's, is |gd| + |gn|, and no row or column of R sums to more than r in
+    absolute value; each side of a block is then at most r S a b and every
+    residual entry has |x| <= 2 r S a b, S the largest space and a, b the
+    largest |entry| of N*T(u) and N*T(v). The slots are that wide
+    (graded.slot_width), so a packed block column is 0 only if the residual
+    column is, and only nonzero ones are unpacked."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
     sig, length = model.sig, model.arity
     rs = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))[: 1 + exchange]]
     read = {81 * side + 9 * row + col: x for side, (_, r) in enumerate(rs) for col, colmap in r.cols.items() for row, x in colmap.items()}
     blocks, layers = _rtt_plan(sig, exchange)
-    (t0, c0), (t1, c1), (t2, c2), (t3, c3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))]) for take, signs, reads in layers]
+    (t0, c0, _), (t1, c1, run1), (t2, c2, _), (t3, c3, run3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))], run) for take, signs, reads, run in layers]
     scale, largest, entries = 1, [max(map(abs, read.values()))], []
     for x in (u, v):
         mono = model.monodromy(x)
@@ -605,11 +679,20 @@ def _rtt_pass(model, u, v, exchange=False):
     nonzero = [{} for _ in blocks]
     for s in range(3**length):
         cols = [*chain.from_iterable(map(packed_product, left, repeat(col)) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
-        sums = [*map(add, map(add, map(mul, c0, t0(cols)), map(mul, c1, t1(cols))), map(add, map(mul, c2, t2(cols)), map(mul, c3, t3(cols))))]
+        sums = [*map(add, map(mul, c0, t0(cols)), map(mul, c2, t2(cols)))]
+        sums[run1] = map(add, sums[run1], map(mul, c1, t1(cols)))
+        sums[run3] = map(add, sums[run3], map(mul, c3, t3(cols)))
         for block, x in compress(enumerate(sums), sums):
-            a, b, c, d = blocks[block]
-            nonzero[block][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
+            k, a, b, c, d = blocks[block]
+            nonzero[k][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
     return [n * scale for n, _ in rs], nonzero
+
+
+# the classes of RTT blocks by (a = b, c = d), in _rtt_plan's order: the
+# blocks with c != d, which have a swap term on T(v) T(u), are the first two
+# classes and those with a != b, which have one on T(u) T(v), the middle
+# two, so that each swap layer is one run of blocks
+_RUNS = ((True, False), (False, False), (False, True), (True, True))
 
 
 @cache
@@ -619,33 +702,36 @@ def _rtt_plan(sig, exchange=False):
 
     The 162 entry products are numbered 81 g + 9 j + i: T_ab(x) T_cd(y)
     with i = key(a, b), j = key(c, d), key(a, b) = 3a + b - 4, and x = u,
-    y = v if g = 0, x = v, y = u if g = 1. blocks lists the 81
-    ((a,b),(c,d)) as (a, b, c, d), in the order of 9 key(a,b) + key(c,d).
-    Each of the four layers holds one term of every block, as an
-    itemgetter of its products, its signs and its entries of R, flattened
-    as 9 row + col: R's diagonal and its swap, first on T(u) T(v) and then
-    on T(v) T(u); a block with a = b (c = d) has no swap term on the first
-    (second) side, and sign 0 pads it. A sign is e (e') times the
-    extraction signs of the product's two entries (check_rtt). With
-    exchange, blocks lists the 81 again and every layer goes on with the
-    terms of the residual at (v, u): the same signs, the products of the
-    other half and the entries of R(v, u), numbered after R(u, v)'s (81
-    more). R(u,v) = I + gP, as r_matrix builds it for any signed
-    permutation P, has no entry elsewhere."""
-    (p, eps), pad = _sign_table(sig), (0, 0, 0)
+    y = v if g = 0, x = v, y = u if g = 1. The 81 blocks ((a,b),(c,d)) at
+    (u, v), and with exchange the 81 at (v, u), are numbered
+    k = 81 g + 9 key(a,b) + key(c,d), g = 0 at (u, v) and 1 at (v, u).
+    blocks lists them as (k, a, b, c, d), ordered by _RUNS and then by k.
+    Each of the four layers holds the terms of one run of blocks, as an
+    itemgetter of their products, their signs, their entries of R,
+    flattened as 9 row + col, and the run as a slice of blocks: R's
+    diagonal and its swap, first on T(u) T(v) and then on T(v) T(u).
+    Every block has both diagonal terms; a block with a = b (c = d) has no
+    swap term on the first (second) side, and the blocks that have one
+    form the run. A sign is e (e') times the extraction signs of the
+    product's two entries (check_rtt). At (v, u) a term has the same sign,
+    the product of the other half and the entry of R(v, u), numbered after
+    R(u, v)'s (81 more). R(u,v) = I + gP, as r_matrix builds it for any
+    signed permutation P, has no entry elsewhere."""
+    p, eps = _sign_table(sig)
     key = lambda x, y: 3 * x + y - 4
-    blocks = list(product(range(1, 4), repeat=4))
-    terms = [[], [], [], []]
-    for a, b, c, d in blocks:
+    blocks = [(81 * g + 9 * key(a, b) + key(c, d), a, b, c, d) for g, a, b, c, d in product(range(1 + exchange), *[range(1, 4)] * 4)]
+    blocks.sort(key=lambda t: (_RUNS.index((t[1] == t[2], t[3] == t[4])), t[0]))
+    terms = [{}, {}, {}, {}]  # position in blocks -> term, for each layer
+    for at, (k, a, b, c, d) in enumerate(blocks):
+        g = k // 81
         for swap, ((x, y), (e, f)) in enumerate((((a, b), (c, d)), ((b, a), (d, c)))):
-            sign = (1 - 2 * (p[y] & (p[x] ^ p[c]))) * eps[x][c] * eps[y][d]
-            terms[swap].append(pad if swap and a == b else (9 * key(y, d) + key(x, c), sign, 9 * key(a, b) + key(x, y)))
-            sign = (2 * (p[f] & (p[a] ^ p[e])) - 1) * eps[a][e] * eps[b][f]
-            terms[2 + swap].append(pad if swap and c == d else (81 + 9 * key(a, e) + key(b, f), sign, 9 * key(e, f) + key(c, d)))
-    if exchange:
-        blocks *= 2
-        terms = [layer + [((index + 81) % 162, sign, 81 + read) for index, sign, read in layer] for layer in terms]
-    layers = [(itemgetter(*index), signs, reads) for index, signs, reads in (zip(*layer) for layer in terms)]
+            if not swap or a != b:
+                sign = (1 - 2 * (p[y] & (p[x] ^ p[c]))) * eps[x][c] * eps[y][d]
+                terms[swap][at] = 81 * g + 9 * key(y, d) + key(x, c), sign, 81 * g + 9 * key(a, b) + key(x, y)
+            if not swap or c != d:
+                sign = (2 * (p[f] & (p[a] ^ p[e])) - 1) * eps[a][e] * eps[b][f]
+                terms[2 + swap][at] = 81 - 81 * g + 9 * key(a, e) + key(b, f), sign, 81 * g + 9 * key(e, f) + key(c, d)
+    layers = [(itemgetter(*index), signs, reads, slice(min(layer), max(layer) + 1)) for layer in terms for index, signs, reads in [zip(*layer.values())]]
     return blocks, layers
 
 

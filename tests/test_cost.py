@@ -1,8 +1,9 @@
 """Cost gate: the number of partition-coefficient lists and of EpsScalar
 results the vector suites of configs/quick.json compute, the number of
 operator compositions its RTT, exchange and Yang-Baxter suites make, the
-packed products of its RTT and exchange suites, the embeds and walked
-state entries of its RTT, composite and Bethe suites, the Fraction
+packed products of its RTT and exchange suites, the T(u) builds and the
+entries they return in its operator suites, the embeds and walked state
+entries of its RTT, composite and Bethe suites, the Fraction
 operations and hashes of its vector suites, the factor skeletons and
 per-point factor evaluations of its vector suites, and the Fraction
 operations of the shorthand coefficients of the action table.
@@ -158,15 +159,16 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 # suite -> (graded.embed calls, state entries into and out of
 # monodromy._apply_factor): RTT multiplies the entries of N*T(u) and N*T(v)
 # as Model.monodromy gives them and the coproduct sums graded tensor
-# products, so neither embeds; T(u) is built once per column prefix, a
-# vector walk's last factor keeps only the wanted auxiliary digit, the
-# vacuum axioms walk Omega and Omega^+ instead of building T(u), each model
-# walks a Bethe-vector step sequence once (the walk tries of
-# bethe.build_family), and a vector its weight makes zero
+# products, so neither embeds; T(u) is built one level of column prefixes
+# at a time (monodromy._level_step), with no _apply_factor, so RTT walks
+# nothing; a vector walk's last factor keeps only the wanted auxiliary
+# digit, the vacuum axioms walk Omega and Omega^+ instead of building
+# T(u), each model walks a Bethe-vector step sequence once (the walk tries
+# of bethe.build_family), and a vector its weight makes zero
 # (Model.weight_space_nonempty) is not walked at all
 WALK_PINNED = {
-    "rtt": (0, 1020),
-    "composite": (0, 642),
+    "rtt": (0, 0),
+    "composite": (0, 210),
     "bethe": (0, 251),
     "actions": (0, 690),
     "proof-replay": (0, 129),
@@ -197,6 +199,36 @@ def test_embeds_and_walked_entries_do_not_rise(suite, monkeypatch):
     assert report.records and report.all_zero()
     got = count["embed"], count["walked"]
     assert got[0] <= WALK_PINNED[suite][0] and got[1] <= WALK_PINNED[suite][1], (suite, got, WALK_PINNED[suite])
+
+
+# suite -> (monodromy.build_cleared_product calls, entries they return):
+# RTT builds N*T(u) and N*T(v) once per check, the exchange relations once
+# per spectral pair for all 81 tuples, and the coproduct the total and its
+# two parts once per point; a build stores no zero entry
+BUILD_PINNED = {
+    "rtt": (10, 270),
+    "composite": (3, 105),
+    "commutator": (2, 150),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BUILD_PINNED))
+def test_operator_suite_builds_do_not_rise(suite, monkeypatch):
+    count = Counter()
+    honest = monodromy.build_cleared_product
+
+    def counted(*args):
+        scale, op = honest(*args)
+        count["builds"] += 1
+        count["entries"] += op.nnz()
+        return scale, op
+
+    monkeypatch.setattr(monodromy, "build_cleared_product", counted)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    got = count["builds"], count["entries"]
+    pin = BUILD_PINNED[suite]
+    assert got[0] <= pin[0] and got[1] <= pin[1], (suite, got, pin)
 
 
 # suite -> (factor skeletons built, per-point factor evaluations) of one

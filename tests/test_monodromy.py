@@ -814,8 +814,14 @@ def _assert_walk_matches(model, u):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_walk_equals_embedded_factor_product(sig, length):
+    """The build against the embedded factor product at a drawn point and at
+    every u = xi_k - c (xi_k + c), where g(u, xi_k) = -1 (1) makes one
+    coefficient gd +- gn of a state that R_{0k} keeps 0, which no random
+    draw reaches: there some entry of the generic 3*5^L vanishes, and the
+    build stores no zero entry and no empty column, as
+    GradedOperator.from_pruned requires."""
     smp = ParameterSampler(f"walk-oracle:{sig.name}:{length}", 1)
     xi = smp.generic(length)
     model = chain(length, xi, twist=smp.twist(), sig=sig, c=rat(3, 2))
@@ -828,6 +834,12 @@ def test_walk_equals_embedded_factor_product(sig, length):
     chain_pos = tuple(range(3, n + 1))
     assert insert_identity(cleared, 2) == embed(cleared, (1,) + chain_pos, n)
     assert insert_identity(cleared, 1) == embed(cleared, (2,) + chain_pos, n)
+    for u in [x + s for x in xi for s in (-model.c, model.c)]:
+        oracle, mono = _assert_walk_matches(model, u)
+        scale, built = monodromy.build_cleared_product(sig, model.c, length, model.factor_sequence(), u)
+        assert (scale, built) == clear_denominators(oracle), u
+        assert all(colmap and all(colmap.values()) for colmap in built.cols.values()), u
+        assert built.nnz() < 3 * 5**length, u
 
 
 def test_walk_equals_embedded_product_on_two_twist_composite():
