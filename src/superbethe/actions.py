@@ -9,8 +9,11 @@ compares
 against the table-driven right-hand side; residuals are exactly zero. Every
 coefficient, and the normalization's h(vbar,z) (NORM), is shorthand
 evaluated by notation, on one Binding of ubar, vbar and z per check. A
-target vector whose argument sets share z is built at the eps-limit. T31
-and T32 have no tabulated action and are rejected.
+target vector whose argument sets share z is built at the eps-limit. A
+term whose target is zero by weight on the model (Model.weight_space_nonempty,
+through bethe.weight_gated) is skipped whole: its coefficient is not read
+and its target not built. T31 and T32 have no tabulated action and are
+rejected.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 from functools import cache
 from importlib import resources
 
-from .bethe import PartialCache, build_vector, build_vector_limit
+from .bethe import PartialCache, build_vector, build_vector_limit, weight_gated
 from .errors import SchemaError
 from .graded import GL21, GradedVector
 from .notation import Binding, compile_terms, evaluate, partition_sum
@@ -84,7 +87,7 @@ def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit
     coincident parameters its eps-limit."""
     table = table or load_formula_table()
     partials = PartialCache(builder)
-    target = lambda args, keys: partials.get("t", model, *args, key=keys)
+    target = weight_gated(lambda args, keys: partials.get("t", model, *args, key=keys), model)
     base = base or action_binding(model, us, vs, z)
     return partition_sum(table[element], base, target, GradedVector(model.sig, model.arity))
 

@@ -331,6 +331,23 @@ class PartialCache:
         return vec
 
 
+def weight_gated(target, *models):
+    """target(args, keys) of notation.partition_sum behind the one weight
+    gate: args hold a (us, vs) pair per model, in the order of models (one
+    for a plain target, two for a juxtaposed one), and a term whose vector
+    is zero on some model by Model.weight_space_nonempty gives None without
+    calling target, so partition_sum skips it whole. The builders still
+    return zero vectors to their direct callers."""
+
+    def gated(args, keys):
+        for model, us, vs in zip(models, args[::2], args[1::2]):
+            if not model.weight_space_nonempty(len(us), len(vs)):
+                return None
+        return target(args, keys)
+
+    return gated
+
+
 # ---------------------------------------------------------------------------
 # gradation and serialization
 # ---------------------------------------------------------------------------

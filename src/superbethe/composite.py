@@ -18,6 +18,15 @@ Every coefficient here is shorthand evaluated by notation: KET_COEFF and
 BRA_COEFF, EXCHANGE_COEFFS, RECURSION_COEFFS and the packaged partition
 classes; the creation actions on composite sums are actions.action_rhs with
 the composite sum as target builder.
+
+Most splits of a composite sum pair a partial vector with one that is zero
+by weight: B_{a,b} on L fundamental sites vanishes unless b <= a <= L
+(Model.weight_space_nonempty). Every target here goes through the one gate,
+bethe.weight_gated: on the parts m1 and m2 for bilinear_sum and the replay's
+classes, on the chain for check_recursion, on the total for the creation
+actions. notation.partition_sum skips such a split whole, with no
+coefficient read and no partial built, so a dead split neither costs nor
+raises; the total vector and the live splits still do.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .bethe import (
     build_dual_vector,
     build_vector,
     build_vector_limit,
+    weight_gated,
 )
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
@@ -201,7 +211,8 @@ def bilinear_sum(
     reordered = part1_written_first if dual else part2_written_first
     base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
     # each split has its own (uI, vI) and (uII, vII): no partial recurs
-    target = lambda args, _: compose_ket(builder(m1, *args[:2]), builder(m2, *args[2:]), reordered)
+    juxtaposed = lambda args, _: compose_ket(builder(m1, *args[:2]), builder(m2, *args[2:]), reordered)
+    target = weight_gated(juxtaposed, m1, m2)
     acc = (DualGradedVector if dual else GradedVector)(m1.sig, m1.arity + m2.arity)
     return partition_sum(_bilinear_terms(coeff), base, target, acc)
 
@@ -266,7 +277,7 @@ def check_recursion(model, us, vs, z):
     norm = action_norm(model, vs, z, base)
     lhs = model.apply_T(2, 3, z, build_vector(model, us, vs), norm)
     rhs = build_vector(model, us, (z,) + vs).scale(evaluate(RECURSION_COEFFS[0], base))
-    target = lambda args, _: build_vector(model, *args)
+    target = weight_gated(lambda args, _: build_vector(model, *args), model)
     summed = partition_sum(_recursion_terms(RECURSION_COEFFS[1]), base, target, GradedVector(model.sig, model.arity))
     return lhs.sub(rhs).sub(model.apply_T(1, 3, z, summed, norm))
 
@@ -335,9 +346,10 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     c = total.c
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))
     partials = PartialCache(build_vector_limit)
-    target = lambda args, keys: compose_ket(
+    compose = lambda args, keys: compose_ket(
         partials.get(1, m1, *args[:2], key=keys[:2]), partials.get(2, m2, *args[2:], key=keys[2:]), True
     )
+    target = weight_gated(compose, m1, m2)
     zero = GradedVector(total.sig, total.arity)
     cls = {name: partition_sum(terms, base, target, zero) for name, terms in load_class_table().items()}
 

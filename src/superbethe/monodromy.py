@@ -654,7 +654,12 @@ def _rtt_pass(model, u, v, exchange=False):
     residual entry has |x| <= 2 r S a b, S the largest space and a, b the
     largest |entry| of N*T(u) and N*T(v). The slots are that wide
     (graded.slot_width), so a packed block column is 0 only if the residual
-    column is, and only nonzero ones are unpacked."""
+    column is, and only nonzero ones are unpacked. a and b are scanned off
+    the entries actually packed, not bounded from the factor weights: a
+    bound such as max|d| prod(|gd| + |gn|) over the factors would skip the
+    scan, but it holds only for an honest build, and a wrong entry larger
+    than it (a corrupt build) could then pack a nonzero residual column to
+    0. The scan sizes the slots for whatever the build returned."""
     if is_zero(u - v):
         raise DivisionByZero("RTT needs u != v")
     sig, length = model.sig, model.arity

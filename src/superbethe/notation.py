@@ -456,13 +456,22 @@ def _checked_coefficient(text, bound, funcs, at):
 
 def partition_sum(terms, base, target, acc):
     """acc plus, over every compiled term and every split of base's sets by
-    the term's partitions, coefficient x target(args, keys), each
-    coefficient read off the term's compile_plan: keys are the index tuples
-    into base of the term's target arguments, a juxtaposed target's four in
-    a row, and args their parameter tuples. A Binding holds each value once,
-    so equal keys within one base are equal arguments. Each coefficient is
-    (n, d) ints in lowest terms (at an eps-shifted base its eps-limit), each
-    target a vector of acc's signature and arity, num over den, and every
+    the term's partitions, coefficient x target(args, keys): keys are the
+    index tuples into base of the term's target arguments, a juxtaposed
+    target's four in a row, and args their parameter tuples. A Binding
+    holds each value once, so equal keys within one base are equal
+    arguments.
+
+    The target is asked first. It returns None for a term whose vector is
+    zero by weight (bethe.weight_gated, on Model.weight_space_nonempty), and
+    that term is skipped whole: its coefficient is not read, so it neither
+    costs nor raises. None means zero by weight, never zero by value: a
+    live term whose vector comes out 0 still has its coefficient read, so
+    a pole there still raises and an eps-limit still sees the term.
+
+    A live term's coefficient is read off the term's compile_plan as (n, d)
+    ints in lowest terms (at an eps-shifted base its eps-limit), its target
+    is a vector of acc's signature and arity, num over den, and every live
     term is folded into one int dict over one denominator
     (graded.accumulate), which becomes the vector returned, of acc's type."""
     values = base.values
@@ -471,9 +480,11 @@ def partition_sum(terms, base, target, acc):
         names, splits = compile_plan(coeff, base.layout, parts)
         where = [[names.index(name) for name in argument] for argument in arguments]
         for sets, reads in splits:
-            n, d = ratio(*plan_value(reads, base.table, base.unary))
             keys = tuple(tuple(k for at in argument for k in sets[at]) for argument in where)
             vec = target([tuple(values[k] for k in key) for key in keys], keys)
+            if vec is None:
+                continue
+            n, d = ratio(*plan_value(reads, base.table, base.unary))
             _check_pair(acc, vec)
             den = accumulate(total, den, n, d * vec.den, vec.num)
     return type(acc).from_ints(acc.sig, acc.arity, total, den)

@@ -4,9 +4,10 @@ operator compositions its RTT, exchange and Yang-Baxter suites make, the
 packed products of its RTT and exchange suites, the T(u) builds and the
 entries they return in its operator suites, the embeds and walked state
 entries of its RTT, composite and Bethe suites, the Fraction
-operations and hashes of its vector suites, the factor skeletons and
-per-point factor evaluations of its vector suites, and the Fraction
-operations of the shorthand coefficients of the action table.
+operations and hashes and the Bethe-vector builds of its vector suites,
+the factor skeletons and per-point factor evaluations of its vector
+suites, and the Fraction operations of the shorthand coefficients of the
+action table.
 
 Every count is deterministic and the same on either rational backend, so a
 rise shows a regression that wall time is too noisy to show. A change that
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from superbethe import bethe, graded, monodromy, scalars
+from superbethe import bethe, gl12, graded, monodromy, scalars
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.cli import load_config, run_suites
 from superbethe.graded import GL21, GradedOperator, GradedVector
@@ -33,13 +34,14 @@ from superbethe.scalars import EPS, EpsScalar, PairTable
 QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 
 # suite -> (bethe._partition_terms calls, scalars._series calls); a vector
-# its weight makes zero computes no coefficient list, and scalars.ratio
+# its weight makes zero computes no coefficient list, a partition-sum term
+# whose vector is zero by weight reads no coefficient, and scalars.ratio
 # reads an eps-limit off the leading terms, with no series division
 PINNED = {
     "bethe": (6, 48),
-    "actions": (44, 333),
+    "actions": (44, 321),
     "recursion": (9, 0),
-    "composite": (52, 130),
+    "composite": (38, 90),
 }
 
 
@@ -72,19 +74,50 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
 # EpsScalar keeps its integral coefficients as ints, a Bethe-vector
 # build hashes each parameter once, for its point id, and reads lam2 from
-# its point's record, a bilinear sum builds its partial vectors without a
-# cache, and the partial vectors of an action's right-hand side and of the
-# replay are cached by their index tuples into the sum's one Binding;
-# vectors are int numerators over one int denominator, so their sums,
-# scalings and tensor products make no Fraction
+# its point's record, a bilinear sum builds the partial vectors of its live
+# splits only, one build each, the partial vectors of an action's
+# right-hand side and of the replay are cached by their index tuples into
+# the sum's one Binding, and a term whose vector is zero by weight reads no
+# coefficient (so no ratio function) and builds no partial; vectors are int
+# numerators over one int denominator, so their sums, scalings and tensor
+# products make no Fraction
 FRACTION_PINNED = {
     "bethe": (190, 39),
-    "actions": (854, 558),
+    "actions": (669, 558),
     "recursion": (76, 36),
-    "composite": (390, 110),
-    "gl12": (433, 130),
-    "proof-replay": (472, 156),
+    "composite": (326, 72),
+    "gl12": (427, 106),
+    "proof-replay": (340, 121),
 }
+
+
+# suite -> bethe.build_family calls of one run, the Bethe, dual and tilde
+# vectors it builds: a partition-sum term whose vector is zero by weight
+# (Model.weight_space_nonempty, bethe.weight_gated) builds no partial
+FAMILY_PINNED = {
+    "bethe": 15,
+    "actions": 164,
+    "recursion": 15,
+    "composite": 42,
+    "gl12": 78,
+    "proof-replay": 46,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAMILY_PINNED))
+def test_vector_builds_do_not_rise(suite, monkeypatch):
+    calls = Counter()
+    honest = bethe.build_family
+
+    def counted(*args, **kw):
+        calls["build_family"] += 1
+        return honest(*args, **kw)
+
+    monkeypatch.setattr(bethe, "build_family", counted)
+    monkeypatch.setattr(gl12, "build_family", counted)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    assert calls["build_family"] <= FAMILY_PINNED[suite], (suite, calls["build_family"])
 
 
 @pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
@@ -171,7 +204,7 @@ WALK_PINNED = {
     "composite": (0, 210),
     "bethe": (0, 251),
     "actions": (0, 690),
-    "proof-replay": (0, 129),
+    "proof-replay": (0, 109),
     "gl12": (0, 678),
     "recursion": (0, 72),
 }
@@ -241,7 +274,7 @@ POINT_PINNED = {
     "recursion": (3, 9),
     "composite": (20, 32),
     "gl12": (42, 78),
-    "proof-replay": (12, 20),
+    "proof-replay": (10, 16),
 }
 
 
