@@ -93,7 +93,7 @@ from itertools import combinations
 from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedVector, accumulate, digit_string
 from .notation import PartitionSpec, PartSpec, compile_plan, parse, plan_value
-from .rational import rat_to_str
+from .rational import is_rational, rat_to_str
 from .scalars import EPS, EpsScalar, PairTable, eps_limit, is_zero, ratio
 
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
@@ -285,7 +285,9 @@ def separate_collision(us, vs):
     carries one infinitesimal only.
     """
     us, vs = tuple(us), tuple(vs)
-    hits = [(i, j) for i, u in enumerate(us) for j, v in enumerate(vs) if is_zero(u - v)]
+    # a coincidence is an equal pair of rationals, found with no subtraction;
+    # an eps-shifted value coincides with nothing
+    hits = [(i, j) for i, u in enumerate(us) for j, v in enumerate(vs) if u == v and is_rational(u)]
     if not hits:
         return us, vs, False
     if len(hits) > 1:

@@ -567,7 +567,7 @@ class _Runner:
             + (total.r(3, u) - total.part1.r(3, u) * total.part2.r(3, u)),
         )
         yield from self.factorizations(
-            smp, xi, "", partial(check_bethe_factorization, split), partial(check_dual_bethe_factorization, split)
+            smp, xi, "", partial(check_bethe_factorization, total), partial(check_dual_bethe_factorization, total)
         )
         b = min(1, self.cfg.max_b)
         vs1 = smp.generic(b, avoid=xi)
@@ -617,8 +617,9 @@ class _Runner:
 
         yield "normalization sign stable across 5 probes", {"signs": signs}, probe_signs
         self.report.sign_convention = signs[0] if len(set(signs)) == 1 else None
-        tilde = partial(check_tilde_factorization, split, sign=signs[0])
-        tilde_dual = partial(check_tilde_dual_factorization, split, sign=signs[0])
+        total = CompositeModel(split, lambda_sign=signs[0])
+        tilde = partial(check_tilde_factorization, total, sign=signs[0])
+        tilde_dual = partial(check_tilde_dual_factorization, total, sign=signs[0])
         yield from self.factorizations(smp, xi, "tilde ", tilde, tilde_dual)
 
 

@@ -27,6 +27,11 @@ classes, on the chain for check_recursion, on the total for the creation
 actions. notation.partition_sum skips such a split whole, with no
 coefficient read and no partial built, so a dead split neither costs nor
 raises; the total vector and the live splits still do.
+
+The factorization checks (and gl12's) take a SplitChain, which gets a
+fresh CompositeModel, or a suite's CompositeModel (composite_model), built
+once per split and lambda sign: its checks share its point records, walk
+data, skeleton, tries and coefficient lists, which B and C share too.
 """
 
 from __future__ import annotations
@@ -98,6 +103,17 @@ class CompositeModel(Model):
 
     def lam(self, i, u):
         return self.lambda_sign * self.part1.lam(i, u) * self.part2.lam(i, u)
+
+
+def composite_model(split, lambda_sign=1) -> CompositeModel:
+    """The total of a factorization check: a fresh CompositeModel of a
+    SplitChain, or split itself if it is a CompositeModel, whose lambda_sign
+    must be the one asked for."""
+    if not isinstance(split, CompositeModel):
+        return CompositeModel(split, lambda_sign)
+    if split.lambda_sign != lambda_sign:
+        raise ValueError(f"the model has lambda_sign {split.lambda_sign}, the check asks for {lambda_sign}")
+    return split
 
 
 def coproduct_entries(total: CompositeModel, u) -> Monodromy:
@@ -229,14 +245,15 @@ def factorization_residual(total, us, vs, builder, **kw):
     return lhs.sub(bilinear_sum(total.part1, total.part2, us, vs, builder=builder, **kw))
 
 
-def check_bethe_factorization(split: SplitChain, us, vs):
-    """Total Bethe vector minus its bilinear combination of partial vectors."""
-    return factorization_residual(CompositeModel(split), us, vs, build_vector)
+def check_bethe_factorization(split, us, vs):
+    """Total Bethe vector minus its bilinear combination of partial vectors;
+    split a SplitChain or its CompositeModel (composite_model)."""
+    return factorization_residual(composite_model(split), us, vs, build_vector)
 
 
-def check_dual_bethe_factorization(split: SplitChain, us, vs):
+def check_dual_bethe_factorization(split, us, vs):
     return factorization_residual(
-        CompositeModel(split), us, vs, build_dual_vector, coeff=BRA_COEFF, dual=True, part1_written_first=True
+        composite_model(split), us, vs, build_dual_vector, coeff=BRA_COEFF, dual=True, part1_written_first=True
     )
 
 

@@ -19,13 +19,16 @@ by the tabulated f(us,vs) once per term.
 
 The composite normalization sign for the total vacuum eigenvalues is not
 assumed: resolve_sign probes the primal factorization under both choices and
-reports the unique one that holds.
+reports the unique one that holds. The tilde factorization checks take the
+sign and a SplitChain, or the CompositeModel of that split built with that
+lambda_sign (composite.composite_model), which the gl12 suite builds once
+for the resolved sign.
 """
 
 from __future__ import annotations
 
 from .bethe import _guard, build_family
-from .composite import CompositeModel, SplitChain, factorization_residual
+from .composite import SplitChain, composite_model, factorization_residual
 from .graded import GL12, DualGradedVector, GradedVector
 
 
@@ -53,17 +56,18 @@ TILDE_KET_COEFF = "r3_1(vII)*r1_2(uI)*f(vI,vII)*g(uII,uI)/f(uI,vII)"
 TILDE_BRA_COEFF = "r3_2(vI)*r1_1(uII)*f(vII,vI)*g(uI,uII)/f(uII,vI)"
 
 
-def check_tilde_factorization(split: SplitChain, us, vs, sign=1):
+def check_tilde_factorization(split, us, vs, sign=1):
     """Total tilde vector (under the given normalization sign) minus its
-    bilinear combination of partial tilde vectors, written part 1 first."""
-    total = CompositeModel(split, lambda_sign=sign)
+    bilinear combination of partial tilde vectors, written part 1 first;
+    split a SplitChain or its CompositeModel of that sign (composite_model)."""
+    total = composite_model(split, sign)
     return factorization_residual(
         total, us, vs, build_tilde_vector, coeff=TILDE_KET_COEFF, part2_written_first=False
     )
 
 
-def check_tilde_dual_factorization(split: SplitChain, us, vs, sign=1):
-    total = CompositeModel(split, lambda_sign=sign)
+def check_tilde_dual_factorization(split, us, vs, sign=1):
+    total = composite_model(split, sign)
     return factorization_residual(
         total, us, vs, build_tilde_dual_vector, coeff=TILDE_BRA_COEFF, dual=True, part1_written_first=False
     )

@@ -76,10 +76,10 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   of its step's apply_T_scaled and v the int vector of its path from Omega
   (Omega^+), so a step sequence the model has walked before costs one dict
   lookup per step. Model.point_ids gives each walk point, a parameter at
-  eps = 0, a small int, looked up once per parameter per build. The memo
-  is exact: a walk is a pure function of the model and its steps, and
-  only identical step sequences are reused, never an algebraic identity
-  (commuting T12s, reversed orders). The tries, the skeleton and every
+  eps = 0 keyed by its cleared pair (p, q), a small int, looked up once
+  per parameter per build. The memo is exact: a walk is a pure function
+  of the model and its steps, and only identical step sequences are
+  reused, never an algebraic identity (commuting T12s, reversed orders). The tries, the skeleton and every
   per-point record live and die with their model.
 
 The walk shares no sign with graded.embed / koszul_tensor, so the tests keep
@@ -94,6 +94,7 @@ from itertools import chain, compress, product, repeat
 from math import lcm, prod
 from operator import add, itemgetter, mul
 
+from . import graded
 from .errors import DivisionByZero
 from .graded import (
     DualGradedVector,
@@ -101,11 +102,9 @@ from .graded import (
     GradedVector,
     Signature,
     _check_pair,
-    clear_denominators,
     pack,
     packed_product,
     parity_table,
-    r_matrix,
     slot_shifts,
     slot_width,
     unpack,
@@ -484,13 +483,15 @@ class Model:
         return out.scale(factor, m)
 
     def point_id(self, u):
-        """The point id of a rational u (point_ids), given on first sight,
-        when its points record is computed: u cleared as (p, q) and
-        lam2(u) as (num, den)."""
+        """The point id of a rational u (point_ids, keyed by u cleared as
+        (p, q), so an int and the equal rational share one), given on first
+        sight, when its points record is computed: (p, q) and lam2(u) as
+        (num, den)."""
         _require_rational(u)
-        pid = self.point_ids.setdefault(u, len(self.points))
+        pair = as_pair(u)
+        pid = self.point_ids.setdefault(pair, len(self.points))
         if pid == len(self.points):
-            self.points.append((as_pair(u), as_pair(self.lam(2, u))))
+            self.points.append((pair, as_pair(self.lam(2, u))))
         return pid
 
     def apply_T_scaled(self, i, j, u, vec, dual=False, pid=None):
@@ -588,9 +589,21 @@ class ChainModel(Model):
 
     def lam(self, i, u):
         """lam_i(u): the twist d_i, times prod_k f(u, xi_k) for i = 1,
-        taken as one quotient prod_k (u - xi_k + c) / prod_k (u - xi_k);
-        u may be eps-shifted."""
+        taken as one quotient prod_k (u - xi_k + c) / prod_k (u - xi_k).
+        At a rational u = up/uq that quotient is one of ints: with
+        c = cn/cd and xi_k = xp/xq, f(u, xi_k) = (e + cn uq xq)/e,
+        e = cd (up xq - xp uq), and one rational is built at the end;
+        u may be eps-shifted, and then the quotient is taken as it reads."""
         d = rat(self.spec.twist[i - 1])
+        if i == 1 and is_rational(u):
+            (up, uq), (num, den), (cn, cd) = as_pair(u), as_pair(d), as_pair(self.c)
+            for xp, xq in map(as_pair, self.spec.xi):
+                e = cd * (up * xq - xp * uq)
+                if not e:
+                    raise DivisionByZero("lam1(u) at an inhomogeneity")
+                num *= e + cn * uq * xq
+                den *= e
+            return rat(num, den)
         if i == 1:
             diffs = [u - xi for xi in self.spec.xi]
             den = prod(diffs, start=ONE)
@@ -642,9 +655,9 @@ def _rtt_pass(model, u, v, exchange=False):
     entry products serves two blocks of a side; at (v, u) the products
     T(v) T(u) take the place of T(u) T(v) and the other way round. The
     entries N*T(u) and N*T(v) are those of Model.monodromy, and R's entries
-    are read on every call. Each column of the 18 entries is packed
-    (graded.pack) into the weight space its weight shift predicts, and a
-    row outside it fails the slot lookup (KeyError). For one chain column s
+    are built on ints on every call (_cleared_r). Each column of the 18
+    entries is packed (graded.pack) into the weight space its weight shift
+    predicts, and a row outside it fails the slot lookup (KeyError). For one chain column s
     at a time each product column is one packed_product and each block
     column the combination of its terms, a swap term only on the run of
     blocks that has one: no product is kept past its column. R's diagonal
@@ -660,11 +673,8 @@ def _rtt_pass(model, u, v, exchange=False):
     scan, but it holds only for an honest build, and a wrong entry larger
     than it (a corrupt build) could then pack a nonzero residual column to
     0. The scan sizes the slots for whatever the build returned."""
-    if is_zero(u - v):
-        raise DivisionByZero("RTT needs u != v")
     sig, length = model.sig, model.arity
-    rs = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))[: 1 + exchange]]
-    read = {81 * side + 9 * row + col: x for side, (_, r) in enumerate(rs) for col, colmap in r.cols.items() for row, x in colmap.items()}
+    gd, read = _cleared_r(sig, model.c, u, v, exchange)
     blocks, layers = _rtt_plan(sig, exchange)
     (t0, c0, _), (t1, c1, run1), (t2, c2, _), (t3, c3, run3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))], run) for take, signs, reads, run in layers]
     scale, largest, entries = 1, [max(map(abs, read.values()))], []
@@ -690,7 +700,29 @@ def _rtt_pass(model, u, v, exchange=False):
         for block, x in compress(enumerate(sums), sums):
             k, a, b, c, d = blocks[block]
             nonzero[k][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
-    return [n * scale for n, _ in rs], nonzero
+    return [gd * scale] * (1 + exchange), nonzero
+
+
+def _cleared_r(sig, c, u, v, exchange=False):
+    """(gd, read): with g(u,v) = gn/gd in lowest terms, gd > 0, the entries
+    of gd R(u,v) = gd I + gn P, and with exchange of gd R(v,u) = gd I - gn P,
+    on ints, as clear_denominators(r_matrix(...)) gives them; read holds the
+    nonzero ones at 81 side + 9 row + col. P is graded.super_permutation,
+    looked up on every call, so a replacement (the flipped-Koszul control)
+    takes effect here."""
+    (up, uq), (vp, vq), (cn, cd) = as_pair(u), as_pair(v), as_pair(c)
+    diff = cd * (up * vq - vp * uq)
+    if not diff:
+        raise DivisionByZero("RTT needs u != v")
+    gn, gd = ratio(cn * uq * vq, diff)
+    perm = [(9 * row + col, x) for col, colmap in graded.super_permutation(sig).cols.items() for row, x in colmap.items()]
+    read = {}
+    for side, g in enumerate((gn, -gn)[: 1 + exchange]):
+        entries = dict.fromkeys(range(0, 81, 10), gd)  # the diagonal, 9 k + k
+        for key, x in perm:
+            entries[key] = entries.get(key, 0) + g * x
+        read.update((81 * side + key, x) for key, x in entries.items() if x)
+    return gd, read
 
 
 # the classes of RTT blocks by (a = b, c = d), in _rtt_plan's order: the

@@ -4,7 +4,9 @@ All randomness flows from one seeded generator per consumer; values are p/q
 with |p| <= 64, q <= 64. "Generic" draws keep every pairwise difference away
 from 0 and +-c, which is exactly the pole set of the g/f/h coefficients and
 of the symmetrized products, so drawn campaigns never hit a removable
-precondition failure.
+precondition failure. That test runs on the cleared int pairs of the
+candidate, the avoided values and c (ParameterSampler.generic), so a
+rejected candidate builds no rational.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .rational import ONE, rat
-from .scalars import is_zero
+from .scalars import as_pair, is_zero
 
 
 class ParameterSampler:
@@ -20,8 +22,11 @@ class ParameterSampler:
         self.rng = random.Random(seed)
         self.c = ONE * c
 
+    def _pair(self):
+        return self.rng.randint(-64, 64), self.rng.randint(1, 64)
+
     def rational(self):
-        return rat(self.rng.randint(-64, 64), self.rng.randint(1, 64))
+        return rat(*self._pair())
 
     def nonzero(self):
         while True:
@@ -32,22 +37,27 @@ class ParameterSampler:
     def twist(self):
         return (self.nonzero(), self.nonzero(), self.nonzero())
 
-    def _generic_against(self, x, others):
-        for y in others:
-            d = x - y
-            if is_zero(d) or is_zero(d - self.c) or is_zero(d + self.c):
-                return False
-        return True
-
     def generic(self, n, avoid=()):
         """n values whose mutual differences (and differences against avoid)
-        miss 0 and +-c."""
+        miss 0 and +-c.
+
+        Each candidate is drawn as the int pair (p, q) that rational()
+        draws, and tested before any rational is built: with a value of avoid
+        or an accepted one cleared as r/s and c = cn/cd, the difference is
+        e/(cd q s), e = cd (p s - r q), and it hits 0 or +-c iff e is 0 or
+        |e| = |cn q s|. Only an accepted candidate becomes a rational."""
+        cn, cd = as_pair(self.c)
+        pairs = [as_pair(y) for y in avoid]
         out = []
-        avoid = list(avoid)
         while len(out) < n:
-            x = self.rational()
-            if self._generic_against(x, avoid + out):
-                out.append(x)
+            p, q = self._pair()
+            for r, s in pairs:
+                e = cd * (p * s - r * q)
+                if not e or abs(e) == abs(cn * q * s):
+                    break
+            else:
+                pairs.append((p, q))
+                out.append(rat(p, q))
         return tuple(out)
 
     def generic_one(self, avoid=()):

@@ -23,7 +23,9 @@ eps-shifted point, then taken to the limit), for checking
 bethe._partition_terms, which computes them from integer pair tables.
 Every shorthand coefficient the same way, at every split of a base
 Binding's sets, for checking the plans of notation.compile_plan, which read
-that Binding's one pair table at the split's index tuples.
+that Binding's one pair table at the split's index tuples. The sampler's
+genericity test by rational subtraction, for checking
+ParameterSampler.generic, which tests the cleared int pairs.
 """
 
 from itertools import combinations, product
@@ -51,6 +53,20 @@ from superbethe.notation import (
 from superbethe.rational import ONE, rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import eps_limit, f, g, h, is_zero, izergin, ratio
+
+
+def generic_draws(rng, c, n, avoid=()):
+    """ParameterSampler.generic as a test on rationals: each candidate of
+    the random.Random rng is built as p/q and kept iff its difference from
+    every avoided or kept value, by rational subtraction, misses 0, c and
+    -c; the sampler tests the same on the cleared int pairs."""
+    out = []
+    while len(out) < n:
+        x = rat(rng.randint(-64, 64), rng.randint(1, 64))
+        diffs = [x - y for y in (*avoid, *out)]
+        if not any(is_zero(d) or is_zero(d - c) or is_zero(d + c) for d in diffs):
+            out.append(x)
+    return tuple(out)
 
 
 def prod_pairs(fn, left, right, c):

@@ -98,13 +98,17 @@ def test_factorization_grid_on_2_plus_2():
         cs(2, (1, rat(5, 3)), (1, rat(1, 2), -1)),
     )
     xi = sp.part1.xi + sp.part2.xi
+    total = CompositeModel(sp)  # one model for every check, as a suite holds it
     for campaign in range(2):
         drawn = smp.generic(4, avoid=xi)
         for a in range(3):
             for b in range(3):
                 us, vs = drawn[:a], drawn[2 : 2 + b]
-                assert check_bethe_factorization(sp, us, vs).is_zero(), (a, b)
-                assert check_dual_bethe_factorization(sp, us, vs).is_zero(), (a, b)
+                for split in (sp, total):
+                    assert check_bethe_factorization(split, us, vs).is_zero(), (a, b)
+                    assert check_dual_bethe_factorization(split, us, vs).is_zero(), (a, b)
+    with pytest.raises(ValueError):
+        check_bethe_factorization(CompositeModel(sp, lambda_sign=-1), drawn[:1], drawn[2:3])
 
 
 def test_degenerate_empty_part(split21):

@@ -5,7 +5,8 @@ packed products of its RTT and exchange suites, the T(u) builds and the
 entries they return in its operator suites, the embeds and walked state
 entries of its RTT, composite and Bethe suites, the Fraction
 operations and hashes and the Bethe-vector builds of its vector suites,
-the factor skeletons and per-point factor evaluations of its vector
+the composite models its composite and gl12 suites build, the factor
+skeletons and per-point factor evaluations of its vector
 suites, and the Fraction operations of the shorthand coefficients of the
 action table.
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from superbethe import bethe, gl12, graded, monodromy, scalars
+from superbethe import bethe, composite, gl12, graded, monodromy, scalars
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.cli import load_config, run_suites
 from superbethe.graded import GL21, GradedOperator, GradedVector
@@ -36,12 +37,14 @@ QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 # suite -> (bethe._partition_terms calls, scalars._series calls); a vector
 # its weight makes zero computes no coefficient list, a partition-sum term
 # whose vector is zero by weight reads no coefficient, and scalars.ratio
-# reads an eps-limit off the leading terms, with no series division
+# reads an eps-limit off the leading terms, with no series division; the
+# factorization checks of a suite share one composite model, so its ket
+# and dual checks share its coefficient lists
 PINNED = {
     "bethe": (6, 48),
     "actions": (44, 321),
     "recursion": (9, 0),
-    "composite": (38, 90),
+    "composite": (21, 90),
 }
 
 
@@ -73,8 +76,9 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 
 # suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
 # EpsScalar keeps its integral coefficients as ints, a Bethe-vector
-# build hashes each parameter once, for its point id, and reads lam2 from
-# its point's record, a bilinear sum builds the partial vectors of its live
+# build keys each parameter's point id by its cleared pair, with no hash,
+# and reads lam2 from its point's record, lam1 is one quotient of ints,
+# the sampler tests genericity on int pairs, a bilinear sum builds the partial vectors of its live
 # splits only, one build each, the partial vectors of an action's
 # right-hand side and of the replay are cached by their index tuples into
 # the sum's one Binding, and a term whose vector is zero by weight reads no
@@ -82,13 +86,35 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # numerators over one int denominator, so their sums, scalings and tensor
 # products make no Fraction
 FRACTION_PINNED = {
-    "bethe": (190, 39),
-    "actions": (669, 558),
-    "recursion": (76, 36),
-    "composite": (326, 72),
-    "gl12": (427, 106),
-    "proof-replay": (340, 121),
+    "bethe": (77, 6),
+    "actions": (331, 204),
+    "recursion": (31, 9),
+    "composite": (145, 27),
+    "gl12": (252, 28),
+    "proof-replay": (195, 50),
 }
+
+
+# suite -> CompositeModel constructions of one run: each suite builds one
+# per split and lambda sign and hands it to every factorization check of
+# its campaigns (composite.composite_model); the coproduct check, the
+# creation actions and each sign probe of gl12 build their own
+COMPOSITE_PINNED = {"composite": 3, "gl12": 11}
+
+
+@pytest.mark.parametrize("suite", sorted(COMPOSITE_PINNED))
+def test_composite_models_are_built_once_per_suite(suite, monkeypatch):
+    built = Counter()
+    honest = composite.CompositeModel.__init__
+
+    def counted(self, *args, **kw):
+        built["models"] += 1
+        honest(self, *args, **kw)
+
+    monkeypatch.setattr(composite.CompositeModel, "__init__", counted)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    assert built["models"] <= COMPOSITE_PINNED[suite], (suite, built["models"])
 
 
 # suite -> bethe.build_family calls of one run, the Bethe, dual and tilde
@@ -266,14 +292,15 @@ def test_operator_suite_builds_do_not_rise(suite, monkeypatch):
 
 # suite -> (factor skeletons built, per-point factor evaluations) of one
 # run: a model builds its skeleton on its first walk and evaluates the
-# factors of each point it walks once, and each _cleared_sequence call (the
+# factors of each point it walks once, the factorization checks of a suite
+# share one composite model, and each _cleared_sequence call (the
 # materialized T(u) of the coproduct, the vacuum axioms) builds one of each
 POINT_PINNED = {
     "bethe": (8, 14),
     "actions": (3, 24),
     "recursion": (3, 9),
-    "composite": (20, 32),
-    "gl12": (42, 78),
+    "composite": (11, 23),
+    "gl12": (33, 69),
     "proof-replay": (10, 16),
 }
 

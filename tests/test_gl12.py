@@ -97,6 +97,22 @@ def test_wrong_sign_fails(split12):
     assert not check_tilde_factorization(split12, ps[:1], ps[1:], sign=-1).is_zero()
 
 
+def test_one_model_serves_every_check_of_its_sign(split12_21):
+    """A suite's CompositeModel gives every check the residual a fresh one
+    gives, the wrong sign's checks included; a model of the other sign is
+    refused."""
+    smp = ParameterSampler("shared-model", 1)
+    drawn = smp.generic(4, avoid=split12_21.part1.xi + split12_21.part2.xi)
+    for sign in (1, -1):
+        total = CompositeModel(split12_21, lambda_sign=sign)
+        for check in (check_tilde_factorization, check_tilde_dual_factorization):
+            for a, b in ((1, 1), (2, 1), (1, 2), (2, 2)):
+                us, vs = drawn[:a], drawn[2 : 2 + b]
+                assert check(total, us, vs, sign=sign) == check(split12_21, us, vs, sign=sign), (sign, a, b)
+            with pytest.raises(ValueError):
+                check(total, drawn[:1], drawn[2:3], sign=-sign)
+
+
 @pytest.mark.parametrize("shape", ["1+1", "2+1"])
 def test_factorization_grid(shape, split12, split12_21):
     sp = split12 if shape == "1+1" else split12_21

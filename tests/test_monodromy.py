@@ -3,6 +3,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -44,7 +45,7 @@ from superbethe.monodromy import (
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, g
+from superbethe.scalars import EPS, eps_limit, f, g
 
 from oracles import (
     all_supercommutators,
@@ -99,6 +100,70 @@ def test_vacuum_eigenvalue_closed_forms():
     assert m.lam(2, 2) == 1
     m = chain(2, (0, rat(1, 2)), twist=(1, 1, -2))
     assert m.r(3, rat(22, 7)) == -2
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_lam_equals_the_product_of_f(sig):
+    """lam_i(u), computed on ints at a rational u, is d_i prod_k f(u, xi_k)
+    for i = 1 and d_i otherwise, times the composite's sign, evaluated one
+    f at a time; it raises at an inhomogeneity, and an eps-shifted u takes
+    the quotient of series, whose limit is the rational value."""
+    c = rat(3, 2)
+    part1 = ChainSpec(2, (0, rat(1, 3)), (2, rat(2, 3), -3), sig, c)
+    part2 = ChainSpec(1, (rat(-5, 4),), (rat(1, 2), 3, 5), sig, c)
+    twist = [x * y for x, y in zip(part1.twist, part2.twist)]
+    for model, sign, d, xi in (
+        (ChainModel(part1), 1, part1.twist, part1.xi),
+        (CompositeModel(SplitChain(part1, part2), lambda_sign=-1), -1, twist, part1.xi + part2.xi),
+    ):
+        for u in (rat(7, 2), 3, rat(-2, 9)):
+            for i in (1, 2, 3):
+                want = sign * rat(d[i - 1]) * (prod((f(u, x, c) for x in xi), start=rat(1)) if i == 1 else 1)
+                assert model.lam(i, u) == want, (i, u)
+            assert eps_limit(model.lam(1, u + EPS)) == model.lam(1, u)
+        for x in xi:
+            with pytest.raises(DivisionByZero):
+                model.lam(1, x)
+
+
+def test_point_ids_key_the_cleared_pair():
+    """An int and the equal rational are one walk point: one id, one record
+    of the cleared pair and lam2."""
+    m = chain(2, (0, rat(1, 2)), twist=(1, 3, 1))
+    assert m.point_id(3) == m.point_id(rat(3)) == 0
+    assert m.point_id(rat(6, 4)) == m.point_id(rat(3, 2)) == 1
+    assert m.point_ids == {(3, 1): 0, (3, 2): 1}
+    assert m.points == [((3, 1), (3, 1)), ((3, 2), (3, 1))]
+
+
+def _read_r(sig, c, u, v):
+    """The entries of clear_denominators(r_matrix(...)) at (u, v) and (v, u)
+    as _rtt_pass reads them, flattened as 81 side + 9 row + col, and the
+    scale of each side."""
+    scales, read = [], {}
+    for side, (x, y) in enumerate(((u, v), (v, u))):
+        n, r = clear_denominators(r_matrix(x, y, sig, c))
+        scales.append(n)
+        read.update((81 * side + 9 * row + col, val) for col, colmap in r.cols.items() for row, val in colmap.items())
+    return scales, read
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["honest", "flipped"])
+@pytest.mark.parametrize("c", [1, rat(3, 2)])
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_rtt_pass_reads_the_cleared_r_matrix(sig, c, flipped, request):
+    """The R(u,v) and R(v,u) that _rtt_pass builds on ints are
+    clear_denominators(r_matrix(...)) entry for entry, scale included, and
+    under a replaced super_permutation they read the replacement; at
+    u - v = c one diagonal entry of R(u,v) is 0 and is not stored."""
+    if flipped:
+        request.getfixturevalue("flipped_koszul")
+    smp = ParameterSampler(f"cleared-r:{sig.name}:{c}", 1)
+    pairs = [smp.generic(2) for _ in range(3)] + [(rat(5, 2), rat(5, 2) - c), (3, 1)]
+    for u, v in pairs:
+        gd, read = monodromy._cleared_r(sig, c, u, v, exchange=True)
+        assert ([gd, gd], read) == _read_r(sig, c, u, v), (u, v)
+        assert monodromy._cleared_r(sig, c, u, v) == (gd, {k: x for k, x in read.items() if k < 81})
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
