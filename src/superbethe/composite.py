@@ -54,7 +54,7 @@ from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, compile_terms, evaluate, partition_sum
-from .rational import rat
+from .rational import is_rational, rat
 from .scalars import is_zero, three_term_witness
 
 
@@ -102,7 +102,13 @@ class CompositeModel(Model):
         return fs
 
     def lam(self, i, u):
+        if is_rational(u):
+            return rat(*self.lam_pair(i, u))
         return self.lambda_sign * self.part1.lam(i, u) * self.part2.lam(i, u)
+
+    def lam_pair(self, i, u):
+        (num1, den1), (num2, den2) = self.part1.lam_pair(i, u), self.part2.lam_pair(i, u)
+        return self.lambda_sign * num1 * num2, den1 * den2
 
 
 def composite_model(split, lambda_sign=1) -> CompositeModel:

@@ -26,12 +26,13 @@ There are two multiplication kernels. column_product multiplies dict
 columns, for composition and application. The packed kernel serves
 operators that map each weight space of weight_spaces into a single one,
 as the entries T_ab(u) do: over a space of S keys a column {key: x} is
-one int with x in the slot of its key (pack, slot_shifts), packed_product
-applies a packed operator to a sparse column, and unpack reads a column
-back in balanced base 2^W. With every |x| below 2^(W-1) (slot_width) a
-packed column is 0 exactly when the column is. The RTT pass of
-monodromy.py, which serves RTT and the exchange relations alike,
-multiplies the entries of T(u) through it.
+one int with x in the slot of its key (pack, slot_shifts),
+packed_products applies nine packed operators to one sparse column in one
+pass over its entries, and unpack reads a column back in balanced base
+2^W. With every |x| below 2^(W-1) (slot_width) a packed column is 0
+exactly when the column is. The RTT pass of monodromy.py, which serves
+RTT and the exchange relations alike, multiplies the nine entries of T(u)
+by each column of an entry of T(v) through it, and the other way round.
 
 The operator identities (Yang-Baxter, unitarity, and in monodromy.py and
 composite.py RTT, the exchange relations and the coproduct) are homogeneous
@@ -359,15 +360,26 @@ def pack(column, shifts):
     return sum(map(lshift, column.values(), map(shifts.__getitem__, column)))
 
 
-def packed_product(packed, column):
-    """sum_k column[k] * packed[k] as one int: the operator whose columns
-    are packed ({k: packed column}) applied to the sparse column {k: value}.
-    Packing is Z-linear, so this is the packed image of the product. A plain
-    loop: on columns of a few entries it beats sum over map."""
-    out = 0
+def packed_products(rows, column):
+    """The nine ints sum_k column[k] * rows[k][i], i = 0..8: nine operators,
+    operator i with packed column k rows[k][i], applied to the one sparse
+    column {k: value} in one pass over its entries. Packing is Z-linear, so
+    product i is the packed image of operator i times the column. Nine
+    unrolled accumulators: on columns of a few entries they beat a loop per
+    operator and sum over map."""
+    p0 = p1 = p2 = p3 = p4 = p5 = p6 = p7 = p8 = 0
     for k, x in column.items():
-        out += x * packed[k]
-    return out
+        r0, r1, r2, r3, r4, r5, r6, r7, r8 = rows[k]
+        p0 += x * r0
+        p1 += x * r1
+        p2 += x * r2
+        p3 += x * r3
+        p4 += x * r4
+        p5 += x * r5
+        p6 += x * r6
+        p7 += x * r7
+        p8 += x * r8
+    return p0, p1, p2, p3, p4, p5, p6, p7, p8
 
 
 def unpack(x, keys, width):

@@ -46,11 +46,13 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   are one streamed pass, _rtt_pass: it packs each column of the 18
   entries of N_u*T(u) and N_v*T(v) into the weight space its weight shift
   predicts and, one chain column at a time, computes the 162 entry
-  products as packed_products and contracts them with the entries of
-  R(u,v), and for the exchange relations also of R(v,u). check_rtt
-  unpacks the (u, v) blocks into its operator; the exchange relations,
-  which are RTT written out in components, are signed blocks at (u, v)
-  and (v, u), kept per model for the latest pair (check_supercommutator).
+  products, the nine that share a right-hand column in one
+  graded.packed_products call (18 per chain column), and contracts them
+  with the entries of R(u,v), and for the exchange relations also of
+  R(v,u). check_rtt unpacks the (u, v) blocks into its operator; the
+  exchange relations, which are RTT written out in components, are signed
+  blocks at (u, v) and (v, u), kept per model for the latest pair
+  (check_supercommutator).
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
@@ -103,7 +105,7 @@ from .graded import (
     Signature,
     _check_pair,
     pack,
-    packed_product,
+    packed_products,
     parity_table,
     slot_shifts,
     slot_width,
@@ -433,7 +435,8 @@ def _shifted(weight, i, j, k, l):
 class Model:
     """Shared realization machinery: entries, vacuum data, references.
 
-    Subclasses provide sig, c, arity, factor_sequence() and lam(i, u).
+    Subclasses provide sig, c, arity, factor_sequence(), lam(i, u) and
+    lam_pair(i, u).
     """
 
     def __init__(self):
@@ -464,6 +467,11 @@ class Model:
     def lam(self, i, u):
         raise NotImplementedError
 
+    def lam_pair(self, i, u):
+        """lam_i(u) at a rational u as (num, den), ints with den != 0, not
+        necessarily in lowest terms."""
+        raise NotImplementedError
+
     def monodromy_op(self, u) -> GradedOperator:
         return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
 
@@ -491,7 +499,7 @@ class Model:
         pair = as_pair(u)
         pid = self.point_ids.setdefault(pair, len(self.points))
         if pid == len(self.points):
-            self.points.append((pair, as_pair(self.lam(2, u))))
+            self.points.append((pair, ratio(*self.lam_pair(2, u))))
         return pid
 
     def apply_T_scaled(self, i, j, u, vec, dual=False, pid=None):
@@ -562,6 +570,11 @@ class Model:
         return 0 <= b <= a <= self.arity
 
     def r(self, i, u):
+        """lam_i(u) / lam_2(u): at a rational u one quotient of the ints of
+        lam_pair, at an eps-shifted u as it reads."""
+        if is_rational(u):
+            (num, den), (num2, den2) = self.lam_pair(i, u), self.lam_pair(2, u)
+            return rat(num * den2, den * num2)
         return self.lam(i, u) / self.lam(2, u)
 
     def omega(self) -> GradedVector:
@@ -589,21 +602,13 @@ class ChainModel(Model):
 
     def lam(self, i, u):
         """lam_i(u): the twist d_i, times prod_k f(u, xi_k) for i = 1,
-        taken as one quotient prod_k (u - xi_k + c) / prod_k (u - xi_k).
-        At a rational u = up/uq that quotient is one of ints: with
-        c = cn/cd and xi_k = xp/xq, f(u, xi_k) = (e + cn uq xq)/e,
-        e = cd (up xq - xp uq), and one rational is built at the end;
-        u may be eps-shifted, and then the quotient is taken as it reads."""
+        taken as one quotient prod_k (u - xi_k + c) / prod_k (u - xi_k):
+        at a rational u the ints of lam_pair, one rational built at the
+        end; u may be eps-shifted, and then the quotient is taken as it
+        reads."""
+        if is_rational(u):
+            return rat(*self.lam_pair(i, u))
         d = rat(self.spec.twist[i - 1])
-        if i == 1 and is_rational(u):
-            (up, uq), (num, den), (cn, cd) = as_pair(u), as_pair(d), as_pair(self.c)
-            for xp, xq in map(as_pair, self.spec.xi):
-                e = cd * (up * xq - xp * uq)
-                if not e:
-                    raise DivisionByZero("lam1(u) at an inhomogeneity")
-                num *= e + cn * uq * xq
-                den *= e
-            return rat(num, den)
         if i == 1:
             diffs = [u - xi for xi in self.spec.xi]
             den = prod(diffs, start=ONE)
@@ -611,6 +616,21 @@ class ChainModel(Model):
                 raise DivisionByZero("lam1(u) at an inhomogeneity")
             d = d * prod((x + self.c for x in diffs), start=ONE) / den
         return d
+
+    def lam_pair(self, i, u):
+        """lam_i(u) at a rational u = up/uq on ints: with c = cn/cd and
+        xi_k = xp/xq, f(u, xi_k) = (e + cn uq xq)/e, e = cd (up xq - xp uq),
+        so lam_1(u) = d_1 prod_k (e + cn uq xq) / prod_k e."""
+        num, den = as_pair(self.spec.twist[i - 1])
+        if i == 1:
+            (up, uq), (cn, cd) = as_pair(u), as_pair(self.c)
+            for xp, xq in map(as_pair, self.spec.xi):
+                e = cd * (up * xq - xp * uq)
+                if not e:
+                    raise DivisionByZero("lam1(u) at an inhomogeneity")
+                num *= e + cn * uq * xq
+                den *= e
+        return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +677,13 @@ def _rtt_pass(model, u, v, exchange=False):
     entries N*T(u) and N*T(v) are those of Model.monodromy, and R's entries
     are built on ints on every call (_cleared_r). Each column of the 18
     entries is packed (graded.pack) into the weight space its weight shift
-    predicts, and a row outside it fails the slot lookup (KeyError). For one chain column s
-    at a time each product column is one packed_product and each block
-    column the combination of its terms, a swap term only on the run of
-    blocks that has one: no product is kept past its column. R's diagonal
+    predicts, and a row outside it fails the slot lookup (KeyError). Each
+    side's nine packed entries are zipped once into rows, row k the nine
+    packed columns k, and for one chain column s at a time the nine
+    product columns that share a right factor's column are one
+    packed_products call, 18 per chain column, and each block column is
+    the combination of its terms, a swap term only on the run of blocks
+    that has one: no product is kept past its column. R's diagonal
     holds gd + gn and gd - gn, so r, the largest |entry| of both cleared
     R's, is |gd| + |gn|, and no row or column of R sums to more than r in
     absolute value; each side of a block is then at most r S a b and every
@@ -690,10 +713,12 @@ def _rtt_pass(model, u, v, exchange=False):
     # T_ab maps the space of weight n to that of n + e_b - e_a ((k, l) = (1, 1) shifts nothing)
     targets = {ab: {w: shifts.get(_shifted(w, *ab, 1, 1), {}) for w in spaces} for ab in entries[0]}
     packed = [[pack(cols[k], targets[ab][weights[k]]) if k in cols else 0 for k in range(3**length)] for x in entries for ab, cols in x.items()]
-    sides = [(packed[9 * x : 9 * x + 9], right) for x in (0, 1) for right in entries[1 - x].values()]
+    # rows[x][k]: packed column k of the nine entries of side x, in product order
+    rows = [[*zip(*packed[9 * x : 9 * x + 9])] for x in (0, 1)]
+    sides = [(rows[x], right) for x in (0, 1) for right in entries[1 - x].values()]
     nonzero = [{} for _ in blocks]
     for s in range(3**length):
-        cols = [*chain.from_iterable(map(packed_product, left, repeat(col)) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
+        cols = [*chain.from_iterable(packed_products(left, col) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
         sums = [*map(add, map(mul, c0, t0(cols)), map(mul, c2, t2(cols)))]
         sums[run1] = map(add, sums[run1], map(mul, c1, t1(cols)))
         sums[run3] = map(add, sums[run3], map(mul, c3, t3(cols)))

@@ -25,7 +25,9 @@ Every shorthand coefficient the same way, at every split of a base
 Binding's sets, for checking the plans of notation.compile_plan, which read
 that Binding's one pair table at the split's index tuples. The sampler's
 genericity test by rational subtraction, for checking
-ParameterSampler.generic, which tests the cleared int pairs.
+ParameterSampler.generic, which tests the cleared int pairs. One packed
+operator applied to a sparse column at a time (packed_product), for
+checking graded.packed_products, which applies nine in one pass.
 """
 
 from itertools import combinations, product
@@ -76,6 +78,17 @@ def prod_pairs(fn, left, right, c):
         for r in right:
             acc = acc * fn(l, r, c)
     return acc
+
+
+def packed_product(packed, column):
+    """sum_k column[k] * packed[k] as one int: the operator whose columns
+    are packed ({k: packed column}) applied to the sparse column {k: value},
+    one operator at a time, for checking graded.packed_products, which
+    forms nine such products in one pass."""
+    out = 0
+    for k, x in column.items():
+        out += x * packed[k]
+    return out
 
 
 def insert_identity(op: GradedOperator, position: int) -> GradedOperator:

@@ -77,8 +77,10 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
 # EpsScalar keeps its integral coefficients as ints, a Bethe-vector
 # build keys each parameter's point id by its cleared pair, with no hash,
-# and reads lam2 from its point's record, lam1 is one quotient of ints,
-# the sampler tests genericity on int pairs, a bilinear sum builds the partial vectors of its live
+# and reads lam2 from its point's record, computed on ints, lam1 is one
+# quotient of ints, and so are the ratio functions r1 and r3 and the
+# composite lam (Model.lam_pair) at a rational point, the sampler tests
+# genericity on int pairs, a bilinear sum builds the partial vectors of its live
 # splits only, one build each, the partial vectors of an action's
 # right-hand side and of the replay are cached by their index tuples into
 # the sum's one Binding, and a term whose vector is zero by weight reads no
@@ -86,12 +88,12 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # numerators over one int denominator, so their sums, scalings and tensor
 # products make no Fraction
 FRACTION_PINNED = {
-    "bethe": (77, 6),
-    "actions": (331, 204),
-    "recursion": (31, 9),
-    "composite": (145, 27),
-    "gl12": (252, 28),
-    "proof-replay": (195, 50),
+    "bethe": (63, 6),
+    "actions": (220, 204),
+    "recursion": (22, 9),
+    "composite": (56, 27),
+    "gl12": (48, 28),
+    "proof-replay": (119, 50),
 }
 
 
@@ -186,7 +188,7 @@ def test_eps_shifted_pair_tables_hold_int_coefficients():
 
 
 # suite -> GradedOperator.compose calls: RTT multiplies the entry products
-# of N*T on packed int columns (graded.packed_product) and the exchange
+# of N*T on packed int columns (graded.packed_products) and the exchange
 # relations the packed entries of their pair, neither through a compose;
 # Yang-Baxter and unitarity read five permutation products (graded.
 # _permutation_products), built once per signature, ten composes for the
@@ -350,26 +352,27 @@ def test_per_point_factor_data_is_computed_once(suite, monkeypatch):
     assert got[0] <= pin[0] and got[1] <= pin[1], (suite, got, pin)
 
 
-# suite -> graded.packed_product calls: the RTT pass computes each of the
+# suite -> graded.packed_products calls: the RTT pass computes each of the
 # 162 entry products once per column of the chain, and only where its right
-# factor's column is nonempty, once per RTT check and once per exchange
+# factor's column is nonempty, the nine that share that column in one call
+# (18 calls per chain column), once per RTT check and once per exchange
 # pair for all 81 tuples; nothing else of the suites packs
-PACKED_PINNED = {"rtt": 2106, "commutator": 1026}
+PACKED_PINNED = {"rtt": 234, "commutator": 114}
 
 
 @pytest.mark.parametrize("suite", sorted(PACKED_PINNED))
 def test_packed_products_do_not_rise(suite, monkeypatch):
     calls = Counter()
-    honest = monodromy.packed_product
+    honest = monodromy.packed_products
 
-    def counted(packed, column):
-        calls["packed_product"] += 1
-        return honest(packed, column)
+    def counted(rows, column):
+        calls["packed_products"] += 1
+        return honest(rows, column)
 
-    monkeypatch.setattr(monodromy, "packed_product", counted)
+    monkeypatch.setattr(monodromy, "packed_products", counted)
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
-    assert calls["packed_product"] <= PACKED_PINNED[suite], (suite, calls["packed_product"])
+    assert calls["packed_products"] <= PACKED_PINNED[suite], (suite, calls["packed_products"])
 
 
 @pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")

@@ -23,7 +23,7 @@ from superbethe.graded import (
     digit_string,
     koszul_tensor,
     pack,
-    packed_product,
+    packed_products,
     parity_table,
     r_matrix,
     slot_shifts,
@@ -36,7 +36,7 @@ from superbethe.graded import (
 from superbethe.rational import is_rational, rat
 from superbethe.scalars import EPS
 
-from oracles import insert_identity, ybe_reference
+from oracles import insert_identity, packed_product, ybe_reference
 
 
 def unit(sig, i, j):
@@ -220,6 +220,47 @@ def test_one_bit_less_than_the_slot_bound_fails(width):
     assert _round_trip({keys[0]: top}, keys, width - 1) != {keys[0]: top}
     assert _round_trip({keys[0]: -top, keys[1]: top}, keys, width - 1) != {keys[0]: -top, keys[1]: top}
     assert pack({keys[0]: 2 ** (width - 1), keys[1]: -1}, slot_shifts(keys, width - 1)) == 0
+
+
+_BIG = st.one_of(st.sampled_from((0, 1, -1, 2**200, -(2**200))), st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def _nine_operators(draw):
+    """(keys, ops, column): a weight space of arity 1 to 3, nine operators
+    on it as columns {k: {row: value}}, one of them zero and one key a
+    column of none of them (an all-zero row of the packed kernel), and a
+    sparse column, every value up to 2^200 in absolute value."""
+    keys = draw(st.sampled_from([keys for arity in (1, 2, 3) for keys in weight_spaces(arity).values()]))
+    key = st.sampled_from(keys)
+    ops = draw(st.lists(st.dictionaries(key, st.dictionaries(key, _BIG, max_size=3), max_size=len(keys)), min_size=9, max_size=9))
+    ops[draw(st.integers(0, 8))] = {}
+    dead = draw(key)
+    ops = [{k: col for k, col in op.items() if k != dead} for op in ops]
+    return keys, ops, draw(st.dictionaries(key, _BIG, max_size=3))
+
+
+@given(_nine_operators())
+def test_packed_products_are_nine_column_products(case):
+    """packed_products gives the nine packed products of one column, in the
+    order of its rows' tuples: each equals the one-operator oracle and the
+    packed column_product, and unpack reads it back exactly at the width
+    slot_width gives for the bound of the nine, on the drawn column and on
+    its empty and one-entry prefixes."""
+    keys, ops, column = case
+    for col in (column, {}, dict([*column.items()][:1])):
+        bound = max(sum(abs(x) * max(map(abs, op.get(k, {}).values()), default=0) for k, x in col.items()) for op in ops)
+        width = slot_width(bound)
+        shifts = slot_shifts(keys, width)
+        packed = [{k: pack(op.get(k, {}), shifts) for k in keys} for op in ops]
+        rows = {k: tuple(p[k] for p in packed) for k in keys}
+        assert any(row == (0,) * 9 for row in rows.values())
+        got = packed_products(rows, col)
+        assert type(got) is tuple and len(got) == 9
+        for x, op, p in zip(got, ops, packed):
+            want = column_product(op, col)
+            assert x == packed_product(p, col) == pack(want, shifts)
+            assert unpack(x, keys, width) == want
 
 
 def test_packed_product_is_the_packed_column_product():

@@ -712,7 +712,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     honest_compose = GradedOperator.compose
     honest_kernel = graded.column_product
     honest_pack = graded.pack
-    honest_packed_product = graded.packed_product
+    honest_packed_products = graded.packed_products
     honest_combination = graded.linear_combination
     honest_build = monodromy.build_cleared_product
 
@@ -733,11 +733,11 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
         seen.update(type(x).__name__ for x in column.values())
         return honest_pack(column, shifts)
 
-    def packed_product(packed, column):
+    def packed_products(rows, column):
         seen["packed kernel calls"] += 1
         seen.update(type(x).__name__ for x in column.values())
-        seen.update(type(packed[k]).__name__ for k in column)
-        return honest_packed_product(packed, column)
+        seen.update(type(p).__name__ for k in column for p in rows[k])
+        return honest_packed_products(rows, column)
 
     def combination(terms):
         seen["linear combinations"] += 1
@@ -756,7 +756,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     monkeypatch.setattr(GradedOperator, "compose", compose)
     monkeypatch.setattr(graded, "column_product", kernel)
     monkeypatch.setattr(monodromy, "pack", pack)
-    monkeypatch.setattr(monodromy, "packed_product", packed_product)
+    monkeypatch.setattr(monodromy, "packed_products", packed_products)
     monkeypatch.setattr(composite, "linear_combination", combination)
     monkeypatch.setattr(monodromy, "build_cleared_product", build)
     monkeypatch.setattr(monodromy, "build_factor_product", refuse)
@@ -764,7 +764,7 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     xi = smp.generic(3)
     u, v, w = smp.generic(3, avoid=xi)
     assert check_rtt(chain(3, xi, twist=smp.twist()), u, v).is_zero()
-    # RTT multiplies through the packed kernel, one entry product at a time
+    # RTT multiplies through the packed kernel, nine entry products at a time
     assert seen.pop("packed kernel calls") > 0
     model = chain(2, xi[:2], twist=smp.twist(), sig=GL12)
     for t in product(range(1, 4), repeat=4):
@@ -803,33 +803,34 @@ def test_rtt_streams_its_residual():
 
 def test_exchange_products_are_composed_once_per_pair(monkeypatch):
     """The exchange relations compose no operator: each of the 162 entry
-    products of a pair is computed once on packed columns, one
-    packed_product per column, for all 81 tuples, and the model keeps only
-    nonzero block columns, of the latest pair only."""
+    products of a pair is computed once on packed columns, the nine that
+    share a right-hand column in one packed_products call, for all 81
+    tuples, and the model keeps only nonzero block columns, of the latest
+    pair only."""
     calls = Counter()
     honest = GradedOperator.compose
-    honest_packed_product = monodromy.packed_product
+    honest_packed_products = monodromy.packed_products
 
     def compose(self, other):
         calls["compose"] += 1
         return honest(self, other)
 
-    def packed_product(packed, column):
-        calls["packed_product"] += 1
-        return honest_packed_product(packed, column)
+    def packed_products(rows, column):
+        calls["packed_products"] += 1
+        return honest_packed_products(rows, column)
 
     smp = ParameterSampler("pair-products", 1)
     xi = smp.generic(2)
     twist = smp.twist()
     u, v, w = smp.generic(3, avoid=xi)
     monkeypatch.setattr(GradedOperator, "compose", compose)
-    monkeypatch.setattr(monodromy, "packed_product", packed_product)
+    monkeypatch.setattr(monodromy, "packed_products", packed_products)
     model = chain(2, xi, twist=twist, sig=GL12)
     tuples = list(product(range(1, 4), repeat=4))
     for t in tuples:
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v)), t
     assert calls["compose"] == 0
-    assert calls["packed_product"] <= 162 * 3**2
+    assert calls["packed_products"] <= 18 * 3**2
     assert model._pair_blocks[0] == (u, v) and not any(model._pair_blocks[-1])
     # with T(u) perturbed the residuals at (u, v), (v, u) and (u, w) are
     # nonzero and differ, so a product kept from another pair would show
