@@ -54,7 +54,7 @@ from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, compile_terms, evaluate, partition_sum
-from .rational import is_rational, rat
+from .rational import rat
 from .scalars import is_zero, three_term_witness
 
 
@@ -101,12 +101,9 @@ class CompositeModel(Model):
             fs.append(("site", site, self.split.part1.xi[site - 1]))
         return fs
 
-    def lam(self, i, u):
-        if is_rational(u):
-            return rat(*self.lam_pair(i, u))
-        return self.lambda_sign * self.part1.lam(i, u) * self.part2.lam(i, u)
-
     def lam_pair(self, i, u):
+        """lam_i(u) at a rational or eps-shifted u: lambda_sign times the
+        product of the parts' pairs."""
         (num1, den1), (num2, den2) = self.part1.lam_pair(i, u), self.part2.lam_pair(i, u)
         return self.lambda_sign * num1 * num2, den1 * den2
 

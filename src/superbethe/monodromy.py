@@ -112,7 +112,7 @@ from .graded import (
     unpack,
     weight_spaces,
 )
-from .rational import ONE, is_rational, rat
+from .rational import is_rational, rat
 from .scalars import as_pair, is_zero, ratio
 
 
@@ -432,11 +432,18 @@ def _shifted(weight, i, j, k, l):
     return n1 + (j == 1) - (i == 1) + (l == 1) - (k == 1), n2 + (j == 2) - (i == 2) + (l == 2) - (k == 2)
 
 
+def _quotient(num, den):
+    """num/den: a rational of the backend's type when both are ints, the
+    series quotient when either is an EpsScalar."""
+    return rat(num, den) if type(num) is int and type(den) is int else num / den
+
+
 class Model:
     """Shared realization machinery: entries, vacuum data, references.
 
-    Subclasses provide sig, c, arity, factor_sequence(), lam(i, u) and
-    lam_pair(i, u).
+    Subclasses provide sig, c, arity, factor_sequence() and lam_pair(i, u);
+    lam and r are quotients of lam_pair, at a rational or an eps-shifted u
+    alike.
     """
 
     def __init__(self):
@@ -464,13 +471,15 @@ class Model:
     def factor_sequence(self):
         raise NotImplementedError
 
-    def lam(self, i, u):
+    def lam_pair(self, i, u):
+        """lam_i(u) as (num, den), not necessarily in lowest terms: ints with
+        den != 0 at a rational u; at an eps-shifted u, series wherever u
+        enters."""
         raise NotImplementedError
 
-    def lam_pair(self, i, u):
-        """lam_i(u) at a rational u as (num, den), ints with den != 0, not
-        necessarily in lowest terms."""
-        raise NotImplementedError
+    def lam(self, i, u):
+        """lam_i(u), the quotient of lam_pair."""
+        return _quotient(*self.lam_pair(i, u))
 
     def monodromy_op(self, u) -> GradedOperator:
         return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
@@ -570,12 +579,9 @@ class Model:
         return 0 <= b <= a <= self.arity
 
     def r(self, i, u):
-        """lam_i(u) / lam_2(u): at a rational u one quotient of the ints of
-        lam_pair, at an eps-shifted u as it reads."""
-        if is_rational(u):
-            (num, den), (num2, den2) = self.lam_pair(i, u), self.lam_pair(2, u)
-            return rat(num * den2, den * num2)
-        return self.lam(i, u) / self.lam(2, u)
+        """lam_i(u) / lam_2(u), one quotient of the lam_pair pairs."""
+        (num, den), (num2, den2) = self.lam_pair(i, u), self.lam_pair(2, u)
+        return _quotient(num * den2, den * num2)
 
     def omega(self) -> GradedVector:
         return GradedVector.basis(self.sig, (1,) * self.arity)
@@ -600,27 +606,12 @@ class ChainModel(Model):
             fs.append(("site", site, self.spec.xi[site - 1]))
         return fs
 
-    def lam(self, i, u):
-        """lam_i(u): the twist d_i, times prod_k f(u, xi_k) for i = 1,
-        taken as one quotient prod_k (u - xi_k + c) / prod_k (u - xi_k):
-        at a rational u the ints of lam_pair, one rational built at the
-        end; u may be eps-shifted, and then the quotient is taken as it
-        reads."""
-        if is_rational(u):
-            return rat(*self.lam_pair(i, u))
-        d = rat(self.spec.twist[i - 1])
-        if i == 1:
-            diffs = [u - xi for xi in self.spec.xi]
-            den = prod(diffs, start=ONE)
-            if is_zero(den):
-                raise DivisionByZero("lam1(u) at an inhomogeneity")
-            d = d * prod((x + self.c for x in diffs), start=ONE) / den
-        return d
-
     def lam_pair(self, i, u):
-        """lam_i(u) at a rational u = up/uq on ints: with c = cn/cd and
-        xi_k = xp/xq, f(u, xi_k) = (e + cn uq xq)/e, e = cd (up xq - xp uq),
-        so lam_1(u) = d_1 prod_k (e + cn uq xq) / prod_k e."""
+        """lam_i(u) at a rational or eps-shifted u = up/uq (as_pair; up is
+        the series and uq = 1 for an eps-shifted u): the twist d_i, times
+        prod_k f(u, xi_k) for i = 1. With c = cn/cd and xi_k = xp/xq,
+        f(u, xi_k) = (e + cn uq xq)/e, e = cd (up xq - xp uq), so
+        lam_1(u) = d_1 prod_k (e + cn uq xq) / prod_k e."""
         num, den = as_pair(self.spec.twist[i - 1])
         if i == 1:
             (up, uq), (cn, cd) = as_pair(u), as_pair(self.c)

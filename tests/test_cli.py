@@ -85,6 +85,14 @@ def test_bethe_eval_worked_example(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"1": "1"}
 
 
+def test_bethe_eval_without_a_chain_names_the_chains(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"suites": [], "chains": []})
+    assert main(["bethe", "eval", "--config", cfg, "--u", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: bethe eval needs a chain (at /chains)"]
+
+
 def test_bethe_eval_names_a_coincident_parameter_in_the_wire_format(capsys):
     """The refusal of coincident us gives the value as configs write it, the
     same text on either rational backend, and exits 2."""
@@ -190,7 +198,10 @@ def test_help_lists_the_subcommands_without_developer_notes(capsys):
 def test_unknown_suite_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, {"suites": ["rtt"], "chains": [{"L": 1, "xi": ["0"]}]})
     assert main(["verify", "--config", cfg, "--suite", "bogus"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.rstrip().endswith("(at /suites)")
 
 
 def test_suite_flag_outside_the_config_suites(tmp_path, capsys):
