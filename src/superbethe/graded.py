@@ -87,20 +87,13 @@ GL12 = Signature("gl(1|2)", (0, 1, 1))
 
 SIGNATURES = {s.name: s for s in (GL21, GL12)}
 
-_PAR_TABLES = {}
 
-
+@cache
 def parity_table(sig: Signature, arity: int):
-    key = (sig.parity, arity)
-    tab = _PAR_TABLES.get(key)
-    if tab is None:
-        if arity == 0:
-            tab = [0]
-        else:
-            prev = parity_table(sig, arity - 1)
-            tab = [prev[k // 3] ^ sig.parity[k % 3] for k in range(3 ** arity)]
-        _PAR_TABLES[key] = tab
-    return tab
+    if arity == 0:
+        return [0]
+    prev = parity_table(sig, arity - 1)
+    return [prev[k // 3] ^ sig.parity[k % 3] for k in range(3 ** arity)]
 
 
 def encode(digits) -> int:
@@ -169,8 +162,8 @@ class GradedVector:
         num = entries if all(entries.values()) else {k: v for k, v in entries.items() if v}
         den = 1
         if not {*map(type, num.values())} <= {int} and all(map(is_rational, num.values())):
-            den = lcm(*(int(x.denominator) for x in num.values()))
-            num = {k: int(x.numerator) * (den // int(x.denominator)) for k, x in num.items()}
+            den = lcm(*(x.denominator for x in num.values()))
+            num = {k: x.numerator * (den // x.denominator) for k, x in num.items()}
         self._adopt(sig, arity, num, den)
 
     def _adopt(self, sig, arity, num, den):
@@ -578,15 +571,15 @@ def koszul_tensor(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 def clear_denominators(op: GradedOperator):
     """(n, n*op), n the positive lcm of the entry denominators, so that n*op
-    has plain int entries. Entries may be int, Fraction or gmpy2 mpq."""
+    has plain int entries. Entries may be int or Fraction."""
     n = 1
     for colmap in op.cols.values():
         for v in colmap.values():
-            d = int(v.denominator)
+            d = v.denominator
             if n % d:
                 n = lcm(n, d)
     cols = {
-        c: {r: int(v.numerator) * (n // int(v.denominator)) for r, v in colmap.items()}
+        c: {r: v.numerator * (n // v.denominator) for r, v in colmap.items()}
         for c, colmap in op.cols.items()
     }
     return n, GradedOperator.from_pruned(op.sig, op.arity, cols)

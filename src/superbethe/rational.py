@@ -1,32 +1,26 @@
-"""Exact rational backend.
+"""Exact rationals.
 
-All spectral parameters, inhomogeneities, twists and residuals live in Q.
-gmpy2.mpq is used when available (roughly an order of magnitude faster on the
-dense operator products); fractions.Fraction is the drop-in fallback. Both
-keep the denominator positive and the fraction reduced after every operation,
-and both print as "p/q" with the sign on the numerator ("p" when q == 1),
-which is the wire format used in configs and reports.
+All spectral parameters, inhomogeneities, twists and residuals live in Q, as
+fractions.Fraction. A Fraction keeps its denominator positive and itself
+reduced after every operation, and prints as "p/q" with the sign on the
+numerator ("p" when q == 1), which is the wire format used in configs and
+reports.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _ratio
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _ratio
-
-    BACKEND = "fractions"
+BACKEND = "fractions"
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def rat(p, q=1):
-    """Exact rational p/q."""
-    return _ratio(p, q)
+    """Exact rational p/q. The two-argument Fraction refuses a float or a
+    string, so no inexact value becomes an exact parameter here."""
+    return Fraction(p, q)
 
 
 ZERO = rat(0)
@@ -34,7 +28,7 @@ ONE = rat(1)
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, (int, type(ZERO)))
+    return isinstance(x, (int, Fraction))
 
 
 def rat_from_str(s: str):

@@ -13,12 +13,12 @@ precision, a product or quotient the smaller relative one, and a quotient
 inverts the divisor's leading coefficient (power-series arithmetic, Knuth,
 TAOCP vol. 2, 4.7), so no polynomial gcd is ever taken. Rationals take part
 as exact values. A coefficient is stored as an int wherever its value is
-integral, on either backend: EPS is built from ints, and only a rational
-operand or a division that does not come out even makes one rational
-(eps_limit still returns the backend's rational). EPS is known to the fixed
-relative precision EPS_PRECISION, and an eps-limit never returns a constant
-term the kept coefficients do not fix: it raises PrecisionExhausted, as
-does a division by an undetermined zero.
+integral: EPS is built from ints, and only a rational operand or a division
+that does not come out even makes one a Fraction (eps_limit still returns a
+Fraction). EPS is known to the fixed relative precision EPS_PRECISION, and
+an eps-limit never returns a constant term the kept coefficients do not
+fix: it raises PrecisionExhausted, as does a division by an undetermined
+zero.
 
 Limits are taken of scalars only: ratio takes the eps-limit of each term's
 coefficient (why this is exact: bethe.py), and raises for one with no
@@ -303,7 +303,7 @@ def as_pair(x):
     exact rational; (x, 1) for an EpsScalar."""
     if isinstance(x, EpsScalar):
         return x, 1
-    return int(x.numerator), int(x.denominator)
+    return x.numerator, x.denominator
 
 
 _ZERO_DENOMINATOR = "zero denominator: a g or f at coincident arguments, or a zero divisor"
@@ -361,7 +361,7 @@ def _cleared(x):
     x and an EpsScalar at an eps-shifted one, q the denominator of x at
     eps = 0."""
     if isinstance(x, EpsScalar):
-        q = int(eps_limit(x).denominator)
+        q = eps_limit(x).denominator
         return x * q, q
     return as_pair(x)
 

@@ -24,7 +24,7 @@ from superbethe.bethe import (
     separate_collision,
     vector_to_json,
 )
-from superbethe.rational import BACKEND, rat
+from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import PairTable, eps_limit, f, g, h, izergin
 
@@ -428,7 +428,6 @@ def test_tabulated_izergin_matches_the_determinant():
             assert_izergin_matches(table, ps, c, n)
 
 
-@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
 def test_partition_coefficients_multiply_only_ints(fraction_ops):
     """At a rational point build_family does no rational arithmetic. With
     the walks' weights and the points' records (lam2 among them) held by

@@ -95,7 +95,7 @@ def test_bethe_eval_without_a_chain_names_the_chains(tmp_path, capsys):
 
 def test_bethe_eval_names_a_coincident_parameter_in_the_wire_format(capsys):
     """The refusal of coincident us gives the value as configs write it, the
-    same text on either rational backend, and exits 2."""
+    same text every run, and exits 2."""
     quick = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
     assert main(["bethe", "eval", "--config", quick, "--u", "3", "--u", "3", "--v", "1"]) == 2
     captured = capsys.readouterr()
@@ -229,7 +229,7 @@ def test_shipped_full_config_runs_green():
     assert report.records and report.all_zero()
     assert report.sign_convention == 1
     # the report bytes, runtime and environment aside, are pinned; the same
-    # file must come out under either rational backend
+    # file must come out on every supported Python
     data = report.to_json()
     del data["environment"]
     for check in data["checks"]:

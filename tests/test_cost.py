@@ -10,9 +10,8 @@ skeletons and per-point factor evaluations of its vector
 suites, and the Fraction operations of the shorthand coefficients of the
 action table.
 
-Every count is deterministic and the same on either rational backend, so a
-rise shows a regression that wall time is too noisy to show. A change that
-lowers a count should lower its pin too.
+Every count is deterministic, so a rise shows a regression that wall time
+is too noisy to show. A change that lowers a count should lower its pin too.
 """
 
 import os
@@ -28,7 +27,7 @@ from superbethe.cli import load_config, run_suites
 from superbethe.graded import GL21, GradedOperator, GradedVector
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.notation import Binding, partition_sum
-from superbethe.rational import BACKEND, rat
+from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import EPS, EpsScalar, PairTable
 
@@ -148,7 +147,6 @@ def test_vector_builds_do_not_rise(suite, monkeypatch):
     assert calls["build_family"] <= FAMILY_PINNED[suite], (suite, calls["build_family"])
 
 
-@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
 @pytest.mark.parametrize("suite", sorted(FRACTION_PINNED))
 def test_vector_suite_fraction_work_does_not_rise(suite, fraction_ops, monkeypatch):
     hashes = Counter()
@@ -375,7 +373,6 @@ def test_packed_products_do_not_rise(suite, monkeypatch):
     assert calls["packed_products"] <= PACKED_PINNED[suite], (suite, calls["packed_products"])
 
 
-@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction operations")
 def test_shorthand_coefficients_multiply_only_ints(fraction_ops):
     """At a rational base every coefficient of the action table is computed
     on ints from one pair table and enters the sum as ints: besides the

@@ -115,11 +115,10 @@ def test_lam_equals_the_product_of_f(sig):
     """lam_i(u), computed on ints at a rational u, is d_i prod_k f(u, xi_k)
     for i = 1 and d_i otherwise, times the composite's sign, evaluated one
     f at a time; it raises at an inhomogeneity. lam and r read the same
-    pairs at an eps-shifted u: lam_2, lam_3, r_2 and r_3 are rationals of
-    the backend's type there, not floats, equal to their values at u, and
-    lam_1 and r_1 are series whose eps^0 and eps^1 coefficients are those
-    of the product of the f(u + eps, xi_k), at u = -c (a zero of lam_1)
-    too."""
+    pairs at an eps-shifted u: lam_2, lam_3, r_2 and r_3 are Fractions
+    there, not floats, equal to their values at u, and lam_1 and r_1 are
+    series whose eps^0 and eps^1 coefficients are those of the product of
+    the f(u + eps, xi_k), at u = -c (a zero of lam_1) too."""
     c = rat(3, 2)
     part1 = ChainSpec(2, (0, rat(1, 3)), (2, rat(2, 3), -3), sig, c)
     part2 = ChainSpec(1, (rat(-5, 4),), (rat(1, 2), 3, 5), sig, c)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import prod
 
 import pytest
@@ -243,3 +246,21 @@ def test_rational_wire_format():
         rat_from_str("1/0")
     with pytest.raises(ValueError):
         rat_from_str("x")
+    # the two-argument Fraction refuses inexact input: no float or string
+    # becomes an exact parameter
+    with pytest.raises(TypeError):
+        rat(1.5)
+    with pytest.raises(TypeError):
+        rat("1/2")
+
+
+def test_gmpy2_on_the_path_is_ignored(tmp_path):
+    """The rationals are fractions.Fraction whatever else is importable: a
+    gmpy2 module with an mpq on the path changes neither BACKEND nor the
+    type rat returns."""
+    (tmp_path / "gmpy2.py").write_text("from fractions import Fraction\n\n\nclass mpq(Fraction):\n    pass\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = "from fractions import Fraction; from superbethe import rational; print(rational.BACKEND, type(rational.rat(1, 2)) is Fraction)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(tmp_path), src)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["fractions", "True"], out
