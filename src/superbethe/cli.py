@@ -609,15 +609,15 @@ class _Runner:
             while any(is_zero(u - v) for u in us for v in vs):
                 vs = smp.generic(1, avoid=xi + us)
             probes.append((us, vs))
-        signs = []
+        signs, models = [], {sign: CompositeModel(split, lambda_sign=sign) for sign in (1, -1)}
 
         def probe_signs():
-            signs.extend(resolve_sign(split, us, vs) for us, vs in probes)
+            signs.extend(resolve_sign(models, us, vs) for us, vs in probes)
             return 0 if len(set(signs)) == 1 else 1
 
         yield "normalization sign stable across 5 probes", {"signs": signs}, probe_signs
         self.report.sign_convention = signs[0] if len(set(signs)) == 1 else None
-        total = CompositeModel(split, lambda_sign=signs[0])
+        total = models[signs[0]]
         tilde = partial(check_tilde_factorization, total, sign=signs[0])
         tilde_dual = partial(check_tilde_dual_factorization, total, sign=signs[0])
         yield from self.factorizations(smp, xi, "tilde ", tilde, tilde_dual)

@@ -19,16 +19,16 @@ by the tabulated f(us,vs) once per term.
 
 The composite normalization sign for the total vacuum eigenvalues is not
 assumed: resolve_sign probes the primal factorization under both choices and
-reports the unique one that holds. The tilde factorization checks take the
-sign and a SplitChain, or the CompositeModel of that split built with that
-lambda_sign (composite.composite_model), which the gl12 suite builds once
-for the resolved sign.
+reports the unique one that holds. The tilde factorization checks and
+resolve_sign take a SplitChain, or the CompositeModels of that split built
+with each lambda_sign (composite.composite_model): the gl12 suite builds the
+two once, probes with both and runs its campaigns on the resolved sign's.
 """
 
 from __future__ import annotations
 
 from .bethe import _guard, build_family
-from .composite import SplitChain, composite_model, factorization_residual
+from .composite import composite_model, factorization_residual
 from .graded import GL12, DualGradedVector, GradedVector
 
 
@@ -73,13 +73,14 @@ def check_tilde_dual_factorization(split, us, vs, sign=1):
     )
 
 
-def resolve_sign(split: SplitChain, us, vs) -> int:
+def resolve_sign(split, us, vs) -> int:
     """The unique total-normalization sign under which the factorization
-    holds at the probe parameters; raises AmbiguousConvention otherwise."""
-    outcomes = {}
-    for sign in (1, -1):
-        outcomes[sign] = check_tilde_factorization(split, us, vs, sign=sign).is_zero()
-    return _sign_from_outcomes(outcomes)
+    holds at the probe parameters; raises AmbiguousConvention otherwise.
+    split is a SplitChain, or {sign: its CompositeModel of that
+    lambda_sign} for both signs (composite_model), which a caller probing
+    many points builds once."""
+    models = split if isinstance(split, dict) else dict.fromkeys((1, -1), split)
+    return _sign_from_outcomes({sign: check_tilde_factorization(models[sign], us, vs, sign=sign).is_zero() for sign in (1, -1)})
 
 
 def _sign_from_outcomes(outcomes: dict) -> int:

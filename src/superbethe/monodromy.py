@@ -58,15 +58,24 @@ first) and bras (leftmost first). T(u) is reached in two ways:
 * Single entries on vectors. Model.apply_T_scaled applies one entry
   T_ij(u) to a sparse ket or bra without building any operator, walking
   the lifted numerators of the vector (num, over its den; Model._walk) on
-  ints through one _apply_factor per factor, which adds up the states two
-  inputs reach, and returning (m, m*T_ij(u)*vec) as an int vector, den
-  folded into m; the extraction sign is one factor of the walk's twist
-  scalar. Each model builds its factor skeleton (_factor_skeleton: sites,
-  xi cleared, parity prefixes, the graded signs as indices and the cleared
-  twists) on its first walk, so a new point computes only
-  g(u, xi_k) = gn/gd per site (_point_weights). The model keeps each
-  point's (M, walk orders) by its point id, the ket and bra orders with
-  the twists at either end taken out as scalars (_walk_orders).
+  ints through one _apply_factor per factor, and returning
+  (m, m*T_ij(u)*vec) as an int vector, den folded into m; the extraction
+  sign is one factor of the walk's twist scalar. A site factor is walked
+  through its route (_route), which no point changes: one byte per key of
+  auxiliary x chain naming the key's auxiliary and site digits and the
+  index of its coefficient among the point's gd + gn, gd - gn, gn, -gn,
+  and per byte the step from a key to its swap. It is built once per
+  signature, chain length, site and swap-sign rule and shared by every
+  model and point, so a state entry costs a byte lookup, not its digits.
+  A key and its swap are each other's only other source, so each output
+  is written once, nothing is added up across entries and a zero is
+  dropped only where a coefficient or a sum is 0. Each model builds its
+  factor skeleton (_factor_skeleton: sites, xi cleared, parity prefixes,
+  the graded signs as indices, the routes and the cleared twists) on its
+  first walk, so a new point computes only g(u, xi_k) = gn/gd per site
+  (_point_weights). The model keeps each point's (M, walk orders) by its
+  point id, the ket and bra orders with the twists at either end taken
+  out as scalars (_walk_orders).
   Model.points holds the rest of a point's int data: u cleared as (p, q)
   and lam2(u), which the Bethe-vector builders read. Model.apply_T scales
   by factor/m once at the end, on the vector's numerators and
@@ -198,14 +207,14 @@ def _level_step(level, weights, twist):
     nothing up and makes a zero only where kept is 0, at u = xi +- c. The
     coefficient of a row depends only on (a, the parity of m, d), and the
     twist only scales it by the row's new auxiliary digit."""
-    _, site, prefix, swap, stay, signed, kept, ident = weights
+    _, site, prefix, swap, stay, _, coef, ident = weights
     up = 3**site  # the auxiliary place of a row of j+1 sites
     moves = []
     for a in range(3):
         b, d = (x for x in range(3) if x != a)
-        ka, ia = kept[stay[a]] * twist[a], ident * twist[a]
+        ka, ia = coef[stay[a]] * twist[a], ident * twist[a]
         for q in (0, 1):
-            moves.append((a, ka, ia, b, (b - a) * up + a, signed[swap[a][b][q]] * twist[b], d, (d - a) * up + a, signed[swap[a][d][q]] * twist[d]))
+            moves.append((a, ka, ia, b, (b - a) * up + a, coef[2 + swap[a][b][q]] * twist[b], d, (d - a) * up + a, coef[2 + swap[a][d][q]] * twist[d]))
     table = [moves[2 * a + q] for a in range(3) for q in prefix]  # by row (a; m)
     out = []
     for col in level:
@@ -257,16 +266,36 @@ def _swap_signs(parity, sign):
     return swap, tuple(index(a, a, 0) for a in range(3))
 
 
+@cache
+def _route(sig, length, site, sign):
+    """The route of R_{0,site} on auxiliary x (sites 1..length) under the
+    sign rule sign, which no point changes: (code, delta). code holds one
+    byte per key, 4 (3a + b) + k for the key's auxiliary digit a, its
+    site digit b and the index k of its coefficient in a point's (gd + gn,
+    gd - gn, gn, -gn) (_point_weights): the stay sign index stay[a] if
+    b == a, else 2 + swap[a][b][parity of the sites before site].
+    delta[code] is (b - a)(3^length - 3^(length - site)), which turns a
+    key into its swap (a and b exchanged), 0 where b == a."""
+    swap, stay = _swap_signs(sig.parity, sign)
+    prefix = parity_table(sig, site - 1)
+    shift, place = 3**length, 3 ** (length - site)
+    digits = ((key // shift, key // place % 3, prefix[key % shift // (3 * place)]) for key in range(3 * shift))
+    code = bytes(4 * (3 * a + b) + (stay[a] if a == b else 2 + swap[a][b][p]) for a, b, p in digits)
+    return code, tuple((c // 4 % 3 - c // 12) * (shift - place) for c in range(36))
+
+
 def _factor_skeleton(sig, c, factors):
     """The part of every factor's integer multiple that no point changes,
-    leftmost first: (m, ("diag", m*d)) for a twist d, m the lcm of its
+    leftmost first, on auxiliary x (sites 1..L), L the number of site
+    factors: (m, ("diag", m*d)) for a twist d, m the lcm of its
     denominators, and for R_{0k}(u, xi) (xi, head, cn xq, cd xq, cd xp),
     head = ("site", k, parity table of the sites before site k, swap and
-    stay sign indices) and c = cn/cd, xi = xp/xq. The signs are read
-    through swap_sign here, so a rule replaced before the skeleton is built
-    takes effect."""
+    stay sign indices, _route) and c = cn/cd, xi = xp/xq. The signs are
+    read through swap_sign here, so a rule replaced before the skeleton is
+    built takes effect, with routes of its own."""
     cn, cd = as_pair(c)
     swap, stay = _swap_signs(sig.parity, swap_sign)
+    length = sum(kind == "site" for kind, *_ in factors)
     out = []
     for kind, *payload in factors:
         if kind == "diag":
@@ -276,7 +305,8 @@ def _factor_skeleton(sig, c, factors):
         elif kind == "site":
             site, xi = payload
             xp, xq = as_pair(xi)
-            out.append((xi, ("site", site, parity_table(sig, site - 1), swap, stay), cn * xq, cd * xq, cd * xp))
+            head = ("site", site, parity_table(sig, site - 1), swap, stay, _route(sig, length, site, swap_sign))
+            out.append((xi, head, cn * xq, cd * xq, cd * xp))
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
     return out
@@ -286,8 +316,8 @@ def _point_weights(skeleton, up, uq):
     """(M, data) for the integer multiples m*F of the factors of a
     _factor_skeleton at u = up/uq, with the data _apply_factor needs and M
     the product of the multipliers: a twist as its skeleton has it, and
-    with g(u, xi_k) = gn/gd, m = gd and head + ((gn, -gn), (gd + gn,
-    gd - gn), gd) for gd*I + gn*P_{0k}."""
+    with g(u, xi_k) = gn/gd, m = gd and head + ((gd + gn, gd - gn, gn,
+    -gn), gd) for gd*I + gn*P_{0k}."""
     scale, weights = 1, []
     for entry in skeleton:
         if len(entry) == 2:
@@ -298,7 +328,7 @@ def _point_weights(skeleton, up, uq):
             if not diff:
                 raise DivisionByZero(f"spectral point hits inhomogeneity {xi}")
             gn, m = ratio(uq * gn_x, diff)
-            data = (*head, (gn, -gn), (m + gn, m - gn), m)
+            data = (*head, (m + gn, m - gn, gn, -gn), m)
         scale *= m
         weights.append(data)
     return scale, weights
@@ -325,41 +355,36 @@ def _walk_orders(weights):
 
 def _apply_factor(length, weights, state, keep=None):
     """One factor applied to a sparse state on arity length+1; with keep,
-    only the outputs on auxiliary digit keep.
+    only the outputs on auxiliary digit keep. The output has no zero entry.
 
-    Every factor is a symmetric matrix, so the same map serves kets and bras.
+    Every factor is a symmetric matrix, so the same map serves kets and
+    bras. gd*I + gn*P_{0k} reads each key's route code (_route): a key
+    whose auxiliary and site-k digits agree goes to itself times its
+    coefficient gd +- gn, and any other key to itself times gd and to its
+    swap, key + delta, times its coefficient +-gn. Those two keys are each
+    other's only other source, so an output is written once: a key and its
+    swap both in the state each write their own sum.
     """
-    shift = 3 ** length
-    out = {}
     if weights[0] == "diag":
-        d = weights[1]
-        for key, x in state.items():
-            a = key // shift
-            if keep is None or a == keep:
-                out[key] = d[a] * x
-        return out
-    _, site, prefix, swap, stay, signed, kept, ident = weights
-    place = 3 ** (length - site)
-    jump, above, get = shift - place, place * 3, out.get
+        shift, d = 3**length, weights[1]
+        return {key: d[key // shift] * x for key, x in state.items() if keep is None or key // shift == keep}
+    _, _, _, _, _, (code, delta), coef, gd = weights
+    out, find = {}, state.get
     for key, x in state.items():
-        a, rest = divmod(key, shift)
-        b = rest // place % 3
-        if a == b:
-            if keep is None or a == keep:
-                s = get(key)
-                y = kept[stay[a]] * x
-                out[key] = y if s is None else s + y
-            continue
-        if keep is None or a == keep:
-            y = ident * x
-            s = get(key)
-            out[key] = y if s is None else s + y
-        if keep is None or b == keep:
-            swapped = key + (b - a) * jump
-            y = signed[swap[a][b][prefix[rest // above]]] * x
-            s = get(swapped)
-            out[swapped] = y if s is None else s + y
-    return {key: x for key, x in out.items() if x}
+        c = code[key]
+        jump = delta[c]
+        if keep is None or c // 12 == keep:
+            if not jump:
+                out[key] = coef[c & 3] * x
+            elif (y := find(key + jump)) is not None:
+                out[key] = gd * x + coef[code[key + jump] & 3] * y
+            else:
+                out[key] = gd * x
+                if keep is None:
+                    out[key + jump] = coef[c & 3] * x
+        elif jump and c // 4 % 3 == keep and key + jump not in state:  # only its swap is kept
+            out[key + jump] = coef[c & 3] * x
+    return out if all(out.values()) else {key: x for key, x in out.items() if x}
 
 
 def extraction_sign(sig, i, j):
@@ -537,8 +562,9 @@ class Model:
         """T_ij . num, or with dual num . T_ij, for the _walk_orders of the
         factor data of some point and the numerators num of vec (its den is
         the caller's to take): num is lifted to auxiliary index j (i),
-        the factors are applied rightmost (leftmost) first, and the state is
-        projected onto auxiliary index i (j). The extraction sign is one
+        the factors are applied rightmost (leftmost) first, one
+        _apply_factor each, a site factor through its route, and the state
+        is projected onto auxiliary index i (j). The extraction sign is one
         constant (extraction_sign), so it joins the twist scalar d. Nothing
         is computed that the projection would drop: a twist first in the
         order (head) meets only the lifted index and one last (tail) only

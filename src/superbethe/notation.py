@@ -209,9 +209,9 @@ class Binding:
     index tuples into one Binding."""
 
     def __init__(self, sets, c=ONE, funcs=None):
-        index = {}
-        self.sets = _Sets((name, tuple(index.setdefault(x, len(index)) for x in xs)) for name, xs in sets.items())
-        self.values, self.c, self.funcs = tuple(index), c, funcs or {}
+        index = {}  # as_pair(value) -> (its index, the value first seen)
+        self.sets = _Sets((name, tuple(index.setdefault(as_pair(x), (len(index), x))[0] for x in xs)) for name, xs in sets.items())
+        self.values, self.c, self.funcs = tuple(x for _, x in index.values()), c, funcs or {}
         self.layout = tuple(self.sets.items())
         self.table, self.cache = PairTable(self.values, c), {}
 

@@ -320,8 +320,8 @@ def _weight_values(weights):
     """Every number _apply_factor multiplies a state by."""
     if weights[0] == "diag":
         return weights[1]
-    _, _, _, _, _, signed, kept, ident = weights
-    return [*signed, *kept, ident]
+    _, _, _, _, _, _, coef, gd = weights
+    return [*coef, gd]
 
 
 @pytest.fixture

@@ -98,9 +98,10 @@ FRACTION_PINNED = {
 
 # suite -> CompositeModel constructions of one run: each suite builds one
 # per split and lambda sign and hands it to every factorization check of
-# its campaigns (composite.composite_model); the coproduct check, the
-# creation actions and each sign probe of gl12 build their own
-COMPOSITE_PINNED = {"composite": 3, "gl12": 11}
+# its campaigns (composite.composite_model); the coproduct check and the
+# creation actions build their own, and the sign probes of gl12 share the
+# suite's two models, one per lambda sign (gl12.resolve_sign)
+COMPOSITE_PINNED = {"composite": 3, "gl12": 2}
 
 
 @pytest.mark.parametrize("suite", sorted(COMPOSITE_PINNED))
@@ -300,7 +301,7 @@ POINT_PINNED = {
     "actions": (3, 24),
     "recursion": (3, 9),
     "composite": (11, 23),
-    "gl12": (33, 69),
+    "gl12": (6, 69),
     "proof-replay": (10, 16),
 }
 

@@ -82,6 +82,19 @@ def test_resolve_sign_is_stable(split12, split12_21):
     assert resolve_sign(split12_21, ps[:1], ps[1:]) == 1
 
 
+def test_resolve_sign_probes_on_shared_models(split12):
+    """Probing with the split's two signed models, built once, gives the
+    sign a fresh pair per probe gives, and each probe walks both models."""
+    smp = ParameterSampler("resolve-shared", 1)
+    xi = split12.part1.xi + split12.part2.xi
+    models = {sign: CompositeModel(split12, lambda_sign=sign) for sign in (1, -1)}
+    for _ in range(3):
+        ps = smp.generic(2, avoid=xi)
+        walked = [len(m.point_ids) for m in models.values()]
+        assert resolve_sign(models, ps[:1], ps[1:]) == resolve_sign(split12, ps[:1], ps[1:]) == 1
+        assert all(len(m.point_ids) > n for m, n in zip(models.values(), walked))
+
+
 def test_sign_disambiguation_paths():
     assert _sign_from_outcomes({1: True, -1: False}) == 1
     assert _sign_from_outcomes({1: False, -1: True}) == -1

@@ -410,6 +410,73 @@ def test_swap_sign_replaced_before_the_first_walk_reaches_the_skeleton(monkeypat
     assert after == [built.entry(i, j).apply(vec) for i, j in product(range(1, 4), repeat=2) for vec in basis]
 
 
+def _assert_walk_is_built_block(model, u):
+    """Model.apply_T_scaled, on every basis ket and bra and for all nine
+    (i, j), is m times the block (i, j) of T(u) as build_factor_product
+    gives it."""
+    sig, length = model.sig, model.arity
+    op = monodromy.build_factor_product(sig, model.c, length, model.factor_sequence(), u)
+    blocks = extract_entries(op, sig, length)
+    for key in range(3**length):
+        digits = graded.decode(key, length)
+        ket, bra = GradedVector.basis(sig, digits), DualGradedVector.basis(sig, digits)
+        for (i, j), block in blocks.items():
+            m, scaled = model.apply_T_scaled(i, j, u, ket)
+            assert scaled == block.apply(ket).scale(m), (key, i, j)
+            m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
+            assert scaled == block.apply_dual(bra).scale(m), (key, i, j)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("flip", ["honest", *sorted(_FLIPPED_SWAP_SIGNS)])
+def test_routed_walk_equals_the_built_blocks(monkeypatch, sig, flip):
+    """The walk through the per-site routes against the built T(u) on
+    chains of 1..5 sites and on two composites, whose twists sit mid
+    sequence, under the honest swap_sign and each flipped one (the build
+    reads the rule too), at a drawn point and, up to four sites, at
+    u = min(xi) - c, where one coefficient gd + gn of a site factor is 0."""
+    if flip != "honest":
+        monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+    smp = ParameterSampler(f"routed-walk:{sig.name}", 1)
+    c = rat(3, 2)
+    models = []
+    for length in range(1, 6):
+        xi = smp.generic(length)
+        models.append(chain(length, xi, twist=smp.twist(), sig=sig, c=c))
+    for l1, l2 in ((1, 2), (2, 2)):
+        xi = smp.generic(l1 + l2)
+        split = SplitChain(ChainSpec(l1, xi[:l1], smp.twist(), sig, c), ChainSpec(l2, xi[l1:], smp.twist(), sig, c))
+        models.append(CompositeModel(split))
+    for model in models:
+        xi = [x for kind, *rest in model.factor_sequence() if kind == "site" for x in rest[1:]]
+        for u in (smp.generic_one(avoid=xi), min(xi) - c)[: 1 + (model.arity < 5)]:
+            _assert_walk_is_built_block(model, u)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_models_of_one_shape_share_their_routes(monkeypatch, sig):
+    """A route depends on the signature, the chain length, the site and the
+    swap-sign rule only: two chains of one length, walked at different
+    points, hold the same route object per site, one byte per key of
+    auxiliary x chain; a chain walked under a flipped rule holds its own."""
+    smp = ParameterSampler(f"shared-routes:{sig.name}", 1)
+    length = 3
+
+    def routes(model, u):
+        model.apply_T(1, 2, u, model.omega())
+        _, ((_, factors, last, _), _) = model._walk_weights(model.point_id(u))
+        return [data[5][0] for data in (*factors, last) if data[0] == "site"]
+
+    first, second = (chain(length, smp.generic(length), twist=smp.twist(), sig=sig) for _ in range(2))
+    u, v = smp.generic(2, avoid=first.spec.xi + second.spec.xi)
+    shared = routes(first, u)
+    assert len(shared) == length and all(type(code) is bytes and len(code) == 3 ** (length + 1) for code in shared)
+    assert all(a is b for a, b in zip(shared, routes(second, v)))
+    monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS["between"])
+    flipped = routes(chain(length, first.spec.xi, twist=first.spec.twist, sig=sig), u)
+    assert all(a is not b for a, b in zip(shared, flipped))
+
+
 # ---------------------------------------------------------------------------
 # integer-scaled operator identities against the rational formulas
 # ---------------------------------------------------------------------------

@@ -121,6 +121,16 @@ def test_eval_is_order_insensitive():
         assert evaluate(text, b1) == evaluate(text, b2)
 
 
+def test_binding_holds_each_value_once():
+    """Equal rationals share one index whatever their type, the value kept
+    is the first seen, and an eps-shifted value is told apart from its
+    rational part."""
+    b = Binding({"uI": (3, rat(1, 2), rat(6, 2)), "vI": (rat(1, 2) + EPS, rat(2, 4), rat(1, 2) + EPS)}, c=1)
+    assert b.values == (3, rat(1, 2), rat(1, 2) + EPS)
+    assert type(b.values[0]) is int
+    assert b.sets["uI"] == (0, 1, 0) and b.sets["vI"] == (2, 1, 2)
+
+
 def test_partition_counts():
     free2 = PartitionSpec("u", (PartSpec("a"), PartSpec("b")))
     assert len(enumerate_partitions(free2, (1, 2))) == 4
