@@ -1,11 +1,13 @@
 """Composite chains: split realizations, bilinear factorizations, and the
 replay of the creation-operator action decomposition.
 
-A SplitChain glues two sub-chains; the total monodromy is the auxiliary-space
-matrix product of the part monodromies, realized as the factor sequence
-(twist2, part-2 R's, twist1, part-1 R's). compose_monodromy independently
-re-assembles every total entry as the coproduct sum of graded tensor
-products of separately built partial entries, which must agree exactly.
+A SplitChain glues two sub-chains; its total, a CompositeModel, is the one
+monodromy.Model over the parts (part1, part2): the auxiliary-space matrix
+product of the part monodromies, realized as the factor tuple (twist2,
+part-2 R's, twist1, part-1 R's), with each lam_i the product of the parts'
+lam_i. compose_monodromy independently re-assembles every total entry as
+the coproduct sum of graded tensor products of separately built partial
+entries, which must agree exactly.
 
 Juxtapositions of partial vectors follow the graded product: a part-2 ket
 written before a part-1 ket picks up (-1)^{p1 p2} relative to the plain
@@ -75,37 +77,18 @@ class SplitChain:
 
 
 class CompositeModel(Model):
-    """Total realization of a split chain; part 1 occupies the first factors.
+    """Total realization of a split chain, the Model over (part1, part2);
+    part 1 occupies the first sites, and part1 and part2 are the parts'
+    ChainModels.
 
     lambda_sign scales every total vacuum eigenvalue (+1 plain product, -1 the
     alternative normalization probed for the gl(1|2) composite convention).
     """
 
     def __init__(self, split: SplitChain, lambda_sign=1):
-        super().__init__()
+        super().__init__((split.part1, split.part2), lambda_sign)
         self.split = split
-        self.part1 = ChainModel(split.part1)
-        self.part2 = ChainModel(split.part2)
-        self.sig = split.part1.sig
-        self.c = split.part1.c
-        self.arity = split.part1.length + split.part2.length
-        self.lambda_sign = lambda_sign
-
-    def factor_sequence(self):
-        l1 = self.split.part1.length
-        fs = [("diag", tuple(self.split.part2.twist))]
-        for site in range(self.arity, l1, -1):
-            fs.append(("site", site, self.split.part2.xi[site - l1 - 1]))
-        fs.append(("diag", tuple(self.split.part1.twist)))
-        for site in range(l1, 0, -1):
-            fs.append(("site", site, self.split.part1.xi[site - 1]))
-        return fs
-
-    def lam_pair(self, i, u):
-        """lam_i(u) at a rational or eps-shifted u: lambda_sign times the
-        product of the parts' pairs."""
-        (num1, den1), (num2, den2) = self.part1.lam_pair(i, u), self.part2.lam_pair(i, u)
-        return self.lambda_sign * num1 * num2, den1 * den2
+        self.part1, self.part2 = ChainModel(split.part1), ChainModel(split.part2)
 
 
 def composite_model(split, lambda_sign=1) -> CompositeModel:

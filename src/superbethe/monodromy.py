@@ -1,4 +1,5 @@
-"""Concrete monodromy matrices on inhomogeneous, diagonally twisted chains.
+"""Concrete monodromy matrices on inhomogeneous, diagonally twisted chains
+and on composites of them.
 
 A chain realization is the ordered operator product
 
@@ -13,10 +14,16 @@ worked value T_13(u) = -g(u,0) E_31 and the closed forms
 lambda_1 = d_1 f(u, xi), lambda_2 = d_2, lambda_3 = d_3 pin this convention
 against the vacuum axioms.
 
-The factor-sequence form is deliberately more general than a single chain:
-composite totals interleave two diagonal twists between the site blocks,
-which no single-twist chain reproduces (a twist does not commute past the
-other part's R factors).
+A composite chain (Izergin-Korepin 1984) is the auxiliary-space product of
+its parts' monodromies, T(u) = T^(2)(u) T^(1)(u), part 1 on the first
+sites. One Model realizes a chain and a composite alike from a tuple of
+ChainSpec parts that share sig and c: its factor tuple (Model.factors)
+holds, for each part from last to first, the part's twist and then its
+sites in descending order, each site offset by the lengths of the parts
+before it, and lam_i(u) is the product of the parts' lam_i(u)
+(Model.lam_pair). A composite's factors interleave two diagonal twists
+between the site blocks, which no single-twist chain reproduces (a twist
+does not commute past the other part's R factors).
 
 One walk engine for T(u). Each R_{0k} = I + g(u, xi_k) P_{0k} sends a basis
 state to itself plus the state with the auxiliary and site-k digits swapped,
@@ -79,8 +86,8 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   Model.points holds the rest of a point's int data: u cleared as (p, q)
   and lam2(u), which the Bethe-vector builders read. Model.apply_T scales
   by factor/m once at the end, on the vector's numerators and
-  denominator. The vacuum axioms (vacuum_residuals) are twelve walks of
-  Omega and Omega^+ on one _cleared_sequence.
+  denominator. The vacuum axioms (vacuum_residuals) are twelve
+  apply_T_scaled walks of Omega and Omega^+ on the model's walk data.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
@@ -173,7 +180,8 @@ def build_cleared_product(sig, c, length, factors, u):
     extends prefix p by a digit d in one pass over the level (_level_step),
     and each twist is folded into the coefficients of the site step walked
     before it (or into the start, before any site)."""
-    scale, weights = _cleared_sequence(sig, c, factors, u)
+    _require_rational(u)
+    scale, weights = _point_weights(_factor_skeleton(sig, c, factors), *as_pair(u))
     steps, twist = [], [1, 1, 1]  # twist: the product of the twists since the last site
     for w in weights:
         if w[0] == "diag":
@@ -238,14 +246,6 @@ def _level_step(level, weights, twist):
 def _require_rational(u):
     if not is_rational(u):
         raise TypeError(f"T(u) is walked at rational points only, not at u = {u!r}")
-
-
-def _cleared_sequence(sig, c, factors, u):
-    """(M, data) for the integer multiples of every factor at a rational u:
-    their _point_weights on a fresh _factor_skeleton, leftmost factor
-    first, and M the product of their multipliers."""
-    _require_rational(u)
-    return _point_weights(_factor_skeleton(sig, c, factors), *as_pair(u))
 
 
 def swap_sign(pa, pb, between):
@@ -396,18 +396,13 @@ def extraction_sign(sig, i, j):
     return -1 if sig.par(j) > sig.par(i) else 1
 
 
-# a dict, not functools.cache: keyed on the Signature, a lookup took 265 ns, not 87 ns (one per exchange check)
-_SIGN_TABLES = {}
-
-
-def _sign_table(sig):
-    """(p, eps) for a signature: p[i] = [i] and eps[i][j] =
-    extraction_sign(sig, i, j), indexed 1..3; built once per parity."""
-    table = _SIGN_TABLES.get(sig.parity)
-    if table is None:
-        eps = [None] + [[None] + [extraction_sign(sig, i, j) for j in range(1, 4)] for i in range(1, 4)]
-        table = _SIGN_TABLES[sig.parity] = [None, *sig.parity], eps
-    return table
+@cache
+def _sign_table(parity):
+    """(p, eps) for a signature's parity tuple (sig.parity, a cheaper key
+    than the Signature): p[i] = [i] and eps[i][j] = extraction_sign(sig, i,
+    j), indexed 1..3."""
+    sig = Signature("", parity)
+    return [None, *parity], [None] + [[None] + [extraction_sign(sig, i, j) for j in range(1, 4)] for i in range(1, 4)]
 
 
 @cache
@@ -421,7 +416,7 @@ def extract_entries(big: GradedOperator, sig, length):
     T_ij the block (i, j) times extraction_sign(sig, i, j): each column is
     split once by the auxiliary digit of its rows, and a block column is
     negated as a whole where the sign is -1."""
-    eps = _sign_table(sig)[1]
+    eps = _sign_table(sig.parity)[1]
     split = _aux_split(length)
     blocks = [{} for _ in range(9)]  # the columns of block (i, j) at 3j + i - 4
     negated = [eps[i][j] < 0 for j in range(1, 4) for i in range(1, 4)]
@@ -465,14 +460,26 @@ def _quotient(num, den):
 
 
 class Model:
-    """Shared realization machinery: entries, vacuum data, references.
-
-    Subclasses provide sig, c, arity, factor_sequence() and lam_pair(i, u);
-    lam and r are quotients of lam_pair, at a rational or an eps-shifted u
-    alike.
+    """The realization of a tuple of ChainSpec parts that share sig and c:
+    one part for a chain (ChainModel), (part1, part2) for a composite
+    (composite.CompositeModel). Its T(u) is the product of the parts'
+    monodromies, their factors in one tuple (factors), and lambda_sign
+    scales every vacuum eigenvalue; lam and r are quotients of lam_pair, at
+    a rational or an eps-shifted u alike.
     """
 
-    def __init__(self):
+    def __init__(self, parts, lambda_sign=1):
+        self.parts, self.lambda_sign = parts, lambda_sign
+        self.sig, self.c = parts[0].sig, parts[0].c
+        self.arity = sum(part.length for part in parts)
+        # ("diag", twist) and ("site", k, xi_k), leftmost first: each part
+        # from last to first, its twist and then its sites, descending
+        factors, offset = [], self.arity
+        for part in reversed(parts):
+            offset -= part.length
+            factors.append(("diag", tuple(part.twist)))
+            factors += (("site", offset + k, part.xi[k - 1]) for k in range(part.length, 0, -1))
+        self.factors = tuple(factors)
         # point id of each walk point, a spectral parameter at eps = 0
         self.point_ids = {}
         # per point id: its cleared pair (p, q) and lam2 there as (num, den)
@@ -494,25 +501,38 @@ class Model:
         # by bethe._coefficients
         self.coefficients = {}
 
-    def factor_sequence(self):
-        raise NotImplementedError
-
     def lam_pair(self, i, u):
         """lam_i(u) as (num, den), not necessarily in lowest terms: ints with
-        den != 0 at a rational u; at an eps-shifted u, series wherever u
-        enters."""
-        raise NotImplementedError
+        den != 0 at a rational u = up/uq (as_pair); at an eps-shifted u (up
+        the series, uq = 1), series wherever u enters. It is lambda_sign
+        times each part's twist d_i, times prod_k f(u, xi_k) over the part's
+        sites for i = 1, read from the parts, not from factors. With c =
+        cn/cd and xi_k = xp/xq, f(u, xi_k) = (e + cn uq xq)/e for e =
+        cd (up xq - xp uq)."""
+        num, den = self.lambda_sign, 1
+        for part in self.parts:
+            dn, dd = as_pair(part.twist[i - 1])
+            num, den = num * dn, den * dd
+            if i == 1:
+                (up, uq), (cn, cd) = as_pair(u), as_pair(self.c)
+                for xp, xq in map(as_pair, part.xi):
+                    e = cd * (up * xq - xp * uq)
+                    if not e:
+                        raise DivisionByZero("lam1(u) at an inhomogeneity")
+                    num *= e + cn * uq * xq
+                    den *= e
+        return num, den
 
     def lam(self, i, u):
         """lam_i(u), the quotient of lam_pair."""
         return _quotient(*self.lam_pair(i, u))
 
     def monodromy_op(self, u) -> GradedOperator:
-        return build_factor_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
+        return build_factor_product(self.sig, self.c, self.arity, self.factors, u)
 
     def monodromy(self, u) -> Monodromy:
         """T(u) split into its entries, built on every call."""
-        scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factor_sequence(), u)
+        scale, op = build_cleared_product(self.sig, self.c, self.arity, self.factors, u)
         return Monodromy(scale, extract_entries(op, self.sig, self.arity))
 
     def T(self, i, j, u) -> GradedOperator:
@@ -553,7 +573,7 @@ class Model:
         hit = self._weights.get(pid)
         if hit is None:
             if self._skeleton is None:
-                self._skeleton = _factor_skeleton(self.sig, self.c, self.factor_sequence())
+                self._skeleton = _factor_skeleton(self.sig, self.c, self.factors)
             m, weights = _point_weights(self._skeleton, *self.points[pid][0])
             hit = self._weights[pid] = m, _walk_orders(weights)
         return hit
@@ -573,7 +593,7 @@ class Model:
         _check_pair(self, vec)
         start, end = (i, j) if dual else (j, i)
         head, factors, last, tail = orders[dual]
-        d = _sign_table(self.sig)[1][i][j]
+        d = _sign_table(self.sig.parity)[1][i][j]
         if head is not None:
             d *= head[start - 1]
         if tail is not None:
@@ -621,34 +641,8 @@ class ChainModel(Model):
     """Evaluable realization of a single inhomogeneous twisted chain."""
 
     def __init__(self, spec: ChainSpec):
-        super().__init__()
+        super().__init__((spec,))
         self.spec = spec
-        self.sig = spec.sig
-        self.c = spec.c
-        self.arity = spec.length
-
-    def factor_sequence(self):
-        fs = [("diag", tuple(self.spec.twist))]
-        for site in range(self.spec.length, 0, -1):
-            fs.append(("site", site, self.spec.xi[site - 1]))
-        return fs
-
-    def lam_pair(self, i, u):
-        """lam_i(u) at a rational or eps-shifted u = up/uq (as_pair; up is
-        the series and uq = 1 for an eps-shifted u): the twist d_i, times
-        prod_k f(u, xi_k) for i = 1. With c = cn/cd and xi_k = xp/xq,
-        f(u, xi_k) = (e + cn uq xq)/e, e = cd (up xq - xp uq), so
-        lam_1(u) = d_1 prod_k (e + cn uq xq) / prod_k e."""
-        num, den = as_pair(self.spec.twist[i - 1])
-        if i == 1:
-            (up, uq), (cn, cd) = as_pair(u), as_pair(self.c)
-            for xp, xq in map(as_pair, self.spec.xi):
-                e = cd * (up * xq - xp * uq)
-                if not e:
-                    raise DivisionByZero("lam1(u) at an inhomogeneity")
-                num *= e + cn * uq * xq
-                den *= e
-        return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +791,7 @@ def _rtt_plan(sig, exchange=False):
     the product of the other half and the entry of R(v, u), numbered after
     R(u, v)'s (81 more). R(u,v) = I + gP, as r_matrix builds it for any
     signed permutation P, has no entry elsewhere."""
-    p, eps = _sign_table(sig)
+    p, eps = _sign_table(sig.parity)
     key = lambda x, y: 3 * x + y - 4
     blocks = [(81 * g + 9 * key(a, b) + key(c, d), a, b, c, d) for g, a, b, c, d in product(range(1 + exchange), *[range(1, 4)] * 4)]
     blocks.sort(key=lambda t: (_RUNS.index((t[1] == t[2], t[3] == t[4])), t[0]))
@@ -832,7 +826,7 @@ def check_supercommutator(model, i, j, k, l, u, v):
     if pair is None or pair[0] != (u, v):
         pair = model._pair_blocks = (u, v), *_rtt_pass(model, u, v, exchange=True)
     _, scales, nonzero = pair
-    p, eps = _sign_table(model.sig)
+    p, eps = _sign_table(model.sig.parity)
     s = eps[i][j] * eps[k][l]
     # blocks 81 + 9 key(k,i) + key(l,j) and 9 key(i,k) + key(j,l), key as in _rtt_plan
     form1 = nonzero[27 * k + 9 * i + 3 * l + j + 41], s if p[j] & (p[k] ^ p[l]) else -s, scales[1]
@@ -845,22 +839,21 @@ def vacuum_residuals(model, u):
     """Every vacuum-axiom residual at the spectral point u, as (name, is_zero).
 
     Each axiom applies one entry of T(u) to Omega or Omega^+: twelve walks
-    (Model._walk) of the integer multiples of the factors at u, one
-    _cleared_sequence with multiplier M, so each walk gives M times the
-    entry's action and the eigenvalues are scaled by M as well. No entry of
-    T(u) is materialized."""
-    m, weights = _cleared_sequence(model.sig, model.c, model.factor_sequence(), u)
-    factors = _walk_orders(weights)
+    (Model.apply_T_scaled) on the model's walk data at u, each giving M
+    times the entry's action, so the eigenvalue lam_i(u), which
+    Model.lam_pair reads off the parts and not off the factors, is scaled
+    by M as well. No entry of T(u) is materialized."""
+    pid = model.point_id(u)
     omega, dual = model.omega(), model.omega_dual()
     out = []
     for i in range(1, 4):
+        (m, ket), (_, bra) = (model.apply_T_scaled(i, i, u, vec, vec is dual, pid) for vec in (omega, dual))
         lam = model.lam(i, u) * m
-        for side, vec in (("ket", omega), ("bra", dual)):
-            res = model._walk(i, i, vec, factors, vec is dual).sub(vec.scale(lam))
-            out.append((f"T{i}{i} {side} eigenvalue", res.is_zero()))
+        out.append((f"T{i}{i} ket eigenvalue", ket.sub(omega.scale(lam)).is_zero()))
+        out.append((f"T{i}{i} bra eigenvalue", bra.sub(dual.scale(lam)).is_zero()))
     for i, j in product(range(1, 4), repeat=2):
         if i > j:
-            out.append((f"T{i}{j} annihilates ket", model._walk(i, j, omega, factors).is_zero()))
+            out.append((f"T{i}{j} annihilates ket", model.apply_T_scaled(i, j, u, omega, pid=pid)[1].is_zero()))
         elif i < j:
-            out.append((f"T{i}{j} annihilates bra", model._walk(i, j, dual, factors, True).is_zero()))
+            out.append((f"T{i}{j} annihilates bra", model.apply_T_scaled(i, j, u, dual, True, pid)[1].is_zero()))
     return out

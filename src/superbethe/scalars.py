@@ -206,18 +206,13 @@ def eps_limit(x):
     """Value at eps = 0: 0 above order zero, the constant term at it.
 
     Raises PoleAtZero for a known negative order and PrecisionExhausted when
-    the kept coefficients do not fix the constant term."""
+    the kept coefficients do not fix the constant term. An EpsScalar's limit
+    is that of the quotient x/1 (_limit_of_quotient)."""
     if is_rational(x):
         return rat(x)
     if not isinstance(x, EpsScalar):
         raise TypeError(f"no eps-limit of {type(x).__name__}")
-    if x.val > 0:
-        return ZERO
-    if not x.coeffs:
-        raise PrecisionExhausted(f"constant term of {x!r} not determined at eps precision {EPS_PRECISION}")
-    if x.val < 0:
-        raise PoleAtZero(f"pole of order {-x.val} at eps=0 in {x!r}")
-    return rat(x.coeffs[0])
+    return rat(*_limit_of_quotient(x, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +321,15 @@ def ratio(num, den):
 
 
 def _limit_of_quotient(num, den):
-    """Rationals (a, b), b != 0, with a/b = eps_limit(num / den), raising
-    exactly where that raises. A rational operand has order 0 and is its own
-    leading coefficient. The quotient has the order val(num) - val(den) and
-    the leading coefficient c0(num)/c0(den), so it is read off the leading
-    terms in the order of the checks of the division and of eps_limit: a
-    denominator that is an undetermined zero raises PrecisionExhausted, a
-    zero numerator gives 0, a positive order 0, an undetermined numerator
-    raises PrecisionExhausted and a negative order PoleAtZero."""
+    """Rationals (a, b), b != 0, with a/b the value of num/den at eps = 0,
+    the one rule of every eps-limit (eps_limit(x) is that of x/1). A
+    rational operand has order 0 and is its own leading coefficient. The
+    quotient has the order val(num) - val(den) and the leading coefficient
+    c0(num)/c0(den), so it is read off the leading terms, with the checks
+    of the series division first: a denominator that is an undetermined
+    zero raises PrecisionExhausted, a zero numerator gives 0, a positive
+    order 0, an undetermined numerator raises PrecisionExhausted and a
+    negative order PoleAtZero."""
     if isinstance(den, EpsScalar):
         dv, (dc, *_) = _divisor(den)
     elif not den:

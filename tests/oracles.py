@@ -139,7 +139,7 @@ def embedded_product(sig, c, length, factors, u):
 
 
 def embedded_monodromy(model, u):
-    return embedded_product(model.sig, model.c, model.arity, model.factor_sequence(), u)
+    return embedded_product(model.sig, model.c, model.arity, model.factors, u)
 
 
 def rtt_reference(model, u, v, build=None):

@@ -228,7 +228,7 @@ class _HeldEntries:
 
     def __init__(self, model, points):
         self.sig, self.arity, self.c = model.sig, model.arity, model.c
-        factors = model.factor_sequence()
+        factors = model.factors
         self._entries = {
             x: extract_entries(embedded_product(self.sig, self.c, self.arity, factors, x), self.sig, self.arity)
             for x in points

@@ -293,11 +293,12 @@ def test_operator_suite_builds_do_not_rise(suite, monkeypatch):
 
 # suite -> (factor skeletons built, per-point factor evaluations) of one
 # run: a model builds its skeleton on its first walk and evaluates the
-# factors of each point it walks once, the factorization checks of a suite
-# share one composite model, and each _cleared_sequence call (the
-# materialized T(u) of the coproduct, the vacuum axioms) builds one of each
+# factors of each point it walks once, the vacuum axioms walk their model,
+# the factorization checks of a suite share one composite model, and each
+# build_cleared_product call (the materialized T(u) of the coproduct)
+# builds one of each
 POINT_PINNED = {
-    "bethe": (8, 14),
+    "bethe": (5, 14),
     "actions": (3, 24),
     "recursion": (3, 9),
     "composite": (11, 23),
@@ -310,18 +311,19 @@ POINT_PINNED = {
 def test_per_point_factor_data_is_computed_once(suite, monkeypatch):
     """Every model builds at most one factor skeleton and evaluates each
     point's factors on it at most once, exactly for the points it keeps
-    walk data for; every other skeleton is one _cleared_sequence call's."""
-    models, skeletons, evaluations, sequences = [], [], Counter(), Counter()
-    init, skeleton, point_weights, sequence = (
+    walk data for; every other skeleton is one build_cleared_product
+    call's."""
+    models, skeletons, evaluations, builds = [], [], Counter(), Counter()
+    init, skeleton, point_weights, build = (
         monodromy.Model.__init__,
         monodromy._factor_skeleton,
         monodromy._point_weights,
-        monodromy._cleared_sequence,
+        monodromy.build_cleared_product,
     )
 
-    def counted_init(self):
+    def counted_init(self, parts, lambda_sign=1):
         models.append(self)
-        init(self)
+        init(self, parts, lambda_sign)
 
     def counted_skeleton(*args):
         skeletons.append(skeleton(*args))  # kept alive, so ids stay unique
@@ -331,18 +333,18 @@ def test_per_point_factor_data_is_computed_once(suite, monkeypatch):
         evaluations[id(skel), up, uq] += 1
         return point_weights(skel, up, uq)
 
-    def counted_sequence(*args):
-        sequences["calls"] += 1
-        return sequence(*args)
+    def counted_build(*args):
+        builds["calls"] += 1
+        return build(*args)
 
     monkeypatch.setattr(monodromy.Model, "__init__", counted_init)
     monkeypatch.setattr(monodromy, "_factor_skeleton", counted_skeleton)
     monkeypatch.setattr(monodromy, "_point_weights", counted_point_weights)
-    monkeypatch.setattr(monodromy, "_cleared_sequence", counted_sequence)
+    monkeypatch.setattr(monodromy, "build_cleared_product", counted_build)
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     walked = [m for m in models if m._skeleton is not None]
-    assert len(skeletons) == len(walked) + sequences["calls"]
+    assert len(skeletons) == len(walked) + builds["calls"]
     assert max(evaluations.values()) == 1
     per_skeleton = Counter(skel for skel, _, _ in evaluations.elements())
     assert all(per_skeleton[id(m._skeleton)] == len(m._weights) for m in walked)

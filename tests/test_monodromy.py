@@ -70,6 +70,32 @@ def test_chain_spec_validation():
         ChainSpec(1, (0,), (1, 1, 1), GL21, 0)
 
 
+def _hand_written_factor_sequence(model):
+    """The reference factor list of a chain, its twist then its sites
+    L..1, or of a composite, its part-2 twist and sites L..l1+1, then its
+    part-1 twist and sites l1..1, written out case by case."""
+    if isinstance(model, CompositeModel):
+        part1, part2 = model.split.part1, model.split.part2
+        l1 = part1.length
+        fs = [("diag", tuple(part2.twist))]
+        fs += [("site", site, part2.xi[site - l1 - 1]) for site in range(model.arity, l1, -1)]
+        fs.append(("diag", tuple(part1.twist)))
+        return fs + [("site", site, part1.xi[site - 1]) for site in range(l1, 0, -1)]
+    spec = model.spec
+    return [("diag", tuple(spec.twist))] + [("site", site, spec.xi[site - 1]) for site in range(spec.length, 0, -1)]
+
+
+def test_factor_tuple_is_the_hand_written_sequence():
+    smp = ParameterSampler("factor-tuple", 1)
+    models = [chain(length, smp.generic(length), twist=smp.twist()) for length in range(6)]
+    for l1, l2 in ((1, 2), (2, 1), (2, 2)):
+        xi = smp.generic(l1 + l2)
+        split = SplitChain(ChainSpec(l1, xi[:l1], smp.twist(), GL21, 1), ChainSpec(l2, xi[l1:], smp.twist(), GL21, 1))
+        models.append(CompositeModel(split))
+    for model in models:
+        assert type(model.factors) is tuple and list(model.factors) == _hand_written_factor_sequence(model), model.arity
+
+
 def test_single_site_entries():
     m = chain(1, (0,))
     assert m.T(1, 3, 1) == GradedOperator.unit(GL21, 3, 1).scale(-1)
@@ -350,17 +376,37 @@ _FLIPPED_SWAP_SIGNS = {
     if (pa ^ pb) & between
     else _HONEST_SWAP_SIGN(pa, pb, between),
 }
+# the flips above are symmetric in (pa, pb), so under them a key goes to its
+# swap with the sign of the way back; "odd-even" flips only an odd auxiliary
+# digit swapped with an even site digit, so the two signs differ and P_{0k}
+# is no longer a symmetric matrix. The bra walk applies each factor as it
+# applies it to kets, which takes a symmetric factor, so only kets are
+# walked under it (test_honest_swap_sign_is_symmetric)
+_ASYMMETRIC_SWAP_SIGNS = {
+    "odd-even": lambda pa, pb, between: -_HONEST_SWAP_SIGN(pa, pb, between) if pa > pb else _HONEST_SWAP_SIGN(pa, pb, between),
+}
+_SWAP_SIGN_RULES = {**_FLIPPED_SWAP_SIGNS, **_ASYMMETRIC_SWAP_SIGNS}
+
+
+def test_honest_swap_sign_is_symmetric():
+    """The premise of walking bras with the kets' factor map: the honest
+    sign of P_{0k} is the same both ways, and the asymmetric control's is
+    not."""
+    cases = list(product((0, 1), repeat=3))
+    assert all(monodromy.swap_sign(pa, pb, p) == monodromy.swap_sign(pb, pa, p) for pa, pb, p in cases)
+    rule = _ASYMMETRIC_SWAP_SIGNS["odd-even"]
+    assert any(rule(pa, pb, p) != rule(pb, pa, p) for pa, pb, p in cases)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-@pytest.mark.parametrize("flip", ["honest", *sorted(_FLIPPED_SWAP_SIGNS)])
+@pytest.mark.parametrize("flip", ["honest", *sorted(_SWAP_SIGN_RULES)])
 def test_every_entry_carries_its_extraction_sign(monkeypatch, sig, flip):
     """The premise of extraction_sign: every nonzero entry of the block T_ij
     of T(u) has par(row) + par(col) = [i] + [j], so the sign
     (-1)^{[j](par(row) + par(col))} of reading it off is the constant
-    eps_ij, with the honest swap signs and with either flipped one."""
+    eps_ij, with the honest swap signs and with every replaced rule."""
     if flip != "honest":
-        monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+        monkeypatch.setattr(monodromy, "swap_sign", _SWAP_SIGN_RULES[flip])
     for length in range(4):
         smp = ParameterSampler(f"extraction-sign:{sig.name}:{length}", 1)
         xi = smp.generic(length)
@@ -389,7 +435,7 @@ def test_flipped_swap_sign_breaks_factorization(monkeypatch, flip):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-@pytest.mark.parametrize("flip", sorted(_FLIPPED_SWAP_SIGNS))
+@pytest.mark.parametrize("flip", sorted(_SWAP_SIGN_RULES))
 def test_swap_sign_replaced_before_the_first_walk_reaches_the_skeleton(monkeypatch, sig, flip):
     """A model builds its factor skeleton, which holds the swap signs, on its
     first walk: a model made under the honest swap_sign and first walked
@@ -403,40 +449,46 @@ def test_swap_sign_replaced_before_the_first_walk_reaches_the_skeleton(monkeypat
     basis = [GradedVector.basis(sig, digits) for digits in product((1, 2, 3), repeat=2)]
     walked = lambda model: [model.apply_T(i, j, u, vec) for i, j in product(range(1, 4), repeat=2) for vec in basis]
     before = walked(honest)
-    monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+    monkeypatch.setattr(monodromy, "swap_sign", _SWAP_SIGN_RULES[flip])
     after = walked(late)
     assert after != before and walked(honest) == before
     built = late.monodromy(u)
     assert after == [built.entry(i, j).apply(vec) for i, j in product(range(1, 4), repeat=2) for vec in basis]
 
 
-def _assert_walk_is_built_block(model, u):
-    """Model.apply_T_scaled, on every basis ket and bra and for all nine
-    (i, j), is m times the block (i, j) of T(u) as build_factor_product
-    gives it."""
+def _assert_walk_is_built_block(model, u, bras=True):
+    """Model.apply_T_scaled, on every basis ket and on a ket with every key
+    and, with bras, on the same bras, for all nine (i, j), is m times the
+    block (i, j) of T(u) as build_factor_product gives it. A basis vector
+    never holds a key and its swap at the site being walked (the digits of
+    the sites not yet walked are its own), so only the full vector walks
+    the two into one another."""
     sig, length = model.sig, model.arity
-    op = monodromy.build_factor_product(sig, model.c, length, model.factor_sequence(), u)
+    op = monodromy.build_factor_product(sig, model.c, length, model.factors, u)
     blocks = extract_entries(op, sig, length)
-    for key in range(3**length):
-        digits = graded.decode(key, length)
-        ket, bra = GradedVector.basis(sig, digits), DualGradedVector.basis(sig, digits)
+    vectors = [{key: 1} for key in range(3**length)] + [{key: rat(2 * key + 1, 3) for key in range(3**length)}]
+    for key, entries in enumerate(vectors):
+        ket, bra = GradedVector(sig, length, entries), DualGradedVector(sig, length, entries)
         for (i, j), block in blocks.items():
             m, scaled = model.apply_T_scaled(i, j, u, ket)
             assert scaled == block.apply(ket).scale(m), (key, i, j)
-            m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
-            assert scaled == block.apply_dual(bra).scale(m), (key, i, j)
+            if bras:
+                m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
+                assert scaled == block.apply_dual(bra).scale(m), (key, i, j)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-@pytest.mark.parametrize("flip", ["honest", *sorted(_FLIPPED_SWAP_SIGNS)])
+@pytest.mark.parametrize("flip", ["honest", *sorted(_SWAP_SIGN_RULES)])
 def test_routed_walk_equals_the_built_blocks(monkeypatch, sig, flip):
     """The walk through the per-site routes against the built T(u) on
     chains of 1..5 sites and on two composites, whose twists sit mid
-    sequence, under the honest swap_sign and each flipped one (the build
+    sequence, under the honest swap_sign and each replaced one (the build
     reads the rule too), at a drawn point and, up to four sites, at
-    u = min(xi) - c, where one coefficient gd + gn of a site factor is 0."""
+    u = min(xi) - c, where one coefficient gd + gn of a site factor is 0.
+    Under the asymmetric rule, which tells a key's way to its swap from the
+    way back, the kets are walked only."""
     if flip != "honest":
-        monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS[flip])
+        monkeypatch.setattr(monodromy, "swap_sign", _SWAP_SIGN_RULES[flip])
     smp = ParameterSampler(f"routed-walk:{sig.name}", 1)
     c = rat(3, 2)
     models = []
@@ -448,9 +500,9 @@ def test_routed_walk_equals_the_built_blocks(monkeypatch, sig, flip):
         split = SplitChain(ChainSpec(l1, xi[:l1], smp.twist(), sig, c), ChainSpec(l2, xi[l1:], smp.twist(), sig, c))
         models.append(CompositeModel(split))
     for model in models:
-        xi = [x for kind, *rest in model.factor_sequence() if kind == "site" for x in rest[1:]]
+        xi = [x for kind, *rest in model.factors if kind == "site" for x in rest[1:]]
         for u in (smp.generic_one(avoid=xi), min(xi) - c)[: 1 + (model.arity < 5)]:
-            _assert_walk_is_built_block(model, u)
+            _assert_walk_is_built_block(model, u, bras=flip not in _ASYMMETRIC_SWAP_SIGNS)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -580,18 +632,18 @@ def test_identities_under_flipped_koszul_sign(sig, flipped_koszul):
 
 
 def _perturb_twist_at(monkeypatch, point):
-    """Add 1 to the first entry of the cleared twist, M d_1, in every
-    _cleared_sequence at point from now on: the walks and every N*T(point)
-    built read it."""
-    honest = monodromy._cleared_sequence
+    """Add 1 to the first entry of the cleared twist, M d_1, in the factor
+    data of point (monodromy._point_weights) computed from now on: the walks
+    and every N*T(point) built read it."""
+    honest = monodromy._point_weights
 
-    def perturbed(sig, c, factors, x):
-        m, weights = honest(sig, c, factors, x)
-        if x != point:
+    def perturbed(skeleton, up, uq):
+        m, weights = honest(skeleton, up, uq)
+        if rat(up, uq) != point:
             return m, weights
         return m, [("diag", (w[1][0] + 1, *w[1][1:])) if w[0] == "diag" else w for w in weights]
 
-    monkeypatch.setattr(monodromy, "_cleared_sequence", perturbed)
+    monkeypatch.setattr(monodromy, "_point_weights", perturbed)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -732,7 +784,7 @@ def test_rtt_residual_beyond_the_entry_product_fits_its_slots(sig, monkeypatch):
     u, v = smp.generic(2, avoid=xi)
     res = check_rtt(model, u, v)
     assert res == rtt_reference(model, u, v, build=Model.monodromy_op)
-    (na, a), (nb, b) = (shifted(sig, model.c, 3, model.factor_sequence(), x) for x in (u, v))
+    (na, a), (nb, b) = (shifted(sig, model.c, 3, model.factors, x) for x in (u, v))
     nr, r = clear_denominators(r_matrix(u, v, sig, model.c))
     largest = lambda op: max(abs(x) for m in op.cols.values() for x in m.values())
     cleared = res.scale(na * nb * nr)
@@ -979,7 +1031,7 @@ def test_walk_equals_embedded_factor_product(sig, length):
     u = smp.generic_one(avoid=xi)
     oracle, mono = _assert_walk_matches(model, u)
     scale, cleared = clear_denominators(oracle)
-    assert monodromy.build_cleared_product(sig, model.c, length, model.factor_sequence(), u) == (scale, cleared)
+    assert monodromy.build_cleared_product(sig, model.c, length, model.factors, u) == (scale, cleared)
     assert mono.scale == scale and mono.scaled == extract_entries(cleared, sig, length)
     n = length + 2
     chain_pos = tuple(range(3, n + 1))
@@ -987,7 +1039,7 @@ def test_walk_equals_embedded_factor_product(sig, length):
     assert insert_identity(cleared, 1) == embed(cleared, (2,) + chain_pos, n)
     for u in [x + s for x in xi for s in (-model.c, model.c)]:
         oracle, mono = _assert_walk_matches(model, u)
-        scale, built = monodromy.build_cleared_product(sig, model.c, length, model.factor_sequence(), u)
+        scale, built = monodromy.build_cleared_product(sig, model.c, length, model.factors, u)
         assert (scale, built) == clear_denominators(oracle), u
         assert all(colmap and all(colmap.values()) for colmap in built.cols.values()), u
         assert built.nnz() < 3 * 5**length, u

@@ -20,7 +20,6 @@ from importlib import import_module
 from io import StringIO
 
 import superbethe
-from superbethe import monodromy
 from superbethe.cli import main
 
 QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
@@ -51,9 +50,6 @@ ALLOWED = {
     "graded.GradedVector.__repr__": "debugging output",
     "graded.GradedVector.__eq__": "tests compare vectors",
     "scalars.EpsScalar.__repr__": "debugging output",
-    # abstract methods
-    "monodromy.Model.factor_sequence": "abstract: each model defines it",
-    "monodromy.Model.lam_pair": "abstract: each model defines it",
     # EpsScalar division: only K_n, n >= 3, at an eps point divides two
     # series, which takes a max_a >= 3 grid (the extended tests run it)
     "scalars._div": "series division, K_n for n >= 3 at an eps point",
@@ -103,13 +99,11 @@ def package_functions():
     return codes, caches
 
 
-def reached_by_shipped_commands(tmp_path, caches, monkeypatch):
+def reached_by_shipped_commands(tmp_path, caches):
     """The code objects called while the shipped commands run, from cold
     caches, so that what an earlier test computed is computed again."""
     for wrapper in caches:
         wrapper.cache_clear()
-    # extraction_sign runs only where a signature's sign table is built
-    monkeypatch.setattr(monodromy, "_SIGN_TABLES", {})
     seen = set()
 
     def profile(frame, event, arg):
@@ -133,9 +127,9 @@ def reached_by_shipped_commands(tmp_path, caches, monkeypatch):
     return seen
 
 
-def test_every_src_function_is_reached_or_allowed(tmp_path, monkeypatch):
+def test_every_src_function_is_reached_or_allowed(tmp_path):
     codes, caches = package_functions()
-    seen = reached_by_shipped_commands(tmp_path, caches, monkeypatch)
+    seen = reached_by_shipped_commands(tmp_path, caches)
     names = set(codes.values())
     unreached = {name for code, name in codes.items() if code not in seen}
     assert sorted(unreached - set(ALLOWED)) == [], "functions no shipped command runs"
