@@ -25,7 +25,7 @@ from importlib import resources
 from .bethe import PartialCache, build_vector, build_vector_limit, weight_gated
 from .errors import SchemaError
 from .graded import GL21, GradedVector
-from .notation import Binding, compile_terms, evaluate, partition_sum
+from .notation import Binding, compile_table, evaluate, partition_sum
 
 ELEMENTS = ("T11", "T22", "T33", "T13", "T23", "T12", "T21")
 _FUNCS = ("r1", "r3")
@@ -48,15 +48,10 @@ def _packaged_table():
 
 
 def _compile(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise SchemaError("a formula table is an object", "/")
-    table = {}
-    for element, terms in raw.items():
-        if element.startswith("_"):
-            continue
-        if element not in ELEMENTS:
-            raise SchemaError(f"unknown monodromy element {element!r}", "/" + element)
-        table[element] = compile_terms(terms, ("ubar", "vbar", "z"), _FUNCS, pointer="/" + element)
+    table = compile_table(raw, ("ubar", "vbar", "z"), _FUNCS)
+    unknown = [el for el in table if el not in ELEMENTS]
+    if unknown:
+        raise SchemaError(f"unknown monodromy element {unknown[0]!r}", "/" + unknown[0])
     missing = [el for el in ELEMENTS if el not in table]
     if missing:
         raise SchemaError(f"formula table lacks elements {missing}", "/")

@@ -553,13 +553,13 @@ class _Runner:
 
     def suite_composite(self, smp):
         split, xi = self.split_of("composite", "gl(2|1)")
+        total = CompositeModel(split)
         u = smp.generic_one(avoid=xi)
         yield (
             "coproduct monodromy equals direct total",
             {"u": u},
-            lambda: tuple(compose_monodromy(split, u)[1].values()),
+            lambda: tuple(compose_monodromy(total, u)[1].values()),
         )
-        total = CompositeModel(split)
         yield (
             "ratio functions multiply across the split",
             {"u": u},
@@ -574,20 +574,22 @@ class _Runner:
         vs2 = smp.generic(b, avoid=xi + vs1)
         us1 = smp.generic(1, avoid=xi + vs1 + vs2)
         us2 = smp.generic(1, avoid=xi + vs1 + vs2 + us1)
-        exchange = partial(check_factor_exchange, split, us1, vs1, us2, vs2)
+        exchange = partial(check_factor_exchange, total, us1, vs1, us2, vs2)
         yield "factor exchange identity", {"v1": vs1, "v2": vs2}, exchange
         us, vs, z = self.params(smp, min(1, self.cfg.max_a), min(1, self.cfg.max_b), avoid=xi, z=True)
         yield (
             "creation-entry actions on composite sums",
             {"u": us, "v": vs, "z": z},
-            partial(check_composite_creation_actions, split, us, vs, z),
+            partial(check_composite_creation_actions, total, us, vs, z),
         )
 
     def suite_proof_replay(self, smp):
         """One check per residual of the replay at (a,b) = (1,1), (2,1),
         (1,2) and (2,2), as max_a and max_b allow; the first one runs it,
-        so its record carries the replay's time."""
+        so its record carries the replay's time. Every (a,b) replays on
+        one CompositeModel."""
         split, xi = self.split_of("proof-replay", "gl(2|1)")
+        total = CompositeModel(split)
         for a, b in ((1, 1), (2, 1), (1, 2), (2, 2)):
             if a - 1 <= self.cfg.max_a and b - 1 <= self.cfg.max_b:
                 us, vs, z = self.params(smp, a - 1, b - 1, avoid=xi, z=True)
@@ -595,7 +597,7 @@ class _Runner:
 
                 def residual(name):
                     if not residuals:
-                        residuals.update(action_decomposition_report(split, us, vs, z))
+                        residuals.update(action_decomposition_report(total, us, vs, z))
                     return residuals[name]
 
                 for name in REPLAY_CHECKS:

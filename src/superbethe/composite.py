@@ -30,10 +30,11 @@ actions. notation.partition_sum skips such a split whole, with no
 coefficient read and no partial built, so a dead split neither costs nor
 raises; the total vector and the live splits still do.
 
-The factorization checks (and gl12's) take a SplitChain, which gets a
-fresh CompositeModel, or a suite's CompositeModel (composite_model), built
-once per split and lambda sign: its checks share its point records, walk
-data, skeleton, tries and coefficient lists, which B and C share too.
+Every composite check (and gl12's) takes a SplitChain, which gets a fresh
+CompositeModel, or a suite's CompositeModel, and gets its total one way,
+through composite_model. A suite builds its model once per split and
+lambda sign: its checks share its point records, walk data, skeleton,
+tries and coefficient lists, which B and C share too.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .bethe import (
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
-from .notation import Binding, PartSpec, PartitionSpec, compile_terms, evaluate, partition_sum
+from .notation import Binding, PartSpec, PartitionSpec, compile_table, compile_terms, evaluate, partition_sum
 from .rational import rat
 from .scalars import is_zero, three_term_witness
 
@@ -117,13 +118,14 @@ def coproduct_entries(total: CompositeModel, u) -> Monodromy:
     return Monodromy(m1.scale * m2.scale, out)
 
 
-def compose_monodromy(split: SplitChain, u):
-    """Coproduct-composed monodromy plus its residual against the direct build.
+def compose_monodromy(split, u):
+    """Coproduct-composed monodromy plus its residual against the direct
+    build; split a SplitChain or its CompositeModel (composite_model).
 
     The sides carry the scales N_1 N_2 (composed) and N_total (direct); each
     residual is (N_total composed - N_1 N_2 direct) / (N_1 N_2 N_total), one
     linear combination, scaled back only when nonzero."""
-    total = CompositeModel(split)
+    total = composite_model(split)
     direct = total.monodromy(u)
     composed = coproduct_entries(total, u)
     back = rat(1, composed.scale * direct.scale)
@@ -171,24 +173,18 @@ _FREE_SPLITS = (
 )
 
 
+# the vacuum ratios of the parts: r{i}_{p} is r_i of part p
+_RATIOS = ("r1_1", "r3_1", "r1_2", "r3_2")
+
+
 def ratio_funcs(m1, m2):
-    return {
-        "r1_1": lambda x: m1.r(1, x),
-        "r3_1": lambda x: m1.r(3, x),
-        "r1_2": lambda x: m2.r(1, x),
-        "r3_2": lambda x: m2.r(3, x),
-    }
-
-
-def _composite_terms(raw, names, pointer=""):
-    funcs = tuple(ratio_funcs(None, None))  # the names only
-    return compile_terms(raw, names, funcs, _FREE_SPLITS, juxtaposed=True, pointer=pointer)
+    return {name: partial(model.r, int(name[1])) for name, model in zip(_RATIOS, (m1, m1, m2, m2))}
 
 
 @cache
 def _bilinear_terms(coeff):
     raw = [{"partitions": [], "coefficient": coeff, "target": [["uI", "vI"], ["uII", "vII"]]}]
-    return _composite_terms(raw, ("ubar", "vbar"))
+    return compile_terms(raw, ("ubar", "vbar"), _RATIOS, _FREE_SPLITS, juxtaposed=True)
 
 
 def bilinear_sum(
@@ -247,11 +243,13 @@ def check_dual_bethe_factorization(split, us, vs):
 EXCHANGE_COEFFS = ("g(vI,vII)", "g(vII,vI)")
 
 
-def check_factor_exchange(split: SplitChain, us1, vs1, us2, vs2):
-    """g(vI,vII) B2 B1 - g(vII,vI) B1 B2 on given partial parameter sets."""
-    b1 = build_vector(ChainModel(split.part1), us1, vs1)
-    b2 = build_vector(ChainModel(split.part2), us2, vs2)
-    sets = Binding({"vI": tuple(vs1), "vII": tuple(vs2)}, c=split.part1.c)
+def check_factor_exchange(split, us1, vs1, us2, vs2):
+    """g(vI,vII) B2 B1 - g(vII,vI) B1 B2 on given partial parameter sets;
+    split a SplitChain or its CompositeModel (composite_model)."""
+    total = composite_model(split)
+    b1 = build_vector(total.part1, us1, vs1)
+    b2 = build_vector(total.part2, us2, vs2)
+    sets = Binding({"vI": tuple(vs1), "vII": tuple(vs2)}, c=total.c)
     left, right = (evaluate(coeff, sets) for coeff in EXCHANGE_COEFFS)
     return compose_ket(b1, b2, True).scale(left).sub(compose_ket(b1, b2, False).scale(right))
 
@@ -285,11 +283,12 @@ def check_recursion(model, us, vs, z):
     return lhs.sub(rhs).sub(model.apply_T(1, 3, z, summed, norm))
 
 
-def check_composite_creation_actions(split: SplitChain, us, vs, z):
+def check_composite_creation_actions(split, us, vs, z):
     """Residuals of the two creation-entry actions on composite-sum vectors:
-    the packaged table's T13 and T23 rows with composite sums as targets."""
+    the packaged table's T13 and T23 rows with composite sums as targets;
+    split a SplitChain or its CompositeModel (composite_model)."""
     us, vs = tuple(us), tuple(vs)
-    total = CompositeModel(split)
+    total = composite_model(split)
     m1, m2 = total.part1, total.part2
     base = action_binding(total, us, vs, z)
     norm = action_norm(total, vs, z, base)
@@ -308,12 +307,11 @@ def check_composite_creation_actions(split: SplitChain, us, vs, z):
 @cache
 def load_class_table() -> dict:
     """The packaged partition classes A1..A3, C11..C33, compiled."""
-    raw = json.loads(resources.files("superbethe").joinpath("data/composite_classes.json").read_text())
-    return {
-        name: _composite_terms(terms, ("ubar", "vbar", "z"), "/" + name)
-        for name, terms in raw.items()
-        if not name.startswith("_")
-    }
+    return _compile_classes(json.loads(resources.files("superbethe").joinpath("data/composite_classes.json").read_text()))
+
+
+def _compile_classes(raw) -> dict:
+    return compile_table(raw, ("ubar", "vbar", "z"), _RATIOS, _FREE_SPLITS, juxtaposed=True)
 
 
 # the residuals of action_decomposition_report, in report order
@@ -331,8 +329,9 @@ REPLAY_CHECKS = (
 )
 
 
-def action_decomposition_report(split: SplitChain, us, vs, z):
-    """Replays the partition-class decomposition of the odd-creation action.
+def action_decomposition_report(split, us, vs, z):
+    """Replays the partition-class decomposition of the odd-creation action
+    on split, a SplitChain or its CompositeModel (composite_model).
 
     Returns the residual vectors/scalars named by REPLAY_CHECKS; every one
     must be zero:
@@ -344,7 +343,7 @@ def action_decomposition_report(split: SplitChain, us, vs, z):
     those classes have no terms and the witness is 0.
     """
     us, vs = tuple(us), tuple(vs)
-    total = CompositeModel(split)
+    total = composite_model(split)
     m1, m2 = total.part1, total.part2
     c = total.c
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))

@@ -52,9 +52,9 @@ cross-multiplied comparison. entries, {key: num/den}, is a read-only view
 for printing and serializing, built on its first read, and num itself at
 den 1. Entries that are not all rational (EpsScalars, which only the
 materialized test oracles build) are kept as given over den 1, and the
-same arithmetic runs on them. accumulate is the one accumulator of the
-partition sums: it folds n/d times an int vector into one int dict over
-one denominator.
+same arithmetic runs on them. accumulate folds every vector sum, add and
+sub as well as the partition sums: it adds n/d times an int vector to one
+int dict over one denominator.
 """
 
 from __future__ import annotations
@@ -198,8 +198,6 @@ class GradedVector:
     def scale(self, c, d=1):
         """(c/d) times the vector, d a nonzero int: on the numerators for a
         rational c, else on the entries."""
-        if not c:
-            return type(self).from_ints(self.sig, self.arity, {})
         if not is_rational(c):
             vec = type(self)(self.sig, self.arity, {k: c * v for k, v in self.entries.items()})
             return vec if d == 1 else vec.scale(1, d)
@@ -215,20 +213,10 @@ class GradedVector:
         return self._merge(other, True)
 
     def _merge(self, other, negate):
-        """self + other (self - other with negate) over the lcm of the two
-        denominators."""
+        """self + other (self - other with negate), folded by accumulate."""
         _check_pair(self, other)
-        den = self.den if self.den == other.den else lcm(self.den, other.den)
-        up, step = den // self.den, den // other.den
-        out = dict(self.num) if up == 1 else {k: up * x for k, x in self.num.items()}
-        if negate:
-            step = -step
-        for k, v in other.num.items():
-            s = out.get(k, 0) + step * v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+        out = dict(self.num)
+        den = accumulate(out, self.den, -1 if negate else 1, other.den, other.num)
         return type(self).from_ints(self.sig, self.arity, out, den)
 
     def is_zero(self):
@@ -278,8 +266,9 @@ def accumulate(acc, den, n, d, num):
     """Add (n/d) * num to acc, for ints n and d != 0 and a dict num: acc
     holds den times a sum, den > 0. Returns the new den, the lcm of den and
     d taken in lowest terms, so acc is rescaled only when d does not divide
-    den; an entry that cancels stays in acc as 0. The one accumulator of the
-    partition sums (bethe.build_family, notation.partition_sum)."""
+    den; an entry that cancels stays in acc as 0. The one accumulator of
+    every vector sum (GradedVector.add and sub, bethe.build_family,
+    notation.partition_sum)."""
     if not n:
         return den
     k = gcd(n, d) if d > 0 else -gcd(n, d)

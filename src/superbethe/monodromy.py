@@ -43,7 +43,9 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   gn. Every output row has one source, told apart by whether its
   auxiliary digit is d and whether its last digit is d, so the step adds
   nothing up; it drops an entry only where kept = gd +- gn is 0, at
-  u = xi_k -+ c. Each twist scales the coefficients of the step before it.
+  u = xi_k -+ c. The step reads its signs off the site's route, as the
+  walk does, so the sign rule of P_{0k} lives in _route alone. Each
+  twist scales the coefficients of the step before it.
   Model.monodromy splits the product into the nine signed entry operators
   of N_u*T(u) (extract_entries: each column split once by the auxiliary
   digit of its rows, a block column negated as a whole where the
@@ -77,10 +79,10 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   A key and its swap are each other's only other source, so each output
   is written once, nothing is added up across entries and a zero is
   dropped only where a coefficient or a sum is 0. Each model builds its
-  factor skeleton (_factor_skeleton: sites, xi cleared, parity prefixes,
-  the graded signs as indices, the routes and the cleared twists) on its
-  first walk, so a new point computes only g(u, xi_k) = gn/gd per site
-  (_point_weights). The model keeps each point's (M, walk orders) by its
+  factor skeleton (_factor_skeleton: sites, xi cleared, the routes and
+  the cleared twists; a site's head is ("site", k, route), the route its
+  only copy of the graded signs) on its first walk, so a new point
+  computes only g(u, xi_k) = gn/gd per site (_point_weights). The model keeps each point's (M, walk orders) by its
   point id, the ket and bra orders with the twists at either end taken
   out as scalars (_walk_orders).
   Model.points holds the rest of a point's int data: u cleared as (p, q)
@@ -213,17 +215,19 @@ def _level_step(level, weights, twist):
     (a; m); those with auxiliary digit d end in d (kept) or in a != d (the
     swap of (a; m)): every output row has one source, so the step adds
     nothing up and makes a zero only where kept is 0, at u = xi +- c. The
-    coefficient of a row depends only on (a, the parity of m, d), and the
+    coefficient of a row is read off the route bytes of its keys (a; m, x,
+    1..1), x = 1..3 (_level_rows), and depends only on (a, the parity of
+    m), so a move is built once per distinct three bytes, at most six; the
     twist only scales it by the row's new auxiliary digit."""
-    _, site, prefix, swap, stay, _, coef, ident = weights
+    _, site, (code, _), coef, ident = weights
     up = 3**site  # the auxiliary place of a row of j+1 sites
+    kinds, rows = _level_rows(code, site)
     moves = []
-    for a in range(3):
+    for three in kinds:
+        a = three[0] // 12
         b, d = (x for x in range(3) if x != a)
-        ka, ia = coef[stay[a]] * twist[a], ident * twist[a]
-        for q in (0, 1):
-            moves.append((a, ka, ia, b, (b - a) * up + a, coef[2 + swap[a][b][q]] * twist[b], d, (d - a) * up + a, coef[2 + swap[a][d][q]] * twist[d]))
-    table = [moves[2 * a + q] for a in range(3) for q in prefix]  # by row (a; m)
+        moves.append((a, coef[three[a] & 3] * twist[a], ident * twist[a], b, (b - a) * up + a, coef[three[b] & 3] * twist[b], d, (d - a) * up + a, coef[three[d] & 3] * twist[d]))
+    table = [moves[k] for k in rows]
     out = []
     for col in level:
         children = ({}, {}, {})  # the columns 3p, 3p + 1, 3p + 2
@@ -243,6 +247,18 @@ def _level_step(level, weights, twist):
     return out
 
 
+@cache
+def _level_rows(code, site):
+    """The rows (a; m) of the level step of site, m the digits of the sites
+    before it, read off the site's route code: (kinds, rows), kinds the
+    distinct route bytes of the keys (a; m, x, 1..1), x = 1..3, and rows
+    each row's index in kinds, in key order."""
+    codes = code[:: len(code) // 3 ** (site + 1)]
+    rows = [*zip(codes[::3], codes[1::3], codes[2::3])]
+    kinds = sorted(set(rows))
+    return kinds, [kinds.index(row) for row in rows]
+
+
 def _require_rational(u):
     if not is_rational(u):
         raise TypeError(f"T(u) is walked at rational points only, not at u = {u!r}")
@@ -256,31 +272,22 @@ def swap_sign(pa, pb, between):
 
 
 @cache
-def _swap_signs(parity, sign):
-    """The signs of P_{0k} for a signature's parity and a sign rule, as
-    indices into a pair (x, -x), so every point shares them: swap[a][b][p]
-    for an auxiliary digit a, a site digit b != a and parity p of the sites
-    before site k, and stay[a] on a state with b == a."""
-    index = lambda pa, pb, p: (1 - sign(parity[pa], parity[pb], p)) // 2
-    swap = tuple(tuple(tuple(index(a, b, p) for p in (0, 1)) for b in range(3)) for a in range(3))
-    return swap, tuple(index(a, a, 0) for a in range(3))
-
-
-@cache
 def _route(sig, length, site, sign):
     """The route of R_{0,site} on auxiliary x (sites 1..length) under the
     sign rule sign, which no point changes: (code, delta). code holds one
     byte per key, 4 (3a + b) + k for the key's auxiliary digit a, its
     site digit b and the index k of its coefficient in a point's (gd + gn,
-    gd - gn, gn, -gn) (_point_weights): the stay sign index stay[a] if
-    b == a, else 2 + swap[a][b][parity of the sites before site].
+    gd - gn, gn, -gn) (_point_weights): for b == a the index of
+    sign(pa, pa, 0) in (1, -1), else 2 + that of sign(pa, pb, p), p the
+    parity of the sites before site and pa, pb the parities of a and b.
     delta[code] is (b - a)(3^length - 3^(length - site)), which turns a
-    key into its swap (a and b exchanged), 0 where b == a."""
-    swap, stay = _swap_signs(sig.parity, sign)
-    prefix = parity_table(sig, site - 1)
+    key into its swap (a and b exchanged), 0 where b == a. Every walk and
+    build reads a site's signs here, and nowhere else."""
+    par, prefix = sig.parity, parity_table(sig, site - 1)
     shift, place = 3**length, 3 ** (length - site)
+    flip = lambda pa, pb, p: (1 - sign(pa, pb, p)) // 2  # the index of the sign in (1, -1)
     digits = ((key // shift, key // place % 3, prefix[key % shift // (3 * place)]) for key in range(3 * shift))
-    code = bytes(4 * (3 * a + b) + (stay[a] if a == b else 2 + swap[a][b][p]) for a, b, p in digits)
+    code = bytes(4 * (3 * a + b) + (flip(par[a], par[a], 0) if a == b else 2 + flip(par[a], par[b], p)) for a, b, p in digits)
     return code, tuple((c // 4 % 3 - c // 12) * (shift - place) for c in range(36))
 
 
@@ -289,12 +296,10 @@ def _factor_skeleton(sig, c, factors):
     leftmost first, on auxiliary x (sites 1..L), L the number of site
     factors: (m, ("diag", m*d)) for a twist d, m the lcm of its
     denominators, and for R_{0k}(u, xi) (xi, head, cn xq, cd xq, cd xp),
-    head = ("site", k, parity table of the sites before site k, swap and
-    stay sign indices, _route) and c = cn/cd, xi = xp/xq. The signs are
-    read through swap_sign here, so a rule replaced before the skeleton is
-    built takes effect, with routes of its own."""
+    head = ("site", k, _route) and c = cn/cd, xi = xp/xq: the route holds
+    the site's signs, read through swap_sign here, so a rule replaced before
+    the skeleton is built takes effect, with routes of its own."""
     cn, cd = as_pair(c)
-    swap, stay = _swap_signs(sig.parity, swap_sign)
     length = sum(kind == "site" for kind, *_ in factors)
     out = []
     for kind, *payload in factors:
@@ -305,7 +310,7 @@ def _factor_skeleton(sig, c, factors):
         elif kind == "site":
             site, xi = payload
             xp, xq = as_pair(xi)
-            head = ("site", site, parity_table(sig, site - 1), swap, stay, _route(sig, length, site, swap_sign))
+            head = ("site", site, _route(sig, length, site, swap_sign))
             out.append((xi, head, cn * xq, cd * xq, cd * xp))
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
@@ -368,7 +373,7 @@ def _apply_factor(length, weights, state, keep=None):
     if weights[0] == "diag":
         shift, d = 3**length, weights[1]
         return {key: d[key // shift] * x for key, x in state.items() if keep is None or key // shift == keep}
-    _, _, _, _, _, (code, delta), coef, gd = weights
+    _, _, (code, delta), coef, gd = weights
     out, find = {}, state.get
     for key, x in state.items():
         c = code[key]

@@ -19,9 +19,14 @@ partition specs of a sum, once per AST, layout and specs (the key holds
 names and index tuples, never a value): for every split, the table entries,
 K blocks, unary reads and folded literals its coefficient reads. plan_value
 multiplies one split's reads with one PairTable.product. partition_sum,
-evaluate, eval_expr (compile, then evaluate) and the Bethe-vector builders
+eval_expr (compile, then evaluate) and the Bethe-vector builders
 (bethe._weight_plan) all read coefficients this way, so no AST is
-interpreted per split.
+interpreted per split; evaluate, a coefficient's text at a Binding, is
+eval_expr times its extras.
+
+compile_table compiles every table of terms the package ships (the action
+formulas, the composite partition classes): one object of named term
+lists, each through compile_terms.
 """
 
 from __future__ import annotations
@@ -317,10 +322,10 @@ def eval_expr(node, table, sets, unary=None):
 
 def evaluate(text: str, binding: Binding, extra=()):
     """text at binding, times the (num, den) pairs in extra, as one
-    rational; at an eps-shifted binding, its eps-limit (PoleAtZero or
-    PrecisionExhausted if it has none)."""
-    _, ((_, reads),) = compile_plan(parse(text), binding.layout)
-    return rat(*ratio(*plan_value(reads, binding.table, binding.unary, extra)))
+    rational (eval_expr times extra); at an eps-shifted binding, its
+    eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
+    value = eval_expr(parse(text), binding.table, binding.sets, binding.unary)
+    return rat(*ratio(*PairTable.product([value, *extra])))
 
 
 # --- partition enumeration ---------------------------------------------------
@@ -414,6 +419,15 @@ def compile_terms(raw, names, funcs, prefix=(), juxtaposed=False, pointer=""):
         target = _checked_target(term["target"], bound, at + "/target", juxtaposed)
         compiled.append((tuple(specs), coeff, target))
     return tuple(compiled)
+
+
+def compile_table(raw, names, funcs, prefix=(), juxtaposed=False):
+    """A JSON object {name: terms} compiled as {name: compile_terms(terms,
+    ...)}, each under the pointer /name; keys starting with "_" are
+    comments and skipped."""
+    if not isinstance(raw, dict):
+        raise SchemaError("a formula table is an object", "/")
+    return {name: compile_terms(terms, names, funcs, prefix, juxtaposed, "/" + name) for name, terms in raw.items() if not name.startswith("_")}
 
 
 def _checked_target(raw, bound, at, juxtaposed):

@@ -50,7 +50,9 @@ def test_annihilation_action_against_direct_matrices(site):
     assert lhs == action_rhs(site, "T21", (u,), (), z)
 
 
-@pytest.mark.parametrize("twist", [(1, 1, 1), (2, 1, -3)])
+# the last twist has d_2 != 1, so lam2(z) != 1 and the normalization
+# 1/lam2(z) of every action (action_norm) is read
+@pytest.mark.parametrize("twist", [(1, 1, 1), (2, 1, -3), (rat(3, 2), rat(5, 3), rat(-2, 7))])
 @pytest.mark.parametrize("length", [1, 2])
 def test_all_elements_grid(length, twist):
     smp = ParameterSampler(f"actions:{length}:{twist}", 1)

@@ -320,7 +320,7 @@ def _weight_values(weights):
     """Every number _apply_factor multiplies a state by."""
     if weights[0] == "diag":
         return weights[1]
-    _, _, _, _, _, _, coef, gd = weights
+    _, _, _, coef, gd = weights
     return [*coef, gd]
 
 

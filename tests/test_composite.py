@@ -236,7 +236,7 @@ def test_replay_classes_from_data_still_bite(split21, monkeypatch):
     c23 = raw["C23"][0]
     assert c23["coefficient"].endswith("/h(vi,z)")
     c23["coefficient"] = c23["coefficient"][: -len("/h(vi,z)")]
-    perturbed = {name: composite._composite_terms(terms, ("ubar", "vbar", "z")) for name, terms in raw.items() if name != "_comment"}
+    perturbed = composite._compile_classes(raw)
     monkeypatch.setattr(composite, "load_class_table", lambda: perturbed)
     report = action_decomposition_report(split21, us, vs, z)
     assert not report["cancellation_c23_c32"].is_zero()
@@ -276,7 +276,7 @@ def test_replay_c13_c24_c33_bite_at_2_2(split21, monkeypatch):
     c13 = raw["C13"][0]
     assert c13["coefficient"].endswith("*h(vi,z)*h(vi,ui))")
     c13["coefficient"] = c13["coefficient"][: -len("*h(vi,ui))")] + ")"
-    table = {name: composite._composite_terms(terms, ("ubar", "vbar", "z")) for name, terms in raw.items() if name != "_comment"}
+    table = composite._compile_classes(raw)
     names = {id(terms): name for name, terms in table.items()}
     for ab, broken in (((2, 2), True), ((1, 1), False)):
         report = action_decomposition_report(split21, *points[ab], z)

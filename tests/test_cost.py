@@ -97,11 +97,11 @@ FRACTION_PINNED = {
 
 
 # suite -> CompositeModel constructions of one run: each suite builds one
-# per split and lambda sign and hands it to every factorization check of
-# its campaigns (composite.composite_model); the coproduct check and the
-# creation actions build their own, and the sign probes of gl12 share the
-# suite's two models, one per lambda sign (gl12.resolve_sign)
-COMPOSITE_PINNED = {"composite": 3, "gl12": 2}
+# per split and lambda sign and hands it to every composite check it runs
+# (composite.composite_model), proof-replay to the replay at every (a,b),
+# and the sign probes of gl12 share the suite's two models, one per lambda
+# sign (gl12.resolve_sign)
+COMPOSITE_PINNED = {"composite": 1, "gl12": 2, "proof-replay": 1}
 
 
 @pytest.mark.parametrize("suite", sorted(COMPOSITE_PINNED))

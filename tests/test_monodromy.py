@@ -510,20 +510,25 @@ def test_models_of_one_shape_share_their_routes(monkeypatch, sig):
     """A route depends on the signature, the chain length, the site and the
     swap-sign rule only: two chains of one length, walked at different
     points, hold the same route object per site, one byte per key of
-    auxiliary x chain; a chain walked under a flipped rule holds its own."""
+    auxiliary x chain, and a build of T(u) after them computes no route of
+    its own; a chain walked under a flipped rule holds its own."""
     smp = ParameterSampler(f"shared-routes:{sig.name}", 1)
     length = 3
 
     def routes(model, u):
         model.apply_T(1, 2, u, model.omega())
         _, ((_, factors, last, _), _) = model._walk_weights(model.point_id(u))
-        return [data[5][0] for data in (*factors, last) if data[0] == "site"]
+        return [data[2][0] for data in (*factors, last) if data[0] == "site"]
 
     first, second = (chain(length, smp.generic(length), twist=smp.twist(), sig=sig) for _ in range(2))
     u, v = smp.generic(2, avoid=first.spec.xi + second.spec.xi)
     shared = routes(first, u)
     assert len(shared) == length and all(type(code) is bytes and len(code) == 3 ** (length + 1) for code in shared)
     assert all(a is b for a, b in zip(shared, routes(second, v)))
+    # a build of T(u) reads the same routes as the walks: it computes none
+    misses = monodromy._route.cache_info().misses
+    second.monodromy(u)
+    assert monodromy._route.cache_info().misses == misses
     monkeypatch.setattr(monodromy, "swap_sign", _FLIPPED_SWAP_SIGNS["between"])
     flipped = routes(chain(length, first.spec.xi, twist=first.spec.twist, sig=sig), u)
     assert all(a is not b for a, b in zip(shared, flipped))

@@ -35,7 +35,6 @@ ALLOWED = {
     "monodromy.Monodromy.entry": "bench/ reads T_ij(u) through Model.T",
     "monodromy.Model.monodromy_op": "bench/tracer.py probes it by name",
     "monodromy.Model.T": "bench/ reads every entry of T(u)",
-    "notation.eval_expr": "bench/tracer.py wraps it by name",
     # error paths and guards
     "errors.SchemaError.__init__": "raised on a malformed config or formula table",
     "graded.unpack": "reads a residual back only when it is nonzero",
