@@ -127,7 +127,7 @@ def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
         step = i, j, pid
         child = node[2].get(step)
         if child is None:
-            m, vec = model.apply_T_scaled(i, j, x, node[1], dual, pid)
+            m, vec = model.apply_T_scaled(i, j, x, node[1], pid)
             child = node[2][step] = m, vec, {}
         q *= child[0]
         node = child
@@ -195,7 +195,7 @@ def _partition_terms(model, us, vs, weight, ids=None):
     lam2 = [pair for _, pair in points]
     iu, iv = range(a), range(a, len(xs))
     names, left, right = ("vs,us", iv, iu) if model.sig == GL21 else ("us,vs", iu, iv)
-    base_n, base_d = table.product(table.cross(table.f, left, right) + [lam2[k] for k in iv])
+    base_n, base_d = table.product([table.f[i][j] for i in left for j in right] + [lam2[k] for k in iv])
     if is_zero(base_n):
         raise DivisionByZero(f"f({names}) vanishes (a pair at difference -c); parameters not generic")
     base, inverse = (base_d, base_n), [pair[::-1] for pair in lam2]
@@ -318,14 +318,14 @@ class PartialCache:
     """Memo for partial Bethe vectors keyed by (tag, key): key the index
     tuples of us and vs into the one Binding of a partition sum
     (notation.partition_sum gives them to its target), so a lookup hashes
-    ints only; without one, the parameter tuples themselves."""
+    ints only."""
 
     def __init__(self, builder):
         self.builder = builder
         self.store = {}
 
-    def get(self, tag, model, us, vs, key=None):
-        key = tag, key or (tuple(us), tuple(vs))
+    def get(self, tag, model, us, vs, key):
+        key = tag, key
         vec = self.store.get(key)
         if vec is None:
             vec = self.builder(model, us, vs)

@@ -40,7 +40,7 @@ from functools import partial
 from itertools import permutations, product
 
 from . import __version__
-from .actions import ELEMENTS, action_check, load_formula_table
+from .actions import ELEMENTS, action_check, action_norm, load_formula_table
 from .bethe import (
     build_dual_vector,
     build_vector,
@@ -135,6 +135,12 @@ def _list_at(obj, key, default, pointer):
     return value
 
 
+def _rats_at(obj, key, default, pointer):
+    """The list obj[key] (default if absent) as a tuple of rationals, each
+    element's pointer under pointer."""
+    return tuple(_rat_at(x, f"{pointer}/{i}") for i, x in enumerate(_list_at(obj, key, default, pointer)))
+
+
 def _signature_at(obj, key, default, pointer):
     name = obj.get(key, default)
     if not isinstance(name, str) or name not in SIGNATURES:
@@ -198,16 +204,14 @@ def parse_config(raw) -> RunConfig:
         length = ch["L"]
         if not _is_int(length) or length < 0 or length > max_len:
             raise SchemaError(f"L={length!r} outside 0..{max_len}", base + "/L")
-        xi_raw = _list_at(ch, "xi", [str(k) for k in range(length)], base + "/xi")
-        if len(xi_raw) != length:
+        xi = _rats_at(ch, "xi", [str(k) for k in range(length)], base + "/xi")
+        if len(xi) != length:
             raise SchemaError(f"need {length} inhomogeneities", base + "/xi")
-        xi = tuple(_rat_at(x, base + f"/xi/{i}") for i, x in enumerate(xi_raw))
         if len(set(xi)) != length:
             raise SchemaError("inhomogeneities must be pairwise distinct", base + "/xi")
-        twist_raw = _list_at(ch, "twist", ["1", "1", "1"], base + "/twist")
-        if len(twist_raw) != 3:
+        twist = _rats_at(ch, "twist", ["1", "1", "1"], base + "/twist")
+        if len(twist) != 3:
             raise SchemaError("twist needs three entries", base + "/twist")
-        twist = tuple(_rat_at(d, base + f"/twist/{i}") for i, d in enumerate(twist_raw))
         if any(is_zero(d) for d in twist):
             raise SchemaError("twist entries must be nonzero", base + "/twist")
         sig_name = _signature_at(ch, "signature", default_sig, base + "/signature")
@@ -232,12 +236,6 @@ def parse_config(raw) -> RunConfig:
             raise SchemaError(str(err), "/split") from None
         split = tuple(split)
 
-    def param_list(key):
-        if key not in raw:
-            return None
-        values = _list_at(raw, key, None, f"/{key}")
-        return tuple(_rat_at(x, f"/{key}/{i}") for i, x in enumerate(values))
-
     campaigns = _count_at(raw, "campaigns", 3)
     formula_file = raw.get("action_formula_file")
     if formula_file is not None:
@@ -249,7 +247,7 @@ def parse_config(raw) -> RunConfig:
             raise SchemaError(f"formula table {formula_file}, at {err.pointer}: {err.message}", "/action_formula_file") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise SchemaError(f"formula table {formula_file}: {err}", "/action_formula_file") from None
-    us, vs = param_list("u"), param_list("v")
+    us, vs = (_rats_at(raw, key, None, f"/{key}") if key in raw else None for key in ("u", "v"))
     _check_fixed_parameters(us or (), vs or (), chains, c)
 
     return RunConfig(
@@ -448,14 +446,12 @@ class _Runner:
         )
         vs = smp.generic(3)
         us = smp.generic(3, avoid=vs)
-        base = izergin(vs, us, c)
-        worst = 0
-        for pv in permutations(vs):
-            for pu in permutations(us):
-                d = K(pv, pu, c) - base
-                if not is_zero(d):
-                    worst = d
-        yield "izergin permutation invariance n=3", {"v": vs, "u": us}, lambda: worst
+
+        def invariance():
+            base = izergin(vs, us, c)
+            return tuple(K(pv, pu, c) - base for pv in permutations(vs) for pu in permutations(us))
+
+        yield "izergin permutation invariance n=3", {"v": vs, "u": us}, invariance
         for k in range(5):
             u, v, z = smp.generic(3)
             yield f"three-term identity (draw {k})", {"u": u, "v": v, "z": z}, lambda: three_term_witness(u, v, z, c)
@@ -529,7 +525,7 @@ class _Runner:
             yield (
                 f"chain {ci} coincidence limit equals normalized T13 action",
                 {"z": z},
-                lambda: build_vector_limit(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega(), 1 / m.lam(2, z))),
+                lambda: build_vector_limit(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega(), action_norm(m, (), z))),
             )
 
     def suite_actions(self, smp):

@@ -55,6 +55,20 @@ materialized test oracles build) are kept as given over den 1, and the
 same arithmetic runs on them. accumulate folds every vector sum, add and
 sub as well as the partition sums: it adds n/d times an int vector to one
 int dict over one denominator.
+
+Only the kernels that the benchmark's workloads run hot are hand-tuned.
+In a warm round at seed 1 (verify-full, operator-identities,
+bethe-vectors) packed_products runs 6,150, 10,794 and 0 times, one pass
+with nine unrolled accumulators each; accumulate 2,541, 60 and 2,331,
+rescaling only when a denominator does not divide the running one;
+linear_combination 58, 152 and 0 (R(u,v), the Yang-Baxter and coproduct
+sums) and koszul_tensor 27, 108 and 0 (the coproduct's entry products),
+each writing its output entries in place in one pass. apply_dual runs in
+no round; it keeps its loop as the tests' oracle of T(u) on bras, which
+apply it to every basis bra. The rest is written plainly: column_product
+(0, 180 and 0, all from the benchmark's own unitarity compose, plus 558
+once per process for the Yang-Baxter permutation products),
+DualGradedVector.pair and clear_denominators, which only the tests call.
 """
 
 from __future__ import annotations
@@ -253,13 +267,8 @@ class DualGradedVector(GradedVector):
 
     def pair(self, vec: GradedVector):
         _check_pair(self, vec)
-        acc = 0
-        small, big = (self.num, vec.num) if len(self.num) < len(vec.num) else (vec.num, self.num)
-        for k, v in small.items():
-            w = big.get(k)
-            if w is not None:
-                acc = acc + v * w
-        return _over(acc, self.den * vec.den)
+        num = vec.num
+        return _over(sum(x * num[k] for k, x in self.num.items() if k in num), self.den * vec.den)
 
 
 def accumulate(acc, den, n, d, num):
@@ -291,16 +300,9 @@ def column_product(cols, column):
     zero entry. Composition and application multiply through here."""
     out = {}
     for k, x in column.items():
-        colmap = cols.get(k)
-        if not colmap:
-            continue
-        for r, av in colmap.items():
-            s = out.get(r, 0) + av * x
-            if s:
-                out[r] = s
-            elif r in out:
-                del out[r]
-    return out
+        for r, av in cols.get(k, {}).items():
+            out[r] = out.get(r, 0) + av * x
+    return {r: s for r, s in out.items() if s}
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +563,7 @@ def koszul_tensor(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 def clear_denominators(op: GradedOperator):
     """(n, n*op), n the positive lcm of the entry denominators, so that n*op
     has plain int entries. Entries may be int or Fraction."""
-    n = 1
-    for colmap in op.cols.values():
-        for v in colmap.values():
-            d = v.denominator
-            if n % d:
-                n = lcm(n, d)
+    n = lcm(*(v.denominator for colmap in op.cols.values() for v in colmap.values()))
     cols = {
         c: {r: v.numerator * (n // v.denominator) for r, v in colmap.items()}
         for c, colmap in op.cols.items()

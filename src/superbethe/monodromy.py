@@ -65,11 +65,14 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
-  T_ij(u) to a sparse ket or bra without building any operator, walking
-  the lifted numerators of the vector (num, over its den; Model._walk) on
-  ints through one _apply_factor per factor, and returning
-  (m, m*T_ij(u)*vec) as an int vector, den folded into m; the extraction
-  sign is one factor of the walk's twist scalar. A site factor is walked
+  T_ij(u) to a sparse ket or bra without building any operator. A walk's
+  side is its vector's type: a DualGradedVector is a bra, which T_ij(u)
+  acts on from the right, as GradedOperator.apply_dual does. The walk
+  takes the lifted numerators of the vector (num, over its den;
+  Model._walk) on ints through one _apply_factor per factor and returns
+  (m, m*T_ij(u)*vec), resp. (m, m*vec*T_ij(u)), as an int vector, den
+  folded into m; the extraction sign is one factor of the walk's twist
+  scalar. A site factor is walked
   through its route (_route), which no point changes: one byte per key of
   auxiliary x chain naming the key's auxiliary and site digits and the
   index of its coefficient among the point's gd + gn, gd - gn, gn, -gn,
@@ -544,7 +547,8 @@ class Model:
         return self.monodromy(u).entry(i, j)
 
     def apply_T(self, i, j, u, vec: GradedVector, factor=1) -> GradedVector:
-        """factor * T_ij(u) . vec, equal to T(i, j, u).apply(vec) scaled by
+        """factor * T_ij(u) . vec on a ket, factor * vec . T_ij(u) on a bra,
+        equal to T(i, j, u).apply(vec), resp. apply_dual(vec), scaled by
         factor, matrix-free; the walk's 1/m is folded into factor, so the
         result is scaled once, on its numerators for a rational factor."""
         m, out = self.apply_T_scaled(i, j, u, vec)
@@ -562,14 +566,14 @@ class Model:
             self.points.append((pair, ratio(*self.lam_pair(2, u))))
         return pid
 
-    def apply_T_scaled(self, i, j, u, vec, dual=False, pid=None):
-        """(m, m*T_ij(u) . vec), or with dual (m, m*vec . T_ij(u)), at a
-        rational u, whose point id pid is looked up unless the caller holds
+    def apply_T_scaled(self, i, j, u, vec, pid=None):
+        """(m, m*T_ij(u) . vec) for a ket, (m, m*vec . T_ij(u)) for a bra, at
+        a rational u, whose point id pid is looked up unless the caller holds
         it. The walk takes the numerators of vec, num with vec = num/den, and
         the integer multiples of the factors, with M the product of their
         multipliers, so that only ints are multiplied; then m = M*den."""
         m, orders = self._walk_weights(self.point_id(u) if pid is None else pid)
-        return m * vec.den, self._walk(i, j, vec, orders, dual)
+        return m * vec.den, self._walk(i, j, vec, orders)
 
     def _walk_weights(self, pid):
         """The walk data (M, _walk_orders) of the whole factor sequence at
@@ -583,19 +587,21 @@ class Model:
             hit = self._weights[pid] = m, _walk_orders(weights)
         return hit
 
-    def _walk(self, i, j, vec, orders, dual=False):
-        """T_ij . num, or with dual num . T_ij, for the _walk_orders of the
-        factor data of some point and the numerators num of vec (its den is
-        the caller's to take): num is lifted to auxiliary index j (i),
-        the factors are applied rightmost (leftmost) first, one
-        _apply_factor each, a site factor through its route, and the state
-        is projected onto auxiliary index i (j). The extraction sign is one
-        constant (extraction_sign), so it joins the twist scalar d. Nothing
-        is computed that the projection would drop: a twist first in the
-        order (head) meets only the lifted index and one last (tail) only
-        the projected one, so each is the scalar of its entry there, and the
-        last factor walked keeps only its outputs on the projected index."""
+    def _walk(self, i, j, vec, orders):
+        """T_ij . num for a ket vec, num . T_ij for a bra (a
+        DualGradedVector), for the _walk_orders of the factor data of some
+        point and the numerators num of vec (its den is the caller's to
+        take): num is lifted to auxiliary index j (i), the factors are
+        applied rightmost (leftmost) first, one _apply_factor each, a site
+        factor through its route, and the state is projected onto auxiliary
+        index i (j). The extraction sign is one constant (extraction_sign),
+        so it joins the twist scalar d. Nothing is computed that the
+        projection would drop: a twist first in the order (head) meets only
+        the lifted index and one last (tail) only the projected one, so each
+        is the scalar of its entry there, and the last factor walked keeps
+        only its outputs on the projected index."""
         _check_pair(self, vec)
+        dual = isinstance(vec, DualGradedVector)
         start, end = (i, j) if dual else (j, i)
         head, factors, last, tail = orders[dual]
         d = _sign_table(self.sig.parity)[1][i][j]
@@ -852,7 +858,7 @@ def vacuum_residuals(model, u):
     omega, dual = model.omega(), model.omega_dual()
     out = []
     for i in range(1, 4):
-        (m, ket), (_, bra) = (model.apply_T_scaled(i, i, u, vec, vec is dual, pid) for vec in (omega, dual))
+        (m, ket), (_, bra) = (model.apply_T_scaled(i, i, u, vec, pid) for vec in (omega, dual))
         lam = model.lam(i, u) * m
         out.append((f"T{i}{i} ket eigenvalue", ket.sub(omega.scale(lam)).is_zero()))
         out.append((f"T{i}{i} bra eigenvalue", bra.sub(dual.scale(lam)).is_zero()))
@@ -860,5 +866,5 @@ def vacuum_residuals(model, u):
         if i > j:
             out.append((f"T{i}{j} annihilates ket", model.apply_T_scaled(i, j, u, omega, pid=pid)[1].is_zero()))
         elif i < j:
-            out.append((f"T{i}{j} annihilates bra", model.apply_T_scaled(i, j, u, dual, True, pid)[1].is_zero()))
+            out.append((f"T{i}{j} annihilates bra", model.apply_T_scaled(i, j, u, dual, pid=pid)[1].is_zero()))
     return out

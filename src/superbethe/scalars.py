@@ -420,10 +420,6 @@ class PairTable:
             return num, den
         return series[0] * num, series[1] * den
 
-    def cross(self, table, left, right):
-        """The entries table[i][j], i in left and j in right, as a list."""
-        return [table[i][j] for i in left for j in right]
-
     def izergin(self, vs, us):
         """K_n(x_vs | x_us) as (num, den), vs and us index tuples.
 

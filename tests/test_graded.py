@@ -337,6 +337,11 @@ def test_dual_pairing_and_tensor():
     assert tv.entries == {encode((1, 2)): rat(2), encode((3, 2)): rat(3)}
     d = DualGradedVector(GL21, 1, {2: rat(5)})
     assert d.pair(v) == 15
+    # both denominators above 1 (6 and 20): the pairing divides by their product
+    d = DualGradedVector(GL21, 1, {0: rat(1, 2), 2: rat(5, 3)})
+    x = GradedVector(GL21, 1, {0: rat(3, 4), 1: rat(7), 2: rat(2, 5)})
+    assert (d.den, x.den) == (6, 20)
+    assert d.pair(x) == rat(25, 24)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def _assert_actions_match(model, u, ket, bra):
         for j in range(1, 4):
             entry = mono.entry(i, j)
             assert model.apply_T(i, j, u, ket) == entry.apply(ket), (i, j)
-            m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
+            m, scaled = model.apply_T_scaled(i, j, u, bra)
             assert scaled == entry.apply_dual(bra).scale(m), (i, j)
 
 
@@ -324,6 +324,20 @@ def test_apply_T_on_two_twist_composite(sig):
     _assert_actions_match(total, u, ket, bra)
 
 
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_apply_T_acts_on_bras_from_the_left(sig):
+    """The walk reads its side off the vector: on a bra, Model.apply_T is
+    bra . T_ij(u), as T(i, j, u).apply_dual gives it, for all nine entries
+    and every basis bra of an L=2 chain."""
+    m = chain(2, (0, rat(1, 3)), twist=(2, rat(3, 2), -1), sig=sig)
+    u = rat(5, 7)
+    for i, j in product(range(1, 4), repeat=2):
+        entry = m.T(i, j, u)
+        for digits in product(range(1, 4), repeat=2):
+            bra = DualGradedVector.basis(sig, digits)
+            assert m.apply_T(i, j, u, bra) == entry.apply_dual(bra), (i, j, digits)
+
+
 def test_walk_refuses_an_eps_shifted_point():
     """T(u) is walked at rational points only: eps-limits are taken of
     scalar coefficients, so no operator or vector holds an EpsScalar."""
@@ -334,7 +348,7 @@ def test_walk_refuses_an_eps_shifted_point():
     with pytest.raises(TypeError, match="rational points only"):
         m.apply_T(1, 3, u, m.omega())
     with pytest.raises(TypeError, match="rational points only"):
-        m.apply_T_scaled(3, 1, u, m.omega_dual(), dual=True)
+        m.apply_T_scaled(3, 1, u, m.omega_dual())
 
 
 def test_apply_T_on_inhomogeneity():
@@ -342,7 +356,7 @@ def test_apply_T_on_inhomogeneity():
     with pytest.raises(DivisionByZero):
         m.apply_T(1, 1, 1, m.omega())
     with pytest.raises(DivisionByZero):
-        m.apply_T_scaled(1, 1, 0, m.omega_dual(), dual=True)
+        m.apply_T_scaled(1, 1, 0, m.omega_dual())
 
 
 def test_vector_side_never_materializes_T(monkeypatch):
@@ -473,7 +487,7 @@ def _assert_walk_is_built_block(model, u, bras=True):
             m, scaled = model.apply_T_scaled(i, j, u, ket)
             assert scaled == block.apply(ket).scale(m), (key, i, j)
             if bras:
-                m, scaled = model.apply_T_scaled(i, j, u, bra, dual=True)
+                m, scaled = model.apply_T_scaled(i, j, u, bra)
                 assert scaled == block.apply_dual(bra).scale(m), (key, i, j)
 
 
