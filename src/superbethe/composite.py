@@ -5,8 +5,10 @@ A SplitChain glues two sub-chains; its total, a CompositeModel, is the one
 monodromy.Model over the parts (part1, part2): the auxiliary-space matrix
 product of the part monodromies, realized as the factor tuple (twist2,
 part-2 R's, twist1, part-1 R's), with each lam_i the product of the parts'
-lam_i. compose_monodromy independently re-assembles every total entry as
-the coproduct sum of graded tensor products of separately built partial
+lam_i (Izergin-Korepin), which the suites check against the total's own
+T(u) with the vacuum axioms (monodromy.vacuum_residuals).
+compose_monodromy independently re-assembles every total entry as the
+coproduct sum of graded tensor products of separately built partial
 entries, which must agree exactly.
 
 Juxtapositions of partial vectors follow the graded product: a part-2 ket
@@ -32,9 +34,9 @@ raises; the total vector and the live splits still do.
 
 Every composite check (and gl12's) takes a SplitChain, which gets a fresh
 CompositeModel, or a suite's CompositeModel, and gets its total one way,
-through composite_model. A suite builds its model once per split and
-lambda sign: its checks share its point records, walk data, skeleton,
-tries and coefficient lists, which B and C share too.
+through composite_model. A suite builds its model once per split: its
+checks share its point records, walk data, skeleton, tries and coefficient
+lists, which B and C share too.
 """
 
 from __future__ import annotations
@@ -80,27 +82,18 @@ class SplitChain:
 class CompositeModel(Model):
     """Total realization of a split chain, the Model over (part1, part2);
     part 1 occupies the first sites, and part1 and part2 are the parts'
-    ChainModels.
+    ChainModels."""
 
-    lambda_sign scales every total vacuum eigenvalue (+1 plain product, -1 the
-    alternative normalization probed for the gl(1|2) composite convention).
-    """
-
-    def __init__(self, split: SplitChain, lambda_sign=1):
-        super().__init__((split.part1, split.part2), lambda_sign)
+    def __init__(self, split: SplitChain):
+        super().__init__((split.part1, split.part2))
         self.split = split
         self.part1, self.part2 = ChainModel(split.part1), ChainModel(split.part2)
 
 
-def composite_model(split, lambda_sign=1) -> CompositeModel:
+def composite_model(split) -> CompositeModel:
     """The total of a factorization check: a fresh CompositeModel of a
-    SplitChain, or split itself if it is a CompositeModel, whose lambda_sign
-    must be the one asked for."""
-    if not isinstance(split, CompositeModel):
-        return CompositeModel(split, lambda_sign)
-    if split.lambda_sign != lambda_sign:
-        raise ValueError(f"the model has lambda_sign {split.lambda_sign}, the check asks for {lambda_sign}")
-    return split
+    SplitChain, or split itself if it is a CompositeModel."""
+    return split if isinstance(split, CompositeModel) else CompositeModel(split)
 
 
 def coproduct_entries(total: CompositeModel, u) -> Monodromy:

@@ -21,9 +21,11 @@ ChainSpec parts that share sig and c: its factor tuple (Model.factors)
 holds, for each part from last to first, the part's twist and then its
 sites in descending order, each site offset by the lengths of the parts
 before it, and lam_i(u) is the product of the parts' lam_i(u)
-(Model.lam_pair). A composite's factors interleave two diagonal twists
-between the site blocks, which no single-twist chain reproduces (a twist
-does not commute past the other part's R factors).
+(Model.lam_pair), stated and not fitted: vacuum_residuals checks it
+against the walk on a composite as on a chain. A composite's factors
+interleave two diagonal twists between the site blocks, which no
+single-twist chain reproduces (a twist does not commute past the other
+part's R factors).
 
 One walk engine for T(u). Each R_{0k} = I + g(u, xi_k) P_{0k} sends a basis
 state to itself plus the state with the auxiliary and site-k digits swapped,
@@ -471,13 +473,14 @@ class Model:
     """The realization of a tuple of ChainSpec parts that share sig and c:
     one part for a chain (ChainModel), (part1, part2) for a composite
     (composite.CompositeModel). Its T(u) is the product of the parts'
-    monodromies, their factors in one tuple (factors), and lambda_sign
-    scales every vacuum eigenvalue; lam and r are quotients of lam_pair, at
-    a rational or an eps-shifted u alike.
+    monodromies, their factors in one tuple (factors), and each vacuum
+    eigenvalue is the product of the parts' (Izergin-Korepin), which the
+    vacuum axioms check against the walk; lam and r are quotients of
+    lam_pair, at a rational or an eps-shifted u alike.
     """
 
-    def __init__(self, parts, lambda_sign=1):
-        self.parts, self.lambda_sign = parts, lambda_sign
+    def __init__(self, parts):
+        self.parts = parts
         self.sig, self.c = parts[0].sig, parts[0].c
         self.arity = sum(part.length for part in parts)
         # ("diag", twist) and ("site", k, xi_k), leftmost first: each part
@@ -512,12 +515,12 @@ class Model:
     def lam_pair(self, i, u):
         """lam_i(u) as (num, den), not necessarily in lowest terms: ints with
         den != 0 at a rational u = up/uq (as_pair); at an eps-shifted u (up
-        the series, uq = 1), series wherever u enters. It is lambda_sign
-        times each part's twist d_i, times prod_k f(u, xi_k) over the part's
-        sites for i = 1, read from the parts, not from factors. With c =
-        cn/cd and xi_k = xp/xq, f(u, xi_k) = (e + cn uq xq)/e for e =
-        cd (up xq - xp uq)."""
-        num, den = self.lambda_sign, 1
+        the series, uq = 1), series wherever u enters. It is the product
+        over the parts of each part's twist d_i, times prod_k f(u, xi_k)
+        over the part's sites for i = 1, read from the parts, not from
+        factors. With c = cn/cd and xi_k = xp/xq, f(u, xi_k) = (e + cn uq
+        xq)/e for e = cd (up xq - xp uq)."""
+        num, den = 1, 1
         for part in self.parts:
             dn, dd = as_pair(part.twist[i - 1])
             num, den = num * dn, den * dd
@@ -853,15 +856,15 @@ def vacuum_residuals(model, u):
     (Model.apply_T_scaled) on the model's walk data at u, each giving M
     times the entry's action, so the eigenvalue lam_i(u), which
     Model.lam_pair reads off the parts and not off the factors, is scaled
-    by M as well. No entry of T(u) is materialized."""
+    by M as well, on its int pair. No entry of T(u) is materialized."""
     pid = model.point_id(u)
     omega, dual = model.omega(), model.omega_dual()
     out = []
     for i in range(1, 4):
         (m, ket), (_, bra) = (model.apply_T_scaled(i, i, u, vec, pid) for vec in (omega, dual))
-        lam = model.lam(i, u) * m
-        out.append((f"T{i}{i} ket eigenvalue", ket.sub(omega.scale(lam)).is_zero()))
-        out.append((f"T{i}{i} bra eigenvalue", bra.sub(dual.scale(lam)).is_zero()))
+        num, den = model.lam_pair(i, u)
+        out.append((f"T{i}{i} ket eigenvalue", ket.sub(omega.scale(num * m, den)).is_zero()))
+        out.append((f"T{i}{i} bra eigenvalue", bra.sub(dual.scale(num * m, den)).is_zero()))
     for i, j in product(range(1, 4), repeat=2):
         if i > j:
             out.append((f"T{i}{j} annihilates ket", model.apply_T_scaled(i, j, u, omega, pid=pid)[1].is_zero()))

@@ -27,7 +27,9 @@ that Binding's one pair table at the split's index tuples. The sampler's
 genericity test by rational subtraction, for checking
 ParameterSampler.generic, which tests the cleared int pairs. One packed
 operator applied to a sparse column at a time (packed_product), for
-checking graded.packed_products, which applies nine in one pass.
+checking graded.packed_products, which applies nine in one pass. A
+composite whose stated vacuum eigenvalues are negated (NegatedComposite),
+the control that the composite's eigenvalues are checked and not fitted.
 """
 
 from itertools import combinations, product
@@ -35,7 +37,7 @@ from math import comb, gcd, prod
 
 from superbethe import bethe, gl12, monodromy
 from superbethe.actions import action_binding, load_formula_table
-from superbethe.composite import SplitChain, load_class_table, ratio_funcs
+from superbethe.composite import CompositeModel, SplitChain, load_class_table, ratio_funcs
 from superbethe.errors import DivisionByZero
 from superbethe.graded import GL21, GradedOperator, clear_denominators, embed, parity_table, r_matrix
 from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
@@ -214,6 +216,16 @@ def perturb_at(monkeypatch, point, delta=1):
         return n, GradedOperator(op.sig, op.arity, cols)
 
     monkeypatch.setattr(monodromy, "build_cleared_product", perturbed)
+
+
+class NegatedComposite(CompositeModel):
+    """A composite that states -lam_i(u), the parts' product negated, while
+    its T(u) is the honest one: its T_ii eigenvalue axioms and its
+    factorizations must fail."""
+
+    def lam_pair(self, i, u):
+        num, den = super().lam_pair(i, u)
+        return -num, den
 
 
 # element -> (i, j) for the symmetrized odd products; tilde names belong to

@@ -10,9 +10,11 @@ import os
 import time
 from itertools import permutations, product
 
+from oracles import NegatedComposite
 from superbethe.actions import ELEMENTS, action_check, load_formula_table
 from superbethe.bethe import build_dual_vector, build_vector, grading_of
 from superbethe.composite import (
+    CompositeModel,
     SplitChain,
     action_decomposition_report,
     check_bethe_factorization,
@@ -20,11 +22,7 @@ from superbethe.composite import (
     check_factor_exchange,
     check_recursion,
 )
-from superbethe.gl12 import (
-    check_tilde_dual_factorization,
-    check_tilde_factorization,
-    resolve_sign,
-)
+from superbethe.gl12 import check_tilde_dual_factorization, check_tilde_factorization
 from superbethe.graded import (
     GL12,
     GL21,
@@ -228,22 +226,24 @@ def test_criterion_11_gl12_composite():
         ),
     }
     smp = ParameterSampler("acc11", 1)
-    xi = splits["1+1"].part1.xi + splits["1+1"].part2.xi
-    signs = set()
-    for _ in range(5):
-        ps = smp.generic(2, avoid=xi)
-        signs.add(resolve_sign(splits["1+1"], ps[:1], ps[1:]))
-    assert len(signs) == 1
-    sign = signs.pop()
     for split in splits.values():
         xi = split.part1.xi + split.part2.xi
+        # the composite's eigenvalues, the parts' products, agree with its
+        # T(u); stated negated, they fail the six T_ii eigenvalue axioms
+        total, negated = CompositeModel(split), NegatedComposite(split)
+        for u in smp.generic(5, avoid=xi):
+            assert all(ok for _, ok in vacuum_residuals(total, u)), u
+            assert sum(not ok for _, ok in vacuum_residuals(negated, u)) == 6, u
         drawn = smp.generic(4, avoid=xi)
         for a in range(3):
             for b in range(3):
                 us, vs = drawn[:a], drawn[2 : 2 + b]
-                assert check_tilde_factorization(split, us, vs, sign=sign).is_zero(), (a, b)
-                assert check_tilde_dual_factorization(split, us, vs, sign=sign).is_zero(), (a, b)
-    _stamp(11, f"gl(1|2): stable normalization sign {sign:+d}; both factorizations, a,b<=2", t0)
+                assert check_tilde_factorization(total, us, vs).is_zero(), (a, b)
+                assert check_tilde_dual_factorization(total, us, vs).is_zero(), (a, b)
+        us, vs = drawn[:1], drawn[2:3]
+        assert not check_tilde_factorization(negated, us, vs).is_zero()
+        assert not check_tilde_dual_factorization(negated, us, vs).is_zero()
+    _stamp(11, "gl(1|2): composite vacuum eigenvalues are the parts' products; both factorizations, a,b<=2", t0)
 
 
 def test_criterion_12_gradation_and_factor_exchange():

@@ -220,6 +220,32 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: "), captured.err
+    return captured.out
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    """A config path that names no file, or a directory, is one error line."""
+    assert main(["verify", "--config", str(tmp_path / "nonexistent.json")]) == 2
+    assert _one_error_line(capsys) == ""
+    assert main(["verify", "--config", str(tmp_path)]) == 2
+    assert _one_error_line(capsys) == ""
+
+
+def test_unwritable_report_exits_2_after_the_run(tmp_path, capsys):
+    """A report path in a missing directory is one error line, after the
+    whole run, for report --out and verify --report alike."""
+    cfg = write_config(tmp_path, {"suites": ["scalar"], "chains": []})
+    out_path = str(tmp_path / "missing_dir" / "r.json")
+    assert main(["report", "--config", cfg, "--out", out_path]) == 2
+    assert _one_error_line(capsys) == ""
+    assert main(["verify", "--config", cfg, "--report", out_path]) == 2
+    assert "checks with exactly-zero residual" in _one_error_line(capsys)
+    assert not os.path.exists(os.path.dirname(out_path))
+
+
 FULL_REPORT = os.path.join(os.path.dirname(__file__), "data", "full_report.json")
 
 
@@ -227,7 +253,8 @@ def test_shipped_full_config_runs_green():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "full.json")
     report = run_suites(load_config(path))
     assert report.records and report.all_zero()
-    assert report.sign_convention == 1
+    vacuum = [r.suite for r in report.records if r.name == "composite vacuum axioms"]
+    assert vacuum == ["composite", "gl12"]
     # the report bytes, runtime and environment aside, are pinned; the same
     # file must come out on every supported Python
     data = report.to_json()
@@ -245,8 +272,7 @@ def test_parameters_are_comma_joined_rationals():
     cfg = parse_config({"suites": ["scalar", "recursion"], "campaigns": 1, "chains": [{"L": 1, "xi": ["0"]}]})
     with open(FULL_REPORT) as fh:
         checks = run_suites(cfg).to_json()["checks"] + json.load(fh)["checks"]
-    # the gl12 probe's "signs" is a list of +-1 and keeps its list form
-    values = [v for check in checks for k, v in check["parameters"].items() if k != "signs"]
+    values = [v for check in checks for v in check["parameters"].values()]
     assert any("," in v for v in values) and "" in values
     assert [v for v in values if not P_Q_LIST.match(v)] == []
 
@@ -257,14 +283,18 @@ def test_emit_report_stable_shape(tmp_path):
     path = tmp_path / "r.json"
     emit_report(report, str(path))
     data = json.loads(path.read_text())
-    assert set(data) == {"checks", "environment", "sign_convention"}
+    assert set(data) == {"checks", "environment"}
     assert all(
         set(c) == {"suite", "name", "parameters", "residual_is_zero", "residual_sample", "runtime"}
         for c in data["checks"]
     )
 
 
-def test_replay_and_sign_probes_are_timed(monkeypatch):
+def test_replay_and_vacuum_records_are_timed(monkeypatch):
+    """The replay and the composite vacuum axioms run inside the thunks of
+    their records: the first replay record of each (a,b) carries the
+    replay's time, and each vacuum record the time of its points' axioms,
+    one point in the composite suite and five (u, v) pairs in gl12."""
     import time
 
     from superbethe import cli
@@ -277,16 +307,33 @@ def test_replay_and_sign_probes_are_timed(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "action_decomposition_report", slow(cli.action_decomposition_report, 0.05))
-    monkeypatch.setattr(cli, "resolve_sign", slow(cli.resolve_sign, 0.01))
+    monkeypatch.setattr(cli, "vacuum_residuals", slow(cli.vacuum_residuals, 0.01))
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
-    report = run_suites(load_config(path), only={"proof-replay", "gl12"})
+    report = run_suites(load_config(path), only={"proof-replay", "composite", "gl12"})
     assert report.all_zero()
     replay = [r for r in report.records if r.suite == "proof-replay"]
     firsts = [r for r in replay if r.name.endswith("class_sum_vs_extended_vector")]
     assert len(firsts) == 4 and all(r.runtime >= 0.05 for r in firsts)
-    (probe,) = [r for r in report.records if r.name == "normalization sign stable across 5 probes"]
-    assert probe.runtime >= 0.05
-    assert probe.parameters == {"signs": "[1, 1, 1, 1, 1]"}
+    vacuum = {r.suite: r for r in report.records if r.name == "composite vacuum axioms"}
+    assert vacuum["composite"].runtime >= 0.01 and len(vacuum["composite"].parameters["u"].split(",")) == 1
+    assert vacuum["gl12"].runtime >= 0.1
+    assert [len(vacuum["gl12"].parameters[k].split(",")) for k in ("u", "v")] == [5, 5]
+
+
+def test_negated_composite_eigenvalues_fail_the_vacuum_records(monkeypatch):
+    """With a composite that states its eigenvalues negated in place of the
+    suites' model, the composite vacuum axioms record of the composite and
+    the gl12 suite fails, naming the T11 ket eigenvalue first."""
+    from oracles import NegatedComposite
+    from superbethe import cli
+
+    monkeypatch.setattr(cli, "CompositeModel", NegatedComposite)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
+    report = run_suites(load_config(path), only={"composite", "gl12"})
+    vacuum = {r.suite: r for r in report.records if r.name == "composite vacuum axioms"}
+    assert sorted(vacuum) == ["composite", "gl12"]
+    for record in vacuum.values():
+        assert not record.residual_is_zero and record.residual_sample.startswith("T11 ket eigenvalue")
 
 
 def test_vacuum_and_exchange_failures_are_located(monkeypatch):

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from oracles import NegatedComposite
 from superbethe import composite
 from superbethe.bethe import build_dual_vector, build_vector
 from superbethe.composite import (
@@ -20,7 +21,7 @@ from superbethe.composite import (
 )
 from superbethe.errors import SignatureMismatch
 from superbethe.graded import GL12, GL21, GradedVector, vector_tensor
-from superbethe.monodromy import ChainModel, ChainSpec
+from superbethe.monodromy import ChainModel, ChainSpec, vacuum_residuals
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 from superbethe.scalars import f, is_zero
@@ -66,6 +67,23 @@ def test_total_vacuum_eigenvalue_is_product():
         assert total.r(i, u) == total.part1.r(i, u) * total.part2.r(i, u)
 
 
+EIGENVALUE_AXIOMS = [f"T{i}{i} {side} eigenvalue" for i in (1, 2, 3) for side in ("ket", "bra")]
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_composite_eigenvalues_are_the_parts_products(sig):
+    """The composite states lam_i = lam_i^(1) lam_i^(2), and its own T(u)
+    agrees: every vacuum axiom holds. Stated negated, the eigenvalues fail
+    exactly the six T_ii eigenvalue axioms, on kets and bras."""
+    sp = SplitChain(cs(2, (0, rat(1, 3)), (2, 1, 3), sig), cs(1, (1,), (1, 2, -1), sig))
+    total, negated = CompositeModel(sp), NegatedComposite(sp)
+    for u in ParameterSampler(f"composite-vacuum:{sig.name}", 1).generic(3, avoid=sp.part1.xi + sp.part2.xi):
+        for i in (1, 2, 3):
+            assert total.lam(i, u) == total.part1.lam(i, u) * total.part2.lam(i, u), (i, u)
+        assert all(ok for _, ok in vacuum_residuals(total, u)), u
+        assert [name for name, ok in vacuum_residuals(negated, u) if not ok] == EIGENVALUE_AXIOMS, u
+
+
 def test_factorization_smallest_cases(split21):
     total = CompositeModel(split21)
     m1, m2 = total.part1, total.part2
@@ -107,8 +125,12 @@ def test_factorization_grid_on_2_plus_2():
                 for split in (sp, total):
                     assert check_bethe_factorization(split, us, vs).is_zero(), (a, b)
                     assert check_dual_bethe_factorization(split, us, vs).is_zero(), (a, b)
-    with pytest.raises(ValueError):
-        check_bethe_factorization(CompositeModel(sp, lambda_sign=-1), drawn[:1], drawn[2:3])
+    # a composite that states its eigenvalues negated fails both
+    negated = NegatedComposite(sp)
+    for a, b in ((1, 1), (2, 1)):
+        us, vs = drawn[:a], drawn[2 : 2 + b]
+        assert not check_bethe_factorization(negated, us, vs).is_zero(), (a, b)
+        assert not check_dual_bethe_factorization(negated, us, vs).is_zero(), (a, b)
 
 
 def test_degenerate_empty_part(split21):

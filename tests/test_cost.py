@@ -85,23 +85,23 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # the sum's one Binding, and a term whose vector is zero by weight reads no
 # coefficient (so no ratio function) and builds no partial; vectors are int
 # numerators over one int denominator, so their sums, scalings and tensor
-# products make no Fraction
+# products make no Fraction, and the vacuum axioms scale Omega by the int
+# pair of lam_i (Model.lam_pair)
 FRACTION_PINNED = {
-    "bethe": (63, 6),
+    "bethe": (30, 6),
     "actions": (220, 204),
     "recursion": (22, 9),
-    "composite": (56, 27),
-    "gl12": (48, 28),
+    "composite": (43, 27),
+    "gl12": (28, 28),
     "proof-replay": (119, 50),
 }
 
 
 # suite -> CompositeModel constructions of one run: each suite builds one
-# per split and lambda sign and hands it to every composite check it runs
-# (composite.composite_model), proof-replay to the replay at every (a,b),
-# and the sign probes of gl12 share the suite's two models, one per lambda
-# sign (gl12.resolve_sign)
-COMPOSITE_PINNED = {"composite": 1, "gl12": 2, "proof-replay": 1}
+# per split and hands it to every composite check it runs, its vacuum
+# axioms included (composite.composite_model), proof-replay to the replay
+# at every (a,b)
+COMPOSITE_PINNED = {"composite": 1, "gl12": 1, "proof-replay": 1}
 
 
 @pytest.mark.parametrize("suite", sorted(COMPOSITE_PINNED))
@@ -127,7 +127,7 @@ FAMILY_PINNED = {
     "actions": 164,
     "recursion": 15,
     "composite": 42,
-    "gl12": 78,
+    "gl12": 28,
     "proof-replay": 46,
 }
 
@@ -225,14 +225,16 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 # digit, the vacuum axioms walk Omega and Omega^+ instead of building
 # T(u), each model walks a Bethe-vector step sequence once (the walk tries
 # of bethe.build_family), and a vector its weight makes zero
-# (Model.weight_space_nonempty) is not walked at all
+# (Model.weight_space_nonempty) is not walked at all; the composite and
+# gl12 suites walk their composite's vacuum axioms, 90 state entries per
+# point on the quick config's two-site composites, at one point and at ten
 WALK_PINNED = {
     "rtt": (0, 0),
-    "composite": (0, 210),
+    "composite": (0, 300),
     "bethe": (0, 251),
     "actions": (0, 690),
     "proof-replay": (0, 109),
-    "gl12": (0, 678),
+    "gl12": (0, 1038),
     "recursion": (0, 72),
 }
 
@@ -293,16 +295,16 @@ def test_operator_suite_builds_do_not_rise(suite, monkeypatch):
 
 # suite -> (factor skeletons built, per-point factor evaluations) of one
 # run: a model builds its skeleton on its first walk and evaluates the
-# factors of each point it walks once, the vacuum axioms walk their model,
-# the factorization checks of a suite share one composite model, and each
-# build_cleared_product call (the materialized T(u) of the coproduct)
-# builds one of each
+# factors of each point it walks once, the vacuum axioms walk their model
+# (the composite's at the coproduct's point too), the factorization checks
+# of a suite share one composite model, and each build_cleared_product call
+# (the materialized T(u) of the coproduct) builds one of each
 POINT_PINNED = {
     "bethe": (5, 14),
     "actions": (3, 24),
     "recursion": (3, 9),
-    "composite": (11, 23),
-    "gl12": (6, 69),
+    "composite": (11, 24),
+    "gl12": (3, 19),
     "proof-replay": (10, 16),
 }
 
@@ -321,9 +323,9 @@ def test_per_point_factor_data_is_computed_once(suite, monkeypatch):
         monodromy.build_cleared_product,
     )
 
-    def counted_init(self, parts, lambda_sign=1):
+    def counted_init(self, parts):
         models.append(self)
-        init(self, parts, lambda_sign)
+        init(self, parts)
 
     def counted_skeleton(*args):
         skeletons.append(skeleton(*args))  # kept alive, so ids stay unique

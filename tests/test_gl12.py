@@ -1,9 +1,8 @@
 import pytest
 
+from oracles import NegatedComposite
 from superbethe.composite import CompositeModel, SplitChain
 from superbethe.gl12 import (
-    AmbiguousConvention,
-    _sign_from_outcomes,
     build_tilde_dual_vector,
     build_tilde_vector,
     check_tilde_dual_factorization,
@@ -64,66 +63,64 @@ def test_guard_rejects_gl21_chain():
 
 
 def test_ratio_functions_multiply_across_split(split12):
-    total = CompositeModel(split12, lambda_sign=-1)
+    total = CompositeModel(split12)
     u = rat(9, 4)
     for i in (1, 3):
         assert total.r(i, u) == total.part1.r(i, u) * total.part2.r(i, u)
 
 
 def test_resolve_sign_is_stable(split12, split12_21):
+    """resolve_sign derives the sign from the vacuum axioms at every point
+    it is given: 1 at every probe, and ValueError on the composite that
+    states negated eigenvalues."""
     smp = ParameterSampler("resolve", 1)
-    xi = split12.part1.xi + split12.part2.xi
-    signs = set()
-    for _ in range(5):
-        ps = smp.generic(2, avoid=xi)
-        signs.add(resolve_sign(split12, ps[:1], ps[1:]))
-    assert signs == {1}
-    ps = smp.generic(2, avoid=split12_21.part1.xi + split12_21.part2.xi)
-    assert resolve_sign(split12_21, ps[:1], ps[1:]) == 1
+    for sp in (split12, split12_21):
+        xi = sp.part1.xi + sp.part2.xi
+        for _ in range(5):
+            ps = smp.generic(2, avoid=xi)
+            assert resolve_sign(sp, ps[:1], ps[1:]) == 1
+        with pytest.raises(ValueError):
+            resolve_sign(NegatedComposite(sp), ps[:1], ps[1:])
 
 
 def test_resolve_sign_probes_on_shared_models(split12):
-    """Probing with the split's two signed models, built once, gives the
-    sign a fresh pair per probe gives, and each probe walks both models."""
+    """Probing with the split's model, built once, gives the sign a fresh
+    model per probe gives, and each probe walks the model at its points."""
     smp = ParameterSampler("resolve-shared", 1)
-    xi = split12.part1.xi + split12.part2.xi
-    models = {sign: CompositeModel(split12, lambda_sign=sign) for sign in (1, -1)}
+    total = CompositeModel(split12)
     for _ in range(3):
-        ps = smp.generic(2, avoid=xi)
-        walked = [len(m.point_ids) for m in models.values()]
-        assert resolve_sign(models, ps[:1], ps[1:]) == resolve_sign(split12, ps[:1], ps[1:]) == 1
-        assert all(len(m.point_ids) > n for m, n in zip(models.values(), walked))
+        ps = smp.generic(2, avoid=split12.part1.xi + split12.part2.xi)
+        walked = len(total.point_ids)
+        assert resolve_sign(total, ps[:1], ps[1:]) == resolve_sign(split12, ps[:1], ps[1:]) == 1
+        assert len(total.point_ids) == walked + 2
 
 
-def test_sign_disambiguation_paths():
-    assert _sign_from_outcomes({1: True, -1: False}) == 1
-    assert _sign_from_outcomes({1: False, -1: True}) == -1
-    with pytest.raises(AmbiguousConvention):
-        _sign_from_outcomes({1: True, -1: True})
-    with pytest.raises(AmbiguousConvention):
-        _sign_from_outcomes({1: False, -1: False})
-
-
-def test_wrong_sign_fails(split12):
-    smp = ParameterSampler("wrong-sign", 1)
-    ps = smp.generic(2, avoid=split12.part1.xi + split12.part2.xi)
-    assert not check_tilde_factorization(split12, ps[:1], ps[1:], sign=-1).is_zero()
-
-
-def test_one_model_serves_every_check_of_its_sign(split12_21):
-    """A suite's CompositeModel gives every check the residual a fresh one
-    gives, the wrong sign's checks included; a model of the other sign is
+def test_wrong_sign_fails(split12_21):
+    """The tilde ket and dual factorizations at (1,1) and (2,1) fail on the
+    composite that states negated eigenvalues; a sign other than 1 is
     refused."""
+    sp = split12_21
+    negated = NegatedComposite(sp)
+    drawn = ParameterSampler("wrong-sign", 1).generic(3, avoid=sp.part1.xi + sp.part2.xi)
+    for a, b in ((1, 1), (2, 1)):
+        us, vs = drawn[:a], drawn[2 : 2 + b]
+        for check in (check_tilde_factorization, check_tilde_dual_factorization):
+            assert check(sp, us, vs).is_zero(), (a, b)
+            assert not check(negated, us, vs).is_zero(), (a, b)
+            with pytest.raises(ValueError):
+                check(sp, us, vs, sign=-1)
+
+
+def test_one_model_serves_every_check(split12_21):
+    """A suite's CompositeModel gives every check the residual a fresh one
+    gives."""
     smp = ParameterSampler("shared-model", 1)
     drawn = smp.generic(4, avoid=split12_21.part1.xi + split12_21.part2.xi)
-    for sign in (1, -1):
-        total = CompositeModel(split12_21, lambda_sign=sign)
-        for check in (check_tilde_factorization, check_tilde_dual_factorization):
-            for a, b in ((1, 1), (2, 1), (1, 2), (2, 2)):
-                us, vs = drawn[:a], drawn[2 : 2 + b]
-                assert check(total, us, vs, sign=sign) == check(split12_21, us, vs, sign=sign), (sign, a, b)
-            with pytest.raises(ValueError):
-                check(total, drawn[:1], drawn[2:3], sign=-sign)
+    total = CompositeModel(split12_21)
+    for check in (check_tilde_factorization, check_tilde_dual_factorization):
+        for a, b in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            us, vs = drawn[:a], drawn[2 : 2 + b]
+            assert check(total, us, vs) == check(split12_21, us, vs), (a, b)
 
 
 @pytest.mark.parametrize("shape", ["1+1", "2+1"])
@@ -136,8 +133,8 @@ def test_factorization_grid(shape, split12, split12_21):
         for a in range(3):
             for b in range(3):
                 us, vs = drawn[:a], drawn[2 : 2 + b]
-                assert check_tilde_factorization(sp, us, vs, sign=1).is_zero(), (a, b)
-                assert check_tilde_dual_factorization(sp, us, vs, sign=1).is_zero(), (a, b)
+                assert check_tilde_factorization(sp, us, vs).is_zero(), (a, b)
+                assert check_tilde_dual_factorization(sp, us, vs).is_zero(), (a, b)
 
 
 def test_degenerate_empty_part():
@@ -146,7 +143,7 @@ def test_degenerate_empty_part():
     us, vs = (rat(3), rat(13, 2)), (rat(17, 4),)
     b2 = build_tilde_vector(total.part2, us, vs)
     assert build_tilde_vector(total, us, vs) == vector_tensor(GradedVector.basis(GL12, ()), b2)
-    assert check_tilde_factorization(sp, us, vs, sign=1).is_zero()
+    assert check_tilde_factorization(sp, us, vs).is_zero()
 
 
 def test_tilde_factorization_at_3_2():
@@ -156,4 +153,4 @@ def test_tilde_factorization_at_3_2():
     )
     smp = ParameterSampler("ext32", 1)
     drawn = smp.generic(5, avoid=sp.part1.xi + sp.part2.xi)
-    assert check_tilde_factorization(sp, drawn[:3], drawn[3:], sign=1).is_zero()
+    assert check_tilde_factorization(sp, drawn[:3], drawn[3:]).is_zero()

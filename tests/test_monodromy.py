@@ -139,8 +139,8 @@ def _coefficient(x, k):
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_lam_equals_the_product_of_f(sig):
     """lam_i(u), computed on ints at a rational u, is d_i prod_k f(u, xi_k)
-    for i = 1 and d_i otherwise, times the composite's sign, evaluated one
-    f at a time; it raises at an inhomogeneity. lam and r read the same
+    for i = 1 and d_i otherwise, on a composite with d the product of the
+    parts' twists and xi both parts' sites, evaluated one f at a time; it raises at an inhomogeneity. lam and r read the same
     pairs at an eps-shifted u: lam_2, lam_3, r_2 and r_3 are Fractions
     there, not floats, equal to their values at u, and lam_1 and r_1 are
     series whose eps^0 and eps^1 coefficients are those of the product of
@@ -149,20 +149,20 @@ def test_lam_equals_the_product_of_f(sig):
     part1 = ChainSpec(2, (0, rat(1, 3)), (2, rat(2, 3), -3), sig, c)
     part2 = ChainSpec(1, (rat(-5, 4),), (rat(1, 2), 3, 5), sig, c)
     twist = [x * y for x, y in zip(part1.twist, part2.twist)]
-    for model, sign, d, xi in (
-        (ChainModel(part1), 1, part1.twist, part1.xi),
-        (CompositeModel(SplitChain(part1, part2), lambda_sign=-1), -1, twist, part1.xi + part2.xi),
+    for model, d, xi in (
+        (ChainModel(part1), part1.twist, part1.xi),
+        (CompositeModel(SplitChain(part1, part2)), twist, part1.xi + part2.xi),
     ):
         for u in (rat(7, 2), 3, rat(-2, 9), -c):
             for i in (1, 2, 3):
-                want = sign * rat(d[i - 1]) * (prod((f(u, x, c) for x in xi), start=rat(1)) if i == 1 else 1)
+                want = rat(d[i - 1]) * (prod((f(u, x, c) for x in xi), start=rat(1)) if i == 1 else 1)
                 assert model.lam(i, u) == want, (i, u)
             assert eps_limit(model.lam(1, u + EPS)) == model.lam(1, u)
             for i in (2, 3):
                 for got, want in ((model.lam(i, u + EPS), model.lam(i, u)), (model.r(i, u + EPS), model.r(i, u))):
                     assert type(got) is type(rat(1)) and got == want, (i, u, got)
             fs = prod((f(u + EPS, x, c) for x in xi), start=rat(1))
-            lam1, r1 = sign * rat(d[0]) * fs, rat(d[0], d[1]) * fs
+            lam1, r1 = rat(d[0]) * fs, rat(d[0], d[1]) * fs
             for got, want in ((model.lam(1, u + EPS), lam1), (model.r(1, u + EPS), r1)):
                 assert [_coefficient(got, k) for k in (0, 1)] == [_coefficient(want, k) for k in (0, 1)], u
         for x in xi:

@@ -35,6 +35,7 @@ ALLOWED = {
     "monodromy.Monodromy.entry": "bench/ reads T_ij(u) through Model.T",
     "monodromy.Model.monodromy_op": "bench/tracer.py probes it by name",
     "monodromy.Model.T": "bench/ reads every entry of T(u)",
+    "gl12.resolve_sign": "bench/ calls it and bench/tracer.py wraps it by name, until a benchmark change drops it",
     # error paths and guards
     "errors.SchemaError.__init__": "raised on a malformed config or formula table",
     "graded.unpack": "reads a residual back only when it is nonzero",
@@ -59,6 +60,7 @@ ALLOWED = {
     # helpers that only the tests use
     "notation.print_expr": "tests print shorthand back",
     "graded.clear_denominators": "tests clear R(u, v) as _rtt_pass does",
+    "monodromy.Model.lam": "tests read lam_i(u) as one value; the runs read its int pair (lam_pair)",
     "graded.GradedOperator.entry": "tests read single operator entries",
     "graded.GradedOperator.support_parity": "tests read the parity of an operator",
     "sampling.ParameterSampler.rational": "tests draw single rationals",
