@@ -9,7 +9,8 @@ compares
 against the table-driven right-hand side; residuals are exactly zero. Every
 coefficient, and the normalization's h(vbar,z) (NORM), is shorthand
 evaluated by notation, on one Binding of ubar, vbar and z per check. A
-target vector whose argument sets share z is built at the eps-limit. A
+target vector whose argument sets share z is their limit there, the nested
+vector (bethe.build_vector_limit), with no eps. A
 term whose target is zero by weight on the model (Model.weight_space_nonempty,
 through bethe.weight_gated) is skipped whole: its coefficient is not read
 and its target not built. T31 and T32 have no tabulated action and are
@@ -79,7 +80,7 @@ def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit
     """Table-driven right-hand side of the normalized action of element at
     z, summed over base (action_binding if not given), each target vector
     built once by builder(model, us, vs): by default the Bethe vector, at
-    coincident parameters its eps-limit."""
+    coincident parameters its limit (bethe.build_vector_limit)."""
     table = table or load_formula_table()
     partials = PartialCache(builder)
     target = weight_gated(lambda args, keys: partials.get("t", model, *args, key=keys), model)

@@ -68,30 +68,64 @@ returns the sum as it is, int numerators over that denominator
 (GradedVector.from_ints): a build at a rational point makes no Fraction.
 
 Coincident parameters across the two families (forced by the action
-formulas, e.g. {z,us};{z,vs}) are handled by eps-separation: the colliding
-v-side entry is shifted by the formal infinitesimal, and only scalars are
-taken to the limit. A term is coef(eps) * W(eps), and W is regular at
-eps = 0 because the walk at the unshifted point exists (a point on an
-inhomogeneity raises DivisionByZero), so the term's limit is
-lim coef * W(0). The same code serves: the shifted parameter clears to an
+formulas, e.g. {z,us};{z,vs}) are evaluated by the nested algebraic Bethe
+ansatz (Kulish-Reshetikhin 1983; Belliard-Ragoucy 2008), nested_vector,
+which builds the four vectors from T(u) alone. T' is the monodromy of the
+a-site auxiliary chain with xi = us, twist 1 and the model's c and
+signature, each factor in its cleared form (v - u_j) I + c P, finite at
+v = u_j (monodromy.cleared_chain_orders). F = T'23(v_b) ... T'23(v_1)
+e_2^{x a} on a ket, F* = e_2^{*x a} T'32(v_1) ... T'32(v_b) on a bra; with
+F^i its components with no digit 1, i in {2,3}^a and i_1 the digit of
+auxiliary site 1,
+
+    Psi  = sum_i F^i  T_{1,i_1}(u_1) ... T_{1,i_a}(u_a) . Omega,
+    Psi* = sum_i F*^i Omega^+ . T_{i_1,1}(u_1) ... T_{i_a,1}(u_a),
+
+walked through the model's walk trie like the partition terms, and
+
+    B  = (-1)^b Psi            / (prod h(v_j,v_k) lam2(us) prod (v_k - u_j + c)),
+    C  =        Psi*           / (prod h(v_j,v_k) lam2(us) prod (v_k - u_j + c)),
+    B~ = (-1)^a Psi            / (prod h(u_k,u_j) lam2(us) prod (v_k - u_j - c)),
+    C~ = (-1)^{a(a-1)/2} Psi*  / (prod h(u_j,u_k) lam2(us) prod (v_k - u_j - c)),
+
+the h products over j < k and the last over every k and j: over the
+uncleared factors it is f(vs,us) on gl(2|1) and f(us,vs) on gl(1|2), the
+normalizers of ROADMAP Finding C (Finding L clears them). Nothing in it
+vanishes or blows up at v_k = u_j, so a coincidence limit is the value
+there: build_vector_limit passes nested=True to the builder at a u equal
+to a v, and each builder then returns its nested_vector. The normalizers
+are ints, read from the points' cleared pairs, and the auxiliary terms
+(components over normalizers, with their steps) are kept per model, side
+and point ids in Model.coefficients, beside the coefficient lists.
+
+The partition sums also take eps-shifted parameters, for the eps path
+(at_limit, which the tests keep as the nested form's oracle) and for the
+coefficients of a composite sum at a coincidence (composite.
+bilinear_sum_limit): the colliding v-side entry is shifted by the formal
+infinitesimal and only scalars are taken to the limit. A term is coef(eps)
+* W(eps), and W is regular at eps = 0 because the walk at the unshifted
+point exists (a point on an inhomogeneity raises DivisionByZero), so the
+term's limit is lim coef * W(0). The shifted parameter clears to an
 EpsScalar numerator, so its pairs in the table are EpsScalars (truncated
 Laurent series with int coefficients), the coefficient's one quotient has
 EpsScalar terms and n/d is its eps-limit, read off their leading terms
 (scalars.ratio), and every block is walked at the eps-limit of its
 parameters, on ints, with its h-normalizer taken there too. A coefficient
 with no limit raises PoleAtZero or PrecisionExhausted, a normalizer that
-vanishes there DivisionByZero; no term is dropped silently.
-Only a single collision is supported; larger overlaps are refused, and with
-one the coefficients stay regular at eps = 0 (see scalars.py).
+vanishes there DivisionByZero; no term is dropped silently. Only a single
+collision is supported; larger overlaps are refused, and with one the
+coefficients stay regular at eps = 0 (see scalars.py).
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
+from math import prod
 
 from .errors import DivisionByZero
-from .graded import GL21, DualGradedVector, GradedVector, accumulate, digit_string
+from .graded import GL21, DualGradedVector, GradedVector, accumulate, decode, digit_string
+from .monodromy import _walk, cleared_chain_orders
 from .notation import PartitionSpec, PartSpec, compile_plan, parse, plan_value
 from .rational import is_rational, rat_to_str
 from .scalars import EPS, EpsScalar, PairTable, eps_limit, is_zero, ratio
@@ -238,38 +272,107 @@ def build_family(model, us, vs, weight, dual):
     ids = [model.point_id(x) for x in at_zero]
     _require_distinct(ids, at_zero, a)
     h_table, terms = _coefficients(model, us, vs, weight, ids)
-    points = list(zip(ids, at_zero))
     plan = _entry_plan(model.sig, dual)
+    # every term has the same number of odd factors
+    odd = sum(len(params) * odd_entry for (_, _, odd_entry), params in zip(plan, terms[0][2]))
+    sign = -1 if dual and odd * (odd - 1) // 2 % 2 else 1
+    walks = ((n, d, zip(plan, blocks)) for n, d, blocks in terms)
+    return _walk_terms(model, h_table, walks, list(zip(ids, at_zero)), dual, sign)
+
+
+def _walk_terms(model, h_table, terms, points, dual, sign=1):
+    """sign times the sum of n/d times the walk of steps from Omega (Omega^+
+    with dual) over the terms (n, d, steps), each step ((i, j, odd), params)
+    walked by _apply_entries through the model's walk trie of its side, in
+    the order given: summed over one int denominator (graded.accumulate),
+    which takes the sign, and returned as those ints over it."""
     start = model.omega_dual() if dual else model.omega()
     root = 1, start, model.walks[dual]
     acc, den = {}, 1
-    for n, d, blocks in terms:
+    for n, d, steps in terms:
         node = root
-        for (i, j, odd_entry), params in zip(plan, blocks):
+        for (i, j, odd), params in steps:
             if params:
-                p, q, node = _apply_entries(model, h_table, i, j, odd_entry, params, points, node, dual)
+                p, q, node = _apply_entries(model, h_table, i, j, odd, params, points, node, dual)
                 n, d = n * p, d * q
         den = accumulate(acc, den, n, d, node[1].num)
-    # every term has the same number of odd factors
-    odd = sum(len(params) * odd_entry for (_, _, odd_entry), params in zip(plan, blocks))
-    if dual and odd * (odd - 1) // 2 % 2:
-        den = -den
-    return type(start).from_ints(model.sig, model.arity, acc, den)
+    return type(start).from_ints(model.sig, model.arity, acc, sign * den)
+
+
+def _nested_terms(model, ids, a, dual):
+    """The terms (n, d, steps) of nested_vector at the point ids (us first,
+    a of them) for _walk_terms: one per component F^i of the auxiliary
+    vector with no digit 1, its steps the T_{1,i_k}(u_k) (T_{i_k,1}(u_k) on
+    a bra) in the order they are applied, and n/d its int component times
+    the sign over the normalizers. The auxiliary factors at v are walked as
+    gd*I + gn*P = cd vq uq ((v - u) I + c P), so their walk over
+    prod (gd + gn) = prod cd vq uq (v - u + c) is T'(v) / f(v, us), and over
+    prod (gd - gn) = prod cd vq uq (v - u - c) it is T'(v) / f(us, v)."""
+    sig, gl21 = model.sig, model.sig == GL21
+    xs = [model.points[pid][0] for pid in ids]
+    us, vs = xs[:a], xs[a:]
+    vec = (DualGradedVector if dual else GradedVector).basis(sig, (2,) * a)
+    den = 1
+    for v in vs:
+        orders, pairs = cleared_chain_orders(sig, model.c, us, v)
+        vec = _walk(sig, a, *((3, 2) if dual else (2, 3)), vec, orders)
+        den *= prod(gd + gn if gl21 else gd - gn for gd, gn in pairs)
+    # the symmetrizer of the odd entries, j < k: h(v_j, v_k) of the T'23 on
+    # gl(2|1), h(u_k, u_j) of the T_1i on gl(1|2) (h(u_j, u_k) on a bra)
+    family = vs if gl21 else us
+    h = PairTable(family, model.c, family).h
+    sym = [h[j][k] if gl21 or dual else h[k][j] for j, k in combinations(range(len(family)), 2)]
+    hn, hd = PairTable.product(sym + [model.points[pid][1] for pid in ids[:a]])
+    den *= hn
+    if not den:
+        raise DivisionByZero("a nested normalizer vanishes (a pair at difference -c); parameters not generic")
+    odd = (0 if dual else len(vs)) if gl21 else a * (a - 1) // 2 if dual else a
+    sign = -1 if odd % 2 else 1
+    terms = []
+    for key, x in vec.num.items():
+        digits = decode(key, a)
+        if 1 not in digits:
+            steps = [((d, 1, False) if dual else (1, d, False), (k,)) for k, d in enumerate(digits)]
+            terms.append((sign * x * hd, den, steps if dual else steps[::-1]))
+    return terms
+
+
+def nested_vector(model, us, vs, dual=False):
+    """B_{a,b}(us; vs) on gl(2|1), B~_{a,b}(us; vs) on gl(1|2), or with dual
+    C_{a,b} resp. C~_{a,b}, by the cleared nested Bethe ansatz (see above),
+    which is defined where a u equals a v. The refusals of build_family
+    stay but that one: coincident parameters within us or vs raise
+    ValueError, a vanishing normalizer DivisionByZero, and a pair (a, b)
+    that Model.weight_space_nonempty rules out gives the zero vector."""
+    us, vs = tuple(us), tuple(vs)
+    a, xs = len(us), us + vs
+    if not model.weight_space_nonempty(a, len(vs)):
+        _require_distinct(xs, xs, a)
+        return (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
+    ids = [model.point_id(x) for x in xs]
+    _require_distinct(ids, xs, a)
+    key = "nested", dual, a, *ids
+    terms = model.coefficients.get(key)
+    if terms is None:
+        terms = model.coefficients[key] = _nested_terms(model, ids, a, dual)
+    return _walk_terms(model, None, terms, list(zip(ids, xs)), dual)
 
 
 BETHE_WEIGHT = "K(vI|uI)*f(uI,uII)*g(vII,vI)"
 
 
-def build_vector(model, us, vs) -> GradedVector:
-    """B_{a,b}(us; vs) on a gl(2|1) realization."""
+def build_vector(model, us, vs, nested=False) -> GradedVector:
+    """B_{a,b}(us; vs) on a gl(2|1) realization; with nested, by
+    nested_vector."""
     _guard(model, GL21)
-    return build_family(model, us, vs, BETHE_WEIGHT, dual=False)
+    return nested_vector(model, us, vs) if nested else build_family(model, us, vs, BETHE_WEIGHT, dual=False)
 
 
-def build_dual_vector(model, us, vs) -> DualGradedVector:
-    """C_{a,b}(us; vs), the mirror of B_{a,b}(us; vs)."""
+def build_dual_vector(model, us, vs, nested=False) -> DualGradedVector:
+    """C_{a,b}(us; vs), the mirror of B_{a,b}(us; vs); with nested, by
+    nested_vector."""
     _guard(model, GL21)
-    return build_family(model, us, vs, BETHE_WEIGHT, dual=True)
+    return nested_vector(model, us, vs, dual=True) if nested else build_family(model, us, vs, BETHE_WEIGHT, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +409,10 @@ def at_limit(build, us, vs):
 
 
 def build_vector_limit(model, us, vs, builder=build_vector):
-    """Vector at possibly coincident us/vs via the exact eps -> 0 limit."""
-    return at_limit(partial(builder, model), us, vs)
+    """builder(model, us, vs) at possibly coincident us/vs: where a u equals
+    a v, by its nested form (nested_vector), which is finite there, so the
+    limit is its value, with no eps."""
+    return builder(model, us, vs, nested=any(u == v for u in us for v in vs))
 
 
 def build_dual_vector_limit(model, us, vs):

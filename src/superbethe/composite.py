@@ -49,10 +49,10 @@ from importlib import resources
 from .actions import action_binding, action_norm, action_rhs
 from .bethe import (
     PartialCache,
-    at_limit,
     build_dual_vector,
     build_vector,
     build_vector_limit,
+    separate_collision,
     weight_gated,
 )
 from .errors import SignatureMismatch
@@ -60,7 +60,7 @@ from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combin
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, compile_table, compile_terms, evaluate, partition_sum
 from .rational import rat
-from .scalars import is_zero, three_term_witness
+from .scalars import EpsScalar, eps_limit, is_zero, three_term_witness
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,18 @@ def bilinear_sum(
     return partition_sum(_bilinear_terms(coeff), base, target, acc)
 
 
-def bilinear_sum_limit(m1, m2, us, vs, **kw):
-    """bilinear_sum at a single coincident u/v pair, via the exact eps-limit."""
-    return at_limit(partial(bilinear_sum, m1, m2, **kw), us, vs)
+def bilinear_sum_limit(m1, m2, us, vs, builder=build_vector, **kw):
+    """bilinear_sum at a single coincident u/v pair: its coefficients are
+    read at the eps-separated parameters (bethe.separate_collision), as
+    their exact eps-limits, and its partial vectors at eps = 0 by
+    build_vector_limit, so a partial that holds the pair is a nested
+    vector."""
+    us, shifted, _ = separate_collision(us, vs)
+
+    def at_zero(model, us, vs):
+        return build_vector_limit(model, us, tuple(eps_limit(v) if isinstance(v, EpsScalar) else v for v in vs), builder)
+
+    return bilinear_sum(m1, m2, us, shifted, builder=at_zero, **kw)
 
 
 def factorization_residual(total, us, vs, builder, **kw):

@@ -31,7 +31,7 @@ from the vacuum axioms and is always 1, and sign accepts only 1.
 
 from __future__ import annotations
 
-from .bethe import _guard, build_family
+from .bethe import _guard, build_family, nested_vector
 from .composite import composite_model, factorization_residual
 from .graded import GL12, DualGradedVector, GradedVector
 from .monodromy import vacuum_residuals
@@ -39,17 +39,21 @@ from .monodromy import vacuum_residuals
 TILDE_WEIGHT = "g(uI,vI)*f(vI,vII)*g(uII,uI)*h(vI,vI)"
 
 
-def build_tilde_vector(model, us, vs) -> GradedVector:
-    """B~_{a,b}(us; vs) on a gl(1|2) realization."""
+def build_tilde_vector(model, us, vs, nested=False) -> GradedVector:
+    """B~_{a,b}(us; vs) on a gl(1|2) realization; with nested, by
+    bethe.nested_vector."""
     _guard(model, GL12)
+    if nested:
+        return nested_vector(model, us, vs)
     vec = build_family(model, us, vs, TILDE_WEIGHT, dual=False)
     return vec.scale(-1) if len(us) % 2 else vec
 
 
-def build_tilde_dual_vector(model, us, vs) -> DualGradedVector:
-    """C~_{a,b}(us; vs), the mirror of B~_{a,b}(us; vs) without its (-1)^a."""
+def build_tilde_dual_vector(model, us, vs, nested=False) -> DualGradedVector:
+    """C~_{a,b}(us; vs), the mirror of B~_{a,b}(us; vs) without its (-1)^a;
+    with nested, by bethe.nested_vector."""
     _guard(model, GL12)
-    return build_family(model, us, vs, TILDE_WEIGHT, dual=True)
+    return nested_vector(model, us, vs, dual=True) if nested else build_family(model, us, vs, TILDE_WEIGHT, dual=True)
 
 
 TILDE_KET_COEFF = "r3_1(vII)*r1_2(uI)*f(vI,vII)*g(uII,uI)/f(uI,vII)"

@@ -93,8 +93,12 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   Model.points holds the rest of a point's int data: u cleared as (p, q)
   and lam2(u), which the Bethe-vector builders read. Model.apply_T scales
   by factor/m once at the end, on the vector's numerators and
-  denominator. The vacuum axioms (vacuum_residuals) are twelve
-  apply_T_scaled walks of Omega and Omega^+ on the model's walk data.
+  denominator. The vacuum axioms (vacuum_residuals) read their twelve
+  entries off six walks of Omega and Omega^+ on the model's walk data, one
+  per column on Omega and one per row on Omega^+ (_walk with ends). A
+  nested Bethe vector's auxiliary chain is walked by the same _walk and
+  _apply_factor, on factor data that cleared_chain_orders builds from the
+  routes with no model.
 * Walk tries. Each model holds one trie per side, Model.walks (kets, then
   bras), which bethe.build_family walks its terms through. A node is keyed
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
@@ -397,6 +401,74 @@ def _apply_factor(length, weights, state, keep=None):
     return out if all(out.values()) else {key: x for key, x in out.items() if x}
 
 
+def _walk(sig, length, i, j, vec, orders, ends=None):
+    """T_ij . num for a ket vec, num . T_ij for a bra (a DualGradedVector)
+    on auxiliary x (sites 1..length), for the _walk_orders of the factor
+    data of some point and the numerators num of vec (its den is the
+    caller's to take): num is lifted to auxiliary index j (i), the factors
+    are applied rightmost (leftmost) first, one _apply_factor each, a site
+    factor through its route, and the state is projected onto auxiliary
+    index i (j). The extraction sign is one constant (extraction_sign), so
+    it joins the twist scalar d. Nothing is computed that the projection
+    would drop: a twist first in the order (head) meets only the lifted
+    index and one last (tail) only the projected one, so each is the
+    scalar of its entry there, and the last factor walked keeps only its
+    outputs on the projected index.
+
+    With ends, the projection is onto each index e in ends instead of i
+    (j), from one walk whose last factor keeps every output: {e: T_ej .
+    num} on a ket, {e: num . T_ie} on a bra, the entries of one column
+    (row) of T(u), which share every factor."""
+    dual = isinstance(vec, DualGradedVector)
+    start, end = (i, j) if dual else (j, i)
+    head, factors, last, tail = orders[dual]
+    eps = _sign_table(sig.parity)[1]
+    d = 1 if head is None else head[start - 1]
+    if ends is None:
+        d *= eps[i][j] if tail is None else eps[i][j] * tail[end - 1]
+    shift = 3**length
+    lo = (start - 1) * shift
+    state = {lo + n: d * x for n, x in vec.num.items()}
+    for weights in factors:
+        state = _apply_factor(length, weights, state)
+    if ends is not None:
+        if last is not None:
+            state = _apply_factor(length, last, state)
+        scalars = [None] * 4  # the extraction sign and the tail's entry of each end
+        for e in ends:
+            r, s = (start, e) if dual else (e, start)
+            scalars[e] = eps[r][s] if tail is None else eps[r][s] * tail[e - 1]
+        parts = {e: {} for e in ends}
+        for key, x in state.items():
+            e = key // shift + 1
+            if scalars[e] is not None:
+                parts[e][key % shift] = scalars[e] * x
+        return {e: type(vec).from_ints(sig, length, part) for e, part in parts.items()}
+    if last is not None:
+        state = _apply_factor(length, last, state, end - 1)
+    elif start != end:
+        state = {}  # no site factor: T(u) is the twist, diagonal
+    lo = (end - 1) * shift
+    return type(vec).from_ints(sig, length, {key - lo: x for key, x in state.items()} if lo else state)
+
+
+def cleared_chain_orders(sig, c, sites, u):
+    """(orders, pairs) for the untwisted chain on len(sites) sites at the
+    points sites, walked at u, all given as cleared pairs (p, q): orders
+    the _walk_orders of its factors, each R_{0k}(u, xi_k) in its unreduced
+    cleared form gd*I + gn*P = cd uq xq ((u - xi_k) I + c P), gd = cd (up xq
+    - xp uq) and gn = cn uq xq for c = cn/cd, and pairs the (gd, gn) of the
+    sites, site 1 first. The form is finite at u = xi_k, where gd = 0, and
+    nothing refuses that point. Each site's signs are read off its _route
+    under swap_sign as it is at the call, as a model's skeleton reads them;
+    no Model, skeleton or per-point record is built."""
+    (up, uq), (cn, cd) = u, as_pair(c)
+    pairs = [(cd * (up * xq - xp * uq), cn * uq * xq) for xp, xq in sites]
+    length = len(sites)
+    weights = [("site", k, _route(sig, length, k, swap_sign), (gd + gn, gd - gn, gn, -gn), gd) for k, (gd, gn) in enumerate(pairs, 1)]
+    return _walk_orders(weights[::-1]), pairs
+
+
 def extraction_sign(sig, i, j):
     """The Koszul sign eps_ij with which the entry T_ij is read off the
     auxiliary matrix units: -1 iff [j] = 1 and [i] = 0. Reading it off
@@ -575,8 +647,9 @@ class Model:
         it. The walk takes the numerators of vec, num with vec = num/den, and
         the integer multiples of the factors, with M the product of their
         multipliers, so that only ints are multiplied; then m = M*den."""
+        _check_pair(self, vec)
         m, orders = self._walk_weights(self.point_id(u) if pid is None else pid)
-        return m * vec.den, self._walk(i, j, vec, orders)
+        return m * vec.den, _walk(self.sig, self.arity, i, j, vec, orders)
 
     def _walk_weights(self, pid):
         """The walk data (M, _walk_orders) of the whole factor sequence at
@@ -589,40 +662,6 @@ class Model:
             m, weights = _point_weights(self._skeleton, *self.points[pid][0])
             hit = self._weights[pid] = m, _walk_orders(weights)
         return hit
-
-    def _walk(self, i, j, vec, orders):
-        """T_ij . num for a ket vec, num . T_ij for a bra (a
-        DualGradedVector), for the _walk_orders of the factor data of some
-        point and the numerators num of vec (its den is the caller's to
-        take): num is lifted to auxiliary index j (i), the factors are
-        applied rightmost (leftmost) first, one _apply_factor each, a site
-        factor through its route, and the state is projected onto auxiliary
-        index i (j). The extraction sign is one constant (extraction_sign),
-        so it joins the twist scalar d. Nothing is computed that the
-        projection would drop: a twist first in the order (head) meets only
-        the lifted index and one last (tail) only the projected one, so each
-        is the scalar of its entry there, and the last factor walked keeps
-        only its outputs on the projected index."""
-        _check_pair(self, vec)
-        dual = isinstance(vec, DualGradedVector)
-        start, end = (i, j) if dual else (j, i)
-        head, factors, last, tail = orders[dual]
-        d = _sign_table(self.sig.parity)[1][i][j]
-        if head is not None:
-            d *= head[start - 1]
-        if tail is not None:
-            d *= tail[end - 1]
-        shift = 3**self.arity
-        lo = (start - 1) * shift
-        state = {lo + n: d * x for n, x in vec.num.items()}
-        for weights in factors:
-            state = _apply_factor(self.arity, weights, state)
-        if last is not None:
-            state = _apply_factor(self.arity, last, state, end - 1)
-        elif start != end:
-            state = {}  # no site factor: T(u) is the twist, diagonal
-        lo = (end - 1) * shift
-        return type(vec).from_ints(self.sig, self.arity, {key - lo: x for key, x in state.items()} if lo else state)
 
     def weight_space_nonempty(self, a, b):
         """Whether a Bethe vector B_{a,b} (C, B~, C~ alike) can be nonzero
@@ -852,22 +891,25 @@ def check_supercommutator(model, i, j, k, l, u, v):
 def vacuum_residuals(model, u):
     """Every vacuum-axiom residual at the spectral point u, as (name, is_zero).
 
-    Each axiom applies one entry of T(u) to Omega or Omega^+: twelve walks
-    (Model.apply_T_scaled) on the model's walk data at u, each giving M
-    times the entry's action, so the eigenvalue lam_i(u), which
+    Each axiom applies one entry of T(u) to Omega or Omega^+. The entries
+    T_ij, i >= j, that act on Omega come from one walk per column j, and
+    the entries T_ij, i <= j, that act on Omega^+ from one walk per row i
+    (_walk with ends), six walks on the model's walk data at u, each giving
+    M times the entries' action, so the eigenvalue lam_i(u), which
     Model.lam_pair reads off the parts and not off the factors, is scaled
     by M as well, on its int pair. No entry of T(u) is materialized."""
-    pid = model.point_id(u)
+    m, orders = model._walk_weights(model.point_id(u))
     omega, dual = model.omega(), model.omega_dual()
+    # kets[k][e] = T_ek . Omega and bras[k][e] = Omega^+ . T_ke, e >= k
+    kets, bras = ({k: _walk(model.sig, model.arity, k, k, vec, orders, range(k, 4)) for k in range(1, 4)} for vec in (omega, dual))
     out = []
     for i in range(1, 4):
-        (m, ket), (_, bra) = (model.apply_T_scaled(i, i, u, vec, pid) for vec in (omega, dual))
         num, den = model.lam_pair(i, u)
-        out.append((f"T{i}{i} ket eigenvalue", ket.sub(omega.scale(num * m, den)).is_zero()))
-        out.append((f"T{i}{i} bra eigenvalue", bra.sub(dual.scale(num * m, den)).is_zero()))
+        out.append((f"T{i}{i} ket eigenvalue", kets[i][i].sub(omega.scale(num * m, den)).is_zero()))
+        out.append((f"T{i}{i} bra eigenvalue", bras[i][i].sub(dual.scale(num * m, den)).is_zero()))
     for i, j in product(range(1, 4), repeat=2):
         if i > j:
-            out.append((f"T{i}{j} annihilates ket", model.apply_T_scaled(i, j, u, omega, pid=pid)[1].is_zero()))
+            out.append((f"T{i}{j} annihilates ket", kets[j][i].is_zero()))
         elif i < j:
-            out.append((f"T{i}{j} annihilates bra", model.apply_T_scaled(i, j, u, dual, pid=pid)[1].is_zero()))
+            out.append((f"T{i}{j} annihilates bra", bras[i][j].is_zero()))
     return out

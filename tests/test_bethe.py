@@ -354,9 +354,9 @@ INT_WALK_TWIST = (rat(2, 3), 1, rat(-3, 2))
 def test_vector_walks_multiply_only_ints(walked):
     """At rational points all four builders walk plain ints: every factor
     weight and every state value is an int, a Fraction anywhere fails this
-    test. At a coincident point only the coefficients carry eps, so the
-    walks are still on ints, and each builder equals the eps-limit of the
-    materialized formula."""
+    test. At a coincident point the limit builder's nested vector walks
+    its auxiliary chain and its entries on ints too, and equals the
+    eps-limit of the materialized formula."""
     ps = ParameterSampler("int-walk", 1).generic(4, avoid=INT_WALK_XI)
     us, vs = ps[:2], ps[2:]
     for sig, builders in ((GL21, (build_vector, build_dual_vector)), (GL12, (build_tilde_vector, build_tilde_dual_vector))):
@@ -500,8 +500,8 @@ def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
     """B, C (gl(2|1)) and B~, C~ (gl(1|2)) at (2,2) on L=3 are the same on a
     fresh model and on one whose walk tries were filled by other builds that
     share their step prefixes: a ket and a bra of fewer parameters, the
-    reversed tuples and an eps-separated u/v collision, whose shifted v is
-    walked at the point of an unshifted u. A vector returned by a build
+    reversed tuples and the limit at a u/v collision, a nested vector
+    whose v takes the point id of the u it equals. A vector returned by a build
     shares nothing with the tries, so a build repeated after the caller
     cleared the first result gives it again, with no walk."""
     builders = (build_vector, build_dual_vector) if sig == GL21 else (build_tilde_vector, build_tilde_dual_vector)
@@ -522,7 +522,7 @@ def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
         build(warm, us[::-1], vs[::-1])
         limit = build_vector_limit(warm, *collision, builder=build)
         assert limit == build_vector_limit(model(), *collision, builder=build), build.__name__
-    # the shifted v took the point id of the u it collides with
+    # the coincident v took the point id of the u it equals
     assert sorted(warm.point_ids.values()) == list(range(5))
     for build in builders:
         walk_steps.clear()

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from functools import partial
 from importlib import resources
 
 import pytest
@@ -13,7 +14,10 @@ from superbethe.cli import (
     parse_config,
     run_suites,
 )
-from superbethe.graded import GL21, DualGradedVector, GradedOperator, GradedVector
+from superbethe.bethe import at_limit, vector_to_json
+from superbethe.gl12 import build_tilde_vector
+from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
+from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.rational import rat, rat_from_str
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -83,6 +87,19 @@ def test_bethe_eval_worked_example(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"3": "1/3"}
     assert main(["bethe", "eval", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out) == {"1": "1"}
+
+
+def test_bethe_eval_at_a_coincidence_on_a_gl12_chain(tmp_path, capsys):
+    """bethe eval at u = v on a gl(1|2) chain prints B~ there, the eps-limit
+    of the formula builder, which the nested vector gives with no eps."""
+    chain = {"L": 2, "xi": ["0", "1/2"], "twist": ["2", "3/2", "-3"], "signature": "gl(1|2)"}
+    cfg = write_config(tmp_path, {"suites": [], "chains": [chain]})
+    model = ChainModel(ChainSpec(2, (0, rat(1, 2)), (2, rat(3, 2), -3), GL12, 1))
+    for us, vs in ((("3",), ("3",)), (("3", "5/2"), ("3",))):
+        assert main(["bethe", "eval", "--config", cfg, *(f"--u={u}" for u in us), *(f"--v={v}" for v in vs)]) == 0
+        eps_path = at_limit(partial(build_tilde_vector, model), tuple(map(rat_from_str, us)), tuple(map(rat_from_str, vs)))
+        assert not eps_path.is_zero()
+        assert json.loads(capsys.readouterr().out) == vector_to_json(eps_path), (us, vs)
 
 
 def test_bethe_eval_without_a_chain_names_the_chains(tmp_path, capsys):

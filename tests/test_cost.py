@@ -38,12 +38,17 @@ QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 # whose vector is zero by weight reads no coefficient, and scalars.ratio
 # reads an eps-limit off the leading terms, with no series division; the
 # factorization checks of a suite share one composite model, so its ket
-# and dual checks share its coefficient lists
+# and dual checks share its coefficient lists; a vector at a coincident
+# u/v pair is a nested vector (bethe.nested_vector), with no eps series,
+# so only the composite sums' coefficients at an eps-shifted binding
+# (composite.bilinear_sum_limit) make series
 PINNED = {
-    "bethe": (6, 48),
-    "actions": (44, 321),
+    "bethe": (3, 0),
+    "actions": (29, 0),
     "recursion": (9, 0),
-    "composite": (21, 90),
+    "composite": (17, 30),
+    "gl12": (9, 0),
+    "proof-replay": (14, 70),
 }
 
 
@@ -88,12 +93,12 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
 # products make no Fraction, and the vacuum axioms scale Omega by the int
 # pair of lam_i (Model.lam_pair)
 FRACTION_PINNED = {
-    "bethe": (30, 6),
-    "actions": (220, 204),
-    "recursion": (22, 9),
-    "composite": (43, 27),
-    "gl12": (28, 28),
-    "proof-replay": (119, 50),
+    "bethe": (18, 0),
+    "actions": (142, 0),
+    "recursion": (22, 0),
+    "composite": (39, 1),
+    "gl12": (28, 0),
+    "proof-replay": (85, 4),
 }
 
 
@@ -121,14 +126,16 @@ def test_composite_models_are_built_once_per_suite(suite, monkeypatch):
 
 # suite -> bethe.build_family calls of one run, the Bethe, dual and tilde
 # vectors it builds: a partition-sum term whose vector is zero by weight
-# (Model.weight_space_nonempty, bethe.weight_gated) builds no partial
+# (Model.weight_space_nonempty, bethe.weight_gated) builds no partial, and
+# a vector at a coincident u/v pair is a nested vector, so no build is
+# handed an eps-shifted parameter
 FAMILY_PINNED = {
-    "bethe": 15,
-    "actions": 164,
+    "bethe": 12,
+    "actions": 143,
     "recursion": 15,
-    "composite": 42,
+    "composite": 40,
     "gl12": 28,
-    "proof-replay": 46,
+    "proof-replay": 34,
 }
 
 
@@ -137,15 +144,17 @@ def test_vector_builds_do_not_rise(suite, monkeypatch):
     calls = Counter()
     honest = bethe.build_family
 
-    def counted(*args, **kw):
+    def counted(model, us, vs, *args, **kw):
         calls["build_family"] += 1
-        return honest(*args, **kw)
+        calls["eps"] += sum(isinstance(x, EpsScalar) for x in (*us, *vs))
+        return honest(model, us, vs, *args, **kw)
 
     monkeypatch.setattr(bethe, "build_family", counted)
     monkeypatch.setattr(gl12, "build_family", counted)
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     assert calls["build_family"] <= FAMILY_PINNED[suite], (suite, calls["build_family"])
+    assert calls["eps"] == 0, (suite, calls["eps"])
 
 
 @pytest.mark.parametrize("suite", sorted(FRACTION_PINNED))
@@ -225,16 +234,19 @@ def test_operator_suite_compose_calls_do_not_rise(suite, monkeypatch):
 # digit, the vacuum axioms walk Omega and Omega^+ instead of building
 # T(u), each model walks a Bethe-vector step sequence once (the walk tries
 # of bethe.build_family), and a vector its weight makes zero
-# (Model.weight_space_nonempty) is not walked at all; the composite and
-# gl12 suites walk their composite's vacuum axioms, 90 state entries per
-# point on the quick config's two-site composites, at one point and at ten
+# (Model.weight_space_nonempty) is not walked at all; the vacuum axioms
+# walk one column of T(u) on Omega and one row on Omega^+ at a time, six
+# walks for twelve entries, and the composite and gl12 suites walk their
+# composite's, 60 state entries per point on the quick config's two-site
+# composites, at one point and at ten; a nested vector walks its
+# auxiliary chain and shares the T_1i(u) steps of the walk trie
 WALK_PINNED = {
     "rtt": (0, 0),
-    "composite": (0, 300),
-    "bethe": (0, 251),
-    "actions": (0, 690),
-    "proof-replay": (0, 109),
-    "gl12": (0, 1038),
+    "composite": (0, 270),
+    "bethe": (0, 208),
+    "actions": (0, 590),
+    "proof-replay": (0, 105),
+    "gl12": (0, 738),
     "recursion": (0, 72),
 }
 
@@ -297,15 +309,17 @@ def test_operator_suite_builds_do_not_rise(suite, monkeypatch):
 # run: a model builds its skeleton on its first walk and evaluates the
 # factors of each point it walks once, the vacuum axioms walk their model
 # (the composite's at the coproduct's point too), the factorization checks
-# of a suite share one composite model, and each build_cleared_product call
-# (the materialized T(u) of the coproduct) builds one of each
+# of a suite share one composite model, each build_cleared_product call
+# (the materialized T(u) of the coproduct) builds one of each, and a nested
+# vector walks its auxiliary chain with neither (monodromy.
+# cleared_chain_orders)
 POINT_PINNED = {
     "bethe": (5, 14),
     "actions": (3, 24),
     "recursion": (3, 9),
-    "composite": (11, 24),
+    "composite": (6, 24),
     "gl12": (3, 19),
-    "proof-replay": (10, 16),
+    "proof-replay": (3, 16),
 }
 
 

@@ -338,6 +338,28 @@ def test_apply_T_acts_on_bras_from_the_left(sig):
             assert m.apply_T(i, j, u, bra) == entry.apply_dual(bra), (i, j, digits)
 
 
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_a_walk_to_several_ends_gives_each_entry(sig):
+    """A walk with ends, one column of T(u) on a ket and one row on a bra,
+    gives each entry's action as its single-entry walk does, on a twisted
+    chain of every length up to 3 (the twist-only L=0 chain included) and
+    on a two-twist composite, at every column (row) and basis vector."""
+    smp = ParameterSampler(f"walk-ends:{sig.name}", 1)
+    xi = smp.generic(3)
+    models = [chain(length, xi[:length], twist=smp.twist(), sig=sig) for length in range(4)]
+    models.append(CompositeModel(SplitChain(ChainSpec(1, xi[:1], smp.twist(), sig, 1), ChainSpec(2, xi[1:], smp.twist(), sig, 1))))
+    u = smp.generic_one(avoid=xi)
+    for model in models:
+        _, orders = model._walk_weights(model.point_id(u))
+        for digits in product(range(1, 4), repeat=model.arity):
+            for vec in (GradedVector.basis(sig, digits), DualGradedVector.basis(sig, digits)):
+                for k in range(1, 4):
+                    ends = monodromy._walk(sig, model.arity, k, k, vec, orders, range(1, 4))
+                    for e, got in ends.items():
+                        i, j = (k, e) if isinstance(vec, DualGradedVector) else (e, k)
+                        assert got == monodromy._walk(sig, model.arity, i, j, vec, orders), (model.arity, digits, i, j)
+
+
 def test_walk_refuses_an_eps_shifted_point():
     """T(u) is walked at rational points only: eps-limits are taken of
     scalar coefficients, so no operator or vector holds an EpsScalar."""
