@@ -9,12 +9,11 @@ compares
 against the table-driven right-hand side; residuals are exactly zero. Every
 coefficient, and the normalization's h(vbar,z) (NORM), is shorthand
 evaluated by notation, on one Binding of ubar, vbar and z per check. A
-target vector whose argument sets share z is their limit there, the nested
-vector (bethe.build_vector_limit), with no eps. A
-term whose target is zero by weight on the model (Model.weight_space_nonempty,
-through bethe.weight_gated) is skipped whole: its coefficient is not read
-and its target not built. T31 and T32 have no tabulated action and are
-rejected.
+target vector whose argument sets share z is evaluated there: its builder
+returns the nested vector (bethe.nested_vector). A term whose target is
+zero by weight on the model (Model.weight_space_nonempty, through
+bethe.weight_gated) is skipped whole: its coefficient is not read and its
+target not built. T31 and T32 have no tabulated action and are rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 from functools import cache
 from importlib import resources
 
-from .bethe import PartialCache, build_vector, build_vector_limit, weight_gated
+from .bethe import PartialCache, build_vector, weight_gated
 from .errors import SchemaError
 from .graded import GL21, GradedVector
 from .notation import Binding, compile_table, evaluate, partition_sum
@@ -76,11 +75,12 @@ def action_norm(model, vs, z, base=None):
     return evaluate(NORM, base or Binding({"vbar": tuple(vs), "z": (z,)}, c=model.c), [lam2[::-1]])
 
 
-def action_rhs(model, element, us, vs, z, table=None, builder=build_vector_limit, base=None):
+def action_rhs(model, element, us, vs, z, table=None, builder=build_vector, base=None):
     """Table-driven right-hand side of the normalized action of element at
     z, summed over base (action_binding if not given), each target vector
-    built once by builder(model, us, vs): by default the Bethe vector, at
-    coincident parameters its limit (bethe.build_vector_limit)."""
+    built once by builder(model, us, vs): by default the Bethe vector,
+    which is the nested vector at coincident parameters
+    (bethe.build_vector)."""
     table = table or load_formula_table()
     partials = PartialCache(builder)
     target = weight_gated(lambda args, keys: partials.get("t", model, *args, key=keys), model)

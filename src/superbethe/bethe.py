@@ -23,15 +23,16 @@ computes a coefficient or walks a step. That is exact: every term is
 coef * W with W zero at every parameter value, so even a pole of coef
 multiplies an identically zero vector. The refusals that need no
 coefficient stay: coincident parameters within us or vs raise ValueError,
-a u equal to a v with no eps shift DivisionByZero.
+a u equal to a v DivisionByZero (the partition sum has no value there;
+the builders route that point to nested_vector, below).
 
 The coefficients are computed on ints. Each parameter family us + vs gets
 one scalars.PairTable, g, f and h of every ordered pair as (num, den) ints,
 built from the cleared pairs (p, q) of its points; a u equal to a v keeps
-its own entry there, so without an eps shift the table raises
-DivisionByZero. A weight is shorthand text (BETHE_WEIGHT,
-gl12.TILDE_WEIGHT), compiled once per weight and (a, b) into a plan
-(_weight_plan, from notation.compile_plan): for every split, in the order
+its own entry there, so the table raises DivisionByZero. A weight is
+shorthand text (BETHE_WEIGHT, gl12.TILDE_WEIGHT), compiled once per
+weight and (a, b) into a plan (_weight_plan, from notation.compile_plan):
+for every split, in the order
 notation.splits enumerates them, the table entries, K blocks and literals
 its coefficient reads. A term's coefficient is then one
 PairTable.product of those reads, of f and lam2 of the base and of lam2
@@ -41,15 +42,13 @@ the ordered parameter tuples, so each model keeps them per weight and
 parameters: a ket and its bra built at the same point share one list.
 
 build_family looks up each parameter's point id (Model.point_id, keyed by
-its value at eps = 0) once, before the coefficient lookup, and that is the
+its cleared pair) once, before the coefficient lookup, and that is the
 one hash of a rational parameter a build makes. A point id's first lookup
 computes the point's record (Model.points): its cleared pair and lam2 as
 ints, which every later build on the model reads. The ids are read by the
-refusal of coincident parameters within us or vs (two parameters coincide
-when they are equal at eps = 0), the key of the coefficient lists (the
-weight, the point ids, and a shifted entry's EpsScalar itself), the
-points' records and the model's walk data of each point
-(Model.apply_T_scaled).
+refusal of coincident parameters within us or vs, the key of the
+coefficient lists (the weight and the point ids), the points' records and
+the model's walk data of each point (Model.apply_T_scaled).
 
 Each block is walked by Model.apply_T_scaled on integer multiples of the
 factors, and an odd block's h-normalizer is read from the same table, so a
@@ -91,30 +90,14 @@ walked through the model's walk trie like the partition terms, and
 the h products over j < k and the last over every k and j: over the
 uncleared factors it is f(vs,us) on gl(2|1) and f(us,vs) on gl(1|2), the
 normalizers of ROADMAP Finding C (Finding L clears them). Nothing in it
-vanishes or blows up at v_k = u_j, so a coincidence limit is the value
-there: build_vector_limit passes nested=True to the builder at a u equal
-to a v, and each builder then returns its nested_vector. The normalizers
-are ints, read from the points' cleared pairs, and the auxiliary terms
-(components over normalizers, with their steps) are kept per model, side
-and point ids in Model.coefficients, beside the coefficient lists.
-
-The partition sums also take eps-shifted parameters, for the eps path
-(at_limit, which the tests keep as the nested form's oracle) and for the
-coefficients of a composite sum at a coincidence (composite.
-bilinear_sum_limit): the colliding v-side entry is shifted by the formal
-infinitesimal and only scalars are taken to the limit. A term is coef(eps)
-* W(eps), and W is regular at eps = 0 because the walk at the unshifted
-point exists (a point on an inhomogeneity raises DivisionByZero), so the
-term's limit is lim coef * W(0). The shifted parameter clears to an
-EpsScalar numerator, so its pairs in the table are EpsScalars (truncated
-Laurent series with int coefficients), the coefficient's one quotient has
-EpsScalar terms and n/d is its eps-limit, read off their leading terms
-(scalars.ratio), and every block is walked at the eps-limit of its
-parameters, on ints, with its h-normalizer taken there too. A coefficient
-with no limit raises PoleAtZero or PrecisionExhausted, a normalizer that
-vanishes there DivisionByZero; no term is dropped silently. Only a single
-collision is supported; larger overlaps are refused, and with one the
-coefficients stay regular at eps = 0 (see scalars.py).
+vanishes or blows up at v_k = u_j, so the vector there, the limit of the
+partition sum, is a plain evaluation, at one coincidence or at several.
+The builders route coincidences themselves: each one sends a u equal to a
+v (coincident, the one predicate) to nested_vector, and every other point
+to build_family. The normalizers are ints, read from the points' cleared
+pairs, and the auxiliary terms (components over normalizers, with their
+steps) are kept per model, side and point ids in Model.coefficients,
+beside the coefficient lists.
 """
 
 from __future__ import annotations
@@ -127,8 +110,8 @@ from .errors import DivisionByZero
 from .graded import GL21, DualGradedVector, GradedVector, accumulate, decode, digit_string
 from .monodromy import _walk, cleared_chain_orders
 from .notation import PartitionSpec, PartSpec, compile_plan, parse, plan_value
-from .rational import is_rational, rat_to_str
-from .scalars import EPS, EpsScalar, PairTable, eps_limit, is_zero, ratio
+from .rational import rat_to_str
+from .scalars import PairTable, is_zero, ratio
 
 # the entries of the ket T13(vI) T23(vII) T12(uII) . Omega in the order they
 # are applied, to uII, vII and vI; the same for B and B~
@@ -149,12 +132,11 @@ def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
     and w that of the node returned, an odd T_ij (odd: its parity under the
     signature) divided by its normalizer (creation-type on kets,
     annihilation-type on bras). params are indices into points, the
-    (point id, parameter at eps = 0) pairs where the entries are walked; a
+    (point id, parameter) pairs where the entries are walked; a
     step is walked by Model.apply_T_scaled on its first visit only and read
     from the trie after that. w is an int vector, q is the product of the
     steps' multipliers times the normalizer's numerator and p its
-    denominator, read from the h table of the family's PairTable (at
-    eps = 0)."""
+    denominator, read from the h table of the family's PairTable."""
     p, q = 1, 1
     for k in params if dual else reversed(params):
         pid, x = points[k]
@@ -176,8 +158,8 @@ def _apply_entries(model, h_table, i, j, odd, params, points, node, dual):
 
 def _require_distinct(keys, points, a):
     """Refuse coincident parameters within us or within vs. keys[k] stands
-    for parameter k of us + vs, a of them in us, and points[k] is its value
-    at eps = 0, which the message gives in the config wire format."""
+    for parameter k of us + vs, a of them in us, and points[k] is its
+    value, which the message gives in the config wire format."""
     for name, lo, hi in (("us", 0, a), ("vs", a, len(keys))):
         for k in range(lo + 1, hi):
             if keys[k] in keys[lo:k]:
@@ -214,18 +196,13 @@ def _partition_terms(model, us, vs, weight, ids=None):
     place of f(vs,us) on gl(1|2). weight is shorthand over uI, uII, vI and
     vII, read at each split by its _weight_plan. The parameters' cleared
     pairs and lam2 come from Model.points by their point ids, ids (looked up
-    if not given); a shifted parameter is cleared by its point's
-    denominator, and lam2 is read at its eps-limit, which leaves the limit
-    unchanged, as the coefficients are regular at eps = 0 (scalars.py). The
-    quotient is taken once per term, and at an eps-shifted point n/d is its
-    eps-limit."""
+    if not given). The quotient is taken once per term."""
     us, vs = tuple(us), tuple(vs)
     xs, a = us + vs, len(us)
     if ids is None:
-        ids = [model.point_id(eps_limit(x) if isinstance(x, EpsScalar) else x) for x in xs]
+        ids = [model.point_id(x) for x in xs]
     points = [model.points[pid] for pid in ids]
-    cleared = [(x * pq[1], pq[1]) if isinstance(x, EpsScalar) else pq for x, (pq, _) in zip(xs, points)]
-    table = PairTable(xs, model.c, cleared)
+    table = PairTable(xs, model.c, [pq for pq, _ in points])
     lam2 = [pair for _, pair in points]
     iu, iv = range(a), range(a, len(xs))
     names, left, right = ("vs,us", iv, iu) if model.sig == GL21 else ("us,vs", iu, iv)
@@ -244,8 +221,8 @@ def _partition_terms(model, us, vs, weight, ids=None):
 def _coefficients(model, us, vs, weight, ids):
     """_partition_terms, computed once per model, weight and ordered
     parameter tuples, so that a ket and its bra share it. The parameters are
-    keyed by their point ids, ids, and a shifted one by its EpsScalar."""
-    key = weight, len(us), *(x if isinstance(x, EpsScalar) else pid for x, pid in zip((*us, *vs), ids))
+    keyed by their point ids, ids."""
+    key = weight, len(us), *ids
     hit = model.coefficients.get(key)
     if hit is None:
         hit = model.coefficients[key] = _partition_terms(model, us, vs, weight, ids)
@@ -255,29 +232,28 @@ def _coefficients(model, us, vs, weight, ids):
 def build_family(model, us, vs, weight, dual):
     """The partition sum of _PLAN under the given weight: the ket, or with
     dual its mirror bra (transposed entries, annihilation-type normalizers
-    and the sign (-1)^{m(m-1)/2} for m odd factors per term). At eps-shifted
-    parameters every term is its eps -> 0 limit. The terms, n/d times int
-    vectors, are summed over one int denominator (graded.accumulate), which
-    also takes the bra's sign, and returned as those ints over it. A pair
-    (a, b) that Model.weight_space_nonempty rules out gives the zero vector,
-    with no coefficient and no walk, even where a coefficient has a pole
-    (exact, see above), after the refusals that need no coefficient."""
-    a = len(us)
-    at_zero = [eps_limit(x) if isinstance(x, EpsScalar) else x for x in (*us, *vs)]
+    and the sign (-1)^{m(m-1)/2} for m odd factors per term). The terms,
+    n/d times int vectors, are summed over one int denominator
+    (graded.accumulate), which also takes the bra's sign, and returned as
+    those ints over it. A pair (a, b) that Model.weight_space_nonempty rules
+    out gives the zero vector, with no coefficient and no walk, even where a
+    coefficient has a pole (exact, see above), after the refusals that need
+    no coefficient."""
+    a, xs = len(us), (*us, *vs)
     if not model.weight_space_nonempty(a, len(vs)):
-        _require_distinct(at_zero, at_zero, a)
-        if any(u == v for u in us for v in vs):
+        _require_distinct(xs, xs, a)
+        if coincident(us, vs):
             raise DivisionByZero("g(u,v) at coincident arguments")
         return (DualGradedVector if dual else GradedVector)(model.sig, model.arity)
-    ids = [model.point_id(x) for x in at_zero]
-    _require_distinct(ids, at_zero, a)
+    ids = [model.point_id(x) for x in xs]
+    _require_distinct(ids, xs, a)
     h_table, terms = _coefficients(model, us, vs, weight, ids)
     plan = _entry_plan(model.sig, dual)
     # every term has the same number of odd factors
     odd = sum(len(params) * odd_entry for (_, _, odd_entry), params in zip(plan, terms[0][2]))
     sign = -1 if dual and odd * (odd - 1) // 2 % 2 else 1
     walks = ((n, d, zip(plan, blocks)) for n, d, blocks in terms)
-    return _walk_terms(model, h_table, walks, list(zip(ids, at_zero)), dual, sign)
+    return _walk_terms(model, h_table, walks, list(zip(ids, xs)), dual, sign)
 
 
 def _walk_terms(model, h_table, terms, points, dual, sign=1):
@@ -337,13 +313,20 @@ def _nested_terms(model, ids, a, dual):
     return terms
 
 
+def coincident(us, vs):
+    """Whether a u equals a v: the one predicate by which every builder
+    sends a point to nested_vector, where the partition sum has no value."""
+    return any(u == v for u in us for v in vs)
+
+
 def nested_vector(model, us, vs, dual=False):
     """B_{a,b}(us; vs) on gl(2|1), B~_{a,b}(us; vs) on gl(1|2), or with dual
     C_{a,b} resp. C~_{a,b}, by the cleared nested Bethe ansatz (see above),
-    which is defined where a u equals a v. The refusals of build_family
-    stay but that one: coincident parameters within us or vs raise
-    ValueError, a vanishing normalizer DivisionByZero, and a pair (a, b)
-    that Model.weight_space_nonempty rules out gives the zero vector."""
+    which is defined where a u equals a v, at any number of pairs. The
+    refusals of build_family stay but that one: coincident parameters
+    within us or vs raise ValueError, a vanishing normalizer
+    DivisionByZero, and a pair (a, b) that Model.weight_space_nonempty
+    rules out gives the zero vector."""
     us, vs = tuple(us), tuple(vs)
     a, xs = len(us), us + vs
     if not model.weight_space_nonempty(a, len(vs)):
@@ -361,62 +344,32 @@ def nested_vector(model, us, vs, dual=False):
 BETHE_WEIGHT = "K(vI|uI)*f(uI,uII)*g(vII,vI)"
 
 
-def build_vector(model, us, vs, nested=False) -> GradedVector:
-    """B_{a,b}(us; vs) on a gl(2|1) realization; with nested, by
+def build_vector(model, us, vs) -> GradedVector:
+    """B_{a,b}(us; vs) on a gl(2|1) realization; where a u equals a v, by
     nested_vector."""
     _guard(model, GL21)
-    return nested_vector(model, us, vs) if nested else build_family(model, us, vs, BETHE_WEIGHT, dual=False)
+    if coincident(us, vs):
+        return nested_vector(model, us, vs)
+    return build_family(model, us, vs, BETHE_WEIGHT, dual=False)
 
 
-def build_dual_vector(model, us, vs, nested=False) -> DualGradedVector:
-    """C_{a,b}(us; vs), the mirror of B_{a,b}(us; vs); with nested, by
-    nested_vector."""
+def build_dual_vector(model, us, vs) -> DualGradedVector:
+    """C_{a,b}(us; vs), the mirror of B_{a,b}(us; vs); where a u equals a v,
+    by nested_vector."""
     _guard(model, GL21)
-    return nested_vector(model, us, vs, dual=True) if nested else build_family(model, us, vs, BETHE_WEIGHT, dual=True)
+    if coincident(us, vs):
+        return nested_vector(model, us, vs, dual=True)
+    return build_family(model, us, vs, BETHE_WEIGHT, dual=True)
 
 
-# ---------------------------------------------------------------------------
-# coincident parameters
-# ---------------------------------------------------------------------------
-
-
-def separate_collision(us, vs):
-    """Shift the (single) shared parameter on the v side by eps.
-
-    Returns (us, vs', shifted?) where vs' is vs with the colliding entry
-    replaced by entry + eps. Refuses overlaps of size >= 2: the machinery
-    carries one infinitesimal only.
-    """
-    us, vs = tuple(us), tuple(vs)
-    # a coincidence is an equal pair of rationals, found with no subtraction;
-    # an eps-shifted value coincides with nothing
-    hits = [(i, j) for i, u in enumerate(us) for j, v in enumerate(vs) if u == v and is_rational(u)]
-    if not hits:
-        return us, vs, False
-    if len(hits) > 1:
-        raise ValueError(f"{len(hits)} coincident u/v pairs; only one collision is supported")
-    _, j = hits[0]
-    vs = vs[:j] + (vs[j] + EPS,) + vs[j + 1 :]
-    return us, vs, True
-
-
-def at_limit(build, us, vs):
-    """build(us, vs) at possibly coincident us/vs via the exact eps -> 0
-    limit, which the builders of this package take term by term
-    (build_family, partition_sum) on the eps-separated parameters."""
-    us, vs, _ = separate_collision(us, vs)
-    return build(us, vs)
-
-
+# bench/tracer.py wraps these two by name; every builder evaluates a
+# coincidence itself
 def build_vector_limit(model, us, vs, builder=build_vector):
-    """builder(model, us, vs) at possibly coincident us/vs: where a u equals
-    a v, by its nested form (nested_vector), which is finite there, so the
-    limit is its value, with no eps."""
-    return builder(model, us, vs, nested=any(u == v for u in us for v in vs))
+    return builder(model, us, vs)
 
 
 def build_dual_vector_limit(model, us, vs):
-    return build_vector_limit(model, us, vs, builder=build_dual_vector)
+    return build_dual_vector(model, us, vs)
 
 
 class PartialCache:

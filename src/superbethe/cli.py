@@ -41,13 +41,7 @@ from itertools import permutations, product
 
 from . import __version__
 from .actions import ELEMENTS, action_check, action_norm, load_formula_table
-from .bethe import (
-    build_dual_vector,
-    build_vector,
-    build_vector_limit,
-    grading_of,
-    vector_to_json,
-)
+from .bethe import build_dual_vector, build_vector, grading_of, vector_to_json
 from .composite import (
     REPLAY_CHECKS,
     CompositeModel,
@@ -60,7 +54,7 @@ from .composite import (
     check_recursion,
     compose_monodromy,
 )
-from .errors import DivisionByZero, PoleAtZero, PrecisionExhausted, SchemaError
+from .errors import DivisionByZero, SchemaError
 from .gl12 import build_tilde_vector, check_tilde_dual_factorization, check_tilde_factorization
 from .graded import SIGNATURES, GradedOperator, GradedVector, check_unitarity, check_ybe
 from .monodromy import ChainModel, ChainSpec, check_rtt, check_supercommutator, vacuum_residuals
@@ -525,7 +519,7 @@ class _Runner:
             yield (
                 f"chain {ci} coincidence limit equals normalized T13 action",
                 {"z": z},
-                lambda: build_vector_limit(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega(), action_norm(m, (), z))),
+                lambda: build_vector(m, (z,), (z,)).sub(m.apply_T(1, 3, z, m.omega(), action_norm(m, (), z))),
             )
 
     def suite_actions(self, smp):
@@ -655,7 +649,7 @@ def _cmd_bethe_eval(args) -> int:
     us = tuple(rat_from_str(x) for x in args.u or [])
     vs = tuple(rat_from_str(x) for x in args.v or [])
     builder = build_vector if model.sig.name == "gl(2|1)" else build_tilde_vector
-    vec = build_vector_limit(model, us, vs, builder=builder)
+    vec = builder(model, us, vs)
     print(json.dumps(vector_to_json(vec), indent=2, sort_keys=True))
     return 0
 
@@ -694,7 +688,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SchemaError, OSError, DivisionByZero, PoleAtZero, PrecisionExhausted, ValueError) as e:
+    except (SchemaError, OSError, DivisionByZero, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

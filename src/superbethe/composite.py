@@ -47,20 +47,13 @@ from functools import cache, partial
 from importlib import resources
 
 from .actions import action_binding, action_norm, action_rhs
-from .bethe import (
-    PartialCache,
-    build_dual_vector,
-    build_vector,
-    build_vector_limit,
-    separate_collision,
-    weight_gated,
-)
+from .bethe import PartialCache, build_dual_vector, build_vector, weight_gated
 from .errors import SignatureMismatch
 from .graded import DualGradedVector, GradedVector, koszul_tensor, linear_combination, vector_tensor
 from .monodromy import ChainModel, ChainSpec, Model, Monodromy
 from .notation import Binding, PartSpec, PartitionSpec, compile_table, compile_terms, evaluate, partition_sum
 from .rational import rat
-from .scalars import EpsScalar, eps_limit, is_zero, three_term_witness
+from .scalars import is_zero, three_term_witness
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,10 @@ def bilinear_sum(
     The default coefficient and ket order realize the gl(2|1) composite
     expansion; the dual and gl(1|2) variants pass their own coefficient
     strings, builders and written orders (part2_written_first for kets,
-    part1_written_first for bras).
+    part1_written_first for bras). Where a u equals a v it is a plain
+    evaluation: a coefficient reads 1/f(z,z) as 0 and raises
+    DivisionByZero on a pole (scalars.PairTable), and a partial vector
+    that holds the pair is its builder's nested vector.
     """
     reordered = part1_written_first if dual else part2_written_first
     base = Binding({"ubar": tuple(us), "vbar": tuple(vs)}, c=m1.c, funcs=ratio_funcs(m1, m2))
@@ -208,18 +204,10 @@ def bilinear_sum(
     return partition_sum(_bilinear_terms(coeff), base, target, acc)
 
 
+# bench/tracer.py wraps it by name; bilinear_sum evaluates a coincidence
+# itself
 def bilinear_sum_limit(m1, m2, us, vs, builder=build_vector, **kw):
-    """bilinear_sum at a single coincident u/v pair: its coefficients are
-    read at the eps-separated parameters (bethe.separate_collision), as
-    their exact eps-limits, and its partial vectors at eps = 0 by
-    build_vector_limit, so a partial that holds the pair is a nested
-    vector."""
-    us, shifted, _ = separate_collision(us, vs)
-
-    def at_zero(model, us, vs):
-        return build_vector_limit(model, us, tuple(eps_limit(v) if isinstance(v, EpsScalar) else v for v in vs), builder)
-
-    return bilinear_sum(m1, m2, us, shifted, builder=at_zero, **kw)
+    return bilinear_sum(m1, m2, us, vs, builder=builder, **kw)
 
 
 def factorization_residual(total, us, vs, builder, **kw):
@@ -295,7 +283,7 @@ def check_composite_creation_actions(split, us, vs, z):
     base = action_binding(total, us, vs, z)
     norm = action_norm(total, vs, z, base)
     cal_b = bilinear_sum(m1, m2, us, vs)
-    composite_sum = lambda _, us, vs: bilinear_sum_limit(m1, m2, us, vs)
+    composite_sum = lambda _, us, vs: bilinear_sum(m1, m2, us, vs)
     return tuple(
         total.apply_T(i, 3, z, cal_b, norm).sub(action_rhs(total, f"T{i}3", us, vs, z, builder=composite_sum, base=base))
         for i in (1, 2)
@@ -349,7 +337,7 @@ def action_decomposition_report(split, us, vs, z):
     m1, m2 = total.part1, total.part2
     c = total.c
     base = Binding({"ubar": us, "vbar": vs, "z": (z,)}, c=c, funcs=ratio_funcs(m1, m2))
-    partials = PartialCache(build_vector_limit)
+    partials = PartialCache(build_vector)
     compose = lambda args, keys: compose_ket(
         partials.get(1, m1, *args[:2], key=keys[:2]), partials.get(2, m2, *args[2:], key=keys[2:]), True
     )
@@ -365,7 +353,7 @@ def action_decomposition_report(split, us, vs, z):
 
     norm = action_norm(total, vs, z, base)
     direct = total.apply_T(1, 3, z, bilinear_sum(m1, m2, us, vs), norm)
-    extended = bilinear_sum_limit(m1, m2, (z,) + us, (z,) + vs)
+    extended = bilinear_sum(m1, m2, (z,) + us, (z,) + vs)
 
     residuals = (
         a_sum.sub(extended),

@@ -50,11 +50,9 @@ from_ints adopts ints as they are. scale, add, sub, vector_tensor and ==
 work on the ints: the lcm of two denominators, their product, a
 cross-multiplied comparison. entries, {key: num/den}, is a read-only view
 for printing and serializing, built on its first read, and num itself at
-den 1. Entries that are not all rational (EpsScalars, which only the
-materialized test oracles build) are kept as given over den 1, and the
-same arithmetic runs on them. accumulate folds every vector sum, add and
-sub as well as the partition sums: it adds n/d times an int vector to one
-int dict over one denominator.
+den 1. Every entry is an exact rational. accumulate folds every vector
+sum, add and sub as well as the partition sums: it adds n/d times an int
+vector to one int dict over one denominator.
 
 Only the kernels that the benchmark's workloads run hot are hand-tuned.
 In a warm round at seed 1 (verify-full, operator-identities,
@@ -80,7 +78,7 @@ from math import gcd, lcm
 from operator import lshift
 
 from .errors import ArityMismatch, SignatureMismatch
-from .rational import is_rational, rat
+from .rational import rat
 from .scalars import as_pair
 from .scalars import g as g_fn
 
@@ -150,11 +148,9 @@ def _scan(parities):
 
 
 def _over(x, den):
-    """x / den for a numerator x of a vector and its positive int den: a
-    rational for an int x, x itself for den 1."""
-    if den == 1:
-        return x
-    return rat(x, den) if type(x) is int else x / den
+    """x / den for an int numerator x of a vector and its positive int den:
+    x itself for den 1, else a rational."""
+    return x if den == 1 else rat(x, den)
 
 
 class GradedVector:
@@ -166,16 +162,15 @@ class GradedVector:
     __slots__ = ("sig", "arity", "num", "den", "_entries")
 
     def __init__(self, sig, arity, entries=None):
-        """entries, {key: value}, is cleared once: rational values become
-        num over the lcm of their denominators. Values that are not all
-        rational (EpsScalars) are kept as given over den 1, and the
-        arithmetic on them stays generic. An int dict is kept, not copied,
-        unless it holds a zero, which a copy drops: every producer hands
-        over a fresh dict and does not change it afterwards."""
+        """entries, {key: value}, exact rationals, is cleared once: they
+        become num over the lcm of their denominators. An int dict is kept,
+        not copied, unless it holds a zero, which a copy drops: every
+        producer hands over a fresh dict and does not change it
+        afterwards."""
         entries = {} if entries is None else entries
         num = entries if all(entries.values()) else {k: v for k, v in entries.items() if v}
         den = 1
-        if not {*map(type, num.values())} <= {int} and all(map(is_rational, num.values())):
+        if not {*map(type, num.values())} <= {int}:
             den = lcm(*(x.denominator for x in num.values()))
             num = {k: x.numerator * (den // x.denominator) for k, x in num.items()}
         self._adopt(sig, arity, num, den)
@@ -210,11 +205,8 @@ class GradedVector:
         return cls.from_ints(sig, len(digits), {encode(digits): 1})
 
     def scale(self, c, d=1):
-        """(c/d) times the vector, d a nonzero int: on the numerators for a
-        rational c, else on the entries."""
-        if not is_rational(c):
-            vec = type(self)(self.sig, self.arity, {k: c * v for k, v in self.entries.items()})
-            return vec if d == 1 else vec.scale(1, d)
+        """(c/d) times the vector, c rational and d a nonzero int, on the
+        numerators."""
         n, cd = as_pair(c)
         return type(self).from_ints(self.sig, self.arity, {k: n * x for k, x in self.num.items()}, self.den * cd * d)
 

@@ -104,8 +104,8 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   by one step (i, j, point id) and holds (m, v, children): m the multiplier
   of its step's apply_T_scaled and v the int vector of its path from Omega
   (Omega^+), so a step sequence the model has walked before costs one dict
-  lookup per step. Model.point_ids gives each walk point, a parameter at
-  eps = 0 keyed by its cleared pair (p, q), a small int, looked up once
+  lookup per step. Model.point_ids gives each walk point, a rational
+  parameter keyed by its cleared pair (p, q), a small int, looked up once
   per parameter per build. The memo is exact: a walk is a pure function
   of the model and its steps, and only identical step sequences are
   reused, never an algebraic identity (commuting T12s, reversed orders). The tries, the skeleton and every
@@ -535,12 +535,6 @@ def _shifted(weight, i, j, k, l):
     return n1 + (j == 1) - (i == 1) + (l == 1) - (k == 1), n2 + (j == 2) - (i == 2) + (l == 2) - (k == 2)
 
 
-def _quotient(num, den):
-    """num/den: a Fraction when both are ints, the series quotient when
-    either is an EpsScalar."""
-    return rat(num, den) if type(num) is int and type(den) is int else num / den
-
-
 class Model:
     """The realization of a tuple of ChainSpec parts that share sig and c:
     one part for a chain (ChainModel), (part1, part2) for a composite
@@ -548,7 +542,7 @@ class Model:
     monodromies, their factors in one tuple (factors), and each vacuum
     eigenvalue is the product of the parts' (Izergin-Korepin), which the
     vacuum axioms check against the walk; lam and r are quotients of
-    lam_pair, at a rational or an eps-shifted u alike.
+    lam_pair.
     """
 
     def __init__(self, parts):
@@ -563,7 +557,7 @@ class Model:
             factors.append(("diag", tuple(part.twist)))
             factors += (("site", offset + k, part.xi[k - 1]) for k in range(part.length, 0, -1))
         self.factors = tuple(factors)
-        # point id of each walk point, a spectral parameter at eps = 0
+        # point id of each walk point, a rational spectral parameter
         self.point_ids = {}
         # per point id: its cleared pair (p, q) and lam2 there as (num, den)
         self.points = []
@@ -586,8 +580,7 @@ class Model:
 
     def lam_pair(self, i, u):
         """lam_i(u) as (num, den), not necessarily in lowest terms: ints with
-        den != 0 at a rational u = up/uq (as_pair); at an eps-shifted u (up
-        the series, uq = 1), series wherever u enters. It is the product
+        den != 0 at a rational u = up/uq (as_pair). It is the product
         over the parts of each part's twist d_i, times prod_k f(u, xi_k)
         over the part's sites for i = 1, read from the parts, not from
         factors. With c = cn/cd and xi_k = xp/xq, f(u, xi_k) = (e + cn uq
@@ -608,7 +601,7 @@ class Model:
 
     def lam(self, i, u):
         """lam_i(u), the quotient of lam_pair."""
-        return _quotient(*self.lam_pair(i, u))
+        return rat(*self.lam_pair(i, u))
 
     def monodromy_op(self, u) -> GradedOperator:
         return build_factor_product(self.sig, self.c, self.arity, self.factors, u)
@@ -681,7 +674,7 @@ class Model:
     def r(self, i, u):
         """lam_i(u) / lam_2(u), one quotient of the lam_pair pairs."""
         (num, den), (num2, den2) = self.lam_pair(i, u), self.lam_pair(2, u)
-        return _quotient(num * den2, den * num2)
+        return rat(num * den2, den * num2)
 
     def omega(self) -> GradedVector:
         return GradedVector.basis(self.sig, (1,) * self.arity)

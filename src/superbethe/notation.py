@@ -322,8 +322,10 @@ def eval_expr(node, table, sets, unary=None):
 
 def evaluate(text: str, binding: Binding, extra=()):
     """text at binding, times the (num, den) pairs in extra, as one
-    rational (eval_expr times extra); at an eps-shifted binding, its
-    eps-limit (PoleAtZero or PrecisionExhausted if it has none)."""
+    rational (eval_expr times extra). At a binding whose sets share a
+    value, a g or f of it with itself is a pole: its reciprocal reads 0,
+    and a pole left in the final denominator raises DivisionByZero
+    (scalars.PairTable)."""
     value = eval_expr(parse(text), binding.table, binding.sets, binding.unary)
     return rat(*ratio(*PairTable.product([value, *extra])))
 
@@ -481,10 +483,12 @@ def partition_sum(terms, base, target, acc):
     that term is skipped whole: its coefficient is not read, so it neither
     costs nor raises. None means zero by weight, never zero by value: a
     live term whose vector comes out 0 still has its coefficient read, so
-    a pole there still raises and an eps-limit still sees the term.
+    a pole there still raises.
 
     A live term's coefficient is read off the term's compile_plan as (n, d)
-    ints in lowest terms (at an eps-shifted base its eps-limit), its target
+    ints in lowest terms, at a base whose sets share a value too: a plain
+    evaluation there (scalars.PairTable: 1/f(z,z) reads 0, and a pole left
+    in the final denominator raises DivisionByZero). Its target
     is a vector of acc's signature and arity, num over den, and every live
     term is folded into one int dict over one denominator
     (graded.accumulate), which becomes the vector returned, of acc's type."""

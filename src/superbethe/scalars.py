@@ -1,37 +1,27 @@
 """Exact field arithmetic for the rational structure constants.
 
-EpsScalar extends the plain rationals of rational.py, which carry every
-generic computation, to truncated Laurent series in one formal
-infinitesimal ``eps``, to evaluate the partition coefficients at coincident
-spectral parameters as exact one-sided limits.
+Every coefficient is computed at rational points, on ints: a PairTable
+holds g, f and h of one parameter family as (num, den) int pairs, and
+ratio reduces one product of them to lowest terms. A coincidence u = v is
+a plain evaluation there. A Binding holds the shared value once, so g(u,u)
+and f(u,u) are diagonal entries of its table, which hold the pole (1, 0):
+a reciprocal 1/g or 1/f reads 0, and a product with a pole left in its
+final denominator, 0 * inf included, raises DivisionByZero in ratio.
 
-An EpsScalar is eps^val * (c_0 + c_1 eps + ... + c_{n-1} eps^{n-1}) +
-O(eps^{val+n}) with c_0 != 0, or, for n = 0, the undetermined zero
+EpsScalar, EPS and eps_limit, truncated Laurent series in one formal
+infinitesimal eps, are kept only as the surface bench/tracer.py wraps by
+name, until ROADMAP item 3's benchmark step; no shipped command reaches
+them. An EpsScalar is eps^val * (c_0 + c_1 eps + ... + c_{n-1} eps^{n-1})
++ O(eps^{val+n}) with c_0 != 0, or, for n = 0, the undetermined zero
 O(eps^val) left when every kept coefficient cancels. n is the relative
 precision and val + n the absolute one. A sum keeps the smaller absolute
 precision, a product or quotient the smaller relative one, and a quotient
 inverts the divisor's leading coefficient (power-series arithmetic, Knuth,
-TAOCP vol. 2, 4.7), so no polynomial gcd is ever taken. Rationals take part
-as exact values. A coefficient is stored as an int wherever its value is
-integral: EPS is built from ints, and only a rational operand or a division
-that does not come out even makes one a Fraction (eps_limit still returns a
-Fraction). EPS is known to the fixed relative precision EPS_PRECISION, and
-an eps-limit never returns a constant term the kept coefficients do not
-fix: it raises PrecisionExhausted, as does a division by an undetermined
-zero.
-
-Limits are taken of scalars only: ratio takes the eps-limit of each term's
-coefficient (why this is exact: bethe.py), and raises for one with no
-limit. It reads the limit of num/den off the leading terms, with no series
-division: the quotient has the order val(num) - val(den) and the leading
-coefficient c0(num)/c0(den), and ratio raises exactly where
-eps_limit(num / den) raises (_limit_of_quotient). bareiss_det and an
-explicit / keep the series division. There is no retry at a higher
-precision because the builders shift only one parameter
-(bethe.separate_collision refuses larger overlaps): K(vI|uI) has at most a
-simple pole in eps and 1/f(vs,us) a simple zero, so every partition
-coefficient is regular at eps = 0 and the only singular products resolved
-are 0 * inf.
+TAOCP vol. 2, 4.7). A coefficient is stored as an int wherever its value
+is integral. EPS is known to the fixed relative precision EPS_PRECISION,
+and an eps-limit never returns a constant term the kept coefficients do
+not fix: it raises PrecisionExhausted, as does a division by an
+undetermined zero, and PoleAtZero at a known negative order.
 """
 
 from __future__ import annotations
@@ -294,10 +284,8 @@ def izergin(vs, us, c):
 
 
 def as_pair(x):
-    """(num, den) of x: numerator and positive denominator as ints for an
-    exact rational; (x, 1) for an EpsScalar."""
-    if isinstance(x, EpsScalar):
-        return x, 1
+    """(num, den) of an exact rational x: numerator and positive
+    denominator as ints."""
     return x.numerator, x.denominator
 
 
@@ -305,18 +293,13 @@ _ZERO_DENOMINATOR = "zero denominator: a g or f at coincident arguments, or a ze
 
 
 def ratio(num, den):
-    """num/den as (p, q) ints in lowest terms with q > 0. Either operand may
-    be an EpsScalar; then p/q is the eps-limit of the quotient, read from
-    the leading terms (_limit_of_quotient), with no series division."""
-    if type(num) is int and type(den) is int:
-        if not den:
-            raise DivisionByZero(_ZERO_DENOMINATOR)
-        k = gcd(num, den) if den > 0 else -gcd(num, den)
-        return num // k, den // k
-    if isinstance(num, EpsScalar) or isinstance(den, EpsScalar):
-        return ratio(*_limit_of_quotient(num, den))
+    """num/den as (p, q) ints in lowest terms with q > 0, for ints or exact
+    rationals; a zero den raises DivisionByZero, whatever num is."""
     if not den:
         raise DivisionByZero(_ZERO_DENOMINATOR)
+    if type(num) is int and type(den) is int:
+        k = gcd(num, den) if den > 0 else -gcd(num, den)
+        return num // k, den // k
     return as_pair(num / den)
 
 
@@ -352,49 +335,39 @@ def _limit_of_quotient(num, den):
     return nc, dc
 
 
-def _cleared(x):
-    """(p, q) with x = p/q and q a positive int: p is an int at a rational
-    x and an EpsScalar at an eps-shifted one, q the denominator of x at
-    eps = 0."""
-    if isinstance(x, EpsScalar):
-        q = eps_limit(x).denominator
-        return x * q, q
-    return as_pair(x)
-
-
 class PairTable:
     """g, f and h of every ordered pair of a parameter family xs, tabulated
-    once as (num, den) pairs, indexed [i][j]; the source of every shorthand
-    coefficient (the plans of notation, the Bethe-vector weights among them).
+    once as (num, den) int pairs, indexed [i][j]; the source of every
+    shorthand coefficient (the plans of notation, the Bethe-vector weights
+    among them).
 
-    Each parameter is cleared once as x = p/q (p an EpsScalar at an
-    eps-shifted x, q always an int), or read from cleared, the pairs a
-    caller already holds (bethe.py reads them from Model.points), and with
-    c = cn/cd the pair (i, j),
-    i != j, has g(x_i, x_j) = gn/gd with gn = cn q_i q_j and
-    gd = cd (p_i q_j - p_j q_i), f = (gd + gn)/gd and h = (gd + gn)/gn.
-    On the diagonal h = 1, and g and f are (0, 0), which read either way
-    up keeps the denominator 0, so ratio raises DivisionByZero on a product
-    that has one, or its reciprocal, as a factor; so does a K block that
-    pairs a parameter with itself. At a
-    rational point every entry is an int; at an eps-shifted point the pairs
-    of the shifted parameter are EpsScalars, and the products carry them.
+    Each parameter is cleared once as x = p/q, or read from cleared, the
+    pairs a caller already holds (bethe.py reads them from Model.points),
+    and with c = cn/cd the pair (i, j), i != j, has g(x_i, x_j) = gn/gd
+    with gn = cn q_i q_j and gd = cd (p_i q_j - p_j q_i), f = (gd + gn)/gd
+    and h = (gd + gn)/gn. A family holds each value once (notation.Binding),
+    so two distinct entries never coincide, and a coincidence u = v is the
+    diagonal: h = 1 there, and g and f hold the pole (1, 0). Their
+    reciprocals read 0, and a product that keeps a pole in its final
+    denominator, 0 * inf included, has den 0, on which ratio raises
+    DivisionByZero; so does a K block that pairs a parameter with itself,
+    and its reciprocal reads 0.
     """
 
     __slots__ = ("g", "f", "h")
 
     def __init__(self, xs, c, cleared=None):
         cn, cd = as_pair(c)
-        cleared = cleared or [_cleared(x) for x in xs]
+        cleared = cleared or [as_pair(x) for x in xs]
         size = len(xs)
-        self.g = [[(0, 0)] * size for _ in range(size)]
-        self.f = [[(0, 0)] * size for _ in range(size)]
+        self.g = [[(1, 0)] * size for _ in range(size)]
+        self.f = [[(1, 0)] * size for _ in range(size)]
         self.h = [[(1, 1)] * size for _ in range(size)]
         for i, j in combinations(range(size), 2):
             (pi, qi), (pj, qj) = cleared[i], cleared[j]
             gn = cn * qi * qj
-            gd = pi * (cd * qj) - pj * (cd * qi)
-            if is_zero(gd):
+            gd = cd * (pi * qj - pj * qi)
+            if not gd:
                 raise DivisionByZero("g(u,v) at coincident arguments")
             up, down = gd + gn, gn - gd
             self.g[i][j], self.g[j][i] = (gn, gd), (gn, -gd)
@@ -403,22 +376,13 @@ class PairTable:
 
     @staticmethod
     def product(pairs):
-        """prod of (num, den) pairs, as (num, den); the empty one is (1, 1).
-        Pairs with an EpsScalar are multiplied apart from the int ones and
-        joined once, so an int factor costs no series operation."""
+        """prod of (num, den) int pairs, as (num, den); the empty one is
+        (1, 1)."""
         num = den = 1
-        series = None
         for n, d in pairs:
-            if type(n) is int and type(d) is int:
-                num *= n
-                den *= d
-            elif series is None:
-                series = n, d
-            else:
-                series = series[0] * n, series[1] * d
-        if series is None:
-            return num, den
-        return series[0] * num, series[1] * den
+            num *= n
+            den *= d
+        return num, den
 
     def izergin(self, vs, us):
         """K_n(x_vs | x_us) as (num, den), vs and us index tuples.
@@ -426,10 +390,10 @@ class PairTable:
         K_1 is the tabulated g. For n >= 2 it is the determinant form of
         izergin: the row of v in det[g^2/f], g^2/f = gn^2 / (gd (gd + gn)),
         is multiplied by the product of its entries' denominators, which
-        leaves ints (EpsScalars in the shifted parameter's row or column) for
-        bareiss_det, and the f-parts of those multipliers cancel the
+        leaves ints for bareiss_det, and the f-parts of those multipliers cancel the
         prefactor prod h(vs, us), so
         K = prod_{i<j} g(v_i,v_j) g(u_j,u_i) det M / prod (gn gd)(vs, us).
+        A v equal to a u is a diagonal entry, whose gd = 0 leaves den 0.
         """
         n = len(vs)
         if n != len(us):

@@ -1,14 +1,12 @@
 """Independent oracles shared by the test modules.
 
 T(u) as the embedded product of its factors, for checking the column walk
-of monodromy.py; it shares no sign with the walk and, unlike the walk,
-evaluates at eps-shifted points too. The RTT residual as the rational
-formula with every factor placed by embed, for checking the packed entry
-products of monodromy.check_rtt, and insert_identity, an even operator
-lifted by one identity factor, whose sign is the sign of T(u) x I that
-check_rtt's plan reads in closed form; perturb_at corrupts one entry of T
-at one point. Both
-exchange residuals as the rational formulas, composing the rational
+of monodromy.py; it shares no sign with the walk. The RTT residual as the
+rational formula with every factor placed by embed, for checking the
+packed entry products of monodromy.check_rtt, and insert_identity, an even
+operator lifted by one identity factor, whose sign is the sign of T(u) x I
+that check_rtt's plan reads in closed form; perturb_at corrupts one entry
+of T at one point. Both exchange residuals as the rational formulas, composing the rational
 entries of T(u) and T(v), for checking the packed columns of
 monodromy.check_supercommutator, and the Yang-Baxter residual with every
 cleared R factor placed by embed, for checking the expansion of
@@ -18,8 +16,7 @@ bethe.py.
 
 The partition coefficients of the Bethe-vector builders as the closed
 formulas read, evaluated by the scalar functions g, f, h and izergin and
-their set product prod_pairs one pair at a time (over EpsScalar at an
-eps-shifted point, then taken to the limit), for checking
+their set product prod_pairs one pair at a time, for checking
 bethe._partition_terms, which computes them from integer pair tables.
 Every shorthand coefficient the same way, at every split of a base
 Binding's sets, for checking the plans of notation.compile_plan, which read
@@ -30,16 +27,25 @@ operator applied to a sparse column at a time (packed_product), for
 checking graded.packed_products, which applies nine in one pass. A
 composite whose stated vacuum eigenvalues are negated (NegatedComposite),
 the control that the composite's eigenvalues are checked and not fitted.
+
+The value at a coincidence u = v as a limit by interpolation (ROADMAP
+Finding I, interpolated_limit): a builder or a scalar function at
+v = u + t for rational t != 0, times its pole polynomial D(t) = t^z E(t),
+is a polynomial P, and the value at t = 0 is P^(z)(0) / (z! E(0)). It
+shares nothing with the cleared nested walk (bethe.nested_vector) or with
+the pole rule of the pair tables (scalars.PairTable), which evaluate the
+same points directly.
 """
 
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, count, islice, product
 from math import comb, gcd, prod
 
 from superbethe import bethe, gl12, monodromy
 from superbethe.actions import action_binding, load_formula_table
 from superbethe.composite import CompositeModel, SplitChain, load_class_table, ratio_funcs
 from superbethe.errors import DivisionByZero
-from superbethe.graded import GL21, GradedOperator, clear_denominators, embed, parity_table, r_matrix
+from superbethe.graded import GL21, GradedOperator, GradedVector, clear_denominators, embed, parity_table, r_matrix
 from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
 from superbethe.notation import (
     Binding,
@@ -56,7 +62,7 @@ from superbethe.notation import (
 )
 from superbethe.rational import ONE, rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import eps_limit, f, g, h, is_zero, izergin, ratio
+from superbethe.scalars import f, g, h, is_zero, izergin, ratio
 
 
 def generic_draws(rng, c, n, avoid=()):
@@ -273,11 +279,11 @@ WEIGHTS = {bethe.BETHE_WEIGHT: bethe_weight, gl12.TILDE_WEIGHT: tilde_weight}
 
 def coefficient(model, u1, u2, v1, v2, vs, us, formula):
     """formula(u1, u2, v1, v2, c) / (lam2(u2) lam2(vs) f(vs,us)), f(us,vs) on
-    gl(1|2), at eps = 0."""
+    gl(1|2)."""
     c = model.c
     lam2 = lambda xs: prod((model.lam(2, x) for x in xs), start=rat(1))
     base = prod_pairs(f, vs, us, c) if model.sig == GL21 else prod_pairs(f, us, vs, c)
-    return eps_limit(formula(u1, u2, v1, v2, c) / (lam2(u2) * lam2(vs) * base))
+    return formula(u1, u2, v1, v2, c) / (lam2(u2) * lam2(vs) * base)
 
 
 def assert_coefficients_match(model, us, vs):
@@ -318,8 +324,7 @@ _PAIR_FUNCTIONS = {"g": g, "f": f, "h": h}
 
 def shorthand_value(node, sets, c, funcs):
     """A shorthand coefficient at the parameter sets, one pair at a time
-    through g, f, h, izergin and prod_pairs: an EpsScalar at an eps-shifted
-    point."""
+    through g, f, h, izergin and prod_pairs."""
     if isinstance(node, Lit):
         return rat(node.value)
     if isinstance(node, Neg):
@@ -350,10 +355,9 @@ def outcome(value):
 def assert_shorthand_matches(terms, base):
     """Every coefficient of the compiled terms, at every split of base's
     sets by their partitions, as the term's plan (notation.compile_plan)
-    gives it and taken through ratio, equals the eps-limit of
-    shorthand_value at the split's parameters, or both raise the same error;
-    the plan holds exactly those splits, in enumeration order. Returns the
-    outcomes."""
+    gives it and taken through ratio, equals shorthand_value at the
+    split's parameters, or both raise the same error; the plan holds
+    exactly those splits, in enumeration order. Returns the outcomes."""
     outcomes = []
     for specs, coeff, _ in terms:
         split_sets = [base.sets]
@@ -364,7 +368,7 @@ def assert_shorthand_matches(terms, base):
         for sets, (_, reads) in zip(split_sets, plan):
             params = {name: tuple(base.values[k] for k in ks) for name, ks in sets.items()}
             got = outcome(lambda: rat(*ratio(*plan_value(reads, base.table, base.unary))))
-            want = outcome(lambda: eps_limit(shorthand_value(coeff, params, base.c, base.funcs)))
+            want = outcome(lambda: rat(shorthand_value(coeff, params, base.c, base.funcs)))
             assert got == want, (print_expr(coeff), params, got, want)
             outcomes.append(got)
     return outcomes
@@ -380,18 +384,106 @@ ORACLE_SPLIT = SplitChain(
 )
 
 
-def packaged_bases(a, b, seed, shifted):
+def packaged_bases(a, b, seed):
     """(compiled terms, base binding) for every entry of the packaged action
     table and class table, at a ubar and vbar of sizes a, b and a z drawn
-    from seed; with shifted, the first of vbar is the first of ubar plus
-    eps."""
+    from seed."""
     ps = ParameterSampler(seed, ORACLE_C).generic(a + b + 1, avoid=(0, rat(1, 3)))
     us, vs, z = ps[:a], ps[a : a + b], ps[-1]
-    if shifted:
-        us, vs, _ = bethe.separate_collision(us, (us[0],) + vs[1:])
     action_base = action_binding(ChainModel(ORACLE_CHAIN), us, vs, z)
     funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
     class_base = Binding({"ubar": tuple(us), "vbar": tuple(vs), "z": (z,)}, c=ORACLE_C, funcs=funcs)
     return [(terms, action_base) for terms in load_formula_table().values()] + [
         (terms, class_base) for terms in load_class_table().values()
     ]
+
+
+@cache
+def _interpolation_weights(nodes, z, at):
+    """Rows of Lagrange weights over nodes: for k <= z the coefficients of
+    t^k of the basis polynomials L_i, and last their values at the extra
+    point at."""
+    rows = []
+    for i, ti in enumerate(nodes):
+        others = nodes[:i] + nodes[i + 1 :]
+        poly = [rat(1)]  # prod (t - t_j), lowest degree first
+        for tj in others:
+            poly = [(poly[k - 1] if k else 0) - tj * (poly[k] if k < len(poly) else 0) for k in range(len(poly) + 1)]
+        scale = prod((ti - tj for tj in others), start=rat(1))
+        rows.append([poly[k] / scale for k in range(z + 1)] + [prod((at - tj for tj in others), start=rat(1)) / scale])
+    return tuple(zip(*rows))
+
+
+def _entries(x):
+    """x as {key: rational}: a graded vector's entries, a scalar at key 0."""
+    return dict(x.entries) if isinstance(x, GradedVector) else {0: rat(x)}
+
+
+def _combination(weights, points):
+    """sum of w * x over weights and points, x an entry dict."""
+    out = {}
+    for w, x in zip(weights, points):
+        for key, v in x.items():
+            out[key] = out.get(key, 0) + w * v
+    return {key: v for key, v in out.items() if v}
+
+
+def interpolated_limit(value, roots):
+    """The value at t = 0 of value(t), a rational or a graded vector whose
+    entries are rational functions of t (ROADMAP Finding I). roots are the
+    roots of its pole polynomial D(t) = prod (t - r), with multiplicity, z
+    of them 0, so D = t^z E with E(0) != 0: value has no pole off them, and
+    P = D * value is a polynomial of degree at most deg D, as where value
+    is bounded at infinity. P is read at deg D + 1 rational t off the
+    roots, interpolated, and checked at one t more, which fails loudly
+    where deg P exceeds deg D; the value at 0 is
+    P^(z)(0) / (z! E(0)), the coefficient of t^z of P over E(0). A pole at
+    0, a nonzero coefficient of t^k in P for some k < z, raises
+    DivisionByZero, as the program does at a pole."""
+    roots = tuple(rat(r) for r in roots)
+    z = roots.count(0)
+    grid = (t for t in (rat(k, 3) for k in count(1)) if t not in roots)
+    *nodes, at = islice(grid, len(roots) + 2)
+    pole = lambda t: prod((t - r for r in roots), start=rat(1))
+    first = value(nodes[0])
+    samples = [(pole(t), _entries(x)) for t, x in zip(nodes, (first, *map(value, nodes[1:])))]
+    samples = [{key: d * v for key, v in x.items()} for d, x in samples]
+    *coefficients, check = (_combination(w, samples) for w in _interpolation_weights(tuple(nodes), z, at))
+    d = pole(at)
+    assert check == {key: d * v for key, v in _entries(value(at)).items()}, "P has a degree above the nodes"
+    if any(coefficients[:z]):
+        raise DivisionByZero("a pole at t = 0 in an interpolated value")
+    e0 = prod((-r for r in roots if r), start=rat(1))
+    limit = {key: v / e0 for key, v in coefficients[z].items()}
+    if isinstance(first, GradedVector):
+        return type(first)(first.sig, first.arity, limit)
+    return limit.get(0, rat(0))
+
+
+def coincidence_roots(model, us, vs, steps):
+    """The roots of the pole polynomial of a Bethe vector (B, C, B~ or C~)
+    of model at (us, vs(t)), vs(t) = vs + t * steps: for every moving v, the
+    t at which it meets an inhomogeneity (a pole of T(v)), at which its
+    difference from a u is 0 (K or g(uI,vI)) or -c on gl(2|1), c on
+    gl(1|2) (1/f(vs,us), resp. 1/f(us,vs)), and at which its difference
+    from another v is 0, c or -c (g or f of two vs, an h-normalizer)."""
+    c, shift = model.c, -model.c if model.sig == GL21 else model.c
+    moving = [(v, 0, (0, shift)) for v in us] + [(v, s, (0, c, -c)) for v, s in zip(vs, steps)]
+    roots = []
+    for k, (x, s, _) in enumerate(moving):
+        if not s:
+            continue
+        roots += [(xi - x) / s for part in model.parts for xi in part.xi]
+        for j, (y, r, gaps) in enumerate(moving):
+            if j != k and (j < k or not r) and s != r:
+                roots += [(d - (x - y)) / (s - r) for d in gaps]
+    return roots
+
+
+def vector_at_coincidence(build, model, us, vs, steps):
+    """build(model, us, vs) at a coincidence, vs + t * steps at t = 0 for
+    steps of ints, 0 at a fixed v, by interpolated_limit: build is called
+    at t != 0 only, where no u equals a v."""
+    us, vs = tuple(us), tuple(vs)
+    moved = lambda t: tuple(v + s * t for v, s in zip(vs, steps))
+    return interpolated_limit(lambda t: build(model, us, moved(t)), coincidence_roots(model, us, vs, steps))

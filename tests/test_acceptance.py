@@ -146,7 +146,7 @@ def test_criterion_06_action_formulas():
                 z = smp.generic_one(avoid=tuple(xi) + ps)
                 for el in ELEMENTS:
                     assert action_check(model, el, ps[:a], ps[a:], z).is_zero(), (el, a, b)
-    _stamp(6, "all seven action formulas over the (a,b) grid, L in {1,2}, eps-limits included", t0)
+    _stamp(6, "all seven action formulas over the (a,b) grid, L in {1,2}, coincident targets included", t0)
 
 
 def test_criterion_07_recursion_relation():

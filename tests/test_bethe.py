@@ -7,28 +7,33 @@ import pytest
 
 from superbethe import bethe
 from superbethe.actions import action_check
-from superbethe.errors import DivisionByZero, PoleAtZero
+from superbethe.composite import BRA_COEFF, KET_COEFF, CompositeModel, SplitChain, bilinear_sum
+from superbethe.errors import DivisionByZero
 from superbethe.gl12 import TILDE_WEIGHT, build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe import monodromy
 from superbethe.monodromy import ChainModel, ChainSpec, extract_entries
 from superbethe.bethe import (
     BETHE_WEIGHT,
-    at_limit,
     build_family,
     build_dual_vector,
-    build_dual_vector_limit,
     build_vector,
-    build_vector_limit,
     grading_of,
-    separate_collision,
+    nested_vector,
     vector_to_json,
 )
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import PairTable, eps_limit, f, g, h, izergin
+from superbethe.scalars import PairTable, f, g, h, izergin
 
-from oracles import assert_coefficients_match, assert_izergin_matches, embedded_product, prod_pairs, sym_odd_product
+from oracles import (
+    assert_coefficients_match,
+    assert_izergin_matches,
+    embedded_product,
+    prod_pairs,
+    sym_odd_product,
+    vector_at_coincidence,
+)
 
 
 def chain(length, xi, twist=(1, 1, 1), sig=GL21, c=1):
@@ -116,18 +121,9 @@ def test_coincidence_limit(twisted2):
     smp = ParameterSampler("bethe-limit", 1)
     for _ in range(5):
         z = smp.generic_one(avoid=twisted2.spec.xi)
-        lim = build_vector_limit(twisted2, (z,), (z,))
+        lim = build_vector(twisted2, (z,), (z,))
         direct = twisted2.T(1, 3, z).apply(twisted2.omega()).scale(1 / twisted2.lam(2, z))
         assert lim == direct
-
-
-def test_collision_separation_rules():
-    us, vs, shifted = separate_collision((1, 2), (3, 4))
-    assert not shifted and vs == (3, 4)
-    us, vs, shifted = separate_collision((1, 2), (2, 4))
-    assert shifted and vs[1] == 4 and vs[0] != 2
-    with pytest.raises(ValueError):
-        separate_collision((1, 2), (1, 2))
 
 
 ALL_BUILDERS = ((GL21, build_vector), (GL21, build_dual_vector), (GL12, build_tilde_vector), (GL12, build_tilde_dual_vector))
@@ -161,13 +157,18 @@ def test_rejects_plain_coincident_families():
     ],
 )
 def test_a_u_equal_to_a_v_without_eps_raises(us, vs):
-    """At a u equal to a v with no eps shift every builder raises and none
-    returns a vector: the coefficients' table keeps the u and the v apart,
-    and their g is singular. The weight rule does not hide it where it makes
-    the vector zero on L=2, at (1,2) and (3,1)."""
+    """At a u equal to a v the partition sum has no value: build_family
+    raises under either weight, on kets and bras, and returns no vector,
+    as the coefficients' table keeps the u and the v apart and their g is
+    singular. The weight rule does not hide it where it makes the vector
+    zero on L=2, at (1,2) and (3,1). Every builder routes that point to
+    nested_vector instead."""
     for sig, build in ALL_BUILDERS:
+        m = chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig)
+        dual = "dual" in build.__name__
         with pytest.raises(DivisionByZero):
-            build(chain(2, (0, rat(1, 2)), twist=(2, 1, -3), sig=sig), us, vs)
+            build_family(m, us, vs, BETHE_WEIGHT if sig == GL21 else TILDE_WEIGHT, dual=dual)
+        assert build(m, us, vs) == nested_vector(m, us, vs, dual), build.__name__
 
 
 def test_a_pole_of_a_rule_empty_coefficient_gives_zero():
@@ -203,7 +204,7 @@ def test_dual_collision_limit(twisted2):
     # the dual coincidence mirrors the primal: C at {z};{z} equals the
     # normalized T31 right-action on the dual reference state
     z = rat(13, 3)
-    lim = build_dual_vector_limit(twisted2, (z,), (z,))
+    lim = build_dual_vector(twisted2, (z,), (z,))
     direct = twisted2.T(3, 1, z).apply_dual(twisted2.omega_dual()).scale(1 / twisted2.lam(2, z))
     assert lim == direct
 
@@ -223,28 +224,28 @@ def _splits(xs, n):
 
 class _HeldEntries:
     """The model's T(i, j, x) read from its embedded factor product, built
-    once per point: it shares no code with the walk and evaluates at
-    eps-shifted points too."""
+    once per point, on the point's first read: it shares no code with the
+    walk."""
 
-    def __init__(self, model, points):
-        self.sig, self.arity, self.c = model.sig, model.arity, model.c
-        factors = model.factors
-        self._entries = {
-            x: extract_entries(embedded_product(self.sig, self.c, self.arity, factors, x), self.sig, self.arity)
-            for x in points
-        }
+    def __init__(self, model):
+        self.sig, self.arity, self.c, self.factors = model.sig, model.arity, model.c, model.factors
+        self._entries = {}
 
     def T(self, i, j, x):
+        if x not in self._entries:
+            op = embedded_product(self.sig, self.c, self.arity, self.factors, x)
+            self._entries[x] = extract_entries(op, self.sig, self.arity)
         return self._entries[x][i, j]
 
 
-def _materialized(model, us, vs, dual):
+def _materialized(model, us, vs, dual, held=None):
     """B, C (gl(2|1)) or B~, C~ (gl(1|2)) as written in the docstrings of
-    bethe.py and gl12.py, every block a materialized operator: the bra is
-    Omega^+ times the transposed blocks in reverse order, with its own sign.
-    At an eps-shifted point the vector is taken to its entrywise eps-limit."""
+    bethe.py and gl12.py, every block a materialized operator, at rational
+    points: the bra is Omega^+ times the transposed blocks in reverse order,
+    with its own sign. held, the model's _HeldEntries, may be shared by
+    calls at several points."""
     c, gl21, a, b = model.c, model.sig == GL21, len(us), len(vs)
-    held = _HeldEntries(model, us + vs)
+    held = held or _HeldEntries(model)
     sym = lambda which, xs: sym_odd_product(held, which, xs)
     lam2 = lambda xs: prod((model.lam(2, x) for x in xs), start=rat(1))
     base = lam2(vs) * (prod_pairs(f, vs, us, c) if gl21 else prod_pairs(f, us, vs, c))
@@ -269,7 +270,7 @@ def _materialized(model, us, vs, dual):
         sign = (-1) ** (odd * (odd - 1) // 2)
     else:
         sign = 1 if gl21 else (-1) ** a
-    return type(acc)(acc.sig, acc.arity, {k: eps_limit(x * sign) for k, x in acc.entries.items()})
+    return acc.scale(sign)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -299,7 +300,7 @@ def test_weight_rule_matches_the_materialized_terms(sig, length):
     xi = INT_WALK_XI[:length]
     m = chain(length, xi, twist=INT_WALK_TWIST, sig=sig)
     ps = ParameterSampler(f"weight-rule:{sig.name}:{length}", 1).generic(2 * length + 2, avoid=xi)
-    held = _HeldEntries(m, ps)
+    held = _HeldEntries(m)
     for a in range(length + 2):
         for b in range(length + 2):
             us, vs = ps[:a], ps[length + 1 : length + 1 + b]
@@ -354,9 +355,10 @@ INT_WALK_TWIST = (rat(2, 3), 1, rat(-3, 2))
 def test_vector_walks_multiply_only_ints(walked):
     """At rational points all four builders walk plain ints: every factor
     weight and every state value is an int, a Fraction anywhere fails this
-    test. At a coincident point the limit builder's nested vector walks
-    its auxiliary chain and its entries on ints too, and equals the
-    eps-limit of the materialized formula."""
+    test. At a coincident point a builder's nested vector walks its
+    auxiliary chain and its entries on ints too, and equals the limit of
+    the materialized formula at v_1 = u_1 + t, t -> 0, read by
+    interpolation."""
     ps = ParameterSampler("int-walk", 1).generic(4, avoid=INT_WALK_XI)
     us, vs = ps[:2], ps[2:]
     for sig, builders in ((GL21, (build_vector, build_dual_vector)), (GL12, (build_tilde_vector, build_tilde_dual_vector))):
@@ -374,10 +376,11 @@ def test_vector_walks_multiply_only_ints(walked):
     ):
         walked.clear()
         m = chain(3, INT_WALK_XI, twist=INT_WALK_TWIST, sig=sig)
-        lim = build_vector_limit(m, us, vs, builder=build)
+        lim = build(m, us, vs)
         assert _only_ints(walked), (build.__name__, walked)
         assert not lim.is_zero(), build.__name__
-        assert lim == at_limit(partial(_materialized, m, dual=dual), us, vs), build.__name__
+        materialized = partial(_materialized, dual=dual, held=_HeldEntries(m))
+        assert lim == vector_at_coincidence(materialized, m, us, vs, (1, 0)), build.__name__
 
 
 def test_action_check_walks_a_rational_vector_on_ints(walked):
@@ -391,23 +394,25 @@ def test_action_check_walks_a_rational_vector_on_ints(walked):
     assert _only_ints(walked), walked
 
 
-def test_singular_coefficients_are_loud(twisted2):
-    """A coefficient with a pole at eps = 0 raises; its term is never
-    dropped. With an extra g(uI,vI), only the split that pairs u = 3 with
-    v = 3 + eps is singular, so the terms before it evaluate and the pole
-    is still found."""
-    us, vs, _ = separate_collision((rat(3), rat(7, 2)), (rat(3),))
-    assert not build_family(twisted2, us, vs, BETHE_WEIGHT, dual=False).is_zero()
-    for dual in (False, True):
-        with pytest.raises(PoleAtZero):
-            build_family(twisted2, us, vs, BETHE_WEIGHT + "*g(uI,vI)", dual=dual)
+def test_singular_coefficients_are_loud():
+    """A coefficient with a pole at a coincidence raises DivisionByZero; its
+    term is never dropped. At ubar = (3, 7/2), vbar = (3,) a composite sum
+    is a plain evaluation, nonzero, ket and dual; with an extra g(uI,vI)
+    only the live split that puts 3 in both uI and vI is singular, so the
+    terms before it evaluate and the pole is still found."""
+    sp = SplitChain(ChainSpec(2, (0, rat(1, 3)), (2, 1, 3), GL21, 1), ChainSpec(1, (1,), (1, 1, -1), GL21, 1))
+    us, vs = (rat(3), rat(7, 2)), (rat(3),)
+    for coeff, kw in ((KET_COEFF, {}), (BRA_COEFF, {"builder": build_dual_vector, "dual": True, "part1_written_first": True})):
+        total = CompositeModel(sp)
+        assert not bilinear_sum(total.part1, total.part2, us, vs, coeff=coeff, **kw).is_zero()
+        with pytest.raises(DivisionByZero):
+            bilinear_sum(total.part1, total.part2, us, vs, coeff=coeff + "*g(uI,vI)", **kw)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_partition_coefficients_match_the_formula(sig):
     """Every tabulated coefficient, under both weights, at every split up to
-    (a,b) = (3,3), equals the closed formula evaluated pair by pair, at a
-    rational point and at a coincident point shifted by eps."""
+    (a,b) = (3,3), equals the closed formula evaluated pair by pair."""
     # c and lam2 both non-integral, so every clearing step is exercised
     m = chain(1, (0,), twist=(2, rat(2, 3), -3), sig=sig, c=rat(3, 2))
     ps = ParameterSampler(f"coefficients:{sig.name}", 1).generic(6, avoid=m.spec.xi)
@@ -415,9 +420,6 @@ def test_partition_coefficients_match_the_formula(sig):
         for b in range(4):
             us, vs = ps[:a], ps[3 : 3 + b]
             assert_coefficients_match(m, us, vs)
-            if a and b:
-                us, vs, _ = separate_collision(us, (us[-1],) + vs[1:])
-                assert_coefficients_match(m, us, vs)
 
 
 def test_tabulated_izergin_matches_the_determinant():
@@ -500,7 +502,7 @@ def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
     """B, C (gl(2|1)) and B~, C~ (gl(1|2)) at (2,2) on L=3 are the same on a
     fresh model and on one whose walk tries were filled by other builds that
     share their step prefixes: a ket and a bra of fewer parameters, the
-    reversed tuples and the limit at a u/v collision, a nested vector
+    reversed tuples and the vector at a u/v collision, a nested vector
     whose v takes the point id of the u it equals. A vector returned by a build
     shares nothing with the tries, so a build repeated after the caller
     cleared the first result gives it again, with no walk."""
@@ -520,8 +522,7 @@ def test_walk_trie_reuses_only_identical_walks(sig, walk_steps):
         build(warm, us[:1], vs[:1])
         build(warm, us, vs[:1])
         build(warm, us[::-1], vs[::-1])
-        limit = build_vector_limit(warm, *collision, builder=build)
-        assert limit == build_vector_limit(model(), *collision, builder=build), build.__name__
+        assert build(warm, *collision) == build(model(), *collision), build.__name__
     # the coincident v took the point id of the u it equals
     assert sorted(warm.point_ids.values()) == list(range(5))
     for build in builders:

@@ -1,7 +1,6 @@
 import json
 import os
 import re
-from functools import partial
 from importlib import resources
 
 import pytest
@@ -14,11 +13,13 @@ from superbethe.cli import (
     parse_config,
     run_suites,
 )
-from superbethe.bethe import at_limit, vector_to_json
+from superbethe.bethe import build_vector, vector_to_json
 from superbethe.gl12 import build_tilde_vector
 from superbethe.graded import GL12, GL21, DualGradedVector, GradedOperator, GradedVector
 from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.rational import rat, rat_from_str
+
+from oracles import vector_at_coincidence
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -89,17 +90,35 @@ def test_bethe_eval_worked_example(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"1": "1"}
 
 
-def test_bethe_eval_at_a_coincidence_on_a_gl12_chain(tmp_path, capsys):
-    """bethe eval at u = v on a gl(1|2) chain prints B~ there, the eps-limit
-    of the formula builder, which the nested vector gives with no eps."""
-    chain = {"L": 2, "xi": ["0", "1/2"], "twist": ["2", "3/2", "-3"], "signature": "gl(1|2)"}
+def _eval_at_coincidences(tmp_path, capsys, sig, points):
+    """bethe eval at each (us, vs) of points on an L = 2 chain of the
+    signature against the formula builder's limit at vs + t (1, 2),
+    t -> 0, read by interpolation; every one is nonzero."""
+    chain = {"L": 2, "xi": ["0", "1/2"], "twist": ["2", "3/2", "-3"], "signature": sig.name}
     cfg = write_config(tmp_path, {"suites": [], "chains": [chain]})
-    model = ChainModel(ChainSpec(2, (0, rat(1, 2)), (2, rat(3, 2), -3), GL12, 1))
-    for us, vs in ((("3",), ("3",)), (("3", "5/2"), ("3",))):
+    model = ChainModel(ChainSpec(2, (0, rat(1, 2)), (2, rat(3, 2), -3), sig, 1))
+    build = build_tilde_vector if sig == GL12 else build_vector
+    for us, vs in points:
         assert main(["bethe", "eval", "--config", cfg, *(f"--u={u}" for u in us), *(f"--v={v}" for v in vs)]) == 0
-        eps_path = at_limit(partial(build_tilde_vector, model), tuple(map(rat_from_str, us)), tuple(map(rat_from_str, vs)))
-        assert not eps_path.is_zero()
-        assert json.loads(capsys.readouterr().out) == vector_to_json(eps_path), (us, vs)
+        args = tuple(map(rat_from_str, us)), tuple(map(rat_from_str, vs))
+        limit = vector_at_coincidence(build, model, *args, (1, 2)[: len(vs)])
+        assert not limit.is_zero()
+        assert json.loads(capsys.readouterr().out) == vector_to_json(limit), (us, vs)
+
+
+def test_bethe_eval_at_a_coincidence_on_a_gl12_chain(tmp_path, capsys):
+    """bethe eval at u = v on a gl(1|2) chain prints B~ there, the limit of
+    the formula builder, which the nested vector gives directly, at one
+    coincidence and at two at once."""
+    points = ((("3",), ("3",)), (("3", "5/2"), ("3",)), (("3", "5"), ("3", "5")))
+    _eval_at_coincidences(tmp_path, capsys, GL12, points)
+
+
+def test_bethe_eval_at_two_coincidences(tmp_path, capsys):
+    """bethe eval --u 3 --u 5 --v 3 --v 5 on a gl(2|1) chain of L = 2
+    prints B_{2,2} at u = v, the nested vector, equal to the formula
+    builder's limit there."""
+    _eval_at_coincidences(tmp_path, capsys, GL21, ((("3", "5"), ("3", "5")),))
 
 
 def test_bethe_eval_without_a_chain_names_the_chains(tmp_path, capsys):

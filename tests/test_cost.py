@@ -1,5 +1,5 @@
-"""Cost gate: the number of partition-coefficient lists and of EpsScalar
-results the vector suites of configs/quick.json compute, the number of
+"""Cost gate: the number of partition-coefficient lists and of eps-series
+results (none) the vector suites of configs/quick.json compute, the number of
 operator compositions its RTT, exchange and Yang-Baxter suites make, the
 packed products of its RTT and exchange suites, the T(u) builds and the
 entries they return in its operator suites, the embeds and walked state
@@ -29,26 +29,24 @@ from superbethe.monodromy import ChainModel, ChainSpec
 from superbethe.notation import Binding, partition_sum
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, EpsScalar, PairTable
 
 QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
 
 # suite -> (bethe._partition_terms calls, scalars._series calls); a vector
-# its weight makes zero computes no coefficient list, a partition-sum term
-# whose vector is zero by weight reads no coefficient, and scalars.ratio
-# reads an eps-limit off the leading terms, with no series division; the
+# its weight makes zero computes no coefficient list, and a partition-sum
+# term whose vector is zero by weight reads no coefficient; the
 # factorization checks of a suite share one composite model, so its ket
-# and dual checks share its coefficient lists; a vector at a coincident
-# u/v pair is a nested vector (bethe.nested_vector), with no eps series,
-# so only the composite sums' coefficients at an eps-shifted binding
-# (composite.bilinear_sum_limit) make series
+# and dual checks share its coefficient lists. A coincidence is a plain
+# evaluation: a vector at a coincident u/v pair is a nested vector
+# (bethe.nested_vector) and a composite sum's coefficient there reads the
+# pole table of scalars.PairTable, so no suite builds an eps series
 PINNED = {
     "bethe": (3, 0),
     "actions": (29, 0),
     "recursion": (9, 0),
-    "composite": (17, 30),
+    "composite": (17, 0),
     "gl12": (9, 0),
-    "proof-replay": (14, 70),
+    "proof-replay": (14, 0),
 }
 
 
@@ -75,12 +73,13 @@ def test_vector_suite_cost_does_not_rise(suite, counted):
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     got = counted["partition_terms"], counted["eps_results"]
-    assert got[0] <= PINNED[suite][0] and got[1] <= PINNED[suite][1], (suite, got, PINNED[suite])
+    assert got[0] <= PINNED[suite][0] and got[1] == PINNED[suite][1] == 0, (suite, got, PINNED[suite])
 
 
-# suite -> (Fraction operations, Fraction.__hash__ calls) of one run: an
-# EpsScalar keeps its integral coefficients as ints, a Bethe-vector
-# build keys each parameter's point id by its cleared pair, with no hash,
+# suite -> (Fraction operations, Fraction.__hash__ calls) of one run: a
+# coincidence is evaluated where it is, with no shifted parameter to build
+# or hash, a Bethe-vector build keys each parameter's point id by its
+# cleared pair, with no hash,
 # and reads lam2 from its point's record, computed on ints, lam1 is one
 # quotient of ints, and so are the ratio functions r1 and r3 and the
 # composite lam (Model.lam_pair) at a rational point, the sampler tests
@@ -96,9 +95,9 @@ FRACTION_PINNED = {
     "bethe": (18, 0),
     "actions": (142, 0),
     "recursion": (22, 0),
-    "composite": (39, 1),
+    "composite": (31, 0),
     "gl12": (28, 0),
-    "proof-replay": (85, 4),
+    "proof-replay": (59, 0),
 }
 
 
@@ -127,8 +126,7 @@ def test_composite_models_are_built_once_per_suite(suite, monkeypatch):
 # suite -> bethe.build_family calls of one run, the Bethe, dual and tilde
 # vectors it builds: a partition-sum term whose vector is zero by weight
 # (Model.weight_space_nonempty, bethe.weight_gated) builds no partial, and
-# a vector at a coincident u/v pair is a nested vector, so no build is
-# handed an eps-shifted parameter
+# a vector at a coincident u/v pair is a nested vector
 FAMILY_PINNED = {
     "bethe": 12,
     "actions": 143,
@@ -146,7 +144,6 @@ def test_vector_builds_do_not_rise(suite, monkeypatch):
 
     def counted(model, us, vs, *args, **kw):
         calls["build_family"] += 1
-        calls["eps"] += sum(isinstance(x, EpsScalar) for x in (*us, *vs))
         return honest(model, us, vs, *args, **kw)
 
     monkeypatch.setattr(bethe, "build_family", counted)
@@ -154,7 +151,6 @@ def test_vector_builds_do_not_rise(suite, monkeypatch):
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     assert calls["build_family"] <= FAMILY_PINNED[suite], (suite, calls["build_family"])
-    assert calls["eps"] == 0, (suite, calls["eps"])
 
 
 @pytest.mark.parametrize("suite", sorted(FRACTION_PINNED))
@@ -174,25 +170,6 @@ def test_vector_suite_fraction_work_does_not_rise(suite, fraction_ops, monkeypat
     got = sum(fraction_ops.values()), hashes["hash"]
     pin = FRACTION_PINNED[suite]
     assert got[0] <= pin[0] and got[1] <= pin[1], (suite, got, pin)
-
-
-def test_eps_shifted_pair_tables_hold_int_coefficients():
-    """At an eps-shifted rational point every entry of a PairTable is an int
-    or an EpsScalar whose series coefficients are all ints: clearing the
-    point's denominator leaves an integral series, and nothing divides."""
-    xs = (rat(7, 2), rat(-5, 3) + EPS, rat(4), rat(1, 6))
-    table = PairTable(xs, rat(3, 2))
-    shifted = 0
-    for entries in (table.g, table.f, table.h):
-        for row in entries:
-            for pair in row:
-                for x in pair:
-                    if isinstance(x, EpsScalar):
-                        shifted += 1
-                        assert all(type(c) is int for c in x.coeffs), x
-                    else:
-                        assert type(x) is int, x
-    assert shifted
 
 
 # suite -> GradedOperator.compose calls: RTT multiplies the entry products

@@ -8,7 +8,9 @@ factorizations and the recursion in test_composite.py and test_gl12.py,
 the actions in test_actions.py, the longest-chain cap in
 test_monodromy.py). Here the partition coefficients are checked against
 their closed formula at (4,4), and every packaged shorthand coefficient
-against its pair-by-pair evaluation at (3,3). RTT runs at L=4 with a
+against its pair-by-pair evaluation at (3,3). B, C, B~ and C~ at (3,3) on
+L = 4 at one, two and three coincidences u_k = v_k at once equal their
+limits read by interpolation. RTT runs at L=4 with a
 perturbed entry against the rational formula, and at L=5, the largest
 arity-L weight spaces and entry products, under a memory pin. The
 exchange relations, signed blocks of the RTT residuals at (u, v) and
@@ -21,7 +23,8 @@ import tracemalloc
 
 import pytest
 
-from superbethe.bethe import separate_collision
+from superbethe.bethe import build_dual_vector, build_vector
+from superbethe.gl12 import build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21
 from superbethe.monodromy import ChainModel, ChainSpec, Model, check_rtt
 from superbethe.rational import rat
@@ -34,6 +37,7 @@ from oracles import (
     packaged_bases,
     perturb_at,
     rtt_reference,
+    vector_at_coincidence,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -45,24 +49,38 @@ pytestmark = pytest.mark.skipif(
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_partition_coefficients_at_4_4(sig):
     """The tabulated coefficients of both weights against the closed formula
-    at (4,4), 70 splits each, at a rational and an eps-shifted point."""
+    at (4,4), 70 splits each."""
     model = ChainModel(ChainSpec(1, (0,), (2, rat(2, 3), -3), sig, rat(3, 2)))
     ps = ParameterSampler(f"ext-coefficients:{sig.name}", 1).generic(8, avoid=model.spec.xi)
-    us, vs = ps[:4], ps[4:]
-    assert_coefficients_match(model, us, vs)
-    us, vs, shifted = separate_collision(us, (us[-1],) + vs[1:])
-    assert shifted
-    assert_coefficients_match(model, us, vs)
+    assert_coefficients_match(model, ps[:4], ps[4:])
 
 
-@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
-def test_packaged_coefficients_at_3_3(shifted):
+def test_packaged_coefficients_at_3_3():
     """Every coefficient of the action table and the class table at every
     partition at (a,b) = (3,3) against the per-pair oracle."""
     count = 0
-    for terms, base in packaged_bases(3, 3, "ext-shorthand-oracle", shifted):
+    for terms, base in packaged_bases(3, 3, "ext-shorthand-oracle"):
         count += len(assert_shorthand_matches(terms, base))
     assert count == 1290
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_coincidences_at_3_3_on_l4(sig):
+    """B, C (gl(2|1)) and B~, C~ (gl(1|2)) at (3,3) on L = 4 with
+    u_k = v_k for the first one, two and three k at once, which every
+    builder evaluates by its nested vector, equal their limits along
+    v = u + t (1, 2, 3), t -> 0, read by interpolation, and are nonzero."""
+    builders = (build_vector, build_dual_vector) if sig == GL21 else (build_tilde_vector, build_tilde_dual_vector)
+    smp = ParameterSampler(f"ext-coincidences:{sig.name}", rat(3, 2))
+    spec = ChainSpec(4, smp.generic(4), smp.twist(), sig, rat(3, 2))
+    ps = smp.generic(6, avoid=spec.xi)
+    us = ps[:3]
+    for k in (1, 2, 3):
+        vs, steps = us[:k] + ps[3 : 6 - k], tuple(range(1, k + 1)) + (0,) * (3 - k)
+        for build in builders:
+            limit = vector_at_coincidence(build, ChainModel(spec), us, vs, steps)
+            assert not limit.is_zero(), (k, build.__name__)
+            assert build(ChainModel(spec), us, vs) == limit, (k, build.__name__)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)

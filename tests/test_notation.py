@@ -28,17 +28,26 @@ from superbethe.notation import (
 )
 from superbethe import composite
 from superbethe.actions import NORM, action_binding, load_formula_table
-from superbethe.bethe import BETHE_WEIGHT, _weight_plan, separate_collision
+from superbethe.bethe import BETHE_WEIGHT, _weight_plan
 from superbethe.composite import BRA_COEFF, EXCHANGE_COEFFS, KET_COEFF, RECURSION_COEFFS, ratio_funcs
-from superbethe.errors import DivisionByZero, PoleAtZero, SchemaError
+from superbethe.errors import DivisionByZero, SchemaError
 from superbethe.gl12 import TILDE_BRA_COEFF, TILDE_KET_COEFF, TILDE_WEIGHT
 from superbethe.graded import GL21, GradedVector
 from superbethe.monodromy import ChainModel
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
-from superbethe.scalars import EPS, PairTable, ratio
+from superbethe.scalars import PairTable, ratio
 
-from oracles import ORACLE_C, ORACLE_CHAIN, ORACLE_SPLIT, assert_shorthand_matches, outcome, packaged_bases
+from oracles import (
+    ORACLE_C,
+    ORACLE_CHAIN,
+    ORACLE_SPLIT,
+    assert_shorthand_matches,
+    interpolated_limit,
+    outcome,
+    packaged_bases,
+    shorthand_value,
+)
 
 
 def test_parse_structure():
@@ -122,11 +131,10 @@ def test_eval_is_order_insensitive():
 
 
 def test_binding_holds_each_value_once():
-    """Equal rationals share one index whatever their type, the value kept
-    is the first seen, and an eps-shifted value is told apart from its
-    rational part."""
-    b = Binding({"uI": (3, rat(1, 2), rat(6, 2)), "vI": (rat(1, 2) + EPS, rat(2, 4), rat(1, 2) + EPS)}, c=1)
-    assert b.values == (3, rat(1, 2), rat(1, 2) + EPS)
+    """Equal rationals share one index whatever their type, across sets
+    too, and the value kept is the first seen."""
+    b = Binding({"uI": (3, rat(1, 2), rat(6, 2)), "vI": (rat(5, 2), rat(2, 4), rat(5, 2))}, c=1)
+    assert b.values == (3, rat(1, 2), rat(5, 2))
     assert type(b.values[0]) is int
     assert b.sets["uI"] == (0, 1, 0) and b.sets["vI"] == (2, 1, 2)
 
@@ -198,50 +206,50 @@ def test_compile_terms_refuses_a_partition_that_rebinds_a_set():
 
 
 def test_partition_sum_takes_the_limit_of_eps_coefficients():
-    """An EpsScalar coefficient enters as its value at eps = 0; one with a
-    pole raises, and its term is never dropped."""
+    """At a base whose u and v coincide a coefficient is a plain
+    evaluation, the value its limit at v = u + eps has: h(u,v) is 1 and
+    1/f(u,v) is 0; one with a pole raises, and its term is never
+    dropped."""
     omega = GradedVector.basis(GL21, (1,))
     target = lambda args, keys: omega
-    base = Binding({"u": (rat(3),), "v": (rat(3) + EPS,), "w": (rat(5),)})
+    base = Binding({"u": (rat(3),), "v": (rat(3),), "w": (rat(5),)})
 
     def total(coefficient):
         raw = [{"partitions": [], "coefficient": coefficient, "target": ["u", "v"]}]
         return partition_sum(compile_terms(raw, ("u", "v", "w"), ()), base, target, GradedVector(GL21, 1))
 
     assert total("h(u,v)*g(u,w)") == omega.scale(rat(-1, 2))  # h(3,3) g(3,5)
-    assert total("1/f(u,v)").is_zero()  # a zero of order one at eps = 0
-    with pytest.raises(PoleAtZero):
+    assert total("1/f(u,v)").is_zero()  # a zero of order one at u = v
+    with pytest.raises(DivisionByZero):
         total("g(u,v)")
 
 
-@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
-def test_packaged_coefficients_match_the_per_pair_oracle(shifted):
+def test_packaged_coefficients_match_the_per_pair_oracle():
     """Every coefficient of the action table and the class table, at every
-    partition of a seeded binding at (a,b) = (2,2), equals the eps-limit of
-    its pair-by-pair evaluation; at the shifted binding ubar and vbar share
-    a parameter up to eps."""
+    partition of a seeded binding at (a,b) = (2,2), equals its pair-by-pair
+    evaluation."""
     count = 0
-    for terms, base in packaged_bases(2, 2, "shorthand-oracle", shifted):
+    for terms, base in packaged_bases(2, 2, "shorthand-oracle"):
         count += len(assert_shorthand_matches(terms, base))
     assert count == 252
 
 
 def test_a_coefficient_with_a_pole_raises_on_both_paths():
-    (terms, base), *_ = packaged_bases(2, 2, "shorthand-oracle", shifted=True)
+    """At a base whose ubar and vbar share a value, g of it with itself is
+    a pole: the plan and the per-pair oracle both raise DivisionByZero."""
+    ps = ParameterSampler("coincident-pole", ORACLE_C).generic(4, avoid=(0, rat(1, 3)))
+    base = action_binding(ChainModel(ORACLE_CHAIN), ps[:2], (ps[0], ps[2]), ps[3])
     raw = [{"partitions": [], "coefficient": "r1(z)*g(vbar,ubar)", "target": ["ubar", "vbar"]}]
-    assert assert_shorthand_matches(compile_terms(raw, ("ubar", "vbar", "z"), ("r1",)), base) == [PoleAtZero]
+    assert assert_shorthand_matches(compile_terms(raw, ("ubar", "vbar", "z"), ("r1",)), base) == [DivisionByZero]
 
 
-@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
 @pytest.mark.parametrize("text", [BETHE_WEIGHT, TILDE_WEIGHT])
-def test_weight_strings_match_the_oracle_and_their_compiled_form(text, shifted):
+def test_weight_strings_match_the_oracle_and_their_compiled_form(text):
     """Each Bethe-vector weight at every split with #uI = #vI: the plan
     bethe._partition_terms reads (bethe._weight_plan, splits in the order of
     notation.splits), eval_expr at a Binding, the per-pair oracle and
-    eval_expr over the index tuples of a bare PairTable agree, on a value or
-    on the pole a weight alone may have at the shifted point."""
-    ps = ParameterSampler("weight-oracle", ORACLE_C).generic(6)
-    xs = ps[:5] + ((ps[0] + EPS,) if shifted else ps[5:])
+    eval_expr over the index tuples of a bare PairTable agree."""
+    xs = ParameterSampler("weight-oracle", ORACLE_C).generic(6)
     terms = compile_terms([{"partitions": [], "coefficient": text, "target": ["uI", "vI"]}], ("uI", "uII", "vI", "vII"), ())
     table = PairTable(xs, ORACLE_C)
     plan = _weight_plan(text, 3, 3)
@@ -259,15 +267,12 @@ def _single(text, names, funcs=(), partitions=()):
     return compile_terms([{"partitions": list(partitions), "coefficient": text, "target": [names[0], names[0]]}], names, funcs)
 
 
-def _coefficient_bases(shifted):
+def _coefficient_bases():
     """(compiled terms, base) for every packaged coefficient outside the
     action and class tables, and for a literal, a negation and a power: a
-    ubar and vbar of two each and a z, sharing a parameter up to eps if
-    shifted."""
+    ubar and vbar of two each and a z."""
     ps = ParameterSampler("plan-oracle", ORACLE_C).generic(5, avoid=(0, rat(1, 3)))
     us, vs, z = ps[:2], ps[2:4], ps[4]
-    if shifted:
-        us, vs, _ = separate_collision(us, (us[0],) + vs[1:])
     funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
     parts = Binding({"ubar": us, "vbar": vs}, c=ORACLE_C, funcs=funcs)
     action = action_binding(ChainModel(ORACLE_CHAIN), us, vs, z)
@@ -286,15 +291,14 @@ def _coefficient_bases(shifted):
     ]
 
 
-@pytest.mark.parametrize("shifted", [False, True], ids=["rational", "eps-shifted"])
-def test_every_other_packaged_coefficient_matches_the_oracle_by_plan(shifted):
+def test_every_other_packaged_coefficient_matches_the_oracle_by_plan():
     """The composite coefficients (KET_COEFF, BRA_COEFF and their tilde
     forms), both recursion and both exchange coefficients, NORM, both
     Bethe-vector weights, and a literal, a negation and a power (the "2*"
     shape of the perturbed-table control), each read off its plan at every
-    split, equal the per-pair oracle's eps-limit."""
+    split, equal the per-pair oracle."""
     count = 0
-    for terms, base in _coefficient_bases(shifted):
+    for terms, base in _coefficient_bases():
         outcomes = assert_shorthand_matches(terms, base)
         assert outcomes
         count += len(outcomes)
@@ -358,33 +362,57 @@ def test_plans_are_shared_by_layout_and_told_apart_by_ast():
 
 
 def test_coincident_arguments():
-    """g, f and K raise at coincident arguments, as scalars.g does, across
-    sets too, and so do their reciprocals; h is 1 there."""
-    b = Binding({"uI": (rat(1, 3),), "vI": (rat(1, 3),), "w": (rat(2),)}, c=1)
-    for text in ("g(uI,uI)", "f(uI,uI)", "g(uI,vI)*h(w,uI)", "K(uI|vI)"):
-        for text in (text, f"1/({text})^1"):
-            with pytest.raises(DivisionByZero):
-                evaluate(text, b)
-    for text in ("1/f(uI,vI)", "1/g(uI,vI)", "1/K(uI|vI)", "h(w,uI)/g(vI,uI)"):
+    """At a value that two sets share, g, f and K of it with itself raise,
+    as scalars.g does, and their reciprocals read 0, the limit's value; a
+    pole left in the final denominator raises, 0 * inf included
+    (g(uI,vI)/f(uI,vI)); h is 1 there."""
+    b = Binding({"uI": (rat(1, 3),), "vI": (rat(1, 3),), "w": (rat(2),), "U": (rat(1, 3), 5), "V": (7, rat(1, 3))}, c=1)
+    poles = ("g(uI,uI)", "f(uI,uI)", "g(uI,vI)*h(w,uI)", "K(uI|vI)", "K(V|U)", "g(uI,vI)/f(uI,vI)", "f(vI,uI)/g(vI,uI)")
+    for text in poles:
         with pytest.raises(DivisionByZero):
             evaluate(text, b)
+    for text in ("1/f(uI,vI)", "1/g(uI,vI)", "1/K(uI|vI)", "1/K(V|U)", "h(w,uI)/g(vI,uI)", "1/(g(uI,uI))^2"):
+        assert evaluate(text, b) == 0, text
     assert evaluate("h(uI,uI)", b) == 1 and evaluate("1/h(uI,vI)", b) == 1
     assert evaluate("h(uI,vI)*g(w,uI)", b) == rat(3, 5)
 
 
+def _at_coincidence(text, base, shared, extra=()):
+    """The outcomes of text at base (notation.evaluate) and of the per-pair
+    oracle's limit there: interpolated_limit of shorthand_value with the
+    value shared moved to shared + t in every set whose name starts with v.
+    The pole polynomial has a root wherever the moved value meets another
+    value of base, or a site in extra (a pole of a ratio function), or
+    differs from one by c or -c."""
+    node, c = parse(text), base.c
+    sets = {name: tuple(base.values[k] for k in ks) for name, ks in base.sets.items()}
+    moved = lambda t: {name: tuple(x + t if name.startswith("v") and x == shared else x for x in xs) for name, xs in sets.items()}
+    roots = [y - shared + d for y in {*base.values, *extra} for d in (0, c, -c)]
+    got = outcome(lambda: evaluate(text, base))
+    value = lambda t: shorthand_value(node, moved(t), c, base.funcs)
+    return got, outcome(lambda: interpolated_limit(value, roots))
+
+
 def test_a_reciprocal_at_coincident_arguments_raises_as_the_oracle_does():
     """KET_COEFF divides by f(vII,uI): at a base whose ubar and vbar share a
-    value, every split that puts it in both uI and vII raises
-    DivisionByZero on the plan, as on the per-pair oracle (not 0), and the
-    other splits keep their values; a K block of two sets that share a
-    value raises either way up."""
+    value, every split that puts it in both uI and vII reads 0 on the plan,
+    the limit the per-pair oracle gives at vbar's copy moved off by t,
+    t -> 0 (read by interpolation), and the other splits keep their
+    values, so no split raises. A K block of two sets that share the value
+    raises on both paths, the oracle finding its pole at t = 0, and the
+    plan reads its reciprocal as 0."""
     ps = ParameterSampler("coincident-reciprocal", ORACLE_C).generic(4)
     funcs = ratio_funcs(ChainModel(ORACLE_SPLIT.part1), ChainModel(ORACLE_SPLIT.part2))
+    sites = ORACLE_SPLIT.part1.xi + ORACLE_SPLIT.part2.xi
     shared = Binding({"ubar": ps[:2], "vbar": (ps[0], ps[3])}, c=ORACLE_C, funcs=funcs)
-    outcomes = assert_shorthand_matches(composite._bilinear_terms(KET_COEFF), shared)
-    assert len(outcomes) == 16
-    raised = [x for x in outcomes if x is DivisionByZero]
-    assert 0 < len(raised) < 16 and 0 not in outcomes
-    for text in ("K(ubar|vbar)", "1/K(ubar|vbar)"):
-        with pytest.raises(DivisionByZero):
-            evaluate(text, shared)
+    (specs, coeff, _), = composite._bilinear_terms(KET_COEFF)
+    names, plan = compile_plan(coeff, shared.layout, specs)
+    outcomes = []
+    for parts, _ in plan:
+        split = Binding({name: tuple(shared.values[k] for k in ks) for name, ks in zip(names, parts)}, c=ORACLE_C, funcs=funcs)
+        got, want = _at_coincidence(KET_COEFF, split, ps[0], sites)
+        assert got == want, (parts, got, want)
+        outcomes.append(got)
+    assert len(outcomes) == 16 and outcomes.count(0) == 4 and DivisionByZero not in outcomes
+    assert _at_coincidence("K(ubar|vbar)", shared, ps[0]) == (DivisionByZero, DivisionByZero)
+    assert evaluate("1/K(ubar|vbar)", shared) == 0

@@ -13,7 +13,6 @@ from superbethe.scalars import (
     EPS,
     EPS_PRECISION,
     EpsScalar,
-    as_pair,
     bareiss_det,
     eps_limit,
     f,
@@ -21,7 +20,6 @@ from superbethe.scalars import (
     h,
     is_zero,
     izergin,
-    ratio,
     three_term_witness,
 )
 
@@ -167,14 +165,6 @@ def test_eps_division_by_zero():
             1 / undetermined
 
 
-def _eps_power(m):
-    """eps^m, known to the relative precision EPS_PRECISION."""
-    x = EPS / EPS
-    for _ in range(abs(m)):
-        x = x * EPS if m > 0 else x / EPS
-    return x
-
-
 def test_eps_coefficients_are_ints_until_a_division():
     assert all(type(c) is int for c in EPS.coeffs)
     x = (rat(7, 2) + EPS) * 2 - 1
@@ -182,43 +172,6 @@ def test_eps_coefficients_are_ints_until_a_division():
     assert all(type(c) is int for c in ((3 + EPS) * (3 - EPS) / (3 + EPS)).coeffs)
     assert (1 / (3 + EPS)).coeffs[0] == rat(1, 3)
     assert type(eps_limit(x)) is type(rat(6)) and eps_limit(x) == 6
-
-
-_EPS_ERRORS = (PoleAtZero, PrecisionExhausted, DivisionByZero)
-
-
-def test_ratio_reads_the_limit_off_the_leading_terms():
-    """ratio(num, den) with an EpsScalar operand is the eps-limit of the
-    series quotient, and raises the quotient's exception where that has no
-    limit, on series of valuation -1..2, undetermined zeros O(eps^k) for
-    k = -1..2, rationals and zero."""
-    determined = [_eps_power(v) * (a + b * EPS) for v in range(-1, 3) for a, b in ((rat(3), 1), (rat(-2, 5), 4))]
-    undetermined = []
-    for k in range(-1, 3):
-        power = _eps_power(k - EPS_PRECISION)
-        undetermined.append(power - power)
-    assert [z.val for z in undetermined] == list(range(-1, 3)) and not any(z.coeffs for z in undetermined)
-    nums = determined + undetermined + [0, rat(0), 5, rat(-7, 3)]
-    dens = determined + undetermined + [0, 4, rat(-2, 3)]
-    checked = raised = 0
-    for num in nums:
-        for den in dens:
-            if not isinstance(num, EpsScalar) and not isinstance(den, EpsScalar):
-                continue
-            try:
-                want = as_pair(eps_limit(num / den))
-            except _EPS_ERRORS as exc:
-                with pytest.raises(type(exc)):
-                    ratio(num, den)
-                raised += 1
-                continue
-            assert ratio(num, den) == want, (num, den)
-            checked += 1
-    assert checked and raised
-    # an undetermined numerator of higher order than the denominator, and a
-    # zero numerator over a series of positive order, have the limit 0
-    assert ratio(undetermined[2], determined[0]) == (0, 1)
-    assert ratio(0, _eps_power(2)) == (0, 1)
 
 
 def test_eps_scalar_has_no_constructor():

@@ -19,7 +19,6 @@ from superbethe.composite import (
     SplitChain,
     action_decomposition_report,
     bilinear_sum,
-    bilinear_sum_limit,
 )
 from superbethe.gl12 import TILDE_BRA_COEFF, TILDE_KET_COEFF, build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21
@@ -83,6 +82,8 @@ def test_bilinear_sums_equal_the_sums_of_every_term(name, sig):
 
 @pytest.mark.parametrize("name", ["2+1", "2+2"])
 def test_bilinear_limits_equal_the_sums_of_every_term(name):
+    """At a coincident u/v pair, where a composite sum is a plain
+    evaluation, the gated sum equals the sum of every term."""
     sp = split(name)
     ps = draws(f"limit:{name}", 3, sp.part1.xi + sp.part2.xi)
     for a, b in AB:
@@ -92,7 +93,7 @@ def test_bilinear_limits_equal_the_sums_of_every_term(name):
 
             def summed():
                 total = CompositeModel(sp)
-                return bilinear_sum_limit(total.part1, total.part2, us, vs)
+                return bilinear_sum(total.part1, total.part2, us, vs)
 
             gated, every = gated_and_ungated(summed)
             assert gated == every, (a, b)
@@ -170,7 +171,7 @@ def test_a_live_term_that_is_zero_by_value_reads_its_coefficient(coefficients, m
     every parameter value, although its weight space is nonempty. The gate
     skips by weight only, so the terms of the T22 action that target
     B_{2,2} still read their coefficients: where a coefficient has a pole,
-    the sum must still raise, and an eps-limit must still see the term."""
+    the sum must still raise."""
     model = ChainModel(ChainSpec(2, (0, 1), (1, 1, 1), GL21, 1))
     ps = draws("fusion", 5, (0, 1))
     us, vs, z = ps[:2], ps[2:4], ps[4]
