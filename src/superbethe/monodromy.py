@@ -54,16 +54,17 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   extraction sign is -1), built on every call; RTT, the exchange
   relations, the coproduct and Model.T read them, and the operator
   identities scale their residuals back. RTT and the exchange relations
-  are one streamed pass, _rtt_pass: it packs each column of the 18
+  read one streamed pass, _rtt_pass: it packs each column of the 18
   entries of N_u*T(u) and N_v*T(v) into the weight space its weight shift
   predicts and, one chain column at a time, computes the 162 entry
   products, the nine that share a right-hand column in one
   graded.packed_products call (18 per chain column), and contracts them
-  with the entries of R(u,v), and for the exchange relations also of
-  R(v,u). check_rtt unpacks the (u, v) blocks into its operator; the
-  exchange relations, which are RTT written out in components, are signed
-  blocks at (u, v) and (v, u), kept per model for the latest pair
-  (check_supercommutator).
+  with the entries of R(u,v). check_rtt unpacks its blocks into its
+  operator; the exchange relations, which are RTT written out in
+  components, are signed blocks of the passes at (u, v) and (v, u), kept
+  per model for the latest pair (check_supercommutator). The pass at
+  (v, u) runs only where one at (u, v) has a nonzero block or R(u,v) is
+  singular: by unitarity every block at (v, u) is zero otherwise.
   build_factor_product / Model.monodromy_op return the rational T(u);
   Model.T / Monodromy.entry scale an entry back to T_ij(u).
 * Single entries on vectors. Model.apply_T_scaled applies one entry
@@ -571,9 +572,12 @@ class Model:
         # point id) and holding (m, v, children), m the multiplier of its
         # step and v the int vector of its path
         self.walks = ({}, {})
-        # ((u, v), *_rtt_pass(model, u, v, exchange=True)) of the latest
-        # spectral pair only, for check_supercommutator
+        # ((u, v), _rtt_pass(model, u, v), _rtt_pass(model, v, u) or None
+        # where it is not run) of the latest spectral pair only, and the
+        # two zero residuals that every tuple of an all-zero pair returns,
+        # for check_supercommutator
         self._pair_blocks = None
+        self._zero_pair = (GradedOperator(self.sig, self.arity),) * 2
         # partition-coefficient lists of the Bethe-vector builders, filled
         # by bethe._coefficients
         self.coefficients = {}
@@ -709,9 +713,10 @@ def check_rtt(model, u, v) -> GradedOperator:
 
     e = -1 iff [y]([x] + [c]) is odd and e' = -1 iff [d']([a] + [c']) is
     odd: the sign of T(u) x I, while I x T(v) and R x I carry none. The
-    blocks are computed one chain column at a time (_rtt_pass)."""
+    blocks are computed one chain column at a time (_rtt_pass), the same
+    pass the exchange relations read (check_supercommutator)."""
     sig, length = model.sig, model.arity
-    (scale,), nonzero = _rtt_pass(model, u, v)
+    scale, nonzero = _rtt_pass(model, u, v)
     shift = 3**length
     out = {}
     for (a, b, c, d), cols in zip(product(range(1, 4), repeat=4), nonzero):
@@ -720,20 +725,17 @@ def check_rtt(model, u, v) -> GradedOperator:
     return GradedOperator.from_pruned(sig, length + 2, out).scale(rat(1, scale))
 
 
-def _rtt_pass(model, u, v, exchange=False):
-    """The blocks of the cleared RTT residual at (u, v), and with exchange
-    also at (v, u): (scales, nonzero).
+def _rtt_pass(model, u, v):
+    """The blocks of the cleared RTT residual at (u, v): (scale, nonzero).
 
-    nonzero lists the blocks ((a,b),(c,d)) at (u, v), then with exchange
-    those at (v, u), at their number k in _rtt_plan, each as
-    {s: column s} of its nonzero chain columns s only; a side's cleared
-    residual is the rational one times its entry of scales, N_u N_v times
-    the scale of its cleared R. R = I + gP has at most two entries in each
-    row and column, so a block has at most four terms and each of the 162
-    entry products serves two blocks of a side; at (v, u) the products
-    T(v) T(u) take the place of T(u) T(v) and the other way round. The
-    entries N*T(u) and N*T(v) are those of Model.monodromy, and R's entries
-    are built on ints on every call (_cleared_r). Each column of the 18
+    nonzero lists the 81 blocks ((a,b),(c,d)) at their number k in
+    _rtt_plan, each as {s: column s} of its nonzero chain columns s only;
+    the cleared residual is the rational one times scale, N_u N_v times the
+    scale of the cleared R. R = I + gP has at most two entries in each row
+    and column, so a block has at most four terms and each of the 162 entry
+    products, T(u) T(v) and T(v) T(u), serves two blocks. The entries
+    N*T(u) and N*T(v) are those of Model.monodromy, and R's entries are
+    built on ints on every call (_cleared_r). Each column of the 18
     entries is packed (graded.pack) into the weight space its weight shift
     predicts, and a row outside it fails the slot lookup (KeyError). Each
     side's nine packed entries are zipped once into rows, row k the nine
@@ -742,8 +744,8 @@ def _rtt_pass(model, u, v, exchange=False):
     packed_products call, 18 per chain column, and each block column is
     the combination of its terms, a swap term only on the run of blocks
     that has one: no product is kept past its column. R's diagonal
-    holds gd + gn and gd - gn, so r, the largest |entry| of both cleared
-    R's, is |gd| + |gn|, and no row or column of R sums to more than r in
+    holds gd + gn and gd - gn, so r, the largest |entry| of the cleared
+    R, is |gd| + |gn|, and no row or column of R sums to more than r in
     absolute value; each side of a block is then at most r S a b and every
     residual entry has |x| <= 2 r S a b, S the largest space and a, b the
     largest |entry| of N*T(u) and N*T(v). The slots are that wide
@@ -755,8 +757,8 @@ def _rtt_pass(model, u, v, exchange=False):
     than it (a corrupt build) could then pack a nonzero residual column to
     0. The scan sizes the slots for whatever the build returned."""
     sig, length = model.sig, model.arity
-    gd, read = _cleared_r(sig, model.c, u, v, exchange)
-    blocks, layers = _rtt_plan(sig, exchange)
+    gd, read = _cleared_r(sig, model.c, u, v)
+    blocks, layers = _rtt_plan(sig)
     (t0, c0, _), (t1, c1, run1), (t2, c2, _), (t3, c3, run3) = [(take, [*map(mul, signs, map(read.get, reads, repeat(0)))], run) for take, signs, reads, run in layers]
     scale, largest, entries = 1, [max(map(abs, read.values()))], []
     for x in (u, v):
@@ -783,29 +785,26 @@ def _rtt_pass(model, u, v, exchange=False):
         for block, x in compress(enumerate(sums), sums):
             k, a, b, c, d = blocks[block]
             nonzero[k][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
-    return [gd * scale] * (1 + exchange), nonzero
+    return gd * scale, nonzero
 
 
-def _cleared_r(sig, c, u, v, exchange=False):
+def _cleared_r(sig, c, u, v):
     """(gd, read): with g(u,v) = gn/gd in lowest terms, gd > 0, the entries
-    of gd R(u,v) = gd I + gn P, and with exchange of gd R(v,u) = gd I - gn P,
-    on ints, as clear_denominators(r_matrix(...)) gives them; read holds the
-    nonzero ones at 81 side + 9 row + col. P is graded.super_permutation,
-    looked up on every call, so a replacement (the flipped-Koszul control)
-    takes effect here."""
+    of gd R(u,v) = gd I + gn P on ints, as clear_denominators(r_matrix(...))
+    gives them; read holds the nonzero ones at 9 row + col. R(v,u) is
+    _cleared_r(sig, c, v, u), with the same gd and -gn. P is
+    graded.super_permutation, looked up on every call, so a replacement
+    (the flipped-Koszul control) takes effect here."""
     (up, uq), (vp, vq), (cn, cd) = as_pair(u), as_pair(v), as_pair(c)
     diff = cd * (up * vq - vp * uq)
     if not diff:
         raise DivisionByZero("RTT needs u != v")
     gn, gd = ratio(cn * uq * vq, diff)
-    perm = [(9 * row + col, x) for col, colmap in graded.super_permutation(sig).cols.items() for row, x in colmap.items()]
-    read = {}
-    for side, g in enumerate((gn, -gn)[: 1 + exchange]):
-        entries = dict.fromkeys(range(0, 81, 10), gd)  # the diagonal, 9 k + k
-        for key, x in perm:
-            entries[key] = entries.get(key, 0) + g * x
-        read.update((81 * side + key, x) for key, x in entries.items() if x)
-    return gd, read
+    read = dict.fromkeys(range(0, 81, 10), gd)  # the diagonal, 9 k + k
+    for col, colmap in graded.super_permutation(sig).cols.items():
+        for row, x in colmap.items():
+            read[9 * row + col] = read.get(9 * row + col, 0) + gn * x
+    return gd, {key: x for key, x in read.items() if x}
 
 
 # the classes of RTT blocks by (a = b, c = d), in _rtt_plan's order: the
@@ -816,41 +815,37 @@ _RUNS = ((True, False), (False, False), (False, True), (True, True))
 
 
 @cache
-def _rtt_plan(sig, exchange=False):
+def _rtt_plan(sig):
     """The structure of the RTT residual's blocks for a signature:
     (blocks, layers).
 
     The 162 entry products are numbered 81 g + 9 j + i: T_ab(x) T_cd(y)
     with i = key(a, b), j = key(c, d), key(a, b) = 3a + b - 4, and x = u,
-    y = v if g = 0, x = v, y = u if g = 1. The 81 blocks ((a,b),(c,d)) at
-    (u, v), and with exchange the 81 at (v, u), are numbered
-    k = 81 g + 9 key(a,b) + key(c,d), g = 0 at (u, v) and 1 at (v, u).
-    blocks lists them as (k, a, b, c, d), ordered by _RUNS and then by k.
-    Each of the four layers holds the terms of one run of blocks, as an
-    itemgetter of their products, their signs, their entries of R,
-    flattened as 9 row + col, and the run as a slice of blocks: R's
-    diagonal and its swap, first on T(u) T(v) and then on T(v) T(u).
-    Every block has both diagonal terms; a block with a = b (c = d) has no
-    swap term on the first (second) side, and the blocks that have one
-    form the run. A sign is e (e') times the extraction signs of the
-    product's two entries (check_rtt). At (v, u) a term has the same sign,
-    the product of the other half and the entry of R(v, u), numbered after
-    R(u, v)'s (81 more). R(u,v) = I + gP, as r_matrix builds it for any
-    signed permutation P, has no entry elsewhere."""
+    y = v if g = 0, x = v, y = u if g = 1. The 81 blocks ((a,b),(c,d)) are
+    numbered k = 9 key(a,b) + key(c,d), and blocks lists them as
+    (k, a, b, c, d), ordered by _RUNS and then by k. Each of the four
+    layers holds the terms of one run of blocks, as an itemgetter of their
+    products, their signs, their entries of R, flattened as 9 row + col,
+    and the run as a slice of blocks: R's diagonal and its swap, first on
+    T(u) T(v) and then on T(v) T(u). Every block has both diagonal terms; a
+    block with a = b (c = d) has no swap term on the first (second) side,
+    and the blocks that have one form the run. A sign is e (e') times the
+    extraction signs of the product's two entries (check_rtt). R(u,v) =
+    I + gP, as r_matrix builds it for any signed permutation P, has no
+    entry elsewhere."""
     p, eps = _sign_table(sig.parity)
     key = lambda x, y: 3 * x + y - 4
-    blocks = [(81 * g + 9 * key(a, b) + key(c, d), a, b, c, d) for g, a, b, c, d in product(range(1 + exchange), *[range(1, 4)] * 4)]
+    blocks = [(9 * key(a, b) + key(c, d), a, b, c, d) for a, b, c, d in product(range(1, 4), repeat=4)]
     blocks.sort(key=lambda t: (_RUNS.index((t[1] == t[2], t[3] == t[4])), t[0]))
     terms = [{}, {}, {}, {}]  # position in blocks -> term, for each layer
     for at, (k, a, b, c, d) in enumerate(blocks):
-        g = k // 81
         for swap, ((x, y), (e, f)) in enumerate((((a, b), (c, d)), ((b, a), (d, c)))):
             if not swap or a != b:
                 sign = (1 - 2 * (p[y] & (p[x] ^ p[c]))) * eps[x][c] * eps[y][d]
-                terms[swap][at] = 81 * g + 9 * key(y, d) + key(x, c), sign, 81 * g + 9 * key(a, b) + key(x, y)
+                terms[swap][at] = 9 * key(y, d) + key(x, c), sign, 9 * key(a, b) + key(x, y)
             if not swap or c != d:
                 sign = (2 * (p[f] & (p[a] ^ p[e])) - 1) * eps[a][e] * eps[b][f]
-                terms[2 + swap][at] = 81 - 81 * g + 9 * key(a, e) + key(b, f), sign, 81 * g + 9 * key(e, f) + key(c, d)
+                terms[2 + swap][at] = 81 + 9 * key(a, e) + key(b, f), sign, 9 * key(e, f) + key(c, d)
     layers = [(itemgetter(*index), signs, reads, slice(min(layer), max(layer) + 1)) for layer in terms for index, signs, reads in [zip(*layer.values())]]
     return blocks, layers
 
@@ -864,21 +859,35 @@ def check_supercommutator(model, i, j, k, l, u, v):
         form 1 of (i,j,k,l) = -eps_ij eps_kl (-1)^{[j]([k]+[l])} block ((k,i),(l,j)) at (v, u),
         form 2 of (i,j,k,l) =  eps_ij eps_kl (-1)^{[k]([i]+[j])} block ((i,k),(j,l)) at (u, v).
 
-    One _rtt_pass with exchange computes the blocks at (u, v) and (v, u)
-    for all 81 tuples, and the model keeps their nonzero columns for the
-    latest pair only (Model._pair_blocks); each call scales its two blocks
-    back by 1/(gd N_u N_v), g(u,v) = gn/gd."""
+    One _rtt_pass at (u, v) gives form 2 for all 81 tuples. Form 1 needs
+    the pass at (v, u) only where the one at (u, v) has a nonzero block or
+    R(u,v) is singular (u - v = +-c). With Res(u,v) the RTT residual, R = R(u,v)
+    and P on the two auxiliary factors, unitarity R(u,v) R(v,u) =
+    (1 - g^2) I, P R P = R and P T_1 P = T_2 give
+
+        R Res(v,u) R = -(1 - g^2) P Res(u,v) P,    g = g(u,v),
+
+    for any T(u) that conserves the weight, honest or not, so where
+    Res(u,v) = 0 and R is invertible Res(v,u) = 0 and every tuple returns
+    the model's one pair of zero operators. Otherwise the second pass
+    computes the blocks at (v, u) in full. The model keeps both passes'
+    nonzero columns for the latest pair only (Model._pair_blocks), (u, v)
+    compared by identity first; each call scales its two blocks back by
+    1/(gd N_u N_v), g(u,v) = gn/gd."""
     pair = model._pair_blocks
-    if pair is None or pair[0] != (u, v):
-        pair = model._pair_blocks = (u, v), *_rtt_pass(model, u, v, exchange=True)
-    _, scales, nonzero = pair
+    if pair is None or (pair[0][0] is not u or pair[0][1] is not v) and pair[0] != (u, v):
+        uv = _rtt_pass(model, u, v)
+        vu = _rtt_pass(model, v, u) if any(uv[1]) or abs(u - v) == abs(model.c) else None
+        pair = model._pair_blocks = (u, v), uv, vu
+    if pair[2] is None:
+        return model._zero_pair
+    _, (n2, at_uv), (n1, at_vu) = pair
     p, eps = _sign_table(model.sig.parity)
     s = eps[i][j] * eps[k][l]
-    # blocks 81 + 9 key(k,i) + key(l,j) and 9 key(i,k) + key(j,l), key as in _rtt_plan
-    form1 = nonzero[27 * k + 9 * i + 3 * l + j + 41], s if p[j] & (p[k] ^ p[l]) else -s, scales[1]
-    form2 = nonzero[27 * i + 9 * k + 3 * j + l - 40], -s if p[k] & (p[i] ^ p[j]) else s, scales[0]
-    zero = GradedOperator(model.sig, model.arity)
-    return tuple(GradedOperator.from_pruned(zero.sig, zero.arity, cols).scale(rat(sign, n)) if cols else zero for cols, sign, n in (form1, form2))
+    # blocks 9 key(k,i) + key(l,j) at (v, u) and 9 key(i,k) + key(j,l) at (u, v), key as in _rtt_plan
+    form1 = at_vu[27 * k + 9 * i + 3 * l + j - 40], s if p[j] & (p[k] ^ p[l]) else -s, n1
+    form2 = at_uv[27 * i + 9 * k + 3 * j + l - 40], -s if p[k] & (p[i] ^ p[j]) else s, n2
+    return tuple(GradedOperator.from_pruned(model.sig, model.arity, cols).scale(rat(sign, n)) if cols else model._zero_pair[0] for cols, sign, n in (form1, form2))
 
 
 def vacuum_residuals(model, u):

@@ -1,9 +1,9 @@
 """Cost gate: the number of partition-coefficient lists and of eps-series
 results (none) the vector suites of configs/quick.json compute, the number of
 operator compositions its RTT, exchange and Yang-Baxter suites make, the
-packed products of its RTT and exchange suites, the T(u) builds and the
-entries they return in its operator suites, the embeds and walked state
-entries of its RTT, composite and Bethe suites, the Fraction
+packed products and RTT passes of its RTT and exchange suites, the T(u)
+builds and the entries they return in its operator suites, the embeds and
+walked state entries of its RTT, composite and Bethe suites, the Fraction
 operations and hashes and the Bethe-vector builds of its vector suites,
 the composite models its composite and gl12 suites build, the factor
 skeletons and per-point factor evaluations of its vector
@@ -367,6 +367,28 @@ def test_packed_products_do_not_rise(suite, monkeypatch):
     report = run_suites(load_config(QUICK), only={suite})
     assert report.records and report.all_zero()
     assert calls["packed_products"] <= PACKED_PINNED[suite], (suite, calls["packed_products"])
+
+
+# suite -> monodromy._rtt_pass calls, exactly: one per RTT check, and one
+# per exchange pair for all 81 tuples and both forms, since the pass at
+# (v, u) runs only where one at (u, v) has a nonzero block or R(u,v) is
+# singular, and the quick config's pairs are honest and generic
+RTT_PASS_PINNED = {"rtt": 5, "commutator": 1}
+
+
+@pytest.mark.parametrize("suite", sorted(RTT_PASS_PINNED))
+def test_rtt_passes_are_pinned(suite, monkeypatch):
+    calls = Counter()
+    honest = monodromy._rtt_pass
+
+    def counted(model, u, v):
+        calls["passes"] += 1
+        return honest(model, u, v)
+
+    monkeypatch.setattr(monodromy, "_rtt_pass", counted)
+    report = run_suites(load_config(QUICK), only={suite})
+    assert report.records and report.all_zero()
+    assert calls["passes"] == RTT_PASS_PINNED[suite], (suite, calls["passes"])
 
 
 def test_shorthand_coefficients_multiply_only_ints(fraction_ops):

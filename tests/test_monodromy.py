@@ -166,8 +166,8 @@ def test_point_ids_key_the_cleared_pair():
 
 def _read_r(sig, c, u, v):
     """The entries of clear_denominators(r_matrix(...)) at (u, v) and (v, u)
-    as _rtt_pass reads them, flattened as 81 side + 9 row + col, and the
-    scale of each side."""
+    as _rtt_pass reads them, flattened as 81 side + 9 row + col (side 0 at
+    (u, v), side 1 at (v, u)), and the scale of each side."""
     scales, read = [], {}
     for side, (x, y) in enumerate(((u, v), (v, u))):
         n, r = clear_denominators(r_matrix(x, y, sig, c))
@@ -180,18 +180,18 @@ def _read_r(sig, c, u, v):
 @pytest.mark.parametrize("c", [1, rat(3, 2)])
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
 def test_rtt_pass_reads_the_cleared_r_matrix(sig, c, flipped, request):
-    """The R(u,v) and R(v,u) that _rtt_pass builds on ints are
-    clear_denominators(r_matrix(...)) entry for entry, scale included, and
-    under a replaced super_permutation they read the replacement; at
-    u - v = c one diagonal entry of R(u,v) is 0 and is not stored."""
+    """The R(u,v) and R(v,u) that the passes at (u, v) and (v, u) build on
+    ints are clear_denominators(r_matrix(...)) entry for entry, scale
+    included, and under a replaced super_permutation they read the
+    replacement; at u - v = c one diagonal entry of R(u,v) is 0 and is not
+    stored."""
     if flipped:
         request.getfixturevalue("flipped_koszul")
     smp = ParameterSampler(f"cleared-r:{sig.name}:{c}", 1)
     pairs = [smp.generic(2) for _ in range(3)] + [(rat(5, 2), rat(5, 2) - c), (3, 1)]
     for u, v in pairs:
-        gd, read = monodromy._cleared_r(sig, c, u, v, exchange=True)
-        assert ([gd, gd], read) == _read_r(sig, c, u, v), (u, v)
-        assert monodromy._cleared_r(sig, c, u, v) == (gd, {k: x for k, x in read.items() if k < 81})
+        (gd, read), (gd_vu, read_vu) = monodromy._cleared_r(sig, c, u, v), monodromy._cleared_r(sig, c, v, u)
+        assert ([gd, gd_vu], read | {81 + k: x for k, x in read_vu.items()}) == _read_r(sig, c, u, v), (u, v)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
@@ -734,7 +734,8 @@ def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch)
     weight class and g(u,v) = 1/1000, anticommutator residual entries of
     the cleared blocks reach 2 gd S a b, 0.999 of the bound 2 r S a b,
     r = gd + gn, that sizes the slots of RTT and the exchange relations
-    alike, so slots one bit narrower than theirs would not hold them; the
+    alike, one equal bound for each of the pair's passes at (u, v) and
+    (v, u), so slots one bit narrower than theirs would not hold them; the
     unpacked residuals still equal the rational formulas."""
     honest = monodromy.build_cleared_product
 
@@ -753,8 +754,8 @@ def test_exchange_residual_near_its_width_bound_fits_its_slots(sig, monkeypatch)
     cleared = [clear_denominators(r_matrix(x, y, sig, model.c)) for x, y in ((u, v), (v, u))]
     assert [n for n, _ in cleared] == [1000, 1000]
     r = max(abs(x) for _, op in cleared for m in op.cols.values() for x in m.values())
-    assert r == 1001 and bounds == [2 * r * max(map(len, weight_spaces(2).values())) * 2**200]
-    largest = max(abs(x) for cols in model._pair_blocks[-1] for rows in cols.values() for x in rows.values())
+    assert r == 1001 and bounds == [2 * r * max(map(len, weight_spaces(2).values())) * 2**200] * 2
+    largest = max(abs(x) for _, nonzero in model._pair_blocks[1:] for cols in nonzero for rows in cols.values() for x in rows.values())
     assert largest >= 2 ** (slot_width(bounds[0]) - 2)
 
 
@@ -968,7 +969,8 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
     products of a pair is computed once on packed columns, the nine that
     share a right-hand column in one packed_products call, for all 81
     tuples, and the model keeps only nonzero block columns, of the latest
-    pair only."""
+    pair only; an honest pair, all zero at (u, v), keeps no pass at
+    (v, u)."""
     calls = Counter()
     honest = GradedOperator.compose
     honest_packed_products = monodromy.packed_products
@@ -993,7 +995,7 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
         assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v)), t
     assert calls["compose"] == 0
     assert calls["packed_products"] <= 18 * 3**2
-    assert model._pair_blocks[0] == (u, v) and not any(model._pair_blocks[-1])
+    assert model._pair_blocks[0] == (u, v) and not any(model._pair_blocks[1][1]) and model._pair_blocks[2] is None
     # with T(u) perturbed the residuals at (u, v), (v, u) and (u, w) are
     # nonzero and differ, so a product kept from another pair would show
     perturb_at(monkeypatch, u)
@@ -1006,6 +1008,89 @@ def test_exchange_products_are_composed_once_per_pair(monkeypatch):
             nonzero += any(not r.is_zero() for r in got)
     assert nonzero > 0
     assert model._pair_blocks[0] == (u, w)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("at", ["u", "v", "both"])
+def test_rtt_residuals_at_uv_and_vu_are_conjugate(sig, length, at, monkeypatch):
+    """R(u,v) Res(v,u) R(u,v) = -(1 - g^2) P Res(u,v) P, g = g(u,v), Res the
+    RTT residual of check_rtt and R, P placed on the two auxiliary factors
+    by embed: unitarity, P R P = R and P T_1 P = T_2 give it for any T(u)
+    that conserves the weight, so it holds with N*T perturbed where RTT
+    fails, as long as each point's perturbation is the same on every build.
+    It is why check_supercommutator skips the pass at (v, u) where every
+    block at (u, v) is zero and R(u,v) is invertible."""
+    smp = ParameterSampler(f"rtt-conjugate:{sig.name}:{length}", 1)
+    xi = smp.generic(length)
+    model = chain(length, xi, twist=smp.twist(), sig=sig)
+    u, v = smp.generic(2, avoid=xi)
+    if at in ("u", "both"):
+        perturb_at(monkeypatch, u)
+    if at in ("v", "both"):
+        perturb_at(monkeypatch, v, 3)
+    res_uv, res_vu = check_rtt(model, u, v), check_rtt(model, v, u)
+    r = embed(r_matrix(u, v, sig, model.c), (1, 2), length + 2)
+    p = embed(graded.super_permutation(sig), (1, 2), length + 2)
+    assert not res_uv.is_zero() and not res_vu.is_zero()
+    assert r.compose(res_vu).compose(r) == p.compose(res_uv).compose(p).scale(g(u, v, model.c) ** 2 - 1)
+
+
+def _counted_passes(monkeypatch):
+    """Count the calls of monodromy._rtt_pass from now on, by (u, v)."""
+    calls = Counter()
+    honest = monodromy._rtt_pass
+
+    def counted(model, u, v):
+        calls[u, v] += 1
+        return honest(model, u, v)
+
+    monkeypatch.setattr(monodromy, "_rtt_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_exchange_pair_runs_its_vu_pass_only_where_it_can_be_nonzero(sig, monkeypatch):
+    """An honest pair makes one _rtt_pass for all 162 forms of all 81
+    tuples, per model and pair, and returns zero; with N*T perturbed it
+    makes two, at (u, v) and (v, u), and every form equals the rational
+    formula."""
+    smp = ParameterSampler(f"vu-pass:{sig.name}", 1)
+    xi = smp.generic(2)
+    twist = smp.twist()
+    u, v, w = smp.generic(3, avoid=xi)
+    calls = _counted_passes(monkeypatch)
+    models = [chain(2, xi, twist=twist, sig=sig) for _ in range(2)]
+    for x, y in ((u, v), (v, w)):
+        for model in models:
+            for t in product(range(1, 4), repeat=4):
+                assert all(r.is_zero() for r in check_supercommutator(model, *t, x, y)), t
+            assert model._pair_blocks[2] is None
+    assert calls == {(u, v): 2, (v, w): 2}
+    calls.clear()
+    perturb_at(monkeypatch, u)
+    pairs = all_supercommutators(chain(2, xi, twist=twist, sig=sig), u, v)
+    assert calls == {(u, v): 1, (v, u): 1}
+    assert all(got == want for got, want in pairs.values())
+    assert any(not r.is_zero() for got, _ in pairs.values() for r in got)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("sign", [1, -1], ids=["c", "-c"])
+def test_exchange_pair_at_a_singular_r_runs_its_vu_pass(sig, sign, monkeypatch):
+    """At u - v = +-c, R(u,v) is singular and the identity behind the
+    shortcut reads 0 = 0, so an honest pair also runs its pass at (v, u);
+    every form is zero there."""
+    smp = ParameterSampler(f"singular-r:{sig.name}", rat(3, 2))
+    xi = smp.generic(2)
+    model = chain(2, xi, twist=smp.twist(), sig=sig, c=rat(3, 2))
+    u = smp.generic_one(avoid=xi)
+    v = u - sign * model.c
+    calls = _counted_passes(monkeypatch)
+    for t in product(range(1, 4), repeat=4):
+        assert all(r.is_zero() for r in check_supercommutator(model, *t, u, v)), t
+    assert calls == {(u, v): 1, (v, u): 1}
+    assert model._pair_blocks[2] is not None and not any(model._pair_blocks[2][1])
 
 
 def test_model_holds_no_monodromy():
