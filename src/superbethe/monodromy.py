@@ -59,7 +59,16 @@ first) and bras (leftmost first). T(u) is reached in two ways:
   predicts and, one chain column at a time, computes the 162 entry
   products, the nine that share a right-hand column in one
   graded.packed_products call (18 per chain column), and contracts them
-  with the entries of R(u,v). check_rtt unpacks its blocks into its
+  with the entries of R(u,v). From L = 4 on (_FORK_COLUMNS, 81 chain
+  columns) it runs the upper half of the chain columns in one forked
+  child, which sends its nonzero blocks back over a pipe as marshal bytes
+  (_in_two_processes); the halves hold about equal work, and on two CPUs
+  an L = 5 pass takes two thirds of its serial time and an L = 4 pass
+  seven eighths. A fork round trip costs about 4 ms, more than half a
+  whole pass at L = 3, which stays serial. The pass runs serially where
+  os.fork is missing, the process may use one CPU only or another thread
+  is alive (_forks, the one predicate), and where the fork fails; both
+  paths return the same blocks key for key. check_rtt unpacks its blocks into its
   operator; the exchange relations, which are RTT written out in
   components, are signed blocks of the passes at (u, v) and (v, u), kept
   per model for the latest pair (check_supercommutator). The pass at
@@ -118,6 +127,8 @@ the embedded product of the factors as an independent oracle.
 
 from __future__ import annotations
 
+import marshal
+import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, product, repeat
@@ -755,7 +766,11 @@ def _rtt_pass(model, u, v):
     bound such as max|d| prod(|gd| + |gn|) over the factors would skip the
     scan, but it holds only for an honest build, and a wrong entry larger
     than it (a corrupt build) could then pack a nonzero residual column to
-    0. The scan sizes the slots for whatever the build returned."""
+    0. The scan sizes the slots for whatever the build returned. Every chain
+    column's blocks are computed apart from every other's, by one loop body
+    (columns) over a range of them: from _FORK_COLUMNS columns on, where
+    _forks allows it, the lower half runs here and the upper half in one
+    forked child (_in_two_processes), and otherwise all run here."""
     sig, length = model.sig, model.arity
     gd, read = _cleared_r(sig, model.c, u, v)
     blocks, layers = _rtt_plan(sig)
@@ -777,15 +792,106 @@ def _rtt_pass(model, u, v):
     rows = [[*zip(*packed[9 * x : 9 * x + 9])] for x in (0, 1)]
     sides = [(rows[x], right) for x in (0, 1) for right in entries[1 - x].values()]
     nonzero = [{} for _ in blocks]
-    for s in range(3**length):
-        cols = [*chain.from_iterable(packed_products(left, col) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
-        sums = [*map(add, map(mul, c0, t0(cols)), map(mul, c2, t2(cols)))]
-        sums[run1] = map(add, sums[run1], map(mul, c1, t1(cols)))
-        sums[run3] = map(add, sums[run3], map(mul, c3, t3(cols)))
-        for block, x in compress(enumerate(sums), sums):
-            k, a, b, c, d = blocks[block]
-            nonzero[k][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
+
+    def columns(first, stop):
+        for s in range(first, stop):
+            cols = [*chain.from_iterable(packed_products(left, col) if (col := right.get(s)) else (0,) * 9 for left, right in sides)]
+            sums = [*map(add, map(mul, c0, t0(cols)), map(mul, c2, t2(cols)))]
+            sums[run1] = map(add, sums[run1], map(mul, c1, t1(cols)))
+            sums[run3] = map(add, sums[run3], map(mul, c3, t3(cols)))
+            for block, x in compress(enumerate(sums), sums):
+                k, a, b, c, d = blocks[block]
+                nonzero[k][s] = unpack(x, spaces[_shifted(weights[s], a, c, b, d)], width)
+
+    count = 3**length
+    if _forks(count):
+        _in_two_processes(columns, count, nonzero)
+    else:
+        columns(0, count)
     return gd * scale, nonzero
+
+
+# An RTT pass splits its chain columns with one forked child from this many
+# on, L >= 4. On a 2-vCPU x86_64 host (CPython 3.11, fractions) a fork round
+# trip with no work costs a median 4.1 ms (p99 4.8 ms, 300 forks) in a
+# 20 MB process, more than half a serial pass at L = 3 (27 columns): one
+# pass, both T builds included, took a median 9.1 ms split against 6.0 ms
+# serial there, 23.1 ms against 26.5 ms at L = 4 and 101 ms against 153 ms
+# at L = 5.
+_FORK_COLUMNS = 3**4
+
+
+def _forks(count):
+    """Whether _rtt_pass runs its count chain columns in two processes, the
+    one predicate of its serial fallback: count is at least _FORK_COLUMNS,
+    os.fork exists, the process may run on two CPUs or more
+    (os.sched_getaffinity) and no other thread is alive. A fork with
+    threads alive can deadlock the child, and Python 3.12+ warns of it;
+    threads are counted as the kernel lists them (/proc/self/task), as that
+    warning counts them, else by threading."""
+    if count < _FORK_COLUMNS or not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        import threading
+
+        return threading.active_count() == 1
+
+
+def _in_two_processes(columns, count, nonzero):
+    """Run columns(0, count // 2) here and columns(count // 2, count) in one
+    forked child, into nonzero, the pass's 81 blocks, which are empty at
+    the fork. The child sends its blocks, its columns only, back over a
+    pipe as marshal bytes and leaves by os._exit, running no cleanup of
+    this process; its collector is off, so it runs no finalizer and
+    touches no more shared pages than its work does. Each child block is
+    appended to the parent's, so every block's columns stay in ascending
+    order and nonzero equals the serial pass's key for key. If the fork
+    itself fails, all columns run here. If this half raises, the child is
+    killed and reaped and the exception goes on unchanged; a child that
+    exits nonzero or sends bytes that do not load raises ChildProcessError,
+    and no block of it is kept."""
+    half = count // 2
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: the same loop, serially
+        os.close(read)
+        os.close(write)
+        return columns(0, count)
+    if not pid:
+        try:
+            import gc
+
+            os.close(read)
+            gc.disable()
+            columns(half, count)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(nonzero))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            columns(0, half)
+            data = pipe.read()
+        except BaseException:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        theirs = None if status else marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        theirs = None
+    if theirs is None:
+        raise ChildProcessError(f"the forked half of an RTT pass failed (exit status {status}, {len(data)} bytes back)")
+    for mine, block in zip(nonzero, theirs):
+        mine.update(block)
 
 
 def _cleared_r(sig, c, u, v):

@@ -6,7 +6,9 @@ rational formula with every factor placed by embed, for checking the
 packed entry products of monodromy.check_rtt, and insert_identity, an even
 operator lifted by one identity factor, whose sign is the sign of T(u) x I
 that check_rtt's plan reads in closed form; perturb_at corrupts one entry
-of T at one point. Both exchange residuals as the rational formulas, composing the rational
+of T at one point, take_rtt_path sends every RTT pass down its forked or
+its serial path and pass_layout reads a pass with its key order. Both
+exchange residuals as the rational formulas, composing the rational
 entries of T(u) and T(v), for checking the packed columns of
 monodromy.check_supercommutator, and the Yang-Baxter residual with every
 cleared R factor placed by embed, for checking the expansion of
@@ -37,6 +39,7 @@ the pole rule of the pair tables (scalars.PairTable), which evaluate the
 same points directly.
 """
 
+import os
 from functools import cache
 from itertools import combinations, count, islice, product
 from math import comb, gcd, prod
@@ -222,6 +225,31 @@ def perturb_at(monkeypatch, point, delta=1):
         return n, GradedOperator(op.sig, op.arity, cols)
 
     monkeypatch.setattr(monodromy, "build_cleared_product", perturbed)
+
+
+def take_rtt_path(monkeypatch, forked):
+    """Make every monodromy._rtt_pass from now on run its chain columns in
+    two processes from _FORK_COLUMNS columns on (forked) or all in this one,
+    whatever the CPUs and threads, through the fallback predicate; returns
+    the list of the children forked from now on."""
+    forks, honest = [], os.fork
+
+    def fork():
+        pid = honest()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(monodromy, "_forks", lambda count: forked and count >= monodromy._FORK_COLUMNS)
+    return forks
+
+
+def pass_layout(result):
+    """An _rtt_pass result (scale, nonzero) with every block's columns as a
+    list in their key order, which dict equality does not compare."""
+    scale, nonzero = result
+    return scale, [[(s, list(rows.items())) for s, rows in block.items()] for block in nonzero]
 
 
 class NegatedComposite(CompositeModel):

@@ -12,7 +12,9 @@ against its pair-by-pair evaluation at (3,3). B, C, B~ and C~ at (3,3) on
 L = 4 at one, two and three coincidences u_k = v_k at once equal their
 limits read by interpolation. RTT runs at L=4 with a
 perturbed entry against the rational formula, and at L=5, the largest
-arity-L weight spaces and entry products, under a memory pin. The
+arity-L weight spaces and entry products, under a memory pin on its serial
+path and, perturbed, with its chain columns split between two processes
+against that path. The
 exchange relations, signed blocks of the RTT residuals at (u, v) and
 (v, u) from the same pass, run at L=4, all 81 tuples, honest and with a
 perturbed entry, against the rational formulas.
@@ -26,7 +28,7 @@ import pytest
 from superbethe.bethe import build_dual_vector, build_vector
 from superbethe.gl12 import build_tilde_dual_vector, build_tilde_vector
 from superbethe.graded import GL12, GL21
-from superbethe.monodromy import ChainModel, ChainSpec, Model, check_rtt
+from superbethe.monodromy import ChainModel, ChainSpec, Model, _rtt_pass, check_rtt
 from superbethe.rational import rat
 from superbethe.sampling import ParameterSampler
 
@@ -35,8 +37,10 @@ from oracles import (
     assert_coefficients_match,
     assert_shorthand_matches,
     packaged_bases,
+    pass_layout,
     perturb_at,
     rtt_reference,
+    take_rtt_path,
     vector_at_coincidence,
 )
 
@@ -96,10 +100,13 @@ def test_rtt_with_a_perturbed_entry_at_l4(sig, delta, monkeypatch):
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
-def test_rtt_at_l5_is_zero_within_its_memory_pin(sig):
+def test_rtt_at_l5_is_zero_within_its_memory_pin(sig, monkeypatch):
     """One L=5 RTT check holds the blocks of the two cleared T's, their
     packed columns and the entry products of one chain column at a time:
-    its tracemalloc peak stays under 5.3 MB."""
+    its tracemalloc peak stays under 5.3 MB. The pass runs serially, so the
+    pin covers all of its chain columns (tracemalloc sees this process
+    only)."""
+    forks = take_rtt_path(monkeypatch, False)
     smp = ParameterSampler(f"ext-rtt5:{sig.name}", 1)
     xi = smp.generic(5)
     model = ChainModel(ChainSpec(5, xi, smp.twist(), sig, 1))
@@ -112,6 +119,26 @@ def test_rtt_at_l5_is_zero_within_its_memory_pin(sig):
     finally:
         tracemalloc.stop()
     assert peak <= 5.3 * 10**6, peak
+    assert forks == []
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+def test_forked_rtt_pass_at_l5_equals_the_serial_pass(sig, monkeypatch):
+    """At L=5, with N*T(v) perturbed, the pass with the upper half of its
+    243 chain columns in a forked child returns the serial pass's scale and
+    nonzero blocks, every block's columns in the same key order."""
+    smp = ParameterSampler(f"ext-forked5:{sig.name}", 1)
+    xi = smp.generic(5)
+    spec = ChainSpec(5, xi, smp.twist(), sig, 1)
+    u, v = smp.generic(2, avoid=xi)
+    perturb_at(monkeypatch, v, 3)
+    got = []
+    for forked in (False, True):
+        forks = take_rtt_path(monkeypatch, forked)
+        got.append(pass_layout(_rtt_pass(ChainModel(spec), u, v)))
+        assert len(forks) == forked
+    assert got[0] == got[1]
+    assert any(min(block)[0] < 3**5 // 2 <= max(block)[0] for block in got[0][1] if block)
 
 
 @pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)

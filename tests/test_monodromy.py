@@ -1,9 +1,16 @@
+import errno
 import gc
+import marshal
+import os
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,9 +58,11 @@ from oracles import (
     all_supercommutators,
     embedded_monodromy,
     insert_identity,
+    pass_layout,
     perturb_at,
     rational_entries,
     rtt_reference,
+    take_rtt_path,
 )
 
 
@@ -948,10 +957,12 @@ def test_operator_identities_multiply_only_ints(monkeypatch):
     assert seen["int"] > 0 and set(seen) == {"int"}, seen
 
 
-def test_rtt_streams_its_residual():
+def test_rtt_streams_its_residual(monkeypatch):
     """One L=4 RTT check holds no product of its arity-6 factors: its
     tracemalloc peak stays under 3 MB, where the four materialized products
-    peak above 6 MB."""
+    peak above 6 MB. The pass runs serially, so the pin covers all of its
+    chain columns (tracemalloc sees this process only)."""
+    forks = take_rtt_path(monkeypatch, False)
     model = chain(4, (rat(0), rat(1, 3), rat(-2, 5), rat(7, 4)), twist=(rat(2), rat(1, 3), rat(-3)))
     u, v = rat(5, 2), rat(-3, 7)
     check_rtt(model, u, v)  # fills the parity tables, the plan and the cached P first
@@ -962,6 +973,152 @@ def test_rtt_streams_its_residual():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 10**6, peak
+    assert forks == []
+
+
+def _l4_pair(sig, seed):
+    smp = ParameterSampler(f"{seed}:{sig.name}", 1)
+    xi = smp.generic(4)
+    spec = ChainSpec(4, xi, smp.twist(), sig, 1)
+    return spec, *smp.generic(2, avoid=xi)
+
+
+@pytest.mark.parametrize("sig", [GL21, GL12], ids=lambda s: s.name)
+@pytest.mark.parametrize("at", ["honest", "u", "v", "both"])
+def test_forked_rtt_pass_equals_the_serial_pass(sig, at, monkeypatch):
+    """At L = 4, with the upper half of its chain columns in one forked
+    child, the pass returns the serial pass's scale and blocks, every
+    block's columns in the same key order, at (u, v) and (v, u), honest and
+    with N*T perturbed at u, at v and at both; check_rtt and all 162 forms
+    of check_supercommutator give the same residuals and witnesses on both
+    paths, and the forked path leaves no process behind."""
+    spec, u, v = _l4_pair(sig, "forked-pass")
+    if at in ("u", "both"):
+        perturb_at(monkeypatch, u)
+    if at in ("v", "both"):
+        perturb_at(monkeypatch, v, 3)
+    got = []
+    for forked in (False, True):
+        forks = take_rtt_path(monkeypatch, forked)
+        model = ChainModel(spec)
+        passes = [pass_layout(monodromy._rtt_pass(model, x, y)) for x, y in ((u, v), (v, u))]
+        residuals = [check_rtt(model, u, v)] + [r for t in product(range(1, 4), repeat=4) for r in check_supercommutator(model, *t, u, v)]
+        got.append((passes, residuals, [r.first_nonzero() for r in residuals]))
+        # two passes, check_rtt's and the exchange pair's at (u, v), and at (v, u) where it fails
+        assert len(forks) == forked * (4 + (at != "honest"))
+    assert got[0] == got[1]
+    assert residuals[0].is_zero() == (at == "honest")
+    # a failing pass has blocks with columns on both sides of the split
+    half = 3**4 // 2
+    assert any(min(block)[0] < half <= max(block)[0] for _, blocks in passes for block in blocks if block) == (at != "honest")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_pass_whose_fork_fails_runs_its_columns_here(monkeypatch):
+    """Where os.fork raises, the pass runs every chain column here and
+    returns the serial pass, perturbed so that it has blocks."""
+    spec, u, v = _l4_pair(GL12, "forked-hygiene")
+    perturb_at(monkeypatch, u)
+    take_rtt_path(monkeypatch, False)
+    serial = pass_layout(monodromy._rtt_pass(ChainModel(spec), u, v))
+    take_rtt_path(monkeypatch, True)
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "no process to be had")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert pass_layout(monodromy._rtt_pass(ChainModel(spec), u, v)) == serial
+    assert any(block for block in serial[1])
+
+
+def test_a_failing_parent_half_kills_and_reaps_its_child(monkeypatch):
+    """The exception of the parent's half comes through unchanged, and its
+    child, here at work for 30 s before it fails, is killed and reaped at
+    once."""
+    forks = take_rtt_path(monkeypatch, True)
+    spec, u, v = _l4_pair(GL21, "forked-hygiene")
+    parent, boom = os.getpid(), ValueError("the parent's half")
+
+    def packed_products(rows, column):
+        if os.getpid() == parent:
+            raise boom
+        time.sleep(30)
+        raise ValueError("the child's half")
+
+    monkeypatch.setattr(monodromy, "packed_products", packed_products)
+    start = time.monotonic()
+    with pytest.raises(ValueError) as raised:
+        check_rtt(ChainModel(spec), u, v)
+    assert raised.value is boom and len(forks) == 1
+    assert time.monotonic() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", ["raises", "short"])
+def test_a_failing_child_raises_one_line_and_returns_no_block(fault, monkeypatch):
+    """A child that raises (and so exits nonzero) or sends bytes one short
+    of its blocks makes the pass raise a one-line ChildProcessError, and
+    the child is reaped."""
+    forks = take_rtt_path(monkeypatch, True)
+    spec, u, v = _l4_pair(GL21, "forked-hygiene")
+    parent = os.getpid()
+    if fault == "raises":
+        honest = monodromy.packed_products
+
+        def packed_products(rows, column):
+            if os.getpid() != parent:
+                raise ValueError("the child's half")
+            return honest(rows, column)
+
+        monkeypatch.setattr(monodromy, "packed_products", packed_products)
+    else:
+        monkeypatch.setattr(monodromy, "marshal", SimpleNamespace(dumps=lambda x: marshal.dumps(x)[:-1], loads=marshal.loads))
+    with pytest.raises(ChildProcessError) as raised:
+        check_rtt(ChainModel(spec), u, v)
+    message = str(raised.value)
+    assert "forked half" in message and "\n" not in message
+    assert ("exit status 1" in message) == (fault == "raises")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fallback_predicate():
+    """The pass forks from L = 4 on, where os.fork exists, the process may
+    run on two CPUs and no other thread is alive, and runs serially
+    otherwise."""
+    if not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        pytest.skip("this process cannot fork onto a second CPU")
+    assert monodromy._FORK_COLUMNS == 3**4
+    assert monodromy._forks(3**4) and monodromy._forks(3**5) and not monodromy._forks(3**3)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not monodromy._forks(3**4)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.delattr(os, "fork")
+        assert not monodromy._forks(3**4)
+
+
+def test_a_pass_with_another_thread_alive_runs_serially(monkeypatch):
+    """With a second thread alive the pass takes the serial path, through
+    the predicate as it is, and forks nothing, so it emits no warning."""
+    forks, honest = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or honest())
+    spec, u, v = _l4_pair(GL12, "forked-thread")
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not monodromy._forks(3**4)
+            assert check_rtt(ChainModel(spec), u, v).is_zero()
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and forks == []
 
 
 def test_exchange_products_are_composed_once_per_pair(monkeypatch):
